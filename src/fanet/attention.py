@@ -26,6 +26,7 @@ import numpy as np
 
 from .matrices import (
     ShapeError,
+    _check_boxes,
     as_matrix,
     check_same_shape,
     softmax_cols,
@@ -54,8 +55,9 @@ __all__ = [
 class EntitySet:
     """N entities with embedding features and optional boxes/category labels.
 
-    features: (n, d) float64. boxes, when present, are (n, 4) rows of
-    (x1, y1, x2, y2) with x1 < x2 and y1 < y2 (pixel units).
+    features: (n, d) float64. boxes, when present, are (n, 4) finite rows of
+    (x1, y1, x2, y2) with x1 < x2 and y1 < y2 (pixel units); anything else
+    raises ValidationError here, so box consumers need no further checks.
     """
 
     features: np.ndarray
@@ -77,8 +79,7 @@ class EntitySet:
                 raise ShapeError(
                     f"boxes must be ({self.n}, 4), got {boxes.shape}"
                 )
-            if np.any(boxes[:, 0] >= boxes[:, 2]) or np.any(boxes[:, 1] >= boxes[:, 3]):
-                raise ValueError("boxes must satisfy x1 < x2 and y1 < y2")
+            _check_boxes(boxes)
             object.__setattr__(self, "boxes", boxes)
 
     @property

@@ -36,6 +36,8 @@ __all__ = [
 
 METRICS_CSV_COLUMNS = ("instance_id", "k", "recall", "center_mass")
 
+RECALL_IOU = 0.5  # default best-match IoU threshold for recall
+
 
 @dataclass(frozen=True)
 class RelationPair:
@@ -80,23 +82,53 @@ def top_k_pairs(focus_weights, k: int, ordered_pairs: bool = False) -> list[Rela
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
 
-    candidates: list[tuple[int, int]] = []
     if ordered_pairs:
-        candidates = [(i, j) for i in range(n) for j in range(n) if i != j]
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                # keep the stronger orientation; exact tie keeps (i, j), the
-                # lexicographically smaller one
-                if w[j, i] > w[i, j]:
-                    candidates.append((j, i))
-                else:
-                    candidates.append((i, j))
-    candidates.sort(key=lambda ij: (-w[ij[0], ij[1]], ij[0], ij[1]))
+        # keep the stronger orientation; exact tie keeps (i, j), the
+        # lexicographically smaller one
+        iu, ju = np.triu_indices(n, 1)
+        flip = w[ju, iu] > w[iu, ju]
+        rows = np.where(flip, ju, iu)
+        cols = np.where(flip, iu, ju)
+    weights = w[rows, cols]
+    if k < weights.size:
+        # every candidate tied with the k-th largest weight survives the cut,
+        # so the (row, col) tie-break below sees all of them
+        kth = np.partition(weights, weights.size - k)[weights.size - k]
+        keep = weights >= kth
+        rows, cols, weights = rows[keep], cols[keep], weights[keep]
+    order = np.lexsort((cols, rows, -weights))[:k]
     return [
-        RelationPair(subject=i, object=j, weight=float(w[i, j]))
-        for i, j in candidates[:k]
+        RelationPair(subject=int(rows[o]), object=int(cols[o]), weight=float(weights[o]))
+        for o in order
     ]
+
+
+def _recall_at_ks(
+    pairs: Sequence[RelationPair],
+    matches: np.ndarray,
+    gt_relations: Sequence[GroundTruthRelation],
+    ks: Sequence[int],
+) -> dict:
+    """{k: recall of the first k pairs} for every k, in one walk over the pairs.
+
+    Unchecked: matches is entity_gt_matching's output for the pairs' entities.
+    """
+    unique_gt = {rel.unordered() for rel in gt_relations}
+    if not unique_gt:
+        return {k: 1.0 for k in ks}
+    covered_at = [0]  # covered_at[p]: relations covered by the first p pairs
+    covered = set()
+    for pair in pairs[: max(ks)]:
+        a = matches[pair.subject]
+        b = matches[pair.object]
+        if a != NO_MATCH and b != NO_MATCH and a != b:
+            key = frozenset((int(a), int(b)))
+            if key in unique_gt:
+                covered.add(key)
+        covered_at.append(len(covered))
+    return {k: covered_at[min(k, len(covered_at) - 1)] / len(unique_gt) for k in ks}
 
 
 def relation_recall(
@@ -105,7 +137,7 @@ def relation_recall(
     gt_objects: Sequence[GroundTruthObject],
     gt_relations: Sequence[GroundTruthRelation],
     k: int,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = RECALL_IOU,
 ) -> float:
     """Fraction of unique gt relations covered by the first k proposals.
 
@@ -113,21 +145,17 @@ def relation_recall(
     relation's two gt objects (unordered, IoU > threshold via best-match
     assignment). Each gt relation counts at most once. Empty gt_relations
     gives vacuous recall 1.0; report layers flag that case.
+
+    This computes the matching for one cutoff. To score several cutoffs,
+    match once with entity_gt_matching and pass the result to
+    _recall_at_ks, as trainer.evaluate does.
     """
-    unique_gt = {rel.unordered() for rel in gt_relations}
-    if not unique_gt:
-        return 1.0
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if not gt_relations:
+        return 1.0  # vacuous before matching, so box-less entities are fine here
     matches = entity_gt_matching(entities, gt_objects, iou_threshold)
-    covered = set()
-    for pair in list(pairs)[:k]:
-        a = matches[pair.subject]
-        b = matches[pair.object]
-        if a == NO_MATCH or b == NO_MATCH or a == b:
-            continue
-        key = frozenset((int(a), int(b)))
-        if key in unique_gt:
-            covered.add(key)
-    return len(covered) / len(unique_gt)
+    return _recall_at_ks(list(pairs), matches, gt_relations, (k,))[k]
 
 
 def word_importance(focus_weights) -> np.ndarray:

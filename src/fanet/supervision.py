@@ -11,6 +11,7 @@ Every emitted target matrix is symmetric with a zero diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .attention import EntitySet
-from .matrices import ValidationError
+from .matrices import ValidationError, _check_boxes
 
 __all__ = [
     "GroundTruthObject",
@@ -46,8 +47,10 @@ class GroundTruthObject:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise ValidationError(f"box must satisfy x1 < x2 and y1 < y2, got {self.box}")
+        if not (x1 < x2 and y1 < y2 and all(map(math.isfinite, self.box))):
+            raise ValidationError(
+                f"box must be finite with x1 < x2 and y1 < y2, got {self.box}"
+            )
 
 
 class LexicalPairTable:
@@ -117,19 +120,29 @@ class LexicalPairTable:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two well-ordered boxes; 0 when disjoint."""
-    ax1, ay1, ax2, ay2 = map(float, a)
-    bx1, by1, bx2, by2 = map(float, b)
-    if not (ax1 < ax2 and ay1 < ay2 and bx1 < bx2 and by1 < by2):
-        raise ValidationError(f"boxes must be well-ordered, got {a} and {b}")
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def _iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
+    """(n, g) IoU of every box against every gt box; both (., 4), well-ordered.
+
+    Same operation order as a scalar IoU: intersection from min/max corners,
+    0 when either side is <= 0, otherwise inter / (area_a + area_b - inter).
+    """
+    ax1, ay1, ax2, ay2 = boxes.T[:, :, None]
+    bx1, by1, bx2, by2 = gt_boxes.T[:, None, :]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    overlap = (iw > 0.0) & (ih > 0.0)
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+
+
+def iou(a, b) -> float:
+    """Intersection over union of two well-ordered boxes; 0 when disjoint."""
+    boxes = np.array([a, b], dtype=np.float64)
+    if boxes.shape != (2, 4):
+        raise ValidationError(f"boxes must be (x1, y1, x2, y2), got {a} and {b}")
+    _check_boxes(boxes)
+    return float(_iou_matrix(boxes[:1], boxes[1:])[0, 0])
 
 
 def entity_gt_matching(
@@ -140,21 +153,20 @@ def entity_gt_matching(
     """Best-match gt index per entity, or -1 when no IoU exceeds the threshold.
 
     Each entity matches at most one object: the one with maximal IoU, strictly
-    above the threshold, ties broken by lowest gt index.
+    above the threshold, ties broken by lowest gt index. One (n, g) IoU matrix
+    serves all entities; boxes were validated when the EntitySet and the
+    GroundTruthObjects were built. Evaluation calls this once per instance and
+    scores every recall cutoff from the result.
     """
     if entities.boxes is None:
         raise ValidationError("entities have no boxes; cannot match against gt objects")
-    matches = np.full(entities.n, NO_MATCH, dtype=np.int64)
-    for i in range(entities.n):
-        best_iou = iou_threshold  # strict: must exceed this
-        best = NO_MATCH
-        for j, obj in enumerate(gt):
-            v = iou(entities.boxes[i], obj.box)
-            if v > best_iou:  # ties keep the earlier (lower) index
-                best_iou = v
-                best = j
-        matches[i] = best
-    return matches
+    if not gt:
+        return np.full(entities.n, NO_MATCH, dtype=np.int64)
+    gt_boxes = np.array([obj.box for obj in gt], dtype=np.float64)
+    ious = _iou_matrix(entities.boxes, gt_boxes)
+    best = np.argmax(ious, axis=1)  # first maximum: lowest gt index wins ties
+    hit = ious[np.arange(entities.n), best] > iou_threshold
+    return np.where(hit, best, NO_MATCH).astype(np.int64)
 
 
 def build_vision_target(

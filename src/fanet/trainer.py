@@ -21,7 +21,7 @@ Supervision strategies:
   * ``unsup``     no relation term at all (relation weight treated as 0).
 
 Defaults follow the vision-style recipe: SGD with momentum 0.9, learning rate
-5e-4 cut by 10x after 5/8 of the epochs, batch size 2, lambda 0.01. A
+5e-4 cut by 10x after 5/8 of the epochs, batch size 1, lambda 0.01. A
 language-style run typically overrides optimizer="adam", lr=1e-3, lam=0.1.
 
 Within a mini-batch, task gradients average over the whole batch while
@@ -54,8 +54,15 @@ from .losses import (
     validate_target,
 )
 from .matrices import ShapeError, ValidationError, softmax_rows
-from .metrics import CenterMassSummary, center_mass_report, relation_recall, top_k_pairs
+from .metrics import (
+    RECALL_IOU,
+    CenterMassSummary,
+    _recall_at_ks,
+    center_mass_report,
+    top_k_pairs,
+)
 from .seeding import STREAM_PARAMS_CLASSIFIER, STREAM_SHUFFLE, stream_rng
+from .supervision import entity_gt_matching
 from .synthgen import Instance
 
 __all__ = [
@@ -524,11 +531,8 @@ def evaluate(
             )
         if inst.gt_relations:
             pairs = top_k_pairs(fwd.state.focus_weights, max_k)
-            gt_objects = inst.gt_objects()
-            per_k = {
-                k: relation_recall(pairs, inst.entities, gt_objects, inst.gt_relations, k)
-                for k in ks
-            }
+            matches = entity_gt_matching(inst.entities, inst.gt_objects(), RECALL_IOU)
+            per_k = _recall_at_ks(pairs, matches, inst.gt_relations, ks)
         else:
             n_vacuous += 1
             per_k = {k: 1.0 for k in ks}

@@ -16,7 +16,7 @@ from fanet.attention import (
     softmax_matrix_vjp,
     softmax_rows_vjp,
 )
-from fanet.matrices import ShapeError
+from fanet.matrices import ShapeError, ValidationError
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -29,6 +29,30 @@ def random_problem(seed, n=5, d=4, d_k=3):
         w_k=rng.normal(size=(d_k, d)), w_q=rng.normal(size=(d_k, d))
     )
     return entities, params
+
+
+class TestEntitySetBoxes:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [2, 0, 1, 1],  # x1 > x2
+            [0, 1, 1, 1],  # y1 == y2
+            [0, 0, float("nan"), 1],
+            [0, 0, float("inf"), 1],
+            [float("-inf"), 0, 1, 1],
+        ],
+    )
+    def test_rejects_bad_box(self, bad):
+        with pytest.raises(ValidationError):
+            EntitySet(features=np.zeros((2, 3)), boxes=[[0, 0, 1, 1], bad])
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ShapeError):
+            EntitySet(features=np.zeros((2, 3)), boxes=[[0, 0, 1, 1]])
+
+    def test_stores_float64(self):
+        ents = EntitySet(features=np.zeros((1, 3)), boxes=[[0, 0, 1, 2]])
+        assert ents.boxes.dtype == np.float64 and ents.boxes.shape == (1, 4)
 
 
 class TestLogits:

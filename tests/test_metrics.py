@@ -1,6 +1,7 @@
 """Proposal extraction and recall scoring against brute-force re-implementations."""
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from fanet.metrics import (
     CenterMassSummary,
     GroundTruthRelation,
     RelationPair,
+    _recall_at_ks,
     center_mass_report,
     relation_recall,
     top_k_pairs,
@@ -20,11 +22,57 @@ from fanet.metrics import (
     write_metrics_csv,
 )
 from fanet.supervision import GroundTruthObject, entity_gt_matching
+from fanet.synthgen import default_world_spec, generate_dataset
 
 
 def random_focus(seed, n):
     rng = np.random.default_rng(seed)
     return softmax_matrix(rng.normal(size=(n, n)))
+
+
+# --- pure-Python references, independent of the array kernels ------------------
+
+
+def ref_iou(a, b):
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    area = lambda r: (r[2] - r[0]) * (r[3] - r[1])  # noqa: E731
+    return inter / (area(a) + area(b) - inter)
+
+
+def ref_matching(boxes, gt_boxes, threshold):
+    """Best strictly-above-threshold gt index per box; first maximum wins."""
+    matches = []
+    for box in boxes:
+        best, best_iou = -1, threshold
+        for g, gb in enumerate(gt_boxes):
+            v = ref_iou(box, gb)
+            if v > best_iou:
+                best, best_iou = g, v
+        matches.append(best)
+    return matches
+
+
+def ref_top_k(w, k, ordered_pairs=False):
+    """(row, col, weight) triples sorted by (-weight, row, col)."""
+    w = np.asarray(w).tolist()
+    n = len(w)
+    if ordered_pairs:
+        cands = [(i, j) for i in range(n) for j in range(n) if i != j]
+    else:
+        cands = [
+            (j, i) if w[j][i] > w[i][j] else (i, j)
+            for i, j in itertools.combinations(range(n), 2)
+        ]
+    cands.sort(key=lambda ij: (-w[ij[0]][ij[1]], ij[0], ij[1]))
+    return [(i, j, w[i][j]) for i, j in cands[:k]]
+
+
+def triples(pairs):
+    return [(p.subject, p.object, p.weight) for p in pairs]
 
 
 class TestTopKPairs:
@@ -74,6 +122,23 @@ class TestTopKPairs:
         with pytest.raises(ValidationError):
             top_k_pairs(random_focus(5, 3), 0)
 
+    @pytest.mark.parametrize("ordered_pairs", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_quantised_ties_match_reference_sort(self, seed, ordered_pairs):
+        """Integer weights make large tie groups; cut below, at and across each."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        w = rng.integers(0, 3, size=(n, n)).astype(float)
+        full = ref_top_k(w, n * n, ordered_pairs)
+        weights = [t[2] for t in full]
+        boundaries = [i for i in range(1, len(weights)) if weights[i] != weights[i - 1]]
+        ks = {1, len(full), len(full) + 5}
+        for b in boundaries:
+            ks |= {b - 1, b, b + 1}
+        for k in sorted(k for k in ks if k >= 1):
+            got = triples(top_k_pairs(w, k, ordered_pairs=ordered_pairs))
+            assert got == full[:k], f"k={k}"
+
     def test_pair_validates_distinct(self):
         with pytest.raises(ValidationError):
             RelationPair(subject=2, object=2, weight=0.1)
@@ -87,16 +152,15 @@ def brute_force_recall(w, boxes, gt_objects, gt_relations, k, iou_threshold=0.5)
         scored.append((max(w[i, j], w[j, i]), i, j))
     scored.sort(key=lambda t: -t[0])
 
-    ents = EntitySet(features=np.zeros((n, 2)), boxes=boxes)
-    matches = entity_gt_matching(ents, gt_objects, iou_threshold)
+    matches = ref_matching(boxes.tolist(), [o.box for o in gt_objects], iou_threshold)
     wanted = {frozenset((r.subject, r.object)) for r in gt_relations}
     if not wanted:
         return 1.0
     hit = set()
     for _, i, j in scored[:k]:
         a, b = matches[i], matches[j]
-        if a >= 0 and b >= 0 and a != b and frozenset((int(a), int(b))) in wanted:
-            hit.add(frozenset((int(a), int(b))))
+        if a >= 0 and b >= 0 and a != b and frozenset((a, b)) in wanted:
+            hit.add(frozenset((a, b)))
     return len(hit) / len(wanted)
 
 
@@ -172,6 +236,45 @@ class TestRelationRecall:
         proposals = [RelationPair(subject=0, object=1, weight=1.0)]
         got = relation_recall(proposals, ents, gt_objects, [GroundTruthRelation(0, 1)], 1)
         assert got == 0.0
+
+
+    def test_one_pass_equals_per_k_calls(self):
+        w, boxes, gt_objects, gt_relations = self.make_scene(11, 6)
+        ents = EntitySet(features=np.zeros((6, 2)), boxes=boxes)
+        pairs = top_k_pairs(w, 10)
+        matches = entity_gt_matching(ents, gt_objects, 0.5)
+        ks = (10, 1, 3, 99)
+        got = _recall_at_ks(pairs, matches, gt_relations, ks)
+        assert list(got) == list(ks)
+        for k in ks:
+            assert got[k] == relation_recall(pairs, ents, gt_objects, gt_relations, k)
+
+    def test_rejects_bad_k(self):
+        w, boxes, gt_objects, gt_relations = self.make_scene(12, 4)
+        ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
+        with pytest.raises(ValidationError):
+            relation_recall(top_k_pairs(w, 3), ents, gt_objects, gt_relations, 0)
+
+
+def test_300_entity_scene_matches_reference():
+    """A paper-sized synthgen scene: top-K, matching and recall@{1,5,10}."""
+    spec = dataclasses.replace(default_world_spec(), entities_min=300, entities_max=300)
+    _, (inst,) = generate_dataset(spec, 1, 1, seed=5)
+    assert inst.n == 300 and inst.gt_relations
+    params = init_params(d=inst.entities.d, d_k=4, seed=0)
+    focus = forward(inst.entities, params).focus_weights
+    pairs = top_k_pairs(focus, 10)
+    assert triples(pairs) == ref_top_k(focus, 10)
+
+    ents, gt_objects, gt_relations = inst.entities, inst.gt_objects(), inst.gt_relations
+    want_matches = ref_matching(ents.boxes.tolist(), [o.box for o in gt_objects], 0.5)
+    matches = entity_gt_matching(ents, gt_objects, 0.5)
+    assert matches.tolist() == want_matches
+    recall = _recall_at_ks(pairs, matches, gt_relations, (1, 5, 10))
+    for k in (1, 5, 10):
+        want = brute_force_recall(focus, ents.boxes, gt_objects, gt_relations, k)
+        assert recall[k] == want, k
+        assert relation_recall(pairs, ents, gt_objects, gt_relations, k) == want
 
 
 class TestWordImportance:

@@ -47,11 +47,24 @@ class TestIou:
         with pytest.raises(ValidationError):
             iou((2, 0, 1, 1), (0, 0, 1, 1))
 
+    def test_rejects_non_finite_box(self):
+        with pytest.raises(ValidationError):
+            iou((0, 0, float("nan"), 1), (0, 0, 1, 1))
+        with pytest.raises(ValidationError):
+            iou((0, 0, 1, 1), (float("-inf"), 0, 1, 1))
+
 
 class TestGroundTruthObject:
     def test_validates_box(self):
         with pytest.raises(ValidationError):
             GroundTruthObject(box=(1, 1, 1, 2), category=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_box(self, bad):
+        with pytest.raises(ValidationError):
+            GroundTruthObject(box=(0, 0, bad, 1), category=0)
+        with pytest.raises(ValidationError):
+            GroundTruthObject(box=(-bad, 0, 1, 1), category=0)
 
     def test_roundtrip_fields(self):
         obj = GroundTruthObject(box=(0, 0, 1, 1), category=3)
@@ -83,6 +96,21 @@ class TestMatching:
         ]
         ents = entity_set([box])
         assert entity_gt_matching(ents, gt, 0.5).tolist() == [0]
+
+    def test_equal_iou_distinct_boxes_takes_lowest_index(self):
+        """Two different gt boxes, each at IoU exactly 1/2: index order decides."""
+        left = GroundTruthObject(box=(0, 0, 2, 1), category=0)
+        right = GroundTruthObject(box=(1, 0, 3, 1), category=1)
+        ents = entity_set([(1, 0, 2, 1)])
+        assert iou(ents.boxes[0], left.box) == iou(ents.boxes[0], right.box) == 0.5
+        assert entity_gt_matching(ents, [left, right], 0.4).tolist() == [0]
+        assert entity_gt_matching(ents, [right, left], 0.4).tolist() == [0]
+        assert entity_gt_matching(ents, [right, left], 0.5).tolist() == [NO_MATCH]
+
+    def test_empty_gt_matches_nothing(self):
+        matches = entity_gt_matching(entity_set([(0, 0, 1, 1), (2, 2, 3, 3)]), [], 0.5)
+        assert matches.dtype == np.int64
+        assert matches.tolist() == [NO_MATCH, NO_MATCH]
 
     def test_threshold_monotonicity(self):
         """Raising the threshold can only lose matches, never gain or swap."""
