@@ -493,7 +493,7 @@ def cmd_export_attention(args) -> int:
             for p in pairs
         ],
         "target": inst.target.tolist(),
-        "gt_relations": [sorted((r.subject, r.object)) for r in inst.gt_relations],
+        "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],
         "tokens": list(inst.tokens) if inst.tokens is not None else None,
         "tags": list(inst.tags) if inst.tags is not None else None,
         "categories": (

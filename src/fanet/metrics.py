@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class RelationPair:
         return frozenset((self.subject, self.object))
 
 
-@dataclass(frozen=True)
-class GroundTruthRelation:
+class GroundTruthRelation(NamedTuple):
     """An annotated relation between two gt objects; matched as an unordered pair."""
 
     subject: int
@@ -114,17 +113,19 @@ def _recall_at_ks(
     """{k: recall of the first k pairs} for every k, in one walk over the pairs.
 
     Unchecked: matches is entity_gt_matching's output for the pairs' entities.
+    gt_relations may hold any (subject, object) pairs.
     """
-    unique_gt = {rel.unordered() for rel in gt_relations}
+    unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
     if not unique_gt:
         return {k: 1.0 for k in ks}
+    m = matches.tolist()
     covered_at = [0]  # covered_at[p]: relations covered by the first p pairs
     covered = set()
     for pair in pairs[: max(ks)]:
-        a = matches[pair.subject]
-        b = matches[pair.object]
+        a = m[pair.subject]
+        b = m[pair.object]
         if a != NO_MATCH and b != NO_MATCH and a != b:
-            key = frozenset((int(a), int(b)))
+            key = (a, b) if a < b else (b, a)
             if key in unique_gt:
                 covered.add(key)
         covered_at.append(len(covered))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,20 +52,46 @@ __all__ = [
 ]
 
 
-def _check_pairs(pairs, n_categories: int, field: str) -> tuple:
-    out = []
-    for p in pairs:
-        if len(p) != 2:
-            raise ValidationError(f"{field}: each entry must be a pair, got {p!r}")
-        a, b = int(p[0]), int(p[1])
-        if a == b:
-            raise ValidationError(f"{field}: pair {p!r} relates a category to itself")
-        if not (0 <= a < n_categories and 0 <= b < n_categories):
-            raise ValidationError(
-                f"{field}: pair {p!r} out of range for {n_categories} categories"
-            )
-        out.append((a, b))
-    return tuple(out)
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+_NO_PAIRS.flags.writeable = False
+
+
+def _index_pairs(raw, n: int, field: str) -> np.ndarray:
+    """Parse a list of [i, j] index pairs into an (m, 2) int64 array.
+
+    Every entry must be two distinct integers in [0, n); otherwise a
+    ValidationError names the field and the first bad entry. Types are
+    checked on the list itself, because numpy turns a bool among ints into 0/1.
+    """
+    if isinstance(raw, (list, tuple)) and not raw:
+        return _NO_PAIRS
+    flat = None
+    try:
+        if set(map(len, raw)) == {2} and set(map(type, chain.from_iterable(raw))) == {int}:
+            flat = np.fromiter(chain.from_iterable(raw), np.int64, 2 * len(raw))
+    except (TypeError, OverflowError):  # an unsized entry; an index beyond int64
+        pass
+    # as unsigned, a negative index wraps past any n: one max checks both ends
+    in_range = flat is not None and flat.astype(np.uint64).max() < n
+    if not in_range or np.count_nonzero(flat[::2] == flat[1::2]):
+        listed = isinstance(raw, (list, tuple))
+        bad = next(p for p in raw if not _is_index_pair(p, n)) if listed else raw
+        raise ValidationError(
+            f"{field}: bad index pair {bad!r}, need two distinct integers in [0, {n})"
+        )
+    return flat.reshape(-1, 2)
+
+
+def _is_index_pair(p, n: int) -> bool:
+    return isinstance(p, (list, tuple)) and len(p) == 2 and p[0] != p[1] and all(
+        type(x) is int and 0 <= x < n for x in p
+    )
+
+
+def _set_pairs(spec, field: str, n: int) -> None:
+    """Check spec.<field> as index pairs below n; store it as a tuple of int tuples."""
+    pairs = _index_pairs(getattr(spec, field), n, field).tolist()
+    object.__setattr__(spec, field, tuple(map(tuple, pairs)))
 
 
 @dataclass(frozen=True)
@@ -88,14 +115,8 @@ class WorldSpec:
         proto = as_matrix(self.prototypes, name="prototypes")
         object.__setattr__(self, "prototypes", proto)
         n_cat = proto.shape[0]
-        object.__setattr__(
-            self, "affine_pairs", _check_pairs(self.affine_pairs, n_cat, "affine_pairs")
-        )
-        object.__setattr__(
-            self,
-            "signature_pairs",
-            _check_pairs(self.signature_pairs, n_cat, "signature_pairs"),
-        )
+        _set_pairs(self, "affine_pairs", n_cat)
+        _set_pairs(self, "signature_pairs", n_cat)
         seen: set = set()
         for a, b in self.signature_pairs:
             if a in seen or b in seen:
@@ -184,8 +205,8 @@ class WorldSpec:
             raise ValidationError(f"prototypes: not a numeric matrix ({exc})") from exc
         return cls(
             prototypes=prototypes,
-            affine_pairs=tuple(tuple(p) for p in d["affine_pairs"]),
-            signature_pairs=tuple(tuple(p) for p in d["signature_pairs"]),
+            affine_pairs=d["affine_pairs"],
+            signature_pairs=d["signature_pairs"],
             noise_sigma=float(d.get("noise_sigma", 0.25)),
             entities_min=int(d.get("entities_min", 6)),
             entities_max=int(d.get("entities_max", 8)),
@@ -229,9 +250,7 @@ class DocumentSpec:
         unknown = sorted(set(self.tags) - self.table.categories)
         if unknown:
             raise ValidationError(f"tags: {unknown} not present in the pair table")
-        object.__setattr__(
-            self, "keyword_pairs", _check_pairs(self.keyword_pairs, n, "keyword_pairs")
-        )
+        _set_pairs(self, "keyword_pairs", n)
         seen: set = set()
         for a, b in self.keyword_pairs:
             if a in seen or b in seen:
@@ -314,7 +333,7 @@ class DocumentSpec:
             tags=tuple(d["tags"]),
             embeddings=embeddings,
             table=table,
-            keyword_pairs=tuple(tuple(p) for p in d["keyword_pairs"]),
+            keyword_pairs=d["keyword_pairs"],
             noise_sigma=float(d.get("noise_sigma", 0.1)),
             tokens_min=int(d.get("tokens_min", 6)),
             tokens_max=int(d.get("tokens_max", 9)),
@@ -369,22 +388,23 @@ class Instance:
 def _grid_boxes(n: int) -> np.ndarray:
     """Disjoint unit squares laid out on a square-ish grid."""
     cols = int(np.ceil(np.sqrt(n)))
-    boxes = np.empty((n, 4), dtype=np.float64)
-    for i in range(n):
-        r, c = divmod(i, cols)
-        boxes[i] = (float(c), float(r), float(c + 1), float(r + 1))
-    return boxes
+    r, c = np.divmod(np.arange(n), cols)
+    return np.array((c, r, c + 1, r + 1), dtype=np.float64).T
 
 
-def _affinity_target(categories: np.ndarray, affine_pairs) -> np.ndarray:
-    affine = {frozenset(p) for p in affine_pairs}
-    n = categories.shape[0]
-    t = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if frozenset((int(categories[i]), int(categories[j]))) in affine:
-                t[i, j] = t[j, i] = 1.0
-    return t
+def _affinity_target(categories: np.ndarray, affine_pairs, n_categories: int) -> np.ndarray:
+    """1.0 where two entities' categories are affine (no affine pair is a self pair)."""
+    table = np.zeros((n_categories, n_categories), dtype=np.float64)
+    for a, b in affine_pairs:
+        table[a, b] = table[b, a] = 1.0
+    return table[categories[:, None], categories[None, :]]
+
+
+def _upper_pairs(t: np.ndarray) -> np.ndarray:
+    """(m, 2) indices (i < j) of the 1.0 cells of t, in row-major order."""
+    i, j = np.nonzero(t == 1.0)
+    keep = i < j
+    return np.array((i[keep], j[keep])).T
 
 
 def generate_instance(spec: WorldSpec, seed: int) -> Instance:
@@ -403,13 +423,8 @@ def generate_instance(spec: WorldSpec, seed: int) -> Instance:
     categories = np.asarray(cats, dtype=np.int64)[order]
     noise = rng.standard_normal((n, spec.embed_dim))
     features = spec.prototypes[categories] + spec.noise_sigma * noise
-    target = _affinity_target(categories, spec.affine_pairs)
-    relations = tuple(
-        GroundTruthRelation(subject=i, object=j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if target[i, j] == 1.0
-    )
+    target = _affinity_target(categories, spec.affine_pairs, spec.n_categories)
+    relations = tuple(map(GroundTruthRelation._make, _upper_pairs(target).tolist()))
     entities = EntitySet(features=features, categories=categories, boxes=_grid_boxes(n))
     derived = spec.scene_label(categories)
     if derived != label:  # guards the spec invariants, not user input
@@ -550,15 +565,8 @@ def _instance_to_dict(inst: Instance) -> dict:
                 [int(c) for c in ent.categories] if ent.categories is not None else None
             ),
         },
-        "target": [
-            [i, j]
-            for i in range(inst.n)
-            for j in range(i + 1, inst.n)
-            if inst.target[i, j] == 1.0
-        ],
-        "gt_relations": [
-            sorted((r.subject, r.object)) for r in inst.gt_relations
-        ],
+        "target": _upper_pairs(inst.target).tolist(),
+        "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],
         "label": int(inst.label),
     }
     if inst.tokens is not None:
@@ -580,22 +588,16 @@ def _instance_from_dict(d: dict) -> Instance:
     )
     n = entities.n
     target = np.zeros((n, n), dtype=np.float64)
-    for pair in d["target"]:
-        i, j = int(pair[0]), int(pair[1])
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"target: bad index pair {pair!r} for {n} entities")
-        target[i, j] = target[j, i] = 1.0
-    relations = tuple(
-        GroundTruthRelation(subject=int(a), object=int(b))
-        for a, b in d.get("gt_relations", [])
-    )
+    i, j = _index_pairs(d["target"], n, "target").T
+    target[i, j] = target[j, i] = 1.0
+    relations = _index_pairs(d.get("gt_relations", []), n, "gt_relations").tolist()
     tokens = d.get("tokens")
     tags = d.get("tags")
     return Instance(
         entities=entities,
         target=target,
         label=int(d["label"]),
-        gt_relations=relations,
+        gt_relations=tuple(map(GroundTruthRelation._make, relations)),
         tokens=tuple(tokens) if tokens is not None else None,
         tags=tuple(tags) if tags is not None else None,
     )
@@ -629,7 +631,3 @@ def load_spec(d: dict):
     if kind == "document":
         return DocumentSpec.from_dict(d)
     raise ValidationError(f"kind: expected 'vision' or 'document', got {kind!r}")
-
-
-def spec_to_dict(spec) -> dict:
-    return spec.to_dict()

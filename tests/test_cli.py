@@ -264,6 +264,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert "8" in err and "5" in err  # both dims named
 
+    @pytest.mark.parametrize("field,pairs", [("target", [[0]]), ("gt_relations", [[-1, 3]])])
+    def test_malformed_pair_is_user_error(self, tmp_path, data_dir, run_dir, capsys, field, pairs):
+        lines = open(os.path.join(data_dir, "test.jsonl")).read().splitlines()
+        first = json.loads(lines[1])
+        first[field] = pairs
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(first)]) + "\n")
+        code = main(
+            ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+             "--data", str(bad), "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_USER
+        assert f"bad.jsonl:2: {field}:" in capsys.readouterr().err
+
     def test_empty_dataset(self, tmp_path, run_dir):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -1,7 +1,10 @@
-"""Golden fingerprints: SHA-256 of the CLI artifacts for one fixed small run.
+"""Golden fingerprints: SHA-256 of the CLI artifacts for fixed small runs.
 
 `gen` 20/10 at seed 0, `train` for 4 epochs at seed 0, then `eval` of the
-checkpoint on the test split. A refactor that claims to change no numbers
+checkpoint on the test split. Two more `gen` runs at seed 0 pin the dataset
+writer where the bundled run does not reach: 1/2 scenes of 300 entities each
+(the bundled vision world with entities_min = entities_max = 300), and 20/10
+documents of the bundled document world. A refactor that claims to change no numbers
 must leave every hash here unchanged; a change that moves numbers on purpose
 updates the hashes and says so in CHANGES.md. `summary.json` is left out
 because it records absolute paths. The hashes were taken with float64 numpy
@@ -10,10 +13,12 @@ differently.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from fanet.cli import EXIT_OK, main
+from fanet.synthgen import default_world_spec
 
 GOLDEN = {
     "data/train.jsonl": "4a9c4c256c70826da73058a8eb5d739742a376d91d094b02e44c30ea59dc7a7e",
@@ -24,6 +29,15 @@ GOLDEN = {
     "run/checkpoint.json": "35339970468a851cd7b44386b015c9070a6fab24f9a85a4ebac2a18aea6daf8b",
     "eval/metrics.csv": "770c0f0ce426262425e7151c9d5112c928da8dcd0ebbee79faf54948a1957ed5",
     "eval/summary.csv": "9fc6e63ca87e396a75385b00723f1a479f8301324de188caaf998d90a5d39d0a",
+}
+
+GEN_GOLDEN = {
+    "vision300/train.jsonl": "97abb569f2d673077c715e7a53ff2334d2e81e91a230a156264047e14c05f431",
+    "vision300/test.jsonl": "81001f9265a06667e4fe089a9efb580037b9d123ae25111762f114fb4713301a",
+    "vision300/manifest.json": "e652e18914b704e51ef646434bce88dc0973473fa1b659accfe77fc7b2fa25b9",
+    "document/train.jsonl": "b9cb3fb1232f5358663e9ffd4ee566f5be95e959695686c7837d01f0dcbd2502",
+    "document/test.jsonl": "65268f70db06078d7fae489f92dd7ce5e2685a4a8dd48a0561abc43f76ca22fb",
+    "document/manifest.json": "ddcbc495cc05972a6c53e99852a4e59c6d1c64ff9220d04face3e73ee360e654",
 }
 
 
@@ -46,3 +60,27 @@ def artifacts(tmp_path_factory):
 def test_artifact_hash(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name], f"{name} changed"
+
+
+@pytest.fixture(scope="module")
+def gen_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_gen")
+    spec = default_world_spec().to_dict()
+    spec["entities_min"] = spec["entities_max"] = 300
+    spec_path = root / "vision300.json"
+    spec_path.write_text(json.dumps(spec))
+    steps = [
+        ["gen", "--spec", str(spec_path), "--out", str(root / "vision300"),
+         "--n-train", "1", "--n-test", "2", "--seed", "0"],
+        ["gen", "--kind", "document", "--out", str(root / "document"),
+         "--n-train", "20", "--n-test", "10", "--seed", "0"],
+    ]
+    for argv in steps:
+        assert main(argv) == EXIT_OK, argv
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GEN_GOLDEN))
+def test_gen_hash(gen_artifacts, name):
+    digest = hashlib.sha256((gen_artifacts / name).read_bytes()).hexdigest()
+    assert digest == GEN_GOLDEN[name], f"{name} changed"

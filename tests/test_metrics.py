@@ -255,6 +255,38 @@ class TestRelationRecall:
         with pytest.raises(ValidationError):
             relation_recall(top_k_pairs(w, 3), ents, gt_objects, gt_relations, 0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plain_tuples_score_like_relations(self, seed):
+        w, boxes, gt_objects, gt_relations = self.make_scene(20 + seed, 7)
+        ents = EntitySet(features=np.zeros((7, 2)), boxes=boxes)
+        matches = entity_gt_matching(ents, gt_objects, 0.5)
+        matches[seed % 7] = -1  # one unmatched entity
+        pairs = top_k_pairs(w, 21)
+        # reversed orientation and a duplicate: both collapse to one relation
+        plain = [(r.object, r.subject) for r in gt_relations] + [gt_relations[0]]
+        ks = (1, 3, 10, 21)
+        want = _recall_at_ks(pairs, matches, gt_relations, ks)
+        assert _recall_at_ks(pairs, matches, plain, ks) == want
+        assert _recall_at_ks(pairs, matches, [list(p) for p in plain], ks) == want
+
+
+class TestGroundTruthRelation:
+    def test_fields_and_keyword_construction(self):
+        rel = GroundTruthRelation(subject=3, object=1)
+        assert (rel.subject, rel.object) == (3, 1)
+        assert rel == GroundTruthRelation(3, 1)
+        assert rel.unordered() == frozenset((1, 3)) == GroundTruthRelation(1, 3).unordered()
+
+    def test_immutable_and_hashable(self):
+        rel = GroundTruthRelation(subject=0, object=2)
+        with pytest.raises(AttributeError):
+            rel.subject = 5
+        assert len({rel, GroundTruthRelation(0, 2), GroundTruthRelation(2, 0)}) == 2
+
+    def test_unpacks_as_a_pair(self):
+        a, b = GroundTruthRelation(subject=4, object=7)
+        assert (a, b) == (4, 7)
+
 
 def test_300_entity_scene_matches_reference():
     """A paper-sized synthgen scene: top-K, matching and recall@{1,5,10}."""

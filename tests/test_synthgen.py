@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from fanet.matrices import ValidationError
+from fanet.metrics import GroundTruthRelation
 from fanet.seeding import instance_seed, stream_rng
 from fanet.supervision import iou
 from fanet.synthgen import (
@@ -21,9 +23,9 @@ from fanet.synthgen import (
     label_distribution,
     load_spec,
     read_jsonl,
-    spec_to_dict,
     write_jsonl,
 )
+from fanet.synthgen import _affinity_target, _grid_boxes, _upper_pairs
 
 
 def tiny_world(**overrides):
@@ -62,6 +64,13 @@ class TestWorldSpec:
     def test_rejects_out_of_range_pair(self):
         with pytest.raises(ValidationError):
             tiny_world(affine_pairs=((0, 6),))
+
+    @pytest.mark.parametrize("pair", [[0, 1.5], ["0", "1"], [True, 2], [0, 1, 2]])
+    def test_from_dict_rejects_non_integer_pair(self, pair):
+        d = tiny_world().to_dict()
+        d["affine_pairs"] = [[2, 3], pair]
+        with pytest.raises(ValidationError, match="affine_pairs: bad index pair"):
+            WorldSpec.from_dict(d)
 
     def test_rejects_signature_outside_affine(self):
         with pytest.raises(ValidationError):
@@ -294,11 +303,147 @@ class TestJsonl:
             read_jsonl(p)
 
 
+def _one_line_file(tmp_path, field, value):
+    """A one-instance 6-entity dataset file with `field` replaced by `value`."""
+    tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 1, 1, seed=2)
+    p = tmp_path / "one.jsonl"
+    write_jsonl(p, tr)
+    d = json.loads(p.read_text())
+    d[field] = value
+    p.write_text(json.dumps(d) + "\n")
+    return p
+
+
+class TestPairValidation:
+    @pytest.mark.parametrize(
+        "entry",
+        [[0], [0, 1.7], ["0", "1"], [False, True], [0, 1, 5]],
+        ids=["short", "float", "string", "bool", "long"],
+    )
+    def test_malformed_target_entry(self, tmp_path, entry):
+        p = _one_line_file(tmp_path, "target", [[0, 1], entry])
+        named = r"one\.jsonl:1: target: bad index pair " + re.escape(repr(entry))
+        with pytest.raises(ValidationError, match=named):
+            read_jsonl(p)
+
+    @pytest.mark.parametrize("pair", [[0, 999], [-1, 3], [2, 2], [0, 2**70]])
+    def test_gt_relation_outside_scene(self, tmp_path, pair):
+        p = _one_line_file(tmp_path, "gt_relations", [[0, 1], pair])
+        named = r"one\.jsonl:1: gt_relations: bad index pair " + re.escape(repr(pair))
+        with pytest.raises(ValidationError, match=named):
+            read_jsonl(p)
+
+    @pytest.mark.parametrize("value", [None, {"0": 1}, [0, 1]])
+    def test_target_must_be_a_pair_list(self, tmp_path, value):
+        with pytest.raises(ValidationError, match="target"):
+            read_jsonl(_one_line_file(tmp_path, "target", value))
+
+    def test_out_of_range_target_names_pair(self, tmp_path):
+        p = _one_line_file(tmp_path, "target", [[0, 1], [5, 6]])
+        named = r"target: bad index pair \[5, 6\], need two distinct integers in \[0, 6\)"
+        with pytest.raises(ValidationError, match=named):
+            read_jsonl(p)
+
+    def test_valid_pairs_in_any_orientation(self, tmp_path):
+        p = _one_line_file(tmp_path, "gt_relations", [[5, 0], [1, 2], [2, 1]])
+        (inst,) = read_jsonl(p)
+        assert inst.gt_relations == ((5, 0), (1, 2), (2, 1))
+        assert all(type(r) is GroundTruthRelation for r in inst.gt_relations)
+
+    def test_empty_pair_lists(self, tmp_path):
+        p = _one_line_file(tmp_path, "target", [])
+        d = json.loads(p.read_text())
+        d["gt_relations"] = []
+        p.write_text(json.dumps(d) + "\n")
+        (inst,) = read_jsonl(p)
+        assert not inst.target.any() and inst.gt_relations == ()
+
+
+# --- references: the pure-Python loops the array code replaced -----------------
+
+
+def ref_affinity_target(categories, affine_pairs):
+    affine = {frozenset(p) for p in affine_pairs}
+    n = len(categories)
+    t = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if frozenset((int(categories[i]), int(categories[j]))) in affine:
+                t[i, j] = t[j, i] = 1.0
+    return t
+
+
+def ref_upper_pairs(t):
+    n = t.shape[0]
+    return [[i, j] for i in range(n) for j in range(i + 1, n) if t[i, j] == 1.0]
+
+
+def ref_grid_boxes(n):
+    cols = int(np.ceil(np.sqrt(n)))
+    boxes = np.empty((n, 4))
+    for i in range(n):
+        r, c = divmod(i, cols)
+        boxes[i] = (float(c), float(r), float(c + 1), float(r + 1))
+    return boxes
+
+
+class TestArrayKernelsMatchLoops:
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_affinity_target(self, n, seed):
+        # categories 5..8 sit in no affine pair
+        affine = ((0, 1), (2, 3), (1, 4), (3, 0))
+        cats = np.random.default_rng(seed).integers(0, 9, size=n)
+        got = _affinity_target(cats, affine, 9)
+        np.testing.assert_array_equal(got, ref_affinity_target(cats, affine))
+
+    @pytest.mark.parametrize("cats", [[5, 6], [0, 1], [1, 0], [0, 0]])
+    def test_affinity_target_two_entities(self, cats):
+        affine = ((0, 1),)
+        got = _affinity_target(np.array(cats), affine, 7)
+        np.testing.assert_array_equal(got, ref_affinity_target(cats, affine))
+
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_upper_pairs(self, n, seed):
+        # asymmetric, with cells that are near 1 but not 1
+        t = np.random.default_rng(seed).choice([0.0, 0.5, 1.0, 1.0 + 1e-12], size=(n, n))
+        got = _upper_pairs(t)
+        assert got.shape[1:] == (2,)
+        assert got.tolist() == ref_upper_pairs(t)
+
+    def test_upper_pairs_none(self):
+        assert _upper_pairs(np.zeros((4, 4))).tolist() == []
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 300])
+    def test_grid_boxes(self, n):
+        got = _grid_boxes(n)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, ref_grid_boxes(n))
+
+    def test_300_entity_roundtrip_is_exact(self, tmp_path):
+        spec = default_world_spec().to_dict()
+        spec["entities_min"] = spec["entities_max"] = 300
+        (inst,), _ = generate_dataset(load_spec(spec), 1, 1, seed=4)
+        assert len(inst.gt_relations) > 1000
+        assert [list(r) for r in inst.gt_relations] == ref_upper_pairs(inst.target)
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(p1, [inst])
+        (back,) = read_jsonl(p1)
+        np.testing.assert_array_equal(back.target, inst.target)
+        np.testing.assert_array_equal(back.entities.features, inst.entities.features)
+        np.testing.assert_array_equal(back.entities.boxes, inst.entities.boxes)
+        np.testing.assert_array_equal(back.entities.categories, inst.entities.categories)
+        assert back.gt_relations == inst.gt_relations and back.label == inst.label
+        write_jsonl(p2, [back])
+        assert p1.read_bytes() == p2.read_bytes()
+
+
 class TestSpecSerialization:
     def test_load_spec_dispatch(self):
-        w = load_spec(spec_to_dict(default_world_spec()))
+        w = load_spec(default_world_spec().to_dict())
         assert isinstance(w, WorldSpec)
-        d = load_spec(spec_to_dict(default_document_spec()))
+        d = load_spec(default_document_spec().to_dict())
         assert isinstance(d, DocumentSpec)
 
     def test_load_spec_rejects_unknown_kind(self):
@@ -307,7 +452,7 @@ class TestSpecSerialization:
 
     def test_document_spec_roundtrip_generates_identically(self):
         spec = default_document_spec()
-        again = load_spec(json.loads(json.dumps(spec_to_dict(spec))))
+        again = load_spec(json.loads(json.dumps(spec.to_dict())))
         a = generate_document_instance(spec, seed=5)
         b = generate_document_instance(again, seed=5)
         np.testing.assert_array_equal(a.entities.features, b.entities.features)
