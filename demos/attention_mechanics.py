@@ -13,7 +13,6 @@ import numpy as np
 from fanet import (
     EntitySet,
     aggregate,
-    attention_logits,
     forward,
     init_params,
     residual_combine,
@@ -37,11 +36,11 @@ base = np.array(
 entities = EntitySet(features=base + 0.05 * rng.normal(size=base.shape))
 params = init_params(d=4, d_k=3, seed=0)
 
-print("1. Pairwise logits W[m, n] = (w_k f_m) . (w_q f_n) / sqrt(d_k)")
-logits = attention_logits(entities, params)
-print(logits, "\n")
-
 state = forward(entities, params)
+
+print("1. Pairwise logits W[m, n] = (w_k f_m) . (w_q f_n) / sqrt(d_k)")
+logits = state.logits
+print(logits, "\n")
 
 print("2. Row normalization (aggregation weights): every row sums to 1")
 print(state.agg_weights)
@@ -62,6 +61,6 @@ print("updated[0]:", updated[0], "\n")
 
 print("5. Scaling features by c scales logits by c^2 (both projections see c)")
 doubled = EntitySet(features=2.0 * entities.features)
-ratio = attention_logits(doubled, params) / logits
+ratio = forward(doubled, params).logits / logits
 print("elementwise ratio (should be 4 everywhere):")
 print(ratio)

@@ -5,7 +5,7 @@ The center-mass loss family and its closed-form gradient
 Center-mass M is the probability the focus distribution assigns to labeled
 pairs. The focal loss -(1 - M)^r log(M) shrinks as M grows; raising r
 silences instances that are already easy. The gradient with respect to the
-logits has the simple form s * (T - M) and always sums to zero.
+logits has the simple form L'(M) * s * (T - M) and always sums to zero.
 
 Run with: python3 demos/focus_loss_tour.py
 """
@@ -15,9 +15,9 @@ import numpy as np
 from fanet import (
     FocusLossConfig,
     center_mass,
-    center_mass_grad_logits,
     focal_loss,
     l2_loss,
+    relation_loss,
     smooth_l1_loss,
     softmax_matrix,
 )
@@ -44,23 +44,23 @@ target[0, 1] = target[1, 0] = 1.0
 uniform = softmax_matrix(np.zeros((n, n)))
 print(f"M = {center_mass(uniform, target):.6f}  (2 labeled cells / 16)\n")
 
-print("4. dM/dW = s (T - M): always sums to zero, positive on labeled cells")
+print("4. dL/dW = L'(M) s (T - M): always sums to zero, negative on labeled cells")
 rng = np.random.default_rng(3)
 logits = rng.normal(size=(n, n))
-grad, m = center_mass_grad_logits(logits, target)
-print(f"M = {m:.4f}, gradient sum = {grad.sum():.2e}")
+r0 = FocusLossConfig(r=0)  # L = -log(M)
+loss, m, grad = relation_loss(softmax_matrix(logits), target, r0)
+print(f"M = {m:.4f}, -log(M) = {loss:.4f}, gradient sum = {grad.sum():.2e}")
 print(grad, "\n")
 
-print("5. Gradient ascent on raw logits drives all mass onto the target")
+print("5. Gradient descent on raw logits drives all mass onto the target")
 logits = rng.normal(size=(n, n))
 for step in range(401):
-    grad, m = center_mass_grad_logits(logits, target)
+    loss_r0, m, grad = relation_loss(softmax_matrix(logits), target, r0)
     if step in (0, 10, 25, 50, 100, 200, 400):
-        loss_r0 = focal_loss(m, FocusLossConfig(r=0))
         loss_r2 = focal_loss(m, FocusLossConfig(r=2))
         print(f"  step {step:>3}: M = {m:.4f}  -log(M) = {loss_r0:.4f}"
               f"  focal(r=2) = {loss_r2:.4f}")
-    logits += 5.0 * grad  # ascend M directly
+    logits -= 0.5 * grad  # descend -log(M)
 print("\nThe r = 2 column collapses toward zero much earlier: once an")
 print("instance is mostly solved, the focal factor stops spending gradient")
 print("on it, freeing capacity for harder instances in a batch.")

@@ -24,7 +24,6 @@ from .attention import (
     AttentionState,
     EntitySet,
     aggregate,
-    attention_logits,
     backward,
     forward,
     init_params,
@@ -33,15 +32,14 @@ from .attention import (
 from .losses import (
     FocusLossConfig,
     center_mass,
-    center_mass_grad_logits,
     focal_loss,
     l2_loss,
     relation_loss,
-    relation_loss_backward,
     smooth_l1_loss,
 )
 from .matrices import (
     DEFAULT_EPS,
+    NonFiniteError,
     ShapeError,
     ValidationError,
     softmax_cols,
@@ -102,6 +100,7 @@ __all__ = [
     "DEFAULT_EPS",
     "ValidationError",
     "ShapeError",
+    "NonFiniteError",
     "softmax_rows",
     "softmax_cols",
     "softmax_matrix",
@@ -111,7 +110,6 @@ __all__ = [
     "AttentionParams",
     "AttentionState",
     "init_params",
-    "attention_logits",
     "forward",
     "aggregate",
     "residual_combine",
@@ -122,9 +120,7 @@ __all__ = [
     "focal_loss",
     "l2_loss",
     "smooth_l1_loss",
-    "center_mass_grad_logits",
     "relation_loss",
-    "relation_loss_backward",
     # supervision
     "GroundTruthObject",
     "LexicalPairTable",

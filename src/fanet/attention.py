@@ -15,6 +15,10 @@ Two normalizations of the same logits coexist:
 
 All forward quantities are cached so the backward pass is exact (pure chain
 rule through the bilinear form); there is no value projection and no bias.
+
+Inputs are checked where they are made (`EntitySet`, `AttentionParams`), so
+`forward` and `backward` re-check only shapes; the one finiteness check left
+is on the logits, where non-finite parameters always show up.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ import numpy as np
 from .matrices import (
     ShapeError,
     _check_boxes,
+    _softmax,
     as_matrix,
+    check_finite,
     check_same_shape,
-    softmax_cols,
-    softmax_matrix,
-    softmax_rows,
 )
 from .seeding import STREAM_PARAMS_ATTENTION, stream_rng
 
@@ -40,15 +43,15 @@ __all__ = [
     "AttentionParams",
     "AttentionState",
     "init_params",
-    "attention_logits",
     "forward",
     "aggregate",
     "residual_combine",
     "backward",
-    "softmax_rows_vjp",
-    "softmax_cols_vjp",
-    "softmax_matrix_vjp",
+    "softmax_vjp",
 ]
+
+# agg_axis -> the numpy axis each aggregation softmax normalizes over
+AGG_AXES = {"row": 1, "col": 0}
 
 
 @dataclass(frozen=True)
@@ -147,44 +150,43 @@ def _check_dims(entities: EntitySet, params: AttentionParams) -> None:
         )
 
 
-def attention_logits(entities: EntitySet, params: AttentionParams) -> np.ndarray:
-    """Pairwise scaled dot-product logits, (n, n); generally asymmetric."""
-    _check_dims(entities, params)
-    keys = entities.features @ params.w_k.T        # (n, d_k), row m = w_k @ f_m
-    queries = entities.features @ params.w_q.T     # (n, d_k), row n = w_q @ f_n
-    return keys @ queries.T / np.sqrt(params.d_k)
-
-
 def forward(
     entities: EntitySet, params: AttentionParams, agg_axis: str = "row"
 ) -> AttentionState:
-    """Compute logits and both softmax paths, caching projections for backward."""
-    if agg_axis not in ("row", "col"):
+    """Compute logits and both softmax paths, caching projections for backward.
+
+    `params` is anything with checked (d_k, d) arrays `w_k` and `w_q`: an
+    AttentionParams, or the trainer's ModelParams, whose arrays the optimizer
+    updates in place. Raises NonFiniteError if the logits are not finite.
+    """
+    if agg_axis not in AGG_AXES:
         raise ValueError(f"agg_axis must be 'row' or 'col', got {agg_axis!r}")
     _check_dims(entities, params)
-    keys = entities.features @ params.w_k.T
-    queries = entities.features @ params.w_q.T
+    keys = entities.features @ params.w_k.T        # (n, d_k), row m = w_k @ f_m
+    queries = entities.features @ params.w_q.T     # (n, d_k), row n = w_q @ f_n
     logits = keys @ queries.T / np.sqrt(params.d_k)
-    agg = softmax_rows(logits) if agg_axis == "row" else softmax_cols(logits)
+    check_finite(logits, "logits")
     return AttentionState(
         logits=logits,
-        agg_weights=agg,
-        focus_weights=softmax_matrix(logits),
+        agg_weights=_softmax(logits, AGG_AXES[agg_axis]),
+        focus_weights=_softmax(logits, None),
         proj_keys=keys,
         proj_queries=queries,
         agg_axis=agg_axis,
     )
 
 
-def aggregate(state: AttentionState, features) -> np.ndarray:
-    """Attention-weighted feature aggregation: out[m] = sum_n agg[m, n] * f_n."""
-    f = as_matrix(features, "features")
+def aggregate(state: AttentionState, features: np.ndarray) -> np.ndarray:
+    """Attention-weighted feature aggregation: out[m] = sum_n agg[m, n] * f_n.
+
+    `features` is a checked (n, d) matrix, such as the EntitySet's features.
+    """
     n = state.agg_weights.shape[0]
-    if f.shape[0] != n:
+    if features.shape[0] != n:
         raise ShapeError(
-            f"features rows {f.shape[0]} do not match attention size {n}"
+            f"features rows {features.shape[0]} do not match attention size {n}"
         )
-    return state.agg_weights @ f
+    return state.agg_weights @ features
 
 
 def residual_combine(features, context) -> np.ndarray:
@@ -197,7 +199,7 @@ def residual_combine(features, context) -> np.ndarray:
 
 def backward(
     state: AttentionState,
-    d_loss_d_logits,
+    d_loss_d_logits: np.ndarray,
     entities: EntitySet,
     params: AttentionParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,11 +211,11 @@ def backward(
         d_w_k = dP^T F            d_w_q = dR^T F
         dF    = dP w_k + dR w_q
 
-    where G is the upstream gradient w.r.t. the logits.
+    where G (`d_loss_d_logits`) is the upstream gradient w.r.t. the logits,
+    an (n, n) array.
     """
-    g = as_matrix(d_loss_d_logits, "d_loss_d_logits")
+    g = d_loss_d_logits
     check_same_shape(g, state.logits, "logit gradient and logits")
-    _check_dims(entities, params)
     scale = 1.0 / np.sqrt(params.d_k)
     d_keys = g @ state.proj_queries * scale
     d_queries = g.T @ state.proj_keys * scale
@@ -223,22 +225,11 @@ def backward(
     return d_w_k, d_w_q, d_features
 
 
-def softmax_rows_vjp(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """VJP of the row-wise softmax: a * (g - sum(g * a)) per row."""
+def softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
+    """VJP of the softmax over `axis` (1 rows, 0 columns, None the whole matrix).
+
+    a * (g - sum(g * a)), the sum taken over each distribution.
+    """
     check_same_shape(softmax_out, grad_out, "softmax output and gradient")
-    inner = np.sum(grad_out * softmax_out, axis=1, keepdims=True)
-    return softmax_out * (grad_out - inner)
-
-
-def softmax_cols_vjp(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """VJP of the column-wise softmax."""
-    check_same_shape(softmax_out, grad_out, "softmax output and gradient")
-    inner = np.sum(grad_out * softmax_out, axis=0, keepdims=True)
-    return softmax_out * (grad_out - inner)
-
-
-def softmax_matrix_vjp(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """VJP of the matrix-wise softmax: one distribution over all entries."""
-    check_same_shape(softmax_out, grad_out, "softmax output and gradient")
-    inner = float(np.sum(grad_out * softmax_out))
+    inner = np.sum(grad_out * softmax_out, axis=axis, keepdims=True)
     return softmax_out * (grad_out - inner)

@@ -9,7 +9,8 @@ sitting on ground-truth-labeled entries: M = sum(focus * target), a scalar in
 whose (1-M)^r factor damps the gradient of well-converged instances. Two
 ablation variants over x = 1 - M are also provided (plain square, and the
 quadratic/linear piecewise form). Gradients w.r.t. the raw logits use the
-closed form dM/dW[k, l] = s[k, l] * (T[k, l] - M) with s the matrix softmax.
+closed form dM/dW[k, l] = s[k, l] * (T[k, l] - M) with s the matrix softmax;
+`relation_loss` returns the loss, M and dL/dW together from one softmax.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .matrices import (
     ValidationError,
     as_matrix,
     check_same_shape,
-    softmax_matrix,
     stable_log,
 )
 
@@ -38,9 +38,7 @@ __all__ = [
     "smooth_l1_loss",
     "loss_value",
     "loss_grad",
-    "center_mass_grad_logits",
     "relation_loss",
-    "relation_loss_backward",
 ]
 
 LOSS_VARIANTS = ("focal", "l2", "smooth_l1")
@@ -75,9 +73,9 @@ def validate_target(target) -> np.ndarray:
     t = as_matrix(target, "target")
     if t.shape[0] != t.shape[1]:
         raise ValidationError(f"target must be square, got {t.shape}")
-    if not np.all((t == 0.0) | (t == 1.0)):
+    if np.count_nonzero(t == 1.0) != np.count_nonzero(t):
         raise ValidationError("target entries must be exactly 0 or 1")
-    if np.any(np.diag(t) != 0.0):
+    if t.trace() != 0.0:  # entries are 0/1 here, so a zero trace is a zero diagonal
         raise ValidationError("target diagonal must be zero (no self-relations)")
     return t
 
@@ -137,45 +135,25 @@ def loss_grad(m: float, config: FocusLossConfig) -> float:
     return r * (1.0 - m) ** (r - 1) * stable_log(m, config.eps) - (1.0 - m) ** r / m_safe
 
 
-def center_mass_grad_logits(logits, target) -> tuple[np.ndarray, float]:
-    """Closed-form dM/dW = s * (T - M) with s = softmax_matrix(W).
+def relation_loss(
+    focus_weights: np.ndarray, target: np.ndarray, config: FocusLossConfig
+) -> tuple[float, float, np.ndarray]:
+    """Matrix-path relation loss as (loss, M, dL/dW), from one matrix softmax.
 
-    Returns (gradient, M). The gradient always sums to zero exactly in exact
-    arithmetic: sum(s * T) - M * sum(s) = M - M.
+    focus_weights is the matrix softmax s of the logits W, as the attention
+    forward returns it; target is a checked target of the same shape (an
+    Instance's, or validate_target's result). With M = sum(s * T), the
+    gradient is the closed form dL/dW = L'(M) * s * (T - M), which sums to
+    zero in exact arithmetic: sum(s * T) - M * sum(s) = M - M.
+
+    A target with no labeled relations yields loss 0, M 0 and a zero
+    gradient exactly (there is no mass to concentrate); callers exclude such
+    instances from center-mass reporting.
     """
-    w = as_matrix(logits, "logits")
-    t = validate_target(target)
-    check_same_shape(w, t, "logits and target")
-    s = softmax_matrix(w)
-    m = float(np.sum(s * t))
-    return s * (t - m), m
-
-
-def relation_loss(logits, target, config: FocusLossConfig) -> tuple[float, float]:
-    """Matrix-path relation loss and its center-mass, as (loss, M).
-
-    A target with no labeled relations yields loss 0 exactly (there is no
-    mass to concentrate); callers exclude such instances from center-mass
-    reporting.
-    """
-    w = as_matrix(logits, "logits")
-    t = validate_target(target)
-    check_same_shape(w, t, "logits and target")
-    if not np.any(t):
-        return 0.0, 0.0
-    m = float(np.sum(softmax_matrix(w) * t))
-    return loss_value(m, config), m
-
-
-def relation_loss_backward(logits, target, config: FocusLossConfig) -> np.ndarray:
-    """dL/dW for the matrix-path relation loss: g(M) * s * (T - M).
-
-    Zero for an all-zero target, matching relation_loss.
-    """
-    w = as_matrix(logits, "logits")
-    t = validate_target(target)
-    check_same_shape(w, t, "logits and target")
-    if not np.any(t):
-        return np.zeros_like(w)
-    grad_m, m = center_mass_grad_logits(w, t)
-    return loss_grad(m, config) * grad_m
+    check_same_shape(focus_weights, target, "focus_weights and target")
+    m = float(np.sum(focus_weights * target))
+    # M is exactly 0 for an empty target; only then is the target scanned
+    if m == 0.0 and not target.any():
+        return 0.0, 0.0, np.zeros_like(focus_weights)
+    grad = loss_grad(m, config) * (focus_weights * (target - m))
+    return loss_value(m, config), m, grad

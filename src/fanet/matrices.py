@@ -1,9 +1,10 @@
 """Dense matrix helpers: validation and numerically stable softmax/log primitives.
 
 All matrices in this package are plain 2-D float64 numpy arrays in row-major
-(C) order. Operations validate shapes and finiteness at entry and raise
-:class:`ShapeError` / :class:`ValidationError` instead of broadcasting
-silently.
+(C) order. Public operations validate shapes and finiteness at entry and
+raise :class:`ShapeError` / :class:`ValidationError` instead of broadcasting
+silently; `_softmax` is the unchecked kernel behind them, for callers whose
+input was checked where it entered.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "ValidationError",
+    "NonFiniteError",
     "as_matrix",
     "check_finite",
     "check_same_shape",
@@ -35,6 +37,10 @@ class ShapeError(ValidationError):
     """Matrix dimensions do not match what the operation requires."""
 
 
+class NonFiniteError(ValidationError):
+    """A matrix holds NaN or inf: bad input, or overflow during training."""
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 C-contiguous array, validating shape and finiteness."""
     m = np.ascontiguousarray(a, dtype=np.float64)
@@ -48,7 +54,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def check_finite(m: np.ndarray, name: str = "matrix") -> None:
     if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
@@ -64,34 +70,29 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands") -> No
         raise ShapeError(f"{what} shapes differ: {a.shape} vs {b.shape}")
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax; every output row sums to 1.
+def _softmax(w: np.ndarray, axis) -> np.ndarray:
+    """Unchecked softmax kernel: axis 1 per row, 0 per column, None matrix-wide.
 
-    Stabilized by subtracting each row's maximum before exponentiation, so
-    arbitrarily large finite logits do not overflow.
+    Stabilized by subtracting the maximum along the axis, so arbitrarily
+    large finite logits do not overflow.
     """
-    w = as_matrix(m, "logits")
-    shifted = w - w.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(w - w.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_rows(m) -> np.ndarray:
+    """Row-wise softmax; every output row sums to 1."""
+    return _softmax(as_matrix(m, "logits"), 1)
 
 
 def softmax_cols(m) -> np.ndarray:
     """Column-wise softmax; every output column sums to 1."""
-    w = as_matrix(m, "logits")
-    shifted = w - w.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return _softmax(as_matrix(m, "logits"), 0)
 
 
 def softmax_matrix(m) -> np.ndarray:
-    """Matrix-wise softmax: one distribution over all entries, summing to 1.
-
-    Stabilized by subtracting the global maximum.
-    """
-    w = as_matrix(m, "logits")
-    e = np.exp(w - w.max())
-    return e / e.sum()
+    """Matrix-wise softmax: one distribution over all entries, summing to 1."""
+    return _softmax(as_matrix(m, "logits"), None)
 
 
 def stable_log(x: float, eps: float = DEFAULT_EPS) -> float:

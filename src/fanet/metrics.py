@@ -191,6 +191,13 @@ class CenterMassSummary:
     def vacuous(self) -> bool:
         return self.n_scored == 0
 
+    @classmethod
+    def of(cls, values: Sequence[float], n_vacuous: int) -> "CenterMassSummary":
+        """Summary of the scored instances' center-mass values."""
+        if not values:
+            return cls(mean_m=float("nan"), n_scored=0, n_vacuous=n_vacuous)
+        return cls(mean_m=float(np.mean(values)), n_scored=len(values), n_vacuous=n_vacuous)
+
 
 def center_mass_report(
     states: Sequence[AttentionState], targets: Sequence[np.ndarray]
@@ -208,11 +215,7 @@ def center_mass_report(
             n_vacuous += 1
             continue
         values.append(center_mass(state.focus_weights, t))
-    if not values:
-        return CenterMassSummary(mean_m=float("nan"), n_scored=0, n_vacuous=n_vacuous)
-    return CenterMassSummary(
-        mean_m=float(np.mean(values)), n_scored=len(values), n_vacuous=n_vacuous
-    )
+    return CenterMassSummary.of(values, n_vacuous)
 
 
 def write_metrics_csv(path, rows: Sequence[tuple]) -> None:

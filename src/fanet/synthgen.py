@@ -24,13 +24,14 @@ permutation, feature noise) and all randomness is Philox-keyed, so a given
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .attention import EntitySet
+from .losses import validate_target
 from .matrices import ValidationError, as_matrix
 from .metrics import GroundTruthObject, GroundTruthRelation
 from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
@@ -346,7 +347,8 @@ class Instance:
 
     Vision-style instances carry boxes and ground-truth relations; document
     instances carry tokens and tags instead. `target` is the binary supervision
-    matrix (symmetric, zero diagonal).
+    matrix, checked here once by `validate_target` (square, entries 0 or 1,
+    zero diagonal); `labeled` records whether it labels any pair.
     """
 
     entities: EntitySet
@@ -355,9 +357,10 @@ class Instance:
     gt_relations: tuple = ()
     tokens: Optional[tuple] = None
     tags: Optional[tuple] = None
+    labeled: bool = field(init=False)
 
     def __post_init__(self):
-        t = as_matrix(self.target, name="target")
+        t = validate_target(self.target)
         object.__setattr__(self, "target", t)
         if t.shape != (self.entities.n, self.entities.n):
             raise ValidationError(
@@ -366,6 +369,7 @@ class Instance:
         if self.label < 0:
             raise ValidationError(f"label must be >= 0, got {self.label}")
         object.__setattr__(self, "gt_relations", tuple(self.gt_relations))
+        object.__setattr__(self, "labeled", bool(np.count_nonzero(t)))
 
     @property
     def n(self) -> int:

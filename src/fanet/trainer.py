@@ -44,23 +44,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import attention
-from .attention import AttentionParams, AttentionState
-from .losses import (
-    FocusLossConfig,
-    loss_grad,
-    loss_value,
-    relation_loss,
-    relation_loss_backward,
-    validate_target,
-)
-from .matrices import ShapeError, ValidationError, softmax_rows
-from .metrics import (
-    RECALL_IOU,
-    CenterMassSummary,
-    _recall_at_ks,
-    center_mass_report,
-    top_k_pairs,
-)
+from .attention import AGG_AXES, AttentionState
+from .losses import FocusLossConfig, loss_grad, loss_value, relation_loss
+from .matrices import NonFiniteError, ShapeError, ValidationError, _softmax, check_finite
+from .metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
 from .seeding import STREAM_PARAMS_CLASSIFIER, STREAM_SHUFFLE, stream_rng
 from .supervision import entity_gt_matching
 from .synthgen import Instance
@@ -198,7 +185,11 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable arrays. Mutable on purpose: the optimizer updates in place."""
+    """All trainable arrays. Mutable on purpose: the optimizer updates in place.
+
+    Checked once here (shapes, finiteness); `attention.forward` reads w_k and
+    w_q straight from this object, so the updated arrays are the ones it sees.
+    """
 
     w_k: np.ndarray           # (d_k, d)
     w_q: np.ndarray           # (d_k, d)
@@ -210,6 +201,8 @@ class ModelParams:
         self.w_q = np.ascontiguousarray(self.w_q, dtype=np.float64)
         self.classifier_w = np.ascontiguousarray(self.classifier_w, dtype=np.float64)
         self.classifier_b = np.ascontiguousarray(self.classifier_b, dtype=np.float64)
+        for name, a in self.arrays().items():
+            check_finite(a, name)
         if self.w_k.shape != self.w_q.shape:
             raise ShapeError(
                 f"w_k and w_q must match, got {self.w_k.shape} vs {self.w_q.shape}"
@@ -235,9 +228,6 @@ class ModelParams:
     @property
     def head_dim(self) -> int:
         return self.classifier_w.shape[1]
-
-    def attention_params(self) -> AttentionParams:
-        return AttentionParams(w_k=self.w_k, w_q=self.w_q)
 
     def arrays(self) -> dict:
         return {
@@ -296,7 +286,7 @@ def forward_task(
             f"classifier expects pooled dim {params.head_dim}, but "
             f"{config.head_mode} head over {f.shape[1]}-dim features gives {expected}"
         )
-    state = attention.forward(instance.entities, params.attention_params(), config.agg_axis)
+    state = attention.forward(instance.entities, params, config.agg_axis)
     context = attention.aggregate(state, f)
     if config.head_mode == "residual":
         pooled = (f + context).mean(axis=0)
@@ -337,18 +327,17 @@ def combined_loss(task: float, relation: float, lam: float) -> float:
 # --- relation term, per strategy ---------------------------------------------
 
 
-def _row_relation(logits: np.ndarray, target: np.ndarray, cfg: FocusLossConfig):
+def _row_relation(logits: np.ndarray, t: np.ndarray, cfg: FocusLossConfig):
     """Row-path loss and logit gradient, averaged over rows with any positive.
 
     Per reference row i with center mass M_i = sum_j a_ij t_ij, the closed
     form mirrors the matrix path: dM_i/dW[i, :] = a_i * (t_i - M_i).
     """
-    t = validate_target(target)
     rows = np.flatnonzero(t.any(axis=1))
     grad = np.zeros_like(logits)
     if rows.size == 0:
         return 0.0, grad
-    a = softmax_rows(logits)
+    a = _softmax(logits, 1)
     total = 0.0
     for i in rows:
         m_i = float(np.sum(a[i] * t[i]))
@@ -358,16 +347,16 @@ def _row_relation(logits: np.ndarray, target: np.ndarray, cfg: FocusLossConfig):
 
 
 def relation_term(
-    logits: np.ndarray, target: np.ndarray, config: TrainConfig
+    state: AttentionState, target: np.ndarray, config: TrainConfig
 ) -> tuple[float, np.ndarray]:
     """(loss, d_loss/d_logits) for the configured strategy; zeros for unsup."""
     if config.strategy == "unsup":
-        return 0.0, np.zeros_like(logits)
+        return 0.0, np.zeros_like(state.logits)
     cfg = config.focus_config()
     if config.strategy == "row":
-        return _row_relation(logits, target, cfg)
-    value, _ = relation_loss(logits, target, cfg)
-    return value, relation_loss_backward(logits, target, cfg)
+        return _row_relation(state.logits, target, cfg)
+    value, _, grad = relation_loss(state.focus_weights, target, cfg)
+    return value, grad
 
 
 # --- gradients for one instance ----------------------------------------------
@@ -406,20 +395,15 @@ def _accumulate_instance(
     else:
         d_context = np.tile(dpooled[f.shape[1]:] / n, (n, 1))
     d_agg = d_context @ f.T
-    if config.agg_axis == "row":
-        d_logits = attention.softmax_rows_vjp(fwd.state.agg_weights, d_agg)
-    else:
-        d_logits = attention.softmax_cols_vjp(fwd.state.agg_weights, d_agg)
+    d_logits = attention.softmax_vjp(fwd.state.agg_weights, d_agg, AGG_AXES[config.agg_axis])
     d_logits *= weight_task
 
     r_loss = 0.0
     if weight_rel != 0.0:
-        r_loss, d_rel = relation_term(fwd.state.logits, instance.target, config)
+        r_loss, d_rel = relation_term(fwd.state, instance.target, config)
         d_logits += weight_rel * d_rel
 
-    d_w_k, d_w_q, _ = attention.backward(
-        fwd.state, d_logits, instance.entities, params.attention_params()
-    )
+    d_w_k, d_w_q, _ = attention.backward(fwd.state, d_logits, instance.entities, params)
     if not config.freeze_attention:
         grads["w_k"] += d_w_k
         grads["w_q"] += d_w_q
@@ -509,22 +493,19 @@ def evaluate(
             n_recall_vacuous=0,
         )
     correct = 0
-    states = []
+    masses = []
     recall_sums = {k: 0.0 for k in ks}
     n_vacuous = 0
     rows = []
     max_k = max(ks)
     for idx, inst in enumerate(instances):
         fwd = forward_task(inst, params, config)
-        states.append(fwd.state)
         if int(np.argmax(fwd.class_logits)) == inst.label:
             correct += 1
-        has_target = bool(np.any(inst.target))
-        m = (
-            float(np.sum(fwd.state.focus_weights * inst.target))
-            if has_target
-            else float("nan")
-        )
+        m = float("nan")
+        if inst.labeled:
+            m = float(np.sum(fwd.state.focus_weights * inst.target))
+            masses.append(m)
         if inst.gt_relations and inst.entities.boxes is None:
             raise ValidationError(
                 "instance has ground-truth relations but no boxes to match against"
@@ -542,7 +523,7 @@ def evaluate(
     n = len(instances)
     return EvalResult(
         accuracy=correct / n,
-        center_mass=center_mass_report(states, [i.target for i in instances]),
+        center_mass=CenterMassSummary.of(masses, n - len(masses)),
         recall={k: recall_sums[k] / n for k in ks},
         n_instances=n,
         n_recall_vacuous=n_vacuous,
@@ -654,18 +635,15 @@ def train(
     optimizer = _make_optimizer(config, params)
     shuffle_rng = stream_rng(STREAM_SHUFFLE, config.seed)
     lam_eff = config.lam_effective
-    n = len(train_set)
     stats = []
     try:
         _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, lam_eff, stats)
-    except ValidationError as exc:
-        # overflow shows up as a non-finite matrix before any loss is computed
-        if "non-finite" in str(exc):
-            raise DivergenceError(
-                f"numerical overflow with {len(stats)} epochs completed: {exc}; "
-                "reduce the learning rate"
-            ) from exc
-        raise
+    except NonFiniteError as exc:
+        # overflow shows up as non-finite logits before any loss is computed
+        raise DivergenceError(
+            f"numerical overflow with {len(stats)} epochs completed: {exc}; "
+            "reduce the learning rate"
+        ) from exc
     report = TrainReport(
         config=config, num_classes=num_classes, feature_dim=d, epochs=tuple(stats)
     )
@@ -683,13 +661,9 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         for start in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             grads = _zero_grads(params)
-            supervised = (
-                sum(1 for b in batch if np.any(b.target)) if lam_eff != 0.0 else 0
-            )
+            supervised = sum(b.labeled for b in batch) if lam_eff != 0.0 else 0
             for inst in batch:
-                w_rel = 0.0
-                if lam_eff != 0.0 and supervised and np.any(inst.target):
-                    w_rel = lam_eff / supervised
+                w_rel = lam_eff / supervised if supervised and inst.labeled else 0.0
                 t_loss, r_loss = _accumulate_instance(
                     inst, params, config, grads, 1.0 / len(batch), w_rel
                 )
@@ -706,13 +680,12 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
             optimizer.step(params, grads, lr)
         task_mean = task_sum / n
         rel_mean = rel_sum / rel_count if rel_count else 0.0
-        train_eval = center_mass_report(
-            [
-                attention.forward(i.entities, params.attention_params(), config.agg_axis)
-                for i in train_set
-            ],
-            [i.target for i in train_set],
-        )
+        train_masses = []
+        for inst in train_set:
+            if inst.labeled:
+                state = attention.forward(inst.entities, params, config.agg_axis)
+                train_masses.append(float(np.sum(state.focus_weights * inst.target)))
+        train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))
         test_eval = evaluate(test_set, params, config)
         stats.append(
             EpochStats(
@@ -738,7 +711,7 @@ def _combined_loss_at(instance: Instance, params: ModelParams, config: TrainConf
     lam_eff = config.lam_effective
     if lam_eff == 0.0:
         return t_loss
-    r_loss, _ = relation_term(fwd.state.logits, instance.target, config)
+    r_loss, _ = relation_term(fwd.state, instance.target, config)
     return combined_loss(t_loss, r_loss, lam_eff)
 
 
@@ -765,7 +738,7 @@ def grad_check(
         config,
         grads,
         1.0,
-        lam_eff if (lam_eff != 0.0 and np.any(instance.target)) else 0.0,
+        lam_eff if instance.labeled else 0.0,
     )
     names = ["classifier_w", "classifier_b"]
     if not config.freeze_attention:

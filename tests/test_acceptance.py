@@ -14,7 +14,7 @@ import pytest
 
 from fanet.attention import EntitySet
 from fanet.cli import EXIT_OK, main
-from fanet.losses import FocusLossConfig, center_mass, center_mass_grad_logits, focal_loss
+from fanet.losses import FocusLossConfig, center_mass, focal_loss, loss_grad, relation_loss
 from fanet.matrices import softmax_matrix
 from fanet.metrics import relation_recall, top_k_pairs
 from fanet.synthgen import Instance, WorldSpec, default_world_spec, generate_dataset
@@ -75,7 +75,9 @@ class TestClosedFormGradientIdentity:
                 if i != j:
                     pairs.add((min(i, j), max(i, j)))
             t = symmetric_target(8, pairs)
-            analytic, m = center_mass_grad_logits(w, t)
+            cfg = FocusLossConfig()
+            _, m, grad = relation_loss(softmax_matrix(w), t, cfg)
+            analytic = grad / loss_grad(m, cfg)  # dL/dW = L'(M) * dM/dW
 
             assert abs(analytic.sum()) < 1e-12, f"trial {trial}: sum {analytic.sum():.2e}"
 

@@ -7,16 +7,13 @@ from fanet.attention import (
     AttentionParams,
     EntitySet,
     aggregate,
-    attention_logits,
     backward,
     forward,
     init_params,
     residual_combine,
-    softmax_cols_vjp,
-    softmax_matrix_vjp,
-    softmax_rows_vjp,
+    softmax_vjp,
 )
-from fanet.matrices import ShapeError, ValidationError
+from fanet.matrices import NonFiniteError, ShapeError, ValidationError
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -55,11 +52,15 @@ class TestEntitySetBoxes:
         assert ents.boxes.dtype == np.float64 and ents.boxes.shape == (1, 4)
 
 
+def logits(entities, params):
+    return forward(entities, params).logits
+
+
 class TestLogits:
     def test_matches_elementwise_oracle(self):
         """W[m, n] is the scaled dot product of projected key m and query n."""
         entities, params = random_problem(0)
-        w = attention_logits(entities, params)
+        w = logits(entities, params)
         scale = np.sqrt(params.d_k)
         for m in range(entities.n):
             for n in range(entities.n):
@@ -74,20 +75,20 @@ class TestLogits:
         product, so the map is exactly quadratic in a global feature scale.
         """
         entities, params = random_problem(1)
-        base = attention_logits(entities, params)
+        base = logits(entities, params)
         for c in (0.5, 2.0, -3.0):
             scaled = EntitySet(features=c * entities.features)
             np.testing.assert_allclose(
-                attention_logits(scaled, params), c * c * base, rtol=1e-12, atol=1e-12
+                logits(scaled, params), c * c * base, rtol=1e-12, atol=1e-12
             )
 
     def test_permutation_equivariance(self):
         entities, params = random_problem(2, n=6)
-        base = attention_logits(entities, params)
+        base = logits(entities, params)
         perm = np.array([3, 0, 5, 1, 4, 2])
         permuted = EntitySet(features=entities.features[perm])
         np.testing.assert_allclose(
-            attention_logits(permuted, params),
+            logits(permuted, params),
             base[np.ix_(perm, perm)],
             rtol=1e-12,
             atol=1e-12,
@@ -97,14 +98,16 @@ class TestLogits:
         entities, _ = random_problem(3, d=4)
         _, params = random_problem(3, d=5)
         with pytest.raises(ShapeError):
-            attention_logits(entities, params)
+            logits(entities, params)
 
 
 class TestForward:
     def test_normalizations(self):
         entities, params = random_problem(4)
         state = forward(entities, params)
-        np.testing.assert_allclose(state.logits, attention_logits(entities, params))
+        keys = entities.features @ params.w_k.T
+        queries = entities.features @ params.w_q.T
+        np.testing.assert_allclose(state.logits, keys @ queries.T / np.sqrt(params.d_k))
         np.testing.assert_allclose(state.agg_weights.sum(axis=1), 1.0, atol=1e-12)
         assert state.focus_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -113,6 +116,14 @@ class TestForward:
         state = forward(entities, params, agg_axis="col")
         np.testing.assert_allclose(state.agg_weights.sum(axis=0), 1.0, atol=1e-12)
         assert state.agg_axis == "col"
+
+    def test_non_finite_logits_raise(self):
+        """Parameters that overflow the logits are caught at the logits check."""
+        entities, _ = random_problem(6)
+        params = AttentionParams(w_k=np.full((3, 4), 1e200), w_q=np.full((3, 4), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="logits contains non-finite"):
+                forward(entities, params)
 
     def test_invalid_axis(self):
         entities, params = random_problem(6)
@@ -222,7 +233,7 @@ class TestBackward:
         def loss():
             ent = EntitySet(features=features)
             par = AttentionParams(w_k=w_k, w_q=w_q)
-            return float(np.sum(cotangent * attention_logits(ent, par)))
+            return float(np.sum(cotangent * logits(ent, par)))
 
         entities = EntitySet(features=features.copy())
         params = AttentionParams(w_k=w_k.copy(), w_q=w_q.copy())
@@ -264,7 +275,7 @@ class TestSoftmaxVjps:
         a = softmax_rows(rng.normal(size=(6, 5)))
         g = rng.normal(size=(6, 5))
         np.testing.assert_allclose(
-            softmax_rows_vjp(a, g), row_jacobian_vjp(a, g), rtol=1e-12, atol=1e-12
+            softmax_vjp(a, g, 1), row_jacobian_vjp(a, g), rtol=1e-12, atol=1e-12
         )
 
     def test_cols_via_transpose(self):
@@ -274,7 +285,7 @@ class TestSoftmaxVjps:
         a = softmax_cols(rng.normal(size=(4, 7)))
         g = rng.normal(size=(4, 7))
         np.testing.assert_allclose(
-            softmax_cols_vjp(a, g),
+            softmax_vjp(a, g, 0),
             row_jacobian_vjp(a.T, g.T).T,
             rtol=1e-12,
             atol=1e-12,
@@ -287,7 +298,7 @@ class TestSoftmaxVjps:
         a = softmax_matrix(rng.normal(size=(3, 4)))
         g = rng.normal(size=(3, 4))
         flat = row_jacobian_vjp(a.reshape(1, -1), g.reshape(1, -1)).reshape(3, 4)
-        np.testing.assert_allclose(softmax_matrix_vjp(a, g), flat, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(softmax_vjp(a, g, None), flat, rtol=1e-12, atol=1e-12)
 
     def test_vjp_of_uniform_gradient_is_zero(self):
         """A constant upstream gradient is in the softmax null space."""
@@ -295,5 +306,5 @@ class TestSoftmaxVjps:
 
         a = softmax_matrix(np.random.default_rng(16).normal(size=(4, 4)))
         np.testing.assert_allclose(
-            softmax_matrix_vjp(a, np.full((4, 4), 3.7)), 0.0, atol=1e-15
+            softmax_vjp(a, np.full((4, 4), 3.7), None), 0.0, atol=1e-15
         )

@@ -1,11 +1,15 @@
 """Command-line surface: artifacts, exit codes, reproducibility, resume."""
 
+import base64
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from fanet import cli
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
@@ -287,6 +291,21 @@ class TestEval:
         )
         assert code == EXIT_USER
 
+    def test_non_finite_checkpoint_is_user_error(self, tmp_path, data_dir, run_dir, capsys):
+        doc = json.loads(open(os.path.join(run_dir, "checkpoint.json")).read())
+        entry = doc["params"]["w_k"]
+        w_k = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        w_k[3] = np.nan
+        entry["data"] = base64.b64encode(w_k.tobytes()).decode("ascii")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main(
+            ["eval", "--checkpoint", str(bad),
+             "--data", os.path.join(data_dir, "test.jsonl"), "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_USER
+        assert "w_k contains non-finite entries" in capsys.readouterr().err
+
     def test_missing_checkpoint(self, tmp_path, data_dir):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "none.json"),
@@ -435,6 +454,59 @@ class TestAblate:
              "--out", str(tmp_path / "x")] + FAST_TRAIN
         )
         assert code == EXIT_USER
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["ablate", "--grid", "g.json", "--data", "d", "--out", "o", "--resume",
+         "--jobs", "2", "--lambda", "0.5", "--no-freeze-attention"],
+        ["ablate", "--grid", "g.json", "--data", "d", "--out", "o"],
+        ["train", "--data", "d", "--out", "o", "--strategy", "row", "--eval-ks", "1,2",
+         "--freeze-attention"],
+        ["train", "--data", "d", "--out", "o"],
+        ["gen", "--out", "o", "--kind", "document", "--n-train", "3", "--seed", "4"],
+        ["gen", "--out", "o"],
+        ["eval", "--checkpoint", "c", "--data", "d", "--out", "o", "--ks", "3"],
+        ["eval", "--checkpoint", "c", "--data", "d", "--out", "o"],
+        ["gradcheck", "--n", "5", "--head-mode", "concat"],
+        ["gradcheck"],
+    ]
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_no_flag_carries_over(self):
+        """Each parse through the shared parser equals a parse by a fresh one."""
+        for argv in self.ARGVS:
+            reused = vars(cli._parser().parse_args(argv))
+            assert reused == vars(cli.build_parser().parse_args(argv)), argv
+        assert cli._parser().parse_args(self.ARGVS[1]).resume is False
+        assert cli._parser().parse_args(self.ARGVS[3]).freeze_attention is None
+
+    def test_artifacts_match_a_fresh_process(self, tmp_path, data_dir):
+        """A train after other in-process commands writes what a new process writes."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambda": [0.0]}))
+        assert main(["ablate", "--grid", str(grid), "--data", data_dir,
+                     "--out", str(tmp_path / "ab"), "--resume"] + FAST_TRAIN) == EXIT_OK
+        assert main(["train", "--data", data_dir, "--out", str(tmp_path / "row"),
+                     "--strategy", "row", "--lambda", "0.5", "--freeze-attention"]
+                    + FAST_TRAIN) == EXIT_OK
+        argv = ["train", "--data", data_dir, "--out", str(tmp_path / "{}")] + FAST_TRAIN
+        assert main([a.format("inproc") for a in argv]) == EXIT_OK
+        code = (
+            "import sys; from fanet.cli import main; "
+            f"sys.exit(main({[a.format('fresh') for a in argv]!r}))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("report.csv", "report.json", "checkpoint.json"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "inproc" / name).read_bytes() == fresh, name
 
 
 class TestGradcheckCommand:

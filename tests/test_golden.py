@@ -4,7 +4,11 @@
 checkpoint on the test split. Two more `gen` runs at seed 0 pin the dataset
 writer where the bundled run does not reach: 1/2 scenes of 300 entities each
 (the bundled vision world with entities_min = entities_max = 300), and 20/10
-documents of the bundled document world. A refactor that claims to change no numbers
+documents of the bundled document world. Three more 3-epoch `train` runs at
+seed 0 on 20/10 datasets pin the training paths the default recipe leaves
+out: the language recipe (adam, lambda 0.1, batch size 2) on documents; the
+row strategy with column aggregation and the concat head; and the mat
+strategy with the l2 loss at batch size 3. A refactor that claims to change no numbers
 must leave every hash here unchanged; a change that moves numbers on purpose
 updates the hashes and says so in CHANGES.md. `summary.json` is left out
 because it records absolute paths. The hashes were taken with float64 numpy
@@ -84,3 +88,50 @@ def gen_artifacts(tmp_path_factory):
 def test_gen_hash(gen_artifacts, name):
     digest = hashlib.sha256((gen_artifacts / name).read_bytes()).hexdigest()
     assert digest == GEN_GOLDEN[name], f"{name} changed"
+
+
+TRAIN_RECIPES = {
+    "document_adam": (
+        ["--kind", "document"],
+        ["--optimizer", "adam", "--lr", "1e-3", "--lambda", "0.1", "--batch-size", "2"],
+    ),
+    "row_col_concat": (
+        [],
+        ["--strategy", "row", "--agg-axis", "col", "--head-mode", "concat", "--lambda", "0.5"],
+    ),
+    "mat_l2": (
+        [],
+        ["--strategy", "mat", "--loss-variant", "l2", "--lambda", "0.5", "--batch-size", "3"],
+    ),
+}
+
+TRAIN_GOLDEN = {
+    "document_adam/report.csv": "fbcb2b860a87c160fa6104e77674d92714e54eccd6483ac17921e54872de2969",
+    "document_adam/checkpoint.json": "5f997f00c9c0c7596207d1af3fd28669828ed3f40f28abea229b5aad6657d195",
+    "row_col_concat/report.csv": "91862def2281644fddbcd8c0bbf55b2d495ade552f24394dc3da181334338640",
+    "row_col_concat/checkpoint.json": "690f48bf590fe884538daf8a8cc5740d58693ce54b5571149bb0114a7ce11120",
+    "mat_l2/report.csv": "310b8f9413cdc30e7d6af2c5461bfdffdcef3fda1404093f96615ef1305cbc2b",
+    "mat_l2/checkpoint.json": "504dd4597e4886d1cf0f7765ff2da52fbdc0920a125d5d7106c50f3a2ebcb16f",
+}
+
+
+@pytest.fixture(scope="module")
+def train_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_train")
+    for name, (gen_flags, train_flags) in TRAIN_RECIPES.items():
+        data, run = str(root / f"{name}_data"), str(root / name)
+        steps = [
+            ["gen", *gen_flags, "--out", data, "--n-train", "20", "--n-test", "10",
+             "--seed", "0"],
+            ["train", "--data", data, "--out", run, "--epochs", "3", "--seed", "0",
+             *train_flags],
+        ]
+        for argv in steps:
+            assert main(argv) == EXIT_OK, argv
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_GOLDEN))
+def test_train_hash(train_artifacts, name):
+    digest = hashlib.sha256((train_artifacts / name).read_bytes()).hexdigest()
+    assert digest == TRAIN_GOLDEN[name], f"{name} changed"

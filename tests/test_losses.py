@@ -10,16 +10,14 @@ import pytest
 from fanet.losses import (
     FocusLossConfig,
     center_mass,
-    center_mass_grad_logits,
     focal_loss,
     l2_loss,
     loss_grad,
     loss_value,
     relation_loss,
-    relation_loss_backward,
     smooth_l1_loss,
 )
-from fanet.matrices import ValidationError, softmax_matrix
+from fanet.matrices import ShapeError, ValidationError, softmax_matrix
 
 # -(1 - m)^r * log(m)
 FOCAL_ORACLE = {
@@ -50,6 +48,22 @@ def symmetric_target(n, pairs):
     for i, j in pairs:
         t[i, j] = t[j, i] = 1.0
     return t
+
+
+def center_mass_grad(w, t, cfg=FocusLossConfig()):
+    """(dM/dW, M) from relation_loss, whose gradient is L'(M) * dM/dW."""
+    _, m, grad = relation_loss(softmax_matrix(w), t, cfg)
+    return grad / loss_grad(m, cfg), m
+
+
+def relation_value(w, t, cfg):
+    """(loss, M) of relation_loss at the logits w."""
+    loss, m, _ = relation_loss(softmax_matrix(w), t, cfg)
+    return loss, m
+
+
+def relation_grad(w, t, cfg):
+    return relation_loss(softmax_matrix(w), t, cfg)[2]
 
 
 class TestCenterMass:
@@ -177,7 +191,7 @@ class TestCenterMassGradient:
         rng = np.random.default_rng(21)
         w = rng.normal(size=(6, 6))
         t = symmetric_target(6, [(0, 1), (2, 5), (3, 4)])
-        analytic, m = center_mass_grad_logits(w, t)
+        analytic, m = center_mass_grad(w, t)
         assert 0.0 < m < 1.0
 
         h = 1e-6
@@ -198,14 +212,14 @@ class TestCenterMassGradient:
         for _ in range(5):
             w = rng.normal(size=(7, 7)) * 3
             t = symmetric_target(7, [(0, 3), (1, 2), (4, 6)])
-            grad, _ = center_mass_grad_logits(w, t)
+            grad, _ = center_mass_grad(w, t)
             assert abs(grad.sum()) < 1e-12
 
     def test_zero_on_saturated_target(self):
         """All-ones off-diagonal target makes M = 1 - diag mass, grad ~ s * (T - M)."""
         w = np.zeros((3, 3))
         t = symmetric_target(3, [(0, 1), (0, 2), (1, 2)])
-        grad, m = center_mass_grad_logits(w, t)
+        grad, m = center_mass_grad(w, t)
         assert m == pytest.approx(6.0 / 9.0, abs=1e-15)
         # uniform s: grad = (T - M) / 9
         np.testing.assert_allclose(grad, (t - m) / 9.0, atol=1e-15)
@@ -214,18 +228,30 @@ class TestCenterMassGradient:
 class TestRelationLoss:
     def test_empty_target_is_exactly_zero(self):
         w = np.random.default_rng(23).normal(size=(4, 4))
-        loss, m = relation_loss(w, np.zeros((4, 4)), FocusLossConfig())
+        loss, m, grad = relation_loss(softmax_matrix(w), np.zeros((4, 4)), FocusLossConfig())
         assert loss == 0.0 and m == 0.0
-        np.testing.assert_array_equal(
-            relation_loss_backward(w, np.zeros((4, 4)), FocusLossConfig()), 0.0
-        )
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_underflowed_mass_is_not_an_empty_target(self):
+        """M == 0 from underflow still scores the eps-clamped loss, not 0."""
+        w = np.zeros((4, 4))
+        w[0, 2] = 800.0
+        t = symmetric_target(4, [(0, 1)])
+        cfg = FocusLossConfig()
+        loss, m, _ = relation_loss(softmax_matrix(w), t, cfg)
+        assert m == 0.0
+        assert loss == loss_value(0.0, cfg) > 27.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            relation_loss(softmax_matrix(np.zeros((3, 3))), np.zeros((4, 4)), FocusLossConfig())
 
     def test_loss_composes_value_and_mass(self):
         rng = np.random.default_rng(24)
         w = rng.normal(size=(5, 5))
         t = symmetric_target(5, [(0, 1), (2, 3)])
         cfg = FocusLossConfig(r=2)
-        loss, m = relation_loss(w, t, cfg)
+        loss, m = relation_value(w, t, cfg)
         assert m == pytest.approx(float(np.sum(softmax_matrix(w) * t)), abs=1e-15)
         assert loss == pytest.approx(focal_loss(m, cfg), abs=1e-15)
 
@@ -235,16 +261,16 @@ class TestRelationLoss:
         w = rng.normal(size=(5, 5))
         t = symmetric_target(5, [(0, 2), (1, 4)])
         cfg = FocusLossConfig(variant=variant, r=r)
-        analytic = relation_loss_backward(w, t, cfg)
+        analytic = relation_grad(w, t, cfg)
 
         h = 1e-6
         fd = np.zeros_like(w)
         for i in range(5):
             for j in range(5):
                 w[i, j] += h
-                up, _ = relation_loss(w, t, cfg)
+                up, _ = relation_value(w, t, cfg)
                 w[i, j] -= 2 * h
-                down, _ = relation_loss(w, t, cfg)
+                down, _ = relation_value(w, t, cfg)
                 w[i, j] += h
                 fd[i, j] = (up - down) / (2 * h)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
@@ -255,7 +281,7 @@ class TestRelationLoss:
         w = rng.normal(size=(4, 4))
         t = symmetric_target(4, [(1, 3)])
         cfg = FocusLossConfig(r=2)
-        grad = relation_loss_backward(w, t, cfg)
-        _, m0 = relation_loss(w, t, cfg)
-        _, m1 = relation_loss(w - 0.1 * grad, t, cfg)
+        grad = relation_grad(w, t, cfg)
+        _, m0 = relation_value(w, t, cfg)
+        _, m1 = relation_value(w - 0.1 * grad, t, cfg)
         assert m1 > m0

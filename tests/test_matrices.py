@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fanet.matrices import (
+    NonFiniteError,
     ShapeError,
     ValidationError,
     as_matrix,
@@ -139,6 +140,12 @@ class TestValidation:
     def test_as_matrix_rejects_inf(self):
         with pytest.raises(ValidationError):
             softmax_rows([[1.0, float("inf")]])
+
+    def test_non_finite_error_is_typed(self):
+        """Non-finite input raises NonFiniteError, a ValidationError."""
+        with pytest.raises(NonFiniteError, match="w contains non-finite entries"):
+            as_matrix([[1.0, float("-inf")]], "w")
+        assert issubclass(NonFiniteError, ValidationError)
 
     def test_check_same_shape(self):
         with pytest.raises(ShapeError):

@@ -466,6 +466,33 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             Instance(entities=ents, target=np.zeros((2, 2)), label=0)
 
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            ([[0.0, 0.5], [0.5, 0.0]], "exactly 0 or 1"),
+            ([[0.0, 2.0], [2.0, 0.0]], "exactly 0 or 1"),
+            ([[0.0, -1.0], [-1.0, 0.0]], "exactly 0 or 1"),
+            ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero"),
+            ([[0.0, 1.0], [1.0, 1.0]], "diagonal must be zero"),
+            ([[0.0, float("nan")], [0.0, 0.0]], "non-finite"),
+        ],
+    )
+    def test_target_checked_once_at_entry(self, target, message):
+        from fanet.attention import EntitySet
+
+        ents = EntitySet(features=np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=message):
+            Instance(entities=ents, target=target, label=0)
+
+    def test_labeled_records_any_pair(self):
+        from fanet.attention import EntitySet
+
+        ents = EntitySet(features=np.zeros((3, 2)))
+        assert not Instance(entities=ents, target=np.zeros((3, 3)), label=0).labeled
+        t = np.zeros((3, 3))
+        t[0, 2] = t[2, 0] = 1.0
+        assert Instance(entities=ents, target=t, label=0).labeled
+
     def test_label_checked(self):
         from fanet.attention import EntitySet
 

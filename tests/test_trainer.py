@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fanet.attention import EntitySet
-from fanet.matrices import ShapeError, ValidationError
+from fanet.matrices import NonFiniteError, ShapeError, ValidationError
 from fanet.synthgen import Instance, WorldSpec, generate_dataset
 from fanet.trainer import (
     DivergenceError,
@@ -335,6 +335,36 @@ class TestTraining:
             with pytest.raises(DivergenceError):
                 train(tr, te, TrainConfig(lr=1e200, epochs=5, batch_size=1, d_k=2))
 
+    def test_non_finite_logits_raise_divergence(self):
+        """Logits that overflow raise NonFiniteError in forward, DivergenceError in train."""
+        tr, te = tiny_dataset()
+        huge = check_instance(0, n=4, d=6)
+        huge = Instance(
+            entities=EntitySet(features=1e200 * np.ones((4, 6))),
+            target=huge.target,
+            label=0,
+        )
+        cfg = TrainConfig(epochs=1, d_k=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="logits"):
+                forward_task(huge, init_model(6, 2, cfg), cfg)
+            with pytest.raises(DivergenceError, match="0 epochs completed") as info:
+                train([huge] + list(tr), te, cfg)
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_other_validation_errors_are_not_divergence(self):
+        """Only non-finite numbers mean divergence; other input errors pass through."""
+        tr, te = tiny_dataset()
+        bad = Instance(
+            entities=EntitySet(features=te[0].entities.features),
+            target=te[0].target,
+            label=te[0].label,
+            gt_relations=((0, 1),),
+        )
+        with pytest.raises(ValidationError, match="no boxes") as info:
+            train(tr, [bad], TrainConfig(epochs=1, d_k=2))
+        assert not isinstance(info.value, NonFiniteError)
+
     def test_empty_train_set_rejected(self):
         _, te = tiny_dataset()
         with pytest.raises(ValidationError):
@@ -389,6 +419,18 @@ class TestEvaluate:
         ids = {row[0] for row in result.rows}
         assert ids == set(range(len(te)))
 
+    def test_vacuous_instances_skip_center_mass(self):
+        """An empty target scores no center-mass: NaN in its rows, not in the mean."""
+        cfg = TrainConfig(d_k=2)
+        params = init_model(3, 3, cfg)
+        labeled = check_instance(0)
+        vacuous = Instance(entities=labeled.entities, target=np.zeros((4, 4)), label=0)
+        result = evaluate([labeled, vacuous], params, cfg, ks=(1,))
+        assert (result.center_mass.n_scored, result.center_mass.n_vacuous) == (1, 1)
+        only = evaluate([labeled], params, cfg, ks=(1,))
+        assert result.center_mass.mean_m == only.center_mass.mean_m
+        assert math.isnan(result.rows[1][3]) and not math.isnan(result.rows[0][3])
+
     def test_empty_dataset(self):
         cfg = TrainConfig(d_k=2)
         params = init_model(6, 2, cfg)
@@ -433,6 +475,23 @@ class TestCheckpoints:
         blob["version"] = 99
         p.write_text(json.dumps(blob))
         with pytest.raises(ValidationError, match="version"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("name", ["w_k", "w_q", "classifier_w", "classifier_b"])
+    def test_model_params_reject_non_finite(self, name):
+        arrays = init_model(4, 3, TrainConfig(d_k=2)).arrays()
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = np.nan
+        with pytest.raises(NonFiniteError, match=f"{name} contains non-finite entries"):
+            ModelParams(**arrays)
+
+    def test_rejects_non_finite_array(self, tmp_path):
+        cfg = TrainConfig(d_k=2)
+        params = init_model(4, 3, cfg)
+        params.w_q[1, 2] = np.inf  # bypasses the constructor, as a corrupt file would
+        p = tmp_path / "ckpt.json"
+        save_checkpoint(p, params, cfg)
+        with pytest.raises(NonFiniteError, match="w_q contains non-finite entries"):
             load_checkpoint(p)
 
     def test_rejects_inconsistent_class_count(self, tmp_path):
