@@ -14,7 +14,6 @@ import numpy as np
 
 from fanet import (
     EntitySet,
-    GroundTruthObject,
     LexicalPairTable,
     build_language_target,
     build_vision_target,
@@ -34,26 +33,34 @@ boxes = np.array(
     ]
 )
 entities = EntitySet(features=np.eye(4), boxes=boxes)
-gt = (
-    GroundTruthObject(box=(0.0, 0.0, 2.0, 2.0), category=1),
-    GroundTruthObject(box=(4.1, 4.0, 6.1, 6.0), category=2),
-    GroundTruthObject(box=(0.0, 4.0, 1.0, 5.0), category=1),
+# Ground truth is a (g, 4) box array plus a (g,) category array.
+gt_boxes = np.array(
+    [
+        [0.0, 0.0, 2.0, 2.0],
+        [4.1, 4.0, 6.1, 6.0],
+        [0.0, 4.0, 1.0, 5.0],
+    ]
 )
+gt_categories = np.array([1, 2, 1])
 
 print("1. IoU of every detection against every annotation")
 for i in range(4):
-    row = [iou(boxes[i], g.box) for g in gt]
+    row = [iou(boxes[i], g) for g in gt_boxes]
     print(f"  det {i}:", "  ".join(f"{v:.3f}" for v in row))
 print()
 
 print("2. Best-match assignment at threshold 0.5 (-1 = unmatched)")
-print("  matches:", entity_gt_matching(entities, gt, iou_threshold=0.5), "\n")
+print("  matches:", entity_gt_matching(entities, gt_boxes, iou_threshold=0.5), "\n")
 
 print("3. Vision targets in both modes")
 print("different_instance (any two distinct objects):")
-print(build_vision_target(entities, gt, mode="different_instance").astype(int))
+print(build_vision_target(entities, gt_boxes, mode="different_instance").astype(int))
 print("different_category (objects must also disagree on category):")
-print(build_vision_target(entities, gt, mode="different_category").astype(int))
+print(
+    build_vision_target(
+        entities, gt_boxes, gt_categories, mode="different_category"
+    ).astype(int)
+)
 print("Detections 0 and 1 share object 0, so their pair never lights up.\n")
 
 print("4. Language targets from a lexical pair table")

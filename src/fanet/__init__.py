@@ -57,7 +57,6 @@ from .metrics import (
     word_importance,
 )
 from .supervision import (
-    GroundTruthObject,
     LexicalPairTable,
     build_language_target,
     build_vision_target,
@@ -82,7 +81,6 @@ from .trainer import (
     ModelParams,
     TrainConfig,
     TrainReport,
-    ablate,
     evaluate,
     forward_task,
     grad_check,
@@ -122,7 +120,6 @@ __all__ = [
     "smooth_l1_loss",
     "relation_loss",
     # supervision
-    "GroundTruthObject",
     "LexicalPairTable",
     "iou",
     "entity_gt_matching",
@@ -158,7 +155,6 @@ __all__ = [
     "train",
     "evaluate",
     "grad_check",
-    "ablate",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -30,6 +30,7 @@ import numpy as np
 
 from .matrices import (
     ShapeError,
+    ValidationError,
     _check_boxes,
     _softmax,
     as_matrix,
@@ -135,7 +136,7 @@ class AttentionState:
 def init_params(d: int, d_k: int, seed: int) -> AttentionParams:
     """Seeded uniform init on [-1/sqrt(d), +1/sqrt(d)] for both projections."""
     if d < 1 or d_k < 1:
-        raise ValueError(f"d and d_k must be >= 1, got d={d}, d_k={d_k}")
+        raise ValidationError(f"d and d_k must be >= 1, got d={d}, d_k={d_k}")
     rng = stream_rng(STREAM_PARAMS_ATTENTION, seed)
     bound = 1.0 / np.sqrt(d)
     w_k = rng.uniform(-bound, bound, size=(d_k, d))
@@ -160,7 +161,7 @@ def forward(
     updates in place. Raises NonFiniteError if the logits are not finite.
     """
     if agg_axis not in AGG_AXES:
-        raise ValueError(f"agg_axis must be 'row' or 'col', got {agg_axis!r}")
+        raise ValidationError(f"agg_axis must be 'row' or 'col', got {agg_axis!r}")
     _check_dims(entities, params)
     keys = entities.features @ params.w_k.T        # (n, d_k), row m = w_k @ f_m
     queries = entities.features @ params.w_q.T     # (n, d_k), row n = w_q @ f_n

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .attention import EntitySet
+from .losses import LOSS_VARIANTS
 from .matrices import ValidationError
 from .metrics import top_k_pairs, word_importance, write_metrics_csv
 from .seeding import STREAM_INSTANCE, stream_rng
@@ -67,8 +68,6 @@ from .trainer import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USER = 2
-
-LOSS_VARIANT_CHOICES = ("focal", "l2", "smooth_l1")
 
 
 class UserInputError(Exception):
@@ -152,7 +151,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
     parser.add_argument("--lambda", dest="lam", type=float, help="relation-loss weight")
     parser.add_argument("--focal-r", type=int, help="focal exponent r")
-    parser.add_argument("--loss-variant", choices=LOSS_VARIANT_CHOICES)
+    parser.add_argument("--loss-variant", choices=LOSS_VARIANTS)
     parser.add_argument("--strategy", choices=STRATEGIES)
     parser.add_argument("--optimizer", choices=OPTIMIZERS)
     parser.add_argument("--lr", type=float)
@@ -538,7 +537,7 @@ def cmd_gradcheck(args) -> int:
     worst_overall = 0.0
     failed = False
     for head_mode in head_modes:
-        for variant in LOSS_VARIANT_CHOICES:
+        for variant in LOSS_VARIANTS:
             for strategy in STRATEGIES:
                 worst = 0.0
                 for s in range(args.seeds):

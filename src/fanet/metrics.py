@@ -20,7 +20,7 @@ import numpy as np
 from .attention import AttentionState, EntitySet
 from .losses import center_mass, validate_target
 from .matrices import ValidationError, as_matrix
-from .supervision import NO_MATCH, GroundTruthObject, entity_gt_matching
+from .supervision import NO_MATCH, entity_gt_matching
 
 __all__ = [
     "RelationPair",
@@ -135,7 +135,7 @@ def _recall_at_ks(
 def relation_recall(
     pairs: Sequence[RelationPair],
     entities: EntitySet,
-    gt_objects: Sequence[GroundTruthObject],
+    gt_boxes,
     gt_relations: Sequence[GroundTruthRelation],
     k: int,
     iou_threshold: float = RECALL_IOU,
@@ -144,8 +144,9 @@ def relation_recall(
 
     A proposal covers a relation when its two entities best-match the
     relation's two gt objects (unordered, IoU > threshold via best-match
-    assignment). Each gt relation counts at most once. Empty gt_relations
-    gives vacuous recall 1.0; report layers flag that case.
+    assignment against the (g, 4) gt_boxes, whose rows the relations index).
+    Each gt relation counts at most once. Empty gt_relations gives vacuous
+    recall 1.0; report layers flag that case.
 
     This computes the matching for one cutoff. To score several cutoffs,
     match once with entity_gt_matching and pass the result to
@@ -155,7 +156,7 @@ def relation_recall(
         raise ValidationError(f"k must be >= 1, got {k}")
     if not gt_relations:
         return 1.0  # vacuous before matching, so box-less entities are fine here
-    matches = entity_gt_matching(entities, gt_objects, iou_threshold)
+    matches = entity_gt_matching(entities, gt_boxes, iou_threshold)
     return _recall_at_ks(list(pairs), matches, gt_relations, (k,))[k]
 
 

@@ -6,13 +6,14 @@ objects to carry different category labels. Language targets mark word pairs
 by lexical-category rules, the strictest being membership of the unordered
 category pair in a small semantic pair table.
 
+Ground-truth objects are a (g, 4) float64 box array plus, where a mode needs
+it, a (g,) category array; entity_gt_matching checks the boxes.
+
 Every emitted target matrix is symmetric with a zero diagonal.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -22,7 +23,6 @@ from .attention import EntitySet
 from .matrices import ValidationError, _check_boxes
 
 __all__ = [
-    "GroundTruthObject",
     "LexicalPairTable",
     "VISION_MODES",
     "LANGUAGE_MODES",
@@ -36,21 +36,6 @@ VISION_MODES = ("different_category", "different_instance")
 LANGUAGE_MODES = ("semantic", "different_category", "same_category", "different_word")
 
 NO_MATCH = -1
-
-
-@dataclass(frozen=True)
-class GroundTruthObject:
-    """An annotated object: axis-aligned box (x1, y1, x2, y2) and category id."""
-
-    box: tuple[float, float, float, float]
-    category: int
-
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2 and all(map(math.isfinite, self.box))):
-            raise ValidationError(
-                f"box must be finite with x1 < x2 and y1 < y2, got {self.box}"
-            )
 
 
 class LexicalPairTable:
@@ -145,25 +130,27 @@ def iou(a, b) -> float:
     return float(_iou_matrix(boxes[:1], boxes[1:])[0, 0])
 
 
-def entity_gt_matching(
-    entities: EntitySet,
-    gt: Sequence[GroundTruthObject],
-    iou_threshold: float,
-) -> np.ndarray:
+def entity_gt_matching(entities: EntitySet, gt_boxes, iou_threshold: float) -> np.ndarray:
     """Best-match gt index per entity, or -1 when no IoU exceeds the threshold.
 
-    Each entity matches at most one object: the one with maximal IoU, strictly
-    above the threshold, ties broken by lowest gt index. One (n, g) IoU matrix
-    serves all entities; boxes were validated when the EntitySet and the
-    GroundTruthObjects were built. Evaluation calls this once per instance and
-    scores every recall cutoff from the result.
+    gt_boxes is a (g, 4) array-like of (x1, y1, x2, y2) rows, checked here
+    like EntitySet boxes; an empty sequence means no objects. Each entity
+    matches at most one object: the one with maximal IoU, strictly above the
+    threshold, ties broken by lowest gt index. One (n, g) IoU matrix serves
+    all entities. Evaluation calls this once per instance and scores every
+    recall cutoff from the result.
     """
     if entities.boxes is None:
         raise ValidationError("entities have no boxes; cannot match against gt objects")
-    if not gt:
+    gt = np.asarray(gt_boxes, dtype=np.float64)
+    if gt.shape == (0,):
+        gt = gt.reshape(0, 4)
+    if gt.ndim != 2 or gt.shape[1] != 4:
+        raise ValidationError(f"gt_boxes must be (g, 4), got shape {gt.shape}")
+    _check_boxes(gt)
+    if not len(gt):
         return np.full(entities.n, NO_MATCH, dtype=np.int64)
-    gt_boxes = np.array([obj.box for obj in gt], dtype=np.float64)
-    ious = _iou_matrix(entities.boxes, gt_boxes)
+    ious = _iou_matrix(entities.boxes, gt)
     best = np.argmax(ious, axis=1)  # first maximum: lowest gt index wins ties
     hit = ious[np.arange(entities.n), best] > iou_threshold
     return np.where(hit, best, NO_MATCH).astype(np.int64)
@@ -171,32 +158,35 @@ def entity_gt_matching(
 
 def build_vision_target(
     entities: EntitySet,
-    gt: Sequence[GroundTruthObject],
+    gt_boxes,
+    gt_categories=None,
     mode: str = "different_category",
     iou_threshold: float = 0.5,
 ) -> np.ndarray:
     """Binary (n, n) target for vision-style supervision.
 
     t[m, n] = 1 iff m and n best-match two *different* gt objects and, in
-    different_category mode, those objects carry different category labels.
-    Symmetric, zero diagonal.
+    different_category mode, those objects carry different labels in the
+    (g,) gt_categories, which that mode requires. Symmetric, zero diagonal.
     """
     if mode not in VISION_MODES:
         raise ValidationError(f"mode must be one of {VISION_MODES}, got {mode!r}")
-    matches = entity_gt_matching(entities, gt, iou_threshold)
-    n = entities.n
-    t = np.zeros((n, n))
-    for m in range(n):
-        a = matches[m]
-        if a == NO_MATCH:
-            continue
-        for k in range(m + 1, n):
-            b = matches[k]
-            if b == NO_MATCH or b == a:
-                continue
-            if mode == "different_category" and gt[a].category == gt[b].category:
-                continue
-            t[m, k] = t[k, m] = 1.0
+    matches = entity_gt_matching(entities, gt_boxes, iou_threshold)
+    if gt_categories is None and mode == "different_category":
+        raise ValidationError("different_category mode requires gt_categories")
+    if gt_categories is not None and len(gt_categories) != len(gt_boxes):
+        raise ValidationError(
+            f"gt_categories length {len(gt_categories)} does not match "
+            f"{len(gt_boxes)} gt boxes"
+        )
+    matched = np.flatnonzero(matches != NO_MATCH)
+    obj = matches[matched]
+    related = obj[:, None] != obj[None, :]
+    if mode == "different_category":
+        cat = np.asarray(gt_categories)[obj]
+        related &= cat[:, None] != cat[None, :]
+    t = np.zeros((entities.n, entities.n))
+    t[np.ix_(matched, matched)] = related
     return t
 
 
@@ -210,7 +200,9 @@ def build_language_target(
 
     Modes: semantic (unordered tag pair present in the table),
     different_category / same_category (tag comparison), different_word
-    (token identity; requires tokens).
+    (token identity; requires tokens). The rule is applied once per pair of
+    distinct keys (tags, or tokens for different_word) and spread over the
+    entity pairs by index.
     """
     if mode not in LANGUAGE_MODES:
         raise ValidationError(f"mode must be one of {LANGUAGE_MODES}, got {mode!r}")
@@ -227,17 +219,16 @@ def build_language_target(
             raise ValidationError(
                 f"tokens length {len(tokens)} does not match tags length {n}"
             )
-    t = np.zeros((n, n))
-    for m in range(n):
-        for k in range(m + 1, n):
-            if mode == "semantic":
-                hit = table.contains(tags[m], tags[k])
-            elif mode == "different_category":
-                hit = tags[m] != tags[k]
-            elif mode == "same_category":
-                hit = tags[m] == tags[k]
-            else:
-                hit = tokens[m] != tokens[k]
-            if hit:
-                t[m, k] = t[k, m] = 1.0
+    keys = tokens if mode == "different_word" else tags
+    keys, key_of = np.unique(keys, return_inverse=True)
+    u = len(keys)
+    if mode == "semantic":
+        rule = np.array([[table.contains(a, b) for b in keys] for a in keys], dtype=bool)
+        rule = rule.reshape(u, u)  # (0,) -> (0, 0) for an empty sequence
+    elif mode == "same_category":
+        rule = np.eye(u, dtype=bool)
+    else:  # different_category, different_word
+        rule = ~np.eye(u, dtype=bool)
+    t = rule[key_of[:, None], key_of[None, :]].astype(np.float64)
+    np.fill_diagonal(t, 0.0)
     return t

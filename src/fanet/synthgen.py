@@ -33,7 +33,7 @@ import numpy as np
 from .attention import EntitySet
 from .losses import validate_target
 from .matrices import ValidationError, as_matrix
-from .metrics import GroundTruthObject, GroundTruthRelation
+from .metrics import GroundTruthRelation
 from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
 
@@ -374,19 +374,6 @@ class Instance:
     @property
     def n(self) -> int:
         return self.entities.n
-
-    def gt_objects(self) -> tuple:
-        """Each entity doubles as its own ground-truth object (exact boxes)."""
-        if self.entities.boxes is None:
-            raise ValidationError("instance has no boxes; no ground-truth objects")
-        cats = self.entities.categories
-        return tuple(
-            GroundTruthObject(
-                box=tuple(self.entities.boxes[i]),
-                category=int(cats[i]) if cats is not None else 0,
-            )
-            for i in range(self.entities.n)
-        )
 
 
 def _grid_boxes(n: int) -> np.ndarray:

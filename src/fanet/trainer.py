@@ -71,7 +71,6 @@ __all__ = [
     "train",
     "grad_check",
     "ablation_cells",
-    "ablate",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_FORMAT",
@@ -300,14 +299,11 @@ def forward_task(
 
 def task_loss(class_logits: np.ndarray, label: int) -> float:
     """Softmax cross entropy, computed through a stabilized log-sum-exp."""
-    z = np.asarray(class_logits, dtype=np.float64)
-    if not (0 <= label < z.shape[0]):
-        raise ValidationError(f"label {label} out of range for {z.shape[0]} classes")
-    zmax = float(z.max())
-    return zmax + math.log(np.sum(np.exp(z - zmax))) - float(z[label])
+    return _task_loss_grad(class_logits, label)[0]
 
 
 def _task_loss_grad(class_logits: np.ndarray, label: int):
+    """(task_loss, d_loss/d_logits): the one cross-entropy formula."""
     z = np.asarray(class_logits, dtype=np.float64)
     if not (0 <= label < z.shape[0]):
         raise ValidationError(f"label {label} out of range for {z.shape[0]} classes")
@@ -506,13 +502,10 @@ def evaluate(
         if inst.labeled:
             m = float(np.sum(fwd.state.focus_weights * inst.target))
             masses.append(m)
-        if inst.gt_relations and inst.entities.boxes is None:
-            raise ValidationError(
-                "instance has ground-truth relations but no boxes to match against"
-            )
         if inst.gt_relations:
+            # each entity doubles as its own ground-truth object (exact boxes)
             pairs = top_k_pairs(fwd.state.focus_weights, max_k)
-            matches = entity_gt_matching(inst.entities, inst.gt_objects(), RECALL_IOU)
+            matches = entity_gt_matching(inst.entities, inst.entities.boxes, RECALL_IOU)
             per_k = _recall_at_ks(pairs, matches, inst.gt_relations, ks)
         else:
             n_vacuous += 1
@@ -792,20 +785,6 @@ def ablation_cells(base: TrainConfig, grid: dict) -> list:
     return cells
 
 
-def ablate(
-    base: TrainConfig,
-    grid: dict,
-    train_set: Sequence[Instance],
-    test_set: Sequence[Instance],
-) -> list:
-    """Train every grid cell; returns [(cell_id, overrides, TrainReport), ...]."""
-    out = []
-    for cell_id, overrides, config in ablation_cells(base, grid):
-        _, report = train(train_set, test_set, config)
-        out.append((cell_id, overrides, report))
-    return out
-
-
 # --- checkpoints ------------------------------------------------------------------
 #
 # JSON with explicit shapes and base64-encoded little-endian float64 payloads;
@@ -882,12 +861,3 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
             f"classifier shape {params.classifier_w.shape}"
         )
     return params, config
-
-
-def config_with_overrides(base: TrainConfig, overrides: dict) -> TrainConfig:
-    """Merge override fields (JSON naming) into a config; overrides win."""
-    merged = base.to_dict()
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return TrainConfig.from_dict(merged)

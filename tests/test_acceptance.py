@@ -232,12 +232,11 @@ class TestRecallAgainstBruteForce:
         for idx, inst in enumerate(instances):
             focus = softmax_matrix(rng.normal(size=(inst.n, inst.n)))
             boxes = inst.entities.boxes
-            gt_objects = inst.gt_objects()
-            gt_boxes = [o.box for o in gt_objects]
+            gt_boxes = boxes  # each entity doubles as its own gt object
             relations = [(r.subject, r.object) for r in inst.gt_relations]
             for k in (1, 3, 5, 10):
                 got = relation_recall(
-                    top_k_pairs(focus, k), inst.entities, gt_objects,
+                    top_k_pairs(focus, k), inst.entities, gt_boxes,
                     inst.gt_relations, k,
                 )
                 want = oracle_recall(focus, boxes, gt_boxes, relations, k)

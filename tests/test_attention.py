@@ -127,7 +127,7 @@ class TestForward:
 
     def test_invalid_axis(self):
         entities, params = random_problem(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="agg_axis"):
             forward(entities, params, agg_axis="diag")
 
     def test_caches_projections(self):
@@ -193,8 +193,9 @@ class TestInitParams:
         assert np.all(np.abs(p.w_q) <= bound)
 
     def test_rejects_degenerate_dims(self):
-        with pytest.raises(ValueError):
-            init_params(d=0, d_k=2, seed=0)
+        for d, d_k in ((0, 2), (3, 0)):
+            with pytest.raises(ValidationError, match="d and d_k must be >= 1"):
+                init_params(d=d, d_k=d_k, seed=0)
 
 
 def fd_gradient(loss_fn, array, step=FD_STEP):

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, reproducibility, resume."""
 
 import base64
+import csv
 import json
 import os
 import subprocess
@@ -396,6 +397,19 @@ class TestAblate:
         assert len(curves) == 2 + 2 * 3  # two cells x three ks
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["cells"]) == 2
+
+    def test_ablate_runs_cells(self, tmp_path, data_dir):
+        grid = self.grid_file(tmp_path, {"strategy": ["unsup", "mat_focal"]})
+        out = tmp_path / "ab"
+        code = main(
+            ["ablate", "--grid", grid, "--data", data_dir, "--out", str(out),
+             "--epochs", "1", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
+        )
+        assert code == EXIT_OK
+        with open(out / "cells.csv", newline="") as fh:
+            rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
+        assert [r["cell_id"] for r in rows] == ['strategy="unsup"', 'strategy="mat_focal"']
+        assert float(rows[0]["relation_loss"]) == 0.0
 
     def test_empty_grid_gives_empty_table(self, tmp_path, data_dir):
         grid = self.grid_file(tmp_path, {})

@@ -21,7 +21,7 @@ from fanet.metrics import (
     word_importance,
     write_metrics_csv,
 )
-from fanet.supervision import GroundTruthObject, entity_gt_matching
+from fanet.supervision import entity_gt_matching
 from fanet.synthgen import default_world_spec, generate_dataset
 
 
@@ -144,7 +144,7 @@ class TestTopKPairs:
             RelationPair(subject=2, object=2, weight=0.1)
 
 
-def brute_force_recall(w, boxes, gt_objects, gt_relations, k, iou_threshold=0.5):
+def brute_force_recall(w, boxes, gt_boxes, gt_relations, k, iou_threshold=0.5):
     """Independent recall: enumerate unordered pairs, sort by max orientation."""
     n = w.shape[0]
     scored = []
@@ -152,7 +152,7 @@ def brute_force_recall(w, boxes, gt_objects, gt_relations, k, iou_threshold=0.5)
         scored.append((max(w[i, j], w[j, i]), i, j))
     scored.sort(key=lambda t: -t[0])
 
-    matches = ref_matching(boxes.tolist(), [o.box for o in gt_objects], iou_threshold)
+    matches = ref_matching(boxes.tolist(), np.asarray(gt_boxes).tolist(), iou_threshold)
     wanted = {frozenset((r.subject, r.object)) for r in gt_relations}
     if not wanted:
         return 1.0
@@ -169,10 +169,9 @@ class TestRelationRecall:
         """Entities sit exactly on their own gt boxes; relations drawn at random."""
         rng = np.random.default_rng(seed)
         boxes = np.array([[3.0 * i, 0.0, 3.0 * i + 1.0, 1.0] for i in range(n)])
-        gt_objects = [
-            GroundTruthObject(box=tuple(b), category=int(rng.integers(0, 3)))
-            for b in boxes
-        ]
+        gt_boxes = boxes.copy()
+        for _ in boxes:  # draws of the former gt categories keep each seed's scene
+            rng.integers(0, 3)
         all_pairs = list(itertools.combinations(range(n), 2))
         rng.shuffle(all_pairs)
         gt_relations = [
@@ -180,39 +179,39 @@ class TestRelationRecall:
             for a, b in all_pairs[: rng.integers(1, len(all_pairs) + 1)]
         ]
         w = softmax_matrix(rng.normal(size=(n, n)))
-        return w, boxes, gt_objects, gt_relations
+        return w, boxes, gt_boxes, gt_relations
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 7))
-        w, boxes, gt_objects, gt_relations = self.make_scene(seed * 7 + 1, n)
+        w, boxes, gt_boxes, gt_relations = self.make_scene(seed * 7 + 1, n)
         ents = EntitySet(features=np.zeros((n, 2)), boxes=boxes)
         for k in (1, 3, 5, 10):
             pairs = top_k_pairs(w, k)
-            got = relation_recall(pairs, ents, gt_objects, gt_relations, k)
-            want = brute_force_recall(w, boxes, gt_objects, gt_relations, k)
+            got = relation_recall(pairs, ents, gt_boxes, gt_relations, k)
+            want = brute_force_recall(w, boxes, gt_boxes, gt_relations, k)
             assert got == want, f"k={k}: {got} vs {want}"
 
     def test_vacuous_recall_is_one(self):
-        w, boxes, gt_objects, _ = self.make_scene(3, 4)
+        w, boxes, gt_boxes, _ = self.make_scene(3, 4)
         ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
-        assert relation_recall(top_k_pairs(w, 3), ents, gt_objects, [], 3) == 1.0
+        assert relation_recall(top_k_pairs(w, 3), ents, gt_boxes, [], 3) == 1.0
 
     def test_perfect_proposals(self):
         """Proposals aligned with every gt relation give recall exactly 1."""
-        _, boxes, gt_objects, _ = self.make_scene(4, 5)
+        _, boxes, gt_boxes, _ = self.make_scene(4, 5)
         ents = EntitySet(features=np.zeros((5, 2)), boxes=boxes)
         gt_relations = [GroundTruthRelation(0, 1), GroundTruthRelation(2, 3)]
         proposals = [
             RelationPair(subject=0, object=1, weight=0.9),
             RelationPair(subject=3, object=2, weight=0.8),
         ]
-        assert relation_recall(proposals, ents, gt_objects, gt_relations, 2) == 1.0
-        assert relation_recall(proposals, ents, gt_objects, gt_relations, 1) == 0.5
+        assert relation_recall(proposals, ents, gt_boxes, gt_relations, 2) == 1.0
+        assert relation_recall(proposals, ents, gt_boxes, gt_relations, 1) == 0.5
 
     def test_duplicate_gt_counted_once(self):
-        _, boxes, gt_objects, _ = self.make_scene(5, 4)
+        _, boxes, gt_boxes, _ = self.make_scene(5, 4)
         ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
         gt_relations = [
             GroundTruthRelation(0, 1),
@@ -220,46 +219,43 @@ class TestRelationRecall:
             GroundTruthRelation(2, 3),
         ]
         proposals = [RelationPair(subject=0, object=1, weight=0.5)]
-        got = relation_recall(proposals, ents, gt_objects, gt_relations, 1)
+        got = relation_recall(proposals, ents, gt_boxes, gt_relations, 1)
         assert got == 0.5  # one of two unique relations
 
     def test_unmatched_entities_do_not_cover(self):
-        gt_objects = [
-            GroundTruthObject(box=(0, 0, 1, 1), category=0),
-            GroundTruthObject(box=(5, 5, 6, 6), category=1),
-        ]
+        gt_boxes = [(0, 0, 1, 1), (5, 5, 6, 6)]
         # second entity far from any gt box
         ents = EntitySet(
             features=np.zeros((2, 2)),
             boxes=np.array([[0, 0, 1, 1], [90, 90, 91, 91]], dtype=float),
         )
         proposals = [RelationPair(subject=0, object=1, weight=1.0)]
-        got = relation_recall(proposals, ents, gt_objects, [GroundTruthRelation(0, 1)], 1)
+        got = relation_recall(proposals, ents, gt_boxes, [GroundTruthRelation(0, 1)], 1)
         assert got == 0.0
 
 
     def test_one_pass_equals_per_k_calls(self):
-        w, boxes, gt_objects, gt_relations = self.make_scene(11, 6)
+        w, boxes, gt_boxes, gt_relations = self.make_scene(11, 6)
         ents = EntitySet(features=np.zeros((6, 2)), boxes=boxes)
         pairs = top_k_pairs(w, 10)
-        matches = entity_gt_matching(ents, gt_objects, 0.5)
+        matches = entity_gt_matching(ents, gt_boxes, 0.5)
         ks = (10, 1, 3, 99)
         got = _recall_at_ks(pairs, matches, gt_relations, ks)
         assert list(got) == list(ks)
         for k in ks:
-            assert got[k] == relation_recall(pairs, ents, gt_objects, gt_relations, k)
+            assert got[k] == relation_recall(pairs, ents, gt_boxes, gt_relations, k)
 
     def test_rejects_bad_k(self):
-        w, boxes, gt_objects, gt_relations = self.make_scene(12, 4)
+        w, boxes, gt_boxes, gt_relations = self.make_scene(12, 4)
         ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
         with pytest.raises(ValidationError):
-            relation_recall(top_k_pairs(w, 3), ents, gt_objects, gt_relations, 0)
+            relation_recall(top_k_pairs(w, 3), ents, gt_boxes, gt_relations, 0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plain_tuples_score_like_relations(self, seed):
-        w, boxes, gt_objects, gt_relations = self.make_scene(20 + seed, 7)
+        w, boxes, gt_boxes, gt_relations = self.make_scene(20 + seed, 7)
         ents = EntitySet(features=np.zeros((7, 2)), boxes=boxes)
-        matches = entity_gt_matching(ents, gt_objects, 0.5)
+        matches = entity_gt_matching(ents, gt_boxes, 0.5)
         matches[seed % 7] = -1  # one unmatched entity
         pairs = top_k_pairs(w, 21)
         # reversed orientation and a duplicate: both collapse to one relation
@@ -298,15 +294,16 @@ def test_300_entity_scene_matches_reference():
     pairs = top_k_pairs(focus, 10)
     assert triples(pairs) == ref_top_k(focus, 10)
 
-    ents, gt_objects, gt_relations = inst.entities, inst.gt_objects(), inst.gt_relations
-    want_matches = ref_matching(ents.boxes.tolist(), [o.box for o in gt_objects], 0.5)
-    matches = entity_gt_matching(ents, gt_objects, 0.5)
+    ents, gt_relations = inst.entities, inst.gt_relations
+    gt_boxes = ents.boxes  # each entity doubles as its own gt object
+    want_matches = ref_matching(ents.boxes.tolist(), gt_boxes.tolist(), 0.5)
+    matches = entity_gt_matching(ents, gt_boxes, 0.5)
     assert matches.tolist() == want_matches
     recall = _recall_at_ks(pairs, matches, gt_relations, (1, 5, 10))
     for k in (1, 5, 10):
-        want = brute_force_recall(focus, ents.boxes, gt_objects, gt_relations, k)
+        want = brute_force_recall(focus, ents.boxes, gt_boxes, gt_relations, k)
         assert recall[k] == want, k
-        assert relation_recall(pairs, ents, gt_objects, gt_relations, k) == want
+        assert relation_recall(pairs, ents, gt_boxes, gt_relations, k) == want
 
 
 class TestWordImportance:

@@ -1,13 +1,16 @@
 """Target builders: box matching, vision/language modes, pair-table parsing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from fanet.attention import EntitySet
 from fanet.matrices import ValidationError
 from fanet.supervision import (
+    LANGUAGE_MODES,
     NO_MATCH,
-    GroundTruthObject,
+    VISION_MODES,
     LexicalPairTable,
     build_language_target,
     build_vision_target,
@@ -55,70 +58,77 @@ class TestIou:
 
 
 class TestGroundTruthObject:
+    """Ground-truth objects are a (g, 4) box array, checked by entity_gt_matching."""
+
+    ENTS = entity_set([(0, 0, 1, 1)])
+
     def test_validates_box(self):
         with pytest.raises(ValidationError):
-            GroundTruthObject(box=(1, 1, 1, 2), category=0)
+            entity_gt_matching(self.ENTS, [(1, 1, 1, 2)], 0.5)
+        with pytest.raises(ValidationError, match="x1 < x2"):
+            entity_gt_matching(self.ENTS, [(0, 0, 1, 1), (2, 0, 1, 1)], 0.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_box(self, bad):
         with pytest.raises(ValidationError):
-            GroundTruthObject(box=(0, 0, bad, 1), category=0)
+            entity_gt_matching(self.ENTS, [(0, 0, bad, 1)], 0.5)
         with pytest.raises(ValidationError):
-            GroundTruthObject(box=(-bad, 0, 1, 1), category=0)
+            entity_gt_matching(self.ENTS, np.array([(-bad, 0, 1, 1)]), 0.5)
 
-    def test_roundtrip_fields(self):
-        obj = GroundTruthObject(box=(0, 0, 1, 1), category=3)
-        assert obj.category == 3
+    @pytest.mark.parametrize(
+        "bad", [(0, 0, 1, 1), [(0, 0, 1)], np.zeros((0, 3)), np.ones((1, 4, 1))]
+    )
+    def test_rejects_wrong_shape(self, bad):
+        with pytest.raises(ValidationError, match=r"\(g, 4\)"):
+            entity_gt_matching(self.ENTS, bad, 0.5)
+
+    def test_categories_must_match_boxes(self):
+        gt = [(0, 0, 1, 1), (2, 0, 3, 1)]
+        with pytest.raises(ValidationError, match="gt_categories length 3"):
+            build_vision_target(self.ENTS, gt, [0, 1, 2], mode="different_instance")
+        with pytest.raises(ValidationError, match="requires gt_categories"):
+            build_vision_target(self.ENTS, gt, mode="different_category")
 
 
 class TestMatching:
     def test_best_overlap_wins(self):
-        gt = [
-            GroundTruthObject(box=(0, 0, 2, 2), category=0),
-            GroundTruthObject(box=(0.5, 0.5, 2.5, 2.5), category=1),
-        ]
+        gt = [(0, 0, 2, 2), (0.5, 0.5, 2.5, 2.5)]
         # entity box hugs gt[1] more closely
         ents = entity_set([(0.6, 0.6, 2.4, 2.4)])
         assert entity_gt_matching(ents, gt, 0.5).tolist() == [1]
 
     def test_threshold_is_strict(self):
         """IoU exactly at the threshold does not match."""
-        gt = [GroundTruthObject(box=(0, 0, 2, 2), category=0)]
+        gt = [(0, 0, 2, 2)]
         ents = entity_set([(1, 1, 3, 3)])  # IoU = 1/7
         assert entity_gt_matching(ents, gt, 1.0 / 7.0).tolist() == [NO_MATCH]
         assert entity_gt_matching(ents, gt, 1.0 / 7.0 - 1e-9).tolist() == [0]
 
     def test_tie_takes_lowest_index(self):
         box = (0, 0, 1, 1)
-        gt = [
-            GroundTruthObject(box=box, category=0),
-            GroundTruthObject(box=box, category=1),
-        ]
+        gt = [box, box]
         ents = entity_set([box])
         assert entity_gt_matching(ents, gt, 0.5).tolist() == [0]
 
     def test_equal_iou_distinct_boxes_takes_lowest_index(self):
         """Two different gt boxes, each at IoU exactly 1/2: index order decides."""
-        left = GroundTruthObject(box=(0, 0, 2, 1), category=0)
-        right = GroundTruthObject(box=(1, 0, 3, 1), category=1)
+        left, right = (0, 0, 2, 1), (1, 0, 3, 1)
         ents = entity_set([(1, 0, 2, 1)])
-        assert iou(ents.boxes[0], left.box) == iou(ents.boxes[0], right.box) == 0.5
+        assert iou(ents.boxes[0], left) == iou(ents.boxes[0], right) == 0.5
         assert entity_gt_matching(ents, [left, right], 0.4).tolist() == [0]
         assert entity_gt_matching(ents, [right, left], 0.4).tolist() == [0]
         assert entity_gt_matching(ents, [right, left], 0.5).tolist() == [NO_MATCH]
 
     def test_empty_gt_matches_nothing(self):
-        matches = entity_gt_matching(entity_set([(0, 0, 1, 1), (2, 2, 3, 3)]), [], 0.5)
-        assert matches.dtype == np.int64
-        assert matches.tolist() == [NO_MATCH, NO_MATCH]
+        for empty in ([], (), np.zeros((0, 4))):
+            matches = entity_gt_matching(entity_set([(0, 0, 1, 1), (2, 2, 3, 3)]), empty, 0.5)
+            assert matches.dtype == np.int64
+            assert matches.tolist() == [NO_MATCH, NO_MATCH]
 
     def test_threshold_monotonicity(self):
         """Raising the threshold can only lose matches, never gain or swap."""
         rng = np.random.default_rng(31)
-        gt = [
-            GroundTruthObject(box=(0, 0, 2, 2), category=0),
-            GroundTruthObject(box=(3, 3, 5, 5), category=1),
-        ]
+        gt = np.array([(0, 0, 2, 2), (3, 3, 5, 5)], dtype=float)
         boxes = []
         for _ in range(12):
             x, y = rng.uniform(0, 4, size=2)
@@ -134,16 +144,13 @@ class TestMatching:
 
     def test_requires_boxes(self):
         ents = EntitySet(features=np.zeros((2, 2)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no boxes"):
             entity_gt_matching(ents, [], 0.5)
 
 
 class TestVisionTarget:
-    GT = [
-        GroundTruthObject(box=(0, 0, 1, 1), category=0),
-        GroundTruthObject(box=(2, 0, 3, 1), category=1),
-        GroundTruthObject(box=(4, 0, 5, 1), category=1),
-    ]
+    GT = np.array([(0, 0, 1, 1), (2, 0, 3, 1), (4, 0, 5, 1)], dtype=float)
+    CATS = np.array([0, 1, 1])
 
     def entities(self):
         # entity i sits exactly on gt i; entity 3 matches nothing
@@ -157,36 +164,35 @@ class TestVisionTarget:
         np.testing.assert_array_equal(t, expect)
 
     def test_different_category_excludes_same_label(self):
-        t = build_vision_target(self.entities(), self.GT, mode="different_category")
+        t = build_vision_target(self.entities(), self.GT, self.CATS, mode="different_category")
         assert t[1, 2] == 0.0  # both category 1
         assert t[0, 1] == 1.0 and t[0, 2] == 1.0
 
     def test_mode_nesting(self):
         """Category-constrained positives are a subset of instance positives."""
         ents = self.entities()
-        cat = build_vision_target(ents, self.GT, mode="different_category")
-        inst = build_vision_target(ents, self.GT, mode="different_instance")
+        cat = build_vision_target(ents, self.GT, self.CATS, mode="different_category")
+        inst = build_vision_target(ents, self.GT, self.CATS, mode="different_instance")
         assert np.all(inst[cat == 1.0] == 1.0)
 
     def test_symmetric_zero_diagonal(self):
-        t = build_vision_target(self.entities(), self.GT)
+        t = build_vision_target(self.entities(), self.GT, self.CATS)
         np.testing.assert_array_equal(t, t.T)
         np.testing.assert_array_equal(np.diag(t), 0.0)
 
     def test_shared_object_is_not_a_relation(self):
         """Two entities on the same gt object must not pair with each other."""
         ents = entity_set([(0, 0, 1, 1), (0.01, 0, 1.01, 1)])
-        gt = [GroundTruthObject(box=(0, 0, 1, 1), category=0)]
-        t = build_vision_target(ents, gt, mode="different_instance")
+        t = build_vision_target(ents, [(0, 0, 1, 1)], mode="different_instance")
         np.testing.assert_array_equal(t, 0.0)
 
     def test_unmatched_entity_row_is_zero(self):
-        t = build_vision_target(self.entities(), self.GT)
+        t = build_vision_target(self.entities(), self.GT, self.CATS)
         np.testing.assert_array_equal(t[3], 0.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
-            build_vision_target(self.entities(), self.GT, mode="anything_goes")
+            build_vision_target(self.entities(), self.GT, self.CATS, mode="anything_goes")
 
 
 class TestLanguageTarget:
@@ -276,3 +282,120 @@ class TestLexicalPairTable:
     def test_rejects_empty_name(self):
         with pytest.raises(ValidationError):
             LexicalPairTable([("", "noun")])
+
+
+# --- the double-loop builders, kept as pure-Python references -------------------
+
+
+def ref_iou(a, b):
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    area = lambda r: (r[2] - r[0]) * (r[3] - r[1])  # noqa: E731
+    return inter / (area(a) + area(b) - inter)
+
+
+def ref_matching(boxes, gt_boxes, threshold):
+    """Best strictly-above-threshold gt index per box; first maximum wins."""
+    matches = []
+    for box in boxes:
+        best, best_iou = NO_MATCH, threshold
+        for g, gb in enumerate(gt_boxes):
+            v = ref_iou(box, gb)
+            if v > best_iou:
+                best, best_iou = g, v
+        matches.append(best)
+    return matches
+
+
+def ref_vision_target(boxes, gt_boxes, gt_categories, mode, threshold):
+    matches = ref_matching(boxes, gt_boxes, threshold)
+    n = len(boxes)
+    t = np.zeros((n, n))
+    for m in range(n):
+        a = matches[m]
+        if a == NO_MATCH:
+            continue
+        for k in range(m + 1, n):
+            b = matches[k]
+            if b == NO_MATCH or b == a:
+                continue
+            if mode == "different_category" and gt_categories[a] == gt_categories[b]:
+                continue
+            t[m, k] = t[k, m] = 1.0
+    return t
+
+
+def ref_language_target(tags, table, mode, tokens=None):
+    n = len(tags)
+    t = np.zeros((n, n))
+    for m in range(n):
+        for k in range(m + 1, n):
+            if mode == "semantic":
+                hit = table.contains(tags[m], tags[k])
+            elif mode == "different_category":
+                hit = tags[m] != tags[k]
+            elif mode == "same_category":
+                hit = tags[m] == tags[k]
+            else:
+                hit = tokens[m] != tokens[k]
+            if hit:
+                t[m, k] = t[k, m] = 1.0
+    return t
+
+
+# thresholds at and around 1/7, the IoU of two 2x2 boxes offset by (1, 1)
+THRESHOLDS = (0.0, 1 / 7 - 1e-12, 1 / 7, 1 / 7 + 1e-12, 1 / 3, 0.5, 0.99)
+
+
+def grid_boxes(rng, count):
+    """Integer boxes on a small grid: duplicates and equal IoUs are common."""
+    xy = rng.integers(0, 4, size=(count, 2))
+    wh = rng.integers(1, 3, size=(count, 2))
+    return np.hstack([xy, xy + wh]).astype(float)
+
+
+class TestAgainstReferenceBuilders:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_vision_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 if seed % 8 == 0 else int(rng.integers(2, 9))
+        g = int(rng.integers(0, 8))
+        boxes, gt = grid_boxes(rng, n), grid_boxes(rng, g)
+        cats = rng.integers(0, 3, size=g)
+        ents = entity_set(boxes)
+        for thr, mode in itertools.product(THRESHOLDS, VISION_MODES):
+            want_matches = ref_matching(boxes.tolist(), gt.tolist(), thr)
+            assert entity_gt_matching(ents, gt, thr).tolist() == want_matches
+            got = build_vision_target(ents, gt, cats, mode=mode, iou_threshold=thr)
+            want = ref_vision_target(boxes.tolist(), gt.tolist(), cats.tolist(), mode, thr)
+            assert got.dtype == np.float64 and got.shape == (n, n)
+            np.testing.assert_array_equal(got, want, err_msg=f"thr={thr}, mode={mode}")
+
+    def test_vision_tied_and_empty_ground_truth(self):
+        ents = entity_set([(0, 0, 2, 2), (1, 1, 3, 3), (0, 0, 2, 2)])
+        same = np.array([(0, 0, 2, 2)] * 3, dtype=float)  # three identical objects
+        for gt, cats in ((same, [0, 1, 0]), (np.zeros((0, 4)), [])):
+            for thr, mode in itertools.product(THRESHOLDS, VISION_MODES):
+                got = build_vision_target(ents, gt, cats, mode=mode, iou_threshold=thr)
+                want = ref_vision_target(ents.boxes.tolist(), gt.tolist(), cats, mode, thr)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_language_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = ["noun", "verb", "adjective", "adverb", "det"]
+        every_pair = itertools.combinations_with_replacement(vocab, 2)
+        pairs = [p for p in every_pair if rng.random() < 0.4]
+        table = LexicalPairTable(pairs or [("noun", "verb")])
+        known = sorted(table.categories)
+        n = int(rng.integers(0, 3)) if seed % 8 == 0 else int(rng.integers(3, 30))
+        tags = tuple(known[i] for i in rng.integers(0, len(known), size=n))
+        tokens = tuple(f"w{i}" for i in rng.integers(0, 6, size=n))
+        for mode in LANGUAGE_MODES:
+            got = build_language_target(tags, table, mode=mode, tokens=tokens)
+            want = ref_language_target(tags, table, mode, tokens)
+            assert got.dtype == np.float64 and got.shape == (n, n)
+            np.testing.assert_array_equal(got, want, err_msg=mode)

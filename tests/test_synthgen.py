@@ -10,7 +10,7 @@ import pytest
 from fanet.matrices import ValidationError
 from fanet.metrics import GroundTruthRelation
 from fanet.seeding import instance_seed, stream_rng
-from fanet.supervision import iou
+from fanet.supervision import entity_gt_matching, iou
 from fanet.synthgen import (
     DocumentSpec,
     Instance,
@@ -163,14 +163,6 @@ class TestGenerateInstance:
         }
         assert {(r.subject, r.object) for r in inst.gt_relations} == from_target
 
-    def test_gt_objects_cover_entities(self):
-        inst = generate_instance(default_world_spec(), seed=7)
-        objs = inst.gt_objects()
-        assert len(objs) == inst.n
-        for i, obj in enumerate(objs):
-            assert obj.box == tuple(inst.entities.boxes[i])
-            assert obj.category == int(inst.entities.categories[i])
-
     def test_entity_count_in_range(self):
         spec = tiny_world()
         for seed in range(20):
@@ -196,8 +188,8 @@ class TestDocumentInstances:
     def test_no_boxes(self):
         inst = generate_document_instance(default_document_spec(), seed=13)
         assert inst.entities.boxes is None
-        with pytest.raises(ValidationError):
-            inst.gt_objects()
+        with pytest.raises(ValidationError, match="no boxes"):
+            entity_gt_matching(inst.entities, inst.entities.boxes, 0.5)
 
 
 class TestGenerateDataset:

@@ -13,9 +13,7 @@ from fanet.trainer import (
     DivergenceError,
     ModelParams,
     TrainConfig,
-    ablate,
     ablation_cells,
-    config_with_overrides,
     evaluate,
     forward_task,
     grad_check,
@@ -98,13 +96,6 @@ class TestTrainConfig:
         # non-focal variants keep their shape under either strategy
         cfg = TrainConfig(strategy="mat", loss_variant="l2")
         assert cfg.focus_config().variant == "l2"
-
-    def test_overrides_helper(self):
-        base = TrainConfig()
-        out = config_with_overrides(base, {"epochs": 3, "lr": None, "lambda": 0.2})
-        assert out.epochs == 3
-        assert out.lr == base.lr  # None means "keep"
-        assert out.lam == 0.2
 
 
 class TestModelInit:
@@ -530,13 +521,3 @@ class TestAblation:
     def test_rejects_unknown_field(self):
         with pytest.raises(ValidationError):
             ablation_cells(TrainConfig(), {"learning_rate": [0.1]})
-
-    def test_ablate_runs_cells(self):
-        tr, te = tiny_dataset(8, 4)
-        base = TrainConfig(epochs=1, batch_size=2, d_k=2)
-        results = ablate(base, {"strategy": ["unsup", "mat_focal"]}, tr, te)
-        assert len(results) == 2
-        cell_id, overrides, report = results[0]
-        assert cell_id == 'strategy="unsup"'
-        assert overrides == {"strategy": "unsup"}
-        assert report.epochs[-1].relation_loss == 0.0
