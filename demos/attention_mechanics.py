@@ -36,7 +36,7 @@ base = np.array(
 entities = EntitySet(features=base + 0.05 * rng.normal(size=base.shape))
 params = init_params(d=4, d_k=3, seed=0)
 
-state = forward(entities, params)
+state = forward(entities.features, params)
 
 print("1. Pairwise logits W[m, n] = (w_k f_m) . (w_q f_n) / sqrt(d_k)")
 logits = state.logits
@@ -49,9 +49,9 @@ print("row sums:", state.agg_weights.sum(axis=1), "\n")
 print("3. Matrix normalization (focus weights): the whole matrix sums to 1")
 print(state.focus_weights)
 print("total mass:", state.focus_weights.sum())
-best = top_k_pairs(state.focus_weights, 3)
-print("top pair proposals (diagonal excluded):",
-      [(p.subject, p.object) for p in best], "\n")
+best, best_weights = top_k_pairs(state.focus_weights, 3)
+print("top pair proposals (diagonal excluded):", best.tolist())
+print("their focus weights:", best_weights, "\n")
 
 print("4. Context vectors and the residual update")
 context = aggregate(state, entities.features)
@@ -61,6 +61,6 @@ print("updated[0]:", updated[0], "\n")
 
 print("5. Scaling features by c scales logits by c^2 (both projections see c)")
 doubled = EntitySet(features=2.0 * entities.features)
-ratio = forward(doubled, params).logits / logits
+ratio = forward(doubled.features, params).logits / logits
 print("elementwise ratio (should be 4 everywhere):")
 print(ratio)

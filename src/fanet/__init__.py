@@ -50,7 +50,6 @@ from .matrices import (
 from .metrics import (
     CenterMassSummary,
     GroundTruthRelation,
-    RelationPair,
     center_mass_report,
     relation_recall,
     top_k_pairs,
@@ -126,7 +125,6 @@ __all__ = [
     "build_vision_target",
     "build_language_target",
     # metrics
-    "RelationPair",
     "GroundTruthRelation",
     "CenterMassSummary",
     "top_k_pairs",

@@ -16,6 +16,10 @@ Two normalizations of the same logits coexist:
 All forward quantities are cached so the backward pass is exact (pure chain
 rule through the bilinear form); there is no value projection and no bias.
 
+`forward` and `aggregate` take one instance's (n, d) features or a stack of
+B instances with the same n, (B, n, d), and work on the trailing axes, so
+every matrix of a stack comes out bit for bit as it would alone.
+
 Inputs are checked where they are made (`EntitySet`, `AttentionParams`), so
 `forward` and `backward` re-check only shapes; the one finiteness check left
 is on the logits, where non-finite parameters always show up.
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 # agg_axis -> the numpy axis each aggregation softmax normalizes over
-AGG_AXES = {"row": 1, "col": 0}
+AGG_AXES = {"row": -1, "col": -2}
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,10 @@ class AttentionParams:
 class AttentionState:
     """Forward-pass result: logits plus both normalizations and caches.
 
-    agg_weights rows each sum to 1 (or columns, for agg_axis="col");
-    focus_weights entries sum to 1 over the whole matrix. proj_keys and
-    proj_queries are the (n, d_k) projected features kept for backward.
+    Arrays are (n, n) for one instance, or (B, n, n) for a stack. agg_weights
+    rows each sum to 1 (or columns, for agg_axis="col"); focus_weights entries
+    sum to 1 over each whole matrix. proj_keys and proj_queries are the
+    (..., n, d_k) projected features kept for backward.
     """
 
     logits: np.ndarray
@@ -144,33 +149,33 @@ def init_params(d: int, d_k: int, seed: int) -> AttentionParams:
     return AttentionParams(w_k=w_k, w_q=w_q)
 
 
-def _check_dims(entities: EntitySet, params: AttentionParams) -> None:
-    if params.d != entities.d:
-        raise ShapeError(
-            f"projection expects feature dim {params.d}, entities have {entities.d}"
-        )
-
-
 def forward(
-    entities: EntitySet, params: AttentionParams, agg_axis: str = "row"
+    features: np.ndarray, params: AttentionParams, agg_axis: str = "row"
 ) -> AttentionState:
     """Compute logits and both softmax paths, caching projections for backward.
 
-    `params` is anything with checked (d_k, d) arrays `w_k` and `w_q`: an
-    AttentionParams, or the trainer's ModelParams, whose arrays the optimizer
-    updates in place. Raises NonFiniteError if the logits are not finite.
+    `features` is an EntitySet's (n, d) features, or a (B, n, d) `np.stack`
+    of B of them. `params` is anything with checked (d_k, d) arrays `w_k`
+    and `w_q`: an AttentionParams, or the trainer's ModelParams, whose arrays
+    the optimizer updates in place. Raises NonFiniteError if the logits are
+    not finite.
     """
     if agg_axis not in AGG_AXES:
         raise ValidationError(f"agg_axis must be 'row' or 'col', got {agg_axis!r}")
-    _check_dims(entities, params)
-    keys = entities.features @ params.w_k.T        # (n, d_k), row m = w_k @ f_m
-    queries = entities.features @ params.w_q.T     # (n, d_k), row n = w_q @ f_n
-    logits = keys @ queries.T / np.sqrt(params.d_k)
+    if features.ndim not in (2, 3):
+        raise ShapeError(f"features must be (n, d) or (B, n, d), got {features.shape}")
+    if features.shape[-1] != params.d:
+        raise ShapeError(
+            f"projection expects feature dim {params.d}, entities have {features.shape[-1]}"
+        )
+    keys = features @ params.w_k.T        # (..., n, d_k), row m = w_k @ f_m
+    queries = features @ params.w_q.T     # (..., n, d_k), row n = w_q @ f_n
+    logits = keys @ np.swapaxes(queries, -1, -2) / np.sqrt(params.d_k)
     check_finite(logits, "logits")
     return AttentionState(
         logits=logits,
         agg_weights=_softmax(logits, AGG_AXES[agg_axis]),
-        focus_weights=_softmax(logits, None),
+        focus_weights=_softmax(logits, (-2, -1)),
         proj_keys=keys,
         proj_queries=queries,
         agg_axis=agg_axis,
@@ -180,12 +185,12 @@ def forward(
 def aggregate(state: AttentionState, features: np.ndarray) -> np.ndarray:
     """Attention-weighted feature aggregation: out[m] = sum_n agg[m, n] * f_n.
 
-    `features` is a checked (n, d) matrix, such as the EntitySet's features.
+    `features` is the (n, d) or (B, n, d) array the forward ran on.
     """
-    n = state.agg_weights.shape[0]
-    if features.shape[0] != n:
+    n = state.agg_weights.shape[-1]
+    if features.shape[-2] != n:
         raise ShapeError(
-            f"features rows {features.shape[0]} do not match attention size {n}"
+            f"features rows {features.shape[-2]} do not match attention size {n}"
         )
     return state.agg_weights @ features
 
@@ -227,7 +232,7 @@ def backward(
 
 
 def softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
-    """VJP of the softmax over `axis` (1 rows, 0 columns, None the whole matrix).
+    """VJP of the softmax over `axis` (-1 rows, -2 columns, None the whole matrix).
 
     a * (g - sum(g * a)), the sum taken over each distribution.
     """

@@ -473,9 +473,9 @@ def cmd_export_attention(args) -> int:
     _check_feature_dim(params, [inst], args.checkpoint, args.data)
     if args.top_k < 1:
         raise UserInputError(f"--top-k must be >= 1, got {args.top_k}")
-    fwd = forward_task(inst, params, config)
+    fwd = forward_task(inst.entities.features, params, config)
     state = fwd.state
-    pairs = top_k_pairs(state.focus_weights, args.top_k)
+    pairs, weights = top_k_pairs(state.focus_weights, args.top_k)
     dump = {
         "config": config.to_dict(),
         "checkpoint": args.checkpoint,
@@ -489,8 +489,8 @@ def cmd_export_attention(args) -> int:
         "focus_weights": state.focus_weights.tolist(),
         "word_importance": word_importance(state.focus_weights).tolist(),
         "top_pairs": [
-            {"subject": p.subject, "object": p.object, "weight": p.weight}
-            for p in pairs
+            {"subject": a, "object": b, "weight": w}
+            for (a, b), w in zip(pairs.tolist(), weights.tolist())
         ],
         "target": inst.target.tolist(),
         "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],

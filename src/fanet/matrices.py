@@ -71,10 +71,13 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands") -> No
 
 
 def _softmax(w: np.ndarray, axis) -> np.ndarray:
-    """Unchecked softmax kernel: axis 1 per row, 0 per column, None matrix-wide.
+    """Unchecked softmax kernel over `axis`, which numpy reads as usual.
 
-    Stabilized by subtracting the maximum along the axis, so arbitrarily
-    large finite logits do not overflow.
+    On a matrix, 1 (or -1) is per row, 0 (or -2) per column and None
+    matrix-wide; on a (B, n, n) stack, -1 and -2 are per row and column and
+    (-2, -1) is matrix-wide within each matrix of the stack. Stabilized by
+    subtracting the maximum along the axis, so arbitrarily large finite
+    logits do not overflow.
     """
     e = np.exp(w - w.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)

@@ -1,10 +1,11 @@
 """Relationship proposals and their evaluation.
 
 Proposals are the top-K weighted off-diagonal entries of a focus-weight
-matrix, collapsed to unordered pairs by default. A proposal matches a
-ground-truth relation when both of its entities best-match (IoU > threshold)
-the two objects of that relation, orientation ignored; recall is the fraction
-of unique ground-truth relations covered. Also provides the per-entity
+matrix, collapsed to unordered pairs by default: a (k, 2) int64 pair array
+and a (k,) weight array per matrix. A proposal matches a ground-truth
+relation when both of its entities best-match (IoU > threshold) the two
+objects of that relation, orientation ignored; recall is the fraction of
+unique ground-truth relations covered. Also provides the per-entity
 word-importance factor (column mass received under the matrix-wide softmax)
 and center-mass reporting across instances.
 """
@@ -12,6 +13,7 @@ and center-mass reporting across instances.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,11 +21,10 @@ import numpy as np
 
 from .attention import AttentionState, EntitySet
 from .losses import center_mass, validate_target
-from .matrices import ValidationError, as_matrix
+from .matrices import ShapeError, ValidationError, as_matrix, check_finite
 from .supervision import NO_MATCH, entity_gt_matching
 
 __all__ = [
-    "RelationPair",
     "GroundTruthRelation",
     "CenterMassSummary",
     "top_k_pairs",
@@ -39,22 +40,6 @@ METRICS_CSV_COLUMNS = ("instance_id", "k", "recall", "center_mass")
 RECALL_IOU = 0.5  # default best-match IoU threshold for recall
 
 
-@dataclass(frozen=True)
-class RelationPair:
-    """A proposed relation between two distinct entities, with its weight."""
-
-    subject: int
-    object: int
-    weight: float
-
-    def __post_init__(self):
-        if self.subject == self.object:
-            raise ValidationError("a relation pair needs two distinct entities")
-
-    def unordered(self) -> frozenset[int]:
-        return frozenset((self.subject, self.object))
-
-
 class GroundTruthRelation(NamedTuple):
     """An annotated relation between two gt objects; matched as an unordered pair."""
 
@@ -65,54 +50,87 @@ class GroundTruthRelation(NamedTuple):
         return frozenset((self.subject, self.object))
 
 
-def top_k_pairs(focus_weights, k: int, ordered_pairs: bool = False) -> list[RelationPair]:
-    """The k highest-weight off-diagonal entries, sorted descending.
+@functools.lru_cache(maxsize=16)
+def _candidates(n: int, ordered_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the candidate cells of an n x n matrix.
 
-    Ties break by (row, col) lexicographic order, so repeated runs produce
-    identical lists. By default (i, j) and (j, i) collapse to one unordered
-    proposal keeping the higher-weighted orientation; pass ordered_pairs=True
-    to keep both directions as separate candidates. k larger than the number
-    of available pairs returns them all.
+    Every off-diagonal cell with ordered_pairs, else the upper triangle
+    (i < j), both in row-major order.
     """
-    w = as_matrix(focus_weights, "focus_weights")
-    n = w.shape[0]
-    if w.shape[1] != n:
-        raise ValidationError(f"focus_weights must be square, got {w.shape}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-
     if ordered_pairs:
         rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     else:
+        rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def top_k_pairs(
+    focus_weights, k: int, ordered_pairs: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, weights): the k highest-weight off-diagonal entries, descending.
+
+    focus_weights is one (n, n) matrix or a (B, n, n) stack; each matrix is
+    ranked on its own. pairs is (..., k', 2) int64 (subject, object) and
+    weights is (..., k') float64, with k' = min(k, number of candidates).
+
+    Ties break by (row, col) lexicographic order, so repeated runs produce
+    identical results. By default (i, j) and (j, i) collapse to one unordered
+    proposal keeping the higher-weighted orientation; pass ordered_pairs=True
+    to keep both directions as separate candidates.
+    """
+    w = np.asarray(focus_weights, dtype=np.float64)
+    if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2] or w.shape[-1] < 1:
+        raise ShapeError(f"focus_weights must be (n, n) or (B, n, n), got {w.shape}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    check_finite(w, "focus_weights")
+    stack = w.reshape((-1,) + w.shape[-2:])  # a matrix is the B = 1 stack
+    n_batch = stack.shape[0]
+
+    iu, ju = _candidates(w.shape[-1], ordered_pairs)
+    weights = stack[:, iu, ju]  # (B, candidates)
+    if ordered_pairs:
+        rows = np.broadcast_to(iu, weights.shape)
+        cols = np.broadcast_to(ju, weights.shape)
+    else:
         # keep the stronger orientation; exact tie keeps (i, j), the
         # lexicographically smaller one
-        iu, ju = np.triu_indices(n, 1)
-        flip = w[ju, iu] > w[iu, ju]
+        flipped = stack[:, ju, iu]
+        flip = flipped > weights
         rows = np.where(flip, ju, iu)
         cols = np.where(flip, iu, ju)
-    weights = w[rows, cols]
-    if k < weights.size:
-        # every candidate tied with the k-th largest weight survives the cut,
-        # so the (row, col) tie-break below sees all of them
-        kth = np.partition(weights, weights.size - k)[weights.size - k]
-        keep = weights >= kth
-        rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    order = np.lexsort((cols, rows, -weights))[:k]
-    return [
-        RelationPair(subject=int(rows[o]), object=int(cols[o]), weight=float(weights[o]))
-        for o in order
-    ]
+        weights = np.maximum(weights, flipped)
+    size = weights.shape[1]
+    k_out = min(k, size)
+    batch = np.repeat(np.arange(n_batch), size)
+    rows, cols, flat = rows.ravel(), cols.ravel(), weights.ravel()
+    if k < size:
+        # every candidate tied with its matrix's k-th largest weight survives
+        # the cut, so the (row, col) tie-break below sees all of them
+        kth = np.partition(weights, size - k, axis=1)[:, size - k]
+        keep = (weights >= kth[:, None]).ravel()
+        batch, rows, cols, flat = batch[keep], rows[keep], cols[keep], flat[keep]
+    order = np.lexsort((cols, rows, -flat, batch))
+    # each matrix keeps at least k' candidates: take the first k' of each
+    starts = np.searchsorted(batch[order], np.arange(n_batch))
+    take = order[(starts[:, None] + np.arange(k_out)).ravel()]
+    lead = w.shape[:-2]
+    pairs = np.stack((rows[take], cols[take]), axis=-1).reshape(lead + (k_out, 2))
+    return pairs, flat[take].reshape(lead + (k_out,))
 
 
 def _recall_at_ks(
-    pairs: Sequence[RelationPair],
+    pairs: np.ndarray,
     matches: np.ndarray,
     gt_relations: Sequence[GroundTruthRelation],
     ks: Sequence[int],
 ) -> dict:
     """{k: recall of the first k pairs} for every k, in one walk over the pairs.
 
-    Unchecked: matches is entity_gt_matching's output for the pairs' entities.
+    Unchecked: pairs is a (k, 2) entity-index array such as top_k_pairs
+    gives, and matches is entity_gt_matching's output for those entities.
     gt_relations may hold any (subject, object) pairs.
     """
     unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
@@ -121,9 +139,9 @@ def _recall_at_ks(
     m = matches.tolist()
     covered_at = [0]  # covered_at[p]: relations covered by the first p pairs
     covered = set()
-    for pair in pairs[: max(ks)]:
-        a = m[pair.subject]
-        b = m[pair.object]
+    for subject, obj in pairs[: max(ks)].tolist():
+        a = m[subject]
+        b = m[obj]
         if a != NO_MATCH and b != NO_MATCH and a != b:
             key = (a, b) if a < b else (b, a)
             if key in unique_gt:
@@ -132,8 +150,22 @@ def _recall_at_ks(
     return {k: covered_at[min(k, len(covered_at) - 1)] / len(unique_gt) for k in ks}
 
 
+def _check_pairs(pairs, n: int) -> np.ndarray:
+    """A (k, 2) array of integer entity indices in [0, n), no self-pairs."""
+    p = np.asarray(pairs)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise ShapeError(f"pairs must be a (k, 2) array, got shape {p.shape}")
+    if p.dtype.kind not in "iu":
+        raise ValidationError(f"pairs must hold integer entity indices, not {p.dtype}")
+    if np.any(p < 0) or np.any(p >= n):
+        raise ValidationError(f"pairs must index entities in [0, {n})")
+    if np.any(p[:, 0] == p[:, 1]):
+        raise ValidationError("a relation pair needs two distinct entities")
+    return p
+
+
 def relation_recall(
-    pairs: Sequence[RelationPair],
+    pairs,
     entities: EntitySet,
     gt_boxes,
     gt_relations: Sequence[GroundTruthRelation],
@@ -142,22 +174,26 @@ def relation_recall(
 ) -> float:
     """Fraction of unique gt relations covered by the first k proposals.
 
-    A proposal covers a relation when its two entities best-match the
-    relation's two gt objects (unordered, IoU > threshold via best-match
-    assignment against the (g, 4) gt_boxes, whose rows the relations index).
-    Each gt relation counts at most once. Empty gt_relations gives vacuous
-    recall 1.0; report layers flag that case.
+    pairs is a (k', 2) integer array of entity indices in ranked order, such
+    as top_k_pairs gives; a bad shape, non-integer entries, indices outside
+    [0, n) and self-pairs raise ValidationError. A proposal covers a relation
+    when its two entities best-match the relation's two gt objects
+    (unordered, IoU > threshold via best-match assignment against the (g, 4)
+    gt_boxes, whose rows the relations index). Each gt relation counts at
+    most once. Empty gt_relations gives vacuous recall 1.0; report layers
+    flag that case.
 
     This computes the matching for one cutoff. To score several cutoffs,
     match once with entity_gt_matching and pass the result to
     _recall_at_ks, as trainer.evaluate does.
     """
+    p = _check_pairs(pairs, entities.n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not gt_relations:
         return 1.0  # vacuous before matching, so box-less entities are fine here
     matches = entity_gt_matching(entities, gt_boxes, iou_threshold)
-    return _recall_at_ks(list(pairs), matches, gt_relations, (k,))[k]
+    return _recall_at_ks(p, matches, gt_relations, (k,))[k]
 
 
 def word_importance(focus_weights) -> np.ndarray:

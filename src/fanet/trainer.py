@@ -90,6 +90,14 @@ class DivergenceError(RuntimeError):
     """Raised when a training loss stops being finite."""
 
 
+def _check_ks(ks, name: str) -> tuple:
+    """Recall cutoffs as a non-empty tuple of ints >= 1."""
+    checked = tuple(int(k) for k in ks)
+    if not checked or any(k < 1 for k in checked):
+        raise ValidationError(f"{name} must be positive ints, got {ks!r}")
+    return checked
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; validated on construction.
@@ -149,10 +157,7 @@ class TrainConfig:
             raise ValidationError(f"d_k must be >= 1, got {self.d_k}")
         # delegates focal_r / loss_variant / eps validation
         FocusLossConfig(r=self.focal_r, variant=self.loss_variant, eps=self.eps)
-        ks = tuple(int(k) for k in self.eval_ks)
-        if not ks or any(k < 1 for k in ks):
-            raise ValidationError(f"eval_ks must be positive ints, got {self.eval_ks!r}")
-        object.__setattr__(self, "eval_ks", ks)
+        object.__setattr__(self, "eval_ks", _check_ks(self.eval_ks, "eval_ks"))
 
     @property
     def lam_effective(self) -> float:
@@ -267,7 +272,10 @@ def init_model(d: int, num_classes: int, config: TrainConfig) -> ModelParams:
 
 @dataclass(frozen=True)
 class TaskForward:
-    """Everything the backward pass and the metrics need from one forward."""
+    """Everything the backward pass and the metrics need from one forward.
+
+    For a (B, n, d) stack every array gains a leading B axis.
+    """
 
     state: AttentionState
     context: np.ndarray       # (n, d) aggregated features
@@ -276,22 +284,25 @@ class TaskForward:
 
 
 def forward_task(
-    instance: Instance, params: ModelParams, config: TrainConfig
+    features: np.ndarray, params: ModelParams, config: TrainConfig
 ) -> TaskForward:
-    f = instance.entities.features
-    expected = head_dim_for(f.shape[1], config.head_mode)
+    """Attention, pooled head and class logits for an instance's (n, d)
+    features, or for a (B, n, d) stack of instances with the same n."""
+    d = features.shape[-1]
+    expected = head_dim_for(d, config.head_mode)
     if params.head_dim != expected:
         raise ShapeError(
             f"classifier expects pooled dim {params.head_dim}, but "
-            f"{config.head_mode} head over {f.shape[1]}-dim features gives {expected}"
+            f"{config.head_mode} head over {d}-dim features gives {expected}"
         )
-    state = attention.forward(instance.entities, params, config.agg_axis)
-    context = attention.aggregate(state, f)
+    state = attention.forward(features, params, config.agg_axis)
+    context = attention.aggregate(state, features)
     if config.head_mode == "residual":
-        pooled = (f + context).mean(axis=0)
+        pooled = (features + context).mean(axis=-2)
     else:
-        pooled = np.concatenate([f.mean(axis=0), context.mean(axis=0)])
-    class_logits = params.classifier_w @ pooled + params.classifier_b
+        pooled = np.concatenate([features.mean(axis=-2), context.mean(axis=-2)], axis=-1)
+    # one gemv per instance: a (B, h) @ (h, C) gemm can round differently
+    class_logits = (params.classifier_w @ pooled[..., None])[..., 0] + params.classifier_b
     return TaskForward(
         state=state, context=context, pooled=pooled, class_logits=class_logits
     )
@@ -376,8 +387,8 @@ def _accumulate_instance(
     (already including lambda and the batch normalization). Returns
     (task_loss, relation_loss) for reporting.
     """
-    fwd = forward_task(instance, params, config)
     f = instance.entities.features
+    fwd = forward_task(f, params, config)
     n = instance.n
     t_loss, dz = _task_loss_grad(fwd.class_logits, instance.label)
 
@@ -472,14 +483,34 @@ class EvalResult:
     rows: tuple = ()             # per-instance (instance_id, k, recall, M) rows
 
 
+def _buckets(instances: Sequence[Instance]) -> list:
+    """Instance indices grouped by entity count n, in first-seen order.
+
+    Instances of one bucket stack into a (B, n, d) array with no padding.
+    """
+    groups = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst.n, []).append(i)
+    return list(groups.values())
+
+
+def _stack(instances: Sequence[Instance], idx: Sequence[int]) -> np.ndarray:
+    return np.stack([instances[i].entities.features for i in idx])
+
+
 def evaluate(
     instances: Sequence[Instance],
     params: ModelParams,
     config: TrainConfig,
     ks: Optional[Sequence[int]] = None,
 ) -> EvalResult:
-    """Accuracy, center-mass summary and recall@K means over a dataset."""
-    ks = tuple(config.eval_ks if ks is None else (int(k) for k in ks))
+    """Accuracy, center-mass summary and recall@K means over a dataset.
+
+    Runs one forward and one top-K per bucket of equal entity count; the
+    results are summed in instance order, so they do not depend on the
+    bucketing.
+    """
+    ks = config.eval_ks if ks is None else _check_ks(ks, "ks")
     if not instances:
         return EvalResult(
             accuracy=float("nan"),
@@ -488,38 +519,44 @@ def evaluate(
             n_instances=0,
             n_recall_vacuous=0,
         )
-    correct = 0
-    masses = []
-    recall_sums = {k: 0.0 for k in ks}
-    n_vacuous = 0
-    rows = []
-    max_k = max(ks)
-    for idx, inst in enumerate(instances):
-        fwd = forward_task(inst, params, config)
-        if int(np.argmax(fwd.class_logits)) == inst.label:
-            correct += 1
-        m = float("nan")
-        if inst.labeled:
-            m = float(np.sum(fwd.state.focus_weights * inst.target))
-            masses.append(m)
-        if inst.gt_relations:
-            # each entity doubles as its own ground-truth object (exact boxes)
-            pairs = top_k_pairs(fwd.state.focus_weights, max_k)
-            matches = entity_gt_matching(inst.entities, inst.entities.boxes, RECALL_IOU)
-            per_k = _recall_at_ks(pairs, matches, inst.gt_relations, ks)
-        else:
-            n_vacuous += 1
-            per_k = {k: 1.0 for k in ks}
-        for k in ks:
-            recall_sums[k] += per_k[k]
-            rows.append((idx, k, per_k[k], m))
     n = len(instances)
+    correct = 0
+    masses = [float("nan")] * n
+    per_k = [None] * n  # None: no gt relations, vacuous recall
+    max_k = max(ks)
+    for idx in _buckets(instances):
+        fwd = forward_task(_stack(instances, idx), params, config)
+        focus = fwd.state.focus_weights
+        predicted = np.argmax(fwd.class_logits, axis=-1).tolist()
+        for i, label, w in zip(idx, predicted, focus):
+            inst = instances[i]
+            correct += label == inst.label
+            if inst.labeled:
+                masses[i] = float(np.sum(w * inst.target))
+        with_gt = [j for j, i in enumerate(idx) if instances[i].gt_relations]
+        if not with_gt:
+            continue
+        pairs, _ = top_k_pairs(focus[with_gt], max_k)
+        for j, inst_pairs in zip(with_gt, pairs):
+            inst = instances[idx[j]]
+            # each entity doubles as its own ground-truth object (exact boxes)
+            matches = entity_gt_matching(inst.entities, inst.entities.boxes, RECALL_IOU)
+            per_k[idx[j]] = _recall_at_ks(inst_pairs, matches, inst.gt_relations, ks)
+    vacuous = {k: 1.0 for k in ks}
+    recall_sums = {k: 0.0 for k in ks}
+    rows = []
+    for i in range(n):
+        scores = vacuous if per_k[i] is None else per_k[i]
+        for k in ks:
+            recall_sums[k] += scores[k]
+            rows.append((i, k, scores[k], masses[i]))
+    scored = [m for m, inst in zip(masses, instances) if inst.labeled]
     return EvalResult(
         accuracy=correct / n,
-        center_mass=CenterMassSummary.of(masses, n - len(masses)),
+        center_mass=CenterMassSummary.of(scored, n - len(scored)),
         recall={k: recall_sums[k] / n for k in ks},
         n_instances=n,
-        n_recall_vacuous=n_vacuous,
+        n_recall_vacuous=per_k.count(None),
         rows=tuple(rows),
     )
 
@@ -645,6 +682,10 @@ def train(
 
 def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, lam_eff, stats):
     n = len(train_set)
+    grads = _zero_grads(params)
+    # train-split center-mass: the labeled instances, stacked once per bucket
+    labeled = [inst for inst in train_set if inst.labeled]
+    mass_buckets = [(idx, _stack(labeled, idx)) for idx in _buckets(labeled)]
     for epoch in range(config.epochs):
         lr = learning_rate(config, epoch)
         order = shuffle_rng.permutation(n)
@@ -653,7 +694,8 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         rel_count = 0
         for start in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            grads = _zero_grads(params)
+            for g in grads.values():
+                g.fill(0.0)
             supervised = sum(b.labeled for b in batch) if lam_eff != 0.0 else 0
             for inst in batch:
                 w_rel = lam_eff / supervised if supervised and inst.labeled else 0.0
@@ -673,11 +715,11 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
             optimizer.step(params, grads, lr)
         task_mean = task_sum / n
         rel_mean = rel_sum / rel_count if rel_count else 0.0
-        train_masses = []
-        for inst in train_set:
-            if inst.labeled:
-                state = attention.forward(inst.entities, params, config.agg_axis)
-                train_masses.append(float(np.sum(state.focus_weights * inst.target)))
+        train_masses = [0.0] * len(labeled)
+        for idx, features in mass_buckets:
+            state = attention.forward(features, params, config.agg_axis)
+            for i, w in zip(idx, state.focus_weights):
+                train_masses[i] = float(np.sum(w * labeled[i].target))
         train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))
         test_eval = evaluate(test_set, params, config)
         stats.append(
@@ -699,7 +741,7 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
 
 
 def _combined_loss_at(instance: Instance, params: ModelParams, config: TrainConfig):
-    fwd = forward_task(instance, params, config)
+    fwd = forward_task(instance.entities.features, params, config)
     t_loss = task_loss(fwd.class_logits, instance.label)
     lam_eff = config.lam_effective
     if lam_eff == 0.0:

@@ -236,7 +236,7 @@ class TestRecallAgainstBruteForce:
             relations = [(r.subject, r.object) for r in inst.gt_relations]
             for k in (1, 3, 5, 10):
                 got = relation_recall(
-                    top_k_pairs(focus, k), inst.entities, gt_boxes,
+                    top_k_pairs(focus, k)[0], inst.entities, gt_boxes,
                     inst.gt_relations, k,
                 )
                 want = oracle_recall(focus, boxes, gt_boxes, relations, k)

@@ -13,7 +13,7 @@ from fanet.attention import (
     residual_combine,
     softmax_vjp,
 )
-from fanet.matrices import NonFiniteError, ShapeError, ValidationError
+from fanet.matrices import NonFiniteError, ShapeError, ValidationError, softmax_matrix
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -53,7 +53,7 @@ class TestEntitySetBoxes:
 
 
 def logits(entities, params):
-    return forward(entities, params).logits
+    return forward(entities.features, params).logits
 
 
 class TestLogits:
@@ -104,7 +104,7 @@ class TestLogits:
 class TestForward:
     def test_normalizations(self):
         entities, params = random_problem(4)
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         keys = entities.features @ params.w_k.T
         queries = entities.features @ params.w_q.T
         np.testing.assert_allclose(state.logits, keys @ queries.T / np.sqrt(params.d_k))
@@ -113,7 +113,7 @@ class TestForward:
 
     def test_col_axis(self):
         entities, params = random_problem(5)
-        state = forward(entities, params, agg_axis="col")
+        state = forward(entities.features, params, agg_axis="col")
         np.testing.assert_allclose(state.agg_weights.sum(axis=0), 1.0, atol=1e-12)
         assert state.agg_axis == "col"
 
@@ -123,26 +123,55 @@ class TestForward:
         params = AttentionParams(w_k=np.full((3, 4), 1e200), w_q=np.full((3, 4), 1e200))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="logits contains non-finite"):
-                forward(entities, params)
+                forward(entities.features, params)
 
     def test_invalid_axis(self):
         entities, params = random_problem(6)
         with pytest.raises(ValidationError, match="agg_axis"):
-            forward(entities, params, agg_axis="diag")
+            forward(entities.features, params, agg_axis="diag")
 
     def test_caches_projections(self):
         entities, params = random_problem(7)
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         np.testing.assert_allclose(state.proj_keys, entities.features @ params.w_k.T)
         np.testing.assert_allclose(
             state.proj_queries, entities.features @ params.w_q.T
         )
 
 
+class TestStackedForward:
+    """A (B, n, d) stack is B single forwards, bit for bit."""
+
+    @pytest.mark.parametrize("agg_axis", ["row", "col"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 300])
+    def test_stack_equals_single_forwards(self, n, agg_axis):
+        rng = np.random.default_rng(n)
+        d, d_k = 5, 3
+        batch = 2 if n == 300 else 6
+        feats = [EntitySet(features=rng.normal(size=(n, d))).features for _ in range(batch)]
+        params = AttentionParams(w_k=rng.normal(size=(d_k, d)), w_q=rng.normal(size=(d_k, d)))
+        stack = np.stack(feats)
+        stacked = forward(stack, params, agg_axis)
+        assert stacked.focus_weights.shape == (batch, n, n)
+        context = aggregate(stacked, stack)
+        for b, f in enumerate(feats):
+            single = forward(f, params, agg_axis)
+            for name in ("logits", "agg_weights", "focus_weights", "proj_keys", "proj_queries"):
+                assert np.array_equal(getattr(stacked, name)[b], getattr(single, name)), name
+            assert np.array_equal(context[b], aggregate(single, f))
+            assert np.array_equal(single.focus_weights, softmax_matrix(single.logits))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 4, 4)])
+    def test_rejects_other_ranks(self, shape):
+        _, params = random_problem(17, d=4)
+        with pytest.raises(ShapeError):
+            forward(np.zeros(shape), params)
+
+
 class TestAggregate:
     def test_weighted_sum(self):
         entities, params = random_problem(8)
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         out = aggregate(state, entities.features)
         np.testing.assert_allclose(out, state.agg_weights @ entities.features)
 
@@ -151,12 +180,12 @@ class TestAggregate:
         f = np.tile([[1.0, -2.0, 0.5]], (4, 1))
         entities = EntitySet(features=f)
         params = init_params(d=3, d_k=2, seed=0)
-        out = aggregate(forward(entities, params), f)
+        out = aggregate(forward(entities.features, params), f)
         np.testing.assert_allclose(out, f, atol=1e-12)
 
     def test_row_count_mismatch(self):
         entities, params = random_problem(9)
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         with pytest.raises(ShapeError):
             aggregate(state, entities.features[:-1])
 
@@ -238,7 +267,7 @@ class TestBackward:
 
         entities = EntitySet(features=features.copy())
         params = AttentionParams(w_k=w_k.copy(), w_q=w_q.copy())
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         d_w_k, d_w_q, d_features = backward(state, cotangent, entities, params)
 
         assert_close_rel(d_w_k, fd_gradient(loss, w_k))
@@ -247,14 +276,14 @@ class TestBackward:
 
     def test_zero_cotangent(self):
         entities, params = random_problem(11)
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         grads = backward(state, np.zeros((entities.n, entities.n)), entities, params)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_cotangent_shape_checked(self):
         entities, params = random_problem(12)
-        state = forward(entities, params)
+        state = forward(entities.features, params)
         with pytest.raises(ShapeError):
             backward(state, np.zeros((2, 2)), entities, params)
 

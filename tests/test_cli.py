@@ -350,7 +350,7 @@ class TestExportAttention:
         dump = json.loads(out.read_text())
         params, config = load_checkpoint(os.path.join(run_dir, "checkpoint.json"))
         inst = read_jsonl(os.path.join(data_dir, "test.jsonl"))[1]
-        fwd = forward_task(inst, params, config)
+        fwd = forward_task(inst.entities.features, params, config)
         assert np.array_equal(np.asarray(dump["logits"]), fwd.state.logits)
         assert np.array_equal(np.asarray(dump["focus_weights"]), fwd.state.focus_weights)
         assert np.array_equal(np.asarray(dump["target"]), inst.target)

@@ -13,7 +13,6 @@ from fanet.matrices import ValidationError, softmax_matrix
 from fanet.metrics import (
     CenterMassSummary,
     GroundTruthRelation,
-    RelationPair,
     _recall_at_ks,
     center_mass_report,
     relation_recall,
@@ -71,52 +70,55 @@ def ref_top_k(w, k, ordered_pairs=False):
     return [(i, j, w[i][j]) for i, j in cands[:k]]
 
 
-def triples(pairs):
-    return [(p.subject, p.object, p.weight) for p in pairs]
+def triples(result):
+    """top_k_pairs' (pairs, weights) as (row, col, weight) triples."""
+    pairs, weights = result
+    return [(a, b, w) for (a, b), w in zip(pairs.tolist(), weights.tolist())]
 
 
 class TestTopKPairs:
     def test_descending_and_distinct(self):
         w = random_focus(1, 6)
-        pairs = top_k_pairs(w, 8)
+        pairs, weights = top_k_pairs(w, 8)
         assert len(pairs) == 8
-        weights = [p.weight for p in pairs]
+        weights = weights.tolist()
         assert weights == sorted(weights, reverse=True)
-        assert len({p.unordered() for p in pairs}) == 8
+        assert len({frozenset(p) for p in pairs.tolist()}) == 8
 
     def test_unordered_keeps_stronger_orientation(self):
         w = np.full((3, 3), 0.01)
         w[0, 1], w[1, 0] = 0.3, 0.5
         w[0, 2], w[2, 0] = 0.1, 0.05
         w = w / w.sum()
-        pairs = top_k_pairs(w, 2)
-        assert (pairs[0].subject, pairs[0].object) == (1, 0)
-        assert (pairs[1].subject, pairs[1].object) == (0, 2)
+        pairs, _ = top_k_pairs(w, 2)
+        assert tuple(pairs[0]) == (1, 0)
+        assert tuple(pairs[1]) == (0, 2)
 
     def test_ordered_mode_keeps_both_directions(self):
         w = random_focus(2, 4)
-        ordered = top_k_pairs(w, 12, ordered_pairs=True)
+        ordered, _ = top_k_pairs(w, 12, ordered_pairs=True)
         assert len(ordered) == 12  # all n*(n-1) directed pairs
-        seen = {(p.subject, p.object) for p in ordered}
+        seen = {(a, b) for a, b in ordered.tolist()}
         assert (0, 1) in seen and (1, 0) in seen
 
     def test_tie_break_is_lexicographic(self):
         """Equal weights everywhere: order falls back to (row, col)."""
         n = 4
         w = np.full((n, n), 1.0 / (n * n))
-        pairs = top_k_pairs(w, 6)
-        got = [(p.subject, p.object) for p in pairs]
+        pairs, _ = top_k_pairs(w, 6)
+        got = [(a, b) for a, b in pairs.tolist()]
         assert got == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_repeated_calls_identical(self):
         w = random_focus(3, 7)
         a = top_k_pairs(w, 10)
         b = top_k_pairs(w, 10)
-        assert a == b
+        assert triples(a) == triples(b)
 
     def test_k_exceeding_pairs_returns_all(self):
         w = random_focus(4, 3)
-        assert len(top_k_pairs(w, 99)) == 3
+        pairs, weights = top_k_pairs(w, 99)
+        assert len(pairs) == len(weights) == 3
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValidationError):
@@ -139,9 +141,42 @@ class TestTopKPairs:
             got = triples(top_k_pairs(w, k, ordered_pairs=ordered_pairs))
             assert got == full[:k], f"k={k}"
 
-    def test_pair_validates_distinct(self):
+    def test_returns_typed_arrays(self):
+        pairs, weights = top_k_pairs(random_focus(6, 5), 4)
+        assert pairs.shape == (4, 2) and pairs.dtype == np.int64
+        assert weights.shape == (4,) and weights.dtype == np.float64
+        stacked, stacked_w = top_k_pairs(np.stack([random_focus(s, 5) for s in range(3)]), 4)
+        assert stacked.shape == (3, 4, 2) and stacked.dtype == np.int64
+        assert stacked_w.shape == (3, 4) and stacked_w.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 3)),
+                                     np.zeros((1, 1, 2, 2)), np.zeros((0, 0))])
+    def test_rejects_bad_shape(self, bad):
         with pytest.raises(ValidationError):
-            RelationPair(subject=2, object=2, weight=0.1)
+            top_k_pairs(bad, 1)
+
+    def test_rejects_non_finite(self):
+        w = np.stack([random_focus(7, 3)] * 2)
+        w[1, 0, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            top_k_pairs(w, 1)
+
+    @pytest.mark.parametrize("ordered_pairs", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stack_matches_each_matrix(self, seed, ordered_pairs):
+        """A (B, n, n) stack ranks each matrix exactly as a call on it alone."""
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 9))
+        batch = int(rng.integers(1, 6))
+        w = rng.integers(0, 3, size=(batch, n, n)).astype(float)
+        size = n * (n - 1) // (1 if ordered_pairs else 2)
+        for k in sorted({1, 2, size // 2 or 1, size - 1 or 1, size, size + 5}):
+            pairs, weights = top_k_pairs(w, k, ordered_pairs=ordered_pairs)
+            assert pairs.shape == (batch, min(k, size), 2)
+            for b in range(batch):
+                alone = top_k_pairs(w[b], k, ordered_pairs=ordered_pairs)
+                assert triples((pairs[b], weights[b])) == triples(alone), f"k={k}, b={b}"
+                assert triples(alone) == ref_top_k(w[b], k, ordered_pairs), f"k={k}, b={b}"
 
 
 def brute_force_recall(w, boxes, gt_boxes, gt_relations, k, iou_threshold=0.5):
@@ -188,7 +223,7 @@ class TestRelationRecall:
         w, boxes, gt_boxes, gt_relations = self.make_scene(seed * 7 + 1, n)
         ents = EntitySet(features=np.zeros((n, 2)), boxes=boxes)
         for k in (1, 3, 5, 10):
-            pairs = top_k_pairs(w, k)
+            pairs, _ = top_k_pairs(w, k)
             got = relation_recall(pairs, ents, gt_boxes, gt_relations, k)
             want = brute_force_recall(w, boxes, gt_boxes, gt_relations, k)
             assert got == want, f"k={k}: {got} vs {want}"
@@ -196,17 +231,14 @@ class TestRelationRecall:
     def test_vacuous_recall_is_one(self):
         w, boxes, gt_boxes, _ = self.make_scene(3, 4)
         ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
-        assert relation_recall(top_k_pairs(w, 3), ents, gt_boxes, [], 3) == 1.0
+        assert relation_recall(top_k_pairs(w, 3)[0], ents, gt_boxes, [], 3) == 1.0
 
     def test_perfect_proposals(self):
         """Proposals aligned with every gt relation give recall exactly 1."""
         _, boxes, gt_boxes, _ = self.make_scene(4, 5)
         ents = EntitySet(features=np.zeros((5, 2)), boxes=boxes)
         gt_relations = [GroundTruthRelation(0, 1), GroundTruthRelation(2, 3)]
-        proposals = [
-            RelationPair(subject=0, object=1, weight=0.9),
-            RelationPair(subject=3, object=2, weight=0.8),
-        ]
+        proposals = np.array([[0, 1], [3, 2]])
         assert relation_recall(proposals, ents, gt_boxes, gt_relations, 2) == 1.0
         assert relation_recall(proposals, ents, gt_boxes, gt_relations, 1) == 0.5
 
@@ -218,7 +250,7 @@ class TestRelationRecall:
             GroundTruthRelation(1, 0),  # same unordered relation
             GroundTruthRelation(2, 3),
         ]
-        proposals = [RelationPair(subject=0, object=1, weight=0.5)]
+        proposals = np.array([[0, 1]])
         got = relation_recall(proposals, ents, gt_boxes, gt_relations, 1)
         assert got == 0.5  # one of two unique relations
 
@@ -229,7 +261,7 @@ class TestRelationRecall:
             features=np.zeros((2, 2)),
             boxes=np.array([[0, 0, 1, 1], [90, 90, 91, 91]], dtype=float),
         )
-        proposals = [RelationPair(subject=0, object=1, weight=1.0)]
+        proposals = np.array([[0, 1]])
         got = relation_recall(proposals, ents, gt_boxes, [GroundTruthRelation(0, 1)], 1)
         assert got == 0.0
 
@@ -237,7 +269,7 @@ class TestRelationRecall:
     def test_one_pass_equals_per_k_calls(self):
         w, boxes, gt_boxes, gt_relations = self.make_scene(11, 6)
         ents = EntitySet(features=np.zeros((6, 2)), boxes=boxes)
-        pairs = top_k_pairs(w, 10)
+        pairs, _ = top_k_pairs(w, 10)
         matches = entity_gt_matching(ents, gt_boxes, 0.5)
         ks = (10, 1, 3, 99)
         got = _recall_at_ks(pairs, matches, gt_relations, ks)
@@ -249,7 +281,29 @@ class TestRelationRecall:
         w, boxes, gt_boxes, gt_relations = self.make_scene(12, 4)
         ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
         with pytest.raises(ValidationError):
-            relation_recall(top_k_pairs(w, 3), ents, gt_boxes, gt_relations, 0)
+            relation_recall(top_k_pairs(w, 3)[0], ents, gt_boxes, gt_relations, 0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param([(0, 1), (2, 2)], id="self-pair"),
+            pytest.param(np.array([0, 1]), id="1-d"),
+            pytest.param(np.zeros((2, 3), dtype=np.int64), id="three-columns"),
+            pytest.param(np.zeros((0,), dtype=np.int64), id="empty-1-d"),
+            pytest.param(np.array([[0.0, 1.0]]), id="float"),
+            pytest.param(np.array([[False, True]]), id="bool"),
+            pytest.param(np.array([["0", "1"]]), id="string"),
+            pytest.param(np.array([[0, 4]]), id="index-n"),
+            pytest.param(np.array([[-1, 2]]), id="negative"),
+        ],
+    )
+    def test_rejects_bad_pairs(self, bad):
+        w, boxes, gt_boxes, gt_relations = self.make_scene(13, 4)
+        ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
+        with pytest.raises(ValidationError):
+            relation_recall(bad, ents, gt_boxes, gt_relations, 1)
+        with pytest.raises(ValidationError):  # checked before the vacuous shortcut
+            relation_recall(bad, ents, gt_boxes, [], 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plain_tuples_score_like_relations(self, seed):
@@ -257,7 +311,7 @@ class TestRelationRecall:
         ents = EntitySet(features=np.zeros((7, 2)), boxes=boxes)
         matches = entity_gt_matching(ents, gt_boxes, 0.5)
         matches[seed % 7] = -1  # one unmatched entity
-        pairs = top_k_pairs(w, 21)
+        pairs, _ = top_k_pairs(w, 21)
         # reversed orientation and a duplicate: both collapse to one relation
         plain = [(r.object, r.subject) for r in gt_relations] + [gt_relations[0]]
         ks = (1, 3, 10, 21)
@@ -290,9 +344,10 @@ def test_300_entity_scene_matches_reference():
     _, (inst,) = generate_dataset(spec, 1, 1, seed=5)
     assert inst.n == 300 and inst.gt_relations
     params = init_params(d=inst.entities.d, d_k=4, seed=0)
-    focus = forward(inst.entities, params).focus_weights
-    pairs = top_k_pairs(focus, 10)
-    assert triples(pairs) == ref_top_k(focus, 10)
+    focus = forward(inst.entities.features, params).focus_weights
+    result = top_k_pairs(focus, 10)
+    assert triples(result) == ref_top_k(focus, 10)
+    pairs = result[0]
 
     ents, gt_relations = inst.entities, inst.gt_relations
     gt_boxes = ents.boxes  # each entity doubles as its own gt object
@@ -326,7 +381,7 @@ class TestWordImportance:
         """End to end: focus weights from a forward pass normalize correctly."""
         rng = np.random.default_rng(7)
         ents = EntitySet(features=rng.normal(size=(6, 4)))
-        state = forward(ents, init_params(d=4, d_k=3, seed=0))
+        state = forward(ents.features, init_params(d=4, d_k=3, seed=0))
         beta = word_importance(state.focus_weights)
         assert beta.shape == (6,)
         assert beta.sum() == pytest.approx(1.0, abs=1e-10)
@@ -336,7 +391,7 @@ class TestCenterMassReport:
     def make_state(self, seed, n=4):
         rng = np.random.default_rng(seed)
         ents = EntitySet(features=rng.normal(size=(n, 4)))
-        return forward(ents, init_params(d=4, d_k=2, seed=seed))
+        return forward(ents.features, init_params(d=4, d_k=2, seed=seed))
 
     def test_mean_excludes_vacuous(self):
         states = [self.make_state(s) for s in range(3)]

@@ -1,18 +1,24 @@
 """Training loop: gradient checks, strategy semantics, determinism, checkpoints."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fanet import trainer
 from fanet.attention import EntitySet
 from fanet.matrices import NonFiniteError, ShapeError, ValidationError
+from fanet.metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
+from fanet.supervision import entity_gt_matching
 from fanet.synthgen import Instance, WorldSpec, generate_dataset
 from fanet.trainer import (
     DivergenceError,
+    EvalResult,
     ModelParams,
     TrainConfig,
+    _buckets,
     ablation_cells,
     evaluate,
     forward_task,
@@ -145,14 +151,14 @@ class TestForwardTask:
         pooled vector is exactly twice the mean feature."""
         inst = check_instance(0)
         params = self.zero_params(3, d=3, d_k=2)
-        fwd = forward_task(inst, params, TrainConfig(d_k=2))
+        fwd = forward_task(inst.entities.features, params, TrainConfig(d_k=2))
         mean_f = inst.entities.features.mean(axis=0)
         np.testing.assert_allclose(fwd.pooled, 2.0 * mean_f, atol=1e-12)
 
     def test_concat_pooling(self):
         inst = check_instance(1)
         params = self.zero_params(3, d=3, d_k=2, head_mode="concat")
-        fwd = forward_task(inst, params, TrainConfig(d_k=2, head_mode="concat"))
+        fwd = forward_task(inst.entities.features, params, TrainConfig(d_k=2, head_mode="concat"))
         mean_f = inst.entities.features.mean(axis=0)
         np.testing.assert_allclose(fwd.pooled[:3], mean_f, atol=1e-12)
         np.testing.assert_allclose(fwd.pooled[3:], mean_f, atol=1e-12)
@@ -160,22 +166,33 @@ class TestForwardTask:
     def test_pooled_is_permutation_invariant(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(5, 3))
-        t = np.zeros((5, 5))
         perm = np.array([4, 2, 0, 3, 1])
         cfg = TrainConfig(d_k=2)
         params = init_model(3, 2, cfg)
-        a = forward_task(Instance(entities=EntitySet(features=f), target=t, label=0),
-                         params, cfg)
-        b = forward_task(
-            Instance(entities=EntitySet(features=f[perm]), target=t, label=0),
-            params, cfg)
+        a = forward_task(EntitySet(features=f).features, params, cfg)
+        b = forward_task(EntitySet(features=f[perm]).features, params, cfg)
         np.testing.assert_allclose(a.pooled, b.pooled, atol=1e-12)
         np.testing.assert_allclose(a.class_logits, b.class_logits, atol=1e-12)
+
+    @pytest.mark.parametrize("head_mode", ["residual", "concat"])
+    @pytest.mark.parametrize("agg_axis", ["row", "col"])
+    def test_stack_equals_single_forwards(self, head_mode, agg_axis):
+        """A (B, n, d) stack gives each instance's head bit for bit."""
+        cfg = TrainConfig(d_k=2, head_mode=head_mode, agg_axis=agg_axis)
+        params = init_model(3, 4, cfg)
+        feats = [check_instance(seed, n=6).entities.features for seed in range(5)]
+        stacked = forward_task(np.stack(feats), params, cfg)
+        assert stacked.class_logits.shape == (5, 4)
+        for b, f in enumerate(feats):
+            single = forward_task(f, params, cfg)
+            for name in ("context", "pooled", "class_logits"):
+                assert np.array_equal(getattr(stacked, name)[b], getattr(single, name)), name
+            assert np.array_equal(stacked.state.focus_weights[b], single.state.focus_weights)
 
     def test_zero_classifier_gives_uniform_probabilities(self):
         inst = check_instance(3)
         params = self.zero_params(4, d=3, d_k=2)
-        fwd = forward_task(inst, params, TrainConfig(d_k=2))
+        fwd = forward_task(inst.entities.features, params, TrainConfig(d_k=2))
         z = fwd.class_logits
         p = np.exp(z) / np.exp(z).sum()
         np.testing.assert_allclose(p, 0.25, atol=1e-12)
@@ -184,7 +201,7 @@ class TestForwardTask:
         inst = check_instance(4, d=3)
         params = self.zero_params(3, d=3, d_k=2)
         with pytest.raises(ShapeError, match="3"):
-            forward_task(inst, params, TrainConfig(d_k=2, head_mode="concat"))
+            forward_task(inst.entities.features, params, TrainConfig(d_k=2, head_mode="concat"))
 
     def test_task_loss_matches_log_softmax(self):
         z = np.array([1.0, -2.0, 0.5])
@@ -338,7 +355,7 @@ class TestTraining:
         cfg = TrainConfig(epochs=1, d_k=2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="logits"):
-                forward_task(huge, init_model(6, 2, cfg), cfg)
+                forward_task(huge.entities.features, init_model(6, 2, cfg), cfg)
             with pytest.raises(DivergenceError, match="0 epochs completed") as info:
                 train([huge] + list(tr), te, cfg)
         assert isinstance(info.value.__cause__, NonFiniteError)
@@ -428,6 +445,130 @@ class TestEvaluate:
         result = evaluate([], params, cfg)
         assert result.n_instances == 0
         assert math.isnan(result.accuracy)
+
+
+def reference_evaluate(instances, params, config, ks):
+    """evaluate as a plain per-instance loop: one forward and one top-K each."""
+    correct = 0
+    masses = []
+    recall_sums = {k: 0.0 for k in ks}
+    n_vacuous = 0
+    rows = []
+    for idx, inst in enumerate(instances):
+        fwd = forward_task(inst.entities.features, params, config)
+        if int(np.argmax(fwd.class_logits)) == inst.label:
+            correct += 1
+        m = float("nan")
+        if inst.labeled:
+            m = float(np.sum(fwd.state.focus_weights * inst.target))
+            masses.append(m)
+        if inst.gt_relations:
+            pairs, _ = top_k_pairs(fwd.state.focus_weights, max(ks))
+            matches = entity_gt_matching(inst.entities, inst.entities.boxes, RECALL_IOU)
+            per_k = _recall_at_ks(pairs, matches, inst.gt_relations, ks)
+        else:
+            n_vacuous += 1
+            per_k = {k: 1.0 for k in ks}
+        for k in ks:
+            recall_sums[k] += per_k[k]
+            rows.append((idx, k, per_k[k], m))
+    n = len(instances)
+    return EvalResult(
+        accuracy=correct / n,
+        center_mass=CenterMassSummary.of(masses, n - len(masses)),
+        recall={k: recall_sums[k] / n for k in ks},
+        n_instances=n,
+        n_recall_vacuous=n_vacuous,
+        rows=tuple(rows),
+    )
+
+
+def mixed_n_instances():
+    """Entity counts 2-8 interleaved, a singleton bucket, vacuous and unlabeled instances."""
+    spec = WorldSpec(
+        prototypes=3.0 * np.eye(6),
+        affine_pairs=((0, 1), (2, 3), (4, 5)),
+        signature_pairs=((0, 1),),
+        noise_sigma=0.3,
+        entities_min=2,
+        entities_max=8,
+    )
+    instances, _ = generate_dataset(spec, 40, 1, seed=3)
+    big = dataclasses.replace(spec, entities_min=11, entities_max=11)
+    (lone,), _ = generate_dataset(big, 1, 1, seed=4)
+    out = list(instances[:20]) + [lone] + list(instances[20:])
+    for i in (1, 7, 30):  # labeled target, but no gt relations: vacuous recall
+        out[i] = Instance(entities=out[i].entities, target=out[i].target, label=out[i].label)
+    for i in (2, 9, 33):  # gt relations scored, but nothing labeled for center-mass
+        inst = out[i]
+        out[i] = Instance(entities=inst.entities, target=np.zeros_like(inst.target),
+                          label=inst.label, gt_relations=inst.gt_relations)
+    return out
+
+
+class TestBucketedEvaluate:
+    def test_mixed_data_covers_the_cases(self):
+        instances = mixed_n_instances()
+        sizes = [len(b) for b in _buckets(instances)]
+        assert 1 in sizes and max(sizes) > 1
+        assert any(not i.gt_relations and i.labeled for i in instances)
+        assert any(i.gt_relations and not i.labeled for i in instances)
+
+    @pytest.mark.parametrize("ks", [(1, 5, 10), (2, 4)])
+    @pytest.mark.parametrize("head_mode", ["residual", "concat"])
+    @pytest.mark.parametrize("agg_axis", ["row", "col"])
+    def test_equals_per_instance_loop(self, head_mode, agg_axis, ks):
+        instances = mixed_n_instances()
+        cfg = TrainConfig(d_k=3, head_mode=head_mode, agg_axis=agg_axis, seed=1)
+        params = init_model(6, 3, cfg)
+        got = evaluate(instances, params, cfg, ks=ks)
+        want = reference_evaluate(instances, params, cfg, ks)
+        assert repr(got) == repr(want)  # NaN rows compare by repr, in row order
+        assert got.n_recall_vacuous >= 3 and got.center_mass.n_vacuous >= 3
+
+    def test_buckets_group_by_n_in_first_seen_order(self):
+        sizes = [5, 3, 5, 7, 3, 5]
+        instances = [check_instance(i, n=n) for i, n in enumerate(sizes)]
+        assert _buckets(instances) == [[0, 2, 5], [1, 4], [3]]
+        assert _buckets([]) == []
+
+    def test_one_forward_per_bucket(self, monkeypatch):
+        calls = {"forward": 0, "top_k_pairs": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(trainer.attention, "forward",
+                            counting("forward", trainer.attention.forward))
+        monkeypatch.setattr(trainer, "top_k_pairs", counting("top_k_pairs", top_k_pairs))
+        instances = mixed_n_instances()
+        cfg = TrainConfig(d_k=3)
+        params = init_model(6, 3, cfg)
+        evaluate(instances, params, cfg)
+        n_buckets = len(_buckets(instances))
+        assert calls == {"forward": n_buckets, "top_k_pairs": n_buckets}
+
+        calls.update(forward=0, top_k_pairs=0)
+        no_gt = [inst for inst in instances if not inst.gt_relations]
+        evaluate(no_gt, params, cfg)  # nothing to rank: top-K stays idle
+        assert calls == {"forward": len(_buckets(no_gt)), "top_k_pairs": 0}
+
+        calls.update(forward=0, top_k_pairs=0)
+        tr, te = instances[:30], instances[30:]
+        train(tr, te, dataclasses.replace(cfg, epochs=1))
+        labeled = [inst for inst in tr if inst.labeled]
+        # one forward per training step, then one per bucket for each center-mass
+        assert calls["forward"] == len(tr) + len(_buckets(labeled)) + len(_buckets(te))
+
+    @pytest.mark.parametrize("ks", [(0, 5), (), (-1,)])
+    def test_rejects_bad_ks(self, ks):
+        cfg = TrainConfig(d_k=2)
+        params = init_model(3, 3, cfg)
+        with pytest.raises(ValidationError, match="ks must be positive ints"):
+            evaluate([check_instance(0)], params, cfg, ks=ks)
 
 
 class TestCheckpoints:
