@@ -9,6 +9,7 @@ input was checked where it entered.
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -108,3 +109,46 @@ def stable_log(x: float, eps: float = DEFAULT_EPS) -> float:
     if x < 0.0:
         raise ValidationError(f"stable_log expects x >= 0, got {x}")
     return math.log(max(x, eps))
+
+
+# --- array payloads ----------------------------------------------------------------
+#
+# {"shape": [...], "dtype": ..., "data": base64 of the raw little-endian bytes}:
+# the encoding of checkpoint parameters and of v2 dataset lines. It round-trips
+# bit for bit and stays inspectable with standard tools.
+
+_PAYLOAD_DTYPES = {"<f8": np.float64, "<i8": np.int64, "u1": np.uint8}
+
+
+def _encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {
+        "shape": list(a.shape),
+        "dtype": dtype,
+        "data": base64.b64encode(data).decode("ascii"),
+    }
+
+
+def _decode_array(d, name: str, dtype: str = "<f8") -> np.ndarray:
+    """A writable native-order copy of an encoded array whose dtype must be `dtype`.
+
+    The payload must be strict base64 and hold exactly the bytes its shape needs.
+    """
+    if not isinstance(d, dict):
+        raise ValidationError(f"{name}: expected an encoded array object, got {type(d).__name__}")
+    if d.get("dtype") != dtype:
+        raise ValidationError(f"{name}: unsupported dtype {d.get('dtype')!r}, expected {dtype!r}")
+    shape = d.get("shape")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise ValidationError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(d["data"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValidationError(f"{name}: data is not base64 ({exc})") from exc
+    native = _PAYLOAD_DTYPES[dtype]
+    need = math.prod(shape) * np.dtype(native).itemsize
+    if len(raw) != need:
+        raise ValidationError(
+            f"{name}: payload holds {len(raw)} bytes, shape {tuple(shape)} needs {need}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native, copy=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .attention import EntitySet
 from .losses import validate_target
-from .matrices import ValidationError, as_matrix
+from .matrices import ValidationError, _decode_array, _encode_array, as_matrix
 from .metrics import GroundTruthRelation
 from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
@@ -50,6 +50,8 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "load_spec",
+    "DATASET_FORMAT",
+    "DATASET_VERSION",
 ]
 
 
@@ -537,29 +539,47 @@ def default_document_spec() -> DocumentSpec:
 
 # --- JSONL dataset format ---------------------------------------------------
 #
-# One instance per line:
-#   {"entities": {"features": [[...]], "boxes": [[x1,y1,x2,y2], ...] | null,
+# One self-describing instance per line (version 2):
+#   {"format": "fanet-instance", "version": 2,
+#    "entities": {"features": <(n, d) "<f8" array>,
+#                 "boxes": <(n, 4) "<f8" array> | null,
 #                 "categories": [...] | null},
-#    "target": [[i, j], ...],            sparse upper-triangle index pairs
-#    "gt_relations": [[a, b], ...],
+#    "target": <"u1" array>,   np.packbits(t[triu_indices(n, 1)] == 1): row-major
+#                              pairs, first pair in the top bit, zero padding bits
+#    "gt_relations": [[a, b], ...],   omitted when equal to the target's upper pairs
 #    "label": int,
 #    "tokens": [...], "tags": [...]}     document instances only
+# Arrays use `matrices._encode_array`. A line without "format"/"version" is
+# version 1: the same fields as plain JSON lists, the target as its
+# upper-triangle index pairs, and a missing gt_relations meaning none.
+
+DATASET_FORMAT = "fanet-instance"
+DATASET_VERSION = 2
+
+
+def _strict_upper(n: int) -> np.ndarray:
+    """(n, n) bool mask of the cells i < j; a masked read or write visits them row-major."""
+    return ~np.tri(n, dtype=bool)
 
 
 def _instance_to_dict(inst: Instance) -> dict:
     ent = inst.entities
+    relations = [sorted((a, b)) for a, b in inst.gt_relations]
     d = {
+        "format": DATASET_FORMAT,
+        "version": DATASET_VERSION,
         "entities": {
-            "features": ent.features.tolist(),
-            "boxes": ent.boxes.tolist() if ent.boxes is not None else None,
+            "features": _encode_array(ent.features),
+            "boxes": _encode_array(ent.boxes) if ent.boxes is not None else None,
             "categories": (
                 [int(c) for c in ent.categories] if ent.categories is not None else None
             ),
         },
-        "target": _upper_pairs(inst.target).tolist(),
-        "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],
-        "label": int(inst.label),
+        "target": _encode_array(np.packbits(inst.target[_strict_upper(inst.n)] == 1.0), "u1"),
     }
+    if relations != _upper_pairs(inst.target).tolist():
+        d["gt_relations"] = relations
+    d["label"] = int(inst.label)
     if inst.tokens is not None:
         d["tokens"] = list(inst.tokens)
     if inst.tags is not None:
@@ -568,6 +588,51 @@ def _instance_to_dict(inst: Instance) -> dict:
 
 
 def _instance_from_dict(d: dict) -> Instance:
+    """Decode one parsed line with the v1 or v2 decoder its format/version keys name."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"expected a JSON object, got {type(d).__name__}")
+    if "format" not in d and "version" not in d:
+        return _instance_from_v1(d)
+    if d.get("format") != DATASET_FORMAT or d.get("version") != DATASET_VERSION:
+        raise ValidationError(
+            f"format {d.get('format')!r} version {d.get('version')!r}, expected "
+            f"{DATASET_FORMAT!r} version {DATASET_VERSION}"
+        )
+    return _instance_from_v2(d)
+
+
+def _instance_from_v2(d: dict) -> Instance:
+    ent = d["entities"]
+    features = _decode_array(ent["features"], "features")
+    boxes = ent.get("boxes")
+    categories = ent.get("categories")
+    entities = EntitySet(
+        features=features,
+        categories=np.asarray(categories, dtype=np.int64) if categories else None,
+        boxes=_decode_array(boxes, "boxes") if boxes is not None else None,
+    )
+    n = entities.n
+    m = n * (n - 1) // 2
+    packed = _decode_array(d["target"], "target", "u1")
+    if packed.shape != ((m + 7) // 8,):
+        raise ValidationError(
+            f"target: packed payload has shape {packed.shape}, {n} entities need "
+            f"({(m + 7) // 8},)"
+        )
+    bits = np.unpackbits(packed)
+    if bits[m:].any():
+        raise ValidationError("target: padding bits after the last pair must be zero")
+    upper = np.zeros((n, n), dtype=np.float64)
+    upper[_strict_upper(n)] = bits[:m]
+    target = upper + upper.T
+    if "gt_relations" in d:
+        relations = _index_pairs(d["gt_relations"], n, "gt_relations").tolist()
+    else:
+        relations = _upper_pairs(target).tolist()
+    return _instance(d, entities, target, relations)
+
+
+def _instance_from_v1(d: dict) -> Instance:
     ent = d["entities"]
     features = np.asarray(ent["features"], dtype=np.float64)
     boxes = ent.get("boxes")
@@ -582,6 +647,11 @@ def _instance_from_dict(d: dict) -> Instance:
     i, j = _index_pairs(d["target"], n, "target").T
     target[i, j] = target[j, i] = 1.0
     relations = _index_pairs(d.get("gt_relations", []), n, "gt_relations").tolist()
+    return _instance(d, entities, target, relations)
+
+
+def _instance(d: dict, entities: EntitySet, target: np.ndarray, relations: list) -> Instance:
+    """The Instance of a decoded line; label, tokens and tags are plain JSON in both versions."""
     tokens = d.get("tokens")
     tags = d.get("tags")
     return Instance(

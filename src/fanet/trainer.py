@@ -34,7 +34,6 @@ shuffling, and reported metrics reproduce bit-for-bit for equal seeds.
 
 from __future__ import annotations
 
-import base64
 import itertools
 import json
 import math
@@ -46,7 +45,15 @@ import numpy as np
 from . import attention
 from .attention import AGG_AXES, AttentionState
 from .losses import FocusLossConfig, loss_grad, loss_value, relation_loss
-from .matrices import NonFiniteError, ShapeError, ValidationError, _softmax, check_finite
+from .matrices import (
+    NonFiniteError,
+    ShapeError,
+    ValidationError,
+    _decode_array,
+    _encode_array,
+    _softmax,
+    check_finite,
+)
 from .metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
 from .seeding import STREAM_PARAMS_CLASSIFIER, STREAM_SHUFFLE, stream_rng
 from .supervision import entity_gt_matching
@@ -829,34 +836,11 @@ def ablation_cells(base: TrainConfig, grid: dict) -> list:
 
 # --- checkpoints ------------------------------------------------------------------
 #
-# JSON with explicit shapes and base64-encoded little-endian float64 payloads;
-# round-trips bit for bit and stays diffable/inspectable with standard tools.
+# JSON with the parameters as base64 little-endian float64 payloads
+# (`matrices._encode_array`).
 
 CHECKPOINT_FORMAT = "focused-attention-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-def _encode_array(a: np.ndarray) -> dict:
-    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {
-        "shape": list(a.shape),
-        "dtype": "<f8",
-        "data": base64.b64encode(data).decode("ascii"),
-    }
-
-
-def _decode_array(d: dict, name: str) -> np.ndarray:
-    if d.get("dtype") != "<f8":
-        raise ValidationError(f"{name}: unsupported dtype {d.get('dtype')!r}")
-    shape = tuple(int(s) for s in d["shape"])
-    raw = base64.b64decode(d["data"])
-    a = np.frombuffer(raw, dtype="<f8")
-    if a.size != int(np.prod(shape)):
-        raise ValidationError(
-            f"{name}: payload holds {a.size} values, shape {shape} needs "
-            f"{int(np.prod(shape))}"
-        )
-    return a.reshape(shape).astype(np.float64, copy=True)
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:

@@ -4,6 +4,7 @@ import base64
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,8 +13,96 @@ import pytest
 
 from fanet import cli
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
+from fanet.matrices import ValidationError
+from fanet.synthgen import read_jsonl
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
+
+
+def _payload(entry) -> bytes:
+    return base64.b64decode(entry["data"])
+
+
+def _set_payload(entry, raw: bytes, shape=None) -> None:
+    entry["data"] = base64.b64encode(raw).decode("ascii")
+    if shape is not None:
+        entry["shape"] = shape
+
+
+def _nan_feature(d) -> None:
+    entry = d["entities"]["features"]
+    values = np.frombuffer(_payload(entry), dtype="<f8").copy()
+    values[5] = np.nan
+    _set_payload(entry, values.tobytes())
+
+
+def _set_padding_bit(d) -> None:
+    # 6 to 8 entities give 15, 21 or 28 pairs: the lowest bit of the last byte is padding
+    raw = bytearray(_payload(d["target"]))
+    raw[-1] |= 1
+    _set_payload(d["target"], bytes(raw))
+
+
+def _pair_out_of_range(d) -> None:
+    n = d["entities"]["features"]["shape"][0]
+    d["gt_relations"] = [[0, 1], [0, n]]
+
+
+# A defect in a version 2 line, and the start of the message that names it.
+V2_DEFECTS = {
+    "unknown_format": (
+        lambda d: d.update(format="fanet-other"),
+        "format 'fanet-other' version 2, expected 'fanet-instance' version 2",
+    ),
+    "unknown_version": (
+        lambda d: d.update(version=3),
+        "format 'fanet-instance' version 3, expected 'fanet-instance' version 2",
+    ),
+    "version_without_format": (
+        lambda d: d.pop("format"),
+        "format None version 2, expected",
+    ),
+    "features_not_base64": (
+        lambda d: d["entities"]["features"].update(data="not base64!"),
+        "features: data is not base64",
+    ),
+    "target_not_base64": (
+        lambda d: d["target"].update(data="????"),
+        "target: data is not base64",
+    ),
+    "features_short": (
+        lambda d: _set_payload(d["entities"]["features"], _payload(d["entities"]["features"])[:-8]),
+        "features: payload holds",
+    ),
+    "boxes_long": (
+        lambda d: _set_payload(d["entities"]["boxes"], _payload(d["entities"]["boxes"]) + bytes(8)),
+        "boxes: payload holds",
+    ),
+    "target_short": (
+        lambda d: _set_payload(d["target"], _payload(d["target"])[:-1]),
+        "target: payload holds",
+    ),
+    "target_extra_byte": (
+        lambda d: _set_payload(d["target"], _payload(d["target"]) + bytes(1),
+                               [d["target"]["shape"][0] + 1]),
+        "target: packed payload has shape (",
+    ),
+    "target_padding_bit": (_set_padding_bit, "target: padding bits"),
+    "features_dtype": (
+        lambda d: d["entities"]["features"].update(dtype="<f4"),
+        "features: unsupported dtype '<f4', expected '<f8'",
+    ),
+    "target_dtype": (
+        lambda d: d["target"].update(dtype="<f8"),
+        "target: unsupported dtype '<f8', expected 'u1'",
+    ),
+    "features_nan": (_nan_feature, "features contains non-finite entries"),
+    "gt_relation_out_of_range": (_pair_out_of_range, "gt_relations: bad index pair [0, "),
+    "features_as_list": (
+        lambda d: d["entities"].update(features=[[0.0, 1.0]]),
+        "features: expected an encoded array object, got list",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +178,8 @@ class TestGen:
              "--n-test", "2", "--seed", "0"]
         )
         assert code == EXIT_OK
-        first = json.loads((out / "train.jsonl").read_text().splitlines()[0])
-        assert len(first["entities"]["features"][0]) == 5
+        first = read_jsonl(out / "train.jsonl")[0]
+        assert len(first.entities.features[0]) == 5
 
     def test_bad_counts(self, tmp_path):
         code = main(["gen", "--out", str(tmp_path / "x"), "--n-train", "0"])
@@ -283,6 +372,24 @@ class TestEval:
         assert code == EXIT_USER
         assert f"bad.jsonl:2: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(V2_DEFECTS))
+    def test_malformed_v2_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys, case):
+        lines = open(os.path.join(data_dir, "test.jsonl")).read().splitlines()
+        second = json.loads(lines[1])
+        mutate, message = V2_DEFECTS[case]
+        mutate(second)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(second)]) + "\n")
+        named = re.escape(f"bad.jsonl:2: {message}")
+        with pytest.raises(ValidationError, match=named):
+            read_jsonl(bad)
+        code = main(
+            ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+             "--data", str(bad), "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_USER
+        assert re.search(named, capsys.readouterr().err)
+
     def test_empty_dataset(self, tmp_path, run_dir):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -342,7 +449,6 @@ class TestExportAttention:
 
     def test_round_trip_exact(self, tmp_path, data_dir, run_dir):
         """Dumped matrices reproduce the forward pass bit for bit."""
-        from fanet.synthgen import read_jsonl
         from fanet.trainer import forward_task, load_checkpoint
 
         out = tmp_path / "dump.json"

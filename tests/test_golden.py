@@ -25,8 +25,8 @@ from fanet.cli import EXIT_OK, main
 from fanet.synthgen import default_world_spec
 
 GOLDEN = {
-    "data/train.jsonl": "4a9c4c256c70826da73058a8eb5d739742a376d91d094b02e44c30ea59dc7a7e",
-    "data/test.jsonl": "9dc15973e1bcd3c53a4d3672a189955c704a5078fa844b74098a2ca6f3918a3f",
+    "data/train.jsonl": "e743684e22c8ee3d093934a44f516eb4389d05e54dcc4b351cc1f7083c55091b",
+    "data/test.jsonl": "de1292271d00ac4f1276085eaae2607986f6383d260054aeea7891f70a0964c0",
     "data/manifest.json": "1a3962eaffec98b67e10cdee2c6b0f84d536bdc722f58d8a5c0a014ba7ee7542",
     "run/report.csv": "06adf79e43a3a96217eb0e5ae3047bf74ebd6eea0dcee0f46157a2fb15feb0e9",
     "run/report.json": "b373a3bf635c95adaa9d831dfb049511c8821f83276df14e430b23db25852d26",
@@ -36,11 +36,11 @@ GOLDEN = {
 }
 
 GEN_GOLDEN = {
-    "vision300/train.jsonl": "97abb569f2d673077c715e7a53ff2334d2e81e91a230a156264047e14c05f431",
-    "vision300/test.jsonl": "81001f9265a06667e4fe089a9efb580037b9d123ae25111762f114fb4713301a",
+    "vision300/train.jsonl": "67497830dd8c3f61b82af4d9f113ca01545787582aded72253495d2a1d956db4",
+    "vision300/test.jsonl": "7756c9e00964c275681fc06c51998c123464cef61840a63ec365eb0bf85cb0ec",
     "vision300/manifest.json": "e652e18914b704e51ef646434bce88dc0973473fa1b659accfe77fc7b2fa25b9",
-    "document/train.jsonl": "b9cb3fb1232f5358663e9ffd4ee566f5be95e959695686c7837d01f0dcbd2502",
-    "document/test.jsonl": "65268f70db06078d7fae489f92dd7ce5e2685a4a8dd48a0561abc43f76ca22fb",
+    "document/train.jsonl": "150b574b94027a97d34d5b7703e1ca0f78d7f9923081c160e22f13e7597e9990",
+    "document/test.jsonl": "d122087ce644b60ed25f56d1bf51598dff9ffbb4ba2bf1308c2aeb7146e3afa9",
     "document/manifest.json": "ddcbc495cc05972a6c53e99852a4e59c6d1c64ff9220d04face3e73ee360e654",
 }
 

@@ -1,6 +1,8 @@
-"""Softmax and stable-log primitives against hand-checked values."""
+"""Softmax and stable-log primitives against hand-checked values; the array codec."""
 
+import base64
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from fanet.matrices import (
     NonFiniteError,
     ShapeError,
     ValidationError,
+    _decode_array,
+    _encode_array,
     as_matrix,
     check_same_shape,
     softmax_cols,
@@ -155,3 +159,59 @@ class TestValidation:
         m = as_matrix([[1, 2], [3, 4]])
         assert m.dtype == np.float64
         np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize(
+        "a,dtype",
+        [
+            (np.array([[0.1, -2.5e-300], [np.pi, 1e308]]), "<f8"),
+            (np.zeros((0, 4)), "<f8"),
+            (np.array([-(2**63), 0, 2**63 - 1]), "<i8"),
+            (np.array([0, 1, 255], dtype=np.uint8), "u1"),
+            (np.zeros(0, dtype=np.uint8), "u1"),
+        ],
+    )
+    def test_round_trip_is_exact_and_writable(self, a, dtype):
+        d = _encode_array(a, dtype)
+        assert d["shape"] == list(a.shape) and d["dtype"] == dtype
+        assert base64.b64decode(d["data"]) == a.astype(dtype).tobytes()
+        back = _decode_array(d, "a", dtype)
+        assert back.dtype == a.dtype and back.shape == a.shape
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.writeable and back.flags.c_contiguous
+
+    def test_default_is_little_endian_float64(self):
+        d = _encode_array(np.array([1.0]))
+        assert d == {"shape": [1], "dtype": "<f8", "data": "AAAAAAAA8D8="}
+        assert _decode_array(d, "a").tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"dtype": "<f4"}, "a: unsupported dtype '<f4', expected '<f8'"),
+            ({"dtype": None}, "a: unsupported dtype None"),
+            ({"shape": [3]}, "a: payload holds 16 bytes, shape (3,) needs 24"),
+            ({"shape": [1]}, "a: payload holds 16 bytes, shape (1,) needs 8"),
+            ({"shape": [-1, -2]}, "a: shape must be a list of non-negative integers"),
+            ({"shape": [2.0]}, "a: shape must be a list of non-negative integers"),
+            ({"shape": "2"}, "a: shape must be a list of non-negative integers"),
+            ({"data": "AAAA AAAA"}, "a: data is not base64"),
+            ({"data": "AAAAAAAA8D8"}, "a: data is not base64"),
+            ({"data": "\u00e9"}, "a: data is not base64"),
+            ({"data": 7}, "a: data is not base64"),
+        ],
+    )
+    def test_rejects(self, change, message):
+        d = {**_encode_array(np.array([1.0, 2.0])), **change}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _decode_array(d, "a")
+
+    def test_rejects_a_dtype_other_than_expected(self):
+        d = _encode_array(np.array([1, 2]), "<i8")
+        with pytest.raises(ValidationError, match="expected 'u1'"):
+            _decode_array(d, "a", "u1")
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ValidationError, match="a: expected an encoded array object"):
+            _decode_array([1.0, 2.0], "a")

@@ -1,5 +1,7 @@
 """Synthetic benchmark worlds: determinism, label rules, serialization."""
 
+import base64
+import hashlib
 import itertools
 import json
 import re
@@ -7,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from fanet.attention import EntitySet
 from fanet.matrices import ValidationError
 from fanet.metrics import GroundTruthRelation
 from fanet.seeding import instance_seed, stream_rng
@@ -295,11 +298,169 @@ class TestJsonl:
             read_jsonl(p)
 
 
+# --- dataset format v1 --------------------------------------------------------
+#
+# The version 1 writer as it was before version 2 replaced it: plain JSON lists,
+# the target as its upper-triangle index pairs. read_jsonl still reads its files.
+
+
+def _instance_to_dict_v1(inst):
+    ent = inst.entities
+    d = {
+        "entities": {
+            "features": ent.features.tolist(),
+            "boxes": ent.boxes.tolist() if ent.boxes is not None else None,
+            "categories": (
+                [int(c) for c in ent.categories] if ent.categories is not None else None
+            ),
+        },
+        "target": _upper_pairs(inst.target).tolist(),
+        "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],
+        "label": int(inst.label),
+    }
+    if inst.tokens is not None:
+        d["tokens"] = list(inst.tokens)
+    if inst.tags is not None:
+        d["tags"] = list(inst.tags)
+    return d
+
+
+def write_jsonl_v1(path, instances):
+    with open(path, "w") as fh:
+        for inst in instances:
+            fh.write(json.dumps(_instance_to_dict_v1(inst)) + "\n")
+
+
+def assert_same_instances(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.entities.features, b.entities.features)
+        assert a.entities.features.dtype == b.entities.features.dtype == np.float64
+        for field in ("boxes", "categories"):
+            x, y = getattr(a.entities, field), getattr(b.entities, field)
+            assert (x is None and y is None) or (np.array_equal(x, y) and x.dtype == y.dtype)
+        assert np.array_equal(a.target, b.target) and a.target.dtype == b.target.dtype
+        assert a.label == b.label and a.labeled == b.labeled
+        assert a.gt_relations == b.gt_relations
+        assert [tuple(map(type, r)) for r in a.gt_relations] == [
+            (int, int) for _ in b.gt_relations
+        ]
+        assert all(type(r) is GroundTruthRelation for r in a.gt_relations + b.gt_relations)
+        assert a.tokens == b.tokens and a.tags == b.tags
+
+
+def _vision300():
+    spec = default_world_spec().to_dict()
+    spec["entities_min"] = spec["entities_max"] = 300
+    return load_spec(spec)
+
+
+# The SHA-256 of the golden `gen` runs' *.jsonl files when they were written
+# as version 1 (tests/test_golden.py pins the version 2 files).
+V1_GOLDEN = {
+    ("default", "train"): "4a9c4c256c70826da73058a8eb5d739742a376d91d094b02e44c30ea59dc7a7e",
+    ("default", "test"): "9dc15973e1bcd3c53a4d3672a189955c704a5078fa844b74098a2ca6f3918a3f",
+    ("vision300", "train"): "97abb569f2d673077c715e7a53ff2334d2e81e91a230a156264047e14c05f431",
+    ("vision300", "test"): "81001f9265a06667e4fe089a9efb580037b9d123ae25111762f114fb4713301a",
+    ("document", "train"): "b9cb3fb1232f5358663e9ffd4ee566f5be95e959695686c7837d01f0dcbd2502",
+    ("document", "test"): "65268f70db06078d7fae489f92dd7ce5e2685a4a8dd48a0561abc43f76ca22fb",
+}
+
+GOLDEN_GEN_RUNS = {
+    "default": (default_world_spec, 20, 10),
+    "vision300": (_vision300, 1, 2),
+    "document": (default_document_spec, 20, 10),
+}
+
+
+class TestFormatV1:
+    @pytest.mark.parametrize("run", sorted(GOLDEN_GEN_RUNS))
+    def test_v1_pin_and_same_read_as_v2(self, tmp_path, run):
+        make_spec, n_train, n_test = GOLDEN_GEN_RUNS[run]
+        splits = dict(zip(("train", "test"), generate_dataset(make_spec(), n_train, n_test, 0)))
+        for split, instances in splits.items():
+            v1, v2 = tmp_path / f"{split}.v1.jsonl", tmp_path / f"{split}.v2.jsonl"
+            write_jsonl_v1(v1, instances)
+            write_jsonl(v2, instances)
+            assert hashlib.sha256(v1.read_bytes()).hexdigest() == V1_GOLDEN[run, split]
+            from_v1 = read_jsonl(v1)
+            assert_same_instances(from_v1, instances)
+            assert_same_instances(read_jsonl(v2), from_v1)
+
+    def test_v1_and_v2_lines_mix_in_one_file(self, tmp_path):
+        tr, _ = generate_dataset(tiny_world(), 4, 1, seed=5)
+        p1, p2, mixed = (tmp_path / f"{name}.jsonl" for name in ("a", "b", "mixed"))
+        write_jsonl_v1(p1, tr[:2])
+        write_jsonl(p2, tr[2:])
+        mixed.write_text(p1.read_text() + p2.read_text())
+        assert_same_instances(read_jsonl(mixed), tr)
+
+
+class TestFormatV2:
+    def test_lines_are_self_describing(self, tmp_path):
+        tr, _ = generate_dataset(tiny_world(), 2, 1, seed=1)
+        p = tmp_path / "a.jsonl"
+        write_jsonl(p, tr)
+        for line in p.read_text().splitlines():
+            d = json.loads(line)
+            assert (d["format"], d["version"]) == ("fanet-instance", 2)
+            assert d["entities"]["features"]["dtype"] == "<f8"
+            assert d["target"]["dtype"] == "u1"
+            assert "gt_relations" not in d  # equal to the target's upper pairs
+
+    def test_packed_target_bit_order(self, tmp_path):
+        # n = 4: pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); label (0,2) and (2,3)
+        target = np.zeros((4, 4))
+        target[0, 2] = target[2, 0] = target[2, 3] = target[3, 2] = 1.0
+        inst = Instance(entities=EntitySet(features=np.eye(4)), target=target, label=0)
+        p = tmp_path / "a.jsonl"
+        write_jsonl(p, [inst])
+        d = json.loads(p.read_text())
+        assert d["target"]["shape"] == [1]
+        assert base64.b64decode(d["target"]["data"]) == bytes([0b01000100])
+        assert d["gt_relations"] == []  # () differs from the target's upper pairs
+        assert_same_instances(read_jsonl(p), [inst])
+
+    @pytest.mark.parametrize(
+        "relations",
+        [(), ((1, 0),), ((0, 1), (2, 3)), ((2, 3), (0, 1)), ((0, 3),)],
+        ids=["none", "reversed", "all", "unordered", "unlabeled"],
+    )
+    def test_explicit_relations_read_like_v1(self, tmp_path, relations):
+        target = np.zeros((4, 4))
+        target[0, 1] = target[1, 0] = target[2, 3] = target[3, 2] = 1.0
+        inst = Instance(
+            entities=EntitySet(features=np.eye(4)), target=target, label=1,
+            gt_relations=tuple(GroundTruthRelation._make(r) for r in relations),
+        )
+        p1, p2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        write_jsonl_v1(p1, [inst])
+        write_jsonl(p2, [inst])
+        assert_same_instances(read_jsonl(p2), read_jsonl(p1))
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 17])  # n(n-1)/2 takes every residue mod 8
+    def test_every_padding_width_round_trips(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1).astype(np.float64)
+        inst = Instance(
+            entities=EntitySet(features=rng.standard_normal((n, 3))),
+            target=upper + upper.T,
+            label=0,
+        )
+        p = tmp_path / "a.jsonl"
+        write_jsonl(p, [inst])
+        d = json.loads(p.read_text())
+        assert d["target"]["shape"] == [(n * (n - 1) // 2 + 7) // 8]
+        (back,) = read_jsonl(p)
+        assert_same_instances([back], [inst])
+        assert back.target.flags.c_contiguous and back.entities.features.flags.writeable
+
+
 def _one_line_file(tmp_path, field, value):
-    """A one-instance 6-entity dataset file with `field` replaced by `value`."""
+    """A one-instance 6-entity version 1 dataset file with `field` replaced by `value`."""
     tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 1, 1, seed=2)
     p = tmp_path / "one.jsonl"
-    write_jsonl(p, tr)
+    write_jsonl_v1(p, tr)
     d = json.loads(p.read_text())
     d[field] = value
     p.write_text(json.dumps(d) + "\n")
