@@ -50,7 +50,7 @@ for i in range(4):
 print()
 
 print("2. Best-match assignment at threshold 0.5 (-1 = unmatched)")
-print("  matches:", entity_gt_matching(entities, gt_boxes, iou_threshold=0.5), "\n")
+print("  matches:", entity_gt_matching(entities.boxes, gt_boxes, iou_threshold=0.5), "\n")
 
 print("3. Vision targets in both modes")
 print("different_instance (any two distinct objects):")

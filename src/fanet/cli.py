@@ -343,12 +343,16 @@ def cmd_eval(args) -> int:
 
 
 def _ablate_worker(payload):
+    """(cell_id, report, None), or (cell_id, None, error) for a diverged cell."""
     cell_id, config_dict, train_path, test_path = payload
     config = TrainConfig.from_dict(config_dict)
     train_set = read_jsonl(train_path)
     test_set = read_jsonl(test_path)
-    _, report = train(train_set, test_set, config)
-    return cell_id, report
+    try:
+        _, report = train(train_set, test_set, config)
+    except DivergenceError as exc:
+        return cell_id, None, str(exc)
+    return cell_id, report, None
 
 
 def _cells_csv_header(ks) -> list:
@@ -426,8 +430,13 @@ def cmd_ablate(args) -> int:
         else:
             pool = None
             results = map(_ablate_worker, payloads)
+        failed = []
         try:
-            for cell_id, report in results:
+            for cell_id, report, error in results:
+                if report is None:  # no row, so --resume runs the cell again
+                    failed.append(cell_id)
+                    print(f"cell {cell_id} failed: training diverged: {error}", file=sys.stderr)
+                    continue
                 last = report.epochs[-1]
                 row = [
                     cell_id,
@@ -446,8 +455,6 @@ def cmd_ablate(args) -> int:
                     curves_writer.writerow([cell_id, str(k), _fmt(last.recall[k])])
                 curves_fh.flush()
                 print(f"cell {cell_id}: accuracy={last.accuracy:.4f}")
-        except DivergenceError as exc:
-            raise DivergenceError(f"ablation cell failed: {exc}") from exc
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -455,6 +462,9 @@ def cmd_ablate(args) -> int:
         cells_fh.close()
         curves_fh.close()
     print(f"{len(pending)} cells run ({len(done)} skipped); table in {cells_path}")
+    if failed:
+        print(f"{len(failed)} of {len(pending)} cells failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -59,10 +59,10 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
-    """(n, 4) rows of (x1, y1, x2, y2) must be finite with x1 < x2 and y1 < y2."""
+    """(..., 4) rows of (x1, y1, x2, y2) must be finite with x1 < x2 and y1 < y2."""
     if not np.all(np.isfinite(boxes)):
         raise ValidationError("boxes contain non-finite coordinates")
-    if np.any(boxes[:, 0] >= boxes[:, 2]) or np.any(boxes[:, 1] >= boxes[:, 3]):
+    if np.any(boxes[..., 0] >= boxes[..., 2]) or np.any(boxes[..., 1] >= boxes[..., 3]):
         raise ValidationError("boxes must satisfy x1 < x2 and y1 < y2")
 
 

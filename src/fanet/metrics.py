@@ -183,16 +183,18 @@ def relation_recall(
     most once. Empty gt_relations gives vacuous recall 1.0; report layers
     flag that case.
 
-    This computes the matching for one cutoff. To score several cutoffs,
-    match once with entity_gt_matching and pass the result to
-    _recall_at_ks, as trainer.evaluate does.
+    This matches the entities for one cutoff of one instance. To score
+    several cutoffs, match once with entity_gt_matching and pass the result
+    to _recall_at_ks; trainer.evaluate makes one entity_gt_matching call on
+    the (B, n, 4) boxes of each group of equal-size instances and passes
+    each row of the (B, n) result.
     """
     p = _check_pairs(pairs, entities.n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not gt_relations:
         return 1.0  # vacuous before matching, so box-less entities are fine here
-    matches = entity_gt_matching(entities, gt_boxes, iou_threshold)
+    matches = entity_gt_matching(entities.boxes, gt_boxes, iou_threshold)
     return _recall_at_ks(p, matches, gt_relations, (k,))[k]
 
 

@@ -7,7 +7,8 @@ by lexical-category rules, the strictest being membership of the unordered
 category pair in a small semantic pair table.
 
 Ground-truth objects are a (g, 4) float64 box array plus, where a mode needs
-it, a (g,) category array; entity_gt_matching checks the boxes.
+it, a (g,) category array; entity_gt_matching checks the boxes, and also
+matches a (B, n, 4) stack of entity boxes in one call.
 
 Every emitted target matrix is symmetric with a zero diagonal.
 """
@@ -36,6 +37,7 @@ VISION_MODES = ("different_category", "different_instance")
 LANGUAGE_MODES = ("semantic", "different_category", "same_category", "different_word")
 
 NO_MATCH = -1
+_NO_BOXES = "entities have no boxes; cannot match against gt objects"
 
 
 class LexicalPairTable:
@@ -106,13 +108,17 @@ class LexicalPairTable:
 
 
 def _iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
-    """(n, g) IoU of every box against every gt box; both (., 4), well-ordered.
+    """(..., n, g) IoU of every box against every gt box; both (..., 4), well-ordered.
 
-    Same operation order as a scalar IoU: intersection from min/max corners,
-    0 when either side is <= 0, otherwise inter / (area_a + area_b - inter).
+    Works on the trailing axes, so (B, n, 4) boxes against (B, g, 4) or
+    (g, 4) gt boxes give one (B, n, g) stack. Same operation order as a
+    scalar IoU: intersection from min/max corners, 0 when either side is
+    <= 0, otherwise inter / (area_a + area_b - inter).
     """
-    ax1, ay1, ax2, ay2 = boxes.T[:, :, None]
-    bx1, by1, bx2, by2 = gt_boxes.T[:, None, :]
+    a = boxes[..., :, None, :]
+    b = gt_boxes[..., None, :, :]
+    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     overlap = (iw > 0.0) & (ih > 0.0)
@@ -130,29 +136,46 @@ def iou(a, b) -> float:
     return float(_iou_matrix(boxes[:1], boxes[1:])[0, 0])
 
 
-def entity_gt_matching(entities: EntitySet, gt_boxes, iou_threshold: float) -> np.ndarray:
-    """Best-match gt index per entity, or -1 when no IoU exceeds the threshold.
+def _stack_boxes(entity_sets: Sequence[EntitySet]) -> np.ndarray:
+    """(B, n, 4) boxes of equal-size entity sets; each set must have boxes."""
+    boxes = [e.boxes for e in entity_sets]
+    if any(b is None for b in boxes):
+        raise ValidationError(_NO_BOXES)
+    return np.stack(boxes)
 
-    gt_boxes is a (g, 4) array-like of (x1, y1, x2, y2) rows, checked here
-    like EntitySet boxes; an empty sequence means no objects. Each entity
-    matches at most one object: the one with maximal IoU, strictly above the
-    threshold, ties broken by lowest gt index. One (n, g) IoU matrix serves
-    all entities. Evaluation calls this once per instance and scores every
-    recall cutoff from the result.
+
+def entity_gt_matching(boxes, gt_boxes, iou_threshold: float) -> np.ndarray:
+    """Best-match gt index per entity box, or -1 when no IoU exceeds the threshold.
+
+    boxes is one entity set's (n, 4) boxes (`EntitySet.boxes`) or a (B, n, 4)
+    stack of them; gt_boxes is a (g, 4) array-like of (x1, y1, x2, y2) rows
+    or, for a stack, a (B, g, 4) array with one gt set per entity set. Both
+    are checked like EntitySet boxes, once per call; an empty sequence means
+    no objects. Returns (n,) or (B, n) int64. Each entity matches at most
+    one object: the one with maximal IoU, strictly above the threshold, ties
+    broken by lowest gt index. One IoU matrix per entity set serves all its
+    entities; evaluation stacks the instances of each equal-n group into one
+    call and scores every recall cutoff from the result.
     """
-    if entities.boxes is None:
-        raise ValidationError("entities have no boxes; cannot match against gt objects")
+    if boxes is None:
+        raise ValidationError(_NO_BOXES)
+    ents = np.asarray(boxes, dtype=np.float64)
+    if ents.ndim not in (2, 3) or ents.shape[-1] != 4:
+        raise ValidationError(f"boxes must be (n, 4) or (B, n, 4), got shape {ents.shape}")
     gt = np.asarray(gt_boxes, dtype=np.float64)
     if gt.shape == (0,):
         gt = gt.reshape(0, 4)
-    if gt.ndim != 2 or gt.shape[1] != 4:
-        raise ValidationError(f"gt_boxes must be (g, 4), got shape {gt.shape}")
+    per_set = gt.ndim == ents.ndim == 3 and gt.shape[0] == ents.shape[0]
+    if gt.shape[-1:] != (4,) or not (gt.ndim == 2 or per_set):
+        want = "(g, 4)" if ents.ndim == 2 else f"(g, 4) or ({ents.shape[0]}, g, 4)"
+        raise ValidationError(f"gt_boxes must be {want}, got shape {gt.shape}")
+    _check_boxes(ents)
     _check_boxes(gt)
-    if not len(gt):
-        return np.full(entities.n, NO_MATCH, dtype=np.int64)
-    ious = _iou_matrix(entities.boxes, gt)
-    best = np.argmax(ious, axis=1)  # first maximum: lowest gt index wins ties
-    hit = ious[np.arange(entities.n), best] > iou_threshold
+    if not gt.shape[-2]:
+        return np.full(ents.shape[:-1], NO_MATCH, dtype=np.int64)
+    ious = _iou_matrix(ents, gt)
+    best = np.argmax(ious, axis=-1)  # first maximum: lowest gt index wins ties
+    hit = ious.max(axis=-1) > iou_threshold
     return np.where(hit, best, NO_MATCH).astype(np.int64)
 
 
@@ -171,7 +194,7 @@ def build_vision_target(
     """
     if mode not in VISION_MODES:
         raise ValidationError(f"mode must be one of {VISION_MODES}, got {mode!r}")
-    matches = entity_gt_matching(entities, gt_boxes, iou_threshold)
+    matches = entity_gt_matching(entities.boxes, gt_boxes, iou_threshold)
     if gt_categories is None and mode == "different_category":
         raise ValidationError("different_category mode requires gt_categories")
     if gt_categories is not None and len(gt_categories) != len(gt_boxes):

@@ -605,10 +605,9 @@ def _instance_from_v2(d: dict) -> Instance:
     ent = d["entities"]
     features = _decode_array(ent["features"], "features")
     boxes = ent.get("boxes")
-    categories = ent.get("categories")
     entities = EntitySet(
         features=features,
-        categories=np.asarray(categories, dtype=np.int64) if categories else None,
+        categories=_categories(ent.get("categories")),
         boxes=_decode_array(boxes, "boxes") if boxes is not None else None,
     )
     n = entities.n
@@ -636,10 +635,9 @@ def _instance_from_v1(d: dict) -> Instance:
     ent = d["entities"]
     features = np.asarray(ent["features"], dtype=np.float64)
     boxes = ent.get("boxes")
-    categories = ent.get("categories")
     entities = EntitySet(
         features=features,
-        categories=np.asarray(categories, dtype=np.int64) if categories else None,
+        categories=_categories(ent.get("categories")),
         boxes=np.asarray(boxes, dtype=np.float64) if boxes else None,
     )
     n = entities.n
@@ -650,14 +648,37 @@ def _instance_from_v1(d: dict) -> Instance:
     return _instance(d, entities, target, relations)
 
 
+def _categories(raw) -> Optional[np.ndarray]:
+    """entities.categories of a line: a list of ints, or null for none.
+
+    Types are checked on the list itself, because numpy reads 1.7 and true as 1.
+    """
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raise ValidationError(
+            f"categories: expected a list of ints or null, got {type(raw).__name__}"
+        )
+    if set(map(type, raw)) <= {int}:
+        try:
+            return np.array(raw, dtype=np.int64)
+        except OverflowError:  # an int beyond int64
+            pass
+    bad = next(c for c in raw if type(c) is not int or not -(2**63) <= c < 2**63)
+    raise ValidationError(f"categories: expected a list of ints or null, got entry {bad!r}")
+
+
 def _instance(d: dict, entities: EntitySet, target: np.ndarray, relations: list) -> Instance:
     """The Instance of a decoded line; label, tokens and tags are plain JSON in both versions."""
+    label = d["label"]
+    if type(label) is not int:  # bool is an int subclass; Instance checks label >= 0
+        raise ValidationError(f"label: expected an int >= 0, got {label!r}")
     tokens = d.get("tokens")
     tags = d.get("tags")
     return Instance(
         entities=entities,
         target=target,
-        label=int(d["label"]),
+        label=label,
         gt_relations=tuple(map(GroundTruthRelation._make, relations)),
         tokens=tuple(tokens) if tokens is not None else None,
         tags=tuple(tags) if tags is not None else None,

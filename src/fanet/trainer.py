@@ -56,7 +56,7 @@ from .matrices import (
 )
 from .metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
 from .seeding import STREAM_PARAMS_CLASSIFIER, STREAM_SHUFFLE, stream_rng
-from .supervision import entity_gt_matching
+from .supervision import _stack_boxes, entity_gt_matching
 from .synthgen import Instance
 
 __all__ = [
@@ -513,7 +513,8 @@ def evaluate(
 ) -> EvalResult:
     """Accuracy, center-mass summary and recall@K means over a dataset.
 
-    Runs one forward and one top-K per bucket of equal entity count; the
+    Runs one forward per bucket of equal entity count, and one top-K and one
+    IoU matching over the bucket's instances that have gt relations; the
     results are summed in instance order, so they do not depend on the
     bucketing.
     """
@@ -543,12 +544,13 @@ def evaluate(
         with_gt = [j for j, i in enumerate(idx) if instances[i].gt_relations]
         if not with_gt:
             continue
+        boxes = _stack_boxes([instances[idx[j]].entities for j in with_gt])
+        # each entity doubles as its own ground-truth object (exact boxes)
+        matches = entity_gt_matching(boxes, boxes, RECALL_IOU)
         pairs, _ = top_k_pairs(focus[with_gt], max_k)
-        for j, inst_pairs in zip(with_gt, pairs):
-            inst = instances[idx[j]]
-            # each entity doubles as its own ground-truth object (exact boxes)
-            matches = entity_gt_matching(inst.entities, inst.entities.boxes, RECALL_IOU)
-            per_k[idx[j]] = _recall_at_ks(inst_pairs, matches, inst.gt_relations, ks)
+        for j, inst_pairs, inst_matches in zip(with_gt, pairs, matches):
+            i = idx[j]
+            per_k[i] = _recall_at_ks(inst_pairs, inst_matches, instances[i].gt_relations, ks)
     vacuous = {k: 1.0 for k in ks}
     recall_sums = {k: 0.0 for k in ks}
     rows = []

@@ -104,6 +104,64 @@ V2_DEFECTS = {
     ),
 }
 
+# label and categories are plain JSON in both versions; numpy would read a
+# 1.7 or a true in them as 1, so the decoders check the JSON types
+FIELD_DEFECTS = {
+    "label_float": (lambda d: d.update(label=1.7), "label: expected an int >= 0, got 1.7"),
+    "label_bool": (lambda d: d.update(label=True), "label: expected an int >= 0, got True"),
+    "label_negative": (lambda d: d.update(label=-1), "label must be >= 0, got -1"),
+    "categories_empty": (
+        lambda d: d["entities"].update(categories=[]),
+        "categories length (0,) does not match n=",
+    ),
+    "categories_object": (
+        lambda d: d["entities"].update(categories={}),
+        "categories: expected a list of ints or null, got dict",
+    ),
+    "categories_float": (
+        lambda d: d["entities"]["categories"].__setitem__(1, 1.7),
+        "categories: expected a list of ints or null, got entry 1.7",
+    ),
+    "categories_bool": (
+        lambda d: d["entities"]["categories"].__setitem__(1, True),
+        "categories: expected a list of ints or null, got entry True",
+    ),
+    "categories_beyond_int64": (
+        lambda d: d["entities"]["categories"].__setitem__(1, 2**70),
+        f"categories: expected a list of ints or null, got entry {2**70}",
+    ),
+}
+
+
+def _v1_line(inst) -> dict:
+    """One instance as a version 1 line: plain JSON lists, the target as index pairs."""
+    ent = inst.entities
+    return {
+        "entities": {
+            "features": ent.features.tolist(),
+            "boxes": ent.boxes.tolist(),
+            "categories": ent.categories.tolist(),
+        },
+        "target": np.argwhere(np.triu(inst.target)).tolist(),
+        "label": inst.label,
+    }
+
+
+def _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message):
+    """Replace the test file's second line: read_jsonl names bad.jsonl:2, eval exits 2."""
+    first = open(os.path.join(data_dir, "test.jsonl")).readline()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + json.dumps(line) + "\n")
+    named = re.escape(f"bad.jsonl:2: {message}")
+    with pytest.raises(ValidationError, match=named):
+        read_jsonl(bad)
+    code = main(
+        ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+         "--data", str(bad), "--out", str(tmp_path / "x")]
+    )
+    assert code == EXIT_USER
+    assert re.search(named, capsys.readouterr().err)
+
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
@@ -378,17 +436,31 @@ class TestEval:
         second = json.loads(lines[1])
         mutate, message = V2_DEFECTS[case]
         mutate(second)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join([lines[0], json.dumps(second)]) + "\n")
-        named = re.escape(f"bad.jsonl:2: {message}")
-        with pytest.raises(ValidationError, match=named):
-            read_jsonl(bad)
-        code = main(
-            ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
-             "--data", str(bad), "--out", str(tmp_path / "x")]
-        )
-        assert code == EXIT_USER
-        assert re.search(named, capsys.readouterr().err)
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("case", sorted(FIELD_DEFECTS))
+    def test_bad_label_or_categories_is_user_error(
+        self, tmp_path, data_dir, run_dir, capsys, case, version
+    ):
+        path = os.path.join(data_dir, "test.jsonl")
+        if version == 1:
+            second = _v1_line(read_jsonl(path)[1])
+        else:
+            second = json.loads(open(path).read().splitlines()[1])
+        mutate, message = FIELD_DEFECTS[case]
+        mutate(second)
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
+
+    def test_unmutated_v1_line_loads(self, tmp_path, data_dir):
+        """The v1 cases above fail only through their mutation."""
+        inst = read_jsonl(os.path.join(data_dir, "test.jsonl"))[1]
+        p = tmp_path / "v1.jsonl"
+        p.write_text(json.dumps(_v1_line(inst)) + "\n")
+        (back,) = read_jsonl(p)
+        assert back.label == inst.label
+        assert np.array_equal(back.entities.categories, inst.entities.categories)
+        assert np.array_equal(back.target, inst.target)
 
     def test_empty_dataset(self, tmp_path, run_dir):
         empty = tmp_path / "empty.jsonl"
@@ -557,6 +629,39 @@ class TestAblate:
         main(["ablate", "--grid", grid, "--data", data_dir, "--out", str(parallel),
               "--jobs", "2"] + FAST_TRAIN)
         assert (serial / "cells.csv").read_bytes() == (parallel / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_cell_does_not_stop_the_grid(self, tmp_path, data_dir, capsys, jobs):
+        grid = self.grid_file(tmp_path, {"lr": [5e-4, 1e200, 1e-3]})
+        out, clean = tmp_path / "ab", tmp_path / "clean"
+        argv = ["ablate", "--grid", grid, "--data", data_dir, "--out", str(out),
+                "--jobs", jobs] + FAST_TRAIN
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv)
+        assert code == EXIT_INTERNAL
+        good, bad, good2 = json.loads((out / "manifest.json").read_text())["cells"]
+        err = capsys.readouterr().err
+        assert f"cell {bad} failed: training diverged:" in err
+        assert f"1 of 3 cells failed: {bad}" in err
+        with open(out / "cells.csv", newline="") as fh:
+            rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
+        assert [r["cell_id"] for r in rows] == [good, good2]
+
+        # the good cells' rows are those of a grid without the bad cell
+        clean.mkdir()
+        code = main(["ablate", "--grid", self.grid_file(clean, {"lr": [5e-4, 1e-3]}),
+                     "--data", data_dir, "--out", str(clean)] + FAST_TRAIN)
+        assert code == EXIT_OK
+        for name in ("cells.csv", "curves.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+        # --resume runs only the failed cell again
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv + ["--resume"])
+        assert code == EXIT_INTERNAL
+        assert "1 cells run (2 skipped)" in capsys.readouterr().out
+        assert (out / "cells.csv").read_bytes() == (clean / "cells.csv").read_bytes()
 
     def test_grid_must_be_object(self, tmp_path, data_dir):
         p = tmp_path / "grid.json"

@@ -270,7 +270,7 @@ class TestRelationRecall:
         w, boxes, gt_boxes, gt_relations = self.make_scene(11, 6)
         ents = EntitySet(features=np.zeros((6, 2)), boxes=boxes)
         pairs, _ = top_k_pairs(w, 10)
-        matches = entity_gt_matching(ents, gt_boxes, 0.5)
+        matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
         ks = (10, 1, 3, 99)
         got = _recall_at_ks(pairs, matches, gt_relations, ks)
         assert list(got) == list(ks)
@@ -309,7 +309,7 @@ class TestRelationRecall:
     def test_plain_tuples_score_like_relations(self, seed):
         w, boxes, gt_boxes, gt_relations = self.make_scene(20 + seed, 7)
         ents = EntitySet(features=np.zeros((7, 2)), boxes=boxes)
-        matches = entity_gt_matching(ents, gt_boxes, 0.5)
+        matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
         matches[seed % 7] = -1  # one unmatched entity
         pairs, _ = top_k_pairs(w, 21)
         # reversed orientation and a duplicate: both collapse to one relation
@@ -352,7 +352,7 @@ def test_300_entity_scene_matches_reference():
     ents, gt_relations = inst.entities, inst.gt_relations
     gt_boxes = ents.boxes  # each entity doubles as its own gt object
     want_matches = ref_matching(ents.boxes.tolist(), gt_boxes.tolist(), 0.5)
-    matches = entity_gt_matching(ents, gt_boxes, 0.5)
+    matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
     assert matches.tolist() == want_matches
     recall = _recall_at_ks(pairs, matches, gt_relations, (1, 5, 10))
     for k in (1, 5, 10):

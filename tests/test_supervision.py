@@ -64,23 +64,23 @@ class TestGroundTruthObject:
 
     def test_validates_box(self):
         with pytest.raises(ValidationError):
-            entity_gt_matching(self.ENTS, [(1, 1, 1, 2)], 0.5)
+            entity_gt_matching(self.ENTS.boxes, [(1, 1, 1, 2)], 0.5)
         with pytest.raises(ValidationError, match="x1 < x2"):
-            entity_gt_matching(self.ENTS, [(0, 0, 1, 1), (2, 0, 1, 1)], 0.5)
+            entity_gt_matching(self.ENTS.boxes, [(0, 0, 1, 1), (2, 0, 1, 1)], 0.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_box(self, bad):
         with pytest.raises(ValidationError):
-            entity_gt_matching(self.ENTS, [(0, 0, bad, 1)], 0.5)
+            entity_gt_matching(self.ENTS.boxes, [(0, 0, bad, 1)], 0.5)
         with pytest.raises(ValidationError):
-            entity_gt_matching(self.ENTS, np.array([(-bad, 0, 1, 1)]), 0.5)
+            entity_gt_matching(self.ENTS.boxes, np.array([(-bad, 0, 1, 1)]), 0.5)
 
     @pytest.mark.parametrize(
         "bad", [(0, 0, 1, 1), [(0, 0, 1)], np.zeros((0, 3)), np.ones((1, 4, 1))]
     )
     def test_rejects_wrong_shape(self, bad):
         with pytest.raises(ValidationError, match=r"\(g, 4\)"):
-            entity_gt_matching(self.ENTS, bad, 0.5)
+            entity_gt_matching(self.ENTS.boxes, bad, 0.5)
 
     def test_categories_must_match_boxes(self):
         gt = [(0, 0, 1, 1), (2, 0, 3, 1)]
@@ -95,33 +95,33 @@ class TestMatching:
         gt = [(0, 0, 2, 2), (0.5, 0.5, 2.5, 2.5)]
         # entity box hugs gt[1] more closely
         ents = entity_set([(0.6, 0.6, 2.4, 2.4)])
-        assert entity_gt_matching(ents, gt, 0.5).tolist() == [1]
+        assert entity_gt_matching(ents.boxes, gt, 0.5).tolist() == [1]
 
     def test_threshold_is_strict(self):
         """IoU exactly at the threshold does not match."""
         gt = [(0, 0, 2, 2)]
         ents = entity_set([(1, 1, 3, 3)])  # IoU = 1/7
-        assert entity_gt_matching(ents, gt, 1.0 / 7.0).tolist() == [NO_MATCH]
-        assert entity_gt_matching(ents, gt, 1.0 / 7.0 - 1e-9).tolist() == [0]
+        assert entity_gt_matching(ents.boxes, gt, 1.0 / 7.0).tolist() == [NO_MATCH]
+        assert entity_gt_matching(ents.boxes, gt, 1.0 / 7.0 - 1e-9).tolist() == [0]
 
     def test_tie_takes_lowest_index(self):
         box = (0, 0, 1, 1)
         gt = [box, box]
         ents = entity_set([box])
-        assert entity_gt_matching(ents, gt, 0.5).tolist() == [0]
+        assert entity_gt_matching(ents.boxes, gt, 0.5).tolist() == [0]
 
     def test_equal_iou_distinct_boxes_takes_lowest_index(self):
         """Two different gt boxes, each at IoU exactly 1/2: index order decides."""
         left, right = (0, 0, 2, 1), (1, 0, 3, 1)
         ents = entity_set([(1, 0, 2, 1)])
         assert iou(ents.boxes[0], left) == iou(ents.boxes[0], right) == 0.5
-        assert entity_gt_matching(ents, [left, right], 0.4).tolist() == [0]
-        assert entity_gt_matching(ents, [right, left], 0.4).tolist() == [0]
-        assert entity_gt_matching(ents, [right, left], 0.5).tolist() == [NO_MATCH]
+        assert entity_gt_matching(ents.boxes, [left, right], 0.4).tolist() == [0]
+        assert entity_gt_matching(ents.boxes, [right, left], 0.4).tolist() == [0]
+        assert entity_gt_matching(ents.boxes, [right, left], 0.5).tolist() == [NO_MATCH]
 
     def test_empty_gt_matches_nothing(self):
         for empty in ([], (), np.zeros((0, 4))):
-            matches = entity_gt_matching(entity_set([(0, 0, 1, 1), (2, 2, 3, 3)]), empty, 0.5)
+            matches = entity_gt_matching(entity_set([(0, 0, 1, 1), (2, 2, 3, 3)]).boxes, empty, 0.5)
             assert matches.dtype == np.int64
             assert matches.tolist() == [NO_MATCH, NO_MATCH]
 
@@ -135,9 +135,9 @@ class TestMatching:
             w, h = rng.uniform(0.5, 2, size=2)
             boxes.append((x, y, x + w, y + h))
         ents = entity_set(boxes)
-        prev = entity_gt_matching(ents, gt, 0.1)
+        prev = entity_gt_matching(ents.boxes, gt, 0.1)
         for thr in (0.3, 0.5, 0.7, 0.9):
-            cur = entity_gt_matching(ents, gt, thr)
+            cur = entity_gt_matching(ents.boxes, gt, thr)
             for a, b in zip(prev, cur):
                 assert b == a or b == NO_MATCH
             prev = cur
@@ -145,7 +145,7 @@ class TestMatching:
     def test_requires_boxes(self):
         ents = EntitySet(features=np.zeros((2, 2)))
         with pytest.raises(ValidationError, match="no boxes"):
-            entity_gt_matching(ents, [], 0.5)
+            entity_gt_matching(ents.boxes, [], 0.5)
 
 
 class TestVisionTarget:
@@ -368,7 +368,7 @@ class TestAgainstReferenceBuilders:
         ents = entity_set(boxes)
         for thr, mode in itertools.product(THRESHOLDS, VISION_MODES):
             want_matches = ref_matching(boxes.tolist(), gt.tolist(), thr)
-            assert entity_gt_matching(ents, gt, thr).tolist() == want_matches
+            assert entity_gt_matching(ents.boxes, gt, thr).tolist() == want_matches
             got = build_vision_target(ents, gt, cats, mode=mode, iou_threshold=thr)
             want = ref_vision_target(boxes.tolist(), gt.tolist(), cats.tolist(), mode, thr)
             assert got.dtype == np.float64 and got.shape == (n, n)
@@ -382,6 +382,54 @@ class TestAgainstReferenceBuilders:
                 got = build_vision_target(ents, gt, cats, mode=mode, iou_threshold=thr)
                 want = ref_vision_target(ents.boxes.tolist(), gt.tolist(), cats, mode, thr)
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_stacked_matching_matches_reference(self, seed):
+        """A (B, n, 4) stack against per-set (B, g, 4) or shared (g, 4) gt boxes."""
+        rng = np.random.default_rng(100 + seed)
+        B = 1 if seed % 4 == 0 else int(rng.integers(2, 7))
+        n = 1 if seed % 6 == 1 else int(rng.integers(2, 9))
+        g = 0 if seed % 5 == 2 else int(rng.integers(1, 8))
+        boxes = np.stack([grid_boxes(rng, n) for _ in range(B)])
+        per_set = np.stack([grid_boxes(rng, g) for _ in range(B)]).reshape(B, g, 4)
+        dup = min(n, g // 2)
+        per_set[0, :dup] = boxes[0, :dup]  # exact duplicates: IoU 1
+        shared = grid_boxes(rng, g)
+        # per-set gt, evaluation's case (each set is its own gt), one shared gt
+        for gt in (per_set, boxes, shared):
+            gts = gt if gt.ndim == 3 else [gt] * B
+            for thr in THRESHOLDS:
+                got = entity_gt_matching(boxes, gt, thr)
+                assert got.dtype == np.int64 and got.shape == (B, n)
+                want = [ref_matching(b.tolist(), x.tolist(), thr) for b, x in zip(boxes, gts)]
+                assert got.tolist() == want, f"gt {gt.shape}, thr={thr}"
+                singles = [entity_gt_matching(b, x, thr) for b, x in zip(boxes, gts)]
+                assert np.array_equal(got, np.stack(singles))
+
+    @pytest.mark.parametrize(
+        "boxes_shape,gt_shape",
+        [((3, 2, 4), (2, 1, 4)), ((2, 4), (1, 1, 4)), ((3, 2, 4), (3, 1, 1, 4)),
+         ((3, 2, 4), (3, 1, 3))],
+    )
+    def test_stack_rejects_mismatched_gt(self, boxes_shape, gt_shape):
+        boxes = np.broadcast_to([0.0, 0.0, 1.0, 1.0], boxes_shape)
+        gt = np.broadcast_to([0.0, 0.0, 1.0, 1.0][: gt_shape[-1]], gt_shape)
+        with pytest.raises(ValidationError, match=r"gt_boxes must be \(g, 4\)"):
+            entity_gt_matching(boxes, gt, 0.5)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 3, 4)])
+    def test_rejects_bad_entity_box_shape(self, shape):
+        with pytest.raises(ValidationError, match=r"boxes must be \(n, 4\) or \(B, n, 4\)"):
+            entity_gt_matching(np.ones(shape), [(0, 0, 1, 1)], 0.5)
+
+    def test_checks_stacked_boxes(self):
+        good = np.stack([grid_boxes(np.random.default_rng(s), 3) for s in range(2)])
+        bad = good.copy()
+        bad[1, 2, 2] = bad[1, 2, 0]  # x1 == x2 in the last box of the stack
+        with pytest.raises(ValidationError, match="x1 < x2"):
+            entity_gt_matching(bad, [(0, 0, 1, 1)], 0.5)
+        with pytest.raises(ValidationError, match="x1 < x2"):
+            entity_gt_matching(good, bad, 0.5)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_language_matches_reference(self, seed):

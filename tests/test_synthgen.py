@@ -192,7 +192,7 @@ class TestDocumentInstances:
         inst = generate_document_instance(default_document_spec(), seed=13)
         assert inst.entities.boxes is None
         with pytest.raises(ValidationError, match="no boxes"):
-            entity_gt_matching(inst.entities, inst.entities.boxes, 0.5)
+            entity_gt_matching(inst.entities.boxes, inst.entities.boxes, 0.5)
 
 
 class TestGenerateDataset:

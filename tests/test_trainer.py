@@ -464,7 +464,7 @@ def reference_evaluate(instances, params, config, ks):
             masses.append(m)
         if inst.gt_relations:
             pairs, _ = top_k_pairs(fwd.state.focus_weights, max(ks))
-            matches = entity_gt_matching(inst.entities, inst.entities.boxes, RECALL_IOU)
+            matches = entity_gt_matching(inst.entities.boxes, inst.entities.boxes, RECALL_IOU)
             per_k = _recall_at_ks(pairs, matches, inst.gt_relations, ks)
         else:
             n_vacuous += 1
@@ -526,6 +526,22 @@ class TestBucketedEvaluate:
         assert repr(got) == repr(want)  # NaN rows compare by repr, in row order
         assert got.n_recall_vacuous >= 3 and got.center_mass.n_vacuous >= 3
 
+    def test_each_instance_matches_against_its_own_boxes(self):
+        """Boxes that differ within a bucket: shuffled rows, some duplicated."""
+        rng = np.random.default_rng(7)
+        instances = []
+        for inst in mixed_n_instances():
+            boxes = inst.entities.boxes[rng.permutation(inst.n)]
+            if rng.random() < 0.5:
+                boxes[-1] = boxes[0]  # the last entity matches the first one's object
+            ents = EntitySet(features=inst.entities.features, boxes=boxes)
+            instances.append(Instance(entities=ents, target=inst.target, label=inst.label,
+                                      gt_relations=inst.gt_relations))
+        cfg = TrainConfig(d_k=3, seed=2)
+        params = init_model(6, 3, cfg)
+        got = evaluate(instances, params, cfg, ks=(1, 3, 10))
+        assert repr(got) == repr(reference_evaluate(instances, params, cfg, (1, 3, 10)))
+
     def test_buckets_group_by_n_in_first_seen_order(self):
         sizes = [5, 3, 5, 7, 3, 5]
         instances = [check_instance(i, n=n) for i, n in enumerate(sizes)]
@@ -533,7 +549,7 @@ class TestBucketedEvaluate:
         assert _buckets([]) == []
 
     def test_one_forward_per_bucket(self, monkeypatch):
-        calls = {"forward": 0, "top_k_pairs": 0}
+        calls = {"forward": 0, "top_k_pairs": 0, "matching": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -544,24 +560,60 @@ class TestBucketedEvaluate:
         monkeypatch.setattr(trainer.attention, "forward",
                             counting("forward", trainer.attention.forward))
         monkeypatch.setattr(trainer, "top_k_pairs", counting("top_k_pairs", top_k_pairs))
+        monkeypatch.setattr(trainer, "entity_gt_matching",
+                            counting("matching", entity_gt_matching))
         instances = mixed_n_instances()
         cfg = TrainConfig(d_k=3)
         params = init_model(6, 3, cfg)
         evaluate(instances, params, cfg)
         n_buckets = len(_buckets(instances))
-        assert calls == {"forward": n_buckets, "top_k_pairs": n_buckets}
+        assert calls == {"forward": n_buckets, "top_k_pairs": n_buckets, "matching": n_buckets}
 
-        calls.update(forward=0, top_k_pairs=0)
+        # drop every relation of the first bucket: it still runs its forward,
+        # but ranks and matches nothing
+        first = set(_buckets(instances)[0])
+        mixed = [
+            Instance(entities=inst.entities, target=inst.target, label=inst.label)
+            if i in first else inst
+            for i, inst in enumerate(instances)
+        ]
+        calls.update(forward=0, top_k_pairs=0, matching=0)
+        evaluate(mixed, params, cfg)
+        assert calls == {"forward": n_buckets, "top_k_pairs": n_buckets - 1,
+                         "matching": n_buckets - 1}
+
+        calls.update(forward=0, top_k_pairs=0, matching=0)
         no_gt = [inst for inst in instances if not inst.gt_relations]
-        evaluate(no_gt, params, cfg)  # nothing to rank: top-K stays idle
-        assert calls == {"forward": len(_buckets(no_gt)), "top_k_pairs": 0}
+        evaluate(no_gt, params, cfg)  # nothing to rank: top-K and matching stay idle
+        assert calls == {"forward": len(_buckets(no_gt)), "top_k_pairs": 0, "matching": 0}
 
-        calls.update(forward=0, top_k_pairs=0)
+        calls.update(forward=0, top_k_pairs=0, matching=0)
         tr, te = instances[:30], instances[30:]
         train(tr, te, dataclasses.replace(cfg, epochs=1))
         labeled = [inst for inst in tr if inst.labeled]
         # one forward per training step, then one per bucket for each center-mass
         assert calls["forward"] == len(tr) + len(_buckets(labeled)) + len(_buckets(te))
+
+    def test_box_less_instance_in_a_bucket_raises_only_with_relations(self):
+        instances = mixed_n_instances()
+        bucket = next(b for b in _buckets(instances)
+                      if sum(bool(instances[i].gt_relations) for i in b) > 2)
+        i = [i for i in bucket if instances[i].gt_relations][1]
+        inst = instances[i]
+        boxless = EntitySet(features=inst.entities.features)
+        cfg = TrainConfig(d_k=3)
+        params = init_model(6, 3, cfg)
+
+        with_gt = list(instances)
+        with_gt[i] = Instance(entities=boxless, target=inst.target, label=inst.label,
+                              gt_relations=inst.gt_relations)
+        with pytest.raises(ValidationError, match="entities have no boxes"):
+            evaluate(with_gt, params, cfg)
+
+        without_gt = list(instances)
+        without_gt[i] = Instance(entities=boxless, target=inst.target, label=inst.label)
+        got = evaluate(without_gt, params, cfg)
+        assert got.n_recall_vacuous == evaluate(instances, params, cfg).n_recall_vacuous + 1
 
     @pytest.mark.parametrize("ks", [(0, 5), (), (-1,)])
     def test_rejects_bad_ks(self, ks):
