@@ -27,6 +27,7 @@ is on the logits, where non-finite parameters always show up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -170,7 +171,7 @@ def forward(
         )
     keys = features @ params.w_k.T        # (..., n, d_k), row m = w_k @ f_m
     queries = features @ params.w_q.T     # (..., n, d_k), row n = w_q @ f_n
-    logits = keys @ np.swapaxes(queries, -1, -2) / np.sqrt(params.d_k)
+    logits = keys @ np.swapaxes(queries, -1, -2) / math.sqrt(params.d_k)
     check_finite(logits, "logits")
     return AttentionState(
         logits=logits,
@@ -222,7 +223,7 @@ def backward(
     """
     g = d_loss_d_logits
     check_same_shape(g, state.logits, "logit gradient and logits")
-    scale = 1.0 / np.sqrt(params.d_k)
+    scale = 1.0 / math.sqrt(params.d_k)
     d_keys = g @ state.proj_queries * scale
     d_queries = g.T @ state.proj_keys * scale
     d_w_k = d_keys.T @ entities.features
@@ -237,5 +238,10 @@ def softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarr
     a * (g - sum(g * a)), the sum taken over each distribution.
     """
     check_same_shape(softmax_out, grad_out, "softmax output and gradient")
-    inner = np.sum(grad_out * softmax_out, axis=axis, keepdims=True)
+    return _softmax_vjp(softmax_out, grad_out, axis)
+
+
+def _softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
+    """Unchecked kernel of `softmax_vjp`, for operands of one shape by construction."""
+    inner = np.add.reduce(grad_out * softmax_out, axis=axis, keepdims=True)
     return softmax_out * (grad_out - inner)

@@ -210,6 +210,16 @@ def _check_feature_dim(params, instances, checkpoint_path, data_path) -> None:
         )
 
 
+def _check_labels(params, instances, checkpoint_path, data_path) -> None:
+    """Every label must name one of the checkpoint's classes."""
+    top = max(inst.label for inst in instances)
+    if top >= params.num_classes:
+        raise UserInputError(
+            f"label out of range: dataset {data_path} has label {top}, checkpoint "
+            f"{checkpoint_path} has {params.num_classes} classes (labels 0..{params.num_classes - 1})"
+        )
+
+
 def _comment_csv(fh, config_dict: dict) -> None:
     fh.write("# config: " + json.dumps(config_dict, sort_keys=True) + "\n")
 
@@ -294,6 +304,7 @@ def cmd_eval(args) -> int:
     if not instances:
         raise UserInputError(f"dataset is empty: {args.data}")
     _check_feature_dim(params, instances, args.checkpoint, args.data)
+    _check_labels(params, instances, args.checkpoint, args.data)
     ks = _parse_ks(args.ks) if args.ks else config.eval_ks
     result = evaluate(instances, params, config, ks)
     os.makedirs(args.out, exist_ok=True)
@@ -481,6 +492,7 @@ def cmd_export_attention(args) -> int:
         )
     inst = instances[args.instance]
     _check_feature_dim(params, [inst], args.checkpoint, args.data)
+    _check_labels(params, [inst], args.checkpoint, args.data)
     if args.top_k < 1:
         raise UserInputError(f"--top-k must be >= 1, got {args.top_k}")
     fwd = forward_task(inst.entities.features, params, config)

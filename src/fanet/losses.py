@@ -151,7 +151,7 @@ def relation_loss(
     instances from center-mass reporting.
     """
     check_same_shape(focus_weights, target, "focus_weights and target")
-    m = float(np.sum(focus_weights * target))
+    m = float(np.add.reduce(focus_weights * target, axis=None))
     # M is exactly 0 for an empty target; only then is the target scanned
     if m == 0.0 and not target.any():
         return 0.0, 0.0, np.zeros_like(focus_weights)

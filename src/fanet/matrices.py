@@ -54,7 +54,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_finite(m: np.ndarray, name: str = "matrix") -> None:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 
@@ -80,8 +80,8 @@ def _softmax(w: np.ndarray, axis) -> np.ndarray:
     subtracting the maximum along the axis, so arbitrarily large finite
     logits do not overflow.
     """
-    e = np.exp(w - w.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(w - np.maximum.reduce(w, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def softmax_rows(m) -> np.ndarray:

@@ -633,12 +633,11 @@ def _instance_from_v2(d: dict) -> Instance:
 
 def _instance_from_v1(d: dict) -> Instance:
     ent = d["entities"]
-    features = np.asarray(ent["features"], dtype=np.float64)
     boxes = ent.get("boxes")
     entities = EntitySet(
-        features=features,
+        features=_number_rows(ent["features"], "features"),
         categories=_categories(ent.get("categories")),
-        boxes=np.asarray(boxes, dtype=np.float64) if boxes else None,
+        boxes=_number_rows(boxes, "boxes") if boxes is not None else None,
     )
     n = entities.n
     target = np.zeros((n, n), dtype=np.float64)
@@ -646,6 +645,28 @@ def _instance_from_v1(d: dict) -> Instance:
     target[i, j] = target[j, i] = 1.0
     relations = _index_pairs(d.get("gt_relations", []), n, "gt_relations").tolist()
     return _instance(d, entities, target, relations)
+
+
+def _number_rows(raw, field: str) -> np.ndarray:
+    """A version 1 matrix: a list of rows of numbers, as float64.
+
+    Types are checked on the lists, because numpy reads true as 1.0; the
+    shape is left to EntitySet, so `[]` fails its shape check.
+    """
+    if not isinstance(raw, list):
+        raise ValidationError(
+            f"{field}: expected a list of rows of numbers, got {type(raw).__name__}"
+        )
+    for row in raw:
+        if not isinstance(row, list):
+            raise ValidationError(f"{field}: expected a list of rows of numbers, got row {row!r}")
+        bad = next((x for x in row if type(x) not in (int, float)), None)
+        if bad is not None:
+            raise ValidationError(f"{field}: expected a list of rows of numbers, got entry {bad!r}")
+    try:
+        return np.array(raw, dtype=np.float64)
+    except OverflowError as exc:  # an int beyond float64
+        raise ValidationError(f"{field}: {exc}") from exc
 
 
 def _categories(raw) -> Optional[np.ndarray]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,7 +163,10 @@ class TrainConfig:
         if self.d_k < 1:
             raise ValidationError(f"d_k must be >= 1, got {self.d_k}")
         # delegates focal_r / loss_variant / eps validation
-        FocusLossConfig(r=self.focal_r, variant=self.loss_variant, eps=self.eps)
+        focus = FocusLossConfig(r=self.focal_r, variant=self.loss_variant, eps=self.eps)
+        if self.strategy == "mat" and self.loss_variant == "focal":
+            focus = FocusLossConfig(r=0, variant="focal", eps=self.eps)
+        object.__setattr__(self, "_focus", focus)  # built once, read on every step
         object.__setattr__(self, "eval_ks", _check_ks(self.eval_ks, "eval_ks"))
 
     @property
@@ -173,8 +176,7 @@ class TrainConfig:
 
     def focus_config(self) -> FocusLossConfig:
         """Loss config for the relation term; `mat` pins the focal exponent."""
-        r = 0 if (self.strategy == "mat" and self.loss_variant == "focal") else self.focal_r
-        return FocusLossConfig(r=r, variant=self.loss_variant, eps=self.eps)
+        return self._focus
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -194,26 +196,32 @@ class TrainConfig:
         return cls(**kwargs)
 
 
+PARAM_NAMES = ("w_k", "w_q", "classifier_w", "classifier_b")
+
+
 @dataclass
 class ModelParams:
     """All trainable arrays. Mutable on purpose: the optimizer updates in place.
 
-    Checked once here (shapes, finiteness); `attention.forward` reads w_k and
-    w_q straight from this object, so the updated arrays are the ones it sees.
+    The four arrays are reshaped views into one contiguous float64 buffer,
+    `flat`, laid out in PARAM_NAMES order; the optimizer updates `flat` with
+    whole-buffer ufuncs, and `views` lays any buffer of the same size (the
+    gradients, the optimizer state) out under the same names. Checked once
+    here (shapes, finiteness); `attention.forward` reads w_k and w_q straight
+    from this object, so the updated arrays are the ones it sees.
     """
 
     w_k: np.ndarray           # (d_k, d)
     w_q: np.ndarray           # (d_k, d)
     classifier_w: np.ndarray  # (num_classes, head_dim)
     classifier_b: np.ndarray  # (num_classes,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.w_k = np.ascontiguousarray(self.w_k, dtype=np.float64)
-        self.w_q = np.ascontiguousarray(self.w_q, dtype=np.float64)
-        self.classifier_w = np.ascontiguousarray(self.classifier_w, dtype=np.float64)
-        self.classifier_b = np.ascontiguousarray(self.classifier_b, dtype=np.float64)
-        for name, a in self.arrays().items():
+        for name in PARAM_NAMES:
+            a = np.asarray(getattr(self, name), dtype=np.float64)
             check_finite(a, name)
+            setattr(self, name, a)
         if self.w_k.shape != self.w_q.shape:
             raise ShapeError(
                 f"w_k and w_q must match, got {self.w_k.shape} vs {self.w_q.shape}"
@@ -223,6 +231,20 @@ class ModelParams:
                 f"classifier bias {self.classifier_b.shape} does not match "
                 f"weights {self.classifier_w.shape}"
             )
+        self.flat = np.concatenate([a.ravel() for a in self.arrays().values()])
+        for name, view in self.views(self.flat).items():
+            setattr(self, name, view)
+
+    def views(self, buffer: np.ndarray) -> dict:
+        """name -> the reshaped view of `buffer` (flat's size) that holds that array."""
+        out = {}
+        start = 0
+        for name in PARAM_NAMES:
+            shape = getattr(self, name).shape
+            stop = start + math.prod(shape)
+            out[name] = buffer[start:stop].reshape(shape)
+            start = stop
+        return out
 
     @property
     def d(self) -> int:
@@ -241,20 +263,14 @@ class ModelParams:
         return self.classifier_w.shape[1]
 
     def arrays(self) -> dict:
-        return {
-            "w_k": self.w_k,
-            "w_q": self.w_q,
-            "classifier_w": self.classifier_w,
-            "classifier_b": self.classifier_b,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            w_k=self.w_k.copy(),
-            w_q=self.w_q.copy(),
-            classifier_w=self.classifier_w.copy(),
-            classifier_b=self.classifier_b.copy(),
-        )
+        return ModelParams(**self.arrays())
+
+    def __reduce__(self):
+        # pickle and the copy module rebuild the shared buffer through __init__
+        return ModelParams, tuple(self.arrays().values())
 
 
 def head_dim_for(d: int, head_mode: str) -> int:
@@ -304,32 +320,40 @@ def forward_task(
         )
     state = attention.forward(features, params, config.agg_axis)
     context = attention.aggregate(state, features)
-    if config.head_mode == "residual":
-        pooled = (features + context).mean(axis=-2)
-    else:
-        pooled = np.concatenate([features.mean(axis=-2), context.mean(axis=-2)], axis=-1)
-    # one gemv per instance: a (B, h) @ (h, C) gemm can round differently
-    class_logits = (params.classifier_w @ pooled[..., None])[..., 0] + params.classifier_b
+    pooled, class_logits = _head(features, context, params, config.head_mode)
     return TaskForward(
         state=state, context=context, pooled=pooled, class_logits=class_logits
     )
 
 
+def _head(features, context, params: ModelParams, head_mode: str):
+    """(pooled, class_logits): the mean-pooled head over features and context."""
+    n = features.shape[-2]
+    if head_mode == "residual":
+        pooled = np.add.reduce(features + context, axis=-2) / n
+    else:
+        pooled = np.concatenate(
+            [np.add.reduce(features, axis=-2) / n, np.add.reduce(context, axis=-2) / n], axis=-1
+        )
+    # one gemv per instance: a (B, h) @ (h, C) gemm can round differently
+    class_logits = (params.classifier_w @ pooled[..., None])[..., 0] + params.classifier_b
+    return pooled, class_logits
+
+
 def task_loss(class_logits: np.ndarray, label: int) -> float:
     """Softmax cross entropy, computed through a stabilized log-sum-exp."""
-    return _task_loss_grad(class_logits, label)[0]
+    return _task_loss_grad(np.asarray(class_logits, dtype=np.float64), label)[0]
 
 
-def _task_loss_grad(class_logits: np.ndarray, label: int):
-    """(task_loss, d_loss/d_logits): the one cross-entropy formula."""
-    z = np.asarray(class_logits, dtype=np.float64)
+def _task_loss_grad(z: np.ndarray, label: int):
+    """(task_loss, d_loss/d_logits) for float64 logits: the one cross-entropy formula."""
     if not (0 <= label < z.shape[0]):
         raise ValidationError(f"label {label} out of range for {z.shape[0]} classes")
-    zmax = float(z.max())
+    zmax = float(np.maximum.reduce(z))
     e = np.exp(z - zmax)
-    p = e / e.sum()
-    value = zmax + math.log(e.sum()) - float(z[label])
-    grad = p.copy()
+    total = np.add.reduce(e)
+    value = zmax + math.log(total) - float(z[label])
+    grad = e / total
     grad[label] -= 1.0
     return value, grad
 
@@ -376,10 +400,6 @@ def relation_term(
 # --- gradients for one instance ----------------------------------------------
 
 
-def _zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros_like(a) for name, a in params.arrays().items()}
-
-
 def _accumulate_instance(
     instance: Instance,
     params: ModelParams,
@@ -388,56 +408,63 @@ def _accumulate_instance(
     weight_task: float,
     weight_rel: float,
 ):
-    """Add this instance's gradient contribution to `grads`.
+    """Add this instance's gradient contribution to `grads` (name -> array).
 
+    One attention forward and, unless attention is frozen, one backward.
     weight_task scales the classification path, weight_rel the relation path
     (already including lambda and the batch normalization). Returns
     (task_loss, relation_loss) for reporting.
     """
     f = instance.entities.features
-    fwd = forward_task(f, params, config)
     n = instance.n
-    t_loss, dz = _task_loss_grad(fwd.class_logits, instance.label)
+    state = attention.forward(f, params, config.agg_axis)
+    context = state.agg_weights @ f
+    pooled, class_logits = _head(f, context, params, config.head_mode)
+    t_loss, dz = _task_loss_grad(class_logits, instance.label)
 
-    grads["classifier_w"] += weight_task * np.outer(dz, fwd.pooled)
+    grads["classifier_w"] += weight_task * np.outer(dz, pooled)
     grads["classifier_b"] += weight_task * dz
-
-    dpooled = params.classifier_w.T @ dz  # (head_dim,)
-    if config.head_mode == "residual":
-        # pooled = mean(F + C); both F and C receive dpooled / n per row
-        d_context = np.tile(dpooled / n, (n, 1))
-    else:
-        d_context = np.tile(dpooled[f.shape[1]:] / n, (n, 1))
-    d_agg = d_context @ f.T
-    d_logits = attention.softmax_vjp(fwd.state.agg_weights, d_agg, AGG_AXES[config.agg_axis])
-    d_logits *= weight_task
 
     r_loss = 0.0
     if weight_rel != 0.0:
-        r_loss, d_rel = relation_term(fwd.state, instance.target, config)
+        r_loss, d_rel = relation_term(state, instance.target, config)
+    if config.freeze_attention:
+        return t_loss, r_loss
+
+    dpooled = params.classifier_w.T @ dz  # (head_dim,)
+    # pooled ends in mean(C) (residual: is mean(F + C)), so each row of C gets
+    # the last d entries of dpooled / n; the rows are materialized because a
+    # gemv of the one row against F.T rounds differently from this gemm
+    d_context = (dpooled[-f.shape[1]:] / n)[None, :].repeat(n, axis=0)
+    d_agg = d_context @ f.T
+    d_logits = attention._softmax_vjp(state.agg_weights, d_agg, AGG_AXES[config.agg_axis])
+    d_logits *= weight_task
+    if weight_rel != 0.0:
         d_logits += weight_rel * d_rel
 
-    d_w_k, d_w_q, _ = attention.backward(fwd.state, d_logits, instance.entities, params)
-    if not config.freeze_attention:
-        grads["w_k"] += d_w_k
-        grads["w_q"] += d_w_q
+    d_w_k, d_w_q, _ = attention.backward(state, d_logits, instance.entities, params)
+    grads["w_k"] += d_w_k
+    grads["w_q"] += d_w_q
     return t_loss, r_loss
 
 
 # --- optimizers ----------------------------------------------------------------
+#
+# Each step updates the parameters' flat buffer from a flat gradient of the same
+# layout with a few whole-buffer ufunc calls; the update is elementwise, so every
+# element rounds as it would array by array.
 
 
 class _SgdMomentum:
     def __init__(self, params: ModelParams, momentum: float):
         self.momentum = momentum
-        self.velocity = _zero_grads(params)
+        self.velocity = np.zeros_like(params.flat)
 
-    def step(self, params: ModelParams, grads: dict, lr: float) -> None:
-        for name, a in params.arrays().items():
-            v = self.velocity[name]
-            v *= self.momentum
-            v += grads[name]
-            a -= lr * v
+    def step(self, params: ModelParams, grad: np.ndarray, lr: float) -> None:
+        v = self.velocity
+        v *= self.momentum
+        v += grad
+        params.flat -= lr * v
 
 
 class _Adam:
@@ -447,23 +474,20 @@ class _Adam:
 
     def __init__(self, params: ModelParams, momentum: float):
         del momentum  # adam keeps its own fixed betas
-        self.m = _zero_grads(params)
-        self.v = _zero_grads(params)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
-    def step(self, params: ModelParams, grads: dict, lr: float) -> None:
+    def step(self, params: ModelParams, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.BETA1**self.t
         c2 = 1.0 - self.BETA2**self.t
-        for name, a in params.arrays().items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            a -= lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
+        m, v = self.m, self.v
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * grad
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * grad * grad
+        params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 def _make_optimizer(config: TrainConfig, params: ModelParams):
@@ -540,7 +564,7 @@ def evaluate(
             inst = instances[i]
             correct += label == inst.label
             if inst.labeled:
-                masses[i] = float(np.sum(w * inst.target))
+                masses[i] = float(np.add.reduce(w * inst.target, axis=None))
         with_gt = [j for j, i in enumerate(idx) if instances[i].gt_relations]
         if not with_gt:
             continue
@@ -691,7 +715,8 @@ def train(
 
 def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, lam_eff, stats):
     n = len(train_set)
-    grads = _zero_grads(params)
+    grad = np.zeros_like(params.flat)
+    grads = params.views(grad)
     # train-split center-mass: the labeled instances, stacked once per bucket
     labeled = [inst for inst in train_set if inst.labeled]
     mass_buckets = [(idx, _stack(labeled, idx)) for idx in _buckets(labeled)]
@@ -703,8 +728,7 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         rel_count = 0
         for start in range(0, n, config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            for g in grads.values():
-                g.fill(0.0)
+            grad.fill(0.0)
             supervised = sum(b.labeled for b in batch) if lam_eff != 0.0 else 0
             for inst in batch:
                 w_rel = lam_eff / supervised if supervised and inst.labeled else 0.0
@@ -721,14 +745,14 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
                         f"(task={t_loss!r}, relation={r_loss!r}); "
                         "reduce the learning rate"
                     )
-            optimizer.step(params, grads, lr)
+            optimizer.step(params, grad, lr)
         task_mean = task_sum / n
         rel_mean = rel_sum / rel_count if rel_count else 0.0
         train_masses = [0.0] * len(labeled)
         for idx, features in mass_buckets:
             state = attention.forward(features, params, config.agg_axis)
             for i, w in zip(idx, state.focus_weights):
-                train_masses[i] = float(np.sum(w * labeled[i].target))
+                train_masses[i] = float(np.add.reduce(w * labeled[i].target, axis=None))
         train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))
         test_eval = evaluate(test_set, params, config)
         stats.append(
@@ -775,7 +799,7 @@ def grad_check(
     if not (1e-7 <= step <= 1e-3):
         raise ValidationError(f"step must be in [1e-7, 1e-3], got {step}")
     lam_eff = config.lam_effective
-    grads = _zero_grads(params)
+    grads = params.views(np.zeros_like(params.flat))
     _accumulate_instance(
         instance,
         params,
@@ -877,7 +901,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     try:
         arrays = {
             name: _decode_array(doc["params"][name], name)
-            for name in ("w_k", "w_q", "classifier_w", "classifier_b")
+            for name in PARAM_NAMES
         }
         config = TrainConfig.from_dict(doc["config"])
     except KeyError as exc:

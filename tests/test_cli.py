@@ -133,6 +133,45 @@ FIELD_DEFECTS = {
 }
 
 
+# version 1 matrices are plain JSON lists; numpy would read a true in them as
+# 1.0, and the old `if boxes` read [], 0, {} and false as "no boxes"
+V1_DEFECTS = {
+    "boxes_empty": (lambda d: d["entities"].update(boxes=[]), "boxes must be ("),
+    "boxes_zero": (
+        lambda d: d["entities"].update(boxes=0),
+        "boxes: expected a list of rows of numbers, got int",
+    ),
+    "boxes_object": (
+        lambda d: d["entities"].update(boxes={}),
+        "boxes: expected a list of rows of numbers, got dict",
+    ),
+    "boxes_false": (
+        lambda d: d["entities"].update(boxes=False),
+        "boxes: expected a list of rows of numbers, got bool",
+    ),
+    "boxes_flat_row": (
+        lambda d: d["entities"]["boxes"].__setitem__(1, 0.5),
+        "boxes: expected a list of rows of numbers, got row 0.5",
+    ),
+    "box_coordinate_true": (
+        lambda d: d["entities"]["boxes"][1].__setitem__(0, True),
+        "boxes: expected a list of rows of numbers, got entry True",
+    ),
+    "feature_true": (
+        lambda d: d["entities"]["features"][1].__setitem__(2, True),
+        "features: expected a list of rows of numbers, got entry True",
+    ),
+    "feature_string": (
+        lambda d: d["entities"]["features"][0].__setitem__(0, "1.0"),
+        "features: expected a list of rows of numbers, got entry '1.0'",
+    ),
+    "feature_beyond_float64": (
+        lambda d: d["entities"]["features"][0].__setitem__(0, 10**400),
+        "features: int too large to convert to float",
+    ),
+}
+
+
 def _v1_line(inst) -> dict:
     """One instance as a version 1 line: plain JSON lists, the target as index pairs."""
     ent = inst.entities
@@ -451,6 +490,48 @@ class TestEval:
         mutate, message = FIELD_DEFECTS[case]
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
+
+    @pytest.mark.parametrize("case", sorted(V1_DEFECTS))
+    def test_malformed_v1_matrix_is_user_error(self, tmp_path, data_dir, run_dir, capsys, case):
+        second = _v1_line(read_jsonl(os.path.join(data_dir, "test.jsonl"))[1])
+        mutate, message = V1_DEFECTS[case]
+        mutate(second)
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
+
+    def test_v1_null_or_absent_boxes_load_as_none(self, tmp_path, data_dir):
+        line = _v1_line(read_jsonl(os.path.join(data_dir, "test.jsonl"))[1])
+        p = tmp_path / "v1.jsonl"
+        line["entities"]["boxes"] = None
+        absent = json.loads(json.dumps(line))
+        del absent["entities"]["boxes"]
+        p.write_text(json.dumps(line) + "\n" + json.dumps(absent) + "\n")
+        assert [inst.entities.boxes for inst in read_jsonl(p)] == [None, None]
+
+    def test_label_beyond_checkpoint_classes_is_user_error(
+        self, tmp_path, data_dir, run_dir, capsys
+    ):
+        """A label the checkpoint has no class for exits 2 instead of scoring a miss."""
+        checkpoint = os.path.join(run_dir, "checkpoint.json")
+        num_classes = json.loads(open(checkpoint).read())["num_classes"]
+        lines = open(os.path.join(data_dir, "test.jsonl")).read().splitlines()
+        second = json.loads(lines[1])
+        for label, expected in ((num_classes - 1, EXIT_OK), (num_classes, EXIT_USER),
+                                (10**6, EXIT_USER)):
+            second["label"] = label
+            data = tmp_path / f"label{label}.jsonl"
+            data.write_text("\n".join([lines[0], json.dumps(second)]) + "\n")
+            assert len(read_jsonl(data)) == 2  # the file itself is well formed
+            for argv in (
+                ["eval", "--checkpoint", checkpoint, "--data", str(data),
+                 "--out", str(tmp_path / "x")],
+                ["export-attention", "--checkpoint", checkpoint, "--data", str(data),
+                 "--instance", "1", "--out", str(tmp_path / "x.json")],
+            ):
+                assert main(argv) == expected, (label, argv[0])
+                err = capsys.readouterr().err
+                if expected == EXIT_USER:
+                    assert f"dataset {data} has label {label}" in err
+                    assert f"{num_classes} classes" in err
 
     def test_unmutated_v1_line_loads(self, tmp_path, data_dir):
         """The v1 cases above fail only through their mutation."""

@@ -259,6 +259,126 @@ class TestGradCheck:
             grad_check(params, inst, cfg, step=1e-2)
 
 
+def reference_sgd_step(arrays, velocity, grads, lr, momentum):
+    """The per-name SGD loop the flat step replaced, kept as the oracle."""
+    for name, a in arrays.items():
+        v = velocity[name]
+        v *= momentum
+        v += grads[name]
+        a -= lr * v
+
+
+def reference_adam_step(arrays, m_state, v_state, grads, lr, t):
+    """The per-name Adam loop the flat step replaced; `t` is the 1-based step."""
+    b1, b2, eps = trainer._Adam.BETA1, trainer._Adam.BETA2, trainer._Adam.EPS
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for name, a in arrays.items():
+        g = grads[name]
+        m = m_state[name]
+        v = v_state[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        a -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+class TestFlatParameters:
+    """ModelParams keeps its arrays as views into one buffer; optimizers step it whole."""
+
+    def params(self, seed=0):
+        cfg = TrainConfig(d_k=3, seed=seed, head_mode="concat")
+        return init_model(5, 4, cfg)
+
+    def test_views_share_one_buffer(self):
+        p = self.params()
+        sizes = [p.arrays()[name].size for name in trainer.PARAM_NAMES]
+        assert p.flat.shape == (sum(sizes),) and p.flat.flags.c_contiguous
+        start = 0
+        for name, size in zip(trainer.PARAM_NAMES, sizes):
+            a = getattr(p, name)
+            assert a.flags.c_contiguous and np.shares_memory(a, p.flat)
+            assert np.array_equal(a.ravel(), p.flat[start : start + size]), name
+            start += size
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.classifier_b[-1] == p.flat.size - 1
+        p.w_q[0, 0] = -7.0
+        assert p.flat[p.w_k.size] == -7.0
+
+    def test_gradient_views_share_their_buffer(self):
+        p = self.params()
+        buf = np.zeros_like(p.flat)
+        grads = p.views(buf)
+        for name in trainer.PARAM_NAMES:
+            assert grads[name].shape == getattr(p, name).shape
+            grads[name] += 1.0
+        assert np.array_equal(buf, np.ones_like(buf))
+
+    def test_copy_is_independent(self):
+        p = self.params()
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        assert np.array_equal(p.flat, q.flat)
+        before = p.flat.copy()
+        q.flat += 1.0
+        q.w_k[0, 0] = 99.0
+        assert np.array_equal(p.flat, before)
+        p.classifier_b[0] = -3.0
+        assert q.classifier_b[0] != -3.0
+
+    def test_pickle_and_deepcopy_keep_one_buffer(self):
+        import copy
+        import pickle
+
+        p = self.params()
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert np.array_equal(q.flat, p.flat)
+            q.flat[0] += 1.0
+            assert q.w_k[0, 0] == p.w_k[0, 0] + 1.0
+
+    @pytest.mark.parametrize("optimizer", ["sgd_momentum", "adam"])
+    def test_flat_step_equals_per_name_loop(self, optimizer):
+        """Bit for bit, over several steps with seeded random gradients and lrs."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            p = self.params(seed)
+            ref = {name: a.copy() for name, a in p.arrays().items()}
+            state = [{name: np.zeros_like(a) for name, a in ref.items()} for _ in range(2)]
+            cfg = TrainConfig(optimizer=optimizer, momentum=0.9)
+            opt = trainer._make_optimizer(cfg, p)
+            grad = np.zeros_like(p.flat)
+            grads = p.views(grad)
+            for t in range(1, 7):
+                grad[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grad.shape)
+                lr = float(rng.choice([5e-4, 1e-3, 5e-5, 0.3]))
+                ref_grads = {name: g.copy() for name, g in grads.items()}
+                opt.step(p, grad, lr)
+                if optimizer == "adam":
+                    reference_adam_step(ref, state[0], state[1], ref_grads, lr, t)
+                else:
+                    reference_sgd_step(ref, state[0], ref_grads, lr, cfg.momentum)
+                for name in trainer.PARAM_NAMES:
+                    assert np.array_equal(getattr(p, name), ref[name]), (seed, t, name)
+
+    def test_grad_check_writes_through_views(self):
+        """grad_check perturbs the copy's named arrays; the forward must see it."""
+        train_set, _ = tiny_dataset()
+        inst = next(i for i in train_set if i.labeled)
+        cfg = TrainConfig(d_k=2, lam=0.5)
+        params = init_model(inst.entities.d, 3, cfg)
+        before = params.flat.copy()
+        assert grad_check(params, inst, cfg) < 1e-5
+        assert np.array_equal(params.flat, before)
+        probe = params.copy()
+        probe.arrays()["w_k"][0, 0] += 0.5
+        assert probe.flat[0] == params.flat[0] + 0.5
+        f = inst.entities.features
+        assert not np.array_equal(
+            forward_task(f, probe, cfg).state.logits, forward_task(f, params, cfg).state.logits
+        )
+
+
 class TestLearningRateSchedule:
     def test_single_cut_at_five_eighths(self):
         cfg = TrainConfig(epochs=8, lr=1e-3)
@@ -325,11 +445,17 @@ class TestTraining:
     def test_frozen_attention(self):
         tr, te = tiny_dataset()
         cfg = TrainConfig(epochs=3, batch_size=2, d_k=2, freeze_attention=True)
-        params, _ = train(tr, te, cfg)
+        params, report = train(tr, te, cfg)
         fresh = init_model(6, 2, cfg)
         np.testing.assert_array_equal(params.w_k, fresh.w_k)
         np.testing.assert_array_equal(params.w_q, fresh.w_q)
         assert not np.array_equal(params.classifier_w, fresh.classifier_w)
+        # the relation loss is still reported; with the attention fixed it is
+        # the same every epoch, up to the order of the shuffled sum
+        first = report.epochs[0].relation_loss
+        assert first > 0.0
+        for e in report.epochs:
+            assert e.relation_loss == pytest.approx(first, rel=1e-12)
 
     def test_adam_also_trains(self):
         tr, te = tiny_dataset()
