@@ -210,14 +210,29 @@ def _check_feature_dim(params, instances, checkpoint_path, data_path) -> None:
         )
 
 
-def _check_labels(params, instances, checkpoint_path, data_path) -> None:
-    """Every label must name one of the checkpoint's classes."""
-    top = max(inst.label for inst in instances)
-    if top >= params.num_classes:
+def _check_labels(num_classes, instances, source, data_path) -> None:
+    """Every label must name one of `source`'s classes (a checkpoint or a manifest spec)."""
+    top = max((inst.label for inst in instances), default=0)
+    if top >= num_classes:
         raise UserInputError(
-            f"label out of range: dataset {data_path} has label {top}, checkpoint "
-            f"{checkpoint_path} has {params.num_classes} classes (labels 0..{params.num_classes - 1})"
+            f"label out of range: dataset {data_path} has label {top}, {source} "
+            f"has {num_classes} classes (labels 0..{num_classes - 1})"
         )
+
+
+def _manifest_classes(data_dir: str):
+    """(label count, manifest path) from the data directory's manifest spec, or None.
+
+    A directory without a manifest, or with one whose spec does not load, has
+    nothing to check labels against.
+    """
+    path = os.path.join(data_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            spec = load_spec(json.load(fh)["spec"])
+    except (OSError, KeyError, TypeError, AttributeError, ValueError):
+        return None
+    return spec.n_labels, path
 
 
 def _comment_csv(fh, config_dict: dict) -> None:
@@ -272,6 +287,11 @@ def cmd_train(args) -> int:
     train_path, test_path = _dataset_paths(args.data)
     train_set = read_jsonl(train_path)
     test_set = read_jsonl(test_path)
+    manifest = _manifest_classes(args.data)
+    if manifest is not None:
+        num_classes, manifest_path = manifest
+        for path, instances in ((train_path, train_set), (test_path, test_set)):
+            _check_labels(num_classes, instances, f"manifest {manifest_path} spec", path)
     os.makedirs(args.out, exist_ok=True)
     params, report = train(train_set, test_set, config)
 
@@ -304,7 +324,7 @@ def cmd_eval(args) -> int:
     if not instances:
         raise UserInputError(f"dataset is empty: {args.data}")
     _check_feature_dim(params, instances, args.checkpoint, args.data)
-    _check_labels(params, instances, args.checkpoint, args.data)
+    _check_labels(params.num_classes, instances, f"checkpoint {args.checkpoint}", args.data)
     ks = _parse_ks(args.ks) if args.ks else config.eval_ks
     result = evaluate(instances, params, config, ks)
     os.makedirs(args.out, exist_ok=True)
@@ -492,7 +512,7 @@ def cmd_export_attention(args) -> int:
         )
     inst = instances[args.instance]
     _check_feature_dim(params, [inst], args.checkpoint, args.data)
-    _check_labels(params, [inst], args.checkpoint, args.data)
+    _check_labels(params.num_classes, [inst], f"checkpoint {args.checkpoint}", args.data)
     if args.top_k < 1:
         raise UserInputError(f"--top-k must be >= 1, got {args.top_k}")
     fwd = forward_task(inst.entities.features, params, config)

@@ -60,9 +60,9 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> None:
 
 def _check_boxes(boxes: np.ndarray) -> None:
     """(..., 4) rows of (x1, y1, x2, y2) must be finite with x1 < x2 and y1 < y2."""
-    if not np.all(np.isfinite(boxes)):
+    if not np.isfinite(boxes).all():
         raise ValidationError("boxes contain non-finite coordinates")
-    if np.any(boxes[..., 0] >= boxes[..., 2]) or np.any(boxes[..., 1] >= boxes[..., 3]):
+    if (boxes[..., 0] >= boxes[..., 2]).any() or (boxes[..., 1] >= boxes[..., 3]).any():
         raise ValidationError("boxes must satisfy x1 < x2 and y1 < y2")
 
 
@@ -117,7 +117,7 @@ def stable_log(x: float, eps: float = DEFAULT_EPS) -> float:
 # the encoding of checkpoint parameters and of v2 dataset lines. It round-trips
 # bit for bit and stays inspectable with standard tools.
 
-_PAYLOAD_DTYPES = {"<f8": np.float64, "<i8": np.int64, "u1": np.uint8}
+_PAYLOAD_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64), "u1": np.dtype(np.uint8)}
 
 
 def _encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
@@ -129,8 +129,8 @@ def _encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
     }
 
 
-def _decode_array(d, name: str, dtype: str = "<f8") -> np.ndarray:
-    """A writable native-order copy of an encoded array whose dtype must be `dtype`.
+def _decode_payload(d, name: str, dtype: str = "<f8") -> tuple[tuple, bytes]:
+    """(shape, raw bytes) of an encoded array whose dtype must be `dtype`.
 
     The payload must be strict base64 and hold exactly the bytes its shape needs.
     """
@@ -145,10 +145,15 @@ def _decode_array(d, name: str, dtype: str = "<f8") -> np.ndarray:
         raw = base64.b64decode(d["data"], validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ValidationError(f"{name}: data is not base64 ({exc})") from exc
-    native = _PAYLOAD_DTYPES[dtype]
-    need = math.prod(shape) * np.dtype(native).itemsize
+    need = math.prod(shape) * _PAYLOAD_DTYPES[dtype].itemsize
     if len(raw) != need:
         raise ValidationError(
             f"{name}: payload holds {len(raw)} bytes, shape {tuple(shape)} needs {need}"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native, copy=True)
+    return tuple(shape), raw
+
+
+def _decode_array(d, name: str, dtype: str = "<f8") -> np.ndarray:
+    """A writable native-order copy of an encoded array; `_decode_payload` checks it."""
+    shape, raw = _decode_payload(d, name, dtype)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_PAYLOAD_DTYPES[dtype], copy=True)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .attention import EntitySet
 from .losses import validate_target
-from .matrices import ValidationError, _decode_array, _encode_array, as_matrix
-from .metrics import GroundTruthRelation
+from .matrices import ValidationError, _decode_array, _decode_payload, _encode_array, as_matrix
+from .metrics import GroundTruthRelation, _candidates
 from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
 
@@ -587,8 +587,12 @@ def _instance_to_dict(inst: Instance) -> dict:
     return d
 
 
-def _instance_from_dict(d: dict) -> Instance:
-    """Decode one parsed line with the v1 or v2 decoder its format/version keys name."""
+def _parse_line(d: dict):
+    """First step of a read: check one parsed line.
+
+    A version 1 line comes back as its Instance; a version 2 line as (n, its
+    packed target, its gt_relations, its other fields), see `_parse_v2`.
+    """
     if not isinstance(d, dict):
         raise ValidationError(f"expected a JSON object, got {type(d).__name__}")
     if "format" not in d and "version" not in d:
@@ -598,37 +602,71 @@ def _instance_from_dict(d: dict) -> Instance:
             f"format {d.get('format')!r} version {d.get('version')!r}, expected "
             f"{DATASET_FORMAT!r} version {DATASET_VERSION}"
         )
-    return _instance_from_v2(d)
+    return _parse_v2(d)
 
 
-def _instance_from_v2(d: dict) -> Instance:
+def _parse_v2(d: dict) -> tuple:
+    """Decode a version 2 line's features and boxes, and make every check that
+    reads no array value; those are left to the constructors.
+
+    Returns (n, the packed target bytes, gt_relations or None when omitted,
+    (features, categories, boxes, label, tokens, tags)).
+    """
     ent = d["entities"]
     features = _decode_array(ent["features"], "features")
     boxes = ent.get("boxes")
-    entities = EntitySet(
-        features=features,
-        categories=_categories(ent.get("categories")),
-        boxes=_decode_array(boxes, "boxes") if boxes is not None else None,
-    )
-    n = entities.n
+    boxes = _decode_array(boxes, "boxes") if boxes is not None else None
+    categories = _categories(ent.get("categories"))
+    if features.ndim != 2 or 0 in features.shape:  # not a matrix: as_matrix names the fault
+        as_matrix(features, "features")
+    n = features.shape[0]
     m = n * (n - 1) // 2
-    packed = _decode_array(d["target"], "target", "u1")
-    if packed.shape != ((m + 7) // 8,):
+    tshape, traw = _decode_payload(d["target"], "target", "u1")
+    if tshape != ((m + 7) // 8,):
         raise ValidationError(
-            f"target: packed payload has shape {packed.shape}, {n} entities need "
-            f"({(m + 7) // 8},)"
+            f"target: packed payload has shape {tshape}, {n} entities need ({(m + 7) // 8},)"
         )
-    bits = np.unpackbits(packed)
-    if bits[m:].any():
+    if m % 8 and traw[-1] & (0xFF >> m % 8):  # the last byte's low bits are padding
         raise ValidationError("target: padding bits after the last pair must be zero")
-    upper = np.zeros((n, n), dtype=np.float64)
-    upper[_strict_upper(n)] = bits[:m]
-    target = upper + upper.T
+    relations = None
     if "gt_relations" in d:
-        relations = _index_pairs(d["gt_relations"], n, "gt_relations").tolist()
-    else:
-        relations = _upper_pairs(target).tolist()
-    return _instance(d, entities, target, relations)
+        relations = _relations(_index_pairs(d["gt_relations"], n, "gt_relations").tolist())
+    return n, traw, relations, (features, categories, boxes, *_plain_fields(d, n))
+
+
+def _unpack_targets(n: int, given: list, packed) -> tuple:
+    """The targets of the version 2 lines with n entities, unpacked at once.
+
+    `given` holds each line's gt_relations (None where omitted) and `packed`
+    their packed targets back to back. Returns the (B, n, n) targets and each
+    line's gt_relations: its own, or where it omitted them the target's pairs
+    (i < j, row-major).
+    """
+    size = len(given)
+    m = n * (n - 1) // 2
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(size, (m + 7) // 8), axis=1, count=m)
+    targets = np.zeros((size, n, n))
+    relations = list(given)
+    omitted = [k for k, r in enumerate(given) if r is None]
+    if not omitted:
+        # documents list their relations, so their many n stay out of the
+        # index cache; filling one matrix at a time keeps no group-sized temporary
+        upper = _strict_upper(n)
+        for t, b in zip(targets, bits):
+            t[upper] = b
+            t += t.T
+        return targets, relations
+    # the cells i < j in row-major order, as packed, through the indices that
+    # top-K caches too; they also give the pairs of the lines that omitted theirs
+    rows, cols = _candidates(n, False)
+    targets[:, rows, cols] = bits
+    targets[:, cols, rows] = bits
+    line, pair = np.nonzero(bits[omitted])
+    ends = np.cumsum(np.bincount(line, minlength=len(omitted))).tolist()
+    pairs = _relations(zip(rows[pair].tolist(), cols[pair].tolist()))
+    for k, start, end in zip(omitted, [0, *ends], ends):
+        relations[k] = pairs[start:end]
+    return targets, relations
 
 
 def _instance_from_v1(d: dict) -> Instance:
@@ -644,7 +682,15 @@ def _instance_from_v1(d: dict) -> Instance:
     i, j = _index_pairs(d["target"], n, "target").T
     target[i, j] = target[j, i] = 1.0
     relations = _index_pairs(d.get("gt_relations", []), n, "gt_relations").tolist()
-    return _instance(d, entities, target, relations)
+    label, tokens, tags = _plain_fields(d, n)
+    return Instance(
+        entities=entities,
+        target=target,
+        label=label,
+        gt_relations=_relations(relations),
+        tokens=tokens,
+        tags=tags,
+    )
 
 
 def _number_rows(raw, field: str) -> np.ndarray:
@@ -689,21 +735,31 @@ def _categories(raw) -> Optional[np.ndarray]:
     raise ValidationError(f"categories: expected a list of ints or null, got entry {bad!r}")
 
 
-def _instance(d: dict, entities: EntitySet, target: np.ndarray, relations: list) -> Instance:
-    """The Instance of a decoded line; label, tokens and tags are plain JSON in both versions."""
+def _plain_fields(d: dict, n: int) -> tuple:
+    """(label, tokens, tags) of a line with n entities: plain JSON in both versions."""
     label = d["label"]
     if type(label) is not int:  # bool is an int subclass; Instance checks label >= 0
         raise ValidationError(f"label: expected an int >= 0, got {label!r}")
-    tokens = d.get("tokens")
-    tags = d.get("tags")
-    return Instance(
-        entities=entities,
-        target=target,
-        label=label,
-        gt_relations=tuple(map(GroundTruthRelation._make, relations)),
-        tokens=tuple(tokens) if tokens is not None else None,
-        tags=tuple(tags) if tags is not None else None,
-    )
+    return label, _strings(d.get("tokens"), n, "tokens"), _strings(d.get("tags"), n, "tags")
+
+
+def _strings(raw, n: int, field: str) -> Optional[tuple]:
+    """tokens or tags of a line: a list of n strings, or null/absent for none."""
+    if raw is None:
+        return None
+    if type(raw) is list and len(raw) == n and set(map(type, raw)) == {str}:
+        return tuple(raw)
+    need = f"{field}: expected a list of {n} strings or null, got"
+    if not isinstance(raw, list):
+        raise ValidationError(f"{need} {type(raw).__name__}")
+    bad = [x for x in raw if type(x) is not str]
+    if bad:
+        raise ValidationError(f"{need} entry {bad[0]!r}")
+    raise ValidationError(f"{need} {len(raw)} entries")
+
+
+def _relations(pairs) -> tuple:
+    return tuple(map(GroundTruthRelation._make, pairs))
 
 
 def write_jsonl(path, instances) -> None:
@@ -713,16 +769,57 @@ def write_jsonl(path, instances) -> None:
 
 
 def read_jsonl(path) -> list:
-    """Parse a dataset file; errors carry the 1-based line number."""
-    out = []
+    """Parse a dataset file; errors carry the 1-based line number.
+
+    One pass in file order makes every check that reads no array value: a
+    version 2 line decodes its features and boxes and appends its packed
+    target to the buffer of its entity count, a version 1 line becomes its
+    Instance at once. The targets of each entity count then unpack at once,
+    and every Instance is built in file order, its target a row of those
+    stacks, so the constructor checks still run. The pass stops at the first
+    bad line, but the lines before it are still built: a constructor fault on
+    an earlier line is raised first.
+    """
+    parsed = []  # file order: (lineno, a v1 Instance or a v2 (n, index among n, fields))
+    groups: dict = {}  # n -> (each v2 line's gt_relations, their packed targets)
+    failure = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(_instance_from_dict(json.loads(line)))
+                item = _parse_line(json.loads(line))
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                failure = lineno, exc
+                break
+            if not isinstance(item, Instance):
+                n, packed, relations, fields = item
+                given, buffer = groups.setdefault(n, ([], bytearray()))
+                buffer += packed
+                item = n, len(given), fields
+                given.append(relations)
+            parsed.append((lineno, item))
+    unpacked = {n: _unpack_targets(n, *group) for n, group in groups.items()}
+    out = []
+    for lineno, item in parsed:
+        if not isinstance(item, Instance):
+            n, i, (features, categories, boxes, label, tokens, tags) = item
+            targets, relations = unpacked[n]
+            try:
+                item = Instance(
+                    entities=EntitySet(features=features, categories=categories, boxes=boxes),
+                    target=targets[i],
+                    label=label,
+                    gt_relations=relations[i],
+                    tokens=tokens,
+                    tags=tags,
+                )
+            except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        out.append(item)
+    if failure is not None:
+        lineno, exc = failure
+        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 from fanet import cli
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from fanet.matrices import ValidationError
-from fanet.synthgen import read_jsonl
+from fanet.synthgen import load_spec, read_jsonl
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
 
@@ -130,6 +131,18 @@ FIELD_DEFECTS = {
         lambda d: d["entities"]["categories"].__setitem__(1, 2**70),
         f"categories: expected a list of ints or null, got entry {2**70}",
     ),
+}
+
+
+# tokens and tags are plain JSON in both versions: a list of n strings or null;
+# each entry maps n to a bad value and the end of the message that names it
+STRING_LIST_DEFECTS = {
+    "string": lambda n: ("x" * n, "got str"),
+    "ints": lambda n: ([1] * n, "got entry 1"),
+    "bools": lambda n: ([True] * n, "got entry True"),
+    "nulls": lambda n: ([None] * n, "got entry None"),
+    "too_long": lambda n: (["w"] * (n + 3), f"got {n + 3} entries"),
+    "too_short": lambda n: (["w"] * (n - 1), f"got {n - 1} entries"),
 }
 
 
@@ -345,6 +358,50 @@ class TestTrain:
             )
         assert code == EXIT_INTERNAL
 
+    @staticmethod
+    def _data_with_label(tmp_path, data_dir, split, label):
+        """A copy of data_dir whose `split` file's second line has `label`."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / f"{split}.jsonl"
+        lines = path.read_text().splitlines()
+        second = json.loads(lines[1])
+        second["label"] = label
+        path.write_text("\n".join([lines[0], json.dumps(second), *lines[2:]]) + "\n")
+        return data, path
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_beyond_manifest_classes_is_user_error(self, tmp_path, data_dir, capsys, split):
+        """A label the manifest's spec has no class for exits 2 before training."""
+        manifest = json.loads(open(os.path.join(data_dir, "manifest.json")).read())
+        n_labels = load_spec(manifest["spec"]).n_labels
+        data, path = self._data_with_label(tmp_path, data_dir, split, n_labels)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN) == EXIT_USER
+        err = capsys.readouterr().err
+        assert f"dataset {path} has label {n_labels}" in err
+        assert f"{data / 'manifest.json'} spec has {n_labels} classes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", ["absent", "spec_does_not_load", "top_label"])
+    def test_classifier_is_sized_from_the_data(self, tmp_path, data_dir, manifest):
+        """Without a loadable manifest there is nothing to check labels against."""
+        n_labels = load_spec(
+            json.loads(open(os.path.join(data_dir, "manifest.json")).read())["spec"]
+        ).n_labels
+        label = n_labels - 1 if manifest == "top_label" else n_labels
+        data, _ = self._data_with_label(tmp_path, data_dir, "train", label)
+        if manifest == "absent":
+            (data / "manifest.json").unlink()
+        elif manifest == "spec_does_not_load":
+            (data / "manifest.json").write_text(json.dumps({"spec": {"kind": "other"}}))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN) == EXIT_OK
+        labels = [inst.label for split in ("train", "test")
+                  for inst in read_jsonl(data / f"{split}.jsonl")]
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        assert checkpoint["num_classes"] == max(labels) + 1
+
     def test_unknown_config_field_in_file(self, tmp_path, data_dir):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"learning_rate": 0.1}))
@@ -497,6 +554,37 @@ class TestEval:
         mutate, message = V1_DEFECTS[case]
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("field", ["tokens", "tags"])
+    @pytest.mark.parametrize("case", sorted(STRING_LIST_DEFECTS))
+    def test_bad_tokens_or_tags_is_user_error(
+        self, tmp_path, data_dir, run_dir, capsys, case, field, version
+    ):
+        path = os.path.join(data_dir, "test.jsonl")
+        inst = read_jsonl(path)[1]
+        if version == 1:
+            second = _v1_line(inst)
+        else:
+            second = json.loads(open(path).read().splitlines()[1])
+        value, got = STRING_LIST_DEFECTS[case](inst.n)
+        second[field] = value
+        message = f"{field}: expected a list of {inst.n} strings or null, {got}"
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tokens_and_tags_may_be_strings_null_or_absent(self, tmp_path, data_dir, version):
+        path = os.path.join(data_dir, "test.jsonl")
+        inst = read_jsonl(path)[1]
+        if version == 1:
+            line = _v1_line(inst)
+        else:
+            line = json.loads(open(path).read().splitlines()[1])
+        words = [f"w{i}" for i in range(inst.n)]
+        p = tmp_path / "words.jsonl"
+        p.write_text(json.dumps({**line, "tokens": words, "tags": None}) + "\n")
+        (back,) = read_jsonl(p)
+        assert back.tokens == tuple(words) and back.tags is None
 
     def test_v1_null_or_absent_boxes_load_as_none(self, tmp_path, data_dir):
         line = _v1_line(read_jsonl(os.path.join(data_dir, "test.jsonl"))[1])

@@ -9,12 +9,14 @@ seed 0 on 20/10 datasets pin the training paths the default recipe leaves
 out: the language recipe (adam, lambda 0.1, batch size 2) on documents; the
 row strategy with column aggregation and the concat head; the mat strategy
 with the l2 loss at batch size 3; and the unsup strategy with the attention
-frozen. A refactor that claims to change no numbers
+frozen. One `ablate` run pins the grid tables: a two-cell lambda grid
+(0.0 and 0.5), 3 epochs at seed 0, run serially on the bundled run's
+20/10 dataset. A refactor that claims to change no numbers
 must leave every hash here unchanged; a change that moves numbers on purpose
-updates the hashes and says so in CHANGES.md. `summary.json` is left out
-because it records absolute paths. The hashes were taken with float64 numpy
-on x86-64; the matmuls go through BLAS, so another BLAS build may round
-differently.
+updates the hashes and says so in CHANGES.md. `summary.json` and the
+ablation's `manifest.json` are left out because they record absolute paths.
+The hashes were taken with float64 numpy on x86-64; the matmuls go through
+BLAS, so another BLAS build may round differently.
 """
 
 import hashlib
@@ -139,3 +141,26 @@ def train_artifacts(tmp_path_factory):
 def test_train_hash(train_artifacts, name):
     digest = hashlib.sha256((train_artifacts / name).read_bytes()).hexdigest()
     assert digest == TRAIN_GOLDEN[name], f"{name} changed"
+
+
+ABLATE_GOLDEN = {
+    "cells.csv": "18f0207e013046258e99fe7daa76763f5729e276c9c108c22193705323544a69",
+    "curves.csv": "4bdafa7872edc4e113aa231cde11f4e2cc2ca6f353104c3bed6b1d7137cd925f",
+}
+
+
+@pytest.fixture(scope="module")
+def ablate_artifacts(artifacts):
+    grid = artifacts / "grid.json"
+    grid.write_text(json.dumps({"lambda": [0.0, 0.5]}))
+    out = artifacts / "ablate"
+    argv = ["ablate", "--grid", str(grid), "--data", str(artifacts / "data"),
+            "--out", str(out), "--epochs", "3", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == EXIT_OK, argv
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ABLATE_GOLDEN))
+def test_ablate_hash(ablate_artifacts, name):
+    digest = hashlib.sha256((ablate_artifacts / name).read_bytes()).hexdigest()
+    assert digest == ABLATE_GOLDEN[name], f"{name} changed"

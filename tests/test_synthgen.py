@@ -28,7 +28,7 @@ from fanet.synthgen import (
     read_jsonl,
     write_jsonl,
 )
-from fanet.synthgen import _affinity_target, _grid_boxes, _upper_pairs
+from fanet.synthgen import _affinity_target, _grid_boxes, _instance_to_dict, _upper_pairs
 
 
 def tiny_world(**overrides):
@@ -454,6 +454,144 @@ class TestFormatV2:
         (back,) = read_jsonl(p)
         assert_same_instances([back], [inst])
         assert back.target.flags.c_contiguous and back.entities.features.flags.writeable
+
+
+# --- grouped read ---------------------------------------------------------------
+#
+# read_jsonl checks every line in one pass, then unpacks the targets of the
+# version 2 lines of each entity count together and builds every Instance in
+# file order, its target a view into those stacks.
+
+
+def _mixed_instances():
+    """Scenes of 4, 5 and 6 entities with and without boxes, documents, and
+    scenes whose gt_relations differ from the target (written explicitly)."""
+    scenes, _ = generate_dataset(tiny_world(), 12, 1, seed=7)
+    assert {inst.n for inst in scenes} == {4, 5, 6}
+    boxless = [
+        Instance(
+            entities=EntitySet(features=inst.entities.features, categories=inst.entities.categories),
+            target=inst.target,
+            label=inst.label,
+            gt_relations=inst.gt_relations,
+        )
+        for inst in scenes[:4]
+    ]
+    explicit = [
+        Instance(
+            entities=inst.entities,
+            target=inst.target,
+            label=inst.label,
+            gt_relations=(GroundTruthRelation(0, inst.n - 1),),
+        )
+        for inst in scenes[4:7]
+    ]
+    docs, _ = generate_dataset(default_document_spec(), 4, 1, seed=7)
+    return [x for group in itertools.zip_longest(scenes, boxless, explicit, docs) for x in group if x]
+
+
+def _array_bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes(), a.flags.writeable)
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("features", "boxes", "categories"):
+            x, y = getattr(a.entities, field), getattr(b.entities, field)
+            assert _array_bits(x) == _array_bits(y), field
+        assert _array_bits(a.target) == _array_bits(b.target)
+        assert (a.label, a.labeled, a.tokens, a.tags) == (b.label, b.labeled, b.tokens, b.tags)
+        assert type(a.gt_relations) is tuple and a.gt_relations == b.gt_relations
+        assert all(
+            type(r) is GroundTruthRelation and tuple(map(type, r)) == (int, int)
+            for r in a.gt_relations
+        )
+
+
+def _same_shape_lines(tmp_path, count=6):
+    """`count` version 2 lines of 6-entity scenes: one group of targets."""
+    tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), count, 1, seed=3)
+    p = tmp_path / "bad.jsonl"
+    write_jsonl(p, tr)
+    return tr, [json.loads(line) for line in p.read_text().splitlines()]
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+
+
+def _nan_feature(d):
+    entry = d["entities"]["features"]
+    values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
+    values[3] = np.nan
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
+CONSTRUCTOR_FAULTS = {
+    "nan_feature": (_nan_feature, "features contains non-finite entries"),
+    "label_negative": (lambda d: d.update(label=-1), "label must be >= 0, got -1"),
+}
+
+
+class TestGroupedRead:
+    def test_mixed_file_reads_bit_identically(self, tmp_path):
+        instances = _mixed_instances()
+        lines = [
+            json.dumps(_instance_to_dict_v1(inst) if k % 3 == 1 else _instance_to_dict(inst))
+            for k, inst in enumerate(instances)
+        ]
+        assert any('"gt_relations"' in line and '"version"' in line for line in lines)
+        assert any('"gt_relations"' not in line for line in lines)
+        p = tmp_path / "mixed.jsonl"
+        p.write_text("\n".join(line + ("\n  " if k % 4 == 0 else "") for k, line in enumerate(lines)) + "\n\n")
+        assert_bit_identical(read_jsonl(p), instances)
+
+    @pytest.mark.parametrize("fault", sorted(CONSTRUCTOR_FAULTS))
+    @pytest.mark.parametrize("swapped", [False, True], ids=["base64_later", "base64_first"])
+    def test_first_bad_line_is_named(self, tmp_path, fault, swapped):
+        """A constructor fault on line 2 and bad base64 on line 5, either way round."""
+        _, lines = _same_shape_lines(tmp_path)
+        mutate, constructor_message = CONSTRUCTOR_FAULTS[fault]
+        base64_message = "target: data is not base64"
+        at_constructor, at_base64 = (4, 1) if swapped else (1, 4)
+        mutate(lines[at_constructor])
+        lines[at_base64]["target"]["data"] = "????"
+        p = tmp_path / "bad.jsonl"
+        _write_lines(p, lines)
+        message = base64_message if swapped else constructor_message
+        with pytest.raises(ValidationError, match=re.escape(f"bad.jsonl:2: {message}")):
+            read_jsonl(p)
+
+    @pytest.mark.parametrize("fault", sorted(CONSTRUCTOR_FAULTS))
+    def test_constructor_fault_alone_in_a_group(self, tmp_path, fault):
+        _, lines = _same_shape_lines(tmp_path)
+        mutate, message = CONSTRUCTOR_FAULTS[fault]
+        mutate(lines[3])
+        p = tmp_path / "bad.jsonl"
+        _write_lines(p, lines)
+        with pytest.raises(ValidationError, match=re.escape(f"bad.jsonl:4: {message}")):
+            read_jsonl(p)
+
+    def test_padding_bit_names_its_own_line(self, tmp_path):
+        _, lines = _same_shape_lines(tmp_path)
+        entry = lines[2]["target"]  # 6 entities: 15 pairs, the last byte's lowest bit is padding
+        raw = bytearray(base64.b64decode(entry["data"]))
+        raw[-1] |= 1
+        entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        p = tmp_path / "bad.jsonl"
+        _write_lines(p, lines)
+        with pytest.raises(ValidationError, match=re.escape("bad.jsonl:3: target: padding bits")):
+            read_jsonl(p)
+
+    def test_instances_of_a_group_do_not_share_cells(self, tmp_path):
+        want, _ = _same_shape_lines(tmp_path)
+        got = read_jsonl(tmp_path / "bad.jsonl")
+        got[0].entities.features[:] = 99.0
+        got[0].target[0, 1] = 7.0
+        got[0].entities.boxes[0, 0] = -5.0
+        assert not np.array_equal(got[0].entities.features, want[0].entities.features)
+        assert_bit_identical(got[1:], want[1:])
 
 
 def _one_line_file(tmp_path, field, value):
