@@ -11,10 +11,17 @@ row strategy with column aggregation and the concat head; the mat strategy
 with the l2 loss at batch size 3; and the unsup strategy with the attention
 frozen. One `ablate` run pins the grid tables: a two-cell lambda grid
 (0.0 and 0.5), 3 epochs at seed 0, run serially on the bundled run's
-20/10 dataset. A refactor that claims to change no numbers
+20/10 dataset. One `eval` pins the 300-entity path (top-K over 44,850
+candidate pairs, IoU matching of 300 boxes): a 2-epoch `train` on the
+1/2-scene 300-entity dataset above, then `eval` of its test split at
+K = 1, 10, 25000, 30000 and 40000 (this model ranks the gt relations low,
+so recall first leaves 0 near K = 20000 of the 44,850 pairs). It runs from
+the artifact directory on relative paths, so its `summary.json` is pinned
+too. A refactor that claims to change no numbers
 must leave every hash here unchanged; a change that moves numbers on purpose
-updates the hashes and says so in CHANGES.md. `summary.json` and the
-ablation's `manifest.json` are left out because they record absolute paths.
+updates the hashes and says so in CHANGES.md. The bundled run's
+`summary.json` and the ablation's `manifest.json` are left out because they
+record absolute paths.
 The hashes were taken with float64 numpy on x86-64; the matmuls go through
 BLAS, so another BLAS build may round differently.
 """
@@ -91,6 +98,33 @@ def gen_artifacts(tmp_path_factory):
 def test_gen_hash(gen_artifacts, name):
     digest = hashlib.sha256((gen_artifacts / name).read_bytes()).hexdigest()
     assert digest == GEN_GOLDEN[name], f"{name} changed"
+
+
+EVAL300_GOLDEN = {
+    "eval300/metrics.csv": "4bf663f0f4d04cf402b2eb9e747297b5a43691c5a4f5b3eb88d76f4205145156",
+    "eval300/summary.csv": "2472e007a00f6622d28a3a49c1aad0c2828033a730f07453c3e2ee783d6fd231",
+    "eval300/summary.json": "60fd3572c9b2623124b0c6055edf9163e0bf91fe55208a2851c988df2246611c",
+}
+
+
+@pytest.fixture(scope="module")
+def eval300_artifacts(gen_artifacts):
+    steps = [
+        ["train", "--data", "vision300", "--out", "run300", "--epochs", "2", "--seed", "0"],
+        ["eval", "--checkpoint", "run300/checkpoint.json", "--data", "vision300/test.jsonl",
+         "--ks", "1,10,25000,30000,40000", "--out", "eval300"],
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(gen_artifacts)
+        for argv in steps:
+            assert main(argv) == EXIT_OK, argv
+    return gen_artifacts
+
+
+@pytest.mark.parametrize("name", sorted(EVAL300_GOLDEN))
+def test_eval300_hash(eval300_artifacts, name):
+    digest = hashlib.sha256((eval300_artifacts / name).read_bytes()).hexdigest()
+    assert digest == EVAL300_GOLDEN[name], f"{name} changed"
 
 
 TRAIN_RECIPES = {
