@@ -49,7 +49,6 @@ from .matrices import (
 )
 from .metrics import (
     CenterMassSummary,
-    GroundTruthRelation,
     center_mass_report,
     relation_recall,
     top_k_pairs,
@@ -125,7 +124,6 @@ __all__ = [
     "build_vision_target",
     "build_language_target",
     # metrics
-    "GroundTruthRelation",
     "CenterMassSummary",
     "top_k_pairs",
     "relation_recall",

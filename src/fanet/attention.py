@@ -171,7 +171,8 @@ def forward(
         )
     keys = features @ params.w_k.T        # (..., n, d_k), row m = w_k @ f_m
     queries = features @ params.w_q.T     # (..., n, d_k), row n = w_q @ f_n
-    logits = keys @ np.swapaxes(queries, -1, -2) / math.sqrt(params.d_k)
+    logits = keys @ np.swapaxes(queries, -1, -2)
+    logits /= math.sqrt(params.d_k)
     check_finite(logits, "logits")
     return AttentionState(
         logits=logits,

@@ -66,6 +66,14 @@ def _check_boxes(boxes: np.ndarray) -> None:
         raise ValidationError("boxes must satisfy x1 < x2 and y1 < y2")
 
 
+def _json_number(value, field: str, integer: bool = False):
+    """A number read from JSON: a non-bool int, or with integer=False any real."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        want = "an integer" if integer else "a real number"
+        raise ValidationError(f"{field}: expected {want}, got {value!r}")
+    return value
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands") -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{what} shapes differ: {a.shape} vs {b.shape}")
@@ -80,8 +88,10 @@ def _softmax(w: np.ndarray, axis) -> np.ndarray:
     subtracting the maximum along the axis, so arbitrarily large finite
     logits do not overflow.
     """
-    e = np.exp(w - np.maximum.reduce(w, axis=axis, keepdims=True))
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+    e = w - np.maximum.reduce(w, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax_rows(m) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .matrices import ShapeError, ValidationError, as_matrix, check_finite
 from .supervision import NO_MATCH, entity_gt_matching
 
 __all__ = [
-    "GroundTruthRelation",
     "CenterMassSummary",
     "top_k_pairs",
     "relation_recall",
@@ -38,16 +37,6 @@ __all__ = [
 METRICS_CSV_COLUMNS = ("instance_id", "k", "recall", "center_mass")
 
 RECALL_IOU = 0.5  # default best-match IoU threshold for recall
-
-
-class GroundTruthRelation(NamedTuple):
-    """An annotated relation between two gt objects; matched as an unordered pair."""
-
-    subject: int
-    object: int
-
-    def unordered(self) -> frozenset[int]:
-        return frozenset((self.subject, self.object))
 
 
 @functools.lru_cache(maxsize=16)
@@ -90,28 +79,26 @@ def top_k_pairs(
     n_batch = stack.shape[0]
 
     iu, ju = _candidates(w.shape[-1], ordered_pairs)
-    weights = stack[:, iu, ju]  # (B, candidates)
     if ordered_pairs:
-        rows = np.broadcast_to(iu, weights.shape)
-        cols = np.broadcast_to(ju, weights.shape)
+        weights = stack[:, iu, ju]  # (B, candidates)
     else:
-        # keep the stronger orientation; exact tie keeps (i, j), the
-        # lexicographically smaller one
-        flipped = stack[:, ju, iu]
-        flip = flipped > weights
-        rows = np.where(flip, ju, iu)
-        cols = np.where(flip, iu, ju)
-        weights = np.maximum(weights, flipped)
+        # each cell (i < j) weighs as its stronger orientation; which one
+        # that is is worked out below, only for the candidates that survive
+        weights = np.maximum(stack, stack.swapaxes(1, 2))[:, iu, ju]
     size = weights.shape[1]
     k_out = min(k, size)
-    batch = np.repeat(np.arange(n_batch), size)
-    rows, cols, flat = rows.ravel(), cols.ravel(), weights.ravel()
     if k < size:
         # every candidate tied with its matrix's k-th largest weight survives
         # the cut, so the (row, col) tie-break below sees all of them
         kth = np.partition(weights, size - k, axis=1)[:, size - k]
-        keep = (weights >= kth[:, None]).ravel()
-        batch, rows, cols, flat = batch[keep], rows[keep], cols[keep], flat[keep]
+        batch, cand = np.nonzero(weights >= kth[:, None])
+    else:
+        batch, cand = np.indices(weights.shape).reshape(2, -1)
+    rows, cols, flat = iu[cand], ju[cand], weights[batch, cand]
+    if not ordered_pairs:
+        # exact tie keeps (i, j), the lexicographically smaller one
+        flip = stack[batch, cols, rows] > stack[batch, rows, cols]
+        rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
     order = np.lexsort((cols, rows, -flat, batch))
     # each matrix keeps at least k' candidates: take the first k' of each
     starts = np.searchsorted(batch[order], np.arange(n_batch))
@@ -124,7 +111,7 @@ def top_k_pairs(
 def _recall_at_ks(
     pairs: np.ndarray,
     matches: np.ndarray,
-    gt_relations: Sequence[GroundTruthRelation],
+    gt_relations: Sequence[tuple[int, int]],
     ks: Sequence[int],
 ) -> dict:
     """{k: recall of the first k pairs} for every k, in one walk over the pairs.
@@ -168,7 +155,7 @@ def relation_recall(
     pairs,
     entities: EntitySet,
     gt_boxes,
-    gt_relations: Sequence[GroundTruthRelation],
+    gt_relations: Sequence[tuple[int, int]],
     k: int,
     iou_threshold: float = RECALL_IOU,
 ) -> float:

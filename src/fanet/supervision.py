@@ -113,18 +113,27 @@ def _iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     Works on the trailing axes, so (B, n, 4) boxes against (B, g, 4) or
     (g, 4) gt boxes give one (B, n, g) stack. Same operation order as a
     scalar IoU: intersection from min/max corners, 0 when either side is
-    <= 0, otherwise inter / (area_a + area_b - inter).
+    <= 0, otherwise inter / (area_a + area_b - inter). The areas are
+    computed once per box, and the pairwise arithmetic runs in place in three
+    (..., n, g) buffers.
     """
+    area_a = (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
+    area_b = (gt_boxes[..., 2] - gt_boxes[..., 0]) * (gt_boxes[..., 3] - gt_boxes[..., 1])
     a = boxes[..., :, None, :]
     b = gt_boxes[..., None, :, :]
-    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    overlap = (iw > 0.0) & (ih > 0.0)
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+    out = np.maximum(a[..., 0], b[..., 0])
+    iw = np.minimum(a[..., 2], b[..., 2])
+    iw -= out
+    np.maximum(a[..., 1], b[..., 1], out=out)
+    ih = np.minimum(a[..., 3], b[..., 3])
+    ih -= out
+    overlap = iw > 0.0
+    overlap &= ih > 0.0
+    inter = np.multiply(iw, ih, out=iw)
+    union = np.add(area_a[..., :, None], area_b[..., None, :], out=ih)
+    union -= inter
+    out.fill(0.0)
+    return np.divide(inter, union, out=out, where=overlap)
 
 
 def iou(a, b) -> float:
@@ -175,7 +184,7 @@ def entity_gt_matching(boxes, gt_boxes, iou_threshold: float) -> np.ndarray:
         return np.full(ents.shape[:-1], NO_MATCH, dtype=np.int64)
     ious = _iou_matrix(ents, gt)
     best = np.argmax(ious, axis=-1)  # first maximum: lowest gt index wins ties
-    hit = ious.max(axis=-1) > iou_threshold
+    hit = np.take_along_axis(ious, best[..., None], -1)[..., 0] > iou_threshold
     return np.where(hit, best, NO_MATCH).astype(np.int64)
 
 

@@ -32,8 +32,9 @@ import numpy as np
 
 from .attention import EntitySet
 from .losses import validate_target
-from .matrices import ValidationError, _decode_array, _decode_payload, _encode_array, as_matrix
-from .metrics import GroundTruthRelation, _candidates
+from .matrices import ValidationError, _decode_array, _decode_payload, _encode_array
+from .matrices import _json_number, as_matrix
+from .metrics import _candidates
 from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
 
@@ -210,9 +211,9 @@ class WorldSpec:
             prototypes=prototypes,
             affine_pairs=d["affine_pairs"],
             signature_pairs=d["signature_pairs"],
-            noise_sigma=float(d.get("noise_sigma", 0.25)),
-            entities_min=int(d.get("entities_min", 6)),
-            entities_max=int(d.get("entities_max", 8)),
+            noise_sigma=float(_json_number(d.get("noise_sigma", 0.25), "noise_sigma")),
+            entities_min=_json_number(d.get("entities_min", 6), "entities_min", True),
+            entities_max=_json_number(d.get("entities_max", 8), "entities_max", True),
         )
 
 
@@ -237,8 +238,14 @@ class DocumentSpec:
     def __post_init__(self):
         emb = as_matrix(self.embeddings, name="embeddings")
         object.__setattr__(self, "embeddings", emb)
-        object.__setattr__(self, "tokens", tuple(str(t) for t in self.tokens))
-        object.__setattr__(self, "tags", tuple(str(t) for t in self.tags))
+        for name in ("tokens", "tags"):
+            raw = getattr(self, name)
+            bad = repr(raw)
+            if isinstance(raw, (list, tuple)):
+                bad = next((f"entry {t!r}" for t in raw if type(t) is not str), None)
+            if bad:
+                raise ValidationError(f"{name}: expected a list of strings, got {bad}")
+            object.__setattr__(self, name, tuple(raw))
         n = len(self.tokens)
         if len(set(self.tokens)) != n:
             raise ValidationError("tokens: duplicate token strings")
@@ -332,14 +339,14 @@ class DocumentSpec:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"embeddings: not a numeric matrix ({exc})") from exc
         return cls(
-            tokens=tuple(d["tokens"]),
-            tags=tuple(d["tags"]),
+            tokens=d["tokens"],
+            tags=d["tags"],
             embeddings=embeddings,
             table=table,
             keyword_pairs=d["keyword_pairs"],
-            noise_sigma=float(d.get("noise_sigma", 0.1)),
-            tokens_min=int(d.get("tokens_min", 6)),
-            tokens_max=int(d.get("tokens_max", 9)),
+            noise_sigma=float(_json_number(d.get("noise_sigma", 0.1), "noise_sigma")),
+            tokens_min=_json_number(d.get("tokens_min", 6), "tokens_min", True),
+            tokens_max=_json_number(d.get("tokens_max", 9), "tokens_max", True),
         )
 
 
@@ -347,10 +354,11 @@ class DocumentSpec:
 class Instance:
     """One supervised example: entities, relation target, class label.
 
-    Vision-style instances carry boxes and ground-truth relations; document
-    instances carry tokens and tags instead. `target` is the binary supervision
-    matrix, checked here once by `validate_target` (square, entries 0 or 1,
-    zero diagonal); `labeled` records whether it labels any pair.
+    Vision-style instances carry boxes and ground-truth relations, a tuple
+    of (int, int) entity-index pairs; document instances carry tokens and
+    tags instead. `target` is the binary supervision matrix, checked here
+    once by `validate_target` (square, entries 0 or 1, zero diagonal);
+    `labeled` records whether it labels any pair.
     """
 
     entities: EntitySet
@@ -417,7 +425,7 @@ def generate_instance(spec: WorldSpec, seed: int) -> Instance:
     noise = rng.standard_normal((n, spec.embed_dim))
     features = spec.prototypes[categories] + spec.noise_sigma * noise
     target = _affinity_target(categories, spec.affine_pairs, spec.n_categories)
-    relations = tuple(map(GroundTruthRelation._make, _upper_pairs(target).tolist()))
+    relations = tuple(map(tuple, _upper_pairs(target).tolist()))
     entities = EntitySet(features=features, categories=categories, boxes=_grid_boxes(n))
     derived = spec.scene_label(categories)
     if derived != label:  # guards the spec invariants, not user input
@@ -630,7 +638,8 @@ def _parse_v2(d: dict) -> tuple:
         raise ValidationError("target: padding bits after the last pair must be zero")
     relations = None
     if "gt_relations" in d:
-        relations = _relations(_index_pairs(d["gt_relations"], n, "gt_relations").tolist())
+        relations = _index_pairs(d["gt_relations"], n, "gt_relations").tolist()
+        relations = tuple(map(tuple, relations))
     return n, traw, relations, (features, categories, boxes, *_plain_fields(d, n))
 
 
@@ -663,7 +672,7 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
     targets[:, cols, rows] = bits
     line, pair = np.nonzero(bits[omitted])
     ends = np.cumsum(np.bincount(line, minlength=len(omitted))).tolist()
-    pairs = _relations(zip(rows[pair].tolist(), cols[pair].tolist()))
+    pairs = tuple(zip(rows[pair].tolist(), cols[pair].tolist()))
     for k, start, end in zip(omitted, [0, *ends], ends):
         relations[k] = pairs[start:end]
     return targets, relations
@@ -682,12 +691,13 @@ def _instance_from_v1(d: dict) -> Instance:
     i, j = _index_pairs(d["target"], n, "target").T
     target[i, j] = target[j, i] = 1.0
     relations = _index_pairs(d.get("gt_relations", []), n, "gt_relations").tolist()
+    relations = tuple(map(tuple, relations))
     label, tokens, tags = _plain_fields(d, n)
     return Instance(
         entities=entities,
         target=target,
         label=label,
-        gt_relations=_relations(relations),
+        gt_relations=relations,
         tokens=tokens,
         tags=tags,
     )
@@ -756,10 +766,6 @@ def _strings(raw, n: int, field: str) -> Optional[tuple]:
     if bad:
         raise ValidationError(f"{need} entry {bad[0]!r}")
     raise ValidationError(f"{need} {len(raw)} entries")
-
-
-def _relations(pairs) -> tuple:
-    return tuple(map(GroundTruthRelation._make, pairs))
 
 
 def write_jsonl(path, instances) -> None:

@@ -51,6 +51,7 @@ from .matrices import (
     ValidationError,
     _decode_array,
     _encode_array,
+    _json_number,
     _softmax,
     check_finite,
 )
@@ -186,12 +187,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}  # annotations, as strings
         kwargs = {}
         for key, value in d.items():
             name = "lam" if key == "lambda" else key
-            if name not in known:
+            if name not in types:
                 raise ValidationError(f"{key}: unknown training config field")
+            if types[name] in ("int", "float"):
+                _json_number(value, key, types[name] == "int")
             kwargs[name] = tuple(value) if name == "eval_ks" else value
         return cls(**kwargs)
 

@@ -233,13 +233,12 @@ class TestRecallAgainstBruteForce:
             focus = softmax_matrix(rng.normal(size=(inst.n, inst.n)))
             boxes = inst.entities.boxes
             gt_boxes = boxes  # each entity doubles as its own gt object
-            relations = [(r.subject, r.object) for r in inst.gt_relations]
             for k in (1, 3, 5, 10):
                 got = relation_recall(
                     top_k_pairs(focus, k)[0], inst.entities, gt_boxes,
                     inst.gt_relations, k,
                 )
-                want = oracle_recall(focus, boxes, gt_boxes, relations, k)
+                want = oracle_recall(focus, boxes, gt_boxes, inst.gt_relations, k)
                 assert got == want, f"instance {idx}, k={k}: {got} != {want}"
 
 

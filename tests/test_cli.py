@@ -15,7 +15,7 @@ import pytest
 from fanet import cli
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from fanet.matrices import ValidationError
-from fanet.synthgen import load_spec, read_jsonl
+from fanet.synthgen import default_document_spec, default_world_spec, load_spec, read_jsonl
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
 
@@ -295,6 +295,25 @@ class TestGen:
         code = main(["gen", "--out", str(tmp_path / "x"), "--n-train", "0"])
         assert code == EXIT_USER
 
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [("vision", "entities_min", 6.7), ("vision", "noise_sigma", True),
+         ("vision", "entities_max", "8"), ("document", "tokens_min", 6.0),
+         ("document", "noise_sigma", "0.1"), ("document", "tokens", "ints"),
+         ("document", "tags", "ints")],
+    )
+    def test_mistyped_spec_field_is_user_error(self, tmp_path, capsys, kind, key, value):
+        spec = default_document_spec() if kind == "document" else default_world_spec()
+        d = spec.to_dict()
+        d[key] = list(range(len(d[key]))) if value == "ints" else value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        code = main(["gen", "--spec", str(spec_path), "--out", str(out), "--seed", "0"])
+        assert code == EXIT_USER
+        assert f"{key}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file(self, tmp_path):
         code = main(
             ["gen", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "y")]
@@ -410,6 +429,26 @@ class TestTrain:
              "--config", str(cfg_path)]
         )
         assert code == EXIT_USER
+
+
+    @pytest.mark.parametrize(
+        "key,value,want",
+        [("epochs", 2.5, "an integer"), ("seed", 1.5, "an integer"),
+         ("batch_size", True, "an integer"), ("epochs", True, "an integer"),
+         ("lr", "0.1", "a real number")],
+    )
+    def test_mistyped_config_number_is_user_error(
+        self, tmp_path, data_dir, capsys, key, value, want
+    ):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code = main(
+            ["train", "--data", data_dir, "--out", str(tmp_path / "o"),
+             "--config", str(cfg_path)]
+        )
+        assert code == EXIT_USER
+        assert f"{key}: expected {want}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSeedPrecedence:

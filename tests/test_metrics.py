@@ -12,7 +12,6 @@ from fanet.attention import EntitySet, forward, init_params
 from fanet.matrices import ValidationError, softmax_matrix
 from fanet.metrics import (
     CenterMassSummary,
-    GroundTruthRelation,
     _recall_at_ks,
     center_mass_report,
     relation_recall,
@@ -188,7 +187,7 @@ def brute_force_recall(w, boxes, gt_boxes, gt_relations, k, iou_threshold=0.5):
     scored.sort(key=lambda t: -t[0])
 
     matches = ref_matching(boxes.tolist(), np.asarray(gt_boxes).tolist(), iou_threshold)
-    wanted = {frozenset((r.subject, r.object)) for r in gt_relations}
+    wanted = {frozenset(r) for r in gt_relations}
     if not wanted:
         return 1.0
     hit = set()
@@ -209,10 +208,7 @@ class TestRelationRecall:
             rng.integers(0, 3)
         all_pairs = list(itertools.combinations(range(n), 2))
         rng.shuffle(all_pairs)
-        gt_relations = [
-            GroundTruthRelation(subject=a, object=b)
-            for a, b in all_pairs[: rng.integers(1, len(all_pairs) + 1)]
-        ]
+        gt_relations = all_pairs[: rng.integers(1, len(all_pairs) + 1)]
         w = softmax_matrix(rng.normal(size=(n, n)))
         return w, boxes, gt_boxes, gt_relations
 
@@ -237,7 +233,7 @@ class TestRelationRecall:
         """Proposals aligned with every gt relation give recall exactly 1."""
         _, boxes, gt_boxes, _ = self.make_scene(4, 5)
         ents = EntitySet(features=np.zeros((5, 2)), boxes=boxes)
-        gt_relations = [GroundTruthRelation(0, 1), GroundTruthRelation(2, 3)]
+        gt_relations = [(0, 1), (2, 3)]
         proposals = np.array([[0, 1], [3, 2]])
         assert relation_recall(proposals, ents, gt_boxes, gt_relations, 2) == 1.0
         assert relation_recall(proposals, ents, gt_boxes, gt_relations, 1) == 0.5
@@ -246,9 +242,9 @@ class TestRelationRecall:
         _, boxes, gt_boxes, _ = self.make_scene(5, 4)
         ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
         gt_relations = [
-            GroundTruthRelation(0, 1),
-            GroundTruthRelation(1, 0),  # same unordered relation
-            GroundTruthRelation(2, 3),
+            (0, 1),
+            (1, 0),  # same unordered relation
+            (2, 3),
         ]
         proposals = np.array([[0, 1]])
         got = relation_recall(proposals, ents, gt_boxes, gt_relations, 1)
@@ -262,7 +258,7 @@ class TestRelationRecall:
             boxes=np.array([[0, 0, 1, 1], [90, 90, 91, 91]], dtype=float),
         )
         proposals = np.array([[0, 1]])
-        got = relation_recall(proposals, ents, gt_boxes, [GroundTruthRelation(0, 1)], 1)
+        got = relation_recall(proposals, ents, gt_boxes, [(0, 1)], 1)
         assert got == 0.0
 
 
@@ -313,29 +309,11 @@ class TestRelationRecall:
         matches[seed % 7] = -1  # one unmatched entity
         pairs, _ = top_k_pairs(w, 21)
         # reversed orientation and a duplicate: both collapse to one relation
-        plain = [(r.object, r.subject) for r in gt_relations] + [gt_relations[0]]
+        plain = [(b, a) for a, b in gt_relations] + [gt_relations[0]]
         ks = (1, 3, 10, 21)
         want = _recall_at_ks(pairs, matches, gt_relations, ks)
         assert _recall_at_ks(pairs, matches, plain, ks) == want
         assert _recall_at_ks(pairs, matches, [list(p) for p in plain], ks) == want
-
-
-class TestGroundTruthRelation:
-    def test_fields_and_keyword_construction(self):
-        rel = GroundTruthRelation(subject=3, object=1)
-        assert (rel.subject, rel.object) == (3, 1)
-        assert rel == GroundTruthRelation(3, 1)
-        assert rel.unordered() == frozenset((1, 3)) == GroundTruthRelation(1, 3).unordered()
-
-    def test_immutable_and_hashable(self):
-        rel = GroundTruthRelation(subject=0, object=2)
-        with pytest.raises(AttributeError):
-            rel.subject = 5
-        assert len({rel, GroundTruthRelation(0, 2), GroundTruthRelation(2, 0)}) == 2
-
-    def test_unpacks_as_a_pair(self):
-        a, b = GroundTruthRelation(subject=4, object=7)
-        assert (a, b) == (4, 7)
 
 
 def test_300_entity_scene_matches_reference():

@@ -11,7 +11,6 @@ import pytest
 
 from fanet.attention import EntitySet
 from fanet.matrices import ValidationError
-from fanet.metrics import GroundTruthRelation
 from fanet.seeding import instance_seed, stream_rng
 from fanet.supervision import entity_gt_matching, iou
 from fanet.synthgen import (
@@ -164,7 +163,7 @@ class TestGenerateInstance:
             for i, j in itertools.combinations(range(inst.n), 2)
             if inst.target[i, j] == 1.0
         }
-        assert {(r.subject, r.object) for r in inst.gt_relations} == from_target
+        assert set(inst.gt_relations) == from_target
 
     def test_entity_count_in_range(self):
         spec = tiny_world()
@@ -345,7 +344,7 @@ def assert_same_instances(got, want):
         assert [tuple(map(type, r)) for r in a.gt_relations] == [
             (int, int) for _ in b.gt_relations
         ]
-        assert all(type(r) is GroundTruthRelation for r in a.gt_relations + b.gt_relations)
+        assert all(type(r) is tuple for r in a.gt_relations + b.gt_relations)
         assert a.tokens == b.tokens and a.tags == b.tags
 
 
@@ -431,7 +430,7 @@ class TestFormatV2:
         target[0, 1] = target[1, 0] = target[2, 3] = target[3, 2] = 1.0
         inst = Instance(
             entities=EntitySet(features=np.eye(4)), target=target, label=1,
-            gt_relations=tuple(GroundTruthRelation._make(r) for r in relations),
+            gt_relations=relations,
         )
         p1, p2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
         write_jsonl_v1(p1, [inst])
@@ -482,7 +481,7 @@ def _mixed_instances():
             entities=inst.entities,
             target=inst.target,
             label=inst.label,
-            gt_relations=(GroundTruthRelation(0, inst.n - 1),),
+            gt_relations=((0, inst.n - 1),),
         )
         for inst in scenes[4:7]
     ]
@@ -504,7 +503,7 @@ def assert_bit_identical(got, want):
         assert (a.label, a.labeled, a.tokens, a.tags) == (b.label, b.labeled, b.tokens, b.tags)
         assert type(a.gt_relations) is tuple and a.gt_relations == b.gt_relations
         assert all(
-            type(r) is GroundTruthRelation and tuple(map(type, r)) == (int, int)
+            type(r) is tuple and tuple(map(type, r)) == (int, int)
             for r in a.gt_relations
         )
 
@@ -639,7 +638,9 @@ class TestPairValidation:
         p = _one_line_file(tmp_path, "gt_relations", [[5, 0], [1, 2], [2, 1]])
         (inst,) = read_jsonl(p)
         assert inst.gt_relations == ((5, 0), (1, 2), (2, 1))
-        assert all(type(r) is GroundTruthRelation for r in inst.gt_relations)
+        assert all(
+            type(r) is tuple and tuple(map(type, r)) == (int, int) for r in inst.gt_relations
+        )
 
     def test_empty_pair_lists(self, tmp_path):
         p = _one_line_file(tmp_path, "target", [])
@@ -736,6 +737,48 @@ class TestSpecSerialization:
         assert isinstance(w, WorldSpec)
         d = load_spec(default_document_spec().to_dict())
         assert isinstance(d, DocumentSpec)
+
+    @pytest.mark.parametrize(
+        "key,value,want",
+        [("entities_min", 6.7, "an integer"), ("entities_max", True, "an integer"),
+         ("entities_min", "6", "an integer"), ("noise_sigma", True, "a real number"),
+         ("noise_sigma", "0.25", "a real number"), ("noise_sigma", None, "a real number")],
+    )
+    def test_world_spec_rejects_mistyped_number(self, key, value, want):
+        d = default_world_spec().to_dict()
+        d[key] = value
+        with pytest.raises(ValidationError, match=rf"^{key}: expected {want}, got "):
+            load_spec(d)
+
+    @pytest.mark.parametrize(
+        "key,value,want",
+        [("tokens_min", 6.0, "an integer"), ("tokens_max", False, "an integer"),
+         ("noise_sigma", True, "a real number"), ("noise_sigma", [0.1], "a real number")],
+    )
+    def test_document_spec_rejects_mistyped_number(self, key, value, want):
+        d = default_document_spec().to_dict()
+        d[key] = value
+        with pytest.raises(ValidationError, match=rf"^{key}: expected {want}, got "):
+            load_spec(d)
+
+    @pytest.mark.parametrize("key", ["tokens", "tags"])
+    @pytest.mark.parametrize(
+        "change,got",
+        [(lambda v: list(range(len(v))), "entry 0"), (lambda v: v[:-1] + [1.5], "entry 1.5"),
+         (lambda v: v[:-1] + [None], "entry None"), (lambda v: "".join(v), "'"),
+         (lambda v: 7, "7")],
+        ids=["ints", "float", "null", "string", "number"],
+    )
+    def test_document_spec_rejects_non_string_tokens_and_tags(self, key, change, got):
+        d = default_document_spec().to_dict()
+        d[key] = change(d[key])
+        named = re.escape(f"{key}: expected a list of strings, got {got}")
+        with pytest.raises(ValidationError, match=named):
+            load_spec(d)
+
+    def test_well_typed_specs_load_unchanged(self):
+        for spec in (default_world_spec(), default_document_spec()):
+            assert load_spec(json.loads(json.dumps(spec.to_dict()))).to_dict() == spec.to_dict()
 
     def test_load_spec_rejects_unknown_kind(self):
         with pytest.raises(ValidationError):

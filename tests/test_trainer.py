@@ -83,6 +83,24 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="learning_rate"):
             TrainConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("epochs", 2.5), ("seed", 1.5), ("batch_size", True), ("epochs", True),
+         ("lr", "0.1"), ("lambda", False), ("momentum", None), ("d_k", "4"),
+         ("focal_r", 2.0), ("eps", [1e-12])],
+    )
+    def test_from_dict_rejects_mistyped_number(self, key, value):
+        d = TrainConfig().to_dict()
+        d[key] = value
+        with pytest.raises(ValidationError, match=rf"^{key}: expected (an integer|a real number)"):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_takes_ints_for_real_fields(self):
+        d = TrainConfig().to_dict()
+        d.update({"lambda": 0, "lr": 1, "momentum": 0})
+        cfg = TrainConfig.from_dict(d)
+        assert (cfg.lam, cfg.lr, cfg.momentum) == (0, 1, 0)
+
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValidationError):
             TrainConfig(lam=-0.1)
