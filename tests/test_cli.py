@@ -430,7 +430,6 @@ class TestTrain:
         )
         assert code == EXIT_USER
 
-
     @pytest.mark.parametrize(
         "key,value,want",
         [("epochs", 2.5, "an integer"), ("seed", 1.5, "an integer"),
