@@ -10,14 +10,7 @@ pairs. Run with: python3 demos/attention_mechanics.py
 
 import numpy as np
 
-from fanet import (
-    EntitySet,
-    aggregate,
-    forward,
-    init_params,
-    residual_combine,
-    top_k_pairs,
-)
+from fanet import EntitySet, aggregate, forward, init_params, top_k_pairs
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -55,7 +48,7 @@ print("their focus weights:", best_weights, "\n")
 
 print("4. Context vectors and the residual update")
 context = aggregate(state, entities.features)
-updated = residual_combine(entities.features, context)
+updated = entities.features + context
 print("context[0]:", context[0])
 print("updated[0]:", updated[0], "\n")
 

@@ -27,7 +27,6 @@ from .attention import (
     backward,
     forward,
     init_params,
-    residual_combine,
 )
 from .losses import (
     FocusLossConfig,
@@ -42,14 +41,12 @@ from .matrices import (
     NonFiniteError,
     ShapeError,
     ValidationError,
-    softmax_cols,
     softmax_matrix,
     softmax_rows,
     stable_log,
 )
 from .metrics import (
     CenterMassSummary,
-    center_mass_report,
     relation_recall,
     top_k_pairs,
     word_importance,
@@ -98,7 +95,6 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "softmax_rows",
-    "softmax_cols",
     "softmax_matrix",
     "stable_log",
     # attention
@@ -108,7 +104,6 @@ __all__ = [
     "init_params",
     "forward",
     "aggregate",
-    "residual_combine",
     "backward",
     # losses
     "FocusLossConfig",
@@ -128,7 +123,6 @@ __all__ = [
     "top_k_pairs",
     "relation_recall",
     "word_importance",
-    "center_mass_report",
     # synthgen
     "WorldSpec",
     "DocumentSpec",

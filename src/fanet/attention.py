@@ -51,13 +51,9 @@ __all__ = [
     "init_params",
     "forward",
     "aggregate",
-    "residual_combine",
     "backward",
     "softmax_vjp",
 ]
-
-# agg_axis -> the numpy axis each aggregation softmax normalizes over
-AGG_AXES = {"row": -1, "col": -2}
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,9 @@ class AttentionState:
     """Forward-pass result: logits plus both normalizations and caches.
 
     Arrays are (n, n) for one instance, or (B, n, n) for a stack. agg_weights
-    rows each sum to 1 (or columns, for agg_axis="col"); focus_weights entries
-    sum to 1 over each whole matrix. proj_keys and proj_queries are the
-    (..., n, d_k) projected features kept for backward.
+    rows each sum to 1; focus_weights entries sum to 1 over each whole matrix.
+    proj_keys and proj_queries are the (..., n, d_k) projected features kept
+    for backward.
     """
 
     logits: np.ndarray
@@ -136,7 +132,6 @@ class AttentionState:
     focus_weights: np.ndarray
     proj_keys: np.ndarray
     proj_queries: np.ndarray
-    agg_axis: str = "row"
 
 
 def init_params(d: int, d_k: int, seed: int) -> AttentionParams:
@@ -150,9 +145,7 @@ def init_params(d: int, d_k: int, seed: int) -> AttentionParams:
     return AttentionParams(w_k=w_k, w_q=w_q)
 
 
-def forward(
-    features: np.ndarray, params: AttentionParams, agg_axis: str = "row"
-) -> AttentionState:
+def forward(features: np.ndarray, params: AttentionParams) -> AttentionState:
     """Compute logits and both softmax paths, caching projections for backward.
 
     `features` is an EntitySet's (n, d) features, or a (B, n, d) `np.stack`
@@ -161,8 +154,6 @@ def forward(
     the optimizer updates in place. Raises NonFiniteError if the logits are
     not finite.
     """
-    if agg_axis not in AGG_AXES:
-        raise ValidationError(f"agg_axis must be 'row' or 'col', got {agg_axis!r}")
     if features.ndim not in (2, 3):
         raise ShapeError(f"features must be (n, d) or (B, n, d), got {features.shape}")
     if features.shape[-1] != params.d:
@@ -176,11 +167,10 @@ def forward(
     check_finite(logits, "logits")
     return AttentionState(
         logits=logits,
-        agg_weights=_softmax(logits, AGG_AXES[agg_axis]),
+        agg_weights=_softmax(logits, -1),
         focus_weights=_softmax(logits, (-2, -1)),
         proj_keys=keys,
         proj_queries=queries,
-        agg_axis=agg_axis,
     )
 
 
@@ -195,14 +185,6 @@ def aggregate(state: AttentionState, features: np.ndarray) -> np.ndarray:
             f"features rows {features.shape[-2]} do not match attention size {n}"
         )
     return state.agg_weights @ features
-
-
-def residual_combine(features, context) -> np.ndarray:
-    """Elementwise sum of base features and aggregated context."""
-    f = as_matrix(features, "features")
-    c = as_matrix(context, "context")
-    check_same_shape(f, c, "features and context")
-    return f + c
 
 
 def backward(

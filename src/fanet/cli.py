@@ -139,7 +139,6 @@ _CONFIG_FLAGS = (
     ("batch_size", "batch_size"),
     ("seed", "seed"),
     ("head_mode", "head_mode"),
-    ("agg_axis", "agg_axis"),
     ("eps", "eps"),
     ("d_k", "d_k"),
     ("freeze_attention", "freeze_attention"),
@@ -160,7 +159,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--head-mode", choices=HEAD_MODES)
-    parser.add_argument("--agg-axis", choices=("row", "col"))
     parser.add_argument("--eps", type=float)
     parser.add_argument("--d-k", type=int)
     parser.add_argument(

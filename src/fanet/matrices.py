@@ -22,7 +22,6 @@ __all__ = [
     "check_finite",
     "check_same_shape",
     "softmax_rows",
-    "softmax_cols",
     "softmax_matrix",
     "stable_log",
 ]
@@ -97,11 +96,6 @@ def _softmax(w: np.ndarray, axis) -> np.ndarray:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax; every output row sums to 1."""
     return _softmax(as_matrix(m, "logits"), 1)
-
-
-def softmax_cols(m) -> np.ndarray:
-    """Column-wise softmax; every output column sums to 1."""
-    return _softmax(as_matrix(m, "logits"), 0)
 
 
 def softmax_matrix(m) -> np.ndarray:

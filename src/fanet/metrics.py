@@ -7,7 +7,7 @@ relation when both of its entities best-match (IoU > threshold) the two
 objects of that relation, orientation ignored; recall is the fraction of
 unique ground-truth relations covered. Also provides the per-entity
 word-importance factor (column mass received under the matrix-wide softmax)
-and center-mass reporting across instances.
+and the center-mass summary over instances.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import AttentionState, EntitySet
-from .losses import center_mass, validate_target
+from .attention import EntitySet
 from .matrices import ShapeError, ValidationError, as_matrix, check_finite
 from .supervision import NO_MATCH, entity_gt_matching
 
@@ -29,7 +28,6 @@ __all__ = [
     "top_k_pairs",
     "relation_recall",
     "word_importance",
-    "center_mass_report",
     "write_metrics_csv",
     "METRICS_CSV_COLUMNS",
 ]
@@ -223,25 +221,6 @@ class CenterMassSummary:
         if not values:
             return cls(mean_m=float("nan"), n_scored=0, n_vacuous=n_vacuous)
         return cls(mean_m=float(np.mean(values)), n_scored=len(values), n_vacuous=n_vacuous)
-
-
-def center_mass_report(
-    states: Sequence[AttentionState], targets: Sequence[np.ndarray]
-) -> CenterMassSummary:
-    """Mean per-instance center-mass; instances with empty targets are excluded."""
-    if len(states) != len(targets):
-        raise ValidationError(
-            f"states and targets must align, got {len(states)} vs {len(targets)}"
-        )
-    values = []
-    n_vacuous = 0
-    for state, target in zip(states, targets):
-        t = validate_target(target)
-        if not np.any(t):
-            n_vacuous += 1
-            continue
-        values.append(center_mass(state.focus_weights, t))
-    return CenterMassSummary.of(values, n_vacuous)
 
 
 def write_metrics_csv(path, rows: Sequence[tuple]) -> None:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import attention
-from .attention import AGG_AXES, AttentionState
+from .attention import AttentionState
 from .losses import FocusLossConfig, loss_grad, loss_value, relation_loss
 from .matrices import (
     NonFiniteError,
@@ -112,7 +112,8 @@ class TrainConfig:
 
     `lam` is the relation-loss weight (serialized as "lambda"). `focal_r`
     applies to the focal variant; the `mat` strategy forces it to 0 there.
-    `eval_ks` are the recall@K cutoffs reported each epoch.
+    `eval_ks` are the recall@K cutoffs reported each epoch. `agg_axis` has
+    the one value "row" and is kept so that reports and checkpoints keep the key.
     """
 
     lam: float = 0.01
@@ -147,10 +148,8 @@ class TrainConfig:
             raise ValidationError(
                 f"head_mode must be one of {HEAD_MODES}, got {self.head_mode!r}"
             )
-        if self.agg_axis not in ("row", "col"):
-            raise ValidationError(
-                f"agg_axis must be 'row' or 'col', got {self.agg_axis!r}"
-            )
+        if self.agg_axis != "row":
+            raise ValidationError(f"agg_axis must be 'row', got {self.agg_axis!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0 <= self.momentum < 1):
@@ -195,7 +194,13 @@ class TrainConfig:
                 raise ValidationError(f"{key}: unknown training config field")
             if types[name] in ("int", "float"):
                 _json_number(value, key, types[name] == "int")
-            kwargs[name] = tuple(value) if name == "eval_ks" else value
+            elif types[name] == "bool" and not isinstance(value, bool):
+                raise ValidationError(f"{key}: expected true or false, got {value!r}")
+            elif name == "eval_ks":  # a JSON list, or the CLI's parsed --eval-ks tuple
+                if not isinstance(value, (list, tuple)):
+                    raise ValidationError(f"{key}: expected a list of integers, got {value!r}")
+                value = tuple(_json_number(k, key, integer=True) for k in value)
+            kwargs[name] = value
         return cls(**kwargs)
 
 
@@ -321,7 +326,7 @@ def forward_task(
             f"classifier expects pooled dim {params.head_dim}, but "
             f"{config.head_mode} head over {d}-dim features gives {expected}"
         )
-    state = attention.forward(features, params, config.agg_axis)
+    state = attention.forward(features, params)
     context = attention.aggregate(state, features)
     pooled, class_logits = _head(features, context, params, config.head_mode)
     return TaskForward(
@@ -420,7 +425,7 @@ def _accumulate_instance(
     """
     f = instance.entities.features
     n = instance.n
-    state = attention.forward(f, params, config.agg_axis)
+    state = attention.forward(f, params)
     context = state.agg_weights @ f
     pooled, class_logits = _head(f, context, params, config.head_mode)
     t_loss, dz = _task_loss_grad(class_logits, instance.label)
@@ -440,7 +445,7 @@ def _accumulate_instance(
     # gemv of the one row against F.T rounds differently from this gemm
     d_context = (dpooled[-f.shape[1]:] / n)[None, :].repeat(n, axis=0)
     d_agg = d_context @ f.T
-    d_logits = attention._softmax_vjp(state.agg_weights, d_agg, AGG_AXES[config.agg_axis])
+    d_logits = attention._softmax_vjp(state.agg_weights, d_agg, -1)
     d_logits *= weight_task
     if weight_rel != 0.0:
         d_logits += weight_rel * d_rel
@@ -753,7 +758,7 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         rel_mean = rel_sum / rel_count if rel_count else 0.0
         train_masses = [0.0] * len(labeled)
         for idx, features in mass_buckets:
-            state = attention.forward(features, params, config.agg_axis)
+            state = attention.forward(features, params)
             for i, w in zip(idx, state.focus_weights):
                 train_masses[i] = float(np.add.reduce(w * labeled[i].target, axis=None))
         train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))

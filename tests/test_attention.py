@@ -10,7 +10,6 @@ from fanet.attention import (
     backward,
     forward,
     init_params,
-    residual_combine,
     softmax_vjp,
 )
 from fanet.matrices import NonFiniteError, ShapeError, ValidationError, softmax_matrix
@@ -111,12 +110,6 @@ class TestForward:
         np.testing.assert_allclose(state.agg_weights.sum(axis=1), 1.0, atol=1e-12)
         assert state.focus_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_col_axis(self):
-        entities, params = random_problem(5)
-        state = forward(entities.features, params, agg_axis="col")
-        np.testing.assert_allclose(state.agg_weights.sum(axis=0), 1.0, atol=1e-12)
-        assert state.agg_axis == "col"
-
     def test_non_finite_logits_raise(self):
         """Parameters that overflow the logits are caught at the logits check."""
         entities, _ = random_problem(6)
@@ -124,11 +117,6 @@ class TestForward:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="logits contains non-finite"):
                 forward(entities.features, params)
-
-    def test_invalid_axis(self):
-        entities, params = random_problem(6)
-        with pytest.raises(ValidationError, match="agg_axis"):
-            forward(entities.features, params, agg_axis="diag")
 
     def test_caches_projections(self):
         entities, params = random_problem(7)
@@ -142,20 +130,19 @@ class TestForward:
 class TestStackedForward:
     """A (B, n, d) stack is B single forwards, bit for bit."""
 
-    @pytest.mark.parametrize("agg_axis", ["row", "col"])
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 300])
-    def test_stack_equals_single_forwards(self, n, agg_axis):
+    def test_stack_equals_single_forwards(self, n):
         rng = np.random.default_rng(n)
         d, d_k = 5, 3
         batch = 2 if n == 300 else 6
         feats = [EntitySet(features=rng.normal(size=(n, d))).features for _ in range(batch)]
         params = AttentionParams(w_k=rng.normal(size=(d_k, d)), w_q=rng.normal(size=(d_k, d)))
         stack = np.stack(feats)
-        stacked = forward(stack, params, agg_axis)
+        stacked = forward(stack, params)
         assert stacked.focus_weights.shape == (batch, n, n)
         context = aggregate(stacked, stack)
         for b, f in enumerate(feats):
-            single = forward(f, params, agg_axis)
+            single = forward(f, params)
             for name in ("logits", "agg_weights", "focus_weights", "proj_keys", "proj_queries"):
                 assert np.array_equal(getattr(stacked, name)[b], getattr(single, name)), name
             assert np.array_equal(context[b], aggregate(single, f))
@@ -188,18 +175,6 @@ class TestAggregate:
         state = forward(entities.features, params)
         with pytest.raises(ShapeError):
             aggregate(state, entities.features[:-1])
-
-
-class TestResidualCombine:
-    def test_sum(self):
-        rng = np.random.default_rng(10)
-        f = rng.normal(size=(3, 4))
-        c = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(residual_combine(f, c), f + c)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            residual_combine(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestInitParams:
@@ -310,9 +285,9 @@ class TestSoftmaxVjps:
 
     def test_cols_via_transpose(self):
         rng = np.random.default_rng(14)
-        from fanet.matrices import softmax_cols
+        from fanet.matrices import softmax_rows
 
-        a = softmax_cols(rng.normal(size=(4, 7)))
+        a = softmax_rows(rng.normal(size=(7, 4))).T
         g = rng.normal(size=(4, 7))
         np.testing.assert_allclose(
             softmax_vjp(a, g, 0),

@@ -434,7 +434,8 @@ class TestTrain:
         "key,value,want",
         [("epochs", 2.5, "an integer"), ("seed", 1.5, "an integer"),
          ("batch_size", True, "an integer"), ("epochs", True, "an integer"),
-         ("lr", "0.1", "a real number")],
+         ("lr", "0.1", "a real number"), ("eval_ks", 5, "a list of integers"),
+         ("freeze_attention", "no", "true or false")],
     )
     def test_mistyped_config_number_is_user_error(
         self, tmp_path, data_dir, capsys, key, value, want
@@ -886,6 +887,38 @@ class TestAblate:
              "--out", str(tmp_path / "x")] + FAST_TRAIN
         )
         assert code == EXIT_USER
+
+
+class TestColumnAggregationIsGone:
+    """"col" is rejected wherever a config enters; `--agg-axis` is no flag."""
+
+    def test_col_exits_two_naming_the_field(self, tmp_path, data_dir, run_dir, capsys):
+        cfg_path = tmp_path / "col.json"
+        cfg_path.write_text(json.dumps({"agg_axis": "col"}))
+        doc = json.loads(open(os.path.join(run_dir, "checkpoint.json")).read())
+        doc["config"]["agg_axis"] = "col"
+        ckpt = tmp_path / "col_checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"agg_axis": ["row", "col"]}))
+        argvs = [
+            ["train", "--data", data_dir, "--out", str(tmp_path / "t"), "--config", str(cfg_path)],
+            ["eval", "--checkpoint", str(ckpt), "--data", os.path.join(data_dir, "test.jsonl"),
+             "--out", str(tmp_path / "e")],
+            ["ablate", "--grid", str(grid), "--data", data_dir, "--out", str(tmp_path / "a")]
+            + FAST_TRAIN,
+        ]
+        for argv in argvs:
+            capsys.readouterr()
+            assert main(argv) == EXIT_USER, argv[0]
+            assert "agg_axis must be 'row', got 'col'" in capsys.readouterr().err, argv[0]
+            assert not (tmp_path / argv[0][0]).exists(), argv[0]
+
+    def test_agg_axis_flag_is_an_argparse_error(self, tmp_path, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", data_dir, "--out", str(tmp_path / "o"), "--agg-axis", "row"])
+        assert exc.value.code == EXIT_USER
+        assert "unrecognized arguments: --agg-axis row" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -7,7 +7,7 @@ writer where the bundled run does not reach: 1/2 scenes of 300 entities each
 documents of the bundled document world. Four more 3-epoch `train` runs at
 seed 0 on 20/10 datasets pin the training paths the default recipe leaves
 out: the language recipe (adam, lambda 0.1, batch size 2) on documents; the
-row strategy with column aggregation and the concat head; the mat strategy
+row strategy with the concat head; the mat strategy
 with the l2 loss at batch size 3; and the unsup strategy with the attention
 frozen. One `ablate` run pins the grid tables: a two-cell lambda grid
 (0.0 and 0.5), 3 epochs at seed 0, run serially on the bundled run's
@@ -132,9 +132,9 @@ TRAIN_RECIPES = {
         ["--kind", "document"],
         ["--optimizer", "adam", "--lr", "1e-3", "--lambda", "0.1", "--batch-size", "2"],
     ),
-    "row_col_concat": (
+    "row_concat": (
         [],
-        ["--strategy", "row", "--agg-axis", "col", "--head-mode", "concat", "--lambda", "0.5"],
+        ["--strategy", "row", "--head-mode", "concat", "--lambda", "0.5"],
     ),
     "mat_l2": (
         [],
@@ -146,8 +146,8 @@ TRAIN_RECIPES = {
 TRAIN_GOLDEN = {
     "document_adam/report.csv": "fbcb2b860a87c160fa6104e77674d92714e54eccd6483ac17921e54872de2969",
     "document_adam/checkpoint.json": "5f997f00c9c0c7596207d1af3fd28669828ed3f40f28abea229b5aad6657d195",
-    "row_col_concat/report.csv": "91862def2281644fddbcd8c0bbf55b2d495ade552f24394dc3da181334338640",
-    "row_col_concat/checkpoint.json": "690f48bf590fe884538daf8a8cc5740d58693ce54b5571149bb0114a7ce11120",
+    "row_concat/report.csv": "aa5be1732f3d5ad83ac03f2ed7b577dcfe0c454fb104c3d38933b8e9fc85b81f",
+    "row_concat/checkpoint.json": "78ed501e0b9ba2e146b01e132e1cf14b01da258459386c9c91b21b28c2d7fdc9",
     "mat_l2/report.csv": "310b8f9413cdc30e7d6af2c5461bfdffdcef3fda1404093f96615ef1305cbc2b",
     "mat_l2/checkpoint.json": "504dd4597e4886d1cf0f7765ff2da52fbdc0920a125d5d7106c50f3a2ebcb16f",
     "unsup_frozen/report.csv": "994e2c360af747f9325405a0782cad718e9564e75dbf0d60bc92546339e7aaf0",

@@ -15,7 +15,6 @@ from fanet.matrices import (
     _encode_array,
     as_matrix,
     check_same_shape,
-    softmax_cols,
     softmax_matrix,
     softmax_rows,
     stable_log,
@@ -65,21 +64,6 @@ class TestSoftmaxRows:
     def test_uniform_on_constant_input(self):
         out = softmax_rows(np.full((3, 4), 2.5))
         np.testing.assert_allclose(out, 0.25, rtol=0, atol=1e-15)
-
-
-class TestSoftmaxCols:
-    def test_transpose_relation(self):
-        """Column softmax is the row softmax of the transpose, transposed."""
-        rng = np.random.default_rng(9)
-        w = rng.normal(size=(6, 4))
-        np.testing.assert_allclose(
-            softmax_cols(w), softmax_rows(w.T).T, rtol=0, atol=1e-15
-        )
-
-    def test_cols_sum_to_one(self):
-        rng = np.random.default_rng(10)
-        out = softmax_cols(rng.normal(size=(7, 3)) * 50)
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSoftmaxMatrix:

@@ -13,7 +13,6 @@ from fanet.matrices import ValidationError, softmax_matrix
 from fanet.metrics import (
     CenterMassSummary,
     _recall_at_ks,
-    center_mass_report,
     relation_recall,
     top_k_pairs,
     word_importance,
@@ -365,33 +364,18 @@ class TestWordImportance:
         assert beta.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-class TestCenterMassReport:
-    def make_state(self, seed, n=4):
-        rng = np.random.default_rng(seed)
-        ents = EntitySet(features=rng.normal(size=(n, 4)))
-        return forward(ents.features, init_params(d=4, d_k=2, seed=seed))
-
+class TestCenterMassSummary:
     def test_mean_excludes_vacuous(self):
-        states = [self.make_state(s) for s in range(3)]
-        t_full = np.zeros((4, 4))
-        t_full[0, 1] = t_full[1, 0] = 1.0
-        targets = [t_full, np.zeros((4, 4)), t_full]
-        summary = center_mass_report(states, targets)
-        assert summary.n_scored == 2
-        assert summary.n_vacuous == 1
-        m0 = float(np.sum(states[0].focus_weights * t_full))
-        m2 = float(np.sum(states[2].focus_weights * t_full))
-        assert summary.mean_m == pytest.approx((m0 + m2) / 2, abs=1e-12)
+        """Vacuous instances are counted, not averaged in."""
+        summary = CenterMassSummary.of([0.25, 0.5], n_vacuous=1)
+        assert (summary.n_scored, summary.n_vacuous) == (2, 1)
+        assert not summary.vacuous
+        assert summary.mean_m == 0.375
 
     def test_all_vacuous(self):
-        states = [self.make_state(9)]
-        summary = center_mass_report(states, [np.zeros((4, 4))])
-        assert summary.vacuous
+        summary = CenterMassSummary.of([], n_vacuous=3)
+        assert summary.vacuous and summary.n_vacuous == 3
         assert math.isnan(summary.mean_m)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            center_mass_report([self.make_state(1)], [])
 
 
 class TestMetricsCsv:
