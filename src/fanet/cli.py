@@ -168,8 +168,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> TrainConfig:
-    """defaults < config file < flags; FAN_SEED fills in a missing seed."""
-    file_dict = _load_json(args.config, "config file") if args.config else {}
+    """defaults < config file < flags; FAN_SEED fills in a missing seed.
+
+    The file's values are first checked on their own, so that a bad one is
+    reported with the file's path.
+    """
+    file_dict = {}
+    if args.config:
+        file_dict = _load_json(args.config, "config file")
+        try:
+            TrainConfig.from_dict(file_dict)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.config}: {exc}") from exc
     merged = TrainConfig().to_dict()
     merged.update(file_dict)
     for dest, key in _CONFIG_FLAGS:
@@ -415,7 +425,10 @@ def cmd_ablate(args) -> int:
     train_path, test_path = _dataset_paths(args.data)
     if args.jobs < 1:
         raise UserInputError(f"--jobs must be >= 1, got {args.jobs}")
-    cells = ablation_cells(base, grid)
+    try:
+        cells = ablation_cells(base, grid)  # base is checked, so a fault is the grid's
+    except ValidationError as exc:
+        raise ValidationError(f"{args.grid}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
@@ -435,9 +448,10 @@ def cmd_ablate(args) -> int:
     fresh_curves = not (args.resume and os.path.exists(curves_path))
     ks = base.eval_ks
 
-    cells_fh = open(cells_path, "w" if fresh_cells else "a", newline="")
-    curves_fh = open(curves_path, "w" if fresh_curves else "a", newline="")
-    try:
+    with (
+        open(cells_path, "w" if fresh_cells else "a", newline="") as cells_fh,
+        open(curves_path, "w" if fresh_curves else "a", newline="") as curves_fh,
+    ):
         cells_writer = csv.writer(cells_fh)
         curves_writer = csv.writer(curves_fh)
         if fresh_cells:
@@ -487,9 +501,6 @@ def cmd_ablate(args) -> int:
         finally:
             if pool is not None:
                 pool.shutdown()
-    finally:
-        cells_fh.close()
-        curves_fh.close()
     print(f"{len(pending)} cells run ({len(done)} skipped); table in {cells_path}")
     if failed:
         print(f"{len(failed)} of {len(pending)} cells failed: {', '.join(failed)}", file=sys.stderr)

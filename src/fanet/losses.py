@@ -21,8 +21,10 @@ import numpy as np
 
 from .matrices import (
     DEFAULT_EPS,
+    ShapeError,
     ValidationError,
     as_matrix,
+    check_finite,
     check_same_shape,
     stable_log,
 )
@@ -69,15 +71,32 @@ class FocusLossConfig:
 
 
 def validate_target(target) -> np.ndarray:
-    """Validate a binary relation target: square, entries in {0, 1}, zero diagonal."""
-    t = as_matrix(target, "target")
-    if t.shape[0] != t.shape[1]:
+    """Validate a binary relation target: square, entries in {0, 1}, zero diagonal.
+
+    `target` is one (n, n) matrix or a (B, n, n) stack of them; a stack is
+    rejected exactly when one of its matrices would be, with the same message.
+    """
+    return _check_target(target)[0]
+
+
+def _check_target(target) -> tuple[np.ndarray, int]:
+    """`validate_target`'s checked array and its nonzero count."""
+    t = np.asarray(target, dtype=np.float64)
+    if t.ndim == 3:
+        t = np.ascontiguousarray(t)
+        if 0 in t.shape:
+            raise ShapeError(f"target must have at least one row and column, got {t.shape}")
+        check_finite(t, "target")
+    else:
+        t = as_matrix(t, "target")
+    if t.shape[-2] != t.shape[-1]:
         raise ValidationError(f"target must be square, got {t.shape}")
-    if np.count_nonzero(t == 1.0) != np.count_nonzero(t):
+    nonzero = np.count_nonzero(t)
+    if np.count_nonzero(t == 1.0) != nonzero:
         raise ValidationError("target entries must be exactly 0 or 1")
-    if t.trace() != 0.0:  # entries are 0/1 here, so a zero trace is a zero diagonal
+    if t.diagonal(axis1=-2, axis2=-1).any():
         raise ValidationError("target diagonal must be zero (no self-relations)")
-    return t
+    return t, nonzero
 
 
 def center_mass(focus_weights, target) -> float:

@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import EntitySet
-from .losses import validate_target
-from .matrices import ValidationError, _decode_array, _decode_payload, _encode_array
-from .matrices import _json_number, as_matrix
+from .losses import _check_target, validate_target
+from .matrices import ValidationError, _check_boxes, _decode_array, _decode_payload
+from .matrices import _encode_array, _json_number, as_matrix, check_finite
 from .metrics import _candidates
 from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
@@ -96,6 +96,23 @@ def _set_pairs(spec, field: str, n: int) -> None:
     """Check spec.<field> as index pairs below n; store it as a tuple of int tuples."""
     pairs = _index_pairs(getattr(spec, field), n, field).tolist()
     object.__setattr__(spec, field, tuple(map(tuple, pairs)))
+
+
+def _spec_matrix(raw, field: str) -> np.ndarray:
+    """A spec's prototypes or embeddings as float64.
+
+    A JSON true or false is rejected on the list, because numpy reads true as
+    1.0; the shape is left to the spec, so `[]` fails its matrix check.
+    """
+    try:
+        m = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{field}: not a numeric matrix ({exc})") from exc
+    if m.ndim == 2 and isinstance(raw, list):
+        bad = next((x for row in raw for x in row if type(x) is bool), None)
+        if bad is not None:
+            raise ValidationError(f"{field}: expected a real number, got {bad!r}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -203,12 +220,8 @@ class WorldSpec:
         for field in d:
             if field not in known:
                 raise ValidationError(f"{field}: unknown field in world spec")
-        try:
-            prototypes = np.asarray(d["prototypes"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"prototypes: not a numeric matrix ({exc})") from exc
         return cls(
-            prototypes=prototypes,
+            prototypes=_spec_matrix(d["prototypes"], "prototypes"),
             affine_pairs=d["affine_pairs"],
             signature_pairs=d["signature_pairs"],
             noise_sigma=float(_json_number(d.get("noise_sigma", 0.25), "noise_sigma")),
@@ -329,19 +342,18 @@ class DocumentSpec:
         for field in d:
             if field not in known:
                 raise ValidationError(f"{field}: unknown field in world spec")
+        pairs = d["pair_table"]
+        if not isinstance(pairs, list):
+            raise ValidationError(f"pair_table: expected a list of tag pairs, got {pairs!r}")
         table = LexicalPairTable()
-        for pair in d["pair_table"]:
-            if len(pair) != 2:
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2 and {*map(type, pair)} == {str}):
                 raise ValidationError(f"pair_table: expected tag pairs, got {pair!r}")
-            table.add(str(pair[0]), str(pair[1]))
-        try:
-            embeddings = np.asarray(d["embeddings"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"embeddings: not a numeric matrix ({exc})") from exc
+            table.add(*pair)
         return cls(
             tokens=d["tokens"],
             tags=d["tags"],
-            embeddings=embeddings,
+            embeddings=_spec_matrix(d["embeddings"], "embeddings"),
             table=table,
             keyword_pairs=d["keyword_pairs"],
             noise_sigma=float(_json_number(d.get("noise_sigma", 0.1), "noise_sigma")),
@@ -357,8 +369,8 @@ class Instance:
     Vision-style instances carry boxes and ground-truth relations, a tuple
     of (int, int) entity-index pairs; document instances carry tokens and
     tags instead. `target` is the binary supervision matrix, checked here
-    once by `validate_target` (square, entries 0 or 1, zero diagonal);
-    `labeled` records whether it labels any pair.
+    once with `validate_target`'s checks (square, entries 0 or 1, zero
+    diagonal); `labeled` records whether it labels any pair.
     """
 
     entities: EntitySet
@@ -370,7 +382,7 @@ class Instance:
     labeled: bool = field(init=False)
 
     def __post_init__(self):
-        t = validate_target(self.target)
+        t, nonzero = _check_target(self.target)
         object.__setattr__(self, "target", t)
         if t.shape != (self.entities.n, self.entities.n):
             raise ValidationError(
@@ -379,7 +391,7 @@ class Instance:
         if self.label < 0:
             raise ValidationError(f"label must be >= 0, got {self.label}")
         object.__setattr__(self, "gt_relations", tuple(self.gt_relations))
-        object.__setattr__(self, "labeled", bool(np.count_nonzero(t)))
+        object.__setattr__(self, "labeled", bool(nonzero))
 
     @property
     def n(self) -> int:
@@ -778,16 +790,17 @@ def read_jsonl(path) -> list:
     """Parse a dataset file; errors carry the 1-based line number.
 
     One pass in file order makes every check that reads no array value: a
-    version 2 line decodes its features and boxes and appends its packed
-    target to the buffer of its entity count, a version 1 line becomes its
-    Instance at once. The targets of each entity count then unpack at once,
-    and every Instance is built in file order, its target a row of those
-    stacks, so the constructor checks still run. The pass stops at the first
-    bad line, but the lines before it are still built: a constructor fault on
-    an earlier line is raised first.
+    version 2 line decodes its features and boxes and joins the group of its
+    entity count, a version 1 line becomes its Instance at once. The targets
+    of each group then unpack at once, and every check the constructors make
+    runs once per group, on stacked arrays. When every group passes, every
+    Instance is built in file order without checking it again. Otherwise, or
+    when the pass stopped at a bad line, the lines it read are built through
+    the checked constructors, so the first bad line in the file is the one
+    named, with the constructors' own message.
     """
-    parsed = []  # file order: (lineno, a v1 Instance or a v2 (n, index among n, fields))
-    groups: dict = {}  # n -> (each v2 line's gt_relations, their packed targets)
+    parsed = []  # file order: (lineno, a v1 Instance or a v2 (n, index in its group))
+    groups: dict = {}  # n -> (each v2 line's gt_relations, their packed targets, their fields)
     failure = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -800,33 +813,74 @@ def read_jsonl(path) -> list:
                 break
             if not isinstance(item, Instance):
                 n, packed, relations, fields = item
-                given, buffer = groups.setdefault(n, ([], bytearray()))
+                given, buffer, lines = groups.setdefault(n, ([], bytearray(), []))
                 buffer += packed
-                item = n, len(given), fields
+                item = n, len(given)
                 given.append(relations)
+                lines.append(fields)
             parsed.append((lineno, item))
-    unpacked = {n: _unpack_targets(n, *group) for n, group in groups.items()}
+    unpacked = {n: _unpack_targets(n, given, buffer) for n, (given, buffer, _) in groups.items()}
+    labeled = None
+    if failure is None:
+        try:
+            labeled = {n: _check_group(n, groups[n][2], unpacked[n][0]) for n in groups}
+        except ValidationError:
+            pass
     out = []
     for lineno, item in parsed:
         if not isinstance(item, Instance):
-            n, i, (features, categories, boxes, label, tokens, tags) = item
+            n, i = item
+            features, categories, boxes, label, tokens, tags = groups[n][2][i]
             targets, relations = unpacked[n]
-            try:
-                item = Instance(
-                    entities=EntitySet(features=features, categories=categories, boxes=boxes),
-                    target=targets[i],
-                    label=label,
-                    gt_relations=relations[i],
-                    tokens=tokens,
-                    tags=tags,
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            entity_fields = dict(features=features, categories=categories, boxes=boxes)
+            fields = dict(
+                target=targets[i], label=label, gt_relations=relations[i], tokens=tokens, tags=tags
+            )
+            if labeled is not None:
+                entities = _unchecked(EntitySet, **entity_fields)
+                item = _unchecked(Instance, entities=entities, labeled=labeled[n][i], **fields)
+            else:
+                try:
+                    item = Instance(entities=EntitySet(**entity_fields), **fields)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         out.append(item)
     if failure is not None:
         lineno, exc = failure
         raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def _check_group(n: int, lines: list, targets: np.ndarray) -> list:
+    """Every check EntitySet and Instance make, once over the version 2 lines
+    with n entities: their fields as `_parse_v2` returns them and their
+    (B, n, n) targets. Raises ValidationError on a fault, not necessarily the
+    first line's; returns each line's `labeled`.
+
+    `_parse_v2` already made the features 2-D float64 matrices with n rows,
+    the categories int64 arrays and the labels ints.
+    """
+    features, categories, boxes, labels = zip(*(fields[:4] for fields in lines))
+    check_finite(np.concatenate(features, axis=None), "features")
+    if any(c is not None and len(c) != n for c in categories):
+        raise ValidationError(f"categories length does not match n={n}")
+    boxed = [b for b in boxes if b is not None]
+    if boxed:
+        if any(b.shape != (n, 4) for b in boxed):
+            raise ValidationError(f"boxes must be ({n}, 4)")
+        _check_boxes(np.stack(boxed))
+    if min(labels) < 0:
+        raise ValidationError("label must be >= 0")
+    validate_target(targets)
+    return np.count_nonzero(targets, axis=(1, 2)).astype(bool).tolist()
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance built without its `__post_init__` checks,
+    for fields that already passed them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def load_spec(d: dict):

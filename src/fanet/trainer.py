@@ -52,7 +52,6 @@ from .matrices import (
     _decode_array,
     _encode_array,
     _json_number,
-    _softmax,
     check_finite,
 )
 from .metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
@@ -373,17 +372,17 @@ def combined_loss(task: float, relation: float, lam: float) -> float:
 # --- relation term, per strategy ---------------------------------------------
 
 
-def _row_relation(logits: np.ndarray, t: np.ndarray, cfg: FocusLossConfig):
+def _row_relation(a: np.ndarray, t: np.ndarray, cfg: FocusLossConfig):
     """Row-path loss and logit gradient, averaged over rows with any positive.
 
-    Per reference row i with center mass M_i = sum_j a_ij t_ij, the closed
-    form mirrors the matrix path: dM_i/dW[i, :] = a_i * (t_i - M_i).
+    `a` is the forward's row softmax of the logits (its agg_weights). Per
+    reference row i with center mass M_i = sum_j a_ij t_ij, the closed form
+    mirrors the matrix path: dM_i/dW[i, :] = a_i * (t_i - M_i).
     """
     rows = np.flatnonzero(t.any(axis=1))
-    grad = np.zeros_like(logits)
+    grad = np.zeros_like(a)
     if rows.size == 0:
         return 0.0, grad
-    a = _softmax(logits, 1)
     total = 0.0
     for i in rows:
         m_i = float(np.sum(a[i] * t[i]))
@@ -400,7 +399,7 @@ def relation_term(
         return 0.0, np.zeros_like(state.logits)
     cfg = config.focus_config()
     if config.strategy == "row":
-        return _row_relation(state.logits, target, cfg)
+        return _row_relation(state.agg_weights, target, cfg)
     value, _, grad = relation_loss(state.focus_weights, target, cfg)
     return value, grad
 
@@ -911,9 +910,13 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
             name: _decode_array(doc["params"][name], name)
             for name in PARAM_NAMES
         }
-        config = TrainConfig.from_dict(doc["config"])
+        config_dict = doc["config"]
     except KeyError as exc:
         raise ValidationError(f"{path}: missing checkpoint field {exc}") from exc
+    try:
+        config = TrainConfig.from_dict(config_dict)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     params = ModelParams(**arrays)
     if params.num_classes != int(doc.get("num_classes", params.num_classes)):
         raise ValidationError(

@@ -2,12 +2,15 @@
 
 import base64
 import csv
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +204,7 @@ def _v1_line(inst) -> dict:
 
 def _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message):
     """Replace the test file's second line: read_jsonl names bad.jsonl:2, eval exits 2."""
-    first = open(os.path.join(data_dir, "test.jsonl")).readline()
+    first = Path(data_dir, "test.jsonl").read_text().splitlines(keepends=True)[0]
     bad = tmp_path / "bad.jsonl"
     bad.write_text(first + json.dumps(line) + "\n")
     named = re.escape(f"bad.jsonl:2: {message}")
@@ -251,15 +254,13 @@ class TestGen:
         assert code == EXIT_OK
         for name in ("train.jsonl", "test.jsonl", "manifest.json"):
             a = (out / name).read_bytes()
-            b = open(os.path.join(data_dir, name), "rb").read()
+            b = Path(data_dir, name).read_bytes()
             assert a == b, name
 
     def test_seed_changes_data(self, tmp_path, data_dir):
         out = tmp_path / "other"
         main(["gen", "--out", str(out), "--n-train", "14", "--n-test", "6", "--seed", "1"])
-        assert (out / "train.jsonl").read_bytes() != open(
-            os.path.join(data_dir, "train.jsonl"), "rb"
-        ).read()
+        assert (out / "train.jsonl").read_bytes() != Path(data_dir, "train.jsonl").read_bytes()
 
     def test_document_kind(self, tmp_path):
         out = tmp_path / "docs"
@@ -300,7 +301,9 @@ class TestGen:
         [("vision", "entities_min", 6.7), ("vision", "noise_sigma", True),
          ("vision", "entities_max", "8"), ("document", "tokens_min", 6.0),
          ("document", "noise_sigma", "0.1"), ("document", "tokens", "ints"),
-         ("document", "tags", "ints")],
+         ("document", "tags", "ints"), ("vision", "prototypes", [[1.0, True]]),
+         ("document", "embeddings", [[False, 0.5]]), ("document", "pair_table", [7]),
+         ("document", "pair_table", [["noun", 1]]), ("document", "pair_table", "noun")],
     )
     def test_mistyped_spec_field_is_user_error(self, tmp_path, capsys, kind, key, value):
         spec = default_document_spec() if kind == "document" else default_world_spec()
@@ -327,7 +330,7 @@ class TestTrain:
             assert os.path.exists(os.path.join(run_dir, name))
 
     def test_report_csv_layout(self, run_dir):
-        lines = open(os.path.join(run_dir, "report.csv")).read().splitlines()
+        lines = Path(run_dir, "report.csv").read_text().splitlines()
         assert lines[0].startswith("# config: {")
         echoed = json.loads(lines[0].split("# config: ", 1)[1])
         assert echoed["epochs"] == 3
@@ -345,9 +348,7 @@ class TestTrain:
         code = main(["train", "--data", data_dir, "--out", str(out)] + FAST_TRAIN)
         assert code == EXIT_OK
         for name in ("report.csv", "report.json", "checkpoint.json"):
-            assert (out / name).read_bytes() == open(
-                os.path.join(run_dir, name), "rb"
-            ).read(), name
+            assert (out / name).read_bytes() == Path(run_dir, name).read_bytes(), name
 
     def test_missing_dataset_names_path(self, tmp_path, capsys):
         missing = tmp_path / "no_such_dir"
@@ -392,7 +393,7 @@ class TestTrain:
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_label_beyond_manifest_classes_is_user_error(self, tmp_path, data_dir, capsys, split):
         """A label the manifest's spec has no class for exits 2 before training."""
-        manifest = json.loads(open(os.path.join(data_dir, "manifest.json")).read())
+        manifest = json.loads(Path(data_dir, "manifest.json").read_text())
         n_labels = load_spec(manifest["spec"]).n_labels
         data, path = self._data_with_label(tmp_path, data_dir, split, n_labels)
         out = tmp_path / "run"
@@ -406,7 +407,7 @@ class TestTrain:
     def test_classifier_is_sized_from_the_data(self, tmp_path, data_dir, manifest):
         """Without a loadable manifest there is nothing to check labels against."""
         n_labels = load_spec(
-            json.loads(open(os.path.join(data_dir, "manifest.json")).read())["spec"]
+            json.loads(Path(data_dir, "manifest.json").read_text())["spec"]
         ).n_labels
         label = n_labels - 1 if manifest == "top_label" else n_labels
         data, _ = self._data_with_label(tmp_path, data_dir, "train", label)
@@ -553,7 +554,7 @@ class TestEval:
 
     @pytest.mark.parametrize("field,pairs", [("target", [[0]]), ("gt_relations", [[-1, 3]])])
     def test_malformed_pair_is_user_error(self, tmp_path, data_dir, run_dir, capsys, field, pairs):
-        lines = open(os.path.join(data_dir, "test.jsonl")).read().splitlines()
+        lines = Path(data_dir, "test.jsonl").read_text().splitlines()
         first = json.loads(lines[1])
         first[field] = pairs
         bad = tmp_path / "bad.jsonl"
@@ -567,7 +568,7 @@ class TestEval:
 
     @pytest.mark.parametrize("case", sorted(V2_DEFECTS))
     def test_malformed_v2_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys, case):
-        lines = open(os.path.join(data_dir, "test.jsonl")).read().splitlines()
+        lines = Path(data_dir, "test.jsonl").read_text().splitlines()
         second = json.loads(lines[1])
         mutate, message = V2_DEFECTS[case]
         mutate(second)
@@ -582,7 +583,7 @@ class TestEval:
         if version == 1:
             second = _v1_line(read_jsonl(path)[1])
         else:
-            second = json.loads(open(path).read().splitlines()[1])
+            second = json.loads(Path(path).read_text().splitlines()[1])
         mutate, message = FIELD_DEFECTS[case]
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
@@ -605,7 +606,7 @@ class TestEval:
         if version == 1:
             second = _v1_line(inst)
         else:
-            second = json.loads(open(path).read().splitlines()[1])
+            second = json.loads(Path(path).read_text().splitlines()[1])
         value, got = STRING_LIST_DEFECTS[case](inst.n)
         second[field] = value
         message = f"{field}: expected a list of {inst.n} strings or null, {got}"
@@ -618,7 +619,7 @@ class TestEval:
         if version == 1:
             line = _v1_line(inst)
         else:
-            line = json.loads(open(path).read().splitlines()[1])
+            line = json.loads(Path(path).read_text().splitlines()[1])
         words = [f"w{i}" for i in range(inst.n)]
         p = tmp_path / "words.jsonl"
         p.write_text(json.dumps({**line, "tokens": words, "tags": None}) + "\n")
@@ -639,8 +640,8 @@ class TestEval:
     ):
         """A label the checkpoint has no class for exits 2 instead of scoring a miss."""
         checkpoint = os.path.join(run_dir, "checkpoint.json")
-        num_classes = json.loads(open(checkpoint).read())["num_classes"]
-        lines = open(os.path.join(data_dir, "test.jsonl")).read().splitlines()
+        num_classes = json.loads(Path(checkpoint).read_text())["num_classes"]
+        lines = Path(data_dir, "test.jsonl").read_text().splitlines()
         second = json.loads(lines[1])
         for label, expected in ((num_classes - 1, EXIT_OK), (num_classes, EXIT_USER),
                                 (10**6, EXIT_USER)):
@@ -680,7 +681,7 @@ class TestEval:
         assert code == EXIT_USER
 
     def test_non_finite_checkpoint_is_user_error(self, tmp_path, data_dir, run_dir, capsys):
-        doc = json.loads(open(os.path.join(run_dir, "checkpoint.json")).read())
+        doc = json.loads(Path(run_dir, "checkpoint.json").read_text())
         entry = doc["params"]["w_k"]
         w_k = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
         w_k[3] = np.nan
@@ -783,6 +784,17 @@ class TestAblate:
         assert len(curves) == 2 + 2 * 3  # two cells x three ks
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["cells"]) == 2
+
+    def test_failed_curves_open_closes_the_cells_file(self, tmp_path, data_dir):
+        grid = self.grid_file(tmp_path, {"strategy": ["unsup"]})
+        out = tmp_path / "ab"
+        (out / "curves.csv").mkdir(parents=True)  # the second open fails
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["ablate", "--grid", grid, "--data", data_dir, "--out", str(out)] + FAST_TRAIN)
+            gc.collect()
+        assert code != EXIT_OK
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_ablate_runs_cells(self, tmp_path, data_dir):
         grid = self.grid_file(tmp_path, {"strategy": ["unsup", "mat_focal"]})
@@ -895,23 +907,25 @@ class TestColumnAggregationIsGone:
     def test_col_exits_two_naming_the_field(self, tmp_path, data_dir, run_dir, capsys):
         cfg_path = tmp_path / "col.json"
         cfg_path.write_text(json.dumps({"agg_axis": "col"}))
-        doc = json.loads(open(os.path.join(run_dir, "checkpoint.json")).read())
+        doc = json.loads(Path(run_dir, "checkpoint.json").read_text())
         doc["config"]["agg_axis"] = "col"
         ckpt = tmp_path / "col_checkpoint.json"
         ckpt.write_text(json.dumps(doc))
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"agg_axis": ["row", "col"]}))
         argvs = [
-            ["train", "--data", data_dir, "--out", str(tmp_path / "t"), "--config", str(cfg_path)],
-            ["eval", "--checkpoint", str(ckpt), "--data", os.path.join(data_dir, "test.jsonl"),
-             "--out", str(tmp_path / "e")],
-            ["ablate", "--grid", str(grid), "--data", data_dir, "--out", str(tmp_path / "a")]
-            + FAST_TRAIN,
+            (cfg_path, ["train", "--data", data_dir, "--out", str(tmp_path / "t"),
+                        "--config", str(cfg_path)]),
+            (ckpt, ["eval", "--checkpoint", str(ckpt), "--data",
+                    os.path.join(data_dir, "test.jsonl"), "--out", str(tmp_path / "e")]),
+            (grid, ["ablate", "--grid", str(grid), "--data", data_dir,
+                    "--out", str(tmp_path / "a")] + FAST_TRAIN),
         ]
-        for argv in argvs:
+        for path, argv in argvs:
             capsys.readouterr()
             assert main(argv) == EXIT_USER, argv[0]
-            assert "agg_axis must be 'row', got 'col'" in capsys.readouterr().err, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: agg_axis must be 'row', got 'col'"), argv[0]
             assert not (tmp_path / argv[0][0]).exists(), argv[0]
 
     def test_agg_axis_flag_is_an_argparse_error(self, tmp_path, data_dir, capsys):
@@ -919,6 +933,43 @@ class TestColumnAggregationIsGone:
             main(["train", "--data", data_dir, "--out", str(tmp_path / "o"), "--agg-axis", "row"])
         assert exc.value.code == EXIT_USER
         assert "unrecognized arguments: --agg-axis row" in capsys.readouterr().err
+
+
+class TestConfigFileErrors:
+    """A bad value in a config file, checkpoint or grid exits 2 naming the file."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_rejected_value_names_its_file(self, tmp_path, data_dir, run_dir, capsys, command):
+        out = tmp_path / "out"
+        if command == "train":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"epochs": 0}))
+            argv = ["train", "--data", data_dir, "--out", str(out), "--config", str(path)]
+            message = "epochs must be >= 1, got 0"
+        elif command == "eval":
+            doc = json.loads(Path(run_dir, "checkpoint.json").read_text())
+            doc["config"]["lr"] = -1.0
+            path = tmp_path / "ckpt.json"
+            path.write_text(json.dumps(doc))
+            argv = ["eval", "--checkpoint", str(path), "--data",
+                    os.path.join(data_dir, "test.jsonl"), "--out", str(out)]
+            message = "lr must be finite and >= 0, got -1.0"
+        else:
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps({"batch_size": [2, 0]}))
+            argv = ["ablate", "--grid", str(path), "--data", data_dir, "--out", str(out)] + FAST_TRAIN
+            message = "batch_size must be >= 1, got 0"
+        assert main(argv) == EXIT_USER
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_flag_faults_name_no_file(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epochs": 2}))
+        argv = ["train", "--data", data_dir, "--out", str(tmp_path / "o"), "--config", str(path),
+                "--epochs", "0"]
+        assert main(argv) == EXIT_USER
+        assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
 
 
 class TestParserReuse:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fanet.attention import EntitySet
+from fanet.losses import validate_target
 from fanet.matrices import ValidationError
 from fanet.seeding import instance_seed, stream_rng
 from fanet.supervision import entity_gt_matching, iou
@@ -520,17 +521,43 @@ def _write_lines(path, lines):
     path.write_text("".join(json.dumps(d) + "\n" for d in lines))
 
 
-def _nan_feature(d):
-    entry = d["entities"]["features"]
-    values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
-    values[3] = np.nan
-    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+def _set_entry(field, index, value):
+    """A fault: flat entry `index` of the line's encoded entities[field] becomes `value`."""
+
+    def mutate(d):
+        entry = d["entities"][field]
+        values = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
+        values[index] = value
+        entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+    return mutate
 
 
+BOX_ORDER = "boxes must satisfy x1 < x2 and y1 < y2"
+
+# a line fault that only the EntitySet and Instance checks find, and its message
 CONSTRUCTOR_FAULTS = {
-    "nan_feature": (_nan_feature, "features contains non-finite entries"),
+    "nan_feature": (_set_entry("features", 3, np.nan), "features contains non-finite entries"),
+    "inf_feature": (_set_entry("features", 7, -np.inf), "features contains non-finite entries"),
+    "inf_box": (_set_entry("boxes", 6, np.inf), "boxes contain non-finite coordinates"),
+    "x1_not_below_x2": (_set_entry("boxes", 4, 99.0), BOX_ORDER),  # box 1's x1
+    "y1_not_below_y2": (_set_entry("boxes", 3, 0.0), BOX_ORDER),  # box 0's y2 = its y1
+    "boxes_shape": (
+        lambda d: d["entities"]["boxes"].update(shape=[2 * d["entities"]["boxes"]["shape"][0], 2]),
+        "boxes must be ({n}, 4), got (",
+    ),
+    "short_categories": (
+        lambda d: d["entities"]["categories"].pop(),
+        "categories length ({short},) does not match n={n}",
+    ),
     "label_negative": (lambda d: d.update(label=-1), "label must be >= 0, got -1"),
 }
+
+
+def _fault(name, n=6):
+    """(mutate, message) of CONSTRUCTOR_FAULTS[name] on a line with n entities."""
+    mutate, message = CONSTRUCTOR_FAULTS[name]
+    return mutate, message.format(n=n, short=n - 1)
 
 
 class TestGroupedRead:
@@ -551,7 +578,7 @@ class TestGroupedRead:
     def test_first_bad_line_is_named(self, tmp_path, fault, swapped):
         """A constructor fault on line 2 and bad base64 on line 5, either way round."""
         _, lines = _same_shape_lines(tmp_path)
-        mutate, constructor_message = CONSTRUCTOR_FAULTS[fault]
+        mutate, constructor_message = _fault(fault)
         base64_message = "target: data is not base64"
         at_constructor, at_base64 = (4, 1) if swapped else (1, 4)
         mutate(lines[at_constructor])
@@ -565,12 +592,71 @@ class TestGroupedRead:
     @pytest.mark.parametrize("fault", sorted(CONSTRUCTOR_FAULTS))
     def test_constructor_fault_alone_in_a_group(self, tmp_path, fault):
         _, lines = _same_shape_lines(tmp_path)
-        mutate, message = CONSTRUCTOR_FAULTS[fault]
+        mutate, message = _fault(fault)
         mutate(lines[3])
         p = tmp_path / "bad.jsonl"
         _write_lines(p, lines)
         with pytest.raises(ValidationError, match=re.escape(f"bad.jsonl:4: {message}")):
             read_jsonl(p)
+
+    @pytest.mark.parametrize("fault", sorted(CONSTRUCTOR_FAULTS))
+    @pytest.mark.parametrize("at", [0, 2, 5], ids=["first", "middle", "last"])
+    def test_constructor_fault_anywhere_in_a_group(self, tmp_path, fault, at):
+        _, lines = _same_shape_lines(tmp_path)
+        mutate, message = _fault(fault)
+        mutate(lines[at])
+        p = tmp_path / "bad.jsonl"
+        _write_lines(p, lines)
+        with pytest.raises(ValidationError, match=re.escape(f"bad.jsonl:{at + 1}: {message}")):
+            read_jsonl(p)
+
+    @pytest.mark.parametrize("fault", sorted(CONSTRUCTOR_FAULTS))
+    @pytest.mark.parametrize(
+        "faulty", [(1,), (4,), (1, 4), (3, 4)], ids=["5_only", "6_only", "5_first", "6_first"]
+    )
+    def test_constructor_fault_in_a_two_group_file(self, tmp_path, fault, faulty):
+        """Six lines alternate between a 6- and a 5-entity group; the first
+        faulty line of the file is named, whichever group it is in."""
+        six, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 3, 1, seed=3)
+        five, _ = generate_dataset(tiny_world(entities_min=5, entities_max=5), 3, 1, seed=3)
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [x for pair in zip(six, five) for x in pair])
+        lines = [json.loads(line) for line in p.read_text().splitlines()]
+        first = min(faulty)
+        mutate, message = _fault(fault, n=5 if first % 2 else 6)
+        for k in faulty:
+            mutate(lines[k])
+        _write_lines(p, lines)
+        with pytest.raises(ValidationError, match=re.escape(f"bad.jsonl:{first + 1}: {message}")):
+            read_jsonl(p)
+
+    def test_boxed_and_boxless_lines_share_a_group(self, tmp_path):
+        want, lines = _same_shape_lines(tmp_path)
+        for k in (1, 4):
+            lines[k]["entities"]["boxes"] = None
+            ent = want[k].entities
+            want[k] = Instance(
+                entities=EntitySet(features=ent.features, categories=ent.categories),
+                target=want[k].target,
+                label=want[k].label,
+                gt_relations=want[k].gt_relations,
+            )
+        p = tmp_path / "bad.jsonl"
+        _write_lines(p, lines)
+        got = read_jsonl(p)
+        assert [inst.entities.boxes is None for inst in got] == [False, True, False, False, True, False]
+        assert_bit_identical(got, want)
+
+    def test_all_zero_target_in_a_group_is_unlabeled(self, tmp_path):
+        want, lines = _same_shape_lines(tmp_path)
+        assert all(inst.labeled for inst in want[:3])
+        entry = lines[2]["target"]
+        entry["data"] = base64.b64encode(bytes(len(base64.b64decode(entry["data"])))).decode("ascii")
+        p = tmp_path / "bad.jsonl"
+        _write_lines(p, lines)
+        got = read_jsonl(p)
+        assert [inst.labeled for inst in got] == [True, True, False, *(i.labeled for i in want[3:])]
+        assert not got[2].target.any() and got[2].gt_relations == ()
 
     def test_padding_bit_names_its_own_line(self, tmp_path):
         _, lines = _same_shape_lines(tmp_path)
@@ -757,6 +843,24 @@ class TestSpecSerialization:
         with pytest.raises(ValidationError, match=rf"^{key}: expected {want}, got "):
             load_spec(d)
 
+    @pytest.mark.parametrize(
+        "spec,key,value,message",
+        [(default_world_spec, "prototypes", [[1.0, 0.0], [True, 1.0]], "expected a real number, got True"),
+         (default_document_spec, "embeddings", [[0.5, False]], "expected a real number, got False"),
+         (default_world_spec, "prototypes", [[10**400]], "not a numeric matrix (int too large"),
+         (default_document_spec, "pair_table", [["noun", "verb"], "ab"], "expected tag pairs, got 'ab'"),
+         (default_document_spec, "pair_table", [{"noun": "verb"}], "expected tag pairs, got {'noun'"),
+         (default_document_spec, "pair_table", [["noun", 2]], "expected tag pairs, got ['noun', 2]"),
+         (default_document_spec, "pair_table", {"noun": "verb"}, "expected a list of tag pairs")],
+        ids=["bool_prototype", "bool_embedding", "huge_prototype", "string_pair", "dict_pair",
+             "int_tag", "pairs_not_a_list"],
+    )
+    def test_rejects_mistyped_entry(self, spec, key, value, message):
+        d = spec().to_dict()
+        d[key] = value
+        with pytest.raises(ValidationError, match=re.escape(f"{key}: {message}")):
+            load_spec(d)
+
     @pytest.mark.parametrize("key", ["tokens", "tags"])
     @pytest.mark.parametrize(
         "change,got",
@@ -784,6 +888,16 @@ class TestSpecSerialization:
         np.testing.assert_array_equal(a.entities.features, b.entities.features)
 
 
+BAD_TARGETS = [
+    ([[0.0, 0.5], [0.5, 0.0]], "exactly 0 or 1"),
+    ([[0.0, 2.0], [2.0, 0.0]], "exactly 0 or 1"),
+    ([[0.0, -1.0], [-1.0, 0.0]], "exactly 0 or 1"),
+    ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero"),
+    ([[0.0, 1.0], [1.0, 1.0]], "diagonal must be zero"),
+    ([[0.0, float("nan")], [0.0, 0.0]], "non-finite"),
+]
+
+
 class TestInstanceValidation:
     def test_target_shape_checked(self):
         from fanet.attention import EntitySet
@@ -792,23 +906,44 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             Instance(entities=ents, target=np.zeros((2, 2)), label=0)
 
-    @pytest.mark.parametrize(
-        "target,message",
-        [
-            ([[0.0, 0.5], [0.5, 0.0]], "exactly 0 or 1"),
-            ([[0.0, 2.0], [2.0, 0.0]], "exactly 0 or 1"),
-            ([[0.0, -1.0], [-1.0, 0.0]], "exactly 0 or 1"),
-            ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero"),
-            ([[0.0, 1.0], [1.0, 1.0]], "diagonal must be zero"),
-            ([[0.0, float("nan")], [0.0, 0.0]], "non-finite"),
-        ],
-    )
+    @pytest.mark.parametrize("target,message", BAD_TARGETS)
     def test_target_checked_once_at_entry(self, target, message):
         from fanet.attention import EntitySet
 
         ents = EntitySet(features=np.zeros((2, 2)))
         with pytest.raises(ValidationError, match=message):
             Instance(entities=ents, target=target, label=0)
+
+    @pytest.mark.parametrize("target,message", BAD_TARGETS)
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_a_stack_is_rejected_as_its_bad_matrix(self, target, message, at):
+        """validate_target on a (B, n, n) stack rejects what it rejects per matrix."""
+        with pytest.raises(ValidationError, match=message) as alone:
+            validate_target(target)
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = stack[1, 1, 0] = 1.0
+        stack[at] = target
+        with pytest.raises(ValidationError) as stacked:
+            validate_target(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stack_shapes(self):
+        stack = np.zeros((2, 3, 3))
+        stack[1, 0, 2] = stack[1, 2, 0] = 1.0
+        stack[0, 1, 1] = -0.0
+        assert validate_target(stack) is stack
+        with pytest.raises(ValidationError, match="must be square"):
+            validate_target(np.zeros((2, 3, 4)))
+        with pytest.raises(ValidationError, match="at least one row"):
+            validate_target(np.zeros((0, 3, 3)))
+
+    def test_negative_zero_is_an_unlabeled_zero(self):
+        from fanet.attention import EntitySet
+
+        t = np.zeros((2, 2))
+        t[0, 1] = -0.0
+        inst = Instance(entities=EntitySet(features=np.zeros((2, 2))), target=t, label=0)
+        assert not inst.labeled
 
     def test_labeled_records_any_pair(self):
         from fanet.attention import EntitySet
