@@ -6,7 +6,7 @@ Subcommands: gen, train, eval, ablate, export-attention, gradcheck. Run
 Conventions shared by every subcommand:
 
   * exit codes: 0 success, 1 internal error or training divergence, 2 user
-    input error (bad flags, malformed files, missing paths);
+    input error (bad flags, malformed files, missing or unwritable paths);
   * configuration comes from one JSON file plus flag overrides, flags win;
     the merged effective config is echoed into the JSON artifacts and as a
     ``# config:`` comment line atop report/ablation CSVs;
@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,15 +53,18 @@ from .synthgen import (
 from .trainer import (
     HEAD_MODES,
     OPTIMIZERS,
+    RESULT_COLUMNS,
     STRATEGIES,
     DivergenceError,
     TrainConfig,
     ablation_cells,
+    csv_text,
     evaluate,
     forward_task,
     grad_check,
     init_model,
     load_checkpoint,
+    recall_columns,
     save_checkpoint,
     train,
 )
@@ -126,45 +130,41 @@ def _parse_ks(raw: str) -> tuple:
     return ks
 
 
-# flag dest -> config key; None values mean "not given on the command line"
-_CONFIG_FLAGS = (
-    ("lam", "lambda"),
-    ("focal_r", "focal_r"),
-    ("loss_variant", "loss_variant"),
-    ("strategy", "strategy"),
-    ("optimizer", "optimizer"),
-    ("lr", "lr"),
-    ("momentum", "momentum"),
-    ("epochs", "epochs"),
-    ("batch_size", "batch_size"),
-    ("seed", "seed"),
-    ("head_mode", "head_mode"),
-    ("eps", "eps"),
-    ("d_k", "d_k"),
-    ("freeze_attention", "freeze_attention"),
-    ("eval_ks", "eval_ks"),
-)
+# flag help beyond the name; the rest of a config flag comes from its TrainConfig field
+_FLAG_HELP = {
+    "lam": "relation-loss weight",
+    "focal_r": "focal exponent r",
+    "eval_ks": "recall cutoffs, e.g. 1,5,10",
+}
+_FLAG_CHOICES = {
+    "loss_variant": LOSS_VARIANTS,
+    "strategy": STRATEGIES,
+    "optimizer": OPTIMIZERS,
+    "head_mode": HEAD_MODES,
+}
+_FLAG_TYPES = {"int": int, "float": float}  # annotations are strings
+# every TrainConfig field gets a flag but agg_axis, which has one value
+_FLAG_FIELDS = tuple(f for f in fields(TrainConfig) if f.name != "agg_axis")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """`--config`, then one flag per field, named after its JSON key (`--lambda` for lam).
+
+    Every flag defaults to None, "not given on the command line".
+    """
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
-    parser.add_argument("--lambda", dest="lam", type=float, help="relation-loss weight")
-    parser.add_argument("--focal-r", type=int, help="focal exponent r")
-    parser.add_argument("--loss-variant", choices=LOSS_VARIANTS)
-    parser.add_argument("--strategy", choices=STRATEGIES)
-    parser.add_argument("--optimizer", choices=OPTIMIZERS)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--head-mode", choices=HEAD_MODES)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--d-k", type=int)
-    parser.add_argument(
-        "--freeze-attention", action=argparse.BooleanOptionalAction, default=None
-    )
-    parser.add_argument("--eval-ks", help="recall cutoffs, e.g. 1,5,10")
+    for f in _FLAG_FIELDS:
+        flag = "--" + TrainConfig.key(f.name).replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(
+                flag,
+                dest=f.name,
+                type=_FLAG_TYPES.get(f.type),
+                choices=_FLAG_CHOICES.get(f.name),
+                help=_FLAG_HELP.get(f.name),
+            )
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -182,12 +182,11 @@ def _config_from_args(args) -> TrainConfig:
             raise ValidationError(f"{args.config}: {exc}") from exc
     merged = TrainConfig().to_dict()
     merged.update(file_dict)
-    for dest, key in _CONFIG_FLAGS:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        merged[key] = _parse_ks(value) if key == "eval_ks" else value
-    if getattr(args, "seed", None) is None and "seed" not in file_dict:
+    for f in _FLAG_FIELDS:
+        value = getattr(args, f.name)
+        if value is not None:
+            merged[TrainConfig.key(f.name)] = _parse_ks(value) if f.name == "eval_ks" else value
+    if args.seed is None and "seed" not in file_dict:
         env = _env_seed()
         if env is not None:
             merged["seed"] = env
@@ -245,10 +244,6 @@ def _manifest_classes(data_dir: str):
 
 def _comment_csv(fh, config_dict: dict) -> None:
     fh.write("# config: " + json.dumps(config_dict, sort_keys=True) + "\n")
-
-
-def _fmt(value) -> str:
-    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 # --- gen ------------------------------------------------------------------------
@@ -357,16 +352,16 @@ def cmd_eval(args) -> int:
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         head = ["n_instances", "accuracy", "center_mass", "n_center_mass_vacuous"]
-        head += [f"recall@{k}" for k in ks] + ["n_recall_vacuous"]
-        writer.writerow(head)
+        writer.writerow(head + recall_columns(ks) + ["n_recall_vacuous"])
         row = [
             result.n_instances,
-            _fmt(result.accuracy),
-            _fmt(result.center_mass.mean_m),
+            result.accuracy,
+            result.center_mass.mean_m,
             result.center_mass.n_vacuous,
+            *(result.recall[k] for k in ks),
+            result.n_recall_vacuous,
         ]
-        row += [_fmt(result.recall[k]) for k in ks] + [result.n_recall_vacuous]
-        writer.writerow(row)
+        writer.writerow([csv_text(v) for v in row])
 
     print(f"evaluated {result.n_instances} instances from {args.data}")
     print(
@@ -392,20 +387,6 @@ def _ablate_worker(payload):
     except DivergenceError as exc:
         return cell_id, None, str(exc)
     return cell_id, report, None
-
-
-def _cells_csv_header(ks) -> list:
-    head = [
-        "cell_id",
-        "epochs",
-        "task_loss",
-        "relation_loss",
-        "combined_loss",
-        "center_mass",
-        "center_mass_test",
-        "accuracy",
-    ]
-    return head + [f"recall@{k}" for k in ks]
 
 
 def _completed_cells(path) -> set:
@@ -456,7 +437,7 @@ def cmd_ablate(args) -> int:
         curves_writer = csv.writer(curves_fh)
         if fresh_cells:
             _comment_csv(cells_fh, base.to_dict())
-            cells_writer.writerow(_cells_csv_header(ks))
+            cells_writer.writerow(["cell_id", "epochs", *RESULT_COLUMNS, *recall_columns(ks)])
             cells_fh.flush()
         if fresh_curves:
             _comment_csv(curves_fh, base.to_dict())
@@ -481,21 +462,11 @@ def cmd_ablate(args) -> int:
                     print(f"cell {cell_id} failed: training diverged: {error}", file=sys.stderr)
                     continue
                 last = report.epochs[-1]
-                row = [
-                    cell_id,
-                    str(report.config.epochs),
-                    _fmt(last.task_loss),
-                    _fmt(last.relation_loss),
-                    _fmt(last.combined_loss),
-                    _fmt(last.center_mass),
-                    _fmt(last.center_mass_test),
-                    _fmt(last.accuracy),
-                ]
-                row += [_fmt(last.recall.get(k, float("nan"))) for k in ks]
-                cells_writer.writerow(row)
+                epochs = str(report.config.epochs)
+                cells_writer.writerow([cell_id, epochs, *last.csv_cells(RESULT_COLUMNS, ks)])
                 cells_fh.flush()
                 for k in report.config.eval_ks:
-                    curves_writer.writerow([cell_id, str(k), _fmt(last.recall[k])])
+                    curves_writer.writerow([cell_id, str(k), csv_text(last.recall[k])])
                 curves_fh.flush()
                 print(f"cell {cell_id}: accuracy={last.accuracy:.4f}")
         finally:
@@ -709,10 +680,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UserInputError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except FileNotFoundError as exc:
+    # the OSErrors come from paths given on the command line, and their text names the path
+    except (UserInputError, ValidationError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except DivergenceError as exc:

@@ -177,29 +177,33 @@ class TrainConfig:
         """Loss config for the relation term; `mat` pins the focal exponent."""
         return self._focus
 
+    @staticmethod
+    def key(name: str) -> str:
+        """The JSON key of field `name`: the name itself, except "lambda" for `lam`."""
+        return "lambda" if name == "lam" else name
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
+        d = {self.key(name): value for name, value in asdict(self).items()}
         d["eval_ks"] = list(self.eval_ks)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        types = {f.name: f.type for f in fields(cls)}  # annotations, as strings
+        by_key = {cls.key(f.name): f for f in fields(cls)}
         kwargs = {}
         for key, value in d.items():
-            name = "lam" if key == "lambda" else key
-            if name not in types:
+            if key not in by_key:
                 raise ValidationError(f"{key}: unknown training config field")
-            if types[name] in ("int", "float"):
-                _json_number(value, key, types[name] == "int")
-            elif types[name] == "bool" and not isinstance(value, bool):
+            kind = by_key[key].type  # the annotation, as a string
+            if kind in ("int", "float"):
+                _json_number(value, key, kind == "int")
+            elif kind == "bool" and not isinstance(value, bool):
                 raise ValidationError(f"{key}: expected true or false, got {value!r}")
-            elif name == "eval_ks":  # a JSON list, or the CLI's parsed --eval-ks tuple
+            elif key == "eval_ks":  # a JSON list, or the CLI's parsed --eval-ks tuple
                 if not isinstance(value, (list, tuple)):
                     raise ValidationError(f"{key}: expected a list of integers, got {value!r}")
                 value = tuple(_json_number(k, key, integer=True) for k in value)
-            kwargs[name] = value
+            kwargs[by_key[key].name] = value
         return cls(**kwargs)
 
 
@@ -225,8 +229,10 @@ class ModelParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in PARAM_NAMES:
+        for name, ndim in zip(PARAM_NAMES, (2, 2, 2, 1)):
             a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.ndim != ndim:
+                raise ShapeError(f"{name} must have {ndim} dimensions, got shape {a.shape}")
             check_finite(a, name)
             setattr(self, name, a)
         if self.w_k.shape != self.w_q.shape:
@@ -617,19 +623,29 @@ class EpochStats:
     recall: dict              # k -> test recall
 
     def to_dict(self) -> dict:
-        d = {
-            "epoch": self.epoch,
-            "lr": self.lr,
-            "task_loss": self.task_loss,
-            "relation_loss": self.relation_loss,
-            "combined_loss": self.combined_loss,
-            "center_mass": self.center_mass,
-            "center_mass_test": self.center_mass_test,
-            "accuracy": self.accuracy,
-        }
-        for k, v in self.recall.items():
-            d[f"recall@{k}"] = v
+        d = {name: getattr(self, name) for name in EPOCH_COLUMNS}
+        d.update(zip(recall_columns(self.recall), self.recall.values()))
         return d
+
+    def csv_cells(self, columns, ks) -> list:
+        """The `columns`, then the recall at each of `ks` (nan for a K not scored)."""
+        values = [getattr(self, name) for name in columns]
+        return [csv_text(v) for v in values + [self.recall.get(k, math.nan) for k in ks]]
+
+
+# the scalar fields of an epoch, in report.csv order; the recall@K columns follow
+EPOCH_COLUMNS = tuple(f.name for f in fields(EpochStats) if f.name != "recall")
+# what the last epoch says about a finished run, in cells.csv order
+RESULT_COLUMNS = tuple(name for name in EPOCH_COLUMNS if name not in ("epoch", "lr"))
+
+
+def recall_columns(ks) -> list:
+    return [f"recall@{k}" for k in ks]
+
+
+def csv_text(value) -> str:
+    """A CSV cell: a float with 17 significant digits, so it reads back exactly."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -650,38 +666,10 @@ class TrainReport:
         }
 
     def csv_header(self) -> list:
-        head = [
-            "epoch",
-            "lr",
-            "task_loss",
-            "relation_loss",
-            "combined_loss",
-            "center_mass",
-            "center_mass_test",
-            "accuracy",
-        ]
-        head += [f"recall@{k}" for k in self.config.eval_ks]
-        return head
+        return [*EPOCH_COLUMNS, *recall_columns(self.config.eval_ks)]
 
     def csv_rows(self) -> list:
-        rows = []
-        for e in self.epochs:
-            row = [str(e.epoch)]
-            row += [
-                format(v, ".17g")
-                for v in (
-                    e.lr,
-                    e.task_loss,
-                    e.relation_loss,
-                    e.combined_loss,
-                    e.center_mass,
-                    e.center_mass_test,
-                    e.accuracy,
-                )
-            ]
-            row += [format(e.recall[k], ".17g") for k in self.config.eval_ks]
-            rows.append(row)
-        return rows
+        return [e.csv_cells(EPOCH_COLUMNS, self.config.eval_ks) for e in self.epochs]
 
 
 def _check_dataset(train_set, test_set):
@@ -897,30 +885,34 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return _checkpoint_from_doc(doc)
+    except ValidationError as exc:  # keeps the subclass, e.g. NonFiniteError
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _checkpoint_from_doc(doc) -> tuple[ModelParams, TrainConfig]:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValidationError(
-            f"{path}: format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
-        )
+        raise ValidationError(f"format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"{path}: version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
+        raise ValidationError(f"version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    for name in ("params", "config"):
+        if name not in doc:
+            raise ValidationError(f"missing checkpoint field {name!r}")
+        if not isinstance(doc[name], dict):
+            raise ValidationError(f"{name}: expected an object, got {type(doc[name]).__name__}")
     try:
-        arrays = {
-            name: _decode_array(doc["params"][name], name)
-            for name in PARAM_NAMES
-        }
-        config_dict = doc["config"]
+        arrays = {name: _decode_array(doc["params"][name], name) for name in PARAM_NAMES}
     except KeyError as exc:
-        raise ValidationError(f"{path}: missing checkpoint field {exc}") from exc
-    try:
-        config = TrainConfig.from_dict(config_dict)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ValidationError(f"missing checkpoint field {exc}") from exc
+    config = TrainConfig.from_dict(doc["config"])
     params = ModelParams(**arrays)
-    if params.num_classes != int(doc.get("num_classes", params.num_classes)):
+    num_classes = _json_number(doc.get("num_classes", params.num_classes), "num_classes", True)
+    if num_classes != params.num_classes:
         raise ValidationError(
-            f"{path}: num_classes field {doc['num_classes']} does not match "
+            f"num_classes field {num_classes} does not match "
             f"classifier shape {params.classifier_w.shape}"
         )
     return params, config

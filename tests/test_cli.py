@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, reproducibility, resume."""
 
+import argparse
 import base64
 import csv
 import gc
@@ -17,7 +18,7 @@ import pytest
 
 from fanet import cli
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
-from fanet.matrices import ValidationError
+from fanet.matrices import ValidationError, _encode_array
 from fanet.synthgen import default_document_spec, default_world_spec, load_spec, read_jsonl
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
@@ -695,6 +696,34 @@ class TestEval:
         assert code == EXIT_USER
         assert "w_k contains non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: [1], "expected a JSON object, got list"),
+            (lambda doc: {**doc, "config": []}, "config: expected an object, got list"),
+            (lambda doc: {**doc, "params": []}, "params: expected an object, got list"),
+            (lambda doc: {**doc, "num_classes": "x"}, "num_classes: expected an integer, got 'x'"),
+            (lambda doc: {**doc, "params": {"w_k": [1]}},
+             "w_k: expected an encoded array object, got list"),
+            (lambda doc: {**doc, "params": {**doc["params"], "classifier_w": _encode_array(
+                np.zeros(()))}}, "classifier_w must have 2 dimensions, got shape ()"),
+        ],
+        ids=["list", "config_list", "params_list", "num_classes_string", "w_k_list",
+             "classifier_w_scalar"],
+    )
+    def test_malformed_checkpoint_names_its_file(
+        self, tmp_path, data_dir, run_dir, capsys, mutate, message
+    ):
+        doc = json.loads(Path(run_dir, "checkpoint.json").read_text())
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(mutate(doc)))
+        code = main(
+            ["eval", "--checkpoint", str(bad),
+             "--data", os.path.join(data_dir, "test.jsonl"), "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_USER
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_missing_checkpoint(self, tmp_path, data_dir):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "none.json"),
@@ -785,7 +814,7 @@ class TestAblate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["cells"]) == 2
 
-    def test_failed_curves_open_closes_the_cells_file(self, tmp_path, data_dir):
+    def test_failed_curves_open_closes_the_cells_file(self, tmp_path, data_dir, capsys):
         grid = self.grid_file(tmp_path, {"strategy": ["unsup"]})
         out = tmp_path / "ab"
         (out / "curves.csv").mkdir(parents=True)  # the second open fails
@@ -793,7 +822,9 @@ class TestAblate:
             warnings.simplefilter("always")
             code = main(["ablate", "--grid", grid, "--data", data_dir, "--out", str(out)] + FAST_TRAIN)
             gc.collect()
-        assert code != EXIT_OK
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "curves.csv") in err
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_ablate_runs_cells(self, tmp_path, data_dir):
@@ -970,6 +1001,137 @@ class TestConfigFileErrors:
                 "--epochs", "0"]
         assert main(argv) == EXIT_USER
         assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
+
+
+def _csv_rows(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.reader(r for r in fh if not r.startswith("#")))
+
+
+# (option strings, dest, type, choices, default, help, action class): the
+# config flags that `train` and `ablate` share, in parser order
+_CHOICES = {
+    "loss_variant": ("focal", "l2", "smooth_l1"),
+    "strategy": ("row", "mat", "mat_focal", "unsup"),
+    "optimizer": ("sgd_momentum", "adam"),
+    "head_mode": ("residual", "concat"),
+}
+CONFIG_FLAG_TABLE = [
+    (("--config",), "config", None, None, None, "JSON file with TrainConfig fields", "_StoreAction"),
+    (("--lambda",), "lam", float, None, None, "relation-loss weight", "_StoreAction"),
+    (("--focal-r",), "focal_r", int, None, None, "focal exponent r", "_StoreAction"),
+    (("--loss-variant",), "loss_variant", None, _CHOICES["loss_variant"], None, None, "_StoreAction"),
+    (("--strategy",), "strategy", None, _CHOICES["strategy"], None, None, "_StoreAction"),
+    (("--optimizer",), "optimizer", None, _CHOICES["optimizer"], None, None, "_StoreAction"),
+    (("--lr",), "lr", float, None, None, None, "_StoreAction"),
+    (("--momentum",), "momentum", float, None, None, None, "_StoreAction"),
+    (("--epochs",), "epochs", int, None, None, None, "_StoreAction"),
+    (("--batch-size",), "batch_size", int, None, None, None, "_StoreAction"),
+    (("--seed",), "seed", int, None, None, None, "_StoreAction"),
+    (("--head-mode",), "head_mode", None, _CHOICES["head_mode"], None, None, "_StoreAction"),
+    (("--eps",), "eps", float, None, None, None, "_StoreAction"),
+    (("--d-k",), "d_k", int, None, None, None, "_StoreAction"),
+    (("--freeze-attention", "--no-freeze-attention"), "freeze_attention", None, None, None, None,
+     "BooleanOptionalAction"),
+    (("--eval-ks",), "eval_ks", None, None, None, "recall cutoffs, e.g. 1,5,10", "_StoreAction"),
+]
+HELP_FLAG = (("-h", "--help"), "help", None, None, "==SUPPRESS==", "show this help message and exit",
+             "_HelpAction")
+FLAG_TABLES = {
+    "train": [
+        HELP_FLAG,
+        (("--data",), "data", None, None, None, "directory with train/test JSONL", "_StoreAction"),
+        (("--out",), "out", None, None, None, "output directory", "_StoreAction"),
+        *CONFIG_FLAG_TABLE,
+    ],
+    "ablate": [
+        HELP_FLAG,
+        (("--grid",), "grid", None, None, None, "path to a JSON file {field: [values, ...]}",
+         "_StoreAction"),
+        (("--data",), "data", None, None, None, "directory with train/test JSONL", "_StoreAction"),
+        (("--out",), "out", None, None, None, "output directory", "_StoreAction"),
+        (("--jobs",), "jobs", int, None, 1, "parallel cells", "_StoreAction"),
+        (("--resume",), "resume", None, None, False, "skip cells already in cells.csv",
+         "_StoreTrueAction"),
+        *CONFIG_FLAG_TABLE,
+    ],
+}
+
+
+class TestConfigFlagsAndColumns:
+    """The flags and CSV columns derived from TrainConfig and EpochStats keep their layout."""
+
+    @pytest.mark.parametrize("command", sorted(FLAG_TABLES))
+    def test_flag_table(self, command):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        table = [
+            (tuple(a.option_strings), a.dest, a.type, a.choices, a.default, a.help,
+             type(a).__name__)
+            for a in sub.choices[command]._actions
+        ]
+        assert table == FLAG_TABLES[command]
+        assert not any("--agg-axis" in row[0] for row in table)
+
+    def test_repeated_k_keeps_every_report_column(self, tmp_path, data_dir):
+        out = tmp_path / "run"
+        argv = ["train", "--data", data_dir, "--out", str(out), "--eval-ks", "5,5"] + FAST_TRAIN
+        assert main(argv) == EXIT_OK
+        header, *rows = _csv_rows(out / "report.csv")
+        assert header[-3:] == ["accuracy", "recall@5", "recall@5"]
+        assert len(rows) == 3
+        assert all(len(row) == len(header) and row[-1] == row[-2] for row in rows)
+
+    def test_cells_keep_the_base_ks_and_curves_each_cells_own(self, tmp_path, data_dir):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"eval_ks": [[1], [1, 5, 10]]}))
+        out = tmp_path / "ab"
+        argv = ["ablate", "--grid", str(grid), "--data", data_dir, "--out", str(out)] + FAST_TRAIN
+        assert main(argv) == EXIT_OK
+        header, short, full = _csv_rows(out / "cells.csv")
+        assert header == ["cell_id", "epochs", "task_loss", "relation_loss", "combined_loss",
+                          "center_mass", "center_mass_test", "accuracy",
+                          "recall@1", "recall@5", "recall@10"]
+        assert short[0] == "eval_ks=[1]" and short[-2:] == ["nan", "nan"]
+        assert full[0] == "eval_ks=[1, 5, 10]" and "nan" not in full
+        assert short[1:-2] == full[1:-2]
+        curves = _csv_rows(out / "curves.csv")
+        assert [row[:2] for row in curves] == [
+            ["cell_id", "k"], ["eval_ks=[1]", "1"],
+            ["eval_ks=[1, 5, 10]", "1"], ["eval_ks=[1, 5, 10]", "5"], ["eval_ks=[1, 5, 10]", "10"],
+        ]
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a user error that names the path."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate"])
+    def test_out_is_an_existing_file(self, tmp_path, data_dir, run_dir, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambda": [0.0]}))
+        argv = {
+            "gen": ["gen", "--n-train", "2", "--n-test", "1"],
+            "train": ["train", "--data", data_dir] + FAST_TRAIN,
+            "eval": ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+                     "--data", os.path.join(data_dir, "test.jsonl")],
+            "ablate": ["ablate", "--grid", str(grid), "--data", data_dir] + FAST_TRAIN,
+        }[command]
+        assert main(argv + ["--out", str(out)]) == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == ""
+
+    def test_export_attention_out_is_a_directory(self, tmp_path, data_dir, run_dir, capsys):
+        code = main(
+            ["export-attention", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+             "--data", os.path.join(data_dir, "test.jsonl"), "--instance", "0",
+             "--out", str(tmp_path)]
+        )
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
 
 class TestParserReuse:

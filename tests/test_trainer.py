@@ -77,6 +77,11 @@ class TestTrainConfig:
         assert "lam" not in d
         assert TrainConfig.from_dict(d) == cfg
 
+    def test_from_dict_reads_lambda_only_under_its_json_key(self):
+        # a "lam" key once beat a --lambda flag, since the flag was merged as "lambda"
+        with pytest.raises(ValidationError, match="^lam: unknown training config field$"):
+            TrainConfig.from_dict({"lam": 0.5})
+
     def test_from_dict_rejects_unknown_field(self):
         d = TrainConfig().to_dict()
         d["learning_rate"] = 0.1
