@@ -3,8 +3,10 @@
 `gen` 20/10 at seed 0, `train` for 4 epochs at seed 0, then `eval` of the
 checkpoint on the test split. Two more `gen` runs at seed 0 pin the dataset
 writer where the bundled run does not reach: 1/2 scenes of 300 entities each
-(the bundled vision world with entities_min = entities_max = 300), and 20/10
-documents of the bundled document world. Four more 3-epoch `train` runs at
+(the bundled vision world with entities_min = entities_max = 300), 20/10
+documents of the bundled document world, and 20/10 long documents (the
+bundled document world with tokens_min = 48 and tokens_max = 64, so each
+document has over a thousand candidate pairs). Four more 3-epoch `train` runs at
 seed 0 on 20/10 datasets pin the training paths the default recipe leaves
 out: the language recipe (adam, lambda 0.1, batch size 2) on documents; the
 row strategy with the concat head; the mat strategy
@@ -32,7 +34,7 @@ import json
 import pytest
 
 from fanet.cli import EXIT_OK, main
-from fanet.synthgen import default_world_spec
+from fanet.synthgen import default_document_spec, default_world_spec
 
 GOLDEN = {
     "data/train.jsonl": "e743684e22c8ee3d093934a44f516eb4389d05e54dcc4b351cc1f7083c55091b",
@@ -52,6 +54,9 @@ GEN_GOLDEN = {
     "document/train.jsonl": "150b574b94027a97d34d5b7703e1ca0f78d7f9923081c160e22f13e7597e9990",
     "document/test.jsonl": "d122087ce644b60ed25f56d1bf51598dff9ffbb4ba2bf1308c2aeb7146e3afa9",
     "document/manifest.json": "ddcbc495cc05972a6c53e99852a4e59c6d1c64ff9220d04face3e73ee360e654",
+    "document_long/train.jsonl": "798f0bf1e1bc3734b1c99076acf030d92bc0f19f4a231ba9de86d35c2226afe2",
+    "document_long/test.jsonl": "a3655c04c7d0330fccef19df75d2b4032ddf86e797ba4bf34daeda2c0e051ce0",
+    "document_long/manifest.json": "2dd77c766946c1959a3e0c38c83e82b06cf8671b1b230b8fcb71583d90f437df",
 }
 
 
@@ -83,10 +88,16 @@ def gen_artifacts(tmp_path_factory):
     spec["entities_min"] = spec["entities_max"] = 300
     spec_path = root / "vision300.json"
     spec_path.write_text(json.dumps(spec))
+    long_doc = default_document_spec().to_dict()
+    long_doc["tokens_min"], long_doc["tokens_max"] = 48, 64
+    long_doc_path = root / "document_long.json"
+    long_doc_path.write_text(json.dumps(long_doc))
     steps = [
         ["gen", "--spec", str(spec_path), "--out", str(root / "vision300"),
          "--n-train", "1", "--n-test", "2", "--seed", "0"],
         ["gen", "--kind", "document", "--out", str(root / "document"),
+         "--n-train", "20", "--n-test", "10", "--seed", "0"],
+        ["gen", "--spec", str(long_doc_path), "--out", str(root / "document_long"),
          "--n-train", "20", "--n-test", "10", "--seed", "0"],
     ]
     for argv in steps:

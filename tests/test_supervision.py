@@ -238,6 +238,29 @@ class TestLanguageTarget:
                 tokens=("a", "b"),
             )
 
+    # code-point order: "Z" < "a" < "z" < "Ä" < "ä" < "é"; a case-folded order differs
+    ODD_TAGS = ("ä", "Z", "a", "é", "Ä", "z", "a", "Z", "ä")
+    ODD_TABLE = (("Z", "a"), ("ä", "Ä"), ("é", "é"), ("z", "ä"))
+
+    @pytest.mark.parametrize(
+        "tags",
+        [ODD_TAGS, ("a",), ()],
+        ids=["mixed_case_non_ascii", "single", "empty"],
+    )
+    @pytest.mark.parametrize("mode", LANGUAGE_MODES)
+    def test_matches_unique_reference(self, tags, mode):
+        table = LexicalPairTable(self.ODD_TABLE)
+        tokens = tuple(reversed(tags))
+        got = build_language_target(tags, table, mode=mode, tokens=tokens)
+        want = ref_language_target_unique(tags, table, mode, tokens)
+        assert got.dtype == np.float64 and got.shape == (len(tags),) * 2
+        np.testing.assert_array_equal(got, want)
+
+    def test_names_the_first_unknown_tag_in_sequence_order(self):
+        table = LexicalPairTable([("noun", "verb")])
+        with pytest.raises(ValidationError, match="^unknown lexical category id 'zeta'$"):
+            build_language_target(("noun", "zeta", "alpha"), table, mode="semantic")
+
 
 class TestLexicalPairTable:
     def test_contains_is_unordered(self):
@@ -343,6 +366,23 @@ def ref_language_target(tags, table, mode, tokens=None):
                 hit = tokens[m] != tokens[k]
             if hit:
                 t[m, k] = t[k, m] = 1.0
+    return t
+
+
+def ref_language_target_unique(tags, table, mode, tokens=None):
+    """The rule applied over np.unique's sorted keys, spread back by the inverse."""
+    keys = tokens if mode == "different_word" else tags
+    keys, key_of = np.unique(np.asarray(keys, dtype=str), return_inverse=True)
+    u = len(keys)
+    if mode == "semantic":
+        rule = np.array([[table.contains(a, b) for b in keys] for a in keys], dtype=bool)
+        rule = rule.reshape(u, u)
+    elif mode == "same_category":
+        rule = np.eye(u, dtype=bool)
+    else:
+        rule = ~np.eye(u, dtype=bool)
+    t = rule[key_of[:, None], key_of[None, :]].astype(np.float64)
+    np.fill_diagonal(t, 0.0)
     return t
 
 

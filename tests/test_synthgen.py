@@ -438,6 +438,35 @@ class TestFormatV2:
         write_jsonl(p2, [inst])
         assert_same_instances(read_jsonl(p2), read_jsonl(p1))
 
+    # The writer omits gt_relations only when they list the target's upper
+    # pairs, i < j in row-major order, each once; reversed pairs count as equal.
+    @pytest.mark.parametrize(
+        "labeled, relations, written",
+        [
+            (True, (), []),
+            (True, ((1, 0), (3, 2)), None),
+            (True, ((2, 3), (0, 1)), [[2, 3], [0, 1]]),
+            (True, ((0, 1), (0, 1)), [[0, 1], [0, 1]]),
+            (True, ((0, 1), (1, 2)), [[0, 1], [1, 2]]),
+            (False, (), None),
+        ],
+        ids=["none", "reversed", "reordered", "duplicate", "same_count", "unlabeled"],
+    )
+    def test_written_relations(self, tmp_path, labeled, relations, written):
+        target = np.zeros((4, 4))
+        if labeled:
+            target[0, 1] = target[1, 0] = target[2, 3] = target[3, 2] = 1.0
+        inst = Instance(
+            entities=EntitySet(features=np.eye(4)), target=target, label=1,
+            gt_relations=relations,
+        )
+        p1, p2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        write_jsonl_v1(p1, [inst])
+        write_jsonl(p2, [inst])
+        d = json.loads(p2.read_text())
+        assert d.get("gt_relations") == written and ("gt_relations" in d) == (written is not None)
+        assert_same_instances(read_jsonl(p2), read_jsonl(p1))
+
     @pytest.mark.parametrize("n", [*range(1, 10), 17])  # n(n-1)/2 takes every residue mod 8
     def test_every_padding_width_round_trips(self, tmp_path, n):
         rng = np.random.default_rng(n)
