@@ -234,16 +234,17 @@ def build_language_target(
     different_category / same_category (tag comparison), different_word
     (token identity; requires tokens). The rule is applied once per pair of
     distinct keys (tags, or tokens for different_word) and spread over the
-    entity pairs by index.
+    entity pairs by index. The keys are numbered in order of first appearance;
+    the target does not depend on their order.
     """
     if mode not in LANGUAGE_MODES:
         raise ValidationError(f"mode must be one of {LANGUAGE_MODES}, got {mode!r}")
     n = len(tags)
     if mode == "semantic":
         known = table.categories
-        for tag in tags:
-            if tag not in known:
-                raise ValidationError(f"unknown lexical category id {tag!r}")
+        if not known.issuperset(tags):
+            bad = next(tag for tag in tags if tag not in known)
+            raise ValidationError(f"unknown lexical category id {bad!r}")
     if mode == "different_word":
         if tokens is None:
             raise ValidationError("different_word mode requires token identities")
@@ -252,15 +253,16 @@ def build_language_target(
                 f"tokens length {len(tokens)} does not match tags length {n}"
             )
     keys = tokens if mode == "different_word" else tags
-    keys, key_of = np.unique(keys, return_inverse=True)
-    u = len(keys)
+    number = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    key_of = np.fromiter(map(number.__getitem__, keys), np.intp, n)
+    u = len(number)
     if mode == "semantic":
-        rule = np.array([[table.contains(a, b) for b in keys] for a in keys], dtype=bool)
+        rule = np.array([[table.contains(a, b) for b in number] for a in number], dtype=bool)
         rule = rule.reshape(u, u)  # (0,) -> (0, 0) for an empty sequence
     elif mode == "same_category":
         rule = np.eye(u, dtype=bool)
     else:  # different_category, different_word
         rule = ~np.eye(u, dtype=bool)
-    t = rule[key_of[:, None], key_of[None, :]].astype(np.float64)
+    t = rule.astype(np.float64).take(key_of, 0).take(key_of, 1)  # two takes beat one 2-D gather
     np.fill_diagonal(t, 0.0)
     return t

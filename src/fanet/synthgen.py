@@ -190,7 +190,7 @@ class WorldSpec:
 
     def scene_label(self, categories: Sequence[int]) -> int:
         """Label implied by a category multiset (lowest complete signature wins)."""
-        present = set(int(c) for c in categories)
+        present = set(categories)
         for k, (a, b) in enumerate(self.signature_pairs):
             if a in present and b in present:
                 return k + 1
@@ -311,7 +311,7 @@ class DocumentSpec:
         return tuple(i for i in range(self.n_tokens) if i not in used)
 
     def document_label(self, token_ids: Sequence[int]) -> int:
-        present = set(int(t) for t in token_ids)
+        present = set(token_ids)
         for k, (a, b) in enumerate(self.keyword_pairs):
             if a in present and b in present:
                 return k + 1
@@ -413,11 +413,12 @@ def _affinity_target(categories: np.ndarray, affine_pairs, n_categories: int) ->
     return table[categories[:, None], categories[None, :]]
 
 
-def _upper_pairs(t: np.ndarray) -> np.ndarray:
-    """(m, 2) indices (i < j) of the 1.0 cells of t, in row-major order."""
+def _upper_pairs(t: np.ndarray) -> tuple:
+    """The 1.0 cells (i, j) of t with i < j, in row-major order, as a tuple of
+    (int, int) tuples: the form of Instance.gt_relations."""
     i, j = np.nonzero(t == 1.0)
     keep = i < j
-    return np.array((i[keep], j[keep])).T
+    return tuple(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 def generate_instance(spec: WorldSpec, seed: int) -> Instance:
@@ -431,15 +432,15 @@ def generate_instance(spec: WorldSpec, seed: int) -> Instance:
         cats.extend(spec.signature_pairs[label - 1])
     fillers = np.asarray(spec.filler_categories)
     n_fill = n - len(cats)
-    cats.extend(int(c) for c in fillers[rng.integers(0, len(fillers), size=n_fill)])
+    cats.extend(fillers[rng.integers(0, len(fillers), size=n_fill)].tolist())
     order = rng.permutation(n)
     categories = np.asarray(cats, dtype=np.int64)[order]
     noise = rng.standard_normal((n, spec.embed_dim))
     features = spec.prototypes[categories] + spec.noise_sigma * noise
     target = _affinity_target(categories, spec.affine_pairs, spec.n_categories)
-    relations = tuple(map(tuple, _upper_pairs(target).tolist()))
+    relations = _upper_pairs(target)
     entities = EntitySet(features=features, categories=categories, boxes=_grid_boxes(n))
-    derived = spec.scene_label(categories)
+    derived = spec.scene_label(categories.tolist())
     if derived != label:  # guards the spec invariants, not user input
         raise ValidationError(
             f"world spec breaks the label rule: drew {label}, derived {derived}"
@@ -459,15 +460,16 @@ def generate_document_instance(spec: DocumentSpec, seed: int) -> Instance:
         ids.extend(spec.keyword_pairs[label - 1])
     fillers = np.asarray(spec.filler_tokens)
     n_fill = n - len(ids)
-    ids.extend(int(i) for i in fillers[rng.integers(0, len(fillers), size=n_fill)])
+    ids.extend(fillers[rng.integers(0, len(fillers), size=n_fill)].tolist())
     order = rng.permutation(n)
     token_ids = np.asarray(ids, dtype=np.int64)[order]
     noise = rng.standard_normal((n, spec.embed_dim))
     features = spec.embeddings[token_ids] + spec.noise_sigma * noise
-    tags = tuple(spec.tags[i] for i in token_ids)
+    drawn = token_ids.tolist()
+    tags = tuple([spec.tags[i] for i in drawn])
     target = build_language_target(tags, mode="semantic", table=spec.table)
     entities = EntitySet(features=features)
-    derived = spec.document_label(token_ids)
+    derived = spec.document_label(drawn)
     if derived != label:
         raise ValidationError(
             f"document spec breaks the label rule: drew {label}, derived {derived}"
@@ -476,7 +478,7 @@ def generate_document_instance(spec: DocumentSpec, seed: int) -> Instance:
         entities=entities,
         target=target,
         label=label,
-        tokens=tuple(spec.tokens[i] for i in token_ids),
+        tokens=tuple([spec.tokens[i] for i in drawn]),
         tags=tags,
     )
 
@@ -584,27 +586,36 @@ def _strict_upper(n: int) -> np.ndarray:
 
 def _instance_to_dict(inst: Instance) -> dict:
     ent = inst.entities
-    relations = [sorted((a, b)) for a, b in inst.gt_relations]
+    upper = inst.target[_strict_upper(inst.n)] == 1.0
     d = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "entities": {
             "features": _encode_array(ent.features),
             "boxes": _encode_array(ent.boxes) if ent.boxes is not None else None,
-            "categories": (
-                [int(c) for c in ent.categories] if ent.categories is not None else None
-            ),
+            "categories": ent.categories.tolist() if ent.categories is not None else None,
         },
-        "target": _encode_array(np.packbits(inst.target[_strict_upper(inst.n)] == 1.0), "u1"),
+        "target": _encode_array(np.packbits(upper), "u1"),
     }
-    if relations != _upper_pairs(inst.target).tolist():
-        d["gt_relations"] = relations
+    if not _lists_upper_pairs(inst.gt_relations, inst.target, np.count_nonzero(upper)):
+        d["gt_relations"] = [sorted((a, b)) for a, b in inst.gt_relations]
     d["label"] = int(inst.label)
     if inst.tokens is not None:
         d["tokens"] = list(inst.tokens)
     if inst.tags is not None:
         d["tags"] = list(inst.tags)
     return d
+
+
+def _lists_upper_pairs(relations: tuple, t: np.ndarray, count: int) -> bool:
+    """Whether relations, each pair in either order, are t's `count` upper
+    pairs in row-major order. Generated and read relations are those pairs
+    as (int, int) tuples, which one tuple comparison finds; any other form is
+    compared as sorted pair lists."""
+    if len(relations) != count:
+        return False
+    pairs = _upper_pairs(t)
+    return relations == pairs or [sorted((a, b)) for a, b in relations] == list(map(list, pairs))
 
 
 def _parse_line(d: dict):

@@ -290,6 +290,16 @@ def head_dim_for(d: int, head_mode: str) -> int:
     return d if head_mode == "residual" else 2 * d
 
 
+def _check_head_dim(params: ModelParams, d: int, head_mode: str) -> None:
+    """The classifier must take the pooled width the head gives over d-dim features."""
+    expected = head_dim_for(d, head_mode)
+    if params.head_dim != expected:
+        raise ShapeError(
+            f"classifier expects pooled dim {params.head_dim}, but "
+            f"{head_mode} head over {d}-dim features gives {expected}"
+        )
+
+
 def init_model(d: int, num_classes: int, config: TrainConfig) -> ModelParams:
     """Seeded init: attention and classifier draw from separate streams."""
     if num_classes < 1:
@@ -324,13 +334,7 @@ def forward_task(
 ) -> TaskForward:
     """Attention, pooled head and class logits for an instance's (n, d)
     features, or for a (B, n, d) stack of instances with the same n."""
-    d = features.shape[-1]
-    expected = head_dim_for(d, config.head_mode)
-    if params.head_dim != expected:
-        raise ShapeError(
-            f"classifier expects pooled dim {params.head_dim}, but "
-            f"{config.head_mode} head over {d}-dim features gives {expected}"
-        )
+    _check_head_dim(params, features.shape[-1], config.head_mode)
     state = attention.forward(features, params)
     context = attention.aggregate(state, features)
     pooled, class_logits = _head(features, context, params, config.head_mode)
@@ -909,10 +913,14 @@ def _checkpoint_from_doc(doc) -> tuple[ModelParams, TrainConfig]:
         raise ValidationError(f"missing checkpoint field {exc}") from exc
     config = TrainConfig.from_dict(doc["config"])
     params = ModelParams(**arrays)
-    num_classes = _json_number(doc.get("num_classes", params.num_classes), "num_classes", True)
-    if num_classes != params.num_classes:
-        raise ValidationError(
-            f"num_classes field {num_classes} does not match "
-            f"classifier shape {params.classifier_w.shape}"
-        )
+    # save_checkpoint records these sizes; an older or hand-written file may leave them out
+    for name, size, array, shape in (
+        ("num_classes", params.num_classes, "classifier", params.classifier_w.shape),
+        ("feature_dim", params.d, "w_k", params.w_k.shape),
+        ("head_dim", params.head_dim, "classifier", params.classifier_w.shape),
+    ):
+        given = _json_number(doc.get(name, size), name, True)
+        if given != size:
+            raise ValidationError(f"{name} field {given} does not match {array} shape {shape}")
+    _check_head_dim(params, params.d, config.head_mode)
     return params, config

@@ -707,9 +707,18 @@ class TestEval:
              "w_k: expected an encoded array object, got list"),
             (lambda doc: {**doc, "params": {**doc["params"], "classifier_w": _encode_array(
                 np.zeros(()))}}, "classifier_w must have 2 dimensions, got shape ()"),
+            (lambda doc: {**doc, "config": {**doc["config"], "head_mode": "concat"}},
+             "classifier expects pooled dim 8, but concat head over 8-dim features gives 16"),
+            (lambda doc: {**doc, "feature_dim": 999, "head_dim": "x"},
+             "feature_dim field 999 does not match w_k shape (2, 8)"),
+            (lambda doc: {**doc, "feature_dim": 8.0}, "feature_dim: expected an integer, got 8.0"),
+            (lambda doc: {**doc, "head_dim": "x"}, "head_dim: expected an integer, got 'x'"),
+            (lambda doc: {**doc, "head_dim": 16},
+             "head_dim field 16 does not match classifier shape (3, 8)"),
         ],
         ids=["list", "config_list", "params_list", "num_classes_string", "w_k_list",
-             "classifier_w_scalar"],
+             "classifier_w_scalar", "head_mode_mismatch", "feature_dim_mismatch",
+             "feature_dim_float", "head_dim_string", "head_dim_mismatch"],
     )
     def test_malformed_checkpoint_names_its_file(
         self, tmp_path, data_dir, run_dir, capsys, mutate, message

@@ -859,6 +859,18 @@ class TestCheckpoints:
         with pytest.raises(ValidationError, match="num_classes"):
             load_checkpoint(p)
 
+    def test_size_fields_may_be_absent(self, tmp_path):
+        cfg = TrainConfig(d_k=2)
+        params = init_model(4, 3, cfg)
+        p = tmp_path / "ckpt.json"
+        save_checkpoint(p, params, cfg)
+        blob = json.loads(p.read_text())
+        for name in ("num_classes", "feature_dim", "head_dim"):
+            del blob[name]
+        p.write_text(json.dumps(blob))
+        loaded, _ = load_checkpoint(p)
+        assert (loaded.num_classes, loaded.d, loaded.head_dim) == (3, 4, 4)
+
 
 class TestAblation:
     def test_empty_grid_expands_to_nothing(self):
