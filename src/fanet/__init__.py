@@ -42,7 +42,6 @@ from .matrices import (
     ShapeError,
     ValidationError,
     softmax_matrix,
-    softmax_rows,
     stable_log,
 )
 from .metrics import (
@@ -94,7 +93,6 @@ __all__ = [
     "ValidationError",
     "ShapeError",
     "NonFiniteError",
-    "softmax_rows",
     "softmax_matrix",
     "stable_log",
     # attention

@@ -52,7 +52,6 @@ __all__ = [
     "forward",
     "aggregate",
     "backward",
-    "softmax_vjp",
 ]
 
 
@@ -215,16 +214,11 @@ def backward(
     return d_w_k, d_w_q, d_features
 
 
-def softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
+def _softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
     """VJP of the softmax over `axis` (-1 rows, -2 columns, None the whole matrix).
 
-    a * (g - sum(g * a)), the sum taken over each distribution.
+    a * (g - sum(g * a)), the sum taken over each distribution. Unchecked:
+    both operands have one shape by construction.
     """
-    check_same_shape(softmax_out, grad_out, "softmax output and gradient")
-    return _softmax_vjp(softmax_out, grad_out, axis)
-
-
-def _softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
-    """Unchecked kernel of `softmax_vjp`, for operands of one shape by construction."""
     inner = np.add.reduce(grad_out * softmax_out, axis=axis, keepdims=True)
     return softmax_out * (grad_out - inner)

@@ -21,7 +21,6 @@ __all__ = [
     "as_matrix",
     "check_finite",
     "check_same_shape",
-    "softmax_rows",
     "softmax_matrix",
     "stable_log",
 ]
@@ -93,11 +92,6 @@ def _softmax(w: np.ndarray, axis) -> np.ndarray:
     return e
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax; every output row sums to 1."""
-    return _softmax(as_matrix(m, "logits"), 1)
-
-
 def softmax_matrix(m) -> np.ndarray:
     """Matrix-wise softmax: one distribution over all entries, summing to 1."""
     return _softmax(as_matrix(m, "logits"), None)
@@ -146,7 +140,7 @@ def _decode_payload(d, name: str, dtype: str = "<f8") -> tuple[tuple, bytes]:
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise ValidationError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
     try:
-        raw = base64.b64decode(d["data"], validate=True)
+        raw = base64.b64decode(d.get("data"), validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ValidationError(f"{name}: data is not base64 ({exc})") from exc
     need = math.prod(shape) * _PAYLOAD_DTYPES[dtype].itemsize

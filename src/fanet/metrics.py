@@ -1,7 +1,7 @@
 """Relationship proposals and their evaluation.
 
 Proposals are the top-K weighted off-diagonal entries of a focus-weight
-matrix, collapsed to unordered pairs by default: a (k, 2) int64 pair array
+matrix, collapsed to unordered pairs: a (k, 2) int64 pair array
 and a (k,) weight array per matrix. A proposal matches a ground-truth
 relation when both of its entities best-match (IoU > threshold) the two
 objects of that relation, orientation ignored; recall is the fraction of
@@ -38,24 +38,16 @@ RECALL_IOU = 0.5  # default best-match IoU threshold for recall
 
 
 @functools.lru_cache(maxsize=16)
-def _candidates(n: int, ordered_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) of the candidate cells of an n x n matrix.
-
-    Every off-diagonal cell with ordered_pairs, else the upper triangle
-    (i < j), both in row-major order.
-    """
-    if ordered_pairs:
-        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    else:
-        rows, cols = np.triu_indices(n, 1)
+def _candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the upper-triangle cells (i < j) of an n x n
+    matrix, in row-major order."""
+    rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
 
 
-def top_k_pairs(
-    focus_weights, k: int, ordered_pairs: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(pairs, weights): the k highest-weight off-diagonal entries, descending.
 
     focus_weights is one (n, n) matrix or a (B, n, n) stack; each matrix is
@@ -63,9 +55,8 @@ def top_k_pairs(
     weights is (..., k') float64, with k' = min(k, number of candidates).
 
     Ties break by (row, col) lexicographic order, so repeated runs produce
-    identical results. By default (i, j) and (j, i) collapse to one unordered
-    proposal keeping the higher-weighted orientation; pass ordered_pairs=True
-    to keep both directions as separate candidates.
+    identical results. (i, j) and (j, i) collapse to one unordered proposal
+    keeping the higher-weighted orientation.
     """
     w = np.asarray(focus_weights, dtype=np.float64)
     if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2] or w.shape[-1] < 1:
@@ -76,13 +67,10 @@ def top_k_pairs(
     stack = w.reshape((-1,) + w.shape[-2:])  # a matrix is the B = 1 stack
     n_batch = stack.shape[0]
 
-    iu, ju = _candidates(w.shape[-1], ordered_pairs)
-    if ordered_pairs:
-        weights = stack[:, iu, ju]  # (B, candidates)
-    else:
-        # each cell (i < j) weighs as its stronger orientation; which one
-        # that is is worked out below, only for the candidates that survive
-        weights = np.maximum(stack, stack.swapaxes(1, 2))[:, iu, ju]
+    iu, ju = _candidates(w.shape[-1])
+    # each cell (i < j) weighs as its stronger orientation; which one that
+    # is is worked out below, only for the candidates that survive
+    weights = np.maximum(stack, stack.swapaxes(1, 2))[:, iu, ju]
     size = weights.shape[1]
     k_out = min(k, size)
     if k < size:
@@ -93,10 +81,9 @@ def top_k_pairs(
     else:
         batch, cand = np.indices(weights.shape).reshape(2, -1)
     rows, cols, flat = iu[cand], ju[cand], weights[batch, cand]
-    if not ordered_pairs:
-        # exact tie keeps (i, j), the lexicographically smaller one
-        flip = stack[batch, cols, rows] > stack[batch, rows, cols]
-        rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
+    # exact tie keeps (i, j), the lexicographically smaller one
+    flip = stack[batch, cols, rows] > stack[batch, rows, cols]
+    rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
     order = np.lexsort((cols, rows, -flat, batch))
     # each matrix keeps at least k' candidates: take the first k' of each
     starts = np.searchsorted(batch[order], np.arange(n_batch))

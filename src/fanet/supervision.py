@@ -15,7 +15,6 @@ Every emitted target matrix is symmetric with a zero diagonal.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,27 +83,6 @@ class LexicalPairTable:
                 ("adverb", "adjective"),
             ]
         )
-
-    @classmethod
-    def from_file(cls, path) -> "LexicalPairTable":
-        """Parse the plain-text format: one `catA catB` pair per line,
-        order-insensitive, `#` starts a comment, blank lines ignored."""
-        table = cls()
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'catA catB', got {raw!r}"
-                )
-            table.add(parts[0], parts[1])
-        return table
-
-    def to_file(self, path) -> None:
-        lines = [f"{a} {b}" for a, b in self.pairs()]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:

@@ -572,8 +572,8 @@ def default_document_spec() -> DocumentSpec:
 #    "label": int,
 #    "tokens": [...], "tags": [...]}     document instances only
 # Arrays use `matrices._encode_array`. A line without "format"/"version" is
-# version 1: the same fields as plain JSON lists, the target as its
-# upper-triangle index pairs, and a missing gt_relations meaning none.
+# version 1, which is no longer read: the reader names its line and asks for
+# the data to be regenerated with `fanet gen`.
 
 DATASET_FORMAT = "fanet-instance"
 DATASET_VERSION = 2
@@ -618,33 +618,30 @@ def _lists_upper_pairs(relations: tuple, t: np.ndarray, count: int) -> bool:
     return relations == pairs or [sorted((a, b)) for a, b in relations] == list(map(list, pairs))
 
 
-def _parse_line(d: dict):
-    """First step of a read: check one parsed line.
+def _parse_line(d) -> tuple:
+    """First step of a read: check one parsed line, decode its features and
+    boxes, and make every check that reads no array value; those are left to
+    the constructors.
 
-    A version 1 line comes back as its Instance; a version 2 line as (n, its
-    packed target, its gt_relations, its other fields), see `_parse_v2`.
+    Returns (n, the packed target bytes, gt_relations or None when omitted,
+    (features, categories, boxes, label, tokens, tags)).
     """
     if not isinstance(d, dict):
         raise ValidationError(f"expected a JSON object, got {type(d).__name__}")
     if "format" not in d and "version" not in d:
-        return _instance_from_v1(d)
+        raise ValidationError(
+            "no format or version: version 1 lines are no longer read; "
+            "regenerate the data with `fanet gen`"
+        )
     if d.get("format") != DATASET_FORMAT or d.get("version") != DATASET_VERSION:
         raise ValidationError(
             f"format {d.get('format')!r} version {d.get('version')!r}, expected "
             f"{DATASET_FORMAT!r} version {DATASET_VERSION}"
         )
-    return _parse_v2(d)
-
-
-def _parse_v2(d: dict) -> tuple:
-    """Decode a version 2 line's features and boxes, and make every check that
-    reads no array value; those are left to the constructors.
-
-    Returns (n, the packed target bytes, gt_relations or None when omitted,
-    (features, categories, boxes, label, tokens, tags)).
-    """
-    ent = d["entities"]
-    features = _decode_array(ent["features"], "features")
+    ent = _required(d, "entities")
+    if not isinstance(ent, dict):
+        raise ValidationError(f"entities: expected an object, got {type(ent).__name__}")
+    features = _decode_array(_required(ent, "features"), "features")
     boxes = ent.get("boxes")
     boxes = _decode_array(boxes, "boxes") if boxes is not None else None
     categories = _categories(ent.get("categories"))
@@ -652,7 +649,7 @@ def _parse_v2(d: dict) -> tuple:
         as_matrix(features, "features")
     n = features.shape[0]
     m = n * (n - 1) // 2
-    tshape, traw = _decode_payload(d["target"], "target", "u1")
+    tshape, traw = _decode_payload(_required(d, "target"), "target", "u1")
     if tshape != ((m + 7) // 8,):
         raise ValidationError(
             f"target: packed payload has shape {tshape}, {n} entities need ({(m + 7) // 8},)"
@@ -663,11 +660,21 @@ def _parse_v2(d: dict) -> tuple:
     if "gt_relations" in d:
         relations = _index_pairs(d["gt_relations"], n, "gt_relations").tolist()
         relations = tuple(map(tuple, relations))
-    return n, traw, relations, (features, categories, boxes, *_plain_fields(d, n))
+    label = _required(d, "label")
+    if type(label) is not int:  # bool is an int subclass; Instance checks label >= 0
+        raise ValidationError(f"label: expected an int >= 0, got {label!r}")
+    tokens, tags = _strings(d.get("tokens"), n, "tokens"), _strings(d.get("tags"), n, "tags")
+    return n, traw, relations, (features, categories, boxes, label, tokens, tags)
+
+
+def _required(d: dict, field: str):
+    if field not in d:
+        raise ValidationError(f"{field}: missing required field")
+    return d[field]
 
 
 def _unpack_targets(n: int, given: list, packed) -> tuple:
-    """The targets of the version 2 lines with n entities, unpacked at once.
+    """The targets of the lines with n entities, unpacked at once.
 
     `given` holds each line's gt_relations (None where omitted) and `packed`
     their packed targets back to back. Returns the (B, n, n) targets and each
@@ -690,7 +697,7 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
         return targets, relations
     # the cells i < j in row-major order, as packed, through the indices that
     # top-K caches too; they also give the pairs of the lines that omitted theirs
-    rows, cols = _candidates(n, False)
+    rows, cols = _candidates(n)
     targets[:, rows, cols] = bits
     targets[:, cols, rows] = bits
     line, pair = np.nonzero(bits[omitted])
@@ -699,53 +706,6 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
     for k, start, end in zip(omitted, [0, *ends], ends):
         relations[k] = pairs[start:end]
     return targets, relations
-
-
-def _instance_from_v1(d: dict) -> Instance:
-    ent = d["entities"]
-    boxes = ent.get("boxes")
-    entities = EntitySet(
-        features=_number_rows(ent["features"], "features"),
-        categories=_categories(ent.get("categories")),
-        boxes=_number_rows(boxes, "boxes") if boxes is not None else None,
-    )
-    n = entities.n
-    target = np.zeros((n, n), dtype=np.float64)
-    i, j = _index_pairs(d["target"], n, "target").T
-    target[i, j] = target[j, i] = 1.0
-    relations = _index_pairs(d.get("gt_relations", []), n, "gt_relations").tolist()
-    relations = tuple(map(tuple, relations))
-    label, tokens, tags = _plain_fields(d, n)
-    return Instance(
-        entities=entities,
-        target=target,
-        label=label,
-        gt_relations=relations,
-        tokens=tokens,
-        tags=tags,
-    )
-
-
-def _number_rows(raw, field: str) -> np.ndarray:
-    """A version 1 matrix: a list of rows of numbers, as float64.
-
-    Types are checked on the lists, because numpy reads true as 1.0; the
-    shape is left to EntitySet, so `[]` fails its shape check.
-    """
-    if not isinstance(raw, list):
-        raise ValidationError(
-            f"{field}: expected a list of rows of numbers, got {type(raw).__name__}"
-        )
-    for row in raw:
-        if not isinstance(row, list):
-            raise ValidationError(f"{field}: expected a list of rows of numbers, got row {row!r}")
-        bad = next((x for x in row if type(x) not in (int, float)), None)
-        if bad is not None:
-            raise ValidationError(f"{field}: expected a list of rows of numbers, got entry {bad!r}")
-    try:
-        return np.array(raw, dtype=np.float64)
-    except OverflowError as exc:  # an int beyond float64
-        raise ValidationError(f"{field}: {exc}") from exc
 
 
 def _categories(raw) -> Optional[np.ndarray]:
@@ -766,14 +726,6 @@ def _categories(raw) -> Optional[np.ndarray]:
             pass
     bad = next(c for c in raw if type(c) is not int or not -(2**63) <= c < 2**63)
     raise ValidationError(f"categories: expected a list of ints or null, got entry {bad!r}")
-
-
-def _plain_fields(d: dict, n: int) -> tuple:
-    """(label, tokens, tags) of a line with n entities: plain JSON in both versions."""
-    label = d["label"]
-    if type(label) is not int:  # bool is an int subclass; Instance checks label >= 0
-        raise ValidationError(f"label: expected an int >= 0, got {label!r}")
-    return label, _strings(d.get("tokens"), n, "tokens"), _strings(d.get("tags"), n, "tags")
 
 
 def _strings(raw, n: int, field: str) -> Optional[tuple]:
@@ -800,36 +752,32 @@ def write_jsonl(path, instances) -> None:
 def read_jsonl(path) -> list:
     """Parse a dataset file; errors carry the 1-based line number.
 
-    One pass in file order makes every check that reads no array value: a
-    version 2 line decodes its features and boxes and joins the group of its
-    entity count, a version 1 line becomes its Instance at once. The targets
-    of each group then unpack at once, and every check the constructors make
-    runs once per group, on stacked arrays. When every group passes, every
-    Instance is built in file order without checking it again. Otherwise, or
-    when the pass stopped at a bad line, the lines it read are built through
-    the checked constructors, so the first bad line in the file is the one
-    named, with the constructors' own message.
+    One pass in file order makes every check that reads no array value: each
+    line decodes its features and boxes and joins the group of its entity
+    count. The targets of each group then unpack at once, and every check the
+    constructors make runs once per group, on stacked arrays. When every
+    group passes, every Instance is built in file order without checking it
+    again. Otherwise, or when the pass stopped at a bad line, the lines it
+    read are built through the checked constructors, so the first bad line in
+    the file is the one named, with the constructors' own message.
     """
-    parsed = []  # file order: (lineno, a v1 Instance or a v2 (n, index in its group))
-    groups: dict = {}  # n -> (each v2 line's gt_relations, their packed targets, their fields)
+    parsed = []  # file order: (lineno, n, index in the group of n)
+    groups: dict = {}  # n -> (each line's gt_relations, their packed targets, their fields)
     failure = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                item = _parse_line(json.loads(line))
+                n, packed, relations, fields = _parse_line(json.loads(line))
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 failure = lineno, exc
                 break
-            if not isinstance(item, Instance):
-                n, packed, relations, fields = item
-                given, buffer, lines = groups.setdefault(n, ([], bytearray(), []))
-                buffer += packed
-                item = n, len(given)
-                given.append(relations)
-                lines.append(fields)
-            parsed.append((lineno, item))
+            given, buffer, lines = groups.setdefault(n, ([], bytearray(), []))
+            parsed.append((lineno, n, len(given)))
+            buffer += packed
+            given.append(relations)
+            lines.append(fields)
     unpacked = {n: _unpack_targets(n, given, buffer) for n, (given, buffer, _) in groups.items()}
     labeled = None
     if failure is None:
@@ -838,24 +786,21 @@ def read_jsonl(path) -> list:
         except ValidationError:
             pass
     out = []
-    for lineno, item in parsed:
-        if not isinstance(item, Instance):
-            n, i = item
-            features, categories, boxes, label, tokens, tags = groups[n][2][i]
-            targets, relations = unpacked[n]
-            entity_fields = dict(features=features, categories=categories, boxes=boxes)
-            fields = dict(
-                target=targets[i], label=label, gt_relations=relations[i], tokens=tokens, tags=tags
-            )
-            if labeled is not None:
-                entities = _unchecked(EntitySet, **entity_fields)
-                item = _unchecked(Instance, entities=entities, labeled=labeled[n][i], **fields)
-            else:
-                try:
-                    item = Instance(entities=EntitySet(**entity_fields), **fields)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        out.append(item)
+    for lineno, n, i in parsed:
+        features, categories, boxes, label, tokens, tags = groups[n][2][i]
+        targets, relations = unpacked[n]
+        entity_fields = dict(features=features, categories=categories, boxes=boxes)
+        fields = dict(
+            target=targets[i], label=label, gt_relations=relations[i], tokens=tokens, tags=tags
+        )
+        if labeled is not None:
+            entities = _unchecked(EntitySet, **entity_fields)
+            out.append(_unchecked(Instance, entities=entities, labeled=labeled[n][i], **fields))
+            continue
+        try:
+            out.append(Instance(entities=EntitySet(**entity_fields), **fields))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if failure is not None:
         lineno, exc = failure
         raise ValidationError(f"{path}:{lineno}: {exc}") from exc
@@ -863,12 +808,12 @@ def read_jsonl(path) -> list:
 
 
 def _check_group(n: int, lines: list, targets: np.ndarray) -> list:
-    """Every check EntitySet and Instance make, once over the version 2 lines
-    with n entities: their fields as `_parse_v2` returns them and their
+    """Every check EntitySet and Instance make, once over the lines with n
+    entities: their fields as `_parse_line` returns them and their
     (B, n, n) targets. Raises ValidationError on a fault, not necessarily the
     first line's; returns each line's `labeled`.
 
-    `_parse_v2` already made the features 2-D float64 matrices with n rows,
+    `_parse_line` already made the features 2-D float64 matrices with n rows,
     the categories int64 arrays and the labels ints.
     """
     features, categories, boxes, labels = zip(*(fields[:4] for fields in lines))

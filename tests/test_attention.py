@@ -9,10 +9,10 @@ from fanet.attention import (
     aggregate,
     backward,
     forward,
+    _softmax_vjp,
     init_params,
-    softmax_vjp,
 )
-from fanet.matrices import NonFiniteError, ShapeError, ValidationError, softmax_matrix
+from fanet.matrices import NonFiniteError, ShapeError, ValidationError, _softmax, softmax_matrix
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -275,22 +275,18 @@ def row_jacobian_vjp(softmax_out, grad_out):
 class TestSoftmaxVjps:
     def test_rows_vs_explicit_jacobian(self):
         rng = np.random.default_rng(13)
-        from fanet.matrices import softmax_rows
-
-        a = softmax_rows(rng.normal(size=(6, 5)))
+        a = _softmax(rng.normal(size=(6, 5)), 1)
         g = rng.normal(size=(6, 5))
         np.testing.assert_allclose(
-            softmax_vjp(a, g, 1), row_jacobian_vjp(a, g), rtol=1e-12, atol=1e-12
+            _softmax_vjp(a, g, 1), row_jacobian_vjp(a, g), rtol=1e-12, atol=1e-12
         )
 
     def test_cols_via_transpose(self):
         rng = np.random.default_rng(14)
-        from fanet.matrices import softmax_rows
-
-        a = softmax_rows(rng.normal(size=(7, 4))).T
+        a = _softmax(rng.normal(size=(7, 4)), 1).T
         g = rng.normal(size=(4, 7))
         np.testing.assert_allclose(
-            softmax_vjp(a, g, 0),
+            _softmax_vjp(a, g, 0),
             row_jacobian_vjp(a.T, g.T).T,
             rtol=1e-12,
             atol=1e-12,
@@ -298,18 +294,14 @@ class TestSoftmaxVjps:
 
     def test_matrix_via_flatten(self):
         rng = np.random.default_rng(15)
-        from fanet.matrices import softmax_matrix
-
         a = softmax_matrix(rng.normal(size=(3, 4)))
         g = rng.normal(size=(3, 4))
         flat = row_jacobian_vjp(a.reshape(1, -1), g.reshape(1, -1)).reshape(3, 4)
-        np.testing.assert_allclose(softmax_vjp(a, g, None), flat, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_softmax_vjp(a, g, None), flat, rtol=1e-12, atol=1e-12)
 
     def test_vjp_of_uniform_gradient_is_zero(self):
         """A constant upstream gradient is in the softmax null space."""
-        from fanet.matrices import softmax_matrix
-
         a = softmax_matrix(np.random.default_rng(16).normal(size=(4, 4)))
         np.testing.assert_allclose(
-            softmax_vjp(a, np.full((4, 4), 3.7), None), 0.0, atol=1e-15
+            _softmax_vjp(a, np.full((4, 4), 3.7), None), 0.0, atol=1e-15
         )

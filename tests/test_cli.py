@@ -107,10 +107,19 @@ V2_DEFECTS = {
         lambda d: d["entities"].update(features=[[0.0, 1.0]]),
         "features: expected an encoded array object, got list",
     ),
+    "entities_as_list": (
+        lambda d: d.update(entities=[d["entities"]]),
+        "entities: expected an object, got list",
+    ),
+    "entities_missing": (lambda d: d.pop("entities"), "entities: missing required field"),
+    "features_missing": (lambda d: d["entities"].pop("features"), "features: missing required field"),
+    "target_missing": (lambda d: d.pop("target"), "target: missing required field"),
+    "label_missing": (lambda d: d.pop("label"), "label: missing required field"),
+    "target_data_missing": (lambda d: d["target"].pop("data"), "target: data is not base64"),
 }
 
-# label and categories are plain JSON in both versions; numpy would read a
-# 1.7 or a true in them as 1, so the decoders check the JSON types
+# label and categories are plain JSON; numpy would read a 1.7 or a true in
+# them as 1, so the decoders check the JSON types
 FIELD_DEFECTS = {
     "label_float": (lambda d: d.update(label=1.7), "label: expected an int >= 0, got 1.7"),
     "label_bool": (lambda d: d.update(label=True), "label: expected an int >= 0, got True"),
@@ -138,7 +147,7 @@ FIELD_DEFECTS = {
 }
 
 
-# tokens and tags are plain JSON in both versions: a list of n strings or null;
+# tokens and tags are plain JSON: a list of n strings or null;
 # each entry maps n to a bad value and the end of the message that names it
 STRING_LIST_DEFECTS = {
     "string": lambda n: ("x" * n, "got str"),
@@ -148,59 +157,6 @@ STRING_LIST_DEFECTS = {
     "too_long": lambda n: (["w"] * (n + 3), f"got {n + 3} entries"),
     "too_short": lambda n: (["w"] * (n - 1), f"got {n - 1} entries"),
 }
-
-
-# version 1 matrices are plain JSON lists; numpy would read a true in them as
-# 1.0, and the old `if boxes` read [], 0, {} and false as "no boxes"
-V1_DEFECTS = {
-    "boxes_empty": (lambda d: d["entities"].update(boxes=[]), "boxes must be ("),
-    "boxes_zero": (
-        lambda d: d["entities"].update(boxes=0),
-        "boxes: expected a list of rows of numbers, got int",
-    ),
-    "boxes_object": (
-        lambda d: d["entities"].update(boxes={}),
-        "boxes: expected a list of rows of numbers, got dict",
-    ),
-    "boxes_false": (
-        lambda d: d["entities"].update(boxes=False),
-        "boxes: expected a list of rows of numbers, got bool",
-    ),
-    "boxes_flat_row": (
-        lambda d: d["entities"]["boxes"].__setitem__(1, 0.5),
-        "boxes: expected a list of rows of numbers, got row 0.5",
-    ),
-    "box_coordinate_true": (
-        lambda d: d["entities"]["boxes"][1].__setitem__(0, True),
-        "boxes: expected a list of rows of numbers, got entry True",
-    ),
-    "feature_true": (
-        lambda d: d["entities"]["features"][1].__setitem__(2, True),
-        "features: expected a list of rows of numbers, got entry True",
-    ),
-    "feature_string": (
-        lambda d: d["entities"]["features"][0].__setitem__(0, "1.0"),
-        "features: expected a list of rows of numbers, got entry '1.0'",
-    ),
-    "feature_beyond_float64": (
-        lambda d: d["entities"]["features"][0].__setitem__(0, 10**400),
-        "features: int too large to convert to float",
-    ),
-}
-
-
-def _v1_line(inst) -> dict:
-    """One instance as a version 1 line: plain JSON lists, the target as index pairs."""
-    ent = inst.entities
-    return {
-        "entities": {
-            "features": ent.features.tolist(),
-            "boxes": ent.boxes.tolist(),
-            "categories": ent.categories.tolist(),
-        },
-        "target": np.argwhere(np.triu(inst.target)).tolist(),
-        "label": inst.label,
-    }
 
 
 def _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message):
@@ -575,66 +531,63 @@ class TestEval:
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("case", sorted(FIELD_DEFECTS))
-    def test_bad_label_or_categories_is_user_error(
-        self, tmp_path, data_dir, run_dir, capsys, case, version
-    ):
-        path = os.path.join(data_dir, "test.jsonl")
-        if version == 1:
-            second = _v1_line(read_jsonl(path)[1])
-        else:
-            second = json.loads(Path(path).read_text().splitlines()[1])
+    def test_bad_label_or_categories_is_user_error(self, tmp_path, data_dir, run_dir, capsys, case):
+        second = json.loads(Path(data_dir, "test.jsonl").read_text().splitlines()[1])
         mutate, message = FIELD_DEFECTS[case]
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
-    @pytest.mark.parametrize("case", sorted(V1_DEFECTS))
-    def test_malformed_v1_matrix_is_user_error(self, tmp_path, data_dir, run_dir, capsys, case):
-        second = _v1_line(read_jsonl(os.path.join(data_dir, "test.jsonl"))[1])
-        mutate, message = V1_DEFECTS[case]
-        mutate(second)
-        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
-
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("field", ["tokens", "tags"])
     @pytest.mark.parametrize("case", sorted(STRING_LIST_DEFECTS))
     def test_bad_tokens_or_tags_is_user_error(
-        self, tmp_path, data_dir, run_dir, capsys, case, field, version
+        self, tmp_path, data_dir, run_dir, capsys, case, field
     ):
         path = os.path.join(data_dir, "test.jsonl")
-        inst = read_jsonl(path)[1]
-        if version == 1:
-            second = _v1_line(inst)
-        else:
-            second = json.loads(Path(path).read_text().splitlines()[1])
-        value, got = STRING_LIST_DEFECTS[case](inst.n)
+        n = read_jsonl(path)[1].n
+        second = json.loads(Path(path).read_text().splitlines()[1])
+        value, got = STRING_LIST_DEFECTS[case](n)
         second[field] = value
-        message = f"{field}: expected a list of {inst.n} strings or null, {got}"
+        message = f"{field}: expected a list of {n} strings or null, {got}"
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_tokens_and_tags_may_be_strings_null_or_absent(self, tmp_path, data_dir, version):
+    def test_tokens_and_tags_may_be_strings_null_or_absent(self, tmp_path, data_dir):
         path = os.path.join(data_dir, "test.jsonl")
-        inst = read_jsonl(path)[1]
-        if version == 1:
-            line = _v1_line(inst)
-        else:
-            line = json.loads(Path(path).read_text().splitlines()[1])
-        words = [f"w{i}" for i in range(inst.n)]
+        n = read_jsonl(path)[1].n
+        line = json.loads(Path(path).read_text().splitlines()[1])
+        words = [f"w{i}" for i in range(n)]
         p = tmp_path / "words.jsonl"
         p.write_text(json.dumps({**line, "tokens": words, "tags": None}) + "\n")
         (back,) = read_jsonl(p)
         assert back.tokens == tuple(words) and back.tags is None
 
-    def test_v1_null_or_absent_boxes_load_as_none(self, tmp_path, data_dir):
-        line = _v1_line(read_jsonl(os.path.join(data_dir, "test.jsonl"))[1])
-        p = tmp_path / "v1.jsonl"
+    def test_null_or_absent_boxes_load_as_none(self, tmp_path, data_dir):
+        line = json.loads(Path(data_dir, "test.jsonl").read_text().splitlines()[1])
         line["entities"]["boxes"] = None
         absent = json.loads(json.dumps(line))
         del absent["entities"]["boxes"]
+        p = tmp_path / "boxless.jsonl"
         p.write_text(json.dumps(line) + "\n" + json.dumps(absent) + "\n")
         assert [inst.entities.boxes for inst in read_jsonl(p)] == [None, None]
+
+    def test_version_1_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys):
+        """A line in the old plain-list format names its line and asks for `fanet gen`."""
+        inst = read_jsonl(os.path.join(data_dir, "test.jsonl"))[1]
+        ent = inst.entities
+        v1 = {
+            "entities": {
+                "features": ent.features.tolist(),
+                "boxes": ent.boxes.tolist(),
+                "categories": ent.categories.tolist(),
+            },
+            "target": np.argwhere(np.triu(inst.target)).tolist(),
+            "label": inst.label,
+        }
+        message = (
+            "no format or version: version 1 lines are no longer read; "
+            "regenerate the data with `fanet gen`"
+        )
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, v1, message)
 
     def test_label_beyond_checkpoint_classes_is_user_error(
         self, tmp_path, data_dir, run_dir, capsys
@@ -661,16 +614,6 @@ class TestEval:
                 if expected == EXIT_USER:
                     assert f"dataset {data} has label {label}" in err
                     assert f"{num_classes} classes" in err
-
-    def test_unmutated_v1_line_loads(self, tmp_path, data_dir):
-        """The v1 cases above fail only through their mutation."""
-        inst = read_jsonl(os.path.join(data_dir, "test.jsonl"))[1]
-        p = tmp_path / "v1.jsonl"
-        p.write_text(json.dumps(_v1_line(inst)) + "\n")
-        (back,) = read_jsonl(p)
-        assert back.label == inst.label
-        assert np.array_equal(back.entities.categories, inst.entities.categories)
-        assert np.array_equal(back.target, inst.target)
 
     def test_empty_dataset(self, tmp_path, run_dir):
         empty = tmp_path / "empty.jsonl"

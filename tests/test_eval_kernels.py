@@ -16,22 +16,18 @@ from fanet.metrics import _candidates, top_k_pairs
 from fanet.supervision import NO_MATCH, _iou_matrix, entity_gt_matching
 
 
-def prior_top_k_pairs(focus_weights, k, ordered_pairs=False):
+def prior_top_k_pairs(focus_weights, k):
     """top_k_pairs before the cut-first rewrite: orient every candidate, then cut."""
     w = np.asarray(focus_weights, dtype=np.float64)
     stack = w.reshape((-1,) + w.shape[-2:])
     n_batch = stack.shape[0]
-    iu, ju = _candidates(w.shape[-1], ordered_pairs)
+    iu, ju = _candidates(w.shape[-1])
     weights = stack[:, iu, ju]
-    if ordered_pairs:
-        rows = np.broadcast_to(iu, weights.shape)
-        cols = np.broadcast_to(ju, weights.shape)
-    else:
-        flipped = stack[:, ju, iu]
-        flip = flipped > weights
-        rows = np.where(flip, ju, iu)
-        cols = np.where(flip, iu, ju)
-        weights = np.maximum(weights, flipped)
+    flipped = stack[:, ju, iu]
+    flip = flipped > weights
+    rows = np.where(flip, ju, iu)
+    cols = np.where(flip, iu, ju)
+    weights = np.maximum(weights, flipped)
     size = weights.shape[1]
     k_out = min(k, size)
     batch = np.repeat(np.arange(n_batch), size)
@@ -89,27 +85,25 @@ def stacks(rng, n, batch):
     yield rng.integers(0, 3, size=(batch, n, n)).astype(float)
 
 
-@pytest.mark.parametrize("ordered_pairs", [False, True])
 @pytest.mark.parametrize("seed", range(12))
-def test_top_k_matches_prior_formula(seed, ordered_pairs):
+def test_top_k_matches_prior_formula(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.choice([2, 3, 5, 8, 17, 40]))
     batch = int(rng.integers(1, 4))
-    size = n * (n - 1) // (1 if ordered_pairs else 2)
+    size = n * (n - 1) // 2
     for w in stacks(rng, n, batch):
         for k in sorted({1, 5, 10, 100, max(size - 1, 1), size, size + 5}):
             for x in (w, w[0]):  # a (B, n, n) stack and a single matrix
-                got = top_k_pairs(x, k, ordered_pairs=ordered_pairs)
-                want = prior_top_k_pairs(x, k, ordered_pairs=ordered_pairs)
+                got = top_k_pairs(x, k)
+                want = prior_top_k_pairs(x, k)
                 assert_same_bits(got[0], want[0])
                 assert_same_bits(got[1], want[1])
 
 
-@pytest.mark.parametrize("ordered_pairs", [False, True])
-def test_top_k_one_entity_has_no_candidates(ordered_pairs):
+def test_top_k_one_entity_has_no_candidates():
     for w in (np.ones((1, 1)), np.ones((3, 1, 1))):
-        got = top_k_pairs(w, 5, ordered_pairs=ordered_pairs)
-        want = prior_top_k_pairs(w, 5, ordered_pairs=ordered_pairs)
+        got = top_k_pairs(w, 5)
+        want = prior_top_k_pairs(w, 5)
         assert got[0].shape == w.shape[:-2] + (0, 2)
         assert_same_bits(got[0], want[0])
         assert_same_bits(got[1], want[1])

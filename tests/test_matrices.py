@@ -13,10 +13,10 @@ from fanet.matrices import (
     ValidationError,
     _decode_array,
     _encode_array,
+    _softmax,
     as_matrix,
     check_same_shape,
     softmax_matrix,
-    softmax_rows,
     stable_log,
 )
 
@@ -35,15 +35,20 @@ MATRIXWISE_1235 = np.array(
 )
 
 
+def row_softmax(w):
+    """The per-row softmax of the attention forward pass: the kernel over axis 1."""
+    return _softmax(np.asarray(w, dtype=np.float64), 1)
+
+
 class TestSoftmaxRows:
     def test_known_values(self):
-        out = softmax_rows([[1.0, 2.0], [3.0, 5.0]])
+        out = row_softmax([[1.0, 2.0], [3.0, 5.0]])
         np.testing.assert_allclose(out, ROWWISE_1235, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         w = rng.normal(size=(9, 13)) * 10
-        out = softmax_rows(w)
+        out = row_softmax(w)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(out > 0)
 
@@ -53,16 +58,16 @@ class TestSoftmaxRows:
         w = rng.normal(size=(5, 5))
         shift = rng.normal(size=(5, 1)) * 100
         np.testing.assert_allclose(
-            softmax_rows(w + shift), softmax_rows(w), rtol=0, atol=1e-14
+            row_softmax(w + shift), row_softmax(w), rtol=0, atol=1e-14
         )
 
     def test_large_logits_do_not_overflow(self):
-        out = softmax_rows([[1e308, 1e308 - 1e300], [0.0, -1e308]])
+        out = row_softmax([[1e308, 1e308 - 1e300], [0.0, -1e308]])
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_uniform_on_constant_input(self):
-        out = softmax_rows(np.full((3, 4), 2.5))
+        out = row_softmax(np.full((3, 4), 2.5))
         np.testing.assert_allclose(out, 0.25, rtol=0, atol=1e-15)
 
 
@@ -127,7 +132,7 @@ class TestValidation:
 
     def test_as_matrix_rejects_inf(self):
         with pytest.raises(ValidationError):
-            softmax_rows([[1.0, float("inf")]])
+            as_matrix([[1.0, float("inf")]])
 
     def test_non_finite_error_is_typed(self):
         """Non-finite input raises NonFiniteError, a ValidationError."""

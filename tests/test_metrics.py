@@ -53,17 +53,13 @@ def ref_matching(boxes, gt_boxes, threshold):
     return matches
 
 
-def ref_top_k(w, k, ordered_pairs=False):
+def ref_top_k(w, k):
     """(row, col, weight) triples sorted by (-weight, row, col)."""
     w = np.asarray(w).tolist()
-    n = len(w)
-    if ordered_pairs:
-        cands = [(i, j) for i in range(n) for j in range(n) if i != j]
-    else:
-        cands = [
-            (j, i) if w[j][i] > w[i][j] else (i, j)
-            for i, j in itertools.combinations(range(n), 2)
-        ]
+    cands = [
+        (j, i) if w[j][i] > w[i][j] else (i, j)
+        for i, j in itertools.combinations(range(len(w)), 2)
+    ]
     cands.sort(key=lambda ij: (-w[ij[0]][ij[1]], ij[0], ij[1]))
     return [(i, j, w[i][j]) for i, j in cands[:k]]
 
@@ -92,13 +88,6 @@ class TestTopKPairs:
         assert tuple(pairs[0]) == (1, 0)
         assert tuple(pairs[1]) == (0, 2)
 
-    def test_ordered_mode_keeps_both_directions(self):
-        w = random_focus(2, 4)
-        ordered, _ = top_k_pairs(w, 12, ordered_pairs=True)
-        assert len(ordered) == 12  # all n*(n-1) directed pairs
-        seen = {(a, b) for a, b in ordered.tolist()}
-        assert (0, 1) in seen and (1, 0) in seen
-
     def test_tie_break_is_lexicographic(self):
         """Equal weights everywhere: order falls back to (row, col)."""
         n = 4
@@ -122,21 +111,20 @@ class TestTopKPairs:
         with pytest.raises(ValidationError):
             top_k_pairs(random_focus(5, 3), 0)
 
-    @pytest.mark.parametrize("ordered_pairs", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_quantised_ties_match_reference_sort(self, seed, ordered_pairs):
+    def test_quantised_ties_match_reference_sort(self, seed):
         """Integer weights make large tie groups; cut below, at and across each."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         w = rng.integers(0, 3, size=(n, n)).astype(float)
-        full = ref_top_k(w, n * n, ordered_pairs)
+        full = ref_top_k(w, n * n)
         weights = [t[2] for t in full]
         boundaries = [i for i in range(1, len(weights)) if weights[i] != weights[i - 1]]
         ks = {1, len(full), len(full) + 5}
         for b in boundaries:
             ks |= {b - 1, b, b + 1}
         for k in sorted(k for k in ks if k >= 1):
-            got = triples(top_k_pairs(w, k, ordered_pairs=ordered_pairs))
+            got = triples(top_k_pairs(w, k))
             assert got == full[:k], f"k={k}"
 
     def test_returns_typed_arrays(self):
@@ -159,22 +147,21 @@ class TestTopKPairs:
         with pytest.raises(ValidationError, match="non-finite"):
             top_k_pairs(w, 1)
 
-    @pytest.mark.parametrize("ordered_pairs", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_stack_matches_each_matrix(self, seed, ordered_pairs):
+    def test_stack_matches_each_matrix(self, seed):
         """A (B, n, n) stack ranks each matrix exactly as a call on it alone."""
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 9))
         batch = int(rng.integers(1, 6))
         w = rng.integers(0, 3, size=(batch, n, n)).astype(float)
-        size = n * (n - 1) // (1 if ordered_pairs else 2)
+        size = n * (n - 1) // 2
         for k in sorted({1, 2, size // 2 or 1, size - 1 or 1, size, size + 5}):
-            pairs, weights = top_k_pairs(w, k, ordered_pairs=ordered_pairs)
+            pairs, weights = top_k_pairs(w, k)
             assert pairs.shape == (batch, min(k, size), 2)
             for b in range(batch):
-                alone = top_k_pairs(w[b], k, ordered_pairs=ordered_pairs)
+                alone = top_k_pairs(w[b], k)
                 assert triples((pairs[b], weights[b])) == triples(alone), f"k={k}, b={b}"
-                assert triples(alone) == ref_top_k(w[b], k, ordered_pairs), f"k={k}, b={b}"
+                assert triples(alone) == ref_top_k(w[b], k), f"k={k}, b={b}"
 
 
 def brute_force_recall(w, boxes, gt_boxes, gt_relations, k, iou_threshold=0.5):

@@ -281,27 +281,6 @@ class TestLexicalPairTable:
         assert not table.contains("adverb", "noun")
         assert len(table) == 5
 
-    def test_file_roundtrip(self, tmp_path):
-        table = LexicalPairTable.default()
-        p = tmp_path / "pairs.txt"
-        table.to_file(p)
-        again = LexicalPairTable.from_file(p)
-        assert again.pairs() == table.pairs()
-
-    def test_parse_comments_and_blanks(self, tmp_path):
-        p = tmp_path / "pairs.txt"
-        p.write_text("# header\n\nnoun verb  # inline\n   \nadverb adjective\n")
-        table = LexicalPairTable.from_file(p)
-        assert table.contains("verb", "noun")
-        assert table.contains("adverb", "adjective")
-        assert len(table) == 2
-
-    def test_parse_error_names_line(self, tmp_path):
-        p = tmp_path / "pairs.txt"
-        p.write_text("noun verb\nnoun verb adjective\n")
-        with pytest.raises(ValidationError, match="2"):
-            LexicalPairTable.from_file(p)
-
     def test_rejects_empty_name(self):
         with pytest.raises(ValidationError):
             LexicalPairTable([("", "noun")])

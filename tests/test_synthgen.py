@@ -1,7 +1,6 @@
 """Synthetic benchmark worlds: determinism, label rules, serialization."""
 
 import base64
-import hashlib
 import itertools
 import json
 import re
@@ -298,39 +297,6 @@ class TestJsonl:
             read_jsonl(p)
 
 
-# --- dataset format v1 --------------------------------------------------------
-#
-# The version 1 writer as it was before version 2 replaced it: plain JSON lists,
-# the target as its upper-triangle index pairs. read_jsonl still reads its files.
-
-
-def _instance_to_dict_v1(inst):
-    ent = inst.entities
-    d = {
-        "entities": {
-            "features": ent.features.tolist(),
-            "boxes": ent.boxes.tolist() if ent.boxes is not None else None,
-            "categories": (
-                [int(c) for c in ent.categories] if ent.categories is not None else None
-            ),
-        },
-        "target": [list(p) for p in _upper_pairs(inst.target)],
-        "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],
-        "label": int(inst.label),
-    }
-    if inst.tokens is not None:
-        d["tokens"] = list(inst.tokens)
-    if inst.tags is not None:
-        d["tags"] = list(inst.tags)
-    return d
-
-
-def write_jsonl_v1(path, instances):
-    with open(path, "w") as fh:
-        for inst in instances:
-            fh.write(json.dumps(_instance_to_dict_v1(inst)) + "\n")
-
-
 def assert_same_instances(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -347,53 +313,6 @@ def assert_same_instances(got, want):
         ]
         assert all(type(r) is tuple for r in a.gt_relations + b.gt_relations)
         assert a.tokens == b.tokens and a.tags == b.tags
-
-
-def _vision300():
-    spec = default_world_spec().to_dict()
-    spec["entities_min"] = spec["entities_max"] = 300
-    return load_spec(spec)
-
-
-# The SHA-256 of the golden `gen` runs' *.jsonl files when they were written
-# as version 1 (tests/test_golden.py pins the version 2 files).
-V1_GOLDEN = {
-    ("default", "train"): "4a9c4c256c70826da73058a8eb5d739742a376d91d094b02e44c30ea59dc7a7e",
-    ("default", "test"): "9dc15973e1bcd3c53a4d3672a189955c704a5078fa844b74098a2ca6f3918a3f",
-    ("vision300", "train"): "97abb569f2d673077c715e7a53ff2334d2e81e91a230a156264047e14c05f431",
-    ("vision300", "test"): "81001f9265a06667e4fe089a9efb580037b9d123ae25111762f114fb4713301a",
-    ("document", "train"): "b9cb3fb1232f5358663e9ffd4ee566f5be95e959695686c7837d01f0dcbd2502",
-    ("document", "test"): "65268f70db06078d7fae489f92dd7ce5e2685a4a8dd48a0561abc43f76ca22fb",
-}
-
-GOLDEN_GEN_RUNS = {
-    "default": (default_world_spec, 20, 10),
-    "vision300": (_vision300, 1, 2),
-    "document": (default_document_spec, 20, 10),
-}
-
-
-class TestFormatV1:
-    @pytest.mark.parametrize("run", sorted(GOLDEN_GEN_RUNS))
-    def test_v1_pin_and_same_read_as_v2(self, tmp_path, run):
-        make_spec, n_train, n_test = GOLDEN_GEN_RUNS[run]
-        splits = dict(zip(("train", "test"), generate_dataset(make_spec(), n_train, n_test, 0)))
-        for split, instances in splits.items():
-            v1, v2 = tmp_path / f"{split}.v1.jsonl", tmp_path / f"{split}.v2.jsonl"
-            write_jsonl_v1(v1, instances)
-            write_jsonl(v2, instances)
-            assert hashlib.sha256(v1.read_bytes()).hexdigest() == V1_GOLDEN[run, split]
-            from_v1 = read_jsonl(v1)
-            assert_same_instances(from_v1, instances)
-            assert_same_instances(read_jsonl(v2), from_v1)
-
-    def test_v1_and_v2_lines_mix_in_one_file(self, tmp_path):
-        tr, _ = generate_dataset(tiny_world(), 4, 1, seed=5)
-        p1, p2, mixed = (tmp_path / f"{name}.jsonl" for name in ("a", "b", "mixed"))
-        write_jsonl_v1(p1, tr[:2])
-        write_jsonl(p2, tr[2:])
-        mixed.write_text(p1.read_text() + p2.read_text())
-        assert_same_instances(read_jsonl(mixed), tr)
 
 
 class TestFormatV2:
@@ -440,21 +359,21 @@ class TestFormatV2:
         ids=["none", "reversed", "all", "unordered", "unlabeled", "all_reversed",
              "duplicate", "same_count", "unlabeled_target"],
     )
-    def test_explicit_relations_read_like_v1(self, tmp_path, relations, labeled, written):
+    def test_explicit_relations_round_trip(self, tmp_path, relations, labeled, written):
+        """Relations read back as written, or as the target's upper pairs where omitted."""
         target = np.zeros((4, 4))
         if labeled:
             target[0, 1] = target[1, 0] = target[2, 3] = target[3, 2] = 1.0
-        inst = Instance(
-            entities=EntitySet(features=np.eye(4)), target=target, label=1,
-            gt_relations=relations,
-        )
-        p1, p2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
-        write_jsonl_v1(p1, [inst])
-        write_jsonl(p2, [inst])
-        d = json.loads(p2.read_text())
+        entities = EntitySet(features=np.eye(4))
+        inst = Instance(entities=entities, target=target, label=1, gt_relations=relations)
+        p = tmp_path / "a.jsonl"
+        write_jsonl(p, [inst])
+        d = json.loads(p.read_text())
         assert d.get("gt_relations") == written
         assert ("gt_relations" in d) == (written is not None)
-        assert_same_instances(read_jsonl(p2), read_jsonl(p1))
+        read = _upper_pairs(target) if written is None else tuple(map(tuple, written))
+        want = Instance(entities=entities, target=target, label=1, gt_relations=read)
+        assert_same_instances(read_jsonl(p), [want])
 
     @pytest.mark.parametrize("n", [*range(1, 10), 17])  # n(n-1)/2 takes every residue mod 8
     def test_every_padding_width_round_trips(self, tmp_path, n):
@@ -477,7 +396,7 @@ class TestFormatV2:
 # --- grouped read ---------------------------------------------------------------
 #
 # read_jsonl checks every line in one pass, then unpacks the targets of the
-# version 2 lines of each entity count together and builds every Instance in
+# lines of each entity count together and builds every Instance in
 # file order, its target a view into those stacks.
 
 
@@ -528,7 +447,7 @@ def assert_bit_identical(got, want):
 
 
 def _same_shape_lines(tmp_path, count=6):
-    """`count` version 2 lines of 6-entity scenes: one group of targets."""
+    """`count` lines of 6-entity scenes: one group of targets."""
     tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), count, 1, seed=3)
     p = tmp_path / "bad.jsonl"
     write_jsonl(p, tr)
@@ -581,10 +500,7 @@ def _fault(name, n=6):
 class TestGroupedRead:
     def test_mixed_file_reads_bit_identically(self, tmp_path):
         instances = _mixed_instances()
-        lines = [
-            json.dumps(_instance_to_dict_v1(inst) if k % 3 == 1 else _instance_to_dict(inst))
-            for k, inst in enumerate(instances)
-        ]
+        lines = [json.dumps(_instance_to_dict(inst)) for inst in instances]
         assert any('"gt_relations"' in line and '"version"' in line for line in lines)
         assert any('"gt_relations"' not in line for line in lines)
         p = tmp_path / "mixed.jsonl"
@@ -697,13 +613,12 @@ class TestGroupedRead:
         assert_bit_identical(got[1:], want[1:])
 
 
-def _one_line_file(tmp_path, field, value):
-    """A one-instance 6-entity version 1 dataset file with `field` replaced by `value`."""
+def _one_line_file(tmp_path, relations):
+    """A one-instance 6-entity dataset file whose gt_relations are `relations`."""
     tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 1, 1, seed=2)
+    d = _instance_to_dict(tr[0])
+    d["gt_relations"] = relations
     p = tmp_path / "one.jsonl"
-    write_jsonl_v1(p, tr)
-    d = json.loads(p.read_text())
-    d[field] = value
     p.write_text(json.dumps(d) + "\n")
     return p
 
@@ -714,32 +629,32 @@ class TestPairValidation:
         [[0], [0, 1.7], ["0", "1"], [False, True], [0, 1, 5]],
         ids=["short", "float", "string", "bool", "long"],
     )
-    def test_malformed_target_entry(self, tmp_path, entry):
-        p = _one_line_file(tmp_path, "target", [[0, 1], entry])
-        named = r"one\.jsonl:1: target: bad index pair " + re.escape(repr(entry))
+    def test_malformed_gt_relation_entry(self, tmp_path, entry):
+        p = _one_line_file(tmp_path, [[0, 1], entry])
+        named = r"one\.jsonl:1: gt_relations: bad index pair " + re.escape(repr(entry))
         with pytest.raises(ValidationError, match=named):
             read_jsonl(p)
 
     @pytest.mark.parametrize("pair", [[0, 999], [-1, 3], [2, 2], [0, 2**70]])
     def test_gt_relation_outside_scene(self, tmp_path, pair):
-        p = _one_line_file(tmp_path, "gt_relations", [[0, 1], pair])
+        p = _one_line_file(tmp_path, [[0, 1], pair])
         named = r"one\.jsonl:1: gt_relations: bad index pair " + re.escape(repr(pair))
         with pytest.raises(ValidationError, match=named):
             read_jsonl(p)
 
     @pytest.mark.parametrize("value", [None, {"0": 1}, [0, 1]])
-    def test_target_must_be_a_pair_list(self, tmp_path, value):
-        with pytest.raises(ValidationError, match="target"):
-            read_jsonl(_one_line_file(tmp_path, "target", value))
+    def test_gt_relations_must_be_a_pair_list(self, tmp_path, value):
+        with pytest.raises(ValidationError, match="gt_relations: bad index pair"):
+            read_jsonl(_one_line_file(tmp_path, value))
 
-    def test_out_of_range_target_names_pair(self, tmp_path):
-        p = _one_line_file(tmp_path, "target", [[0, 1], [5, 6]])
-        named = r"target: bad index pair \[5, 6\], need two distinct integers in \[0, 6\)"
+    def test_out_of_range_gt_relation_names_pair(self, tmp_path):
+        p = _one_line_file(tmp_path, [[0, 1], [5, 6]])
+        named = r"gt_relations: bad index pair \[5, 6\], need two distinct integers in \[0, 6\)"
         with pytest.raises(ValidationError, match=named):
             read_jsonl(p)
 
     def test_valid_pairs_in_any_orientation(self, tmp_path):
-        p = _one_line_file(tmp_path, "gt_relations", [[5, 0], [1, 2], [2, 1]])
+        p = _one_line_file(tmp_path, [[5, 0], [1, 2], [2, 1]])
         (inst,) = read_jsonl(p)
         assert inst.gt_relations == ((5, 0), (1, 2), (2, 1))
         assert all(
@@ -747,12 +662,8 @@ class TestPairValidation:
         )
 
     def test_empty_pair_lists(self, tmp_path):
-        p = _one_line_file(tmp_path, "target", [])
-        d = json.loads(p.read_text())
-        d["gt_relations"] = []
-        p.write_text(json.dumps(d) + "\n")
-        (inst,) = read_jsonl(p)
-        assert not inst.target.any() and inst.gt_relations == ()
+        (inst,) = read_jsonl(_one_line_file(tmp_path, []))
+        assert inst.labeled and inst.gt_relations == ()
 
 
 # --- references: the pure-Python loops the array code replaced -----------------
