@@ -19,7 +19,13 @@ import pytest
 from fanet import cli
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from fanet.matrices import ValidationError, _encode_array
-from fanet.synthgen import default_document_spec, default_world_spec, load_spec, read_jsonl
+from fanet.synthgen import (
+    DATASET_VERSION,
+    default_document_spec,
+    default_world_spec,
+    load_spec,
+    read_jsonl,
+)
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
 
@@ -157,6 +163,17 @@ STRING_LIST_DEFECTS = {
     "too_long": lambda n: (["w"] * (n + 3), f"got {n + 3} entries"),
     "too_short": lambda n: (["w"] * (n - 1), f"got {n - 1} entries"),
 }
+
+
+def _second_line(data_dir, version) -> dict:
+    """The test file's second line, written in dataset version `version`.
+
+    `fanet gen` writes one version; a version 1 line is refused
+    (`TestEval.test_version_1_line_is_user_error`).
+    """
+    second = json.loads(Path(data_dir, "test.jsonl").read_text().splitlines()[1])
+    assert second["version"] == version
+    return second
 
 
 def _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message):
@@ -531,30 +548,33 @@ class TestEval:
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
+    @pytest.mark.parametrize("version", [DATASET_VERSION])
     @pytest.mark.parametrize("case", sorted(FIELD_DEFECTS))
-    def test_bad_label_or_categories_is_user_error(self, tmp_path, data_dir, run_dir, capsys, case):
-        second = json.loads(Path(data_dir, "test.jsonl").read_text().splitlines()[1])
+    def test_bad_label_or_categories_is_user_error(
+        self, tmp_path, data_dir, run_dir, capsys, case, version
+    ):
+        second = _second_line(data_dir, version)
         mutate, message = FIELD_DEFECTS[case]
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
+    @pytest.mark.parametrize("version", [DATASET_VERSION])
     @pytest.mark.parametrize("field", ["tokens", "tags"])
     @pytest.mark.parametrize("case", sorted(STRING_LIST_DEFECTS))
     def test_bad_tokens_or_tags_is_user_error(
-        self, tmp_path, data_dir, run_dir, capsys, case, field
+        self, tmp_path, data_dir, run_dir, capsys, case, field, version
     ):
-        path = os.path.join(data_dir, "test.jsonl")
-        n = read_jsonl(path)[1].n
-        second = json.loads(Path(path).read_text().splitlines()[1])
+        n = read_jsonl(os.path.join(data_dir, "test.jsonl"))[1].n
+        second = _second_line(data_dir, version)
         value, got = STRING_LIST_DEFECTS[case](n)
         second[field] = value
         message = f"{field}: expected a list of {n} strings or null, {got}"
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
-    def test_tokens_and_tags_may_be_strings_null_or_absent(self, tmp_path, data_dir):
-        path = os.path.join(data_dir, "test.jsonl")
-        n = read_jsonl(path)[1].n
-        line = json.loads(Path(path).read_text().splitlines()[1])
+    @pytest.mark.parametrize("version", [DATASET_VERSION])
+    def test_tokens_and_tags_may_be_strings_null_or_absent(self, tmp_path, data_dir, version):
+        n = read_jsonl(os.path.join(data_dir, "test.jsonl"))[1].n
+        line = _second_line(data_dir, version)
         words = [f"w{i}" for i in range(n)]
         p = tmp_path / "words.jsonl"
         p.write_text(json.dumps({**line, "tokens": words, "tags": None}) + "\n")

@@ -85,28 +85,30 @@ def stacks(rng, n, batch):
     yield rng.integers(0, 3, size=(batch, n, n)).astype(float)
 
 
+@pytest.mark.parametrize("stacked", [False, True])  # a single matrix or a (B, n, n) stack
 @pytest.mark.parametrize("seed", range(12))
-def test_top_k_matches_prior_formula(seed):
+def test_top_k_matches_prior_formula(seed, stacked):
     rng = np.random.default_rng(seed)
     n = int(rng.choice([2, 3, 5, 8, 17, 40]))
     batch = int(rng.integers(1, 4))
     size = n * (n - 1) // 2
     for w in stacks(rng, n, batch):
+        x = w if stacked else w[0]
         for k in sorted({1, 5, 10, 100, max(size - 1, 1), size, size + 5}):
-            for x in (w, w[0]):  # a (B, n, n) stack and a single matrix
-                got = top_k_pairs(x, k)
-                want = prior_top_k_pairs(x, k)
-                assert_same_bits(got[0], want[0])
-                assert_same_bits(got[1], want[1])
+            got = top_k_pairs(x, k)
+            want = prior_top_k_pairs(x, k)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
 
 
-def test_top_k_one_entity_has_no_candidates():
-    for w in (np.ones((1, 1)), np.ones((3, 1, 1))):
-        got = top_k_pairs(w, 5)
-        want = prior_top_k_pairs(w, 5)
-        assert got[0].shape == w.shape[:-2] + (0, 2)
-        assert_same_bits(got[0], want[0])
-        assert_same_bits(got[1], want[1])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_top_k_one_entity_has_no_candidates(stacked):
+    w = np.ones((3, 1, 1)) if stacked else np.ones((1, 1))
+    got = top_k_pairs(w, 5)
+    want = prior_top_k_pairs(w, 5)
+    assert got[0].shape == w.shape[:-2] + (0, 2)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
 
 
 def test_top_k_orientation_ties_and_signed_zeros():

@@ -111,8 +111,9 @@ class TestTopKPairs:
         with pytest.raises(ValidationError):
             top_k_pairs(random_focus(5, 3), 0)
 
+    @pytest.mark.parametrize("stacked", [False, True])  # the matrix alone or as a stack of one
     @pytest.mark.parametrize("seed", range(8))
-    def test_quantised_ties_match_reference_sort(self, seed):
+    def test_quantised_ties_match_reference_sort(self, seed, stacked):
         """Integer weights make large tie groups; cut below, at and across each."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
@@ -124,7 +125,11 @@ class TestTopKPairs:
         for b in boundaries:
             ks |= {b - 1, b, b + 1}
         for k in sorted(k for k in ks if k >= 1):
-            got = triples(top_k_pairs(w, k))
+            if stacked:
+                pairs, weights = top_k_pairs(w[None], k)
+                got = triples((pairs[0], weights[0]))
+            else:
+                got = triples(top_k_pairs(w, k))
             assert got == full[:k], f"k={k}"
 
     def test_returns_typed_arrays(self):
