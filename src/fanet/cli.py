@@ -251,12 +251,18 @@ def _comment_csv(fh, config_dict: dict) -> None:
 
 def cmd_gen(args) -> int:
     if args.spec:
-        spec = load_spec(_load_json(args.spec, "world spec"))
+        doc = _load_json(args.spec, "world spec")
+        try:
+            spec = load_spec(doc)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.spec}: {exc}") from exc
     elif args.kind == "document":
         spec = default_document_spec()
     else:
         spec = default_world_spec()
     seed = _resolve_seed(args.seed)
+    if seed < 0:
+        raise UserInputError(f"seed must be >= 0, got {seed}")
     if args.n_train < 1 or args.n_test < 1:
         raise UserInputError("--n-train and --n-test must be >= 1")
     os.makedirs(args.out, exist_ok=True)

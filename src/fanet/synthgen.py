@@ -24,8 +24,10 @@ permutation, feature noise) and all randomness is Philox-keyed, so a given
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +37,7 @@ from .losses import _check_target, validate_target
 from .matrices import ValidationError, _check_boxes, _decode_array, _decode_payload
 from .matrices import _encode_array, _json_number, as_matrix, check_finite
 from .metrics import _candidates
-from .seeding import STREAM_INSTANCE, instance_seed, stream_rng
+from .seeding import STREAM_INSTANCE, _rekeyed, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
 
 __all__ = [
@@ -115,6 +117,11 @@ def _spec_matrix(raw, field: str) -> np.ndarray:
     return m
 
 
+def _check_sigma(sigma) -> None:
+    if not (math.isfinite(sigma) and sigma >= 0):  # NaN >= 0 is false too
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     """Vision-style world: categories with prototypes, affinity, scene labels.
@@ -155,8 +162,7 @@ class WorldSpec:
             raise ValidationError(
                 "prototypes: need at least one category outside all signature_pairs"
             )
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _check_sigma(self.noise_sigma)
         if not (1 <= self.entities_min <= self.entities_max):
             raise ValidationError(
                 f"need 1 <= entities_min <= entities_max, got "
@@ -285,8 +291,7 @@ class DocumentSpec:
             raise ValidationError(
                 "tokens: need at least one token outside all keyword_pairs"
             )
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _check_sigma(self.noise_sigma)
         if not (2 <= self.tokens_min <= self.tokens_max):
             raise ValidationError(
                 f"need 2 <= tokens_min <= tokens_max, got "
@@ -370,7 +375,8 @@ class Instance:
     of (int, int) entity-index pairs; document instances carry tokens and
     tags instead. `target` is the binary supervision matrix, checked here
     once with `validate_target`'s checks (square, entries 0 or 1, zero
-    diagonal); `labeled` records whether it labels any pair.
+    diagonal); `labeled` records whether it labels any pair. Generated
+    instances skip these checks, which they pass by construction.
     """
 
     entities: EntitySet
@@ -399,18 +405,23 @@ class Instance:
 
 
 def _grid_boxes(n: int) -> np.ndarray:
-    """Disjoint unit squares laid out on a square-ish grid."""
+    """Disjoint unit squares laid out on a square-ish grid, (n, 4) C-contiguous."""
     cols = int(np.ceil(np.sqrt(n)))
     r, c = np.divmod(np.arange(n), cols)
-    return np.array((c, r, c + 1, r + 1), dtype=np.float64).T
+    return np.ascontiguousarray(np.array((c, r, c + 1, r + 1), dtype=np.float64).T)
 
 
-def _affinity_target(categories: np.ndarray, affine_pairs, n_categories: int) -> np.ndarray:
-    """1.0 where two entities' categories are affine (no affine pair is a self pair)."""
+def _affinity_table(affine_pairs, n_categories: int) -> np.ndarray:
+    """(n_categories, n_categories) float64: 1.0 where two categories are affine."""
     table = np.zeros((n_categories, n_categories), dtype=np.float64)
     for a, b in affine_pairs:
         table[a, b] = table[b, a] = 1.0
-    return table[categories[:, None], categories[None, :]]
+    return table
+
+
+def _affinity_target(categories: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """1.0 where two entities' categories are affine in `_affinity_table`'s table."""
+    return table.take(categories, 0).take(categories, 1)  # two takes beat one 2-D gather
 
 
 def _upper_pairs(t: np.ndarray) -> tuple:
@@ -421,81 +432,141 @@ def _upper_pairs(t: np.ndarray) -> tuple:
     return tuple(zip(i[keep].tolist(), j[keep].tolist()))
 
 
-def generate_instance(spec: WorldSpec, seed: int) -> Instance:
-    """One scene drawn from the world; pure function of (spec, seed)."""
-    rng = stream_rng(STREAM_INSTANCE, seed)
-    # Draw order is part of the format: label, size, fillers, permutation, noise.
-    label = int(rng.integers(0, spec.n_labels))
-    n = int(rng.integers(spec.entities_min, spec.entities_max + 1))
-    cats = []
+# Generated instances are built without the EntitySet and Instance checks.
+# What they check cannot fail by construction: the targets are symmetric 0/1
+# matrices with a zero diagonal (the affinity table has no self pair; document
+# targets have their diagonal zeroed), the boxes are grid squares, the
+# categories int64 and every array has n rows. Two checks stay, because
+# generated values can fail them: features are finite (a huge noise_sigma or
+# prototype overflows) and the drawn label is the one the spec's rule derives.
+
+
+def _draw_entities(rng, n_labels: int, lo: int, hi: int, pairs: tuple, fillers: np.ndarray):
+    """Label, then entity count, filler fills and permutation; returns
+    (label, the entities' ids in order). Draw order is part of the format."""
+    label = int(rng.integers(0, n_labels))
+    n = int(rng.integers(lo, hi + 1))
+    ids = np.empty(n, dtype=np.int64)
+    start = 0
     if label > 0:
-        cats.extend(spec.signature_pairs[label - 1])
-    fillers = np.asarray(spec.filler_categories)
-    n_fill = n - len(cats)
-    cats.extend(fillers[rng.integers(0, len(fillers), size=n_fill)].tolist())
-    order = rng.permutation(n)
-    categories = np.asarray(cats, dtype=np.int64)[order]
-    noise = rng.standard_normal((n, spec.embed_dim))
-    features = spec.prototypes[categories] + spec.noise_sigma * noise
-    target = _affinity_target(categories, spec.affine_pairs, spec.n_categories)
-    relations = _upper_pairs(target)
-    entities = EntitySet(features=features, categories=categories, boxes=_grid_boxes(n))
-    derived = spec.scene_label(categories.tolist())
+        ids[:2] = pairs[label - 1]
+        start = 2
+    ids[start:] = fillers[rng.integers(0, len(fillers), size=n - start)]
+    return label, ids[rng.permutation(n)]
+
+
+def _noisy_rows(rng, rows: np.ndarray, ids: np.ndarray, sigma: float) -> np.ndarray:
+    """rows[ids] plus sigma times standard normal noise, checked finite."""
+    features = rng.standard_normal((len(ids), rows.shape[1]))
+    features *= sigma
+    features += rows[ids]
+    check_finite(features, "features")
+    return features
+
+
+def _check_label(kind: str, label: int, derived: int) -> None:
     if derived != label:  # guards the spec invariants, not user input
         raise ValidationError(
-            f"world spec breaks the label rule: drew {label}, derived {derived}"
+            f"{kind} spec breaks the label rule: drew {label}, derived {derived}"
         )
-    return Instance(
-        entities=entities, target=target, label=label, gt_relations=relations
-    )
+
+
+def _scene_drawer(spec: WorldSpec):
+    """draw(rng) -> one scene of spec. What every scene shares (the affinity
+    table, the filler ids, the grid boxes of each n) is built once here;
+    each scene gets its own copy of its boxes."""
+    table = _affinity_table(spec.affine_pairs, spec.n_categories)
+    fillers = np.asarray(spec.filler_categories, dtype=np.int64)
+    grids: dict = {}
+
+    def draw(rng) -> Instance:
+        label, categories = _draw_entities(
+            rng, spec.n_labels, spec.entities_min, spec.entities_max, spec.signature_pairs, fillers
+        )
+        features = _noisy_rows(rng, spec.prototypes, categories, spec.noise_sigma)
+        _check_label("world", label, spec.scene_label(categories.tolist()))
+        n = len(categories)
+        grid = grids.get(n)
+        if grid is None:
+            grid = grids[n] = _grid_boxes(n)
+        target = _affinity_target(categories, table)
+        relations = _upper_pairs(target)
+        entities = _unchecked(EntitySet, features=features, categories=categories, boxes=grid.copy())
+        return _unchecked(
+            Instance, entities=entities, target=target, label=label, gt_relations=relations,
+            tokens=None, tags=None, labeled=bool(relations),
+        )
+
+    return draw
+
+
+def _document_drawer(spec: DocumentSpec):
+    """draw(rng) -> one document of spec. Its filler ids and the pair table
+    over its tokens are built once here."""
+    fillers = np.asarray(spec.filler_tokens, dtype=np.int64)
+    # the rule for every two of the spec's tokens: the off-diagonal block of
+    # the target of the tags written twice, so that it keeps its diagonal too
+    # (a token drawn twice relates to itself through its tag)
+    v = spec.n_tokens
+    rule = build_language_target(spec.tags * 2, spec.table)[:v, v:]
+
+    def draw(rng) -> Instance:
+        label, token_ids = _draw_entities(
+            rng, spec.n_labels, spec.tokens_min, spec.tokens_max, spec.keyword_pairs, fillers
+        )
+        features = _noisy_rows(rng, spec.embeddings, token_ids, spec.noise_sigma)
+        drawn = token_ids.tolist()
+        _check_label("document", label, spec.document_label(drawn))
+        pick = itemgetter(*drawn)  # n >= 2, so pick gives a tuple
+        target = rule.take(token_ids, 0).take(token_ids, 1)
+        np.fill_diagonal(target, 0.0)
+        return _unchecked(
+            Instance, entities=_unchecked(EntitySet, features=features, categories=None, boxes=None),
+            target=target, label=label, gt_relations=(), tokens=pick(spec.tokens),
+            tags=pick(spec.tags), labeled=bool(target.any()),
+        )
+
+    return draw
+
+
+def _draw_all(draw, rngs) -> list:
+    """draw(rng) for each Generator in rngs. Noise that overflows leaves
+    non-finite features, which draw rejects, so numpy need not warn."""
+    with np.errstate(over="ignore"):
+        return [draw(rng) for rng in rngs]
+
+
+def generate_instance(spec: WorldSpec, seed: int) -> Instance:
+    """One scene drawn from the world; pure function of (spec, seed)."""
+    return _draw_all(_scene_drawer(spec), [stream_rng(STREAM_INSTANCE, seed)])[0]
 
 
 def generate_document_instance(spec: DocumentSpec, seed: int) -> Instance:
     """One tagged token sequence; target comes from the pair table over tags."""
-    rng = stream_rng(STREAM_INSTANCE, seed)
-    label = int(rng.integers(0, spec.n_labels))
-    n = int(rng.integers(spec.tokens_min, spec.tokens_max + 1))
-    ids = []
-    if label > 0:
-        ids.extend(spec.keyword_pairs[label - 1])
-    fillers = np.asarray(spec.filler_tokens)
-    n_fill = n - len(ids)
-    ids.extend(fillers[rng.integers(0, len(fillers), size=n_fill)].tolist())
-    order = rng.permutation(n)
-    token_ids = np.asarray(ids, dtype=np.int64)[order]
-    noise = rng.standard_normal((n, spec.embed_dim))
-    features = spec.embeddings[token_ids] + spec.noise_sigma * noise
-    drawn = token_ids.tolist()
-    tags = tuple([spec.tags[i] for i in drawn])
-    target = build_language_target(tags, mode="semantic", table=spec.table)
-    entities = EntitySet(features=features)
-    derived = spec.document_label(drawn)
-    if derived != label:
-        raise ValidationError(
-            f"document spec breaks the label rule: drew {label}, derived {derived}"
-        )
-    return Instance(
-        entities=entities,
-        target=target,
-        label=label,
-        tokens=tuple([spec.tokens[i] for i in drawn]),
-        tags=tags,
-    )
+    return _draw_all(_document_drawer(spec), [stream_rng(STREAM_INSTANCE, seed)])[0]
 
 
 def generate_dataset(spec, n_train: int, n_test: int, seed: int):
-    """Train/test splits on disjoint seed streams; returns (train, test)."""
+    """Train/test splits on disjoint seed streams; returns (train, test).
+
+    Instance i of split s is `generate_instance(spec, instance_seed(seed, s, i))`
+    (or the document form), bit for bit. Every instance is drawn from one
+    Generator that this call re-keys per instance seed.
+    """
     if n_train < 1 or n_test < 1:
         raise ValidationError("n_train and n_test must be >= 1")
     if isinstance(spec, WorldSpec):
-        gen = generate_instance
+        draw = _scene_drawer(spec)
     elif isinstance(spec, DocumentSpec):
-        gen = generate_document_instance
+        draw = _document_drawer(spec)
     else:
         raise ValidationError(f"spec: expected WorldSpec or DocumentSpec, got {spec!r}")
-    train = [gen(spec, instance_seed(seed, 0, i)) for i in range(n_train)]
-    test = [gen(spec, instance_seed(seed, 1, i)) for i in range(n_test)]
-    return train, test
+    seeds = [
+        instance_seed(seed, split, i)
+        for split, size in ((0, n_train), (1, n_test)) for i in range(size)
+    ]
+    drawn = _draw_all(draw, _rekeyed(STREAM_INSTANCE, seeds))
+    return drawn[:n_train], drawn[n_train:]
 
 
 def label_distribution(instances) -> dict:

@@ -297,6 +297,35 @@ class TestGen:
         )
         assert code == EXIT_USER
 
+    def test_negative_seed_is_user_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--seed", "-1"]) == EXIT_USER
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["vision", "document"])
+    @pytest.mark.parametrize("sigma,text", [(float("inf"), "Infinity"), (float("nan"), "NaN")])
+    def test_non_finite_noise_sigma_is_rejected_at_load(self, tmp_path, capsys, kind, sigma, text):
+        spec = default_document_spec() if kind == "document" else default_world_spec()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec.to_dict(), "noise_sigma": sigma}))
+        assert f'"noise_sigma": {text}' in spec_path.read_text()
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == EXIT_USER
+        assert capsys.readouterr().err == (
+            f"error: {spec_path}: noise_sigma must be finite and >= 0, got {sigma}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["vision", "document"])
+    def test_overflowing_noise_sigma_fails_the_features_check(self, tmp_path, capsys, kind):
+        spec = default_document_spec() if kind == "document" else default_world_spec()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec.to_dict(), "noise_sigma": 1e308}))
+        argv = ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USER
+        assert capsys.readouterr().err == "error: features contains non-finite entries\n"
+
 
 class TestTrain:
     def test_artifacts(self, run_dir):

@@ -10,8 +10,8 @@ import pytest
 
 from fanet.attention import EntitySet
 from fanet.losses import validate_target
-from fanet.matrices import ValidationError
-from fanet.seeding import instance_seed, stream_rng
+from fanet.matrices import NonFiniteError, ValidationError
+from fanet.seeding import _rekeyed, instance_seed, stream_rng
 from fanet.supervision import entity_gt_matching, iou
 from fanet.synthgen import (
     DocumentSpec,
@@ -27,7 +27,7 @@ from fanet.synthgen import (
     read_jsonl,
     write_jsonl,
 )
-from fanet.synthgen import _affinity_target, _grid_boxes, _instance_to_dict, _upper_pairs
+from fanet.synthgen import _affinity_table, _affinity_target, _grid_boxes, _instance_to_dict, _upper_pairs
 
 
 def tiny_world(**overrides):
@@ -248,6 +248,131 @@ class TestSeeding:
         a = stream_rng(3, 99).standard_normal(4)
         b = stream_rng(3, 99).standard_normal(4)
         np.testing.assert_array_equal(a, b)
+
+
+def _draws(rng) -> list:
+    """Mixed draws that read whole words, 32-bit halves and buffered words."""
+    return [
+        rng.integers(0, 2**32, dtype=np.uint32, size=3).tolist(),
+        rng.standard_normal(5).tolist(),
+        rng.integers(0, 7, size=4).tolist(),
+        rng.random(2).tolist(),
+        rng.permutation(6).tolist(),
+        rng.bit_generator.random_raw(3).tolist(),
+    ]
+
+
+def _same_instance(a, b) -> None:
+    """a and b hold the same arrays (dtype, shape, bytes, writability) and fields."""
+    for name in ("features", "categories", "boxes"):
+        x, y = getattr(a.entities, name), getattr(b.entities, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert (x.dtype, x.shape, x.flags.writeable, x.flags.c_contiguous) == (
+                y.dtype, y.shape, y.flags.writeable, y.flags.c_contiguous
+            ), name
+            assert x.tobytes() == y.tobytes(), name
+    assert (a.target.dtype, a.target.shape, a.target.flags.writeable) == (
+        b.target.dtype, b.target.shape, b.target.flags.writeable
+    )
+    assert a.target.tobytes() == b.target.tobytes()
+    assert type(a.label) is type(b.label) is int and a.label == b.label
+    assert a.gt_relations == b.gt_relations
+    assert [tuple(map(type, p)) for p in a.gt_relations] == [(int, int)] * len(a.gt_relations)
+    assert type(a.gt_relations) is type(b.gt_relations) is tuple
+    assert (a.tokens, a.tags) == (b.tokens, b.tags)
+    assert type(a.labeled) is type(b.labeled) is bool and a.labeled == b.labeled
+
+
+SHARED_STREAM_WORLDS = {
+    "vision": default_world_spec,
+    "vision300": lambda: load_spec({**default_world_spec().to_dict(),
+                                    "entities_min": 300, "entities_max": 300}),
+    "document": default_document_spec,
+}
+
+
+class TestSharedStream:
+    """generate_dataset draws every instance from one re-keyed Generator."""
+
+    @pytest.mark.parametrize("leftover", [0, 1, 2, 5])
+    def test_rekeyed_matches_fresh_draw_for_draw(self, leftover):
+        # 32-bit draws leave half a word buffered after an odd count; the
+        # re-key must drop it, along with the buffered 64-bit words
+        values = [0, 1, 7, 2**32 + 3, 2**63, 2**64 - 1, 7]
+        for value, rng in zip(values, _rekeyed(1, values)):
+            assert _draws(rng) == _draws(stream_rng(1, value))
+            rng.integers(0, 2**32, dtype=np.uint32, size=leftover)
+            rng.standard_normal(leftover)
+
+    def test_rekeyed_keeps_the_stream_tag(self):
+        for tag in (1, 4):
+            (rng,) = _rekeyed(tag, [9])
+            assert _draws(rng) == _draws(stream_rng(tag, 9))
+
+    def test_rekeyed_checks_like_stream_rng(self):
+        with pytest.raises(ValueError, match="seed value must be >= 0"):
+            list(_rekeyed(1, [3, -1]))
+        with pytest.raises(ValueError, match="stream_tag must be >= 1"):
+            list(_rekeyed(0, [3]))
+
+    @pytest.mark.parametrize("world", sorted(SHARED_STREAM_WORLDS))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_dataset_matches_generate_instance(self, world, seed):
+        spec = SHARED_STREAM_WORLDS[world]()
+        one = generate_document_instance if world == "document" else generate_instance
+        sizes = (2, 2) if world == "vision300" else (12, 7)
+        for split, instances in enumerate(generate_dataset(spec, *sizes, seed)):
+            assert len(instances) == sizes[split]
+            for i, inst in enumerate(instances):
+                _same_instance(inst, one(spec, instance_seed(seed, split, i)))
+
+    @pytest.mark.parametrize("world", sorted(SHARED_STREAM_WORLDS))
+    def test_generated_instances_pass_the_constructor_checks(self, world):
+        """Generated instances skip the EntitySet and Instance checks; built
+        through the checked constructors, they come out the same."""
+        train, test = generate_dataset(SHARED_STREAM_WORLDS[world](), 6, 3, seed=2)
+        for inst in train + test:
+            ent = inst.entities
+            checked = Instance(
+                entities=EntitySet(features=ent.features, categories=ent.categories,
+                                   boxes=ent.boxes),
+                target=inst.target, label=inst.label, gt_relations=inst.gt_relations,
+                tokens=inst.tokens, tags=inst.tags,
+            )
+            _same_instance(inst, checked)
+            np.testing.assert_array_equal(inst.target, inst.target.T)
+
+    def test_instances_own_their_boxes(self):
+        train, test = generate_dataset(default_world_spec(), 30, 10, seed=1)
+        instances = train + test
+        before = [inst.entities.boxes.copy() for inst in instances]
+        instances[3].entities.boxes[:] = -1.0
+        for k, (inst, boxes) in enumerate(zip(instances, before)):
+            if k != 3:
+                np.testing.assert_array_equal(inst.entities.boxes, boxes)
+
+    @pytest.mark.parametrize("make,field", [(default_world_spec, "signature_pairs"),
+                                             (default_document_spec, "keyword_pairs")])
+    def test_label_rule_is_still_checked(self, make, field):
+        # label 2 draws pair 2, whose categories the rule reads as label 1;
+        # only a spec changed after its checks can do this
+        spec = make()
+        object.__setattr__(spec, field, (getattr(spec, field)[0],) * 2)
+        with pytest.raises(ValidationError, match="spec breaks the label rule"):
+            generate_dataset(spec, 30, 1, seed=0)
+
+    @pytest.mark.parametrize("make", [default_world_spec, default_document_spec])
+    def test_overflowing_noise_is_still_checked(self, make):
+        spec = load_spec({**make().to_dict(), "noise_sigma": 1e308})
+        with pytest.raises(NonFiniteError, match="features contains non-finite entries"):
+            generate_dataset(spec, 5, 1, seed=0)
+
+    @pytest.mark.parametrize("make", [default_world_spec, default_document_spec])
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -0.5])
+    def test_spec_rejects_bad_noise_sigma(self, make, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma must be finite and >= 0"):
+            load_spec({**make().to_dict(), "noise_sigma": sigma})
 
 
 class TestJsonl:
@@ -701,13 +826,13 @@ class TestArrayKernelsMatchLoops:
         # categories 5..8 sit in no affine pair
         affine = ((0, 1), (2, 3), (1, 4), (3, 0))
         cats = np.random.default_rng(seed).integers(0, 9, size=n)
-        got = _affinity_target(cats, affine, 9)
+        got = _affinity_target(cats, _affinity_table(affine, 9))
         np.testing.assert_array_equal(got, ref_affinity_target(cats, affine))
 
     @pytest.mark.parametrize("cats", [[5, 6], [0, 1], [1, 0], [0, 0]])
     def test_affinity_target_two_entities(self, cats):
         affine = ((0, 1),)
-        got = _affinity_target(np.array(cats), affine, 7)
+        got = _affinity_target(np.array(cats), _affinity_table(affine, 7))
         np.testing.assert_array_equal(got, ref_affinity_target(cats, affine))
 
     @pytest.mark.parametrize("n", [2, 7, 300])
