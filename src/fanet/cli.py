@@ -265,8 +265,8 @@ def cmd_gen(args) -> int:
         raise UserInputError(f"seed must be >= 0, got {seed}")
     if args.n_train < 1 or args.n_test < 1:
         raise UserInputError("--n-train and --n-test must be >= 1")
-    os.makedirs(args.out, exist_ok=True)
     train_set, test_set = generate_dataset(spec, args.n_train, args.n_test, seed)
+    os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.jsonl")
     test_path = os.path.join(args.out, "test.jsonl")
     write_jsonl(train_path, train_set)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import math
+import sys
 
 import numpy as np
 
@@ -65,10 +66,14 @@ def _check_boxes(boxes: np.ndarray) -> None:
 
 
 def _json_number(value, field: str, integer: bool = False):
-    """A number read from JSON: a non-bool int, or with integer=False any real."""
+    """A number read from JSON, returned as given: a non-bool int, or with
+    integer=False any real, where an int must not exceed the largest float."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         want = "an integer" if integer else "a real number"
         raise ValidationError(f"{field}: expected {want}, got {value!r}")
+    if not integer and type(value) is int and abs(value) > sys.float_info.max:
+        n = value.bit_length()
+        raise ValidationError(f"{field}: expected a real number, got a {n}-bit integer")
     return value
 
 

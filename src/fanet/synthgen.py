@@ -1,31 +1,37 @@
 """Synthetic benchmark worlds with known pairwise relations.
 
-A world is a small set of entity categories, a symmetric category affinity
-table, and a scene-label rule: each nonzero label corresponds to one
-"signature" category pair, and a scene carries that label exactly when both
-categories of the pair are present. Signature categories never appear outside
-their own label, and filler categories never complete a signature, so the
-label is a deterministic function of the drawn categories.
+Both worlds have one shape: n items with a feature row each, and label pairs
+of items. Label k + 1 goes to an instance that holds both items of pair k
+(the lowest such pair wins, label 0 when none is complete); an item is in at
+most one label pair and filler items are in none, so the label is a function
+of the drawn items. An instance draws between a minimum and a maximum count
+of items (at most MAX_ITEMS), and its features are the items' rows plus
+Gaussian noise.
 
-Entity features are category prototypes plus Gaussian noise; boxes are
-disjoint unit squares on a grid, so box matching during evaluation is exact
-(IoU is 1 against the entity's own ground-truth box and 0 otherwise). The
-relation target marks every entity pair whose categories are affine.
+In a vision world (`WorldSpec`) the items are entity categories with
+prototype rows and the label pairs are "signature" pairs. Boxes are disjoint
+unit squares on a grid, so box matching during evaluation is exact (IoU is 1
+against the entity's own ground-truth box and 0 otherwise), and the relation
+target marks every entity pair whose categories are affine.
 
-Documents follow the same scheme over a token lexicon: features are token
-embeddings plus noise, the relation target comes from a lexical pair table
-over tags, and the label is keyed to one "keyword" token pair per class.
+In a document world (`DocumentSpec`) the items are tokens with embedding
+rows and the label pairs are "keyword" pairs; the relation target comes from
+a lexical pair table over the tokens' tags.
 
-Draw order inside one instance is fixed (label, category fills, entity
-permutation, feature noise) and all randomness is Philox-keyed, so a given
-(spec, seed) pair always produces the identical instance.
+Both specs read and write JSON through one loader, `_World.from_dict` and
+`to_dict`, which walks the dataclass fields: a field without a default is
+required, and the only JSON key that differs from its field is `pair_table`.
+
+Draw order inside one instance is fixed (label, item fills, permutation,
+feature noise) and all randomness is Philox-keyed, so a given (spec, seed)
+pair always produces the identical instance.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -55,6 +61,7 @@ __all__ = [
     "load_spec",
     "DATASET_FORMAT",
     "DATASET_VERSION",
+    "MAX_ITEMS",
 ]
 
 
@@ -117,20 +124,126 @@ def _spec_matrix(raw, field: str) -> np.ndarray:
     return m
 
 
-def _check_sigma(sigma) -> None:
-    if not (math.isfinite(sigma) and sigma >= 0):  # NaN >= 0 is false too
-        raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
+def _pair_table(raw, field: str) -> LexicalPairTable:
+    """A document spec's pair table, from a list of two-string tag pairs."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"{field}: expected a list of tag pairs, got {raw!r}")
+    table = LexicalPairTable()
+    for pair in raw:
+        if not (isinstance(pair, list) and len(pair) == 2 and {*map(type, pair)} == {str}):
+            raise ValidationError(f"{field}: expected tag pairs, got {pair!r}")
+        table.add(*pair)
+    return table
+
+
+# How a spec reads a field from JSON, by the field's annotation; a field of
+# another type is passed as given, for the spec's own checks.
+_READERS = {
+    "int": lambda raw, key: _json_number(raw, key, integer=True),
+    "float": lambda raw, key: float(_json_number(raw, key)),
+    "np.ndarray": _spec_matrix,
+    "LexicalPairTable": _pair_table,
+}
+_KEYS = {"table": "pair_table"}  # the JSON key of a field, where it is not the name
+MAX_ITEMS = 4096  # items per instance; the n x n float64 target then takes <= 128 MB
+
+
+def _plain(value):
+    """A spec field as JSON: tuples and matrices as lists, a table as its sorted pairs."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, LexicalPairTable):
+        return [list(p) for p in value.pairs()]
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return value
+
+
+class _World:
+    """What both spec kinds share; the module docstring states the rules.
+
+    A subclass is a frozen dataclass with an `n_items` property and three
+    class attributes: `kind`, its JSON tag; `_pairs`, the field of its label
+    pairs; and `_count`, the prefix of its `_min`/`_max` item count fields.
+    """
+
+    def _check_world(self, n: int) -> None:
+        """The shared rules, for n items."""
+        _set_pairs(self, self._pairs, n)
+        used = [i for pair in self._label_pairs for i in pair]
+        if len(set(used)) != len(used):
+            raise ValidationError(f"{self._pairs}: an item may be in at most one pair")
+        if not self.fillers:
+            raise ValidationError(f"{self._pairs}: need at least one item outside all pairs")
+        sigma = self.noise_sigma
+        if not (math.isfinite(sigma) and sigma >= 0):  # NaN >= 0 is false too
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
+        lo, hi = f"{self._count}_min", f"{self._count}_max"
+        low, high = getattr(self, lo), getattr(self, hi)
+        if not 2 <= low <= high:
+            raise ValidationError(f"need 2 <= {lo} <= {hi}, got {low}..{high}")
+        if high > MAX_ITEMS:
+            raise ValidationError(f"{hi}: expected at most {MAX_ITEMS}, got {high}")
+
+    @property
+    def _label_pairs(self) -> tuple:
+        return getattr(self, self._pairs)
+
+    @property
+    def n_labels(self) -> int:
+        """Label alphabet size (label 0 plus one per label pair)."""
+        return len(self._label_pairs) + 1
+
+    @property
+    def fillers(self) -> tuple:
+        """The items in no label pair, in index order."""
+        used = {i for pair in self._label_pairs for i in pair}
+        return tuple(i for i in range(self.n_items) if i not in used)
+
+    def label_of(self, items: Sequence[int]) -> int:
+        """Label implied by a multiset of items (lowest complete pair wins)."""
+        present = set(items)
+        for k, (a, b) in enumerate(self._label_pairs):
+            if a in present and b in present:
+                return k + 1
+        return 0
+
+    def to_dict(self) -> dict:
+        plain = {_KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
+        return {"kind": self.kind, **plain}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The spec of a JSON dict. A field without a default is required; a
+        missing "kind" reads as "vision"."""
+        kind = d.get("kind", "vision")
+        if kind != cls.kind:
+            raise ValidationError(f"kind: expected {cls.kind!r}, got {kind!r}")
+        by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        for key, f in by_key.items():
+            if key not in d and f.default is MISSING:
+                raise ValidationError(f"{key}: missing required field")
+        for key in d:
+            if key not in by_key and key != "kind":
+                raise ValidationError(f"{key}: unknown field in world spec")
+        return cls(**{
+            f.name: _READERS.get(f.type, lambda raw, key: raw)(d[key], key)
+            for key, f in by_key.items() if key in d
+        })
 
 
 @dataclass(frozen=True)
-class WorldSpec:
+class WorldSpec(_World):
     """Vision-style world: categories with prototypes, affinity, scene labels.
 
     `signature_pairs[k]` defines scene label k+1; label 0 means "no signature
     pair present". `affine_pairs` lists all related category pairs (targets and
-    ground-truth relations are derived from it). Signature categories must not
-    be reused across signatures and must not appear in the filler pool.
+    ground-truth relations are derived from it) and holds every signature.
     """
+
+    kind = "vision"
+    _pairs = "signature_pairs"
+    _count = "entities"
 
     prototypes: np.ndarray                     # (n_categories, embed_dim)
     affine_pairs: tuple                        # ((a, b), ...) category pairs
@@ -142,108 +255,36 @@ class WorldSpec:
     def __post_init__(self):
         proto = as_matrix(self.prototypes, name="prototypes")
         object.__setattr__(self, "prototypes", proto)
-        n_cat = proto.shape[0]
-        _set_pairs(self, "affine_pairs", n_cat)
-        _set_pairs(self, "signature_pairs", n_cat)
-        seen: set = set()
-        for a, b in self.signature_pairs:
-            if a in seen or b in seen:
-                raise ValidationError(
-                    "signature_pairs: categories may appear in at most one signature"
-                )
-            seen.update((a, b))
+        _set_pairs(self, "affine_pairs", proto.shape[0])
+        self._check_world(proto.shape[0])
         affine = {frozenset(p) for p in self.affine_pairs}
-        for pair in self.signature_pairs:
-            if frozenset(pair) not in affine:
-                raise ValidationError(
-                    f"signature_pairs: {pair!r} missing from affine_pairs"
-                )
-        if not self.num_fillers:
-            raise ValidationError(
-                "prototypes: need at least one category outside all signature_pairs"
-            )
-        _check_sigma(self.noise_sigma)
-        if not (1 <= self.entities_min <= self.entities_max):
-            raise ValidationError(
-                f"need 1 <= entities_min <= entities_max, got "
-                f"{self.entities_min}..{self.entities_max}"
-            )
-        need = 2  # room for one signature pair
-        if self.entities_min < need:
-            raise ValidationError(f"entities_min must be >= {need} to fit a signature")
+        missing = next((p for p in self.signature_pairs if frozenset(p) not in affine), None)
+        if missing:
+            raise ValidationError(f"signature_pairs: {missing!r} missing from affine_pairs")
 
     @property
     def n_categories(self) -> int:
         return self.prototypes.shape[0]
 
+    n_items = n_categories
+
     @property
     def embed_dim(self) -> int:
         return self.prototypes.shape[1]
 
-    @property
-    def n_labels(self) -> int:
-        """Label alphabet size (label 0 plus one per signature pair)."""
-        return len(self.signature_pairs) + 1
-
-    @property
-    def filler_categories(self) -> tuple:
-        used = {c for pair in self.signature_pairs for c in pair}
-        return tuple(c for c in range(self.n_categories) if c not in used)
-
-    @property
-    def num_fillers(self) -> int:
-        return len(self.filler_categories)
-
-    def scene_label(self, categories: Sequence[int]) -> int:
-        """Label implied by a category multiset (lowest complete signature wins)."""
-        present = set(categories)
-        for k, (a, b) in enumerate(self.signature_pairs):
-            if a in present and b in present:
-                return k + 1
-        return 0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "vision",
-            "prototypes": self.prototypes.tolist(),
-            "affine_pairs": [list(p) for p in self.affine_pairs],
-            "signature_pairs": [list(p) for p in self.signature_pairs],
-            "noise_sigma": self.noise_sigma,
-            "entities_min": self.entities_min,
-            "entities_max": self.entities_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldSpec":
-        kind = d.get("kind", "vision")
-        if kind != "vision":
-            raise ValidationError(f"kind: expected 'vision', got {kind!r}")
-        required = ("prototypes", "affine_pairs", "signature_pairs")
-        for field in required:
-            if field not in d:
-                raise ValidationError(f"{field}: missing required field")
-        known = set(required) | {"kind", "noise_sigma", "entities_min", "entities_max"}
-        for field in d:
-            if field not in known:
-                raise ValidationError(f"{field}: unknown field in world spec")
-        return cls(
-            prototypes=_spec_matrix(d["prototypes"], "prototypes"),
-            affine_pairs=d["affine_pairs"],
-            signature_pairs=d["signature_pairs"],
-            noise_sigma=float(_json_number(d.get("noise_sigma", 0.25), "noise_sigma")),
-            entities_min=_json_number(d.get("entities_min", 6), "entities_min", True),
-            entities_max=_json_number(d.get("entities_max", 8), "entities_max", True),
-        )
-
 
 @dataclass(frozen=True)
-class DocumentSpec:
+class DocumentSpec(_World):
     """Language-style world: token lexicon with tags, embeddings, pair table.
 
     `keyword_pairs[k]` (token index pairs) defines label k+1 the same way
     signature pairs do for scenes. Relation targets come from `table` applied
     to the token tags, so they may also connect filler tokens.
     """
+
+    kind = "document"
+    _pairs = "keyword_pairs"
+    _count = "tokens"
 
     tokens: tuple                              # token strings
     tags: tuple                                # one tag per token
@@ -279,92 +320,17 @@ class DocumentSpec:
         unknown = sorted(set(self.tags) - self.table.categories)
         if unknown:
             raise ValidationError(f"tags: {unknown} not present in the pair table")
-        _set_pairs(self, "keyword_pairs", n)
-        seen: set = set()
-        for a, b in self.keyword_pairs:
-            if a in seen or b in seen:
-                raise ValidationError(
-                    "keyword_pairs: tokens may appear in at most one keyword pair"
-                )
-            seen.update((a, b))
-        if not self.filler_tokens:
-            raise ValidationError(
-                "tokens: need at least one token outside all keyword_pairs"
-            )
-        _check_sigma(self.noise_sigma)
-        if not (2 <= self.tokens_min <= self.tokens_max):
-            raise ValidationError(
-                f"need 2 <= tokens_min <= tokens_max, got "
-                f"{self.tokens_min}..{self.tokens_max}"
-            )
+        self._check_world(n)
 
     @property
     def n_tokens(self) -> int:
         return len(self.tokens)
 
+    n_items = n_tokens
+
     @property
     def embed_dim(self) -> int:
         return self.embeddings.shape[1]
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.keyword_pairs) + 1
-
-    @property
-    def filler_tokens(self) -> tuple:
-        used = {t for pair in self.keyword_pairs for t in pair}
-        return tuple(i for i in range(self.n_tokens) if i not in used)
-
-    def document_label(self, token_ids: Sequence[int]) -> int:
-        present = set(token_ids)
-        for k, (a, b) in enumerate(self.keyword_pairs):
-            if a in present and b in present:
-                return k + 1
-        return 0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "document",
-            "tokens": list(self.tokens),
-            "tags": list(self.tags),
-            "embeddings": self.embeddings.tolist(),
-            "pair_table": [sorted(p) for p in sorted(self.table.pairs())],
-            "keyword_pairs": [list(p) for p in self.keyword_pairs],
-            "noise_sigma": self.noise_sigma,
-            "tokens_min": self.tokens_min,
-            "tokens_max": self.tokens_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DocumentSpec":
-        if d.get("kind") != "document":
-            raise ValidationError(f"kind: expected 'document', got {d.get('kind')!r}")
-        required = ("tokens", "tags", "embeddings", "pair_table", "keyword_pairs")
-        for field in required:
-            if field not in d:
-                raise ValidationError(f"{field}: missing required field")
-        known = set(required) | {"kind", "noise_sigma", "tokens_min", "tokens_max"}
-        for field in d:
-            if field not in known:
-                raise ValidationError(f"{field}: unknown field in world spec")
-        pairs = d["pair_table"]
-        if not isinstance(pairs, list):
-            raise ValidationError(f"pair_table: expected a list of tag pairs, got {pairs!r}")
-        table = LexicalPairTable()
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and {*map(type, pair)} == {str}):
-                raise ValidationError(f"pair_table: expected tag pairs, got {pair!r}")
-            table.add(*pair)
-        return cls(
-            tokens=d["tokens"],
-            tags=d["tags"],
-            embeddings=_spec_matrix(d["embeddings"], "embeddings"),
-            table=table,
-            keyword_pairs=d["keyword_pairs"],
-            noise_sigma=float(_json_number(d.get("noise_sigma", 0.1), "noise_sigma")),
-            tokens_min=_json_number(d.get("tokens_min", 6), "tokens_min", True),
-            tokens_max=_json_number(d.get("tokens_max", 9), "tokens_max", True),
-        )
 
 
 @dataclass(frozen=True)
@@ -441,18 +407,23 @@ def _upper_pairs(t: np.ndarray) -> tuple:
 # prototype overflows) and the drawn label is the one the spec's rule derives.
 
 
-def _draw_entities(rng, n_labels: int, lo: int, hi: int, pairs: tuple, fillers: np.ndarray):
-    """Label, then entity count, filler fills and permutation; returns
-    (label, the entities' ids in order). Draw order is part of the format."""
-    label = int(rng.integers(0, n_labels))
+def _draw_entities(rng, spec, lo: int, hi: int, fillers: np.ndarray):
+    """Label, then entity count, filler fills and permutation; returns (label,
+    the entities' ids in order, the ids as a list). Draw order is part of the
+    format. The label must be the one the spec's rule derives from the ids."""
+    label = int(rng.integers(0, spec.n_labels))
     n = int(rng.integers(lo, hi + 1))
     ids = np.empty(n, dtype=np.int64)
     start = 0
     if label > 0:
-        ids[:2] = pairs[label - 1]
+        ids[:2] = spec._label_pairs[label - 1]
         start = 2
     ids[start:] = fillers[rng.integers(0, len(fillers), size=n - start)]
-    return label, ids[rng.permutation(n)]
+    ids = ids[rng.permutation(n)]
+    drawn = ids.tolist()
+    if spec.label_of(drawn) != label:  # guards the spec invariants, not user input
+        raise ValidationError(f"{spec.kind} spec breaks the label rule: drew {label}")
+    return label, ids, drawn
 
 
 def _noisy_rows(rng, rows: np.ndarray, ids: np.ndarray, sigma: float) -> np.ndarray:
@@ -464,27 +435,19 @@ def _noisy_rows(rng, rows: np.ndarray, ids: np.ndarray, sigma: float) -> np.ndar
     return features
 
 
-def _check_label(kind: str, label: int, derived: int) -> None:
-    if derived != label:  # guards the spec invariants, not user input
-        raise ValidationError(
-            f"{kind} spec breaks the label rule: drew {label}, derived {derived}"
-        )
-
-
 def _scene_drawer(spec: WorldSpec):
     """draw(rng) -> one scene of spec. What every scene shares (the affinity
     table, the filler ids, the grid boxes of each n) is built once here;
     each scene gets its own copy of its boxes."""
     table = _affinity_table(spec.affine_pairs, spec.n_categories)
-    fillers = np.asarray(spec.filler_categories, dtype=np.int64)
+    fillers = np.asarray(spec.fillers, dtype=np.int64)
     grids: dict = {}
 
     def draw(rng) -> Instance:
-        label, categories = _draw_entities(
-            rng, spec.n_labels, spec.entities_min, spec.entities_max, spec.signature_pairs, fillers
+        label, categories, _ = _draw_entities(
+            rng, spec, spec.entities_min, spec.entities_max, fillers
         )
         features = _noisy_rows(rng, spec.prototypes, categories, spec.noise_sigma)
-        _check_label("world", label, spec.scene_label(categories.tolist()))
         n = len(categories)
         grid = grids.get(n)
         if grid is None:
@@ -503,7 +466,7 @@ def _scene_drawer(spec: WorldSpec):
 def _document_drawer(spec: DocumentSpec):
     """draw(rng) -> one document of spec. Its filler ids and the pair table
     over its tokens are built once here."""
-    fillers = np.asarray(spec.filler_tokens, dtype=np.int64)
+    fillers = np.asarray(spec.fillers, dtype=np.int64)
     # the rule for every two of the spec's tokens: the off-diagonal block of
     # the target of the tags written twice, so that it keeps its diagonal too
     # (a token drawn twice relates to itself through its tag)
@@ -511,12 +474,10 @@ def _document_drawer(spec: DocumentSpec):
     rule = build_language_target(spec.tags * 2, spec.table)[:v, v:]
 
     def draw(rng) -> Instance:
-        label, token_ids = _draw_entities(
-            rng, spec.n_labels, spec.tokens_min, spec.tokens_max, spec.keyword_pairs, fillers
+        label, token_ids, drawn = _draw_entities(
+            rng, spec, spec.tokens_min, spec.tokens_max, fillers
         )
         features = _noisy_rows(rng, spec.embeddings, token_ids, spec.noise_sigma)
-        drawn = token_ids.tolist()
-        _check_label("document", label, spec.document_label(drawn))
         pick = itemgetter(*drawn)  # n >= 2, so pick gives a tuple
         target = rule.take(token_ids, 0).take(token_ids, 1)
         np.fill_diagonal(target, 0.0)
@@ -600,9 +561,6 @@ def default_world_spec() -> WorldSpec:
         # relation that shows up in scenes of every label
         affine_pairs=((0, 1), (2, 3), (4, 5)),
         signature_pairs=((0, 1), (2, 3)),
-        noise_sigma=0.25,
-        entities_min=6,
-        entities_max=8,
     )
 
 
@@ -624,9 +582,6 @@ def default_document_spec() -> DocumentSpec:
         embeddings=emb,
         table=table,
         keyword_pairs=((0, 1), (5, 6)),  # engine+rattles, gasket+hums
-        noise_sigma=0.1,
-        tokens_min=6,
-        tokens_max=9,
     )
 
 
@@ -911,10 +866,9 @@ def _unchecked(cls, **fields):
 
 
 def load_spec(d: dict):
-    """Dispatch a spec dict on its `kind` field."""
+    """The spec of a JSON dict, by its `kind` field ("vision" when absent)."""
     kind = d.get("kind", "vision")
-    if kind == "vision":
-        return WorldSpec.from_dict(d)
-    if kind == "document":
-        return DocumentSpec.from_dict(d)
+    for cls in (WorldSpec, DocumentSpec):
+        if kind == cls.kind:
+            return cls.from_dict(d)
     raise ValidationError(f"kind: expected 'vision' or 'document', got {kind!r}")

@@ -277,7 +277,12 @@ class TestGen:
          ("document", "noise_sigma", "0.1"), ("document", "tokens", "ints"),
          ("document", "tags", "ints"), ("vision", "prototypes", [[1.0, True]]),
          ("document", "embeddings", [[False, 0.5]]), ("document", "pair_table", [7]),
-         ("document", "pair_table", [["noun", 1]]), ("document", "pair_table", "noun")],
+         ("document", "pair_table", [["noun", 1]]), ("document", "pair_table", "noun"),
+         pytest.param("vision", "noise_sigma", 10**400, id="vision-noise_sigma-huge_int"),
+         pytest.param("document", "noise_sigma", -(10**400), id="document-noise_sigma-huge_int"),
+         ("vision", "entities_max", 4097), ("document", "tokens_max", 4097),
+         pytest.param("vision", "entities_max", 10**30, id="vision-entities_max-1e30"),
+         pytest.param("document", "tokens_max", 10**30, id="document-tokens_max-1e30")],
     )
     def test_mistyped_spec_field_is_user_error(self, tmp_path, capsys, kind, key, value):
         spec = default_document_spec() if kind == "document" else default_world_spec()
@@ -288,7 +293,9 @@ class TestGen:
         out = tmp_path / "out"
         code = main(["gen", "--spec", str(spec_path), "--out", str(out), "--seed", "0"])
         assert code == EXIT_USER
-        assert f"{key}: expected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: {key}: expected")
+        assert "0" * 100 not in err
         assert not out.exists()
 
     def test_missing_spec_file(self, tmp_path):
@@ -325,6 +332,7 @@ class TestGen:
         argv = ["gen", "--spec", str(spec_path), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_USER
         assert capsys.readouterr().err == "error: features contains non-finite entries\n"
+        assert not (tmp_path / "out").exists()  # generated before --out is made
 
 
 class TestTrain:
@@ -452,6 +460,19 @@ class TestTrain:
         )
         assert code == EXIT_USER
         assert f"{key}: expected {want}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_int_beyond_float_range_is_user_error(self, tmp_path, data_dir, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"lr": 1' + "0" * 400 + "}")
+        code = main(
+            ["train", "--data", data_dir, "--out", str(tmp_path / "o"),
+             "--config", str(cfg_path)]
+        )
+        assert code == EXIT_USER
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: lr: expected a real number, got a 1329-bit integer\n"
+        )
         assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,7 @@
 """Synthetic benchmark worlds: determinism, label rules, serialization."""
 
 import base64
+import dataclasses
 import itertools
 import json
 import re
@@ -14,6 +15,7 @@ from fanet.matrices import NonFiniteError, ValidationError
 from fanet.seeding import _rekeyed, instance_seed, stream_rng
 from fanet.supervision import entity_gt_matching, iou
 from fanet.synthgen import (
+    MAX_ITEMS,
     DocumentSpec,
     Instance,
     WorldSpec,
@@ -49,15 +51,15 @@ class TestWorldSpec:
         assert spec.n_categories == 6
         assert spec.embed_dim == 6
         assert spec.n_labels == 2
-        assert spec.filler_categories == (2, 3, 4, 5)
+        assert spec.fillers == (2, 3, 4, 5)
 
     def test_scene_label_rule(self):
         spec = default_world_spec()
-        assert spec.scene_label([0, 1, 6, 7]) == 1
-        assert spec.scene_label([2, 3, 6]) == 2
-        assert spec.scene_label([4, 5, 6, 7]) == 0  # (4,5) is not a signature
+        assert spec.label_of([0, 1, 6, 7]) == 1
+        assert spec.label_of([2, 3, 6]) == 2
+        assert spec.label_of([4, 5, 6, 7]) == 0  # (4,5) is not a signature
         # both signatures present: the lowest one wins
-        assert spec.scene_label([2, 3, 0, 1]) == 1
+        assert spec.label_of([2, 3, 0, 1]) == 1
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValidationError):
@@ -95,22 +97,26 @@ class TestWorldSpec:
             )
 
     def test_dict_roundtrip(self):
-        spec = tiny_world()
-        again = WorldSpec.from_dict(spec.to_dict())
-        assert np.array_equal(again.prototypes, spec.prototypes)
-        assert again.affine_pairs == spec.affine_pairs
-        assert again.signature_pairs == spec.signature_pairs
+        # both worlds, with every optional field away from its default
+        document = dataclasses.replace(
+            default_document_spec(), noise_sigma=0.3, tokens_min=3, tokens_max=5
+        )
+        for spec in (tiny_world(), document):
+            d = spec.to_dict()
+            assert list(d) == ["kind"] + [
+                "pair_table" if f.name == "table" else f.name for f in dataclasses.fields(spec)
+            ]
+            for f in dataclasses.fields(spec):
+                if f.default is not dataclasses.MISSING:
+                    assert d[f.name] != f.default, f.name
+            again = type(spec).from_dict(json.loads(json.dumps(d)))
+            assert again.to_dict() == d
+            assert type(again.noise_sigma) is float
 
     def test_from_dict_rejects_unknown_field(self):
         d = tiny_world().to_dict()
         d["entity_count"] = 5
         with pytest.raises(ValidationError, match="entity_count"):
-            WorldSpec.from_dict(d)
-
-    def test_from_dict_rejects_missing_field(self):
-        d = tiny_world().to_dict()
-        del d["affine_pairs"]
-        with pytest.raises(ValidationError, match="affine_pairs"):
             WorldSpec.from_dict(d)
 
 
@@ -148,7 +154,7 @@ class TestGenerateInstance:
     def test_label_matches_scene_rule(self, seed):
         spec = default_world_spec()
         inst = generate_instance(spec, seed)
-        assert inst.label == spec.scene_label(inst.entities.categories)
+        assert inst.label == spec.label_of(inst.entities.categories)
 
     def test_boxes_are_disjoint(self):
         inst = generate_instance(default_world_spec(), seed=5)
@@ -871,12 +877,51 @@ class TestArrayKernelsMatchLoops:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+REQUIRED_KEYS = {
+    "vision": ("prototypes", "affine_pairs", "signature_pairs"),
+    "document": ("tokens", "tags", "embeddings", "pair_table", "keyword_pairs"),
+}
+BOTH_WORLDS = {"vision": default_world_spec, "document": default_document_spec}
+
+
 class TestSpecSerialization:
     def test_load_spec_dispatch(self):
-        w = load_spec(default_world_spec().to_dict())
-        assert isinstance(w, WorldSpec)
-        d = load_spec(default_document_spec().to_dict())
-        assert isinstance(d, DocumentSpec)
+        # only the required keys: every optional field takes its dataclass default
+        for kind, cls, defaults in (
+            ("vision", WorldSpec, dict(noise_sigma=0.25, entities_min=6, entities_max=8)),
+            ("document", DocumentSpec, dict(noise_sigma=0.1, tokens_min=6, tokens_max=9)),
+        ):
+            full = BOTH_WORLDS[kind]().to_dict()
+            spec = load_spec({"kind": kind, **{k: full[k] for k in REQUIRED_KEYS[kind]}})
+            assert type(spec) is cls
+            assert {k: getattr(spec, k) for k in defaults} == defaults
+            assert spec.to_dict() == {**full, **defaults}
+
+    @pytest.mark.parametrize(
+        "kind,key", [(kind, key) for kind, keys in REQUIRED_KEYS.items() for key in keys]
+    )
+    def test_from_dict_rejects_missing_field(self, kind, key):
+        d = BOTH_WORLDS[kind]().to_dict()
+        del d[key]
+        cls = WorldSpec if kind == "vision" else DocumentSpec
+        with pytest.raises(ValidationError, match=f"^{key}: missing required field$"):
+            cls.from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["vision", "document"])
+    @pytest.mark.parametrize("which", ["max", "both"])
+    def test_item_count_bound(self, kind, which):
+        count = "entities" if kind == "vision" else "tokens"
+        d = BOTH_WORLDS[kind]().to_dict()
+        for value in (MAX_ITEMS, MAX_ITEMS + 1, 10**30):
+            d[f"{count}_max"] = value
+            if which == "both":
+                d[f"{count}_min"] = value
+            if value == MAX_ITEMS:
+                assert load_spec(d).n_labels == 3  # loads; not generated
+                continue
+            named = f"^{count}_max: expected at most {MAX_ITEMS}, got {value}$"
+            with pytest.raises(ValidationError, match=named):
+                load_spec(d)
 
     @pytest.mark.parametrize(
         "spec,key,value,want",
@@ -931,8 +976,18 @@ class TestSpecSerialization:
             load_spec(d)
 
     def test_load_spec_rejects_unknown_kind(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="got 'audio'"):
             load_spec({"kind": "audio"})
+        # each spec class rejects the other's kind; a dict without one is "vision"
+        vision, document = default_world_spec().to_dict(), default_document_spec().to_dict()
+        with pytest.raises(ValidationError, match="^kind: expected 'vision', got 'document'$"):
+            WorldSpec.from_dict(document)
+        with pytest.raises(ValidationError, match="^kind: expected 'document', got 'vision'$"):
+            DocumentSpec.from_dict(vision)
+        del vision["kind"]
+        assert type(WorldSpec.from_dict(vision)) is WorldSpec
+        with pytest.raises(ValidationError, match="^kind: expected 'document', got 'vision'$"):
+            DocumentSpec.from_dict(vision)
 
     def test_document_spec_roundtrip_generates_identically(self):
         spec = default_document_spec()
