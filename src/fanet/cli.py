@@ -30,14 +30,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
 from .attention import EntitySet
 from .losses import LOSS_VARIANTS
-from .matrices import ValidationError
+from .matrices import ValidationError, _load_json, _write_json
 from .metrics import top_k_pairs, word_importance, write_metrics_csv
 from .seeding import STREAM_INSTANCE, stream_rng
 from .synthgen import (
@@ -101,32 +101,11 @@ def _resolve_seed(flag_value):
     return 0 if env is None else env
 
 
-def _load_json(path, what: str) -> dict:
-    if not os.path.exists(path):
-        raise UserInputError(f"{what} not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UserInputError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise UserInputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _parse_ks(raw: str) -> tuple:
     try:
         ks = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise UserInputError(f"expected comma-separated integers, got {raw!r}")
-    if not ks or any(k < 1 for k in ks):
-        raise UserInputError(f"K values must be positive integers, got {raw!r}")
     return ks
 
 
@@ -154,7 +133,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
     for f in _FLAG_FIELDS:
-        flag = "--" + TrainConfig.key(f.name).replace("_", "-")
+        flag = "--" + TrainConfig.json_keys.get(f.name, f.name).replace("_", "-")
         if f.type == "bool":
             parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
         else:
@@ -170,27 +149,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> TrainConfig:
     """defaults < config file < flags; FAN_SEED fills in a missing seed.
 
-    The file's values are first checked on their own, so that a bad one is
-    reported with the file's path.
+    The file is first read on its own, so that a bad value is reported with
+    the file's path.
     """
-    file_dict = {}
+    config, file_keys = TrainConfig(), ()
     if args.config:
-        file_dict = _load_json(args.config, "config file")
-        try:
-            TrainConfig.from_dict(file_dict)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.config}: {exc}") from exc
-    merged = TrainConfig().to_dict()
-    merged.update(file_dict)
-    for f in _FLAG_FIELDS:
-        value = getattr(args, f.name)
-        if value is not None:
-            merged[TrainConfig.key(f.name)] = _parse_ks(value) if f.name == "eval_ks" else value
-    if args.seed is None and "seed" not in file_dict:
+        config, file_keys = _load_json(args.config, lambda d: (TrainConfig.from_dict(d), set(d)))
+    flags = {f.name: getattr(args, f.name) for f in _FLAG_FIELDS if getattr(args, f.name) is not None}
+    if "eval_ks" in flags:
+        flags["eval_ks"] = _parse_ks(flags["eval_ks"])
+    if args.seed is None and "seed" not in file_keys:
         env = _env_seed()
         if env is not None:
-            merged["seed"] = env
-    return TrainConfig.from_dict(merged)
+            flags["seed"] = env
+    return replace(config, **flags)
 
 
 def _dataset_paths(data_dir: str) -> tuple:
@@ -198,14 +170,8 @@ def _dataset_paths(data_dir: str) -> tuple:
     test_path = os.path.join(data_dir, "test.jsonl")
     for path in (train_path, test_path):
         if not os.path.exists(path):
-            raise UserInputError(f"dataset not found: {path}")
+            raise UserInputError(f"{path}: file not found")
     return train_path, test_path
-
-
-def _read_dataset(path: str) -> list:
-    if not os.path.exists(path):
-        raise UserInputError(f"dataset not found: {path}")
-    return read_jsonl(path)
 
 
 def _check_feature_dim(params, instances, checkpoint_path, data_path) -> None:
@@ -251,11 +217,7 @@ def _comment_csv(fh, config_dict: dict) -> None:
 
 def cmd_gen(args) -> int:
     if args.spec:
-        doc = _load_json(args.spec, "world spec")
-        try:
-            spec = load_spec(doc)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.spec}: {exc}") from exc
+        spec = _load_json(args.spec, load_spec)
     elif args.kind == "document":
         spec = default_document_spec()
     else:
@@ -329,7 +291,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
-    instances = _read_dataset(args.data)
+    instances = read_jsonl(args.data)
     if not instances:
         raise UserInputError(f"dataset is empty: {args.data}")
     _check_feature_dim(params, instances, args.checkpoint, args.data)
@@ -408,14 +370,11 @@ def _completed_cells(path) -> set:
 
 def cmd_ablate(args) -> int:
     base = _config_from_args(args)
-    grid = _load_json(args.grid, "grid file")
+    # base is checked, so a fault in a cell is the grid's
+    grid, cells = _load_json(args.grid, lambda grid: (grid, ablation_cells(base, grid)))
     train_path, test_path = _dataset_paths(args.data)
     if args.jobs < 1:
         raise UserInputError(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        cells = ablation_cells(base, grid)  # base is checked, so a fault is the grid's
-    except ValidationError as exc:
-        raise ValidationError(f"{args.grid}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
@@ -490,7 +449,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_attention(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
-    instances = _read_dataset(args.data)
+    instances = read_jsonl(args.data)
     if not (0 <= args.instance < len(instances)):
         raise UserInputError(
             f"unknown instance id {args.instance}; dataset {args.data} has "

@@ -1,4 +1,5 @@
-"""Dense matrix helpers: validation and numerically stable softmax/log primitives.
+"""Dense matrix helpers: validation and numerically stable softmax/log primitives,
+and the readers and writers of the JSON files and dataclass fields the CLI reads.
 
 All matrices in this package are plain 2-D float64 numpy arrays in row-major
 (C) order. Public operations validate shapes and finiteness at entry and
@@ -10,8 +11,10 @@ input was checked where it entered.
 from __future__ import annotations
 
 import base64
+import json
 import math
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -75,6 +78,89 @@ def _json_number(value, field: str, integer: bool = False):
         n = value.bit_length()
         raise ValidationError(f"{field}: expected a real number, got a {n}-bit integer")
     return value
+
+
+def _json_bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{field}: expected true or false, got {value!r}")
+    return value
+
+
+# How a JSON value becomes a dataclass field, by the field's annotation string.
+# A real field holds a float, so a JSON 0 and 0.0 give the same object and output.
+_FIELD_READERS = {
+    "int": lambda raw, key: _json_number(raw, key, integer=True),
+    "float": lambda raw, key: float(_json_number(raw, key)),
+    "bool": _json_bool,
+}
+
+
+def _check_keys(d: dict, known, required, prefix: str = "") -> None:
+    """Every key in `required` is in d and every key of d is in `known`;
+    `prefix` names the object that holds d, e.g. "params."."""
+    for key in required:
+        if key not in d:
+            raise ValidationError(f"{prefix}{key}: missing required field")
+    for key in d:
+        if key not in known:
+            raise ValidationError(f"{prefix}{key}: unknown field")
+
+
+def _from_json(cls, d: dict, prefix: str = ""):
+    """An instance of dataclass `cls` from the JSON object d.
+
+    `cls.json_keys` maps a field to its JSON key where the two differ, and
+    `cls.json_readers` adds readers by annotation to the shared ones; a field
+    with no reader is passed as given, for the class's own checks. A field
+    without a default is required; `prefix` goes before each key in messages.
+    """
+    by_key = {cls.json_keys.get(f.name, f.name): f for f in fields(cls)}
+    required = [key for key, f in by_key.items() if f.default is MISSING]
+    _check_keys(d, by_key, required, prefix)
+    readers = {**_FIELD_READERS, **cls.json_readers}
+    return cls(**{
+        f.name: readers[f.type](d[key], prefix + key) if f.type in readers else d[key]
+        for key, f in by_key.items() if key in d
+    })
+
+
+def _plain(value):
+    """A field value as JSON: tuples as lists, and an array or a pair table
+    as the lists its `tolist` gives."""
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+def _json_dict(obj) -> dict:
+    """The fields of dataclass obj as a JSON object, each under its key in
+    `obj.json_keys` (by default its name); the inverse of `_from_json`."""
+    return {obj.json_keys.get(f.name, f.name): _plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _load_json(path, parse):
+    """parse(the JSON object in file path). A fault in the file, or a
+    ValidationError from parse, raises ValidationError prefixed with the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"expected an object, got {type(doc).__name__}")
+        return parse(doc)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{path}: file not found") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:  # from json.load, or from quoting such a value in a message
+        raise ValidationError(f"{path}: nested too deeply") from exc
+    except ValidationError as exc:  # keeps the subclass, e.g. NonFiniteError
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands") -> None:

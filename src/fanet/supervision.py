@@ -63,9 +63,10 @@ class LexicalPairTable:
     def categories(self) -> set[str]:
         return {c for pair in self._pairs for c in pair}
 
-    def pairs(self) -> list[tuple[str, str]]:
-        """Sorted canonical listing, each pair as (min, max)."""
-        return sorted((min(p), max(p)) for p in self._pairs)
+    def tolist(self) -> list[list[str]]:
+        """Sorted canonical listing, each pair as [min, max]: the JSON form,
+        named after `ndarray.tolist`, which a spec's writer calls on both."""
+        return sorted([min(p), max(p)] for p in self._pairs)
 
     def __len__(self) -> int:
         return len(self._pairs)

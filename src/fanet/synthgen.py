@@ -18,9 +18,9 @@ In a document world (`DocumentSpec`) the items are tokens with embedding
 rows and the label pairs are "keyword" pairs; the relation target comes from
 a lexical pair table over the tokens' tags.
 
-Both specs read and write JSON through one loader, `_World.from_dict` and
-`to_dict`, which walks the dataclass fields: a field without a default is
-required, and the only JSON key that differs from its field is `pair_table`.
+Both specs read and write JSON through the field reader and writer in
+`matrices`: a field without a default is required, and the only JSON key
+that differs from its field is `pair_table`.
 
 Draw order inside one instance is fixed (label, item fills, permutation,
 feature noise) and all randomness is Philox-keyed, so a given (spec, seed)
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -41,7 +41,7 @@ import numpy as np
 from .attention import EntitySet
 from .losses import _check_target, validate_target
 from .matrices import ValidationError, _check_boxes, _decode_array, _decode_payload
-from .matrices import _encode_array, _json_number, as_matrix, check_finite
+from .matrices import _encode_array, _from_json, _json_dict, as_matrix, check_finite
 from .metrics import _candidates
 from .seeding import STREAM_INSTANCE, _rekeyed, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
@@ -136,27 +136,7 @@ def _pair_table(raw, field: str) -> LexicalPairTable:
     return table
 
 
-# How a spec reads a field from JSON, by the field's annotation; a field of
-# another type is passed as given, for the spec's own checks.
-_READERS = {
-    "int": lambda raw, key: _json_number(raw, key, integer=True),
-    "float": lambda raw, key: float(_json_number(raw, key)),
-    "np.ndarray": _spec_matrix,
-    "LexicalPairTable": _pair_table,
-}
-_KEYS = {"table": "pair_table"}  # the JSON key of a field, where it is not the name
 MAX_ITEMS = 4096  # items per instance; the n x n float64 target then takes <= 128 MB
-
-
-def _plain(value):
-    """A spec field as JSON: tuples and matrices as lists, a table as its sorted pairs."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, LexicalPairTable):
-        return [list(p) for p in value.pairs()]
-    if isinstance(value, tuple):
-        return list(map(_plain, value))
-    return value
 
 
 class _World:
@@ -165,7 +145,11 @@ class _World:
     A subclass is a frozen dataclass with an `n_items` property and three
     class attributes: `kind`, its JSON tag; `_pairs`, the field of its label
     pairs; and `_count`, the prefix of its `_min`/`_max` item count fields.
+    `json_keys` and `json_readers` tell `matrices._from_json` how to read one.
     """
+
+    json_keys = {"table": "pair_table"}
+    json_readers = {"np.ndarray": _spec_matrix, "LexicalPairTable": _pair_table}
 
     def _check_world(self, n: int) -> None:
         """The shared rules, for n items."""
@@ -209,27 +193,15 @@ class _World:
         return 0
 
     def to_dict(self) -> dict:
-        plain = {_KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
-        return {"kind": self.kind, **plain}
+        return {"kind": self.kind, **_json_dict(self)}
 
     @classmethod
     def from_dict(cls, d: dict):
-        """The spec of a JSON dict. A field without a default is required; a
-        missing "kind" reads as "vision"."""
+        """The spec of a JSON dict; a missing "kind" reads as "vision"."""
         kind = d.get("kind", "vision")
         if kind != cls.kind:
             raise ValidationError(f"kind: expected {cls.kind!r}, got {kind!r}")
-        by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
-        for key, f in by_key.items():
-            if key not in d and f.default is MISSING:
-                raise ValidationError(f"{key}: missing required field")
-        for key in d:
-            if key not in by_key and key != "kind":
-                raise ValidationError(f"{key}: unknown field in world spec")
-        return cls(**{
-            f.name: _READERS.get(f.type, lambda raw, key: raw)(d[key], key)
-            for key, f in by_key.items() if key in d
-        })
+        return _from_json(cls, {k: v for k, v in d.items() if k != "kind"})
 
 
 @dataclass(frozen=True)
@@ -653,7 +625,7 @@ def _parse_line(d) -> tuple:
     (features, categories, boxes, label, tokens, tags)).
     """
     if not isinstance(d, dict):
-        raise ValidationError(f"expected a JSON object, got {type(d).__name__}")
+        raise ValidationError(f"expected an object, got {type(d).__name__}")
     if "format" not in d and "version" not in d:
         raise ValidationError(
             "no format or version: version 1 lines are no longer read; "
@@ -790,13 +762,20 @@ def read_jsonl(path) -> list:
     parsed = []  # file order: (lineno, n, index in the group of n)
     groups: dict = {}  # n -> (each line's gt_relations, their packed targets, their fields)
     failure = None
-    with open(path) as fh:
+    try:  # bytes that are not UTF-8 are read as escapes, for the check below to name their line
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{path}: file not found") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():  # undoing the escapes raises at bytes that are not UTF-8
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 n, packed, relations, fields = _parse_line(json.loads(line))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            # UnicodeDecodeError is a ValueError; deep nesting recurses too far
+            except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
                 failure = lineno, exc
                 break
             given, buffer, lines = groups.setdefault(n, ([], bytearray(), []))

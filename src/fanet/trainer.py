@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,9 +49,14 @@ from .matrices import (
     NonFiniteError,
     ShapeError,
     ValidationError,
+    _check_keys,
     _decode_array,
     _encode_array,
+    _from_json,
+    _json_dict,
     _json_number,
+    _load_json,
+    _write_json,
     check_finite,
 )
 from .metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
@@ -98,8 +103,11 @@ class DivergenceError(RuntimeError):
 
 
 def _check_ks(ks, name: str) -> tuple:
-    """Recall cutoffs as a non-empty tuple of ints >= 1."""
-    checked = tuple(int(k) for k in ks)
+    """Recall cutoffs, a list or tuple of ints >= 1 (not floats or bools), as a
+    non-empty tuple; also eval_ks's reader from JSON."""
+    if not isinstance(ks, (list, tuple)):
+        raise ValidationError(f"{name}: expected a list of integers, got {ks!r}")
+    checked = tuple(_json_number(k, name, integer=True) for k in ks)
     if not checked or any(k < 1 for k in checked):
         raise ValidationError(f"{name} must be positive ints, got {ks!r}")
     return checked
@@ -131,6 +139,10 @@ class TrainConfig:
     d_k: int = 4
     freeze_attention: bool = False
     eval_ks: tuple = (1, 5, 10)
+
+    # class attributes, not fields: lam's JSON key and eval_ks's reader (`_from_json`)
+    json_keys = {"lam": "lambda"}
+    json_readers = {"tuple": _check_ks}
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -177,34 +189,8 @@ class TrainConfig:
         """Loss config for the relation term; `mat` pins the focal exponent."""
         return self._focus
 
-    @staticmethod
-    def key(name: str) -> str:
-        """The JSON key of field `name`: the name itself, except "lambda" for `lam`."""
-        return "lambda" if name == "lam" else name
-
-    def to_dict(self) -> dict:
-        d = {self.key(name): value for name, value in asdict(self).items()}
-        d["eval_ks"] = list(self.eval_ks)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        by_key = {cls.key(f.name): f for f in fields(cls)}
-        kwargs = {}
-        for key, value in d.items():
-            if key not in by_key:
-                raise ValidationError(f"{key}: unknown training config field")
-            kind = by_key[key].type  # the annotation, as a string
-            if kind in ("int", "float"):
-                _json_number(value, key, kind == "int")
-            elif kind == "bool" and not isinstance(value, bool):
-                raise ValidationError(f"{key}: expected true or false, got {value!r}")
-            elif key == "eval_ks":  # a JSON list, or the CLI's parsed --eval-ks tuple
-                if not isinstance(value, (list, tuple)):
-                    raise ValidationError(f"{key}: expected a list of integers, got {value!r}")
-                value = tuple(_json_number(k, key, integer=True) for k in value)
-            kwargs[by_key[key].name] = value
-        return cls(**kwargs)
+    to_dict = _json_dict
+    from_dict = classmethod(_from_json)
 
 
 PARAM_NAMES = ("w_k", "w_q", "classifier_w", "classifier_b")
@@ -869,7 +855,7 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
-    doc = {
+    _write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
@@ -877,43 +863,30 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
         "feature_dim": params.d,
         "head_dim": params.head_dim,
         "params": {name: _encode_array(a) for name, a in params.arrays().items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return _checkpoint_from_doc(doc)
-    except ValidationError as exc:  # keeps the subclass, e.g. NonFiniteError
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _load_json(path, _checkpoint_from_doc)
 
 
-def _checkpoint_from_doc(doc) -> tuple[ModelParams, TrainConfig]:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+# the keys save_checkpoint writes; a file may leave out the sizes
+_CHECKPOINT_KEYS = ("format", "version", "config", "params", "num_classes", "feature_dim", "head_dim")
+
+
+def _checkpoint_from_doc(doc: dict) -> tuple[ModelParams, TrainConfig]:
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValidationError(f"format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    _check_keys(doc, _CHECKPOINT_KEYS, ("params", "config"))
     for name in ("params", "config"):
-        if name not in doc:
-            raise ValidationError(f"missing checkpoint field {name!r}")
         if not isinstance(doc[name], dict):
             raise ValidationError(f"{name}: expected an object, got {type(doc[name]).__name__}")
-    try:
-        arrays = {name: _decode_array(doc["params"][name], name) for name in PARAM_NAMES}
-    except KeyError as exc:
-        raise ValidationError(f"missing checkpoint field {exc}") from exc
-    config = TrainConfig.from_dict(doc["config"])
+    _check_keys(doc["params"], PARAM_NAMES, PARAM_NAMES, "params.")
+    arrays = {name: _decode_array(doc["params"][name], f"params.{name}") for name in PARAM_NAMES}
+    config = TrainConfig.from_dict(doc["config"], "config.")
     params = ModelParams(**arrays)
-    # save_checkpoint records these sizes; an older or hand-written file may leave them out
     for name, size, array, shape in (
         ("num_classes", params.num_classes, "classifier", params.classifier_w.shape),
         ("feature_dim", params.d, "w_k", params.w_k.shape),

@@ -177,10 +177,12 @@ def _second_line(data_dir, version) -> dict:
 
 
 def _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message):
-    """Replace the test file's second line: read_jsonl names bad.jsonl:2, eval exits 2."""
-    first = Path(data_dir, "test.jsonl").read_text().splitlines(keepends=True)[0]
+    """Replace the test file's second line with `line`, a dict or raw bytes:
+    read_jsonl names bad.jsonl:2, eval exits 2."""
+    first = Path(data_dir, "test.jsonl").read_bytes().splitlines(keepends=True)[0]
+    raw = line if isinstance(line, bytes) else json.dumps(line).encode()
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(first + json.dumps(line) + "\n")
+    bad.write_bytes(first + raw + b"\n")
     named = re.escape(f"bad.jsonl:2: {message}")
     with pytest.raises(ValidationError, match=named):
         read_jsonl(bad)
@@ -298,6 +300,16 @@ class TestGen:
         assert "0" * 100 not in err
         assert not out.exists()
 
+    def test_value_nested_nearly_too_deep_to_load_is_user_error(self, tmp_path, capsys):
+        # the deepest nesting json.load takes is also too deep to quote in a message
+        spec_path = tmp_path / "spec.json"
+        for depth in range(800, 1000):
+            d = default_document_spec().to_dict()
+            d["tokens"] = "HOLE"
+            spec_path.write_text(json.dumps(d).replace('"HOLE"', "[" * depth + "]" * depth))
+            assert main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == EXIT_USER
+            assert capsys.readouterr().err.startswith(f"error: {spec_path}: "), depth
+
     def test_missing_spec_file(self, tmp_path):
         code = main(
             ["gen", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "y")]
@@ -380,6 +392,17 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["lambda"] == 0.25  # flag beats file
         assert report["config"]["epochs"] == 2     # file beats default
+
+    def test_int_and_float_lambda_write_the_same_bytes(self, tmp_path, data_dir):
+        runs = []
+        for value in ("0", "0.0"):
+            cfg_path = tmp_path / f"lambda{value}.json"
+            cfg_path.write_text('{"lambda": ' + value + "}")
+            runs.append(tmp_path / f"run{value}")
+            argv = ["train", "--data", data_dir, "--out", str(runs[-1]), "--config", str(cfg_path)]
+            assert main(argv + FAST_TRAIN) == EXIT_OK
+        for name in ("report.csv", "report.json", "checkpoint.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_divergence_exits_one(self, tmp_path, data_dir):
         with np.errstate(over="ignore"):
@@ -598,6 +621,15 @@ class TestEval:
         mutate(second)
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [(b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+         (b"[" * 100000, "maximum recursion depth exceeded")],
+        ids=["non_utf8", "deep_nesting"],
+    )
+    def test_unreadable_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys, line, message):
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message)
+
     @pytest.mark.parametrize("version", [DATASET_VERSION])
     @pytest.mark.parametrize("case", sorted(FIELD_DEFECTS))
     def test_bad_label_or_categories_is_user_error(
@@ -712,12 +744,19 @@ class TestEval:
     @pytest.mark.parametrize(
         "mutate, message",
         [
-            (lambda doc: [1], "expected a JSON object, got list"),
+            (lambda doc: [1], "expected an object, got list"),
             (lambda doc: {**doc, "config": []}, "config: expected an object, got list"),
             (lambda doc: {**doc, "params": []}, "params: expected an object, got list"),
             (lambda doc: {**doc, "num_classes": "x"}, "num_classes: expected an integer, got 'x'"),
-            (lambda doc: {**doc, "params": {"w_k": [1]}},
-             "w_k: expected an encoded array object, got list"),
+            (lambda doc: {**doc, "params": {**doc["params"], "w_k": [1]}},
+             "params.w_k: expected an encoded array object, got list"),
+            (lambda doc: {**{k: v for k, v in doc.items() if k != "feature_dim"}, "feture_dim": 999},
+             "feture_dim: unknown field"),
+            (lambda doc: {**doc, "params": {**doc["params"], "w_v": doc["params"]["w_k"]}},
+             "params.w_v: unknown field"),
+            (lambda doc: {**doc, "params": {"w_k": doc["params"]["w_k"]}},
+             "params.w_q: missing required field"),
+            (lambda doc: {**doc, "config": {**doc["config"], "lam": 0.5}}, "config.lam: unknown field"),
             (lambda doc: {**doc, "params": {**doc["params"], "classifier_w": _encode_array(
                 np.zeros(()))}}, "classifier_w must have 2 dimensions, got shape ()"),
             (lambda doc: {**doc, "config": {**doc["config"], "head_mode": "concat"}},
@@ -730,6 +769,7 @@ class TestEval:
              "head_dim field 16 does not match classifier shape (3, 8)"),
         ],
         ids=["list", "config_list", "params_list", "num_classes_string", "w_k_list",
+             "misspelled_size", "unknown_param", "missing_param", "unknown_config_key",
              "classifier_w_scalar", "head_mode_mismatch", "feature_dim_mismatch",
              "feature_dim_float", "head_dim_string", "head_dim_mismatch"],
     )
@@ -988,8 +1028,76 @@ class TestColumnAggregationIsGone:
         assert "unrecognized arguments: --agg-axis row" in capsys.readouterr().err
 
 
+# The fault matrix of the JSON files the CLI reads: for each file, the key
+# that a keyed fault changes, where the file has such a key.
+FAULT_KEYS = {
+    "spec": {"unknown": "bogus", "int": "entities_max", "real": "noise_sigma",
+             "missing": "prototypes"},
+    "config": {"unknown": "bogus", "int": "epochs", "real": "lr"},
+    "grid": {"unknown": "bogus", "int": "epochs", "real": "lr"},
+    "checkpoint": {"unknown": "bogus", "int": "num_classes", "real": "config.lr",
+                   "missing": "config"},
+}
+KEYED_FAULTS = {  # fault -> (the value set, the message after "<key>: ")
+    "unknown": (1, "unknown field"),
+    "int": ("8", "expected an integer, got '8'"),
+    "real": ("0.5", "expected a real number, got '0.5'"),
+    "missing": (None, "missing required field"),
+}
+FILE_FAULTS = {  # fault -> (the file's bytes, a pattern for the message)
+    "not_object": (b"[1]", "expected an object, got list"),
+    "invalid_json": (b'{"a": ', re.escape("invalid JSON (Expecting value: line 1 column 7 (char 6))")),
+    "non_utf8": (b"\xff\xfe{", re.escape(
+        "invalid JSON ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)")),
+    "deep_nesting": (b"[" * 100000, "nested too deeply"),
+}
+FAULT_CASES = [
+    (kind, fault) for kind in FAULT_KEYS for fault in (*KEYED_FAULTS, *FILE_FAULTS)
+    if fault in FILE_FAULTS or fault in FAULT_KEYS[kind]
+]
+
+
 class TestConfigFileErrors:
     """A bad value in a config file, checkpoint or grid exits 2 naming the file."""
+
+    @pytest.mark.parametrize("kind,fault", FAULT_CASES)
+    def test_fault_reads_the_same_in_every_file(
+        self, tmp_path, data_dir, run_dir, capsys, kind, fault
+    ):
+        path, out = tmp_path / f"{kind}.json", tmp_path / "out"
+        if fault in FILE_FAULTS:
+            content, message = FILE_FAULTS[fault]
+        else:
+            doc = {
+                "spec": default_world_spec().to_dict(),
+                "config": {},
+                "grid": {"seed": [0]},
+                "checkpoint": json.loads(Path(run_dir, "checkpoint.json").read_text()),
+            }[kind]
+            key = FAULT_KEYS[kind][fault]
+            value, text = KEYED_FAULTS[fault]
+            *outer, last = key.split(".")
+            target = doc
+            for part in outer:
+                target = target[part]
+            if fault == "missing":
+                del target[last]
+            else:
+                target[last] = [value] if kind == "grid" else value
+            content, message = json.dumps(doc).encode(), re.escape(f"{key}: {text}")
+        path.write_bytes(content)
+        argv = {
+            "spec": ["gen", "--spec", str(path), "--out", str(out)],
+            "config": ["train", "--data", data_dir, "--out", str(out), "--config", str(path)],
+            "grid": ["ablate", "--grid", str(path), "--data", data_dir, "--out", str(out),
+                     *FAST_TRAIN],
+            "checkpoint": ["eval", "--checkpoint", str(path), "--data",
+                           os.path.join(data_dir, "test.jsonl"), "--out", str(out)],
+        }[kind]
+        assert main(argv) == EXIT_USER
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(path))}: {message}\n", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_rejected_value_names_its_file(self, tmp_path, data_dir, run_dir, capsys, command):

@@ -79,7 +79,7 @@ class TestTrainConfig:
 
     def test_from_dict_reads_lambda_only_under_its_json_key(self):
         # a "lam" key once beat a --lambda flag, since the flag was merged as "lambda"
-        with pytest.raises(ValidationError, match="^lam: unknown training config field$"):
+        with pytest.raises(ValidationError, match="^lam: unknown field$"):
             TrainConfig.from_dict({"lam": 0.5})
 
     def test_from_dict_rejects_unknown_field(self):
@@ -131,6 +131,15 @@ class TestTrainConfig:
         d.update({"lambda": 0, "lr": 1, "momentum": 0})
         cfg = TrainConfig.from_dict(d)
         assert (cfg.lam, cfg.lr, cfg.momentum) == (0, 1, 0)
+        # a real field holds a float, so the int and the float write the same JSON
+        assert {type(v) for v in (cfg.lam, cfg.lr, cfg.momentum)} == {float}
+        d.update({"lambda": 0.0, "lr": 1.0, "momentum": 0.0})
+        assert json.dumps(cfg.to_dict()) == json.dumps(TrainConfig.from_dict(d).to_dict())
+
+    @pytest.mark.parametrize("ks", [(1.9, 2), (1, True), (np.float64(5.0),)])
+    def test_rejects_non_integer_k(self, ks):
+        with pytest.raises(ValidationError, match=r"^eval_ks: expected an integer, got "):
+            TrainConfig(eval_ks=ks)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValidationError):
