@@ -153,6 +153,19 @@ def forward(features: np.ndarray, params: AttentionParams) -> AttentionState:
     the optimizer updates in place. Raises NonFiniteError if the logits are
     not finite.
     """
+    logits, keys, queries = _logits(features, params)
+    return AttentionState(
+        logits=logits,
+        agg_weights=_softmax(logits, -1),
+        focus_weights=_softmax(logits, (-2, -1)),
+        proj_keys=keys,
+        proj_queries=queries,
+    )
+
+
+def _logits(features: np.ndarray, params: AttentionParams) -> tuple:
+    """`forward`'s checked logits and the projected keys and queries they
+    came from, as (logits, keys, queries); no softmax is taken."""
     if features.ndim not in (2, 3):
         raise ShapeError(f"features must be (n, d) or (B, n, d), got {features.shape}")
     if features.shape[-1] != params.d:
@@ -164,13 +177,7 @@ def forward(features: np.ndarray, params: AttentionParams) -> AttentionState:
     logits = keys @ np.swapaxes(queries, -1, -2)
     logits /= math.sqrt(params.d_k)
     check_finite(logits, "logits")
-    return AttentionState(
-        logits=logits,
-        agg_weights=_softmax(logits, -1),
-        focus_weights=_softmax(logits, (-2, -1)),
-        proj_keys=keys,
-        proj_queries=queries,
-    )
+    return logits, keys, queries
 
 
 def aggregate(state: AttentionState, features: np.ndarray) -> np.ndarray:
@@ -217,8 +224,12 @@ def backward(
 def _softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
     """VJP of the softmax over `axis` (-1 rows, -2 columns, None the whole matrix).
 
-    a * (g - sum(g * a)), the sum taken over each distribution. Unchecked:
-    both operands have one shape by construction.
+    a * (g - sum(g * a)), the sum taken over each distribution, built in one
+    fresh array; neither operand is written. Unchecked: both operands have
+    one shape by construction.
     """
-    inner = np.add.reduce(grad_out * softmax_out, axis=axis, keepdims=True)
-    return softmax_out * (grad_out - inner)
+    out = grad_out * softmax_out
+    inner = np.add.reduce(out, axis=axis, keepdims=True)
+    np.subtract(grad_out, inner, out=out)
+    out *= softmax_out
+    return out

@@ -361,10 +361,13 @@ def _completed_cells(path) -> set:
     done = set()
     if not os.path.exists(path):
         return done
-    with open(path, newline="") as fh:
-        for row in csv.reader(r for r in fh if not r.startswith("#")):
-            if row and row[0] != "cell_id":
-                done.add(row[0])
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(r for r in fh if not r.startswith("#")):
+                if row and row[0] != "cell_id":
+                    done.add(row[0])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise UserInputError(f"{path}: cannot read the finished cells for --resume ({exc})") from exc
     return done
 
 
@@ -378,6 +381,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
+    done = _completed_cells(cells_path) if args.resume else set()
     _write_json(
         os.path.join(args.out, "manifest.json"),
         {
@@ -388,7 +392,6 @@ def cmd_ablate(args) -> int:
         },
     )
 
-    done = _completed_cells(cells_path) if args.resume else set()
     pending = [(c, o, cfg) for c, o, cfg in cells if c not in done]
     fresh_cells = not (args.resume and os.path.exists(cells_path))
     fresh_curves = not (args.resume and os.path.exists(curves_path))

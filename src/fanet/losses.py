@@ -174,5 +174,8 @@ def relation_loss(
     # M is exactly 0 for an empty target; only then is the target scanned
     if m == 0.0 and not target.any():
         return 0.0, 0.0, np.zeros_like(focus_weights)
-    grad = loss_grad(m, config) * (focus_weights * (target - m))
+    # in one fresh array; each element rounds as L'(M) * (s * (T - M)) would
+    grad = target - m
+    grad *= focus_weights
+    grad *= loss_grad(m, config)
     return loss_value(m, config), m, grad

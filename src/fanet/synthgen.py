@@ -272,9 +272,10 @@ class DocumentSpec(_World):
         object.__setattr__(self, "embeddings", emb)
         for name in ("tokens", "tags"):
             raw = getattr(self, name)
-            bad = repr(raw)
             if isinstance(raw, (list, tuple)):
                 bad = next((f"entry {t!r}" for t in raw if type(t) is not str), None)
+            else:
+                bad = repr(raw)
             if bad:
                 raise ValidationError(f"{name}: expected a list of strings, got {bad}")
             object.__setattr__(self, name, tuple(raw))
@@ -675,13 +676,15 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
     """The targets of the lines with n entities, unpacked at once.
 
     `given` holds each line's gt_relations (None where omitted) and `packed`
-    their packed targets back to back. Returns the (B, n, n) targets and each
-    line's gt_relations: its own, or where it omitted them the target's pairs
-    (i < j, row-major).
+    their packed targets back to back. Returns the (B, n, n) targets, each
+    line's gt_relations (its own, or where it omitted them the target's
+    pairs, i < j, row-major) and each line's `labeled`, whether it packs any
+    pair.
     """
     size = len(given)
     m = n * (n - 1) // 2
     bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(size, (m + 7) // 8), axis=1, count=m)
+    labeled = bits.any(axis=1).tolist()
     targets = np.zeros((size, n, n))
     relations = list(given)
     omitted = [k for k, r in enumerate(given) if r is None]
@@ -692,7 +695,7 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
         for t, b in zip(targets, bits):
             t[upper] = b
             t += t.T
-        return targets, relations
+        return targets, relations, labeled
     # the cells i < j in row-major order, as packed, through the indices that
     # top-K caches too; they also give the pairs of the lines that omitted theirs
     rows, cols = _candidates(n)
@@ -703,7 +706,7 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
     pairs = tuple(zip(rows[pair].tolist(), cols[pair].tolist()))
     for k, start, end in zip(omitted, [0, *ends], ends):
         relations[k] = pairs[start:end]
-    return targets, relations
+    return targets, relations, labeled
 
 
 def _categories(raw) -> Optional[np.ndarray]:
@@ -774,7 +777,8 @@ def read_jsonl(path) -> list:
                 if not line.isascii():  # undoing the escapes raises at bytes that are not UTF-8
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 n, packed, relations, fields = _parse_line(json.loads(line))
-            # UnicodeDecodeError is a ValueError; deep nesting recurses too far
+            # UnicodeDecodeError is a ValueError; deep nesting recurses too far,
+            # in json.loads or in quoting a value in a message
             except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
                 failure = lineno, exc
                 break
@@ -784,23 +788,25 @@ def read_jsonl(path) -> list:
             given.append(relations)
             lines.append(fields)
     unpacked = {n: _unpack_targets(n, given, buffer) for n, (given, buffer, _) in groups.items()}
-    labeled = None
+    checked = False
     if failure is None:
         try:
-            labeled = {n: _check_group(n, groups[n][2], unpacked[n][0]) for n in groups}
+            for n in groups:
+                _check_group(n, groups[n][2], unpacked[n][0])
+            checked = True
         except ValidationError:
             pass
     out = []
     for lineno, n, i in parsed:
         features, categories, boxes, label, tokens, tags = groups[n][2][i]
-        targets, relations = unpacked[n]
+        targets, relations, labeled = unpacked[n]
         entity_fields = dict(features=features, categories=categories, boxes=boxes)
         fields = dict(
             target=targets[i], label=label, gt_relations=relations[i], tokens=tokens, tags=tags
         )
-        if labeled is not None:
+        if checked:
             entities = _unchecked(EntitySet, **entity_fields)
-            out.append(_unchecked(Instance, entities=entities, labeled=labeled[n][i], **fields))
+            out.append(_unchecked(Instance, entities=entities, labeled=labeled[i], **fields))
             continue
         try:
             out.append(Instance(entities=EntitySet(**entity_fields), **fields))
@@ -808,15 +814,16 @@ def read_jsonl(path) -> list:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if failure is not None:
         lineno, exc = failure
-        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        fault = "nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise ValidationError(f"{path}:{lineno}: {fault}") from exc
     return out
 
 
-def _check_group(n: int, lines: list, targets: np.ndarray) -> list:
+def _check_group(n: int, lines: list, targets: np.ndarray) -> None:
     """Every check EntitySet and Instance make, once over the lines with n
     entities: their fields as `_parse_line` returns them and their
     (B, n, n) targets. Raises ValidationError on a fault, not necessarily the
-    first line's; returns each line's `labeled`.
+    first line's.
 
     `_parse_line` already made the features 2-D float64 matrices with n rows,
     the categories int64 arrays and the labels ints.
@@ -833,7 +840,6 @@ def _check_group(n: int, lines: list, targets: np.ndarray) -> list:
     if min(labels) < 0:
         raise ValidationError("label must be >= 0")
     validate_target(targets)
-    return np.count_nonzero(targets, axis=(1, 2)).astype(bool).tolist()
 
 
 def _unchecked(cls, **fields):

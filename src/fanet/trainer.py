@@ -56,6 +56,7 @@ from .matrices import (
     _json_dict,
     _json_number,
     _load_json,
+    _softmax,
     _write_json,
     check_finite,
 )
@@ -443,7 +444,8 @@ def _accumulate_instance(
     d_logits = attention._softmax_vjp(state.agg_weights, d_agg, -1)
     d_logits *= weight_task
     if weight_rel != 0.0:
-        d_logits += weight_rel * d_rel
+        d_rel *= weight_rel  # d_rel is relation_term's own fresh array
+        d_logits += d_rel
 
     d_w_k, d_w_q, _ = attention.backward(state, d_logits, instance.entities, params)
     grads["w_k"] += d_w_k
@@ -735,8 +737,9 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         rel_mean = rel_sum / rel_count if rel_count else 0.0
         train_masses = [0.0] * len(labeled)
         for idx, features in mass_buckets:
-            state = attention.forward(features, params)
-            for i, w in zip(idx, state.focus_weights):
+            # center-mass reads only the matrix softmax of the logits
+            logits, _, _ = attention._logits(features, params)
+            for i, w in zip(idx, _softmax(logits, (-2, -1))):
                 train_masses[i] = float(np.add.reduce(w * labeled[i].target, axis=None))
         train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))
         test_eval = evaluate(test_set, params, config)

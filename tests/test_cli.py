@@ -624,8 +624,9 @@ class TestEval:
     @pytest.mark.parametrize(
         "line,message",
         [(b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-         (b"[" * 100000, "maximum recursion depth exceeded")],
-        ids=["non_utf8", "deep_nesting"],
+         (b"[" * 100000, "nested too deeply"),
+         (b'{"tags": ' + b"[" * 100000 + b"]" * 100000 + b"}", "nested too deeply")],
+        ids=["non_utf8", "deep_nesting", "deep_field"],
     )
     def test_unreadable_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys, line, message):
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message)
@@ -933,6 +934,21 @@ class TestAblate:
         assert after.startswith(before)  # old rows untouched, appended only
         rows = [l for l in after.splitlines() if l.startswith("lambda=")]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"cell_id\n" + b"a" * 200000 + b"\n"],
+                             ids=["non_utf8", "field_too_large"])
+    def test_resume_on_unreadable_cells_is_user_error(self, tmp_path, data_dir, capsys,
+                                                      content):
+        out = tmp_path / "resume"
+        out.mkdir()
+        (out / "cells.csv").write_bytes(content)
+        code = main(["ablate", "--grid", self.grid_file(tmp_path, {"lambda": [0.0]}),
+                     "--data", data_dir, "--out", str(out), "--resume"] + FAST_TRAIN)
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'cells.csv'}: cannot read the finished cells"), err
+        assert (out / "cells.csv").read_bytes() == content  # nothing written
+        assert sorted(p.name for p in out.iterdir()) == ["cells.csv"]
 
     def test_parallel_jobs_match_serial(self, tmp_path, data_dir):
         grid = self.grid_file(tmp_path, {"lambda": [0.0, 0.05]})

@@ -1,0 +1,213 @@
+"""The training step's kernels against their previous array formulas, bit for bit.
+
+`relation_loss` builds its logit gradient in one fresh array, `_softmax_vjp`
+builds the VJP in one, and `_accumulate_instance` scales the relation
+gradient in place before adding it. IEEE multiplication is commutative, so
+each must give the same bits as the formula it replaced; those formulas are
+kept here as the references. None of them may write into an input.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fanet import attention
+from fanet.attention import _softmax_vjp
+from fanet.losses import FocusLossConfig, loss_grad, loss_value, relation_loss
+from fanet.matrices import _softmax
+from fanet.synthgen import Instance
+from fanet.trainer import (
+    TrainConfig,
+    _accumulate_instance,
+    _head,
+    _row_relation,
+    _task_loss_grad,
+    init_model,
+)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def prior_relation_loss(focus_weights, target, config):
+    m = float(np.add.reduce(focus_weights * target, axis=None))
+    if m == 0.0 and not target.any():
+        return 0.0, 0.0, np.zeros_like(focus_weights)
+    grad = loss_grad(m, config) * (focus_weights * (target - m))
+    return loss_value(m, config), m, grad
+
+
+def prior_softmax_vjp(softmax_out, grad_out, axis):
+    inner = np.add.reduce(grad_out * softmax_out, axis=axis, keepdims=True)
+    return softmax_out * (grad_out - inner)
+
+
+def prior_accumulate(instance, params, config, grads, weight_task, weight_rel):
+    """_accumulate_instance before the in-place rewrite, on the prior kernels."""
+    f = instance.entities.features
+    n = instance.n
+    state = attention.forward(f, params)
+    context = state.agg_weights @ f
+    pooled, class_logits = _head(f, context, params, config.head_mode)
+    t_loss, dz = _task_loss_grad(class_logits, instance.label)
+    grads["classifier_w"] += weight_task * np.outer(dz, pooled)
+    grads["classifier_b"] += weight_task * dz
+    r_loss = 0.0
+    if weight_rel != 0.0:
+        if config.strategy == "unsup":
+            d_rel = np.zeros_like(state.logits)
+        elif config.strategy == "row":
+            r_loss, d_rel = _row_relation(state.agg_weights, instance.target, config.focus_config())
+        else:
+            r_loss, _, d_rel = prior_relation_loss(
+                state.focus_weights, instance.target, config.focus_config()
+            )
+    if config.freeze_attention:
+        return t_loss, r_loss
+    dpooled = params.classifier_w.T @ dz
+    d_context = (dpooled[-f.shape[1]:] / n)[None, :].repeat(n, axis=0)
+    d_agg = d_context @ f.T
+    d_logits = prior_softmax_vjp(state.agg_weights, d_agg, -1)
+    d_logits *= weight_task
+    if weight_rel != 0.0:
+        d_logits += weight_rel * d_rel
+    d_w_k, d_w_q, _ = attention.backward(state, d_logits, instance.entities, params)
+    grads["w_k"] += d_w_k
+    grads["w_q"] += d_w_q
+    return t_loss, r_loss
+
+
+def random_target(rng, shape, density):
+    t = (rng.random(shape) < density).astype(float)
+    idx = np.arange(shape[-1])
+    t[..., idx, idx] = 0.0
+    return t
+
+
+def focus_cases(rng, n):
+    """(focus, target) pairs: a random softmax, a tie-heavy integer-valued
+    matrix, and an empty target."""
+    yield _softmax(rng.normal(scale=3.0, size=(n, n)), (-2, -1)), random_target(rng, (n, n), 0.3)
+    yield rng.integers(0, 3, size=(n, n)).astype(float) / n**2, random_target(rng, (n, n), 0.5)
+    yield _softmax(rng.normal(size=(n, n)), (-2, -1)), np.zeros((n, n))
+
+
+CONFIGS = [
+    FocusLossConfig(r=r) for r in (0, 1, 2, 4)
+] + [FocusLossConfig(variant="l2"), FocusLossConfig(variant="smooth_l1")]
+
+
+# --- relation loss -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relation_loss_matches_prior_formula_and_keeps_its_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 7, 16]))
+    for focus, target in focus_cases(rng, n):
+        before = focus.copy(), target.copy()
+        for cfg in CONFIGS:
+            loss, m, grad = relation_loss(focus, target, cfg)
+            want_loss, want_m, want_grad = prior_relation_loss(focus, target, cfg)
+            assert (loss, m) == (want_loss, want_m)
+            assert_same_bits(grad, want_grad)
+            assert grad is not focus and grad is not target
+        assert_same_bits(focus, before[0])
+        assert_same_bits(target, before[1])
+
+
+def test_relation_loss_300_entities():
+    rng = np.random.default_rng(300)
+    focus = _softmax(rng.normal(size=(300, 300)), (-2, -1))
+    target = random_target(rng, (300, 300), 0.01)
+    for cfg in (FocusLossConfig(), FocusLossConfig(variant="smooth_l1")):
+        _, _, grad = relation_loss(focus, target, cfg)
+        assert_same_bits(grad, prior_relation_loss(focus, target, cfg)[2])
+
+
+# --- softmax VJP -------------------------------------------------------------------
+
+
+def vjp_cases(rng, shape, axis):
+    """(softmax, upstream gradient) pairs: random, and tie-heavy integer-valued."""
+    yield _softmax(rng.normal(scale=3.0, size=shape), axis), rng.normal(size=shape)
+    ties = _softmax(rng.integers(0, 2, size=shape).astype(float), axis)
+    yield ties, rng.integers(-2, 3, size=shape).astype(float)
+
+
+AXES = [(2, (None, 0, 1, -1, -2)), (3, (-1, -2, (-2, -1)))]
+
+
+@pytest.mark.parametrize("ndim,axes", AXES, ids=["matrix", "stack"])
+@pytest.mark.parametrize("seed", range(6))
+def test_softmax_vjp_matches_prior_formula_and_keeps_its_inputs(seed, ndim, axes):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 5, 9]))
+    shape = (n, n) if ndim == 2 else (int(rng.integers(1, 4)), n, n)
+    for axis in axes:
+        for a, g in vjp_cases(rng, shape, axis):
+            before = a.copy(), g.copy()
+            got = _softmax_vjp(a, g, axis)
+            assert_same_bits(got, prior_softmax_vjp(a, g, axis))
+            assert_same_bits(a, before[0])
+            assert_same_bits(g, before[1])
+
+
+@pytest.mark.parametrize("axis", [-1, -2, (-2, -1), None])
+def test_softmax_vjp_300_entities(axis):
+    rng = np.random.default_rng(301)
+    for a, g in vjp_cases(rng, (300, 300), axis):
+        assert_same_bits(_softmax_vjp(a, g, axis), prior_softmax_vjp(a, g, axis))
+
+
+# --- one training step -------------------------------------------------------------
+
+
+def step_instance(rng, n, d, density, ties=False):
+    """Random features, or with ties=True integer-valued, tie-heavy ones."""
+    features = rng.integers(-1, 2, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
+    target = random_target(rng, (n, n), density)
+    return Instance(entities=attention.EntitySet(features=features), target=target,
+                    label=int(rng.integers(0, 3)))
+
+
+@pytest.mark.parametrize("strategy", ["mat_focal", "mat", "row", "unsup"])
+@pytest.mark.parametrize("seed", range(4))
+def test_accumulate_instance_matches_prior_formula(seed, strategy):
+    rng = np.random.default_rng(seed)
+    d = 5
+    cfg = TrainConfig(d_k=3, strategy=strategy, loss_variant="focal", seed=seed)
+    params = init_model(d, 3, cfg)
+    cases = ((int(rng.integers(2, 9)), 0.3, False), (6, 0.0, False), (7, 0.3, True),
+             (40, 0.05, False))
+    for n, density, ties in cases:
+        inst = step_instance(rng, n, d, density, ties)
+        features, target, flat = (inst.entities.features.copy(), inst.target.copy(),
+                                  params.flat.copy())
+        for frozen in (False, True):
+            c = dataclasses.replace(cfg, freeze_attention=frozen)
+            for weight_task, weight_rel in ((1.0, 0.0), (0.5, 0.01), (1.0 / 3, 0.7)):
+                got, want = np.zeros_like(params.flat), np.zeros_like(params.flat)
+                got_losses = _accumulate_instance(inst, params, c, params.views(got),
+                                                  weight_task, weight_rel)
+                want_losses = prior_accumulate(inst, params, c, params.views(want),
+                                               weight_task, weight_rel)
+                assert got_losses == want_losses
+                assert_same_bits(got, want)
+        assert_same_bits(inst.entities.features, features)
+        assert_same_bits(inst.target, target)
+        assert_same_bits(params.flat, flat)
+
+
+def test_accumulate_instance_300_entities():
+    rng = np.random.default_rng(302)
+    cfg = TrainConfig(d_k=4)
+    params = init_model(8, 3, cfg)
+    inst = step_instance(rng, 300, 8, 0.01)
+    got, want = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    _accumulate_instance(inst, params, cfg, params.views(got), 1.0, 0.01)
+    prior_accumulate(inst, params, cfg, params.views(want), 1.0, 0.01)
+    assert_same_bits(got, want)

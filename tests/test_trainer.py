@@ -769,9 +769,36 @@ class TestBucketedEvaluate:
         calls.update(forward=0, top_k_pairs=0, matching=0)
         tr, te = instances[:30], instances[30:]
         train(tr, te, dataclasses.replace(cfg, epochs=1))
+        # one forward per training step and one per test bucket; the train-split
+        # center-mass takes only the logits and the matrix softmax
+        assert calls["forward"] == len(tr) + len(_buckets(te))
+
+    @pytest.mark.parametrize("strategy", ["mat_focal", "row"])
+    def test_train_center_mass_is_the_forward_focus_mass(self, monkeypatch, strategy):
+        """Each epoch's train-split center-mass is, bit for bit, the mass of
+        `attention.forward`'s focus weights at that epoch's parameters."""
+        instances = mixed_n_instances()
+        tr, te = instances[:30], instances[30:]
+        assert any(not inst.labeled for inst in tr) and len(_buckets(tr)) > 1
+        epoch_params = []
+        real_evaluate = trainer.evaluate
+
+        def recording(instances, params, config, ks=None):  # runs right after the pass
+            epoch_params.append(params.copy())
+            return real_evaluate(instances, params, config, ks)
+
+        monkeypatch.setattr(trainer, "evaluate", recording)
+        cfg = TrainConfig(d_k=3, epochs=3, lr=0.05, lam=0.5, strategy=strategy, seed=5)
+        _, report = train(tr, te, cfg)
         labeled = [inst for inst in tr if inst.labeled]
-        # one forward per training step, then one per bucket for each center-mass
-        assert calls["forward"] == len(tr) + len(_buckets(labeled)) + len(_buckets(te))
+        for stats, params in zip(report.epochs, epoch_params, strict=True):
+            masses = [
+                float(np.add.reduce(trainer.attention.forward(inst.entities.features, params)
+                                    .focus_weights * inst.target, axis=None))
+                for inst in labeled
+            ]
+            want = CenterMassSummary.of(masses, len(tr) - len(labeled)).mean_m
+            assert stats.center_mass.hex() == want.hex()
 
     def test_box_less_instance_in_a_bucket_raises_only_with_relations(self):
         instances = mixed_n_instances()
