@@ -198,14 +198,13 @@ def backward(
     d_loss_d_logits: np.ndarray,
     entities: EntitySet,
     params: AttentionParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain rule from a logit gradient back to (w_k, w_q, features).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chain rule from a logit gradient back to (w_k, w_q).
 
     With keys P = F w_k^T, queries R = F w_q^T and logits W = P R^T / sqrt(d_k):
 
         dP = G R / sqrt(d_k)      dR = G^T P / sqrt(d_k)
         d_w_k = dP^T F            d_w_q = dR^T F
-        dF    = dP w_k + dR w_q
 
     where G (`d_loss_d_logits`) is the upstream gradient w.r.t. the logits,
     an (n, n) array.
@@ -217,8 +216,7 @@ def backward(
     d_queries = g.T @ state.proj_keys * scale
     d_w_k = d_keys.T @ entities.features
     d_w_q = d_queries.T @ entities.features
-    d_features = d_keys @ params.w_k + d_queries @ params.w_q
-    return d_w_k, d_w_q, d_features
+    return d_w_k, d_w_q
 
 
 def _softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:

@@ -447,7 +447,7 @@ def _accumulate_instance(
         d_rel *= weight_rel  # d_rel is relation_term's own fresh array
         d_logits += d_rel
 
-    d_w_k, d_w_q, _ = attention.backward(state, d_logits, instance.entities, params)
+    d_w_k, d_w_q = attention.backward(state, d_logits, instance.entities, params)
     grads["w_k"] += d_w_k
     grads["w_q"] += d_w_q
     return t_loss, r_loss

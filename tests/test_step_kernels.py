@@ -74,7 +74,7 @@ def prior_accumulate(instance, params, config, grads, weight_task, weight_rel):
     d_logits *= weight_task
     if weight_rel != 0.0:
         d_logits += weight_rel * d_rel
-    d_w_k, d_w_q, _ = attention.backward(state, d_logits, instance.entities, params)
+    d_w_k, d_w_q = attention.backward(state, d_logits, instance.entities, params)
     grads["w_k"] += d_w_k
     grads["w_q"] += d_w_q
     return t_loss, r_loss
