@@ -122,8 +122,6 @@ _FLAG_CHOICES = {
     "head_mode": HEAD_MODES,
 }
 _FLAG_TYPES = {"int": int, "float": float}  # annotations are strings
-# every TrainConfig field gets a flag but agg_axis, which has one value
-_FLAG_FIELDS = tuple(f for f in fields(TrainConfig) if f.name != "agg_axis")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,7 +130,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     Every flag defaults to None, "not given on the command line".
     """
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
-    for f in _FLAG_FIELDS:
+    for f in fields(TrainConfig):
         flag = "--" + TrainConfig.json_keys.get(f.name, f.name).replace("_", "-")
         if f.type == "bool":
             parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
@@ -155,7 +153,7 @@ def _config_from_args(args) -> TrainConfig:
     config, file_keys = TrainConfig(), ()
     if args.config:
         config, file_keys = _load_json(args.config, lambda d: (TrainConfig.from_dict(d), set(d)))
-    flags = {f.name: getattr(args, f.name) for f in _FLAG_FIELDS if getattr(args, f.name) is not None}
+    flags = {f.name: v for f in fields(TrainConfig) if (v := getattr(args, f.name)) is not None}
     if "eval_ks" in flags:
         flags["eval_ks"] = _parse_ks(flags["eval_ks"])
     if args.seed is None and "seed" not in file_keys:

@@ -113,10 +113,16 @@ def _from_json(cls, d: dict, prefix: str = ""):
     `cls.json_readers` adds readers by annotation to the shared ones; a field
     with no reader is passed as given, for the class's own checks. A field
     without a default is required; `prefix` goes before each key in messages.
+    An optional `cls.json_retired` maps a key that is no longer a field to the
+    one value, of one JSON type, that it may still hold; it is checked and dropped.
     """
+    retired = getattr(cls, "json_retired", {})
+    for key, accepted in retired.items():
+        if key in d and (type(d[key]) is not type(accepted) or d[key] != accepted):
+            raise ValidationError(f"{prefix}{key}: retired field, only {json.dumps(accepted)} is accepted")
     by_key = {cls.json_keys.get(f.name, f.name): f for f in fields(cls)}
     required = [key for key, f in by_key.items() if f.default is MISSING]
-    _check_keys(d, by_key, required, prefix)
+    _check_keys(d, by_key.keys() | retired.keys(), required, prefix)
     readers = {**_FIELD_READERS, **cls.json_readers}
     return cls(**{
         f.name: readers[f.type](d[key], prefix + key) if f.type in readers else d[key]

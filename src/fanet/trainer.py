@@ -120,8 +120,7 @@ class TrainConfig:
 
     `lam` is the relation-loss weight (serialized as "lambda"). `focal_r`
     applies to the focal variant; the `mat` strategy forces it to 0 there.
-    `eval_ks` are the recall@K cutoffs reported each epoch. `agg_axis` has
-    the one value "row" and is kept so that reports and checkpoints keep the key.
+    `eval_ks` are the recall@K cutoffs reported each epoch.
     """
 
     lam: float = 0.01
@@ -135,15 +134,15 @@ class TrainConfig:
     batch_size: int = 1
     seed: int = 0
     head_mode: str = "residual"
-    agg_axis: str = "row"
-    eps: float = 1e-12
     d_k: int = 4
     freeze_attention: bool = False
     eval_ks: tuple = (1, 5, 10)
 
-    # class attributes, not fields: lam's JSON key and eval_ks's reader (`_from_json`)
+    # class attributes, not fields (`_from_json`): lam's JSON key, eval_ks's
+    # reader, and two keys that older files hold at the one value they had
     json_keys = {"lam": "lambda"}
     json_readers = {"tuple": _check_ks}
+    json_retired = {"agg_axis": "row", "eps": 1e-12}
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -160,8 +159,6 @@ class TrainConfig:
             raise ValidationError(
                 f"head_mode must be one of {HEAD_MODES}, got {self.head_mode!r}"
             )
-        if self.agg_axis != "row":
-            raise ValidationError(f"agg_axis must be 'row', got {self.agg_axis!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0 <= self.momentum < 1):
@@ -174,10 +171,10 @@ class TrainConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.d_k < 1:
             raise ValidationError(f"d_k must be >= 1, got {self.d_k}")
-        # delegates focal_r / loss_variant / eps validation
-        focus = FocusLossConfig(r=self.focal_r, variant=self.loss_variant, eps=self.eps)
+        # delegates focal_r / loss_variant validation
+        focus = FocusLossConfig(r=self.focal_r, variant=self.loss_variant)
         if self.strategy == "mat" and self.loss_variant == "focal":
-            focus = FocusLossConfig(r=0, variant="focal", eps=self.eps)
+            focus = FocusLossConfig(r=0, variant="focal")
         object.__setattr__(self, "_focus", focus)  # built once, read on every step
         object.__setattr__(self, "eval_ks", _check_ks(self.eval_ks, "eval_ks"))
 

@@ -1,21 +1,27 @@
-"""Largest deviation per column between two CSV files of one layout.
+"""Largest deviation per column between two CSV files of one layout, and
+the keys that differ between their `# config:` lines.
 
     python tests/csv_deviation.py OLD.csv NEW.csv
 
-Reads two `report.csv` or `metrics.csv` files, skipping lines that start
-with `#` (the `# config:` line), pairs their rows in order and prints, for
-each column, the largest absolute deviation |new - old| and the largest
-relative one, |new - old| / max(|old|, |new|). Two cells with the same text
-or the same number deviate by 0; a cell that is not a number on both sides,
-or NaN or inf against another value, deviates by inf. Exits 2 when the
+Reads two `report.csv`, `metrics.csv`, `cells.csv` or `curves.csv` files,
+skipping lines that start with `#` (the `# config:` line), pairs their rows
+in order and prints, for each column, the largest absolute deviation
+|new - old| and the largest relative one, |new - old| / max(|old|, |new|).
+Two cells with the same text or the same number deviate by 0; a cell that is
+not a number on both sides, or NaN or inf against another value, deviates by
+inf. Then it prints each config key that was removed, added or changed, with
+its values; a file without a `# config:` line has no keys. Exits 2 when the
 headers, row counts or row lengths differ.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
+
+CONFIG_PREFIX = "# config: "
 
 
 def _rows(path) -> list:
@@ -53,6 +59,30 @@ def deviations(old_path, new_path) -> list:
     return table
 
 
+def _config(path) -> dict:
+    with open(path, newline="") as fh:
+        for line in fh:
+            if line.startswith(CONFIG_PREFIX):
+                return json.loads(line[len(CONFIG_PREFIX):])
+    return {}
+
+
+def config_changes(old_path, new_path) -> list:
+    """[(key, change, old value, new value)] for each key of the `# config:`
+    lines that was removed, added or changed, in sorted key order; the value
+    of the side without the key is None."""
+    old, new = _config(old_path), _config(new_path)
+    changes = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            changes.append((key, "removed", old[key], None))
+        elif key not in old:
+            changes.append((key, "added", None, new[key]))
+        elif json.dumps(old[key]) != json.dumps(new[key]):
+            changes.append((key, "changed", old[key], new[key]))
+    return changes
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -60,13 +90,20 @@ def main(argv=None) -> int:
         return 2
     try:
         table = deviations(*args)
-    except ValueError as exc:
+        changes = config_changes(*args)
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     width = max([len("column")] + [len(name) for name, _, _ in table])
     print(f"{'column':<{width}}  {'max_abs':>10}  {'max_rel':>10}")
     for name, absolute, relative in table:
         print(f"{name:<{width}}  {absolute:>10.3g}  {relative:>10.3g}")
+    for key, change, old, new in changes:
+        values = {"removed": json.dumps(old), "added": json.dumps(new),
+                  "changed": f"{json.dumps(old)} -> {json.dumps(new)}"}[change]
+        print(f"config {change}: {key} = {values}")
+    if not changes:
+        print("config: no key differs")
     return 0
 
 

@@ -1010,38 +1010,79 @@ class TestAblate:
         assert code == EXIT_USER
 
 
-class TestColumnAggregationIsGone:
-    """"col" is rejected wherever a config enters; `--agg-axis` is no flag."""
+# Keys that are no longer TrainConfig fields, at the one value a file may
+# still hold (the value every file written before they were retired holds),
+# and values that exit 2
+RETIRED = {"agg_axis": "row", "eps": 1e-12}
+RETIRED_REJECTED = [("agg_axis", "col"), ("agg_axis", True), ("eps", 1e-10), ("eps", "1e-12"),
+                    ("eps", True)]
+# the files that hold a config, and the outputs that must not see a held retired key
+RETIRED_OUTPUTS = {
+    "config": ("report.csv", "report.json", "checkpoint.json"),
+    "checkpoint": ("metrics.csv", "summary.csv"),
+    "grid": ("cells.csv", "curves.csv"),
+}
 
-    def test_col_exits_two_naming_the_field(self, tmp_path, data_dir, run_dir, capsys):
-        cfg_path = tmp_path / "col.json"
-        cfg_path.write_text(json.dumps({"agg_axis": "col"}))
+
+def _retired_case(kind, root, data_dir, run_dir, keys: dict) -> tuple:
+    """(path, argv, out) of a run on a `kind` file whose config also holds `keys`."""
+    root.mkdir()
+    path, out = root / f"{kind}.json", root / "out"
+    if kind == "config":
+        doc = {"lambda": 0.5, **keys}
+        argv = ["train", "--data", data_dir, "--config", str(path), *FAST_TRAIN]
+    elif kind == "checkpoint":
         doc = json.loads(Path(run_dir, "checkpoint.json").read_text())
-        doc["config"]["agg_axis"] = "col"
-        ckpt = tmp_path / "col_checkpoint.json"
-        ckpt.write_text(json.dumps(doc))
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"agg_axis": ["row", "col"]}))
-        argvs = [
-            (cfg_path, ["train", "--data", data_dir, "--out", str(tmp_path / "t"),
-                        "--config", str(cfg_path)]),
-            (ckpt, ["eval", "--checkpoint", str(ckpt), "--data",
-                    os.path.join(data_dir, "test.jsonl"), "--out", str(tmp_path / "e")]),
-            (grid, ["ablate", "--grid", str(grid), "--data", data_dir,
-                    "--out", str(tmp_path / "a")] + FAST_TRAIN),
-        ]
-        for path, argv in argvs:
-            capsys.readouterr()
-            assert main(argv) == EXIT_USER, argv[0]
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: agg_axis must be 'row', got 'col'"), argv[0]
-            assert not (tmp_path / argv[0][0]).exists(), argv[0]
+        doc["config"].update(keys)
+        argv = ["eval", "--checkpoint", str(path), "--data", os.path.join(data_dir, "test.jsonl")]
+    else:
+        doc = {"lambda": [0.5], **{key: [value] for key, value in keys.items()}}
+        argv = ["ablate", "--grid", str(path), "--data", data_dir, *FAST_TRAIN]
+    path.write_text(json.dumps(doc))
+    return path, argv + ["--out", str(out)], out
 
-    def test_agg_axis_flag_is_an_argparse_error(self, tmp_path, data_dir, capsys):
+
+class TestRetiredKeys:
+    """`agg_axis` and `eps` are read from every file that holds a config and
+    never written: at their one value they change no output, any other value
+    exits 2 naming the file and the key, and neither is a flag."""
+
+    @pytest.mark.parametrize("kind", sorted(RETIRED_OUTPUTS))
+    def test_held_at_their_value_change_no_output(self, tmp_path, data_dir, run_dir, kind):
+        _, held_argv, held = _retired_case(kind, tmp_path / "held", data_dir, run_dir, RETIRED)
+        _, bare_argv, bare = _retired_case(kind, tmp_path / "bare", data_dir, run_dir, {})
+        assert main(held_argv) == EXIT_OK and main(bare_argv) == EXIT_OK
+        for name in RETIRED_OUTPUTS[kind]:
+            if kind == "grid":  # a cell id names its grid keys; the config line and the rest may not
+                first = [(root / name).read_text().splitlines()[0] for root in (held, bare)]
+                rows = [[row[1:] for row in _csv_rows(root / name)] for root in (held, bare)]
+                assert first[0] == first[1] and rows[0] == rows[1], name
+            else:
+                assert (held / name).read_bytes() == (bare / name).read_bytes(), name
+
+    @pytest.mark.parametrize("key,value", RETIRED_REJECTED)
+    @pytest.mark.parametrize("kind", sorted(RETIRED_OUTPUTS))
+    def test_other_value_names_file_and_key(self, tmp_path, data_dir, run_dir, capsys,
+                                            kind, key, value):
+        path, argv, out = _retired_case(kind, tmp_path / "case", data_dir, run_dir, {key: value})
+        assert main(argv) == EXIT_USER
+        prefix = "config." if kind == "checkpoint" else ""
+        accepted = json.dumps(RETIRED[key])
+        assert capsys.readouterr().err == (
+            f"error: {path}: {prefix}{key}: retired field, only {accepted} is accepted\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--agg-axis", "--eps"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_is_no_flag(self, tmp_path, data_dir, capsys, command, flag):
+        value = json.dumps(RETIRED[flag[2:].replace("-", "_")]).strip('"')
+        argv = [command, "--data", data_dir, "--out", str(tmp_path / "o"), flag, value]
+        if command == "ablate":
+            argv += ["--grid", "grid.json"]
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", data_dir, "--out", str(tmp_path / "o"), "--agg-axis", "row"])
+            main(argv)
         assert exc.value.code == EXIT_USER
-        assert "unrecognized arguments: --agg-axis row" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 # The fault matrix of the JSON files the CLI reads: for each file, the key
@@ -1175,7 +1216,6 @@ CONFIG_FLAG_TABLE = [
     (("--batch-size",), "batch_size", int, None, None, None, "_StoreAction"),
     (("--seed",), "seed", int, None, None, None, "_StoreAction"),
     (("--head-mode",), "head_mode", None, _CHOICES["head_mode"], None, None, "_StoreAction"),
-    (("--eps",), "eps", float, None, None, None, "_StoreAction"),
     (("--d-k",), "d_k", int, None, None, None, "_StoreAction"),
     (("--freeze-attention", "--no-freeze-attention"), "freeze_attention", None, None, None, None,
      "BooleanOptionalAction"),
@@ -1217,7 +1257,6 @@ class TestConfigFlagsAndColumns:
             for a in sub.choices[command]._actions
         ]
         assert table == FLAG_TABLES[command]
-        assert not any("--agg-axis" in row[0] for row in table)
 
     def test_repeated_k_keeps_every_report_column(self, tmp_path, data_dir):
         out = tmp_path / "run"

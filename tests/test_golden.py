@@ -40,9 +40,9 @@ GOLDEN = {
     "data/train.jsonl": "e743684e22c8ee3d093934a44f516eb4389d05e54dcc4b351cc1f7083c55091b",
     "data/test.jsonl": "de1292271d00ac4f1276085eaae2607986f6383d260054aeea7891f70a0964c0",
     "data/manifest.json": "1a3962eaffec98b67e10cdee2c6b0f84d536bdc722f58d8a5c0a014ba7ee7542",
-    "run/report.csv": "06adf79e43a3a96217eb0e5ae3047bf74ebd6eea0dcee0f46157a2fb15feb0e9",
-    "run/report.json": "b373a3bf635c95adaa9d831dfb049511c8821f83276df14e430b23db25852d26",
-    "run/checkpoint.json": "35339970468a851cd7b44386b015c9070a6fab24f9a85a4ebac2a18aea6daf8b",
+    "run/report.csv": "525e548a06d27ebf7e00ccaeb6106d38a81b29d3e531a99731c8c0cd5fd9b821",
+    "run/report.json": "2d36bd287093122921a11daf398a69765c0dcace3517ad6f93e5375aa858d65d",
+    "run/checkpoint.json": "e33f4f0d6437b3a13afefe6b1aeefbd7764da0850a33be06566dc55973a2d513",
     "eval/metrics.csv": "770c0f0ce426262425e7151c9d5112c928da8dcd0ebbee79faf54948a1957ed5",
     "eval/summary.csv": "9fc6e63ca87e396a75385b00723f1a479f8301324de188caaf998d90a5d39d0a",
 }
@@ -114,7 +114,7 @@ def test_gen_hash(gen_artifacts, name):
 EVAL300_GOLDEN = {
     "eval300/metrics.csv": "4bf663f0f4d04cf402b2eb9e747297b5a43691c5a4f5b3eb88d76f4205145156",
     "eval300/summary.csv": "2472e007a00f6622d28a3a49c1aad0c2828033a730f07453c3e2ee783d6fd231",
-    "eval300/summary.json": "60fd3572c9b2623124b0c6055edf9163e0bf91fe55208a2851c988df2246611c",
+    "eval300/summary.json": "4b963de5bb061afe178a3c14c49bfd982355254a1380cd394b11d9c842b31043",
 }
 
 
@@ -155,14 +155,14 @@ TRAIN_RECIPES = {
 }
 
 TRAIN_GOLDEN = {
-    "document_adam/report.csv": "fbcb2b860a87c160fa6104e77674d92714e54eccd6483ac17921e54872de2969",
-    "document_adam/checkpoint.json": "5f997f00c9c0c7596207d1af3fd28669828ed3f40f28abea229b5aad6657d195",
-    "row_concat/report.csv": "aa5be1732f3d5ad83ac03f2ed7b577dcfe0c454fb104c3d38933b8e9fc85b81f",
-    "row_concat/checkpoint.json": "78ed501e0b9ba2e146b01e132e1cf14b01da258459386c9c91b21b28c2d7fdc9",
-    "mat_l2/report.csv": "310b8f9413cdc30e7d6af2c5461bfdffdcef3fda1404093f96615ef1305cbc2b",
-    "mat_l2/checkpoint.json": "504dd4597e4886d1cf0f7765ff2da52fbdc0920a125d5d7106c50f3a2ebcb16f",
-    "unsup_frozen/report.csv": "994e2c360af747f9325405a0782cad718e9564e75dbf0d60bc92546339e7aaf0",
-    "unsup_frozen/checkpoint.json": "c4e6c8e1520a8374f41ee33baa51a5910af00370531f6e6d39809b153d90b85d",
+    "document_adam/report.csv": "3016fdcfde1cd2eace7da66d3cf7de6d3901ccecabac822c5a7cb7b90e1ef29c",
+    "document_adam/checkpoint.json": "7b9ca972eced160ea0bff8fa8cfdc4b060b54fc8a036b2af45294ee4f464a7e2",
+    "row_concat/report.csv": "a6c6e4506348958eabdd25277dd4a8ae3f8552e77a73e2b804fef4d8ed65f5be",
+    "row_concat/checkpoint.json": "7c25770ea8ac61f61f10564b1657e3db30f29b2b901db969f3707dc503fbf544",
+    "mat_l2/report.csv": "21f051f81e03cc74f96a58a90c3154f3a19df552fdf0d2786f1031789beb8081",
+    "mat_l2/checkpoint.json": "2f94a1d456c79ffdeabc400d4d35c4f87d12edb3e329871758c731e564a38977",
+    "unsup_frozen/report.csv": "3ce6e7ce2f9957df5ea90d9b6d4b063a44696bcda8d9aeb8340d2223eb3319d1",
+    "unsup_frozen/checkpoint.json": "2736709c6c8ef8fecd890303c75ea02f79ec2054878b38da0348f15ff7189ce6",
 }
 
 
@@ -189,8 +189,8 @@ def test_train_hash(train_artifacts, name):
 
 
 ABLATE_GOLDEN = {
-    "cells.csv": "18f0207e013046258e99fe7daa76763f5729e276c9c108c22193705323544a69",
-    "curves.csv": "4bdafa7872edc4e113aa231cde11f4e2cc2ca6f353104c3bed6b1d7137cd925f",
+    "cells.csv": "300cba07bd5cdb993ff3227aebba43281fa7e5cc502a82a5efb839601eff20fa",
+    "curves.csv": "05ab89e644f8a54fbb11e9ea6e486af3a40b2a588c340418f19eabfc31e25c9e",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from fanet import trainer
 from fanet.attention import EntitySet
-from fanet.matrices import NonFiniteError, ShapeError, ValidationError
+from fanet.matrices import DEFAULT_EPS, NonFiniteError, ShapeError, ValidationError
 from fanet.metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
 from fanet.supervision import entity_gt_matching
 from fanet.synthgen import Instance, WorldSpec, generate_dataset
@@ -92,7 +92,7 @@ class TestTrainConfig:
         "key,value",
         [("epochs", 2.5), ("seed", 1.5), ("batch_size", True), ("epochs", True),
          ("lr", "0.1"), ("lambda", False), ("momentum", None), ("d_k", "4"),
-         ("focal_r", 2.0), ("eps", [1e-12])],
+         ("focal_r", 2.0)],
     )
     def test_from_dict_rejects_mistyped_number(self, key, value):
         d = TrainConfig().to_dict()
@@ -116,15 +116,26 @@ class TestTrainConfig:
             TrainConfig.from_dict(d)
 
     def test_invalid_axis(self):
-        """Rows are the one aggregation axis; any other agg_axis is rejected."""
-        assert TrainConfig(agg_axis="row").agg_axis == "row"
-        for axis in ("col", "diag", None):
-            with pytest.raises(ValidationError, match="agg_axis"):
-                TrainConfig(agg_axis=axis)
-            d = TrainConfig().to_dict()
-            d["agg_axis"] = axis
-            with pytest.raises(ValidationError, match="agg_axis"):
-                TrainConfig.from_dict(d)
+        """Rows are the one aggregation axis: a retired key that reads only "row"."""
+        assert TrainConfig.from_dict({"agg_axis": "row"}) == TrainConfig()
+        for axis in ("col", "diag", None, ["row"]):
+            with pytest.raises(ValidationError,
+                               match='^agg_axis: retired field, only "row" is accepted$'):
+                TrainConfig.from_dict({"agg_axis": axis})
+        with pytest.raises(TypeError, match="agg_axis"):
+            TrainConfig(agg_axis="row")
+
+    def test_retired_keys_are_read_but_never_written(self):
+        d = TrainConfig(lam=0.5, eval_ks=(2,)).to_dict()
+        assert "agg_axis" not in d and "eps" not in d
+        assert len(d) == len(dataclasses.fields(TrainConfig)) == 14
+        held = TrainConfig.from_dict({**d, "agg_axis": "row", "eps": 1e-12})
+        assert held == TrainConfig.from_dict(d) and held.to_dict() == d
+        assert held.focus_config().eps == DEFAULT_EPS
+        for eps in (1e-10, "1e-12", True, 0, None):
+            with pytest.raises(ValidationError,
+                               match="^config.eps: retired field, only 1e-12 is accepted$"):
+                TrainConfig.from_dict({"eps": eps}, "config.")
 
     def test_from_dict_takes_ints_for_real_fields(self):
         d = TrainConfig().to_dict()
@@ -233,10 +244,9 @@ class TestForwardTask:
         np.testing.assert_allclose(a.class_logits, b.class_logits, atol=1e-12)
 
     @pytest.mark.parametrize("head_mode", ["residual", "concat"])
-    @pytest.mark.parametrize("agg_axis", ["row"])
-    def test_stack_equals_single_forwards(self, head_mode, agg_axis):
+    def test_stack_equals_single_forwards(self, head_mode):
         """A (B, n, d) stack gives each instance's head bit for bit."""
-        cfg = TrainConfig(d_k=2, head_mode=head_mode, agg_axis=agg_axis)
+        cfg = TrainConfig(d_k=2, head_mode=head_mode)
         params = init_model(3, 4, cfg)
         feats = [check_instance(seed, n=6).entities.features for seed in range(5)]
         stacked = forward_task(np.stack(feats), params, cfg)
@@ -695,10 +705,9 @@ class TestBucketedEvaluate:
 
     @pytest.mark.parametrize("ks", [(1, 5, 10), (2, 4)])
     @pytest.mark.parametrize("head_mode", ["residual", "concat"])
-    @pytest.mark.parametrize("agg_axis", ["row"])
-    def test_equals_per_instance_loop(self, head_mode, agg_axis, ks):
+    def test_equals_per_instance_loop(self, head_mode, ks):
         instances = mixed_n_instances()
-        cfg = TrainConfig(d_k=3, head_mode=head_mode, agg_axis=agg_axis, seed=1)
+        cfg = TrainConfig(d_k=3, head_mode=head_mode, seed=1)
         params = init_model(6, 3, cfg)
         got = evaluate(instances, params, cfg, ks=ks)
         want = reference_evaluate(instances, params, cfg, ks)
