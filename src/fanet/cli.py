@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .attention import EntitySet
 from .losses import LOSS_VARIANTS
-from .matrices import ValidationError, _load_json, _write_json
+from .matrices import ValidationError, _check_keys, _load_json, _write_json
 from .metrics import top_k_pairs, word_importance, write_metrics_csv
 from .seeding import STREAM_INSTANCE, stream_rng
 from .synthgen import (
@@ -355,18 +355,69 @@ def _ablate_worker(payload):
     return cell_id, report, None
 
 
-def _completed_cells(path) -> set:
-    done = set()
+_MANIFEST_KEYS = ("base_config", "grid", "data", "cells")
+
+
+def _check_resume(path, base: TrainConfig, data: str) -> None:
+    """Exit 2 unless the ablation manifest at `path`, if there is one, holds
+    this run's base config and --data; the message names the first key that
+    differs. Both configs are read as TrainConfigs, so a manifest that holds
+    retired keys at their values matches."""
     if not os.path.exists(path):
-        return done
+        return
+
+    def parse(doc):
+        _check_keys(doc, _MANIFEST_KEYS, _MANIFEST_KEYS)
+        if not isinstance(doc["base_config"], dict):
+            raise ValidationError(f"base_config: expected an object, got {doc['base_config']!r}")
+        return TrainConfig.from_dict(doc["base_config"], "base_config."), doc["data"]
+
+    def keyed(config, data):
+        return {**{f"base_config.{k}": v for k, v in config.to_dict().items()}, "data": data}
+
+    old, new = keyed(*_load_json(path, parse)), keyed(base, data)
+    for key in old:
+        was, now = json.dumps(old[key]), json.dumps(new[key])
+        if was != now:
+            raise UserInputError(
+                f"{path}: {key} is {was}, this run has {now}; --resume takes the base config "
+                "and --data of the run it resumes"
+            )
+
+
+def _finished_rows(path, done=None) -> tuple:
+    """(byte length, first fields) of the rows of table `path` that --resume keeps.
+
+    A row is kept when it ends in a newline and has every column of the
+    header and, given `done`, when its first field is in `done`. Only the end
+    of the file may go: a last line cut off mid-write, and the curves rows of
+    a cell whose cells row was never written. Any other row that cannot be
+    kept exits 2 naming its line. A file without a whole header keeps nothing.
+    """
+    size, ids, header, dropped = 0, [], None, None
     try:
-        with open(path, newline="") as fh:
-            for row in csv.reader(r for r in fh if not r.startswith("#")):
-                if row and row[0] != "cell_id":
-                    done.add(row[0])
+        with open(path, "rb") as fh:
+            for number, raw in enumerate(fh, 1):
+                line = raw.decode("utf-8")
+                row = next(csv.reader([line]), [])
+                if not line.endswith("\n"):
+                    break  # the last line, cut off mid-write
+                if header is not None and len(row) != len(header):
+                    raise UserInputError(f"{path}:{number}: expected {len(header)} columns, got {len(row)}")
+                if header is not None and done is not None and row[0] not in done:
+                    dropped = dropped or number
+                    continue
+                if dropped:
+                    raise UserInputError(f"{path}:{number}: a finished cell's row after line {dropped}, "
+                                         "whose cell did not finish")
+                if header is not None:
+                    ids.append(row[0])
+                elif not line.startswith("#"):
+                    header = row
+                size += len(raw)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise UserInputError(f"{path}: cannot read the finished cells for --resume ({exc})") from exc
-    return done
+    return (size, ids) if header is not None else (0, [])
 
 
 def cmd_ablate(args) -> int:
@@ -376,12 +427,25 @@ def cmd_ablate(args) -> int:
     train_path, test_path = _dataset_paths(args.data)
     if args.jobs < 1:
         raise UserInputError(f"--jobs must be >= 1, got {args.jobs}")
-    os.makedirs(args.out, exist_ok=True)
+    manifest_path = os.path.join(args.out, "manifest.json")
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
-    done = _completed_cells(cells_path) if args.resume else set()
+    # what a resumed table keeps, read before anything is written
+    (cells_size, done), curves_size = (0, []), 0
+    if args.resume:
+        _check_resume(manifest_path, base, args.data)
+        if os.path.exists(cells_path):
+            cells_size, done = _finished_rows(cells_path)
+        if os.path.exists(curves_path):
+            curves_size, _ = _finished_rows(curves_path, done)
+        # a resumed grid may gain cells, but every finished row must stay one of its cells
+        cell_ids = {cell_id for cell_id, _, _ in cells}
+        stray = [cell_id for cell_id in done if cell_id not in cell_ids]
+        if stray:
+            raise UserInputError(f"{cells_path}: finished cell {stray[0]} is not a cell of --grid")
+    os.makedirs(args.out, exist_ok=True)
     _write_json(
-        os.path.join(args.out, "manifest.json"),
+        manifest_path,
         {
             "base_config": base.to_dict(),
             "grid": grid,
@@ -391,21 +455,21 @@ def cmd_ablate(args) -> int:
     )
 
     pending = [(c, o, cfg) for c, o, cfg in cells if c not in done]
-    fresh_cells = not (args.resume and os.path.exists(cells_path))
-    fresh_curves = not (args.resume and os.path.exists(curves_path))
     ks = base.eval_ks
 
     with (
-        open(cells_path, "w" if fresh_cells else "a", newline="") as cells_fh,
-        open(curves_path, "w" if fresh_curves else "a", newline="") as curves_fh,
+        open(cells_path, "a", newline="") as cells_fh,
+        open(curves_path, "a", newline="") as curves_fh,
     ):
+        cells_fh.truncate(cells_size)
+        curves_fh.truncate(curves_size)
         cells_writer = csv.writer(cells_fh)
         curves_writer = csv.writer(curves_fh)
-        if fresh_cells:
+        if not cells_size:
             _comment_csv(cells_fh, base.to_dict())
             cells_writer.writerow(["cell_id", "epochs", *RESULT_COLUMNS, *recall_columns(ks)])
             cells_fh.flush()
-        if fresh_curves:
+        if not curves_size:
             _comment_csv(curves_fh, base.to_dict())
             curves_writer.writerow(["cell_id", "k", "recall"])
             curves_fh.flush()
@@ -427,13 +491,14 @@ def cmd_ablate(args) -> int:
                     failed.append(cell_id)
                     print(f"cell {cell_id} failed: training diverged: {error}", file=sys.stderr)
                     continue
+                # the cells row goes last: it marks the cell finished for --resume
                 last = report.epochs[-1]
-                epochs = str(report.config.epochs)
-                cells_writer.writerow([cell_id, epochs, *last.csv_cells(RESULT_COLUMNS, ks)])
-                cells_fh.flush()
                 for k in report.config.eval_ks:
                     curves_writer.writerow([cell_id, str(k), csv_text(last.recall[k])])
                 curves_fh.flush()
+                epochs = str(report.config.epochs)
+                cells_writer.writerow([cell_id, epochs, *last.csv_cells(RESULT_COLUMNS, ks)])
+                cells_fh.flush()
                 print(f"cell {cell_id}: accuracy={last.accuracy:.4f}")
         finally:
             if pool is not None:

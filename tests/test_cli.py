@@ -1010,6 +1010,117 @@ class TestAblate:
         assert code == EXIT_USER
 
 
+def _cut(name, n):
+    """An edit that cuts the last n bytes off table `name`, as a kill mid-write does."""
+    def edit(out):
+        (out / name).write_bytes((out / name).read_bytes()[:-n])
+    return edit
+
+
+def _drop_line(name, number):
+    """An edit that deletes line `number` (1-based) of table `name`."""
+    def edit(out):
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        (out / name).write_bytes(b"".join(lines[:number - 1] + lines[number:]))
+    return edit
+
+
+def _chain(*edits):
+    def edit(out):
+        for e in edits:
+            e(out)
+    return edit
+
+
+def _retired_manifest(out):
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["base_config"].update(agg_axis="row", eps=1e-12)
+    (out / "manifest.json").write_text(json.dumps(doc))
+
+
+# A clean 3-cell table has a comment, a header and rows 3-5 in cells.csv, and
+# a comment, a header and three rows per cell (lines 3-5, 6-8, 9-11) in curves.csv.
+# Each edit leaves the tables as a kill at some point of the run could have.
+RESUMABLE = {
+    "clean": None,
+    "cells_row_cut": _cut("cells.csv", 40),
+    "cells_newline_cut": _cut("cells.csv", 1),
+    "cells_header_cut": lambda out: (out / "cells.csv").write_bytes(
+        (out / "cells.csv").read_bytes().split(b"\n")[0] + b"\ncell_id,epo"),
+    "curves_without_cells_row": _drop_line("cells.csv", 5),
+    "curves_row_cut": _chain(_drop_line("cells.csv", 5), _cut("curves.csv", 12)),
+    "manifest_with_retired_keys": _retired_manifest,
+}
+
+
+class TestAblateResume:
+    """--resume continues only the run that its manifest records, and a cell
+    counts as finished only when its cells row is whole."""
+
+    GRID = {"lambda": [0.0, 0.5, 0.1]}
+    TABLES = ("cells.csv", "curves.csv", "manifest.json")
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory, data_dir):
+        root = tmp_path_factory.mktemp("resume")
+        (root / "grid.json").write_text(json.dumps(self.GRID))
+        assert main(self.argv(root / "grid.json", data_dir, root / "out")) == EXIT_OK
+        return root / "out"
+
+    @staticmethod
+    def argv(grid, data_dir, out):
+        return ["ablate", "--grid", str(grid), "--data", data_dir, "--out", str(out), *FAST_TRAIN,
+                "--resume"]
+
+    def copy(self, clean, tmp_path, edit):
+        out = tmp_path / "out"
+        shutil.copytree(clean, out)
+        if edit is not None:
+            edit(out)
+        return out
+
+    @pytest.mark.parametrize("fault", sorted(RESUMABLE))
+    def test_resume_finishes_the_clean_tables(self, clean, tmp_path, data_dir, capsys, fault):
+        out = self.copy(clean, tmp_path, RESUMABLE[fault])
+        assert main(self.argv(clean.parent / "grid.json", data_dir, out)) == EXIT_OK
+        for name in self.TABLES:
+            if fault != "manifest_with_retired_keys" or name != "manifest.json":
+                assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        runs = {"clean": 0, "manifest_with_retired_keys": 0, "cells_header_cut": 3}.get(fault, 1)
+        assert f"{runs} cells run ({3 - runs} skipped)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["other_config", "other_data", "row_short",
+                                       "finished_after_unfinished", "cell_not_in_grid"])
+    def test_resume_of_another_run_or_a_broken_table_writes_nothing(
+        self, clean, tmp_path, data_dir, capsys, fault
+    ):
+        grid, data, extra, edit = clean.parent / "grid.json", data_dir, [], None
+        if fault == "other_config":
+            extra = ["--epochs", "1", "--lr", "0.01"]
+            message = "manifest.json: base_config.lr is 0.0005, this run has 0.01; --resume takes"
+        elif fault == "other_data":
+            data = str(tmp_path / "data")
+            shutil.copytree(data_dir, data)
+            message = f"manifest.json: data is {json.dumps(data_dir)}, this run has {json.dumps(data)};"
+        elif fault == "row_short":
+            edit = lambda out: (out / "cells.csv").write_bytes(
+                (out / "cells.csv").read_bytes().replace(b"lambda=0.5,", b"lambda=0.5\r\n", 1))
+            message = "cells.csv:4: expected 11 columns, got 1"
+        elif fault == "finished_after_unfinished":
+            edit = _drop_line("cells.csv", 4)
+            message = "curves.csv:9: a finished cell's row after line 6, whose cell did not finish"
+        else:
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"lambda": [0.0, 0.1]}))
+            message = "cells.csv: finished cell lambda=0.5 is not a cell of --grid"
+        out = self.copy(clean, tmp_path, edit)
+        before = {name: (out / name).read_bytes() for name in self.TABLES}
+        assert main(self.argv(grid, data, out) + extra) == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}/{message}"), err
+        assert {name: (out / name).read_bytes() for name in self.TABLES} == before
+
+
 # Keys that are no longer TrainConfig fields, at the one value a file may
 # still hold (the value every file written before they were retired holds),
 # and values that exit 2
