@@ -394,7 +394,7 @@ def _finished_rows(path, done=None) -> tuple:
     a cell whose cells row was never written. Any other row that cannot be
     kept exits 2 naming its line. A file without a whole header keeps nothing.
     """
-    size, ids, header, dropped = 0, [], None, None
+    size, ids, header, dropped = 0, set(), None, None
     try:
         with open(path, "rb") as fh:
             for number, raw in enumerate(fh, 1):
@@ -411,13 +411,13 @@ def _finished_rows(path, done=None) -> tuple:
                     raise UserInputError(f"{path}:{number}: a finished cell's row after line {dropped}, "
                                          "whose cell did not finish")
                 if header is not None:
-                    ids.append(row[0])
+                    ids.add(row[0])
                 elif not line.startswith("#"):
                     header = row
                 size += len(raw)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise UserInputError(f"{path}: cannot read the finished cells for --resume ({exc})") from exc
-    return (size, ids) if header is not None else (0, [])
+    return (size, ids) if header is not None else (0, set())
 
 
 def cmd_ablate(args) -> int:
@@ -431,7 +431,7 @@ def cmd_ablate(args) -> int:
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
     # what a resumed table keeps, read before anything is written
-    (cells_size, done), curves_size = (0, []), 0
+    (cells_size, done), curves_size = (0, set()), 0
     if args.resume:
         _check_resume(manifest_path, base, args.data)
         if os.path.exists(cells_path):
@@ -439,10 +439,9 @@ def cmd_ablate(args) -> int:
         if os.path.exists(curves_path):
             curves_size, _ = _finished_rows(curves_path, done)
         # a resumed grid may gain cells, but every finished row must stay one of its cells
-        cell_ids = {cell_id for cell_id, _, _ in cells}
-        stray = [cell_id for cell_id in done if cell_id not in cell_ids]
+        stray = done - {cell_id for cell_id, _, _ in cells}
         if stray:
-            raise UserInputError(f"{cells_path}: finished cell {stray[0]} is not a cell of --grid")
+            raise UserInputError(f"{cells_path}: finished cell {min(stray)} is not a cell of --grid")
     os.makedirs(args.out, exist_ok=True)
     _write_json(
         manifest_path,

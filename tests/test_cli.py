@@ -1025,13 +1025,6 @@ def _drop_line(name, number):
     return edit
 
 
-def _chain(*edits):
-    def edit(out):
-        for e in edits:
-            e(out)
-    return edit
-
-
 def _retired_manifest(out):
     doc = json.loads((out / "manifest.json").read_text())
     doc["base_config"].update(agg_axis="row", eps=1e-12)
@@ -1048,7 +1041,8 @@ RESUMABLE = {
     "cells_header_cut": lambda out: (out / "cells.csv").write_bytes(
         (out / "cells.csv").read_bytes().split(b"\n")[0] + b"\ncell_id,epo"),
     "curves_without_cells_row": _drop_line("cells.csv", 5),
-    "curves_row_cut": _chain(_drop_line("cells.csv", 5), _cut("curves.csv", 12)),
+    "curves_row_cut": lambda out: [edit(out) for edit in (_drop_line("cells.csv", 5),
+                                                          _cut("curves.csv", 12))],
     "manifest_with_retired_keys": _retired_manifest,
 }
 
@@ -1171,7 +1165,9 @@ class TestRetiredKeys:
             else:
                 assert (held / name).read_bytes() == (bare / name).read_bytes(), name
 
-    @pytest.mark.parametrize("key,value", RETIRED_REJECTED)
+    @pytest.mark.parametrize("key,value", RETIRED_REJECTED,
+                             ids=["agg_axis-col", "agg_axis-true", "eps-1e-10", "eps-string",
+                                  "eps-true"])
     @pytest.mark.parametrize("kind", sorted(RETIRED_OUTPUTS))
     def test_other_value_names_file_and_key(self, tmp_path, data_dir, run_dir, capsys,
                                             kind, key, value):
