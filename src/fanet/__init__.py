@@ -15,8 +15,8 @@ Layout:
   supervision  IoU matching and target builders for boxes and tagged tokens
   metrics      top-K pair extraction, relationship recall, word importance
   synthgen     synthetic relational worlds with known labels and relations
-  trainer      end-to-end training, gradient checking, ablation, checkpoints
-  cli          the `fanet` command (gen / train / eval / ablate / ...)
+  trainer      end-to-end training, evaluation, gradient checking, checkpoints
+  cli          the `fanet` command, and the layout of every file it writes
 """
 
 from .attention import (

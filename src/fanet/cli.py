@@ -12,8 +12,11 @@ Conventions shared by every subcommand:
     ``# config:`` comment line atop report/ablation CSVs;
   * the FAN_SEED environment variable replaces the built-in default seed;
     precedence is flag > config file > FAN_SEED > 0;
-  * per-instance metric CSVs keep the fixed columns documented in `metrics`
-    (no comment line, so strict parsers stay happy);
+  * what every output file holds is decided here; `trainer` and `metrics`
+    only return values. metrics.csv has fixed columns and no comment line,
+    so strict parsers stay happy. JSON files and whole CSVs are written
+    whole or not at all (`matrices._write_whole`); the dataset JSONL files
+    and the appended ablation rows are written in place;
   * everything is deterministic given its inputs: rerunning a subcommand
     writes byte-identical files.
 
@@ -26,7 +29,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,8 +42,8 @@ import numpy as np
 from . import __version__
 from .attention import EntitySet
 from .losses import LOSS_VARIANTS
-from .matrices import ValidationError, _check_keys, _load_json, _write_json
-from .metrics import top_k_pairs, word_importance, write_metrics_csv
+from .matrices import ValidationError, _check_keys, _load_json, _write_json, _write_whole
+from .metrics import top_k_pairs, word_importance
 from .seeding import STREAM_INSTANCE, stream_rng
 from .synthgen import (
     Instance,
@@ -53,18 +58,15 @@ from .synthgen import (
 from .trainer import (
     HEAD_MODES,
     OPTIMIZERS,
-    RESULT_COLUMNS,
     STRATEGIES,
     DivergenceError,
+    EpochStats,
     TrainConfig,
-    ablation_cells,
-    csv_text,
     evaluate,
     forward_task,
     grad_check,
     init_model,
     load_checkpoint,
-    recall_columns,
     save_checkpoint,
     train,
 )
@@ -206,8 +208,52 @@ def _manifest_classes(data_dir: str):
     return spec.n_labels, path
 
 
-def _comment_csv(fh, config_dict: dict) -> None:
-    fh.write("# config: " + json.dumps(config_dict, sort_keys=True) + "\n")
+# --- artifact layout ----------------------------------------------------------------
+
+# the scalar fields of an epoch, in report.csv order; the recall@K columns follow
+_EPOCH_COLUMNS = tuple(f.name for f in fields(EpochStats) if f.name != "recall")
+# what the last epoch says about a finished run, in cells.csv order
+_RESULT_COLUMNS = tuple(name for name in _EPOCH_COLUMNS if name not in ("epoch", "lr"))
+_METRICS_COLUMNS = ("instance_id", "k", "recall", "center_mass")
+
+
+def _recall_columns(ks) -> list:
+    return [f"recall@{k}" for k in ks]
+
+
+def _cell(value) -> str:
+    """A CSV cell: a float with 17 significant digits, so it reads back exactly."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, header, rows, config=None) -> None:
+    """A whole CSV file: a `# config:` line when given a config, the header, the rows."""
+    def write(fh):
+        if config is not None:
+            fh.write("# config: " + json.dumps(config.to_dict(), sort_keys=True) + "\n")
+        csv.writer(fh).writerows(map(_cell, row) for row in [header, *rows])
+
+    _write_whole(path, write, newline="")
+
+
+def _epoch_cells(stats: EpochStats, columns, ks) -> list:
+    """The `columns` of an epoch, then its recall at each of `ks` (nan for a K not scored)."""
+    return [getattr(stats, name) for name in columns] + [stats.recall.get(k, math.nan) for k in ks]
+
+
+def _write_report(out: str, report) -> None:
+    """report.json and report.csv of a training run, into directory `out`; an
+    epoch's JSON object holds its report.csv cells at the K it scored."""
+    _write_json(os.path.join(out, "report.json"), {
+        "config": report.config.to_dict(),
+        "num_classes": report.num_classes,
+        "feature_dim": report.feature_dim,
+        "epochs": [dict(zip([*_EPOCH_COLUMNS, *_recall_columns(e.recall)],
+                            _epoch_cells(e, _EPOCH_COLUMNS, e.recall))) for e in report.epochs],
+    })
+    ks = report.config.eval_ks
+    _write_csv(os.path.join(out, "report.csv"), [*_EPOCH_COLUMNS, *_recall_columns(ks)],
+               [_epoch_cells(e, _EPOCH_COLUMNS, ks) for e in report.epochs], report.config)
 
 
 # --- gen ------------------------------------------------------------------------
@@ -263,14 +309,7 @@ def cmd_train(args) -> int:
             _check_labels(num_classes, instances, f"manifest {manifest_path} spec", path)
     os.makedirs(args.out, exist_ok=True)
     params, report = train(train_set, test_set, config)
-
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-    csv_path = os.path.join(args.out, "report.csv")
-    with open(csv_path, "w", newline="") as fh:
-        _comment_csv(fh, config.to_dict())
-        writer = csv.writer(fh)
-        writer.writerow(report.csv_header())
-        writer.writerows(report.csv_rows())
+    _write_report(args.out, report)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), params, config)
 
     last = report.epochs[-1]
@@ -298,7 +337,9 @@ def cmd_eval(args) -> int:
     result = evaluate(instances, params, config, ks)
     os.makedirs(args.out, exist_ok=True)
 
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), result.rows)
+    per_instance = enumerate(zip(result.recalls, result.masses))
+    _write_csv(os.path.join(args.out, "metrics.csv"), _METRICS_COLUMNS,
+               [(i, k, recall[k], mass) for i, (recall, mass) in per_instance for k in ks])
     summary = {
         "config": config.to_dict(),
         "checkpoint": args.checkpoint,
@@ -311,23 +352,15 @@ def cmd_eval(args) -> int:
             "n_scored": result.center_mass.n_scored,
             "n_vacuous": result.center_mass.n_vacuous,
         },
-        "recall": {f"recall@{k}": result.recall[k] for k in ks},
+        "recall": dict(zip(_recall_columns(ks), map(result.recall.get, ks))),
         "n_recall_vacuous": result.n_recall_vacuous,
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
-    with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        head = ["n_instances", "accuracy", "center_mass", "n_center_mass_vacuous"]
-        writer.writerow(head + recall_columns(ks) + ["n_recall_vacuous"])
-        row = [
-            result.n_instances,
-            result.accuracy,
-            result.center_mass.mean_m,
-            result.center_mass.n_vacuous,
-            *(result.recall[k] for k in ks),
-            result.n_recall_vacuous,
-        ]
-        writer.writerow([csv_text(v) for v in row])
+    header = ["n_instances", "accuracy", "center_mass", "n_center_mass_vacuous",
+              *_recall_columns(ks), "n_recall_vacuous"]
+    row = [result.n_instances, result.accuracy, result.center_mass.mean_m,
+           result.center_mass.n_vacuous, *(result.recall[k] for k in ks), result.n_recall_vacuous]
+    _write_csv(os.path.join(args.out, "summary.csv"), header, [row])
 
     print(f"evaluated {result.n_instances} instances from {args.data}")
     print(
@@ -340,6 +373,25 @@ def cmd_eval(args) -> int:
 
 
 # --- ablate -----------------------------------------------------------------------
+
+
+def _ablation_cells(base: TrainConfig, grid: dict) -> list:
+    """Expand a {field: [values]} grid into (cell_id, config) pairs, in the
+    order of the cartesian product of the grid's keys and values; a cell id
+    lists its overrides as `key=<JSON value>`. An empty grid (or any empty
+    value list) expands to no cells."""
+    if not grid:
+        return []
+    for key, values in grid.items():
+        if not isinstance(values, (list, tuple)):
+            raise ValidationError(f"{key}: grid values must be a list")
+    base_dict = base.to_dict()
+    cells = []
+    for combo in itertools.product(*grid.values()):
+        overrides = dict(zip(grid, combo))
+        config = TrainConfig.from_dict({**base_dict, **overrides})  # checks names and values
+        cells.append((",".join(f"{k}={json.dumps(v)}" for k, v in overrides.items()), config))
+    return cells
 
 
 def _ablate_worker(payload):
@@ -362,7 +414,8 @@ def _check_resume(path, base: TrainConfig, data: str) -> None:
     """Exit 2 unless the ablation manifest at `path`, if there is one, holds
     this run's base config and --data; the message names the first key that
     differs. Both configs are read as TrainConfigs, so a manifest that holds
-    retired keys at their values matches."""
+    retired keys at their values matches, and both --data paths go through
+    `os.path.normpath`, so `data`, `./data` and `data/` match."""
     if not os.path.exists(path):
         return
 
@@ -370,10 +423,13 @@ def _check_resume(path, base: TrainConfig, data: str) -> None:
         _check_keys(doc, _MANIFEST_KEYS, _MANIFEST_KEYS)
         if not isinstance(doc["base_config"], dict):
             raise ValidationError(f"base_config: expected an object, got {doc['base_config']!r}")
+        if not isinstance(doc["data"], str):
+            raise ValidationError(f"data: expected a string, got {doc['data']!r}")
         return TrainConfig.from_dict(doc["base_config"], "base_config."), doc["data"]
 
     def keyed(config, data):
-        return {**{f"base_config.{k}": v for k, v in config.to_dict().items()}, "data": data}
+        config_keys = {f"base_config.{k}": v for k, v in config.to_dict().items()}
+        return {**config_keys, "data": os.path.normpath(data)}
 
     old, new = keyed(*_load_json(path, parse)), keyed(base, data)
     for key in old:
@@ -423,7 +479,7 @@ def _finished_rows(path, done=None) -> tuple:
 def cmd_ablate(args) -> int:
     base = _config_from_args(args)
     # base is checked, so a fault in a cell is the grid's
-    grid, cells = _load_json(args.grid, lambda grid: (grid, ablation_cells(base, grid)))
+    grid, cells = _load_json(args.grid, lambda grid: (grid, _ablation_cells(base, grid)))
     train_path, test_path = _dataset_paths(args.data)
     if args.jobs < 1:
         raise UserInputError(f"--jobs must be >= 1, got {args.jobs}")
@@ -431,17 +487,21 @@ def cmd_ablate(args) -> int:
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
     # what a resumed table keeps, read before anything is written
-    (cells_size, done), curves_size = (0, set()), 0
+    (cells_size, done), (curves_size, curved) = (0, set()), (0, set())
     if args.resume:
         _check_resume(manifest_path, base, args.data)
         if os.path.exists(cells_path):
             cells_size, done = _finished_rows(cells_path)
         if os.path.exists(curves_path):
-            curves_size, _ = _finished_rows(curves_path, done)
+            curves_size, curved = _finished_rows(curves_path, done)
         # a resumed grid may gain cells, but every finished row must stay one of its cells
-        stray = done - {cell_id for cell_id, _, _ in cells}
+        stray = done - {cell_id for cell_id, _ in cells}
         if stray:
             raise UserInputError(f"{cells_path}: finished cell {min(stray)} is not a cell of --grid")
+        # a cell's curves rows are written before its cells row, so only a lost file lacks them
+        uncurved = done - curved
+        if uncurved:
+            raise UserInputError(f"{curves_path}: no rows for finished cell {min(uncurved)}")
     os.makedirs(args.out, exist_ok=True)
     _write_json(
         manifest_path,
@@ -449,33 +509,32 @@ def cmd_ablate(args) -> int:
             "base_config": base.to_dict(),
             "grid": grid,
             "data": args.data,
-            "cells": [cell_id for cell_id, _, _ in cells],
+            "cells": [cell_id for cell_id, _ in cells],
         },
     )
 
-    pending = [(c, o, cfg) for c, o, cfg in cells if c not in done]
+    pending = [(cell_id, cfg) for cell_id, cfg in cells if cell_id not in done]
     ks = base.eval_ks
 
+    # a resumed table is cut to what it keeps; a new one starts as its header
+    for path, size, header in (
+        (cells_path, cells_size, ["cell_id", "epochs", *_RESULT_COLUMNS, *_recall_columns(ks)]),
+        (curves_path, curves_size, ["cell_id", "k", "recall"]),
+    ):
+        if size:
+            os.truncate(path, size)
+        else:
+            _write_csv(path, header, [], base)
     with (
         open(cells_path, "a", newline="") as cells_fh,
         open(curves_path, "a", newline="") as curves_fh,
     ):
-        cells_fh.truncate(cells_size)
-        curves_fh.truncate(curves_size)
         cells_writer = csv.writer(cells_fh)
         curves_writer = csv.writer(curves_fh)
-        if not cells_size:
-            _comment_csv(cells_fh, base.to_dict())
-            cells_writer.writerow(["cell_id", "epochs", *RESULT_COLUMNS, *recall_columns(ks)])
-            cells_fh.flush()
-        if not curves_size:
-            _comment_csv(curves_fh, base.to_dict())
-            curves_writer.writerow(["cell_id", "k", "recall"])
-            curves_fh.flush()
 
         payloads = [
             (cell_id, cfg.to_dict(), train_path, test_path)
-            for cell_id, _, cfg in pending
+            for cell_id, cfg in pending
         ]
         if args.jobs > 1 and payloads:
             pool = ProcessPoolExecutor(max_workers=args.jobs)
@@ -493,10 +552,10 @@ def cmd_ablate(args) -> int:
                 # the cells row goes last: it marks the cell finished for --resume
                 last = report.epochs[-1]
                 for k in report.config.eval_ks:
-                    curves_writer.writerow([cell_id, str(k), csv_text(last.recall[k])])
+                    curves_writer.writerow(map(_cell, [cell_id, k, last.recall[k]]))
                 curves_fh.flush()
-                epochs = str(report.config.epochs)
-                cells_writer.writerow([cell_id, epochs, *last.csv_cells(RESULT_COLUMNS, ks)])
+                row = [cell_id, report.config.epochs, *_epoch_cells(last, _RESULT_COLUMNS, ks)]
+                cells_writer.writerow(map(_cell, row))
                 cells_fh.flush()
                 print(f"cell {cell_id}: accuracy={last.accuracy:.4f}")
         finally:

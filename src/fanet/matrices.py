@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 
@@ -163,10 +164,31 @@ def _load_json(path, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _write_whole(path, write, newline=None) -> None:
+    """Write the text file at `path` whole or not at all: write(fh) fills a
+    new temporary file beside it, which then replaces `path`. On any error
+    the temporary file goes and a file already at `path` stays as it was.
+    The file gets the mode a plain `open` gives, and an OSError names `path`."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open
+        try:
+            with open(fd, "w", newline=newline) as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_whole(path, lambda fh: fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n"))
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands") -> None:

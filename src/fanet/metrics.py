@@ -12,7 +12,6 @@ and the center-mass summary over instances.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,11 +27,7 @@ __all__ = [
     "top_k_pairs",
     "relation_recall",
     "word_importance",
-    "write_metrics_csv",
-    "METRICS_CSV_COLUMNS",
 ]
-
-METRICS_CSV_COLUMNS = ("instance_id", "k", "recall", "center_mass")
 
 RECALL_IOU = 0.5  # default best-match IoU threshold for recall
 
@@ -190,17 +185,12 @@ def word_importance(focus_weights) -> np.ndarray:
 class CenterMassSummary:
     """Mean center-mass over instances that have labeled relations.
 
-    vacuous is True when no instance had a nonzero target; mean_m is NaN in
-    that case.
+    mean_m is NaN when no instance had a nonzero target (n_scored == 0).
     """
 
     mean_m: float
     n_scored: int
     n_vacuous: int
-
-    @property
-    def vacuous(self) -> bool:
-        return self.n_scored == 0
 
     @classmethod
     def of(cls, values: Sequence[float], n_vacuous: int) -> "CenterMassSummary":
@@ -209,17 +199,3 @@ class CenterMassSummary:
             return cls(mean_m=float("nan"), n_scored=0, n_vacuous=n_vacuous)
         return cls(mean_m=float(np.mean(values)), n_scored=len(values), n_vacuous=n_vacuous)
 
-
-def write_metrics_csv(path, rows: Sequence[tuple]) -> None:
-    """Dump per-instance metric rows as CSV: instance_id, k, recall, center_mass.
-
-    Floats use 17 significant digits and a `.` decimal separator regardless
-    of locale.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_COLUMNS)
-        for instance_id, k, recall, cm in rows:
-            writer.writerow(
-                [instance_id, k, format(recall, ".17g"), format(cm, ".17g")]
-            )

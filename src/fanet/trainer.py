@@ -35,9 +35,8 @@ shuffling, and reported metrics reproduce bit-for-bit for equal seeds.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,7 +82,6 @@ __all__ = [
     "evaluate",
     "train",
     "grad_check",
-    "ablation_cells",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_FORMAT",
@@ -508,12 +506,17 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """Dataset means, plus each instance's center-mass (NaN when its target
+    labels no pair) and {k: recall} dict (1.0 at every k without gt
+    relations; those instances share one dict), in instance order."""
+
     accuracy: float
     center_mass: CenterMassSummary
     recall: dict                 # k -> mean recall over instances
     n_instances: int
     n_recall_vacuous: int
-    rows: tuple = ()             # per-instance (instance_id, k, recall, M) rows
+    masses: tuple = ()
+    recalls: tuple = ()
 
 
 def _buckets(instances: Sequence[Instance]) -> list:
@@ -578,13 +581,11 @@ def evaluate(
             i = idx[j]
             per_k[i] = _recall_at_ks(inst_pairs, inst_matches, instances[i].gt_relations, ks)
     vacuous = {k: 1.0 for k in ks}
+    recalls = tuple(vacuous if scores is None else scores for scores in per_k)
     recall_sums = {k: 0.0 for k in ks}
-    rows = []
-    for i in range(n):
-        scores = vacuous if per_k[i] is None else per_k[i]
+    for scores in recalls:
         for k in ks:
             recall_sums[k] += scores[k]
-            rows.append((i, k, scores[k], masses[i]))
     scored = [m for m, inst in zip(masses, instances) if inst.labeled]
     return EvalResult(
         accuracy=correct / n,
@@ -592,7 +593,8 @@ def evaluate(
         recall={k: recall_sums[k] / n for k in ks},
         n_instances=n,
         n_recall_vacuous=per_k.count(None),
-        rows=tuple(rows),
+        masses=tuple(masses),
+        recalls=recalls,
     )
 
 
@@ -611,31 +613,6 @@ class EpochStats:
     accuracy: float           # test split
     recall: dict              # k -> test recall
 
-    def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in EPOCH_COLUMNS}
-        d.update(zip(recall_columns(self.recall), self.recall.values()))
-        return d
-
-    def csv_cells(self, columns, ks) -> list:
-        """The `columns`, then the recall at each of `ks` (nan for a K not scored)."""
-        values = [getattr(self, name) for name in columns]
-        return [csv_text(v) for v in values + [self.recall.get(k, math.nan) for k in ks]]
-
-
-# the scalar fields of an epoch, in report.csv order; the recall@K columns follow
-EPOCH_COLUMNS = tuple(f.name for f in fields(EpochStats) if f.name != "recall")
-# what the last epoch says about a finished run, in cells.csv order
-RESULT_COLUMNS = tuple(name for name in EPOCH_COLUMNS if name not in ("epoch", "lr"))
-
-
-def recall_columns(ks) -> list:
-    return [f"recall@{k}" for k in ks]
-
-
-def csv_text(value) -> str:
-    """A CSV cell: a float with 17 significant digits, so it reads back exactly."""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
 
 @dataclass(frozen=True)
 class TrainReport:
@@ -645,20 +622,6 @@ class TrainReport:
     num_classes: int
     feature_dim: int
     epochs: tuple  # of EpochStats
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "epochs": [e.to_dict() for e in self.epochs],
-        }
-
-    def csv_header(self) -> list:
-        return [*EPOCH_COLUMNS, *recall_columns(self.config.eval_ks)]
-
-    def csv_rows(self) -> list:
-        return [e.csv_cells(EPOCH_COLUMNS, self.config.eval_ks) for e in self.epochs]
 
 
 def _check_dataset(train_set, test_set):
@@ -815,34 +778,6 @@ def grad_check(
             err = abs(analytic[idx] - fd) / max(abs(analytic[idx]), abs(fd), 1e-8)
             worst = max(worst, err)
     return worst
-
-
-# --- ablation grids --------------------------------------------------------------
-
-
-def ablation_cells(base: TrainConfig, grid: dict) -> list:
-    """Expand a {field: [values]} grid into (cell_id, overrides, config) triples.
-
-    Cell order is the cartesian product in the given key/value order, so the
-    output is deterministic for a given grid dict. An empty grid (or any empty
-    value list) expands to no cells.
-    """
-    if not grid:
-        return []
-    keys = list(grid.keys())
-    for key, values in grid.items():
-        if not isinstance(values, (list, tuple)):
-            raise ValidationError(f"{key}: grid values must be a list")
-    cells = []
-    base_dict = base.to_dict()
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        merged = dict(base_dict)
-        merged.update(overrides)
-        config = TrainConfig.from_dict(merged)  # validates override names/values
-        cell_id = ",".join(f"{k}={json.dumps(v)}" for k, v in overrides.items())
-        cells.append((cell_id, overrides, config))
-    return cells
 
 
 # --- checkpoints ------------------------------------------------------------------

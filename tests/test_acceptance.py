@@ -5,6 +5,7 @@ Criteria 5-7 share the nine training runs provided by the module fixture
 (three strategies x three seeds), which runs them on two worker processes.
 """
 
+import dataclasses
 import itertools
 import multiprocessing
 import time
@@ -286,9 +287,9 @@ class TestLambdaZeroEquivalence:
         base = dict(epochs=8, batch_size=2, d_k=4, seed=1)
         p_zero, r_zero = train(tr, te, TrainConfig(lam=0.0, **base))
         p_unsup, r_unsup = train(tr, te, TrainConfig(strategy="unsup", **base))
-        assert [e.to_dict() for e in r_zero.epochs] == [
-            e.to_dict() for e in r_unsup.epochs
-        ]
+        # equal NaNs and signed zeros, field by field
+        np.testing.assert_equal([dataclasses.asdict(e) for e in r_zero.epochs],
+                                [dataclasses.asdict(e) for e in r_unsup.epochs])
         for a, b in zip(p_zero.arrays().values(), p_unsup.arrays().values()):
             np.testing.assert_array_equal(a, b)
         assert r_zero.num_classes == r_unsup.num_classes

@@ -1083,8 +1083,24 @@ class TestAblateResume:
         runs = {"clean": 0, "manifest_with_retired_keys": 0, "cells_header_cut": 3}.get(fault, 1)
         assert f"{runs} cells run ({3 - runs} skipped)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spelling", ["./{}", "{}/"], ids=["dot_slash", "trailing_slash"])
+    def test_resume_takes_another_spelling_of_data(self, clean, tmp_path, data_dir, capsys,
+                                                   monkeypatch, spelling):
+        out = self.copy(clean, tmp_path, None)
+        parent, name = os.path.split(data_dir)
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["data"] = name  # as a run with `--data <name>` from `parent` writes it
+        (out / "manifest.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(parent)
+        assert main(self.argv(clean.parent / "grid.json", spelling.format(name), out)) == EXIT_OK
+        assert "0 cells run (3 skipped)" in capsys.readouterr().out
+        for table in ("cells.csv", "curves.csv"):
+            assert (out / table).read_bytes() == (clean / table).read_bytes(), table
+        assert json.loads((out / "manifest.json").read_text())["data"] == spelling.format(name)
+
     @pytest.mark.parametrize("fault", ["other_config", "other_data", "row_short",
-                                       "finished_after_unfinished", "cell_not_in_grid"])
+                                       "finished_after_unfinished", "cell_not_in_grid",
+                                       "curves_missing", "curves_header_only"])
     def test_resume_of_another_run_or_a_broken_table_writes_nothing(
         self, clean, tmp_path, data_dir, capsys, fault
     ):
@@ -1103,16 +1119,27 @@ class TestAblateResume:
         elif fault == "finished_after_unfinished":
             edit = _drop_line("cells.csv", 4)
             message = "curves.csv:9: a finished cell's row after line 6, whose cell did not finish"
+        elif fault == "curves_missing":
+            edit = lambda out: (out / "curves.csv").unlink()
+            message = "curves.csv: no rows for finished cell lambda=0.0"
+        elif fault == "curves_header_only":
+            edit = lambda out: (out / "curves.csv").write_bytes(
+                b"".join((out / "curves.csv").read_bytes().splitlines(keepends=True)[:2]))
+            message = "curves.csv: no rows for finished cell lambda=0.0"
         else:
             grid = tmp_path / "grid.json"
             grid.write_text(json.dumps({"lambda": [0.0, 0.1]}))
             message = "cells.csv: finished cell lambda=0.5 is not a cell of --grid"
         out = self.copy(clean, tmp_path, edit)
-        before = {name: (out / name).read_bytes() for name in self.TABLES}
+
+        def tables():
+            return {name: (out / name).read_bytes() for name in self.TABLES if (out / name).exists()}
+
+        before = tables()
         assert main(self.argv(grid, data, out) + extra) == EXIT_USER
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}/{message}"), err
-        assert {name: (out / name).read_bytes() for name in self.TABLES} == before
+        assert tables() == before
 
 
 # Keys that are no longer TrainConfig fields, at the one value a file may

@@ -1,12 +1,15 @@
-"""Softmax and stable-log primitives against hand-checked values; the array codec."""
+"""Softmax and stable-log primitives against hand-checked values; the array
+codec; whole-file writes."""
 
 import base64
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
+from fanet.cli import _write_csv
 from fanet.matrices import (
     NonFiniteError,
     ShapeError,
@@ -14,6 +17,8 @@ from fanet.matrices import (
     _decode_array,
     _encode_array,
     _softmax,
+    _write_json,
+    _write_whole,
     as_matrix,
     check_same_shape,
     softmax_matrix,
@@ -204,3 +209,51 @@ class TestArrayCodec:
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError, match="a: expected an encoded array object"):
             _decode_array([1.0, 2.0], "a")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format this cell")
+
+
+class TestWriteWhole:
+    """A JSON artifact or a CSV table is written whole, or the old file stays."""
+
+    @pytest.mark.parametrize("writer", [
+        lambda p: _write_json(p, {"a": 1, "b": [2.5] * 1000, "z": object()}),
+        lambda p: _write_csv(p, ["k", "recall"], [(k, 0.5) for k in range(1000)] + [(0, _Unprintable())]),
+    ], ids=["json", "csv"])
+    def test_failure_midway_keeps_the_old_file(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"the old artifact\n")
+        with pytest.raises((TypeError, RuntimeError)):
+            writer(path)
+        assert path.read_bytes() == b"the old artifact\n"
+        assert os.listdir(tmp_path) == ["artifact"]  # no temporary file left
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_what_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w") as fh:
+                fh.write("x")
+            _write_json(tmp_path / "whole", {"x": 1})
+            _write_json(tmp_path / "whole", {"x": 2})  # replacing keeps the mode too
+            assert os.umask(umask) == umask  # the writes left the umask as it was
+        finally:
+            os.umask(old)
+        plain, whole = (os.stat(tmp_path / name).st_mode for name in ("plain", "whole"))
+        assert whole == plain and plain & 0o777 == 0o666 & ~umask
+        assert (tmp_path / "whole").read_text() == '{\n  "x": 2\n}\n'
+
+    def test_os_error_names_the_path(self, tmp_path):
+        missing = tmp_path / "no_such_dir" / "out.json"
+        with pytest.raises(FileNotFoundError) as info:
+            _write_whole(missing, lambda fh: fh.write("x"))
+        assert info.value.filename == str(missing) and str(missing) in str(info.value)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            _write_whole(taken, lambda fh: fh.write("x"))
+        assert info.value.filename == str(taken) and str(taken) in str(info.value)
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(taken) == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fanet.attention import EntitySet, forward, init_params
+from fanet.cli import _METRICS_COLUMNS, _write_csv
 from fanet.matrices import ValidationError, softmax_matrix
 from fanet.metrics import (
     CenterMassSummary,
@@ -16,7 +17,6 @@ from fanet.metrics import (
     relation_recall,
     top_k_pairs,
     word_importance,
-    write_metrics_csv,
 )
 from fanet.supervision import entity_gt_matching
 from fanet.synthgen import default_world_spec, generate_dataset
@@ -361,19 +361,20 @@ class TestCenterMassSummary:
         """Vacuous instances are counted, not averaged in."""
         summary = CenterMassSummary.of([0.25, 0.5], n_vacuous=1)
         assert (summary.n_scored, summary.n_vacuous) == (2, 1)
-        assert not summary.vacuous
         assert summary.mean_m == 0.375
 
     def test_all_vacuous(self):
         summary = CenterMassSummary.of([], n_vacuous=3)
-        assert summary.vacuous and summary.n_vacuous == 3
+        assert (summary.n_scored, summary.n_vacuous) == (0, 3)
         assert math.isnan(summary.mean_m)
 
 
 class TestMetricsCsv:
+    """The layout of `fanet eval`'s metrics.csv, which the CLI writes."""
+
     def test_format(self, tmp_path):
         p = tmp_path / "metrics.csv"
-        write_metrics_csv(p, [(0, 5, 0.5, 0.125), (1, 10, 1.0, 1.0 / 3.0)])
+        _write_csv(p, _METRICS_COLUMNS, [(0, 5, 0.5, 0.125), (1, 10, 1.0, 1.0 / 3.0)])
         with open(p, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["instance_id", "k", "recall", "center_mass"]
@@ -383,5 +384,5 @@ class TestMetricsCsv:
 
     def test_empty_rows(self, tmp_path):
         p = tmp_path / "metrics.csv"
-        write_metrics_csv(p, [])
+        _write_csv(p, _METRICS_COLUMNS, [])
         assert p.read_text().strip() == "instance_id,k,recall,center_mass"

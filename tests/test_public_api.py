@@ -1,7 +1,11 @@
-"""Every name a module exports in `__all__` resolves, so `import *` works."""
+"""Every name a module exports in `__all__` resolves, so `import *` works; and
+only `fanet.cli` lays out CSV files."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,20 @@ def test_module_all_resolves(name):
 def test_package_all_resolves():
     missing = [n for n in fanet.__all__ if not hasattr(fanet, n)]
     assert not missing, f"fanet.__all__ names missing attributes: {missing}"
+
+
+def _imports(name: str) -> set:
+    """The top-level packages that module fanet.<name> imports, at any depth of its code."""
+    tree = ast.parse(Path(importlib.util.find_spec(f"fanet.{name}").origin).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_cli_imports_csv():
+    """What a CLI artifact holds is decided in `fanet.cli`; the other modules return values."""
+    assert [name for name in MODULES if "csv" in _imports(name)] == ["cli"]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fanet import trainer
+from fanet import cli, trainer
 from fanet.attention import EntitySet
 from fanet.matrices import DEFAULT_EPS, NonFiniteError, ShapeError, ValidationError
 from fanet.metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
@@ -19,7 +19,6 @@ from fanet.trainer import (
     ModelParams,
     TrainConfig,
     _buckets,
-    ablation_cells,
     evaluate,
     forward_task,
     grad_check,
@@ -476,7 +475,8 @@ class TestTraining:
         p2, r2 = train(tr, te, cfg)
         for a, b in zip(p1.arrays().values(), p2.arrays().values()):
             np.testing.assert_array_equal(a, b)
-        assert r1.to_dict() == r2.to_dict()
+        # equal NaNs and signed zeros, field by field
+        np.testing.assert_equal(dataclasses.asdict(r1), dataclasses.asdict(r2))
 
     def test_lambda_zero_identical_to_unsup(self):
         """lam=0 must follow the exact unsup trajectory, bit for bit."""
@@ -486,9 +486,9 @@ class TestTraining:
         p_unsup, r_unsup = train(tr, te, TrainConfig(strategy="unsup", **base))
         for a, b in zip(p_zero.arrays().values(), p_unsup.arrays().values()):
             np.testing.assert_array_equal(a, b)
-        za = [e.to_dict() for e in r_zero.epochs]
-        zb = [e.to_dict() for e in r_unsup.epochs]
-        assert za == zb
+        za = [dataclasses.asdict(e) for e in r_zero.epochs]
+        zb = [dataclasses.asdict(e) for e in r_unsup.epochs]
+        np.testing.assert_equal(za, zb)
 
     def test_unsup_reports_zero_relation_loss(self):
         tr, te = tiny_dataset()
@@ -573,11 +573,13 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train(tr + [bad], te, TrainConfig(d_k=2))
 
-    def test_report_csv_round_trips(self):
+    def test_report_csv_round_trips(self, tmp_path):
         tr, te = tiny_dataset()
         _, report = train(tr, te, TrainConfig(epochs=2, batch_size=2, d_k=2))
-        header = report.csv_header()
-        rows = report.csv_rows()
+        cli._write_report(tmp_path, report)
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0].startswith("# config: ")
+        header, *rows = (line.split(",") for line in lines[1:])
         assert header[0] == "epoch"
         assert "recall@5" in header
         assert len(rows) == 2
@@ -585,11 +587,13 @@ class TestTraining:
         combined_col = header.index("combined_loss")
         assert float(rows[0][combined_col]) == report.epochs[0].combined_loss
 
-    def test_report_json_serializable(self):
+    def test_report_json_serializable(self, tmp_path):
         tr, te = tiny_dataset()
         _, report = train(tr, te, TrainConfig(epochs=2, batch_size=3, d_k=2))
-        blob = json.dumps(report.to_dict())
-        assert "lambda" in json.loads(blob)["config"]
+        cli._write_report(tmp_path, report)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert "lambda" in doc["config"]
+        assert [e["combined_loss"] for e in doc["epochs"]] == [e.combined_loss for e in report.epochs]
 
 
 class TestEvaluate:
@@ -612,12 +616,16 @@ class TestEvaluate:
         cfg = TrainConfig(epochs=1, batch_size=2, d_k=2)
         params, _ = train(tr, te, cfg)
         result = evaluate(te, params, cfg, ks=(1, 5))
-        assert len(result.rows) == 2 * len(te)
-        ids = {row[0] for row in result.rows}
-        assert ids == set(range(len(te)))
+        assert len(result.masses) == len(result.recalls) == len(te)
+        assert all(set(scores) == {1, 5} for scores in result.recalls)
+        for k in (1, 5):  # each mean adds the per-instance values in instance order
+            total = 0.0
+            for scores in result.recalls:
+                total += scores[k]
+            assert result.recall[k] == total / len(te)
 
     def test_vacuous_instances_skip_center_mass(self):
-        """An empty target scores no center-mass: NaN in its rows, not in the mean."""
+        """An empty target scores no center-mass: NaN in `masses`, not in the mean."""
         cfg = TrainConfig(d_k=2)
         params = init_model(3, 3, cfg)
         labeled = check_instance(0)
@@ -626,7 +634,7 @@ class TestEvaluate:
         assert (result.center_mass.n_scored, result.center_mass.n_vacuous) == (1, 1)
         only = evaluate([labeled], params, cfg, ks=(1,))
         assert result.center_mass.mean_m == only.center_mass.mean_m
-        assert math.isnan(result.rows[1][3]) and not math.isnan(result.rows[0][3])
+        assert math.isnan(result.masses[1]) and not math.isnan(result.masses[0])
 
     def test_empty_dataset(self):
         cfg = TrainConfig(d_k=2)
@@ -639,18 +647,18 @@ class TestEvaluate:
 def reference_evaluate(instances, params, config, ks):
     """evaluate as a plain per-instance loop: one forward and one top-K each."""
     correct = 0
-    masses = []
+    scored = []
     recall_sums = {k: 0.0 for k in ks}
     n_vacuous = 0
-    rows = []
-    for idx, inst in enumerate(instances):
+    masses, recalls = [], []
+    for inst in instances:
         fwd = forward_task(inst.entities.features, params, config)
         if int(np.argmax(fwd.class_logits)) == inst.label:
             correct += 1
         m = float("nan")
         if inst.labeled:
             m = float(np.sum(fwd.state.focus_weights * inst.target))
-            masses.append(m)
+            scored.append(m)
         if inst.gt_relations:
             pairs, _ = top_k_pairs(fwd.state.focus_weights, max(ks))
             matches = entity_gt_matching(inst.entities.boxes, inst.entities.boxes, RECALL_IOU)
@@ -660,15 +668,17 @@ def reference_evaluate(instances, params, config, ks):
             per_k = {k: 1.0 for k in ks}
         for k in ks:
             recall_sums[k] += per_k[k]
-            rows.append((idx, k, per_k[k], m))
+        masses.append(m)
+        recalls.append(per_k)
     n = len(instances)
     return EvalResult(
         accuracy=correct / n,
-        center_mass=CenterMassSummary.of(masses, n - len(masses)),
+        center_mass=CenterMassSummary.of(scored, n - len(scored)),
         recall={k: recall_sums[k] / n for k in ks},
         n_instances=n,
         n_recall_vacuous=n_vacuous,
-        rows=tuple(rows),
+        masses=tuple(masses),
+        recalls=tuple(recalls),
     )
 
 
@@ -711,7 +721,7 @@ class TestBucketedEvaluate:
         params = init_model(6, 3, cfg)
         got = evaluate(instances, params, cfg, ks=ks)
         want = reference_evaluate(instances, params, cfg, ks)
-        assert repr(got) == repr(want)  # NaN rows compare by repr, in row order
+        assert repr(got) == repr(want)  # NaN masses compare by repr, in instance order
         assert got.n_recall_vacuous >= 3 and got.center_mass.n_vacuous >= 3
 
     def test_each_instance_matches_against_its_own_boxes(self):
@@ -919,10 +929,10 @@ class TestCheckpoints:
 
 class TestAblation:
     def test_empty_grid_expands_to_nothing(self):
-        assert ablation_cells(TrainConfig(), {}) == []
+        assert cli._ablation_cells(TrainConfig(), {}) == []
 
     def test_product_order_and_ids(self):
-        cells = ablation_cells(
+        cells = cli._ablation_cells(
             TrainConfig(d_k=2), {"strategy": ["unsup", "mat"], "lambda": [0.0, 0.5]}
         )
         ids = [c[0] for c in cells]
@@ -932,12 +942,12 @@ class TestAblation:
             'strategy="mat",lambda=0.0',
             'strategy="mat",lambda=0.5',
         ]
-        assert cells[1][2].strategy == "unsup" and cells[1][2].lam == 0.5
+        assert cells[1][1].strategy == "unsup" and cells[1][1].lam == 0.5
 
     def test_rejects_non_list_values(self):
         with pytest.raises(ValidationError):
-            ablation_cells(TrainConfig(), {"epochs": 3})
+            cli._ablation_cells(TrainConfig(), {"epochs": 3})
 
     def test_rejects_unknown_field(self):
         with pytest.raises(ValidationError):
-            ablation_cells(TrainConfig(), {"learning_rate": [0.1]})
+            cli._ablation_cells(TrainConfig(), {"learning_rate": [0.1]})
