@@ -256,13 +256,15 @@ def _decode_payload(d, name: str, dtype: str = "<f8") -> tuple[tuple, bytes]:
     if d.get("dtype") != dtype:
         raise ValidationError(f"{name}: unsupported dtype {d.get('dtype')!r}, expected {dtype!r}")
     shape = d.get("shape")
-    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-        raise ValidationError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
+    need = _PAYLOAD_DTYPES[dtype].itemsize
+    for s in shape if isinstance(shape, list) else (None,):  # a shape that is not a list fails too
+        if type(s) is not int or s < 0:
+            raise ValidationError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
+        need *= s
     try:
         raw = base64.b64decode(d.get("data"), validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ValidationError(f"{name}: data is not base64 ({exc})") from exc
-    need = math.prod(shape) * _PAYLOAD_DTYPES[dtype].itemsize
     if len(raw) != need:
         raise ValidationError(
             f"{name}: payload holds {len(raw)} bytes, shape {tuple(shape)} needs {need}"

@@ -40,7 +40,7 @@ import numpy as np
 
 from .attention import EntitySet
 from .losses import _check_target, validate_target
-from .matrices import ValidationError, _check_boxes, _decode_array, _decode_payload
+from .matrices import ValidationError, _check_boxes, _decode_payload
 from .matrices import _encode_array, _from_json, _json_dict, as_matrix, check_finite
 from .metrics import _candidates
 from .seeding import STREAM_INSTANCE, _rekeyed, instance_seed, stream_rng
@@ -65,19 +65,15 @@ __all__ = [
 ]
 
 
-_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
-_NO_PAIRS.flags.writeable = False
-
-
-def _index_pairs(raw, n: int, field: str) -> np.ndarray:
-    """Parse a list of [i, j] index pairs into an (m, 2) int64 array.
+def _index_pairs(raw, n: int, field: str) -> tuple:
+    """Parse a list of [i, j] index pairs into a tuple of (int, int) tuples.
 
     Every entry must be two distinct integers in [0, n); otherwise a
     ValidationError names the field and the first bad entry. Types are
     checked on the list itself, because numpy turns a bool among ints into 0/1.
     """
     if isinstance(raw, (list, tuple)) and not raw:
-        return _NO_PAIRS
+        return ()
     flat = None
     try:
         if set(map(len, raw)) == {2} and set(map(type, chain.from_iterable(raw))) == {int}:
@@ -92,7 +88,7 @@ def _index_pairs(raw, n: int, field: str) -> np.ndarray:
         raise ValidationError(
             f"{field}: bad index pair {bad!r}, need two distinct integers in [0, {n})"
         )
-    return flat.reshape(-1, 2)
+    return tuple(map(tuple, flat.reshape(-1, 2).tolist()))
 
 
 def _is_index_pair(p, n: int) -> bool:
@@ -103,8 +99,7 @@ def _is_index_pair(p, n: int) -> bool:
 
 def _set_pairs(spec, field: str, n: int) -> None:
     """Check spec.<field> as index pairs below n; store it as a tuple of int tuples."""
-    pairs = _index_pairs(getattr(spec, field), n, field).tolist()
-    object.__setattr__(spec, field, tuple(map(tuple, pairs)))
+    object.__setattr__(spec, field, _index_pairs(getattr(spec, field), n, field))
 
 
 def _spec_matrix(raw, field: str) -> np.ndarray:
@@ -618,12 +613,13 @@ def _lists_upper_pairs(relations: tuple, t: np.ndarray, count: int) -> bool:
 
 
 def _parse_line(d) -> tuple:
-    """First step of a read: check one parsed line, decode its features and
-    boxes, and make every check that reads no array value; those are left to
+    """First step of a read: check one parsed line, decode its payloads to
+    bytes, and make every check that reads no array value; those are left to
     the constructors.
 
-    Returns (n, the packed target bytes, gt_relations or None when omitted,
-    (features, categories, boxes, label, tokens, tags)).
+    Returns ((n, feature dim, boxes' shape or None), the bytes of (the packed
+    target, the features, the boxes or b""), gt_relations or None when
+    omitted, (categories, label, tokens, tags)).
     """
     if not isinstance(d, dict):
         raise ValidationError(f"expected an object, got {type(d).__name__}")
@@ -640,13 +636,12 @@ def _parse_line(d) -> tuple:
     ent = _required(d, "entities")
     if not isinstance(ent, dict):
         raise ValidationError(f"entities: expected an object, got {type(ent).__name__}")
-    features = _decode_array(_required(ent, "features"), "features")
-    boxes = ent.get("boxes")
-    boxes = _decode_array(boxes, "boxes") if boxes is not None else None
+    fshape, features = _decode_payload(_required(ent, "features"), "features")
+    bshape, boxes = (None, b"") if ent.get("boxes") is None else _decode_payload(ent["boxes"], "boxes")
     categories = _categories(ent.get("categories"))
-    if features.ndim != 2 or 0 in features.shape:  # not a matrix: as_matrix names the fault
-        as_matrix(features, "features")
-    n = features.shape[0]
+    if len(fshape) != 2 or 0 in fshape:  # not a matrix: as_matrix names the fault
+        as_matrix(np.frombuffer(features).reshape(fshape), "features")
+    n = fshape[0]
     m = n * (n - 1) // 2
     tshape, traw = _decode_payload(_required(d, "target"), "target", "u1")
     if tshape != ((m + 7) // 8,):
@@ -657,13 +652,14 @@ def _parse_line(d) -> tuple:
         raise ValidationError("target: padding bits after the last pair must be zero")
     relations = None
     if "gt_relations" in d:
-        relations = _index_pairs(d["gt_relations"], n, "gt_relations").tolist()
-        relations = tuple(map(tuple, relations))
+        relations = _index_pairs(d["gt_relations"], n, "gt_relations")
     label = _required(d, "label")
     if type(label) is not int:  # bool is an int subclass; Instance checks label >= 0
         raise ValidationError(f"label: expected an int >= 0, got {label!r}")
-    tokens, tags = _strings(d.get("tokens"), n, "tokens"), _strings(d.get("tags"), n, "tags")
-    return n, traw, relations, (features, categories, boxes, label, tokens, tags)
+    tokens = tags = None
+    if "tokens" in d or "tags" in d:  # document lines
+        tokens, tags = _strings(d.get("tokens"), n, "tokens"), _strings(d.get("tags"), n, "tags")
+    return (n, fshape[1], bshape), (traw, features, boxes), relations, (categories, label, tokens, tags)
 
 
 def _required(d: dict, field: str):
@@ -672,16 +668,20 @@ def _required(d: dict, field: str):
     return d[field]
 
 
-def _unpack_targets(n: int, given: list, packed) -> tuple:
-    """The targets of the lines with n entities, unpacked at once.
+def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
+    """The arrays of one group of lines (`read_jsonl`), each made at once.
 
-    `given` holds each line's gt_relations (None where omitted) and `packed`
-    their packed targets back to back. Returns the (B, n, n) targets, each
-    line's gt_relations (its own, or where it omitted them the target's
-    pairs, i < j, row-major) and each line's `labeled`, whether it packs any
-    pair.
+    `given` holds each line's gt_relations (None where omitted) and `buffers`
+    their packed targets, features and boxes, each back to back. Returns the
+    (B, n, n) targets, each line's gt_relations (its own, or where it omitted
+    them the target's pairs, i < j, row-major) and `labeled` (whether it packs
+    any pair), and the float64 (B, n, d) features and (B, ...) boxes or None.
     """
+    n, d, bshape = key
     size = len(given)
+    packed, *payloads = buffers  # the float64 arrays read their buffers in place
+    features, boxes = (np.frombuffer(b, "<f8").astype(np.float64, copy=False) for b in payloads)
+    arrays = features.reshape(size, n, d), None if bshape is None else boxes.reshape(size, *bshape)
     m = n * (n - 1) // 2
     bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(size, (m + 7) // 8), axis=1, count=m)
     labeled = bits.any(axis=1).tolist()
@@ -695,7 +695,7 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
         for t, b in zip(targets, bits):
             t[upper] = b
             t += t.T
-        return targets, relations, labeled
+        return targets, relations, labeled, *arrays
     # the cells i < j in row-major order, as packed, through the indices that
     # top-K caches too; they also give the pairs of the lines that omitted theirs
     rows, cols = _candidates(n)
@@ -706,7 +706,7 @@ def _unpack_targets(n: int, given: list, packed) -> tuple:
     pairs = tuple(zip(rows[pair].tolist(), cols[pair].tolist()))
     for k, start, end in zip(omitted, [0, *ends], ends):
         relations[k] = pairs[start:end]
-    return targets, relations, labeled
+    return targets, relations, labeled, *arrays
 
 
 def _categories(raw) -> Optional[np.ndarray]:
@@ -754,16 +754,17 @@ def read_jsonl(path) -> list:
     """Parse a dataset file; errors carry the 1-based line number.
 
     One pass in file order makes every check that reads no array value: each
-    line decodes its features and boxes and joins the group of its entity
-    count. The targets of each group then unpack at once, and every check the
-    constructors make runs once per group, on stacked arrays. When every
-    group passes, every Instance is built in file order without checking it
-    again. Otherwise, or when the pass stopped at a bad line, the lines it
-    read are built through the checked constructors, so the first bad line in
-    the file is the one named, with the constructors' own message.
+    line decodes its payloads to bytes and joins the group of its entity
+    count, feature dim and boxes' shape. Each group's arrays are then made at
+    once, and every check the constructors make runs once per group, on those
+    stacked arrays. When every group passes, every Instance is built in file
+    order, on views of them, without checking it again. Otherwise, or when
+    the pass stopped at a bad line, the lines it read are built through the
+    checked constructors, so the first bad line in the file is the one named,
+    with the constructors' own message.
     """
-    parsed = []  # file order: (lineno, n, index in the group of n)
-    groups: dict = {}  # n -> (each line's gt_relations, their packed targets, their fields)
+    parsed = []  # file order: (lineno, group key, index in the group)
+    groups: dict = {}  # key -> (each line's gt_relations, `_unpack_group`'s buffers, their fields)
     failure = None
     try:  # bytes that are not UTF-8 are read as escapes, for the check below to name their line
         fh = open(path, encoding="utf-8", errors="surrogateescape")
@@ -776,40 +777,40 @@ def read_jsonl(path) -> list:
             try:
                 if not line.isascii():  # undoing the escapes raises at bytes that are not UTF-8
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                n, packed, relations, fields = _parse_line(json.loads(line))
+                key, payloads, relations, fields = _parse_line(json.loads(line))
             # UnicodeDecodeError is a ValueError; deep nesting recurses too far,
             # in json.loads or in quoting a value in a message
             except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
                 failure = lineno, exc
                 break
-            given, buffer, lines = groups.setdefault(n, ([], bytearray(), []))
-            parsed.append((lineno, n, len(given)))
-            buffer += packed
+            given, buffers, lines = groups.setdefault(key, ([], (bytearray(), bytearray(), bytearray()), []))
+            parsed.append((lineno, key, len(given)))
+            for buffer, raw in zip(buffers, payloads):
+                buffer += raw
             given.append(relations)
             lines.append(fields)
-    unpacked = {n: _unpack_targets(n, given, buffer) for n, (given, buffer, _) in groups.items()}
+    unpacked = {key: _unpack_group(key, given, buffers) for key, (given, buffers, _) in groups.items()}
     checked = False
     if failure is None:
         try:
-            for n in groups:
-                _check_group(n, groups[n][2], unpacked[n][0])
+            for key, (targets, _, _, features, boxes) in unpacked.items():
+                _check_group(key[0], groups[key][2], targets, features, boxes)
             checked = True
         except ValidationError:
             pass
     out = []
-    for lineno, n, i in parsed:
-        features, categories, boxes, label, tokens, tags = groups[n][2][i]
-        targets, relations, labeled = unpacked[n]
-        entity_fields = dict(features=features, categories=categories, boxes=boxes)
-        fields = dict(
-            target=targets[i], label=label, gt_relations=relations[i], tokens=tokens, tags=tags
-        )
+    for lineno, key, i in parsed:
+        categories, label, tokens, tags = groups[key][2][i]
+        targets, relations, labeled, features, boxes = unpacked[key]
+        features, boxes = features[i], None if boxes is None else boxes[i]
         if checked:
-            entities = _unchecked(EntitySet, **entity_fields)
-            out.append(_unchecked(Instance, entities=entities, labeled=labeled[i], **fields))
+            entities = _unchecked(EntitySet, features=features, categories=categories, boxes=boxes)
+            out.append(_unchecked(Instance, entities=entities, target=targets[i], label=label,
+                                  gt_relations=relations[i], tokens=tokens, tags=tags, labeled=labeled[i]))
             continue
         try:
-            out.append(Instance(entities=EntitySet(**entity_fields), **fields))
+            out.append(Instance(EntitySet(features, categories, boxes), targets[i], label, relations[i],
+                                tokens, tags))
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if failure is not None:
@@ -819,25 +820,22 @@ def read_jsonl(path) -> list:
     return out
 
 
-def _check_group(n: int, lines: list, targets: np.ndarray) -> None:
-    """Every check EntitySet and Instance make, once over the lines with n
-    entities: their fields as `_parse_line` returns them and their
-    (B, n, n) targets. Raises ValidationError on a fault, not necessarily the
-    first line's.
+def _check_group(n: int, lines: list, targets, features, boxes) -> None:
+    """Every check EntitySet and Instance make, once over a group's lines (their
+    fields as `_parse_line` returns them) and its arrays (`_unpack_group`).
+    Raises ValidationError on a fault, not necessarily the first line's.
 
-    `_parse_line` already made the features 2-D float64 matrices with n rows,
-    the categories int64 arrays and the labels ints.
+    `_parse_line` already checked the features' shape, and made the
+    categories int64 arrays and the labels ints.
     """
-    features, categories, boxes, labels = zip(*(fields[:4] for fields in lines))
-    check_finite(np.concatenate(features, axis=None), "features")
-    if any(c is not None and len(c) != n for c in categories):
+    check_finite(features, "features")
+    if any(c is not None and len(c) != n for c, *_ in lines):
         raise ValidationError(f"categories length does not match n={n}")
-    boxed = [b for b in boxes if b is not None]
-    if boxed:
-        if any(b.shape != (n, 4) for b in boxed):
+    if boxes is not None:
+        if boxes.shape[1:] != (n, 4):
             raise ValidationError(f"boxes must be ({n}, 4)")
-        _check_boxes(np.stack(boxed))
-    if min(labels) < 0:
+        _check_boxes(boxes)
+    if min(label for _, label, *_ in lines) < 0:
         raise ValidationError("label must be >= 0")
     validate_target(targets)
 

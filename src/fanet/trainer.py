@@ -582,9 +582,9 @@ def evaluate(
             per_k[i] = _recall_at_ks(inst_pairs, inst_matches, instances[i].gt_relations, ks)
     vacuous = {k: 1.0 for k in ks}
     recalls = tuple(vacuous if scores is None else scores for scores in per_k)
-    recall_sums = {k: 0.0 for k in ks}
+    recall_sums = {k: 0.0 for k in ks}  # one sum per distinct K, however often it repeats
     for scores in recalls:
-        for k in ks:
+        for k in recall_sums:
             recall_sums[k] += scores[k]
     scored = [m for m, inst in zip(masses, instances) if inst.labeled]
     return EvalResult(

@@ -796,6 +796,90 @@ class TestEval:
         assert code == EXIT_USER
 
 
+def _base64_reason(data) -> str:
+    """What the standard library's strict base64 decoder says about `data`;
+    its wording differs between Python versions."""
+    try:
+        base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{data!r} decodes")
+
+
+def _resized(entry, extra: int) -> dict:
+    raw = _payload(entry)
+    return {**entry, "data": base64.b64encode(raw[:extra] if extra < 0 else raw + bytes(extra)).decode()}
+
+
+# A fault in an encoded array, as (the faulty entry made from a good one, the
+# message it gives after the array's name). The same decoder reads dataset
+# lines and checkpoints, so each fault reads the same in both.
+PAYLOAD_FAULTS = {
+    "list": (lambda e: [1.0], lambda e: "expected an encoded array object, got list"),
+    "null": (lambda e: None, lambda e: "expected an encoded array object, got NoneType"),
+    "dtype": (lambda e: {**e, "dtype": "<f4"}, lambda e: "unsupported dtype '<f4', expected '<f8'"),
+    "dtype_missing": (lambda e: {k: v for k, v in e.items() if k != "dtype"},
+                      lambda e: "unsupported dtype None, expected '<f8'"),
+    "shape_int": (lambda e: {**e, "shape": 3},
+                  lambda e: "shape must be a list of non-negative integers, got 3"),
+    "shape_missing": (lambda e: {k: v for k, v in e.items() if k != "shape"},
+                      lambda e: "shape must be a list of non-negative integers, got None"),
+    "shape_bool": (lambda e: {**e, "shape": [True, e["shape"][1]]},
+                   lambda e: f"shape must be a list of non-negative integers, got [True, {e['shape'][1]}]"),
+    "shape_negative": (lambda e: {**e, "shape": [-1, e["shape"][1]]},
+                       lambda e: f"shape must be a list of non-negative integers, got [-1, {e['shape'][1]}]"),
+    "shape_float": (lambda e: {**e, "shape": [float(e["shape"][0]), e["shape"][1]]},
+                    lambda e: "shape must be a list of non-negative integers, "
+                              f"got [{float(e['shape'][0])}, {e['shape'][1]}]"),
+    "data_null": (lambda e: {**e, "data": None},
+                  lambda e: f"data is not base64 ({_base64_reason(None)})"),
+    "data_missing": (lambda e: {k: v for k, v in e.items() if k != "data"},
+                     lambda e: f"data is not base64 ({_base64_reason(None)})"),
+    "data_not_base64": (lambda e: {**e, "data": "not base64!"},
+                        lambda e: f"data is not base64 ({_base64_reason('not base64!')})"),
+    "data_bad_padding": (lambda e: {**e, "data": e["data"][:-1]},
+                         lambda e: f"data is not base64 ({_base64_reason(e['data'][:-1])})"),
+    "bytes_short": (lambda e: _resized(e, -8),
+                    lambda e: f"payload holds {8 * np.prod(e['shape']) - 8} bytes, "
+                              f"shape {tuple(e['shape'])} needs {8 * np.prod(e['shape'])}"),
+    "bytes_long": (lambda e: _resized(e, 8),
+                   lambda e: f"payload holds {8 * np.prod(e['shape']) + 8} bytes, "
+                             f"shape {tuple(e['shape'])} needs {8 * np.prod(e['shape'])}"),
+}
+
+
+class TestPayloadFaults:
+    """Every fault in an encoded array exits 2 with a message that names the
+    file, the array and the fault; the texts are pinned here."""
+
+    @pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
+    def test_dataset_line(self, tmp_path, data_dir, run_dir, capsys, fault):
+        lines = Path(data_dir, "test.jsonl").read_text().splitlines()
+        second = json.loads(lines[1])
+        make, message = PAYLOAD_FAULTS[fault]
+        good = second["entities"]["features"]
+        second["entities"]["features"] = make(good)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(lines[0] + "\n" + json.dumps(second) + "\n")
+        code = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+                     "--data", str(bad), "--out", str(tmp_path / "x")])
+        assert code == EXIT_USER
+        assert capsys.readouterr().err == f"error: {bad}:2: features: {message(good)}\n"
+
+    @pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
+    def test_checkpoint(self, tmp_path, data_dir, run_dir, capsys, fault):
+        doc = json.loads(Path(run_dir, "checkpoint.json").read_text())
+        make, message = PAYLOAD_FAULTS[fault]
+        good = doc["params"]["w_k"]
+        doc["params"]["w_k"] = make(good)
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--data", os.path.join(data_dir, "test.jsonl"), "--out", str(tmp_path / "x")])
+        assert code == EXIT_USER
+        assert capsys.readouterr().err == f"error: {bad}: params.w_k: {message(good)}\n"
+
+
 class TestExportAttention:
     def export(self, out_path, data_dir, run_dir, instance=0, extra=()):
         return main(
@@ -1400,6 +1484,23 @@ class TestConfigFlagsAndColumns:
         assert header[-3:] == ["accuracy", "recall@5", "recall@5"]
         assert len(rows) == 3
         assert all(len(row) == len(header) and row[-1] == row[-2] for row in rows)
+
+    def test_repeated_k_reports_the_recall_of_one_k(self, tmp_path, data_dir, run_dir):
+        """Both recall@5 columns of a 5,5 run hold what a run with K = 5 alone reports."""
+        tables = {}
+        for ks in ("5", "5,5"):
+            train_out, eval_out = tmp_path / f"run{ks}", tmp_path / f"eval{ks}"
+            argv = ["train", "--data", data_dir, "--out", str(train_out), "--eval-ks", ks]
+            assert main(argv + FAST_TRAIN) == EXIT_OK
+            argv = ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+                    "--data", os.path.join(data_dir, "test.jsonl"), "--ks", ks, "--out", str(eval_out)]
+            assert main(argv) == EXIT_OK
+            tables[ks] = _csv_rows(train_out / "report.csv"), _csv_rows(eval_out / "summary.csv")
+        (report, summary), (report2, summary2) = tables["5"], tables["5,5"]
+        recalls = [row[-1] for row in report[1:]] + [summary[1][-2]]
+        assert any(float(r) > 0 for r in recalls)  # so that counting K twice shows
+        assert [row[-2:] for row in report2[1:]] == [[r, r] for r in recalls[:-1]]
+        assert summary2[1][-3:-1] == [recalls[-1]] * 2
 
     def test_cells_keep_the_base_ks_and_curves_each_cells_own(self, tmp_path, data_dir):
         grid = tmp_path / "grid.json"

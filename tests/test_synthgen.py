@@ -734,6 +734,23 @@ class TestGroupedRead:
         with pytest.raises(ValidationError, match=re.escape("bad.jsonl:3: target: padding bits")):
             read_jsonl(p)
 
+    def test_feature_dims_and_boxes_may_differ_at_one_entity_count(self, tmp_path):
+        """Lines with n entities are stacked by feature dim and boxes' shape too;
+        a fault in one stack names its line."""
+        six, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 4, 1, seed=3)
+        wide, _ = generate_dataset(
+            tiny_world(entities_min=6, entities_max=6, prototypes=3.0 * np.eye(6, 9)), 3, 1, seed=4)
+        want = [six[0], wide[0], six[1], wide[1], six[2], wide[2], six[3]]
+        p = tmp_path / "dims.jsonl"
+        write_jsonl(p, want)
+        assert_bit_identical(read_jsonl(p), want)
+        lines = [json.loads(line) for line in p.read_text().splitlines()]
+        lines[3]["entities"]["boxes"] = None
+        _set_entry("features", 3, np.nan)(lines[5])
+        _write_lines(p, lines)
+        with pytest.raises(ValidationError, match=re.escape("dims.jsonl:6: features contains non-finite")):
+            read_jsonl(p)
+
     def test_instances_of_a_group_do_not_share_cells(self, tmp_path):
         want, _ = _same_shape_lines(tmp_path)
         got = read_jsonl(tmp_path / "bad.jsonl")

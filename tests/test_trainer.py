@@ -611,6 +611,15 @@ class TestEvaluate:
         result = evaluate(te, params, cfg, ks=(2, 4))
         assert set(result.recall) == {2, 4}
 
+    def test_repeated_k_is_summed_once(self):
+        """A cutoff given twice reports the mean recall it reports given once."""
+        tr, te = tiny_dataset()
+        cfg = TrainConfig(epochs=1, batch_size=2, d_k=2)
+        params, _ = train(tr, te, cfg)
+        once = evaluate(te, params, cfg, ks=(5,))
+        assert once.recall[5] > 0  # so that counting it twice shows
+        assert evaluate(te, params, cfg, ks=(5, 5)).recall == once.recall
+
     def test_rows_align_with_instances(self):
         tr, te = tiny_dataset()
         cfg = TrainConfig(epochs=1, batch_size=2, d_k=2)
