@@ -6,6 +6,8 @@ Center-mass M is the probability the focus distribution assigns to labeled
 pairs. The focal loss -(1 - M)^r log(M) shrinks as M grows; raising r
 silences instances that are already easy. The gradient with respect to the
 logits has the simple form L'(M) * s * (T - M) and always sums to zero.
+When M underflows, the loss is taken in log space from the logits, so it
+stays exact and its gradient keeps pointing at the labeled pairs.
 
 Run with: python3 demos/focus_loss_tour.py
 """
@@ -48,14 +50,14 @@ print("4. dL/dW = L'(M) s (T - M): always sums to zero, negative on labeled cell
 rng = np.random.default_rng(3)
 logits = rng.normal(size=(n, n))
 r0 = FocusLossConfig(r=0)  # L = -log(M)
-loss, m, grad = relation_loss(softmax_matrix(logits), target, r0)
+loss, m, grad = relation_loss(softmax_matrix(logits), target, r0, logits)
 print(f"M = {m:.4f}, -log(M) = {loss:.4f}, gradient sum = {grad.sum():.2e}")
 print(grad, "\n")
 
 print("5. Gradient descent on raw logits drives all mass onto the target")
 logits = rng.normal(size=(n, n))
 for step in range(401):
-    loss_r0, m, grad = relation_loss(softmax_matrix(logits), target, r0)
+    loss_r0, m, grad = relation_loss(softmax_matrix(logits), target, r0, logits)
     if step in (0, 10, 25, 50, 100, 200, 400):
         loss_r2 = focal_loss(m, FocusLossConfig(r=2))
         print(f"  step {step:>3}: M = {m:.4f}  -log(M) = {loss_r0:.4f}"
@@ -64,3 +66,12 @@ for step in range(401):
 print("\nThe r = 2 column collapses toward zero much earlier: once an")
 print("instance is mostly solved, the focal factor stops spending gradient")
 print("on it, freeing capacity for harder instances in a batch.")
+
+print("\n6. An underflowed M still has a finite loss and a working gradient")
+logits = np.zeros((n, n))
+logits[2, 3] = 800.0  # one unlabeled pair takes all the mass: M = 0 in float64
+loss, m, grad = relation_loss(softmax_matrix(logits), target, r0, logits)
+print(f"M = {m}, -log(M) = {loss:.4f} (log space: 800 - log 2)")
+print(f"gradient sum = {grad.sum():.2e}; a descent step raises the labeled logits")
+print("and lowers the +800 one:")
+print(grad)

@@ -37,12 +37,10 @@ from .losses import (
     smooth_l1_loss,
 )
 from .matrices import (
-    DEFAULT_EPS,
     NonFiniteError,
     ShapeError,
     ValidationError,
     softmax_matrix,
-    stable_log,
 )
 from .metrics import (
     CenterMassSummary,
@@ -89,12 +87,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # matrices
-    "DEFAULT_EPS",
     "ValidationError",
     "ShapeError",
     "NonFiniteError",
     "softmax_matrix",
-    "stable_log",
     # attention
     "EntitySet",
     "AttentionParams",

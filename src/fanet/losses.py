@@ -9,24 +9,25 @@ sitting on ground-truth-labeled entries: M = sum(focus * target), a scalar in
 whose (1-M)^r factor damps the gradient of well-converged instances. Two
 ablation variants over x = 1 - M are also provided (plain square, and the
 quadratic/linear piecewise form). Gradients w.r.t. the raw logits use the
-closed form dM/dW[k, l] = s[k, l] * (T[k, l] - M) with s the matrix softmax;
-`relation_loss` returns the loss, M and dL/dW together from one softmax.
+closed form dM/dW[k, l] = s[k, l] * (T[k, l] - M) with s the softmax.
+`relation_loss` returns the loss, M and dL/dW together for every supervised
+strategy; below `FocusLossConfig.eps` the focal loss is taken in log space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .matrices import (
-    DEFAULT_EPS,
     ShapeError,
     ValidationError,
     as_matrix,
     check_finite,
     check_same_shape,
-    stable_log,
 )
 
 __all__ = [
@@ -51,11 +52,11 @@ FOCUS_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FocusLossConfig:
-    """Loss selection: focal exponent r, variant, and the log guard eps."""
+    """Loss selection: focal exponent r and variant; `eps` is a class constant."""
 
     r: int = 2
     variant: str = "focal"
-    eps: float = DEFAULT_EPS
+    eps: ClassVar[float] = 1e-12
 
     def __post_init__(self):
         if self.r not in SUPPORTED_FOCAL_EXPONENTS:
@@ -66,8 +67,6 @@ class FocusLossConfig:
             raise ValidationError(
                 f"variant must be one of {LOSS_VARIANTS}, got {self.variant!r}"
             )
-        if not (0.0 < self.eps <= 1e-6):
-            raise ValidationError(f"eps must lie in (0, 1e-6], got {self.eps}")
 
 
 def validate_target(target) -> np.ndarray:
@@ -113,10 +112,12 @@ def center_mass(focus_weights, target) -> float:
 
 
 def focal_loss(m: float, config: FocusLossConfig = FocusLossConfig()) -> float:
-    """-(1 - m)^r * log(m), eps-guarded; exactly 0 at m = 1."""
+    """-(1 - m)^r * log(m): exactly 0 at m = 1, +inf at m = 0."""
     if m == 1.0:
         return 0.0
-    return -((1.0 - m) ** config.r) * stable_log(m, config.eps)
+    if m == 0.0:
+        return math.inf
+    return -((1.0 - m) ** config.r) * math.log(m)
 
 
 def l2_loss(m: float) -> float:
@@ -139,43 +140,87 @@ def loss_value(m: float, config: FocusLossConfig) -> float:
 
 
 def loss_grad(m: float, config: FocusLossConfig) -> float:
-    """dL/dM for the selected variant, eps-clamped near M = 0."""
+    """dL/dM for the selected variant; the focal one needs m > 0."""
     if config.variant == "l2":
         return -2.0 * (1.0 - m)
     if config.variant == "smooth_l1":
         x = 1.0 - m
         return -2.0 * x if x < 0.5 else -1.0
-    # focal: r(1-M)^{r-1} log(M) - (1-M)^r / M, with M clamped to eps in both
-    # the log and the reciprocal (bounded gradient at the degenerate start)
-    m_safe = max(m, config.eps)
+    # focal: r(1-M)^{r-1} log(M) - (1-M)^r / M
     r = config.r
     if r == 0:
-        return -1.0 / m_safe
-    return r * (1.0 - m) ** (r - 1) * stable_log(m, config.eps) - (1.0 - m) ** r / m_safe
+        return -1.0 / m
+    return r * (1.0 - m) ** (r - 1) * math.log(m) - (1.0 - m) ** r / m
 
 
 def relation_loss(
-    focus_weights: np.ndarray, target: np.ndarray, config: FocusLossConfig
+    focus_weights: np.ndarray,
+    target: np.ndarray,
+    config: FocusLossConfig,
+    logits: np.ndarray,
+    axis: Optional[int] = None,
 ) -> tuple[float, float, np.ndarray]:
-    """Matrix-path relation loss as (loss, M, dL/dW), from one matrix softmax.
+    """(loss, M, dL/dW) of the relation term, from the forward's softmax s and logits W.
 
-    focus_weights is the matrix softmax s of the logits W, as the attention
-    forward returns it; target is a checked target of the same shape (an
-    Instance's, or validate_target's result). With M = sum(s * T), the
-    gradient is the closed form dL/dW = L'(M) * s * (T - M), which sums to
-    zero in exact arithmetic: sum(s * T) - M * sum(s) = M - M.
-
-    A target with no labeled relations yields loss 0, M 0 and a zero
-    gradient exactly (there is no mass to concentrate); callers exclude such
-    instances from center-mass reporting.
+    axis=None: s is the matrix softmax (focus_weights) and M = sum(s * T).
+    axis=-1: s is the row softmax (agg_weights); the loss is the mean of
+    L(M_i) over the rows i that label a cell, and M the mean of their M_i.
+    target is a checked target of s's shape. dL/dW = L'(M) * s * (T - M),
+    which sums to zero; below FocusLossConfig.eps a focal M is taken in log
+    space, log M = logsumexp(W[T]) - logsumexp(W), with dL/dW = M L'(M) * (q - s)
+    and q the softmax over the labeled cells. M L'(M) -> -1 as M -> 0, so the
+    gradient survives M's underflow. An empty target gives (0.0, 0.0, zeros).
     """
     check_same_shape(focus_weights, target, "focus_weights and target")
-    m = float(np.add.reduce(focus_weights * target, axis=None))
-    # M is exactly 0 for an empty target; only then is the target scanned
-    if m == 0.0 and not target.any():
-        return 0.0, 0.0, np.zeros_like(focus_weights)
-    # in one fresh array; each element rounds as L'(M) * (s * (T - M)) would
-    grad = target - m
-    grad *= focus_weights
-    grad *= loss_grad(m, config)
-    return loss_value(m, config), m, grad
+    if axis not in (None, -1):
+        raise ValidationError(f"axis must be None (the matrix) or -1 (rows), got {axis!r}")
+    if axis is None:
+        m = float(np.add.reduce(focus_weights * target, axis=None))
+        # M is exactly 0 for an empty target; only then is the target scanned
+        if m == 0.0 and not target.any():
+            return 0.0, 0.0, np.zeros_like(focus_weights)
+        if config.variant == "focal" and m < FocusLossConfig.eps:
+            value, grad = _log_space(focus_weights, target, config, logits)
+            return value, m, grad
+        # in one fresh array; each element rounds as L'(M) * (s * (T - M)) would
+        grad = target - m
+        grad *= focus_weights
+        grad *= loss_grad(m, config)
+        return loss_value(m, config), m, grad
+    rows = np.flatnonzero(target.any(axis=-1))
+    grad = np.zeros_like(focus_weights)
+    if rows.size == 0:
+        return 0.0, 0.0, grad
+    s, t = focus_weights[rows], target[rows]
+    m = np.add.reduce(s * t, axis=-1)
+    total, slopes, logged = 0.0, [], {}
+    for k, m_k in enumerate(m.tolist()):
+        if config.variant == "focal" and m_k < FocusLossConfig.eps:
+            value, logged[k] = _log_space(s[k], t[k], config, logits[rows[k]])
+            slopes.append(0.0)  # its gradient row is set from log space below
+        else:
+            value = loss_value(m_k, config)
+            slopes.append(loss_grad(m_k, config))
+        total += value
+    # each row rounds as (L'(M_i) * s_i) * (t_i - M_i) / R
+    g = np.array(slopes)[:, None] * s
+    g *= t - m[:, None]
+    for k, row_grad in logged.items():
+        g[k] = row_grad
+    g /= rows.size
+    grad[rows] = g
+    return total / rows.size, float(m.mean()), grad
+
+
+def _log_space(s: np.ndarray, t: np.ndarray, config: FocusLossConfig, logits: np.ndarray):
+    """(focal loss, dL/dW) from log M, for one softmax s of `logits` (a matrix or a row)."""
+    on = np.where(t != 0.0, logits, -np.inf)
+    top, top_on = np.max(logits), np.max(on)
+    q = np.exp(on - top_on)  # the softmax over the labeled cells, once normalized
+    mass_on = np.sum(q)
+    q /= mass_on
+    log_m = float(top_on + np.log(mass_on) - top - np.log(np.sum(np.exp(logits - top))))
+    m, r = math.exp(log_m), config.r
+    # M L'(M) = r M (1-M)^{r-1} log M - (1-M)^r
+    m_slope = r * m * (1.0 - m) ** (r - 1) * log_m - (1.0 - m) ** r
+    return -((1.0 - m) ** r) * log_m, m_slope * (q - s)

@@ -1,4 +1,4 @@
-"""Dense matrix helpers: validation and numerically stable softmax/log primitives,
+"""Dense matrix helpers: validation and the numerically stable softmax,
 and the readers and writers of the JSON files and dataclass fields the CLI reads.
 
 All matrices in this package are plain 2-D float64 numpy arrays in row-major
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -27,10 +26,7 @@ __all__ = [
     "check_finite",
     "check_same_shape",
     "softmax_matrix",
-    "stable_log",
 ]
-
-DEFAULT_EPS = 1e-12
 
 
 class ValidationError(ValueError):
@@ -214,18 +210,6 @@ def _softmax(w: np.ndarray, axis) -> np.ndarray:
 def softmax_matrix(m) -> np.ndarray:
     """Matrix-wise softmax: one distribution over all entries, summing to 1."""
     return _softmax(as_matrix(m, "logits"), None)
-
-
-def stable_log(x: float, eps: float = DEFAULT_EPS) -> float:
-    """log(max(x, eps)); guards log at x -> 0.
-
-    x must be >= 0 and eps > 0.
-    """
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    if x < 0.0:
-        raise ValidationError(f"stable_log expects x >= 0, got {x}")
-    return math.log(max(x, eps))
 
 
 # --- array payloads ----------------------------------------------------------------

@@ -642,6 +642,8 @@ def _parse_line(d) -> tuple:
     if len(fshape) != 2 or 0 in fshape:  # not a matrix: as_matrix names the fault
         as_matrix(np.frombuffer(features).reshape(fshape), "features")
     n = fshape[0]
+    if n > MAX_ITEMS:  # before the target, which unpacks to n x n floats
+        raise ValidationError(f"features: expected at most {MAX_ITEMS} entities, got {n}")
     m = n * (n - 1) // 2
     tshape, traw = _decode_payload(_required(d, "target"), "target", "u1")
     if tshape != ((m + 7) // 8,):

@@ -11,10 +11,10 @@ supervision target. Backpropagation is hand-derived end to end; there is no
 autodiff anywhere, which keeps the gradients checkable against central finite
 differences.
 
-Supervision strategies:
+Supervision strategies (each supervised one is a `losses.relation_loss` call):
 
   * ``row``       per-reference softmax; the loss averages the per-row center
-                  mass over rows that have at least one labeled partner;
+                  mass loss over rows that have at least one labeled partner;
   * ``mat``       matrix-wise softmax, plain cross entropy (focal exponent
                   forced to 0 when the variant is focal);
   * ``mat_focal`` matrix-wise softmax with the configured focal exponent;
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import attention
 from .attention import AttentionState
-from .losses import FocusLossConfig, loss_grad, loss_value, relation_loss
+from .losses import FocusLossConfig, relation_loss
 from .matrices import (
     NonFiniteError,
     ShapeError,
@@ -361,42 +361,14 @@ def combined_loss(task: float, relation: float, lam: float) -> float:
     return task + lam * relation
 
 
-# --- relation term, per strategy ---------------------------------------------
-
-
-def _row_relation(a: np.ndarray, t: np.ndarray, cfg: FocusLossConfig):
-    """Row-path loss and logit gradient, averaged over rows with any positive.
-
-    `a` is the forward's row softmax of the logits (its agg_weights). Per
-    reference row i with center mass M_i = sum_j a_ij t_ij, the closed form
-    mirrors the matrix path: dM_i/dW[i, :] = a_i * (t_i - M_i).
-    """
-    rows = np.flatnonzero(t.any(axis=1))
-    grad = np.zeros_like(a)
-    if rows.size == 0:
-        return 0.0, grad
-    total = 0.0
-    for i in rows:
-        m_i = float(np.sum(a[i] * t[i]))
-        total += loss_value(m_i, cfg)
-        grad[i] = loss_grad(m_i, cfg) * a[i] * (t[i] - m_i) / rows.size
-    return total / rows.size, grad
-
-
-def relation_term(
-    state: AttentionState, target: np.ndarray, config: TrainConfig
-) -> tuple[float, np.ndarray]:
-    """(loss, d_loss/d_logits) for the configured strategy; zeros for unsup."""
-    if config.strategy == "unsup":
-        return 0.0, np.zeros_like(state.logits)
-    cfg = config.focus_config()
-    if config.strategy == "row":
-        return _row_relation(state.agg_weights, target, cfg)
-    value, _, grad = relation_loss(state.focus_weights, target, cfg)
-    return value, grad
-
-
 # --- gradients for one instance ----------------------------------------------
+
+
+def _relation(state: AttentionState, target: np.ndarray, config: TrainConfig):
+    """relation_loss over the rows of agg_weights for `row`, else over focus_weights."""
+    if config.strategy == "row":
+        return relation_loss(state.agg_weights, target, config.focus_config(), state.logits, -1)
+    return relation_loss(state.focus_weights, target, config.focus_config(), state.logits)
 
 
 def _accumulate_instance(
@@ -426,7 +398,7 @@ def _accumulate_instance(
 
     r_loss = 0.0
     if weight_rel != 0.0:
-        r_loss, d_rel = relation_term(state, instance.target, config)
+        r_loss, _, d_rel = _relation(state, instance.target, config)
     if config.freeze_attention:
         return t_loss, r_loss
 
@@ -439,7 +411,7 @@ def _accumulate_instance(
     d_logits = attention._softmax_vjp(state.agg_weights, d_agg, -1)
     d_logits *= weight_task
     if weight_rel != 0.0:
-        d_rel *= weight_rel  # d_rel is relation_term's own fresh array
+        d_rel *= weight_rel  # d_rel is relation_loss's own fresh array
         d_logits += d_rel
 
     d_w_k, d_w_q = attention.backward(state, d_logits, instance.entities, params)
@@ -727,7 +699,7 @@ def _combined_loss_at(instance: Instance, params: ModelParams, config: TrainConf
     lam_eff = config.lam_effective
     if lam_eff == 0.0:
         return t_loss
-    r_loss, _ = relation_term(fwd.state, instance.target, config)
+    r_loss = _relation(fwd.state, instance.target, config)[0]
     return combined_loss(t_loss, r_loss, lam_eff)
 
 

@@ -88,7 +88,7 @@ class TestClosedFormGradientIdentity:
                     pairs.add((min(i, j), max(i, j)))
             t = symmetric_target(8, pairs)
             cfg = FocusLossConfig()
-            _, m, grad = relation_loss(softmax_matrix(w), t, cfg)
+            _, m, grad = relation_loss(softmax_matrix(w), t, cfg, w)
             analytic = grad / loss_grad(m, cfg)  # dL/dW = L'(M) * dM/dW
 
             assert abs(analytic.sum()) < 1e-12, f"trial {trial}: sum {analytic.sum():.2e}"

@@ -21,6 +21,7 @@ from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from fanet.matrices import ValidationError, _encode_array
 from fanet.synthgen import (
     DATASET_VERSION,
+    MAX_ITEMS,
     default_document_spec,
     default_world_spec,
     load_spec,
@@ -630,6 +631,14 @@ class TestEval:
     )
     def test_unreadable_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys, line, message):
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message)
+
+    def test_line_above_max_items_is_user_error(self, tmp_path, data_dir, run_dir, capsys):
+        """Its entity count is refused before the target, which would unpack
+        to n x n floats, is decoded (this one would not match the count)."""
+        second = _second_line(data_dir, DATASET_VERSION)
+        second["entities"] = {"features": _encode_array(np.zeros((MAX_ITEMS + 1, 1)))}
+        message = f"features: expected at most {MAX_ITEMS} entities, got {MAX_ITEMS + 1}"
+        _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, second, message)
 
     @pytest.mark.parametrize("version", [DATASET_VERSION])
     @pytest.mark.parametrize("case", sorted(FIELD_DEFECTS))

@@ -1,8 +1,11 @@
 """Center-mass loss family: frozen high-precision values and gradient checks.
 
 Oracle constants were computed with mpmath at 50 decimal digits and frozen
-here to 17 significant digits.
+here to 17 significant digits. The underflow tests compute theirs with
+mpmath as they run.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from fanet.losses import (
     relation_loss,
     smooth_l1_loss,
 )
-from fanet.matrices import ShapeError, ValidationError, softmax_matrix
+from fanet.matrices import ShapeError, ValidationError, _softmax, softmax_matrix
 
 # -(1 - m)^r * log(m)
 FOCAL_ORACLE = {
@@ -52,18 +55,18 @@ def symmetric_target(n, pairs):
 
 def center_mass_grad(w, t, cfg=FocusLossConfig()):
     """(dM/dW, M) from relation_loss, whose gradient is L'(M) * dM/dW."""
-    _, m, grad = relation_loss(softmax_matrix(w), t, cfg)
+    _, m, grad = relation_loss(softmax_matrix(w), t, cfg, w)
     return grad / loss_grad(m, cfg), m
 
 
 def relation_value(w, t, cfg):
     """(loss, M) of relation_loss at the logits w."""
-    loss, m, _ = relation_loss(softmax_matrix(w), t, cfg)
+    loss, m, _ = relation_loss(softmax_matrix(w), t, cfg, w)
     return loss, m
 
 
 def relation_grad(w, t, cfg):
-    return relation_loss(softmax_matrix(w), t, cfg)[2]
+    return relation_loss(softmax_matrix(w), t, cfg, w)[2]
 
 
 class TestCenterMass:
@@ -106,11 +109,8 @@ class TestLossValues:
         assert focal_loss(1.0, FocusLossConfig(r=2)) == 0.0
         assert focal_loss(1.0, FocusLossConfig(r=0)) == 0.0
 
-    def test_focal_guarded_at_zero(self):
-        # -(1-0)^2 * log(eps) with eps = 1e-12
-        assert focal_loss(0.0, FocusLossConfig(r=2)) == pytest.approx(
-            27.631021115928548, abs=1e-12
-        )
+    def test_focal_infinite_at_zero(self):
+        assert focal_loss(0.0, FocusLossConfig(r=2)) == math.inf
 
     def test_r0_is_plain_negative_log(self):
         cfg = FocusLossConfig(r=0)
@@ -157,12 +157,6 @@ class TestLossGrad:
         fd = (loss_value(m + h, cfg) - loss_value(m - h, cfg)) / (2 * h)
         assert loss_grad(m, cfg) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    def test_bounded_at_zero(self):
-        """The eps clamp keeps the gradient finite at the degenerate start."""
-        g = loss_grad(0.0, FocusLossConfig(r=2))
-        assert np.isfinite(g)
-        assert g == pytest.approx(2 * np.log(1e-12) - 1e12, rel=1e-12)
-
     def test_r0_reciprocal(self):
         assert loss_grad(0.5, FocusLossConfig(r=0)) == -2.0
 
@@ -177,12 +171,6 @@ class TestConfigValidation:
             FocusLossConfig(r=5)
         with pytest.raises(ValidationError):
             FocusLossConfig(r=-1)
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValidationError):
-            FocusLossConfig(eps=0.0)
-        with pytest.raises(ValidationError):
-            FocusLossConfig(eps=1e-3)
 
 
 class TestCenterMassGradient:
@@ -228,23 +216,29 @@ class TestCenterMassGradient:
 class TestRelationLoss:
     def test_empty_target_is_exactly_zero(self):
         w = np.random.default_rng(23).normal(size=(4, 4))
-        loss, m, grad = relation_loss(softmax_matrix(w), np.zeros((4, 4)), FocusLossConfig())
+        loss, m, grad = relation_loss(softmax_matrix(w), np.zeros((4, 4)), FocusLossConfig(), w)
         assert loss == 0.0 and m == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_underflowed_mass_is_not_an_empty_target(self):
-        """M == 0 from underflow still scores the eps-clamped loss, not 0."""
+        """M == 0 from underflow still scores its loss, -log M = 800 - log 2, not 0."""
         w = np.zeros((4, 4))
         w[0, 2] = 800.0
         t = symmetric_target(4, [(0, 1)])
-        cfg = FocusLossConfig()
-        loss, m, _ = relation_loss(softmax_matrix(w), t, cfg)
+        loss, m, _ = relation_loss(softmax_matrix(w), t, FocusLossConfig(), w)
         assert m == 0.0
-        assert loss == loss_value(0.0, cfg) > 27.0
+        assert loss == pytest.approx(800.0 - math.log(2.0), rel=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            relation_loss(softmax_matrix(np.zeros((3, 3))), np.zeros((4, 4)), FocusLossConfig())
+            w = np.zeros((3, 3))
+            relation_loss(softmax_matrix(w), np.zeros((4, 4)), FocusLossConfig(), w)
+
+    @pytest.mark.parametrize("axis", [0, 1, (-2, -1)])
+    def test_rejects_other_axes(self, axis):
+        w = np.zeros((3, 3))
+        with pytest.raises(ValidationError, match="axis must be None"):
+            relation_loss(softmax_matrix(w), symmetric_target(3, [(0, 1)]), FocusLossConfig(), w, axis)
 
     def test_loss_composes_value_and_mass(self):
         rng = np.random.default_rng(24)
@@ -285,3 +279,82 @@ class TestRelationLoss:
         _, m0 = relation_value(w, t, cfg)
         _, m1 = relation_value(w - 0.1 * grad, t, cfg)
         assert m1 > m0
+
+
+# ROADMAP item 3's example: a 7x7 instance labeling one pair (two cells), with
+# +0, +50 or +800 added to one unlabeled logit in a labeled row
+UNDERFLOW_PAIR, UNDERFLOW_CELL = (0, 1), (0, 2)
+
+
+def underflow_logits(bump):
+    w = np.random.default_rng(7).normal(scale=0.5, size=(7, 7))
+    w[UNDERFLOW_CELL] += bump
+    return w
+
+
+def exact_masses(w, t, axis):
+    """M of each softmax group (the matrix, or each row with a labeled cell),
+    in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    groups = [(w.ravel(), t.ravel())] if axis is None else [
+        (w[i], t[i]) for i in range(t.shape[0]) if t[i].any()]
+    with mp.workdps(50):
+        return [sum(mp.exp(x) for x, y in zip(wg, tg) if y) / sum(mp.exp(x) for x in wg)
+                for wg, tg in groups]
+
+
+def exact_loss(w, t, r, axis):
+    """-(1 - M)^r log M in 50-digit arithmetic, averaged over the groups."""
+    mp = pytest.importorskip("mpmath")
+    masses = exact_masses(w, t, axis)
+    with mp.workdps(50):
+        return float(sum(-((1 - m) ** r) * mp.log(m) for m in masses) / len(masses))
+
+
+def loss_at(w, t, cfg, axis):
+    return relation_loss(_softmax(w, axis), t, cfg, w, axis)
+
+
+@pytest.mark.parametrize("axis", [None, -1], ids=["matrix", "row"])
+@pytest.mark.parametrize("r", [0, 2])
+class TestUnderflow:
+    """The focal loss stays exact and its gradient useful as M underflows."""
+
+    target = symmetric_target(7, [UNDERFLOW_PAIR])
+
+    @pytest.mark.parametrize("bump", [0.0, 50.0, 800.0])
+    def test_loss_matches_high_precision(self, r, axis, bump):
+        w = underflow_logits(bump)
+        loss, _, _ = loss_at(w, self.target, FocusLossConfig(r=r), axis)
+        assert loss == pytest.approx(exact_loss(w, self.target, r, axis), rel=1e-12)
+
+    def test_gradient_matches_finite_differences_at_50(self, r, axis):
+        w = underflow_logits(50.0)
+        cfg = FocusLossConfig(r=r)
+        _, m, analytic = loss_at(w, self.target, cfg, axis)
+        assert axis is not None or m < FocusLossConfig.eps
+        h = 1e-6
+        fd = np.zeros_like(w)
+        for idx in np.ndindex(*w.shape):
+            w[idx] += h
+            up = loss_at(w, self.target, cfg, axis)[0]
+            w[idx] -= 2 * h
+            down = loss_at(w, self.target, cfg, axis)[0]
+            w[idx] += h
+            fd[idx] = (up - down) / (2 * h)
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-6)
+
+    def test_gradient_survives_at_800(self, r, axis):
+        w = underflow_logits(800.0)
+        _, m, grad = loss_at(w, self.target, FocusLossConfig(r=r), axis)
+        assert axis is not None or m == 0.0
+        assert grad[UNDERFLOW_PAIR] < -0.1 and grad[UNDERFLOW_CELL] > 0.1
+        assert abs(grad.sum()) < 1e-12
+
+    @pytest.mark.parametrize("bump", [0.0, 50.0, 800.0])
+    def test_descent_step_raises_mass(self, r, axis, bump):
+        w = underflow_logits(bump)
+        grad = loss_at(w, self.target, FocusLossConfig(r=r), axis)[2]
+        before = exact_masses(w, self.target, axis)
+        after = exact_masses(w - 0.5 * grad, self.target, axis)
+        assert all(b < a for b, a in zip(before, after))

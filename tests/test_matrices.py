@@ -1,8 +1,7 @@
-"""Softmax and stable-log primitives against hand-checked values; the array
+"""Softmax primitives against hand-checked values; the array
 codec; whole-file writes."""
 
 import base64
-import math
 import os
 import re
 
@@ -22,7 +21,6 @@ from fanet.matrices import (
     as_matrix,
     check_same_shape,
     softmax_matrix,
-    stable_log,
 )
 
 # exp-normalized [[1, 2], [3, 5]], computed at 50-digit precision
@@ -96,30 +94,6 @@ class TestSoftmaxMatrix:
     def test_uniform_on_constant_input(self):
         out = softmax_matrix(np.zeros((4, 4)))
         np.testing.assert_allclose(out, 1.0 / 16.0, rtol=0, atol=0)
-
-
-class TestStableLog:
-    def test_passthrough_above_eps(self):
-        assert stable_log(1.0) == 0.0
-        assert stable_log(math.e) == pytest.approx(1.0, abs=1e-15)
-
-    def test_clamps_at_zero(self):
-        # log(1e-12) to 17 significant digits
-        assert stable_log(0.0) == pytest.approx(-27.631021115928548, abs=1e-13)
-
-    def test_clamps_below_eps(self):
-        assert stable_log(1e-20) == stable_log(0.0)
-
-    def test_custom_eps(self):
-        assert stable_log(0.0, eps=1e-3) == pytest.approx(math.log(1e-3), abs=1e-15)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            stable_log(-1e-9)
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValidationError):
-            stable_log(0.5, eps=0.0)
 
 
 class TestValidation:

@@ -1,10 +1,13 @@
 """The training step's kernels against their previous array formulas, bit for bit.
 
-`relation_loss` builds its logit gradient in one fresh array, `_softmax_vjp`
-builds the VJP in one, and `_accumulate_instance` scales the relation
-gradient in place before adding it. IEEE multiplication is commutative, so
-each must give the same bits as the formula it replaced; those formulas are
-kept here as the references. None of them may write into an input.
+`relation_loss` builds its logit gradient in one fresh array, and its row
+path replaces a per-row Python loop; `_softmax_vjp` builds the VJP in one
+array, and `_accumulate_instance` scales the relation gradient in place
+before adding it. IEEE multiplication is commutative, so each must give the
+same bits as the formula it replaced, where M is at least
+`FocusLossConfig.eps` (below it the loss is taken in log space); those
+formulas are kept here as the references. None of them may write into an
+input.
 """
 
 import dataclasses
@@ -21,7 +24,6 @@ from fanet.trainer import (
     TrainConfig,
     _accumulate_instance,
     _head,
-    _row_relation,
     _task_loss_grad,
     init_model,
 )
@@ -38,6 +40,21 @@ def prior_relation_loss(focus_weights, target, config):
         return 0.0, 0.0, np.zeros_like(focus_weights)
     grad = loss_grad(m, config) * (focus_weights * (target - m))
     return loss_value(m, config), m, grad
+
+
+def prior_row_relation(a, t, cfg):
+    """The row strategy's loss and logit gradient as a per-row loop, averaged
+    over rows with any positive; `a` is the row softmax of the logits."""
+    rows = np.flatnonzero(t.any(axis=1))
+    grad = np.zeros_like(a)
+    if rows.size == 0:
+        return 0.0, grad
+    total = 0.0
+    for i in rows:
+        m_i = float(np.sum(a[i] * t[i]))
+        total += loss_value(m_i, cfg)
+        grad[i] = loss_grad(m_i, cfg) * a[i] * (t[i] - m_i) / rows.size
+    return total / rows.size, grad
 
 
 def prior_softmax_vjp(softmax_out, grad_out, axis):
@@ -57,10 +74,9 @@ def prior_accumulate(instance, params, config, grads, weight_task, weight_rel):
     grads["classifier_b"] += weight_task * dz
     r_loss = 0.0
     if weight_rel != 0.0:
-        if config.strategy == "unsup":
-            d_rel = np.zeros_like(state.logits)
-        elif config.strategy == "row":
-            r_loss, d_rel = _row_relation(state.agg_weights, instance.target, config.focus_config())
+        if config.strategy == "row":
+            r_loss, d_rel = prior_row_relation(state.agg_weights, instance.target,
+                                               config.focus_config())
         else:
             r_loss, _, d_rel = prior_relation_loss(
                 state.focus_weights, instance.target, config.focus_config()
@@ -88,11 +104,11 @@ def random_target(rng, shape, density):
 
 
 def focus_cases(rng, n):
-    """(focus, target) pairs: a random softmax, a tie-heavy integer-valued
-    matrix, and an empty target."""
-    yield _softmax(rng.normal(scale=3.0, size=(n, n)), (-2, -1)), random_target(rng, (n, n), 0.3)
-    yield rng.integers(0, 3, size=(n, n)).astype(float) / n**2, random_target(rng, (n, n), 0.5)
-    yield _softmax(rng.normal(size=(n, n)), (-2, -1)), np.zeros((n, n))
+    """(logits, target) pairs: random logits, tie-heavy integer-valued ones,
+    and an empty target."""
+    yield rng.normal(scale=3.0, size=(n, n)), random_target(rng, (n, n), 0.3)
+    yield rng.integers(0, 3, size=(n, n)).astype(float), random_target(rng, (n, n), 0.5)
+    yield rng.normal(size=(n, n)), np.zeros((n, n))
 
 
 CONFIGS = [
@@ -107,25 +123,48 @@ CONFIGS = [
 def test_relation_loss_matches_prior_formula_and_keeps_its_inputs(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.choice([2, 3, 7, 16]))
-    for focus, target in focus_cases(rng, n):
-        before = focus.copy(), target.copy()
+    for logits, target in focus_cases(rng, n):
+        focus = _softmax(logits, (-2, -1))
+        before = focus.copy(), target.copy(), logits.copy()
         for cfg in CONFIGS:
-            loss, m, grad = relation_loss(focus, target, cfg)
+            loss, m, grad = relation_loss(focus, target, cfg, logits)
             want_loss, want_m, want_grad = prior_relation_loss(focus, target, cfg)
             assert (loss, m) == (want_loss, want_m)
             assert_same_bits(grad, want_grad)
             assert grad is not focus and grad is not target
-        assert_same_bits(focus, before[0])
-        assert_same_bits(target, before[1])
+        for got, want in zip((focus, target, logits), before):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_relation_matches_prior_loop_and_keeps_its_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 7, 16, 56]))
+    for logits, target in focus_cases(rng, n):
+        agg = _softmax(logits, -1)
+        before = agg.copy(), target.copy(), logits.copy()
+        for cfg in CONFIGS:
+            loss, m, grad = relation_loss(agg, target, cfg, logits, -1)
+            want_loss, want_grad = prior_row_relation(agg, target, cfg)
+            assert loss == want_loss
+            assert_same_bits(grad, want_grad)
+            rows = target.any(axis=-1)
+            assert m == (float(np.mean(np.sum(agg * target, axis=-1)[rows])) if rows.any() else 0.0)
+        for got, want in zip((agg, target, logits), before):
+            assert_same_bits(got, want)
 
 
 def test_relation_loss_300_entities():
     rng = np.random.default_rng(300)
-    focus = _softmax(rng.normal(size=(300, 300)), (-2, -1))
+    logits = rng.normal(size=(300, 300))
+    focus, agg = _softmax(logits, (-2, -1)), _softmax(logits, -1)
     target = random_target(rng, (300, 300), 0.01)
     for cfg in (FocusLossConfig(), FocusLossConfig(variant="smooth_l1")):
-        _, _, grad = relation_loss(focus, target, cfg)
+        _, _, grad = relation_loss(focus, target, cfg, logits)
         assert_same_bits(grad, prior_relation_loss(focus, target, cfg)[2])
+        loss, _, grad = relation_loss(agg, target, cfg, logits, -1)
+        assert (loss, grad.tobytes()) == tuple(
+            f(x) for f, x in zip((float, np.ndarray.tobytes), prior_row_relation(agg, target, cfg)))
 
 
 # --- softmax VJP -------------------------------------------------------------------
@@ -190,6 +229,8 @@ def test_accumulate_instance_matches_prior_formula(seed, strategy):
         for frozen in (False, True):
             c = dataclasses.replace(cfg, freeze_attention=frozen)
             for weight_task, weight_rel in ((1.0, 0.0), (0.5, 0.01), (1.0 / 3, 0.7)):
+                if c.strategy == "unsup":
+                    weight_rel = 0.0  # train and grad_check give unsup no relation weight
                 got, want = np.zeros_like(params.flat), np.zeros_like(params.flat)
                 got_losses = _accumulate_instance(inst, params, c, params.views(got),
                                                   weight_task, weight_rel)

@@ -9,7 +9,7 @@ import pytest
 
 from fanet import cli, trainer
 from fanet.attention import EntitySet
-from fanet.matrices import DEFAULT_EPS, NonFiniteError, ShapeError, ValidationError
+from fanet.matrices import NonFiniteError, ShapeError, ValidationError
 from fanet.metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
 from fanet.supervision import entity_gt_matching
 from fanet.synthgen import Instance, WorldSpec, generate_dataset
@@ -130,7 +130,6 @@ class TestTrainConfig:
         assert len(d) == len(dataclasses.fields(TrainConfig)) == 14
         held = TrainConfig.from_dict({**d, "agg_axis": "row", "eps": 1e-12})
         assert held == TrainConfig.from_dict(d) and held.to_dict() == d
-        assert held.focus_config().eps == DEFAULT_EPS
         for eps in (1e-10, "1e-12", True, 0, None):
             with pytest.raises(ValidationError,
                                match="^config.eps: retired field, only 1e-12 is accepted$"):
