@@ -89,26 +89,23 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _recall_at_ks(
-    pairs: np.ndarray,
-    matches: np.ndarray,
+    pair_matches: np.ndarray,
     gt_relations: Sequence[tuple[int, int]],
     ks: Sequence[int],
 ) -> dict:
     """{k: recall of the first k pairs} for every k, in one walk over the pairs.
 
-    Unchecked: pairs is a (k, 2) entity-index array such as top_k_pairs
-    gives, and matches is entity_gt_matching's output for those entities.
-    gt_relations may hold any (subject, object) pairs.
+    Unchecked: pair_matches is a (k', 2) array of the gt index that each end
+    of a ranked pair (such as top_k_pairs gives) best-matches, -1 for none:
+    entity_gt_matching's output for those ends. gt_relations may hold any
+    (subject, object) pairs.
     """
     unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
     if not unique_gt:
         return {k: 1.0 for k in ks}
-    m = matches.tolist()
     covered_at = [0]  # covered_at[p]: relations covered by the first p pairs
     covered = set()
-    for subject, obj in pairs[: max(ks)].tolist():
-        a = m[subject]
-        b = m[obj]
+    for a, b in pair_matches[: max(ks)].tolist():
         if a != NO_MATCH and b != NO_MATCH and a != b:
             key = (a, b) if a < b else (b, a)
             if key in unique_gt:
@@ -150,19 +147,22 @@ def relation_recall(
     most once. Empty gt_relations gives vacuous recall 1.0; report layers
     flag that case.
 
-    This matches the entities for one cutoff of one instance. To score
-    several cutoffs, match once with entity_gt_matching and pass the result
-    to _recall_at_ks; trainer.evaluate makes one entity_gt_matching call on
-    the (B, n, 4) boxes of each group of equal-size instances and passes
-    each row of the (B, n) result.
+    Only the ends of the first k pairs are matched, as one flat (2k', 4) box
+    array, so gt_boxes must be (g, 4). To score several cutoffs, match once
+    and pass the (k', 2) matches of the pair ends to _recall_at_ks;
+    trainer.evaluate makes one entity_gt_matching call per group of
+    equal-size instances: on the pair ends when they are fewer than n, else
+    on all n boxes.
     """
     p = _check_pairs(pairs, entities.n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not gt_relations:
         return 1.0  # vacuous before matching, so box-less entities are fine here
-    matches = entity_gt_matching(entities.boxes, gt_boxes, iou_threshold)
-    return _recall_at_ks(p, matches, gt_relations, (k,))[k]
+    boxes = entities.boxes  # None goes on to entity_gt_matching, which refuses it
+    ends = None if boxes is None else boxes[p[:k]].reshape(-1, 4)
+    matches = entity_gt_matching(ends, gt_boxes, iou_threshold)
+    return _recall_at_ks(matches.reshape(-1, 2), gt_relations, (k,))[k]
 
 
 def word_importance(focus_weights) -> np.ndarray:

@@ -515,9 +515,9 @@ def evaluate(
     """Accuracy, center-mass summary and recall@K means over a dataset.
 
     Runs one forward per bucket of equal entity count, and one top-K and one
-    IoU matching over the bucket's instances that have gt relations; the
-    results are summed in instance order, so they do not depend on the
-    bucketing.
+    IoU matching (of the top-K pairs' ends, if fewer than n) over the bucket's
+    instances that have gt relations; the results are summed in instance
+    order, so they do not depend on the bucketing.
     """
     ks = config.eval_ks if ks is None else _check_ks(ks, "ks")
     if not instances:
@@ -546,12 +546,17 @@ def evaluate(
         if not with_gt:
             continue
         boxes = _stack_boxes([instances[idx[j]].entities for j in with_gt])
-        # each entity doubles as its own ground-truth object (exact boxes)
-        matches = entity_gt_matching(boxes, boxes, RECALL_IOU)
         pairs, _ = top_k_pairs(focus[with_gt], max_k)
-        for j, inst_pairs, inst_matches in zip(with_gt, pairs, matches):
+        ends = pairs.reshape(len(with_gt), -1)  # (B, 2k') entity indices
+        rows = np.arange(len(with_gt))[:, None]
+        # each entity is its own gt object (exact boxes); match only the pair ends if fewer
+        if ends.shape[1] < boxes.shape[1]:
+            matches = entity_gt_matching(boxes[rows, ends], boxes, RECALL_IOU)
+        else:
+            matches = entity_gt_matching(boxes, boxes, RECALL_IOU)[rows, ends]
+        for j, pair_matches in zip(with_gt, matches.reshape(pairs.shape)):
             i = idx[j]
-            per_k[i] = _recall_at_ks(inst_pairs, inst_matches, instances[i].gt_relations, ks)
+            per_k[i] = _recall_at_ks(pair_matches, instances[i].gt_relations, ks)
     vacuous = {k: 1.0 for k in ks}
     recalls = tuple(vacuous if scores is None else scores for scores in per_k)
     recall_sums = {k: 0.0 for k in ks}  # one sum per distinct K, however often it repeats

@@ -3,16 +3,17 @@
 `top_k_pairs` now cuts at the k-th largest weight before it works out which
 orientation of a cell is the stronger one, `_iou_matrix` computes each box's
 area once and works in place, `entity_gt_matching` reads the best IoU with
-`take_along_axis`, and `_softmax` exponentiates in place. Each must give the
-same bits as the formula it replaced; those formulas are kept here as the
-references.
+`take_along_axis`, `_softmax` exponentiates in place, and `_recall_at_ks`
+walks the matches of the top-K pair ends instead of looking each end up in
+the matches of all n entities. Each must give the same bits as the formula
+it replaced; those formulas are kept here as the references.
 """
 
 import numpy as np
 import pytest
 
 from fanet.matrices import _softmax
-from fanet.metrics import _candidates, top_k_pairs
+from fanet.metrics import _candidates, _recall_at_ks, top_k_pairs
 from fanet.supervision import NO_MATCH, _iou_matrix, entity_gt_matching
 
 
@@ -63,6 +64,26 @@ def prior_matching(boxes, gt_boxes, threshold):
     best = np.argmax(ious, axis=-1)
     hit = ious.max(axis=-1) > threshold
     return np.where(hit, best, NO_MATCH).astype(np.int64)
+
+
+def prior_recall_at_ks(pairs, matches, gt_relations, ks):
+    """_recall_at_ks before it took the pair ends' matches: (k, 2) entity
+    pairs, looked up in the matches of all n entities."""
+    unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
+    if not unique_gt:
+        return {k: 1.0 for k in ks}
+    m = matches.tolist()
+    covered_at = [0]
+    covered = set()
+    for subject, obj in pairs[: max(ks)].tolist():
+        a = m[subject]
+        b = m[obj]
+        if a != NO_MATCH and b != NO_MATCH and a != b:
+            key = (a, b) if a < b else (b, a)
+            if key in unique_gt:
+                covered.add(key)
+        covered_at.append(len(covered))
+    return {k: covered_at[min(k, len(covered_at) - 1)] / len(unique_gt) for k in ks}
 
 
 def prior_softmax(w, axis):
@@ -187,6 +208,46 @@ def test_iou_and_matching_match_prior_formula(seed, grid):
             got = entity_gt_matching(ents, gt, threshold)
             want = prior_matching(ents, gt, threshold)
             assert_same_bits(got, want)
+
+
+# --- matching the pair ends, and recall ---------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "float"])
+@pytest.mark.parametrize("seed", range(10))
+def test_matching_the_pair_ends_equals_matching_all(seed, grid):
+    """The IoU works per (entity, gt) cell and the argmax and the threshold per
+    row, so matching a gather of the pair ends gives the rows that matching
+    all n entities gives at those ends, ties to the lowest gt index included."""
+    rng = np.random.default_rng(100 + seed)
+    batch, n = int(rng.integers(1, 5)), int(rng.integers(2, 30))
+    boxes = random_boxes(rng, (batch, n), grid)
+    boxes[:, -1] = boxes[:, 0]  # a duplicate: both ends match the first
+    size = n * (n - 1) // 2
+    for gt in (boxes, random_boxes(rng, (batch, int(rng.integers(1, 9))), grid)):
+        for k in sorted({1, 3, 10, size}):
+            pairs, _ = top_k_pairs(rng.random((batch, n, n)), k)
+            ends = pairs.reshape(batch, -1)
+            rows = np.arange(batch)[:, None]
+            for threshold in (0.0, 0.5):
+                want = entity_gt_matching(boxes, gt, threshold)[rows, ends]
+                assert_same_bits(entity_gt_matching(boxes[rows, ends], gt, threshold), want)
+                flat = entity_gt_matching(boxes[0][pairs[0]].reshape(-1, 4), gt[0], threshold)
+                assert_same_bits(flat, want[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_recall_matches_prior_formula(seed):
+    rng = np.random.default_rng(200 + seed)
+    n, g = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+    matches = rng.integers(NO_MATCH, g, size=n)  # unmatched and repeated objects
+    size = n * (n - 1) // 2
+    pairs, _ = top_k_pairs(rng.random((n, n)), int(rng.integers(1, size + 1)))
+    relations = [tuple(r) for r in rng.integers(0, g, size=(int(rng.integers(0, 8)), 2))]
+    for ks in ((1,), (1, 5, 10), (size + 3, 2, 2), (len(pairs),)):
+        got = _recall_at_ks(matches[pairs], relations, ks)
+        want = prior_recall_at_ks(pairs, matches, relations, ks)
+        assert list(got.items()) == list(want.items())
 
 
 # --- softmax -----------------------------------------------------------------------

@@ -259,7 +259,7 @@ class TestRelationRecall:
         pairs, _ = top_k_pairs(w, 10)
         matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
         ks = (10, 1, 3, 99)
-        got = _recall_at_ks(pairs, matches, gt_relations, ks)
+        got = _recall_at_ks(matches[pairs], gt_relations, ks)
         assert list(got) == list(ks)
         for k in ks:
             assert got[k] == relation_recall(pairs, ents, gt_boxes, gt_relations, k)
@@ -292,6 +292,30 @@ class TestRelationRecall:
         with pytest.raises(ValidationError):  # checked before the vacuous shortcut
             relation_recall(bad, ents, gt_boxes, [], 1)
 
+    def test_box_less_entities_with_relations_are_refused(self):
+        """Only the pair ends are matched, but entities without boxes still
+        raise ValidationError, not an indexing error."""
+        w, _, gt_boxes, gt_relations = self.make_scene(14, 5)
+        ents = EntitySet(features=np.zeros((5, 2)))
+        pairs = top_k_pairs(w, 3)[0]
+        for k in (1, 3, 10):
+            with pytest.raises(ValidationError, match="no boxes"):
+                relation_recall(pairs, ents, gt_boxes, gt_relations, k)
+        assert relation_recall(pairs, ents, gt_boxes, [], 3) == 1.0  # vacuous before matching
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_rejects_a_gt_box_stack(self, k):
+        """gt_boxes is one (g, 4) set: a stack with one set per pair or per
+        pair end is refused rather than matched set by set."""
+        w, boxes, gt_boxes, gt_relations = self.make_scene(15, 4)
+        ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
+        pairs = top_k_pairs(w, 3)[0]
+        used = min(k, len(pairs))
+        for lead in (used, 2 * used):
+            stack = np.broadcast_to(gt_boxes, (lead,) + gt_boxes.shape)
+            with pytest.raises(ValidationError, match="gt_boxes must be"):
+                relation_recall(pairs, ents, stack, gt_relations, k)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_plain_tuples_score_like_relations(self, seed):
         w, boxes, gt_boxes, gt_relations = self.make_scene(20 + seed, 7)
@@ -302,9 +326,9 @@ class TestRelationRecall:
         # reversed orientation and a duplicate: both collapse to one relation
         plain = [(b, a) for a, b in gt_relations] + [gt_relations[0]]
         ks = (1, 3, 10, 21)
-        want = _recall_at_ks(pairs, matches, gt_relations, ks)
-        assert _recall_at_ks(pairs, matches, plain, ks) == want
-        assert _recall_at_ks(pairs, matches, [list(p) for p in plain], ks) == want
+        want = _recall_at_ks(matches[pairs], gt_relations, ks)
+        assert _recall_at_ks(matches[pairs], plain, ks) == want
+        assert _recall_at_ks(matches[pairs], [list(p) for p in plain], ks) == want
 
 
 def test_300_entity_scene_matches_reference():
@@ -323,7 +347,7 @@ def test_300_entity_scene_matches_reference():
     want_matches = ref_matching(ents.boxes.tolist(), gt_boxes.tolist(), 0.5)
     matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
     assert matches.tolist() == want_matches
-    recall = _recall_at_ks(pairs, matches, gt_relations, (1, 5, 10))
+    recall = _recall_at_ks(matches[pairs], gt_relations, (1, 5, 10))
     for k in (1, 5, 10):
         want = brute_force_recall(focus, ents.boxes, gt_boxes, gt_relations, k)
         assert recall[k] == want, k

@@ -653,7 +653,8 @@ class TestEvaluate:
 
 
 def reference_evaluate(instances, params, config, ks):
-    """evaluate as a plain per-instance loop: one forward and one top-K each."""
+    """evaluate as a plain per-instance loop: one forward and one top-K each,
+    and one IoU matching of all n entities, read at the pairs' ends."""
     correct = 0
     scored = []
     recall_sums = {k: 0.0 for k in ks}
@@ -670,7 +671,7 @@ def reference_evaluate(instances, params, config, ks):
         if inst.gt_relations:
             pairs, _ = top_k_pairs(fwd.state.focus_weights, max(ks))
             matches = entity_gt_matching(inst.entities.boxes, inst.entities.boxes, RECALL_IOU)
-            per_k = _recall_at_ks(pairs, matches, inst.gt_relations, ks)
+            per_k = _recall_at_ks(matches[pairs], inst.gt_relations, ks)
         else:
             n_vacuous += 1
             per_k = {k: 1.0 for k in ks}
@@ -854,6 +855,98 @@ class TestBucketedEvaluate:
         params = init_model(3, 3, cfg)
         with pytest.raises(ValidationError, match="ks must be positive ints"):
             evaluate([check_instance(0)], params, cfg, ks=ks)
+
+
+SIZES = (2, 3, 4, 6, 10, 11, 12, 20, 21, 25)  # around 2k' = n for K = 1, 5 and 10
+
+
+def proposal_instances(sizes, seed, per_size=3):
+    """per_size scenes of each entity count, interleaved across counts. Each
+    scene's boxes are shuffled, some rows copied from another entity (the copy
+    best-matches the lower-indexed object, so the matching is not the
+    identity) and one shifted part-way onto another box (IoU 0.6)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in sizes:
+        spec = WorldSpec(prototypes=3.0 * np.eye(6), affine_pairs=((0, 1), (2, 3), (4, 5)),
+                         signature_pairs=((0, 1),), noise_sigma=0.3,
+                         entities_min=n, entities_max=n)
+        scenes, _ = generate_dataset(spec, per_size, 1, seed=seed + n)
+        for inst in scenes:
+            boxes = inst.entities.boxes[rng.permutation(n)]
+            for src, dst in rng.integers(0, n, size=(max(1, n // 4), 2)):
+                boxes[dst] = boxes[src]
+            src, dst = rng.integers(0, n, size=2)
+            boxes[dst] = boxes[src] + (0.25, 0.0, 0.25, 0.0)
+            ents = EntitySet(features=inst.entities.features, boxes=boxes)
+            out.append(Instance(entities=ents, target=inst.target, label=inst.label,
+                                gt_relations=inst.gt_relations))
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+class TestPairEndMatching:
+    """evaluate IoU-matches only the 2k' ends of each scene's top-k' pairs when
+    those are fewer than the n entities, and all n otherwise; either way its
+    result equals the per-instance loop, which matches all n, bit for bit."""
+
+    @pytest.mark.parametrize("ks", [(1,), (5,), (10,), (1, 5, 10), (300,)])
+    def test_equals_per_instance_loop(self, ks):
+        instances = proposal_instances(SIZES, seed=11)
+        assert any(not np.array_equal(
+            entity_gt_matching(i.entities.boxes, i.entities.boxes, RECALL_IOU),
+            np.arange(i.n)) for i in instances)
+        cfg = TrainConfig(d_k=3, seed=5)
+        params = init_model(6, 3, cfg)
+        got = evaluate(instances, params, cfg, ks=ks)
+        assert repr(got) == repr(reference_evaluate(instances, params, cfg, ks))
+        # not vacuous: some scene whose pair ends were gathered covers a relation
+        k = max(ks)
+        gathered = [r for i, r in zip(instances, got.recalls) if 2 * k < i.n and i.gt_relations]
+        assert k == 300 or any(r[k] > 0 for r in gathered)
+
+    def test_300_entity_scenes_at_default_ks(self):
+        """A bucket of two box-proposal-sized scenes, each related on a random
+        half of its pairs, so that the top 10 pairs cover some relations."""
+        rng = np.random.default_rng(4)
+        rows, cols = np.triu_indices(300, 1)
+        instances = []
+        for inst in proposal_instances((300,), seed=8, per_size=2):
+            keep = rng.random(rows.size) < 0.5
+            relations = tuple(zip(rows[keep].tolist(), cols[keep].tolist()))
+            instances.append(dataclasses.replace(inst, gt_relations=relations))
+        cfg = TrainConfig(d_k=4, seed=3)
+        params = init_model(6, 3, cfg)
+        got = evaluate(instances, params, cfg)
+        assert repr(got) == repr(reference_evaluate(instances, params, cfg, cfg.eval_ks))
+        assert any(0 < r[k] < 1 for r in got.recalls for k in cfg.eval_ks)
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 300])
+    def test_matches_the_pair_ends_only_when_fewer(self, monkeypatch, k):
+        calls = []
+
+        def recording(boxes, gt_boxes, iou_threshold):
+            calls.append((boxes, gt_boxes))
+            return entity_gt_matching(boxes, gt_boxes, iou_threshold)
+
+        monkeypatch.setattr(trainer, "entity_gt_matching", recording)
+        instances = proposal_instances(SIZES, seed=11)
+        cfg = TrainConfig(d_k=3, seed=5)
+        evaluate(instances, init_model(6, 3, cfg), cfg, ks=(k,))
+        sizes = [instances[idx[0]].n for idx in _buckets(instances)
+                 if any(instances[i].gt_relations for i in idx)]
+        assert len(calls) == len(sizes) == len(SIZES)
+        branches = set()
+        for (ents, gt), n in zip(calls, sizes):
+            ends = 2 * min(k, n * (n - 1) // 2)
+            assert gt.shape[1:] == (n, 4)
+            if ends < n:
+                assert ents.shape == (gt.shape[0], ends, 4)
+                assert not np.shares_memory(ents, gt)
+            else:
+                assert ents is gt
+            branches.add((ends > n) - (ends < n))
+        assert 0 in branches  # n = 2 has one pair: 2k' = n at every K
+        assert (-1 in branches) == (k < 300)
 
 
 class TestCheckpoints:
