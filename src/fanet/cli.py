@@ -607,7 +607,7 @@ def cmd_export_attention(args) -> int:
             for (a, b), w in zip(pairs.tolist(), weights.tolist())
         ],
         "target": inst.target.tolist(),
-        "gt_relations": [sorted((a, b)) for a, b in inst.gt_relations],
+        "gt_relations": np.sort(inst.relations, axis=1).tolist(),
         "tokens": list(inst.tokens) if inst.tokens is not None else None,
         "tags": list(inst.tags) if inst.tags is not None else None,
         "categories": (

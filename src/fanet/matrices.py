@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, fields
+from itertools import chain
 
 import numpy as np
 
@@ -63,6 +64,46 @@ def _check_boxes(boxes: np.ndarray) -> None:
         raise ValidationError("boxes contain non-finite coordinates")
     if (boxes[..., 0] >= boxes[..., 2]).any() or (boxes[..., 1] >= boxes[..., 3]).any():
         raise ValidationError("boxes must satisfy x1 < x2 and y1 < y2")
+
+
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+_NO_PAIRS.flags.writeable = False
+
+
+def _index_pairs(raw, n: int, field: str) -> np.ndarray:
+    """Parse a list of [i, j] index pairs into a read-only (m, 2) int64 array.
+
+    Every entry must be two distinct integers in [0, n); otherwise a
+    ValidationError names the field and the first bad entry. Types are
+    checked on the list itself, because numpy turns a bool among ints into
+    0/1; an array is checked as its list.
+    """
+    raw = raw.tolist() if isinstance(raw, np.ndarray) else raw
+    if isinstance(raw, (list, tuple)) and not raw:
+        return _NO_PAIRS
+    flat = None
+    try:
+        if set(map(len, raw)) == {2} and set(map(type, chain.from_iterable(raw))) == {int}:
+            flat = np.fromiter(chain.from_iterable(raw), np.int64, 2 * len(raw))
+    except (TypeError, OverflowError):  # an unsized entry; an index beyond int64
+        pass
+    # as unsigned, a negative index wraps past any n: one max checks both ends
+    in_range = flat is not None and flat.astype(np.uint64).max() < n
+    if not in_range or np.count_nonzero(flat[::2] == flat[1::2]):
+        listed = isinstance(raw, (list, tuple))
+        bad = next(p for p in raw if not _is_index_pair(p, n)) if listed else raw
+        raise ValidationError(
+            f"{field}: bad index pair {bad!r}, need two distinct integers in [0, {n})"
+        )
+    pairs = flat.reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _is_index_pair(p, n: int) -> bool:
+    return isinstance(p, (list, tuple)) and len(p) == 2 and p[0] != p[1] and all(
+        type(x) is int and 0 <= x < n for x in p
+    )
 
 
 def _json_number(value, field: str, integer: bool = False):

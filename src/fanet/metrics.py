@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import EntitySet
-from .matrices import ShapeError, ValidationError, as_matrix, check_finite
+from .matrices import ShapeError, ValidationError, _index_pairs, as_matrix, check_finite
 from .supervision import NO_MATCH, entity_gt_matching
 
 __all__ = [
@@ -88,30 +88,32 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, flat[take].reshape(lead + (k_out,))
 
 
-def _recall_at_ks(
-    pair_matches: np.ndarray,
-    gt_relations: Sequence[tuple[int, int]],
-    ks: Sequence[int],
-) -> dict:
-    """{k: recall of the first k pairs} for every k, in one walk over the pairs.
+def _bucket_recall(pair_matches: np.ndarray, relations: Sequence[np.ndarray], g: int, ks) -> list:
+    """[{k: recall of the first k pairs} per instance] of a bucket of B instances.
 
-    Unchecked: pair_matches is a (k', 2) array of the gt index that each end
-    of a ranked pair (such as top_k_pairs gives) best-matches, -1 for none:
-    entity_gt_matching's output for those ends. gt_relations may hold any
-    (subject, object) pairs.
+    Unchecked: pair_matches is the (B, k', 2) gt index in [0, g) that each end
+    of each instance's ranked pairs best-matches, -1 for none; relations, each
+    instance's non-empty (m, 2) gt index pairs in any orientation. A (B, g, g)
+    table holds each instance's unique unordered relations (self-pairs count,
+    never covered); each counts once, at the first pair whose ends it joins.
     """
-    unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
-    if not unique_gt:
-        return {k: 1.0 for k in ks}
-    covered_at = [0]  # covered_at[p]: relations covered by the first p pairs
-    covered = set()
-    for a, b in pair_matches[: max(ks)].tolist():
-        if a != NO_MATCH and b != NO_MATCH and a != b:
-            key = (a, b) if a < b else (b, a)
-            if key in unique_gt:
-                covered.add(key)
-        covered_at.append(len(covered))
-    return {k: covered_at[min(k, len(covered_at) - 1)] / len(unique_gt) for k in ks}
+    a, b = pair_matches[:, : max(ks)].transpose(2, 0, 1)
+    size, cut = a.shape
+    table = np.zeros((size, g, g), dtype=bool)
+    row = np.repeat(np.arange(size), [len(r) for r in relations])
+    i, j = np.concatenate(relations).T
+    table[row, i, j] = table[row, j, i] = True
+    # each unordered relation fills two cells, a self-pair one
+    unique = (np.count_nonzero(table, axis=(1, 2)) + np.count_nonzero(table.diagonal(0, 1, 2), 1)) // 2
+    row, pos = np.nonzero((a != NO_MATCH) & (b != NO_MATCH) & (a != b))
+    lo, hi = np.minimum(a[row, pos], b[row, pos]), np.maximum(a[row, pos], b[row, pos])
+    hit = table[row, lo, hi]
+    row, pos, lo, hi = row[hit], pos[hit], lo[hit], hi[hit]
+    _, first = np.unique((row * g + lo) * g + hi, return_index=True)
+    firsts = np.bincount(row[first] * (cut + 1) + pos[first] + 1, minlength=size * (cut + 1))
+    covered_at = firsts.reshape(size, cut + 1).cumsum(axis=1)  # [:, p]: covered by the first p pairs
+    covered = covered_at[:, [min(k, cut) for k in ks]].tolist()
+    return [{k: c / u for k, c in zip(ks, counts)} for counts, u in zip(covered, unique.tolist())]
 
 
 def _check_pairs(pairs, n: int) -> np.ndarray:
@@ -143,26 +145,27 @@ def relation_recall(
     [0, n) and self-pairs raise ValidationError. A proposal covers a relation
     when its two entities best-match the relation's two gt objects
     (unordered, IoU > threshold via best-match assignment against the (g, 4)
-    gt_boxes, whose rows the relations index). Each gt relation counts at
-    most once. Empty gt_relations gives vacuous recall 1.0; report layers
-    flag that case.
+    gt_boxes, whose rows the relations index). gt_relations are pairs or an
+    (m, 2) integer array, each two distinct integers in [0, g), or
+    ValidationError; reversed and repeated relations count once. Empty
+    gt_relations gives vacuous recall 1.0; report layers flag that case.
 
     Only the ends of the first k pairs are matched, as one flat (2k', 4) box
-    array, so gt_boxes must be (g, 4). To score several cutoffs, match once
-    and pass the (k', 2) matches of the pair ends to _recall_at_ks;
-    trainer.evaluate makes one entity_gt_matching call per group of
-    equal-size instances: on the pair ends when they are fewer than n, else
-    on all n boxes.
+    array, so gt_boxes must be (g, 4). The score is `_bucket_recall`'s for
+    B = 1; trainer.evaluate calls it once per group of equal-size
+    instances, after one entity_gt_matching call on the pair ends when they
+    are fewer than n, else on all n boxes.
     """
     p = _check_pairs(pairs, entities.n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if not gt_relations:
+    if isinstance(gt_relations, (list, tuple, np.ndarray)) and not len(gt_relations):
         return 1.0  # vacuous before matching, so box-less entities are fine here
     boxes = entities.boxes  # None goes on to entity_gt_matching, which refuses it
     ends = None if boxes is None else boxes[p[:k]].reshape(-1, 4)
-    matches = entity_gt_matching(ends, gt_boxes, iou_threshold)
-    return _recall_at_ks(matches.reshape(-1, 2), gt_relations, (k,))[k]
+    matches = entity_gt_matching(ends, gt_boxes, iou_threshold)  # gt_boxes is (g, 4) from here
+    relations = _index_pairs(gt_relations, len(gt_boxes), "gt_relations")
+    return _bucket_recall(matches.reshape(1, -1, 2), [relations], len(gt_boxes), (k,))[0][k]
 
 
 def word_importance(focus_weights) -> np.ndarray:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -40,8 +39,8 @@ import numpy as np
 
 from .attention import EntitySet
 from .losses import _check_target, validate_target
-from .matrices import ValidationError, _check_boxes, _decode_payload
-from .matrices import _encode_array, _from_json, _json_dict, as_matrix, check_finite
+from .matrices import _NO_PAIRS, ValidationError, _check_boxes, _decode_payload, _encode_array
+from .matrices import _from_json, _index_pairs, _json_dict, as_matrix, check_finite
 from .metrics import _candidates
 from .seeding import STREAM_INSTANCE, _rekeyed, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
@@ -65,41 +64,10 @@ __all__ = [
 ]
 
 
-def _index_pairs(raw, n: int, field: str) -> tuple:
-    """Parse a list of [i, j] index pairs into a tuple of (int, int) tuples.
-
-    Every entry must be two distinct integers in [0, n); otherwise a
-    ValidationError names the field and the first bad entry. Types are
-    checked on the list itself, because numpy turns a bool among ints into 0/1.
-    """
-    if isinstance(raw, (list, tuple)) and not raw:
-        return ()
-    flat = None
-    try:
-        if set(map(len, raw)) == {2} and set(map(type, chain.from_iterable(raw))) == {int}:
-            flat = np.fromiter(chain.from_iterable(raw), np.int64, 2 * len(raw))
-    except (TypeError, OverflowError):  # an unsized entry; an index beyond int64
-        pass
-    # as unsigned, a negative index wraps past any n: one max checks both ends
-    in_range = flat is not None and flat.astype(np.uint64).max() < n
-    if not in_range or np.count_nonzero(flat[::2] == flat[1::2]):
-        listed = isinstance(raw, (list, tuple))
-        bad = next(p for p in raw if not _is_index_pair(p, n)) if listed else raw
-        raise ValidationError(
-            f"{field}: bad index pair {bad!r}, need two distinct integers in [0, {n})"
-        )
-    return tuple(map(tuple, flat.reshape(-1, 2).tolist()))
-
-
-def _is_index_pair(p, n: int) -> bool:
-    return isinstance(p, (list, tuple)) and len(p) == 2 and p[0] != p[1] and all(
-        type(x) is int and 0 <= x < n for x in p
-    )
-
-
 def _set_pairs(spec, field: str, n: int) -> None:
     """Check spec.<field> as index pairs below n; store it as a tuple of int tuples."""
-    object.__setattr__(spec, field, _index_pairs(getattr(spec, field), n, field))
+    pairs = _index_pairs(getattr(spec, field), n, field)
+    object.__setattr__(spec, field, tuple(map(tuple, pairs.tolist())))
 
 
 def _spec_matrix(raw, field: str) -> np.ndarray:
@@ -305,18 +273,19 @@ class DocumentSpec(_World):
 class Instance:
     """One supervised example: entities, relation target, class label.
 
-    Vision-style instances carry boxes and ground-truth relations, a tuple
-    of (int, int) entity-index pairs; document instances carry tokens and
-    tags instead. `target` is the binary supervision matrix, checked here
-    once with `validate_target`'s checks (square, entries 0 or 1, zero
-    diagonal); `labeled` records whether it labels any pair. Generated
-    instances skip these checks, which they pass by construction.
+    Vision-style instances carry boxes and ground-truth `relations`, a
+    read-only (m, 2) int64 array of entity-index pairs, each two distinct
+    ints in [0, n) (`gt_relations` gives them as tuples); document instances
+    carry tokens and tags instead. `target` is the binary supervision matrix,
+    checked here once with `validate_target`'s checks (square, entries 0 or
+    1, zero diagonal); `labeled` records whether it labels any pair.
+    Generated instances skip these checks, which they pass by construction.
     """
 
     entities: EntitySet
     target: np.ndarray
     label: int
-    gt_relations: tuple = ()
+    relations: np.ndarray = ()
     tokens: Optional[tuple] = None
     tags: Optional[tuple] = None
     labeled: bool = field(init=False)
@@ -330,12 +299,17 @@ class Instance:
             )
         if self.label < 0:
             raise ValidationError(f"label must be >= 0, got {self.label}")
-        object.__setattr__(self, "gt_relations", tuple(self.gt_relations))
+        object.__setattr__(self, "relations", _index_pairs(self.relations, self.n, "relations"))
         object.__setattr__(self, "labeled", bool(nonzero))
 
     @property
     def n(self) -> int:
         return self.entities.n
+
+    @property
+    def gt_relations(self) -> tuple:
+        """`relations` as a tuple of (int, int) tuples, in order, built on each read."""
+        return tuple(map(tuple, self.relations.tolist()))
 
 
 def _grid_boxes(n: int) -> np.ndarray:
@@ -358,12 +332,14 @@ def _affinity_target(categories: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table.take(categories, 0).take(categories, 1)  # two takes beat one 2-D gather
 
 
-def _upper_pairs(t: np.ndarray) -> tuple:
-    """The 1.0 cells (i, j) of t with i < j, in row-major order, as a tuple of
-    (int, int) tuples: the form of Instance.gt_relations."""
+def _upper_pairs(t: np.ndarray) -> np.ndarray:
+    """The 1.0 cells (i, j) of t with i < j, in row-major order, as a
+    read-only (m, 2) int64 array: the form of Instance.relations."""
     i, j = np.nonzero(t == 1.0)
     keep = i < j
-    return tuple(zip(i[keep].tolist(), j[keep].tolist()))
+    pairs = np.array((i[keep], j[keep])).T  # ~2x faster than np.stack at n <= 8
+    pairs.flags.writeable = False
+    return pairs
 
 
 # Generated instances are built without the EntitySet and Instance checks.
@@ -424,8 +400,8 @@ def _scene_drawer(spec: WorldSpec):
         relations = _upper_pairs(target)
         entities = _unchecked(EntitySet, features=features, categories=categories, boxes=grid.copy())
         return _unchecked(
-            Instance, entities=entities, target=target, label=label, gt_relations=relations,
-            tokens=None, tags=None, labeled=bool(relations),
+            Instance, entities=entities, target=target, label=label, relations=relations,
+            tokens=None, tags=None, labeled=bool(len(relations)),
         )
 
     return draw
@@ -451,7 +427,7 @@ def _document_drawer(spec: DocumentSpec):
         np.fill_diagonal(target, 0.0)
         return _unchecked(
             Instance, entities=_unchecked(EntitySet, features=features, categories=None, boxes=None),
-            target=target, label=label, gt_relations=(), tokens=pick(spec.tokens),
+            target=target, label=label, relations=_NO_PAIRS, tokens=pick(spec.tokens),
             tags=pick(spec.tags), labeled=bool(target.any()),
         )
 
@@ -591,25 +567,16 @@ def _instance_to_dict(inst: Instance) -> dict:
         },
         "target": _encode_array(np.packbits(upper), "u1"),
     }
-    if not _lists_upper_pairs(inst.gt_relations, inst.target, np.count_nonzero(upper)):
-        d["gt_relations"] = [sorted((a, b)) for a, b in inst.gt_relations]
+    # omitted when the relations, each pair sorted, are the target's upper pairs
+    pairs = _upper_pairs(inst.target).tolist() if len(inst.relations) == np.count_nonzero(upper) else None
+    if inst.relations.tolist() != pairs and (relations := np.sort(inst.relations, 1).tolist()) != pairs:
+        d["gt_relations"] = relations
     d["label"] = int(inst.label)
     if inst.tokens is not None:
         d["tokens"] = list(inst.tokens)
     if inst.tags is not None:
         d["tags"] = list(inst.tags)
     return d
-
-
-def _lists_upper_pairs(relations: tuple, t: np.ndarray, count: int) -> bool:
-    """Whether relations, each pair in either order, are t's `count` upper
-    pairs in row-major order. Generated and read relations are those pairs
-    as (int, int) tuples, which one tuple comparison finds; any other form is
-    compared as sorted pair lists."""
-    if len(relations) != count:
-        return False
-    pairs = _upper_pairs(t)
-    return relations == pairs or [sorted((a, b)) for a, b in relations] == list(map(list, pairs))
 
 
 def _parse_line(d) -> tuple:
@@ -673,11 +640,12 @@ def _required(d: dict, field: str):
 def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
     """The arrays of one group of lines (`read_jsonl`), each made at once.
 
-    `given` holds each line's gt_relations (None where omitted) and `buffers`
-    their packed targets, features and boxes, each back to back. Returns the
-    (B, n, n) targets, each line's gt_relations (its own, or where it omitted
-    them the target's pairs, i < j, row-major) and `labeled` (whether it packs
-    any pair), and the float64 (B, n, d) features and (B, ...) boxes or None.
+    `given` holds each line's relations array (None where omitted) and
+    `buffers` their packed targets, features and boxes, each back to back.
+    Returns the (B, n, n) targets, each line's relations (its own, or a
+    read-only view of the target's pairs, i < j, row-major, in one array per
+    group), `labeled` (whether it packs any pair), and the float64 (B, n, d)
+    features and (B, ...) boxes or None.
     """
     n, d, bshape = key
     size = len(given)
@@ -705,7 +673,8 @@ def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
     targets[:, cols, rows] = bits
     line, pair = np.nonzero(bits[omitted])
     ends = np.cumsum(np.bincount(line, minlength=len(omitted))).tolist()
-    pairs = tuple(zip(rows[pair].tolist(), cols[pair].tolist()))
+    pairs = np.stack((rows[pair], cols[pair]), axis=1)
+    pairs.flags.writeable = False
     for k, start, end in zip(omitted, [0, *ends], ends):
         relations[k] = pairs[start:end]
     return targets, relations, labeled, *arrays
@@ -766,7 +735,7 @@ def read_jsonl(path) -> list:
     with the constructors' own message.
     """
     parsed = []  # file order: (lineno, group key, index in the group)
-    groups: dict = {}  # key -> (each line's gt_relations, `_unpack_group`'s buffers, their fields)
+    groups: dict = {}  # key -> (each line's relations, `_unpack_group`'s buffers, their fields)
     failure = None
     try:  # bytes that are not UTF-8 are read as escapes, for the check below to name their line
         fh = open(path, encoding="utf-8", errors="surrogateescape")
@@ -808,7 +777,7 @@ def read_jsonl(path) -> list:
         if checked:
             entities = _unchecked(EntitySet, features=features, categories=categories, boxes=boxes)
             out.append(_unchecked(Instance, entities=entities, target=targets[i], label=label,
-                                  gt_relations=relations[i], tokens=tokens, tags=tags, labeled=labeled[i]))
+                                  relations=relations[i], tokens=tokens, tags=tags, labeled=labeled[i]))
             continue
         try:
             out.append(Instance(EntitySet(features, categories, boxes), targets[i], label, relations[i],

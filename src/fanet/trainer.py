@@ -59,7 +59,7 @@ from .matrices import (
     _write_json,
     check_finite,
 )
-from .metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
+from .metrics import RECALL_IOU, CenterMassSummary, _bucket_recall, top_k_pairs
 from .seeding import STREAM_PARAMS_CLASSIFIER, STREAM_SHUFFLE, stream_rng
 from .supervision import _stack_boxes, entity_gt_matching
 from .synthgen import Instance
@@ -514,10 +514,11 @@ def evaluate(
 ) -> EvalResult:
     """Accuracy, center-mass summary and recall@K means over a dataset.
 
-    Runs one forward per bucket of equal entity count, and one top-K and one
-    IoU matching (of the top-K pairs' ends, if fewer than n) over the bucket's
-    instances that have gt relations; the results are summed in instance
-    order, so they do not depend on the bucketing.
+    Runs one forward per bucket of equal entity count, and one top-K, one
+    IoU matching (of the top-K pairs' ends, if fewer than n) and one recall
+    pass (`_bucket_recall`) over the bucket's instances that have gt
+    relations; the results are summed in instance order, so they do not
+    depend on the bucketing.
     """
     ks = config.eval_ks if ks is None else _check_ks(ks, "ks")
     if not instances:
@@ -542,7 +543,7 @@ def evaluate(
             correct += label == inst.label
             if inst.labeled:
                 masses[i] = float(np.add.reduce(w * inst.target, axis=None))
-        with_gt = [j for j, i in enumerate(idx) if instances[i].gt_relations]
+        with_gt = [j for j, i in enumerate(idx) if len(instances[i].relations)]
         if not with_gt:
             continue
         boxes = _stack_boxes([instances[idx[j]].entities for j in with_gt])
@@ -554,9 +555,10 @@ def evaluate(
             matches = entity_gt_matching(boxes[rows, ends], boxes, RECALL_IOU)
         else:
             matches = entity_gt_matching(boxes, boxes, RECALL_IOU)[rows, ends]
-        for j, pair_matches in zip(with_gt, matches.reshape(pairs.shape)):
-            i = idx[j]
-            per_k[i] = _recall_at_ks(pair_matches, instances[i].gt_relations, ks)
+        relations = [instances[idx[j]].relations for j in with_gt]
+        bucket = _bucket_recall(matches.reshape(pairs.shape), relations, boxes.shape[1], ks)
+        for j, scores in zip(with_gt, bucket):
+            per_k[idx[j]] = scores
     vacuous = {k: 1.0 for k in ks}
     recalls = tuple(vacuous if scores is None else scores for scores in per_k)
     recall_sums = {k: 0.0 for k in ks}  # one sum per distinct K, however often it repeats

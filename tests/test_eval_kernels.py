@@ -3,9 +3,10 @@
 `top_k_pairs` now cuts at the k-th largest weight before it works out which
 orientation of a cell is the stronger one, `_iou_matrix` computes each box's
 area once and works in place, `entity_gt_matching` reads the best IoU with
-`take_along_axis`, `_softmax` exponentiates in place, and `_recall_at_ks`
-walks the matches of the top-K pair ends instead of looking each end up in
-the matches of all n entities. Each must give the same bits as the formula
+`take_along_axis`, `_softmax` exponentiates in place, and `_bucket_recall`
+scores a bucket of instances at once from the matches of their top-K pair
+ends, through a table of each instance's relations, instead of walking each
+instance's pairs against a set. Each must give the same bits as the formula
 it replaced; those formulas are kept here as the references.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from fanet.matrices import _softmax
-from fanet.metrics import _candidates, _recall_at_ks, top_k_pairs
+from fanet.metrics import _bucket_recall, _candidates, top_k_pairs
 from fanet.supervision import NO_MATCH, _iou_matrix, entity_gt_matching
 
 
@@ -67,8 +68,8 @@ def prior_matching(boxes, gt_boxes, threshold):
 
 
 def prior_recall_at_ks(pairs, matches, gt_relations, ks):
-    """_recall_at_ks before it took the pair ends' matches: (k, 2) entity
-    pairs, looked up in the matches of all n entities."""
+    """One instance's recall as a set walk over its (k, 2) entity pairs,
+    looked up in the matches of all n entities."""
     unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
     if not unique_gt:
         return {k: 1.0 for k in ks}
@@ -238,16 +239,38 @@ def test_matching_the_pair_ends_equals_matching_all(seed, grid):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_recall_matches_prior_formula(seed):
+    """A bucket of B instances: unmatched and repeated objects, so that one
+    relation is covered by several pairs in either orientation; self-pairs,
+    reversed and repeated relations; K above the pair count and repeated K."""
     rng = np.random.default_rng(200 + seed)
-    n, g = int(rng.integers(2, 12)), int(rng.integers(1, 6))
-    matches = rng.integers(NO_MATCH, g, size=n)  # unmatched and repeated objects
+    n, g, batch = int(rng.integers(2, 12)), int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    matches = rng.integers(NO_MATCH, g, size=(batch, n))
     size = n * (n - 1) // 2
-    pairs, _ = top_k_pairs(rng.random((n, n)), int(rng.integers(1, size + 1)))
-    relations = [tuple(r) for r in rng.integers(0, g, size=(int(rng.integers(0, 8)), 2))]
-    for ks in ((1,), (1, 5, 10), (size + 3, 2, 2), (len(pairs),)):
-        got = _recall_at_ks(matches[pairs], relations, ks)
-        want = prior_recall_at_ks(pairs, matches, relations, ks)
-        assert list(got.items()) == list(want.items())
+    pairs, _ = top_k_pairs(rng.random((batch, n, n)), int(rng.integers(1, size + 1)))
+    relations = [rng.integers(0, g, size=(int(rng.integers(1, 8)), 2)) for _ in range(batch)]
+    pair_matches = matches[np.arange(batch)[:, None, None], pairs]
+    for ks in ((1,), (1, 5, 10), (size + 3, 2, 2), (pairs.shape[1],)):
+        got = _bucket_recall(pair_matches, relations, g, ks)
+        assert len(got) == batch
+        for b in range(batch):
+            want = prior_recall_at_ks(pairs[b], matches[b], relations[b].tolist(), ks)
+            assert list(got[b].items()) == list(want.items())
+            assert all(type(r) is float for r in got[b].values())
+
+
+def test_recall_counts_each_relation_once_at_its_first_cover():
+    """Hand-checked: relation (0, 1) is covered by pairs 0 and 2 in opposite
+    orientations, (1, 2) by pair 3; the second instance's relations differ,
+    so a table row read for the wrong instance shows."""
+    pair_matches = np.array([
+        [[0, 1], [2, 2], [1, 0], [2, 1], [NO_MATCH, 2]],
+        [[0, 1], [1, 2], [2, 0], [0, 1], [1, 0]],
+    ])
+    relations = [np.array([[1, 0], [1, 2], [0, 1], [2, 2]]), np.array([[0, 2]])]
+    got = _bucket_recall(pair_matches, relations, 3, (1, 2, 3, 4, 9))
+    # three unique relations, the self-pair among them: 1/3 until pair 3 adds (1, 2)
+    assert got[0] == {1: 1 / 3, 2: 1 / 3, 3: 1 / 3, 4: 2 / 3, 9: 2 / 3}
+    assert got[1] == {1: 0.0, 2: 0.0, 3: 1.0, 4: 1.0, 9: 1.0}
 
 
 # --- softmax -----------------------------------------------------------------------

@@ -70,7 +70,7 @@ def permuted(inst: Instance, perm: np.ndarray) -> Instance:
                            boxes=e.boxes[perm]),
         target=inst.target[np.ix_(perm, perm)],
         label=inst.label,
-        gt_relations=tuple(relations),
+        relations=tuple(relations),
     )
 
 

@@ -13,7 +13,7 @@ from fanet.cli import _METRICS_COLUMNS, _write_csv
 from fanet.matrices import ValidationError, softmax_matrix
 from fanet.metrics import (
     CenterMassSummary,
-    _recall_at_ks,
+    _bucket_recall,
     relation_recall,
     top_k_pairs,
     word_importance,
@@ -259,7 +259,7 @@ class TestRelationRecall:
         pairs, _ = top_k_pairs(w, 10)
         matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
         ks = (10, 1, 3, 99)
-        got = _recall_at_ks(matches[pairs], gt_relations, ks)
+        got = _bucket_recall(matches[pairs][None], [np.array(gt_relations)], 6, ks)[0]
         assert list(got) == list(ks)
         for k in ks:
             assert got[k] == relation_recall(pairs, ents, gt_boxes, gt_relations, k)
@@ -291,6 +291,21 @@ class TestRelationRecall:
             relation_recall(bad, ents, gt_boxes, gt_relations, 1)
         with pytest.raises(ValidationError):  # checked before the vacuous shortcut
             relation_recall(bad, ents, gt_boxes, [], 1)
+
+    @pytest.mark.parametrize(
+        "relations",
+        [[(0, 4)], [(-1, 2)], [(1, 1)], [(0, 1), (2, 3.0)], [(0, 1, 2)]],
+        ids=["index-g", "negative", "self", "float", "triple"],
+    )
+    def test_rejects_relations_outside_the_gt_objects(self, relations):
+        """gt_relations index the g gt boxes by the reader's rule: two distinct
+        integers in [0, g). They once counted in the denominator unchecked."""
+        w, boxes, gt_boxes, _ = self.make_scene(16, 4)
+        ents = EntitySet(features=np.zeros((4, 2)), boxes=boxes)
+        pairs = top_k_pairs(w, 6)[0]
+        for k in (1, 6):
+            with pytest.raises(ValidationError, match=r"^gt_relations: bad index pair .* in \[0, 4\)$"):
+                relation_recall(pairs, ents, gt_boxes, relations, k)
 
     def test_box_less_entities_with_relations_are_refused(self):
         """Only the pair ends are matched, but entities without boxes still
@@ -326,9 +341,12 @@ class TestRelationRecall:
         # reversed orientation and a duplicate: both collapse to one relation
         plain = [(b, a) for a, b in gt_relations] + [gt_relations[0]]
         ks = (1, 3, 10, 21)
-        want = _recall_at_ks(matches[pairs], gt_relations, ks)
-        assert _recall_at_ks(matches[pairs], plain, ks) == want
-        assert _recall_at_ks(matches[pairs], [list(p) for p in plain], ks) == want
+        want = _bucket_recall(matches[pairs][None], [np.array(gt_relations)], 7, ks)[0]
+        assert _bucket_recall(matches[pairs][None], [np.array(plain)], 7, ks)[0] == want
+        for k in ks:  # the checked entry takes tuples, lists and arrays alike
+            want_k = relation_recall(pairs, ents, gt_boxes, gt_relations, k)
+            for given in (plain, [list(p) for p in plain], np.array(plain)):
+                assert relation_recall(pairs, ents, gt_boxes, given, k) == want_k
 
 
 def test_300_entity_scene_matches_reference():
@@ -347,7 +365,7 @@ def test_300_entity_scene_matches_reference():
     want_matches = ref_matching(ents.boxes.tolist(), gt_boxes.tolist(), 0.5)
     matches = entity_gt_matching(ents.boxes, gt_boxes, 0.5)
     assert matches.tolist() == want_matches
-    recall = _recall_at_ks(matches[pairs], gt_relations, (1, 5, 10))
+    recall = _bucket_recall(matches[pairs][None], [inst.relations], 300, (1, 5, 10))[0]
     for k in (1, 5, 10):
         want = brute_force_recall(focus, ents.boxes, gt_boxes, gt_relations, k)
         assert recall[k] == want, k

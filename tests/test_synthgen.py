@@ -268,6 +268,12 @@ def _draws(rng) -> list:
     ]
 
 
+def assert_relation_array(r) -> None:
+    """Instance.relations' form: a read-only (m, 2) int64 array."""
+    assert type(r) is np.ndarray and r.dtype == np.int64
+    assert r.ndim == 2 and r.shape[1] == 2 and not r.flags.writeable
+
+
 def _same_instance(a, b) -> None:
     """a and b hold the same arrays (dtype, shape, bytes, writability) and fields."""
     for name in ("features", "categories", "boxes"):
@@ -286,6 +292,9 @@ def _same_instance(a, b) -> None:
     assert a.gt_relations == b.gt_relations
     assert [tuple(map(type, p)) for p in a.gt_relations] == [(int, int)] * len(a.gt_relations)
     assert type(a.gt_relations) is type(b.gt_relations) is tuple
+    assert_relation_array(a.relations)
+    assert_relation_array(b.relations)
+    assert a.relations.tobytes() == b.relations.tobytes()
     assert (a.tokens, a.tags) == (b.tokens, b.tags)
     assert type(a.labeled) is type(b.labeled) is bool and a.labeled == b.labeled
 
@@ -343,7 +352,7 @@ class TestSharedStream:
             checked = Instance(
                 entities=EntitySet(features=ent.features, categories=ent.categories,
                                    boxes=ent.boxes),
-                target=inst.target, label=inst.label, gt_relations=inst.gt_relations,
+                target=inst.target, label=inst.label, relations=inst.relations,
                 tokens=inst.tokens, tags=inst.tags,
             )
             _same_instance(inst, checked)
@@ -443,6 +452,7 @@ def assert_same_instances(got, want):
             (int, int) for _ in b.gt_relations
         ]
         assert all(type(r) is tuple for r in a.gt_relations + b.gt_relations)
+        assert_relation_array(a.relations)
         assert a.tokens == b.tokens and a.tags == b.tags
 
 
@@ -496,14 +506,14 @@ class TestFormatV2:
         if labeled:
             target[0, 1] = target[1, 0] = target[2, 3] = target[3, 2] = 1.0
         entities = EntitySet(features=np.eye(4))
-        inst = Instance(entities=entities, target=target, label=1, gt_relations=relations)
+        inst = Instance(entities=entities, target=target, label=1, relations=relations)
         p = tmp_path / "a.jsonl"
         write_jsonl(p, [inst])
         d = json.loads(p.read_text())
         assert d.get("gt_relations") == written
         assert ("gt_relations" in d) == (written is not None)
         read = _upper_pairs(target) if written is None else tuple(map(tuple, written))
-        want = Instance(entities=entities, target=target, label=1, gt_relations=read)
+        want = Instance(entities=entities, target=target, label=1, relations=read)
         assert_same_instances(read_jsonl(p), [want])
 
     @pytest.mark.parametrize("n", [*range(1, 10), 17])  # n(n-1)/2 takes every residue mod 8
@@ -541,7 +551,7 @@ def _mixed_instances():
             entities=EntitySet(features=inst.entities.features, categories=inst.entities.categories),
             target=inst.target,
             label=inst.label,
-            gt_relations=inst.gt_relations,
+            relations=inst.relations,
         )
         for inst in scenes[:4]
     ]
@@ -550,7 +560,7 @@ def _mixed_instances():
             entities=inst.entities,
             target=inst.target,
             label=inst.label,
-            gt_relations=((0, inst.n - 1),),
+            relations=((0, inst.n - 1),),
         )
         for inst in scenes[4:7]
     ]
@@ -575,6 +585,7 @@ def assert_bit_identical(got, want):
             type(r) is tuple and tuple(map(type, r)) == (int, int)
             for r in a.gt_relations
         )
+        assert_relation_array(a.relations)
 
 
 def _same_shape_lines(tmp_path, count=6):
@@ -704,7 +715,7 @@ class TestGroupedRead:
                 entities=EntitySet(features=ent.features, categories=ent.categories),
                 target=want[k].target,
                 label=want[k].label,
-                gt_relations=want[k].gt_relations,
+                relations=want[k].relations,
             )
         p = tmp_path / "bad.jsonl"
         _write_lines(p, lines)
@@ -864,11 +875,13 @@ class TestArrayKernelsMatchLoops:
         # asymmetric, with cells that are near 1 but not 1
         t = np.random.default_rng(seed).choice([0.0, 0.5, 1.0, 1.0 + 1e-12], size=(n, n))
         got = _upper_pairs(t)
-        assert type(got) is tuple and {tuple(map(type, p)) for p in got} <= {(int, int)}
-        assert [list(p) for p in got] == ref_upper_pairs(t)
+        assert_relation_array(got)
+        assert got.tolist() == ref_upper_pairs(t)
 
     def test_upper_pairs_none(self):
-        assert _upper_pairs(np.zeros((4, 4))) == ()
+        got = _upper_pairs(np.zeros((4, 4)))
+        assert_relation_array(got)
+        assert got.shape == (0, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 9, 300])
     def test_grid_boxes(self, n):
@@ -1086,3 +1099,56 @@ class TestInstanceValidation:
         ents = EntitySet(features=np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             Instance(entities=ents, target=np.zeros((2, 2)), label=-1)
+
+    @pytest.mark.parametrize(
+        "relations",
+        [((0, 999),), ((-1, 3),), ((2, 2),), ((0, 1), (1, 4)), ((0, 1.0),), ((True, 1),), ((0, 1, 2),)],
+        ids=["beyond", "negative", "self", "index-n", "float", "bool", "triple"],
+    )
+    def test_relations_checked_at_entry(self, relations):
+        """Relations follow the reader's rule: two distinct ints in [0, n).
+        Positional, as Instance has always been built."""
+        with pytest.raises(ValidationError, match=r"^relations: bad index pair .* in \[0, 4\)$"):
+            Instance(EntitySet(features=np.zeros((4, 2))), np.zeros((4, 4)), 0, relations)
+
+
+class TestRelationsView:
+    """Instance.relations is a read-only (m, 2) int64 array. gt_relations
+    rebuilds from it, on each read, a tuple of (int, int) tuples in its order."""
+
+    @staticmethod
+    def assert_view(inst, want):
+        assert_relation_array(inst.relations)
+        assert type(inst.gt_relations) is tuple and inst.gt_relations == want
+        assert all(type(p) is tuple and tuple(map(type, p)) == (int, int) for p in inst.gt_relations)
+
+    def test_generated_and_read(self, tmp_path):
+        scenes, _ = generate_dataset(tiny_world(), 8, 1, seed=4)
+        docs, _ = generate_dataset(default_document_spec(), 2, 1, seed=4)
+        explicit = dataclasses.replace(scenes[0], relations=((3, 1), (0, 2), (3, 1)))
+        p = tmp_path / "a.jsonl"
+        write_jsonl(p, scenes + docs + [explicit])
+        for inst in scenes + docs + read_jsonl(p)[:-1]:
+            want = () if inst.tokens else tuple(map(tuple, ref_upper_pairs(inst.target)))
+            self.assert_view(inst, want)
+        self.assert_view(read_jsonl(p)[-1], ((1, 3), (0, 2), (1, 3)))  # written sorted per pair
+        self.assert_view(explicit, ((3, 1), (0, 2), (3, 1)))
+
+    @pytest.mark.parametrize("form", [tuple, list, np.array])
+    def test_hand_built(self, form):
+        given = ((2, 0), (1, 3), (2, 0))
+        raw = form([form(p) for p in given]) if form is not np.array else np.array(given)
+        inst = Instance(EntitySet(features=np.eye(4)), np.zeros((4, 4)), 0, raw)
+        self.assert_view(inst, given)
+        if form is np.array:
+            assert raw.flags.writeable and not np.shares_memory(raw, inst.relations)
+        self.assert_view(Instance(EntitySet(features=np.eye(4)), np.zeros((4, 4)), 0), ())
+
+    def test_array_and_view_are_read_only(self):
+        inst = generate_instance(tiny_world(), 3)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.relations[0, 0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.relations = np.zeros((0, 2), dtype=np.int64)
+        with pytest.raises(AttributeError):
+            inst.gt_relations = ()

@@ -10,8 +10,8 @@ import pytest
 from fanet import cli, trainer
 from fanet.attention import EntitySet
 from fanet.matrices import NonFiniteError, ShapeError, ValidationError
-from fanet.metrics import RECALL_IOU, CenterMassSummary, _recall_at_ks, top_k_pairs
-from fanet.supervision import entity_gt_matching
+from fanet.metrics import RECALL_IOU, CenterMassSummary, top_k_pairs
+from fanet.supervision import NO_MATCH, entity_gt_matching
 from fanet.synthgen import Instance, WorldSpec, generate_dataset
 from fanet.trainer import (
     DivergenceError,
@@ -555,7 +555,7 @@ class TestTraining:
             entities=EntitySet(features=te[0].entities.features),
             target=te[0].target,
             label=te[0].label,
-            gt_relations=((0, 1),),
+            relations=((0, 1),),
         )
         with pytest.raises(ValidationError, match="no boxes") as info:
             train(tr, [bad], TrainConfig(epochs=1, d_k=2))
@@ -652,9 +652,25 @@ class TestEvaluate:
         assert math.isnan(result.accuracy)
 
 
+def set_recall_at_ks(pair_matches, gt_relations, ks):
+    """{k: recall@k} of one instance by a walk over its ranked pairs' matched
+    ends, with Python sets of unordered relations (evaluate's former kernel)."""
+    unique_gt = {(a, b) if a < b else (b, a) for a, b in gt_relations}
+    covered_at = [0]  # covered_at[p]: relations covered by the first p pairs
+    covered = set()
+    for a, b in pair_matches[: max(ks)].tolist():
+        if a != NO_MATCH and b != NO_MATCH and a != b:
+            key = (a, b) if a < b else (b, a)
+            if key in unique_gt:
+                covered.add(key)
+        covered_at.append(len(covered))
+    return {k: covered_at[min(k, len(covered_at) - 1)] / len(unique_gt) for k in ks}
+
+
 def reference_evaluate(instances, params, config, ks):
     """evaluate as a plain per-instance loop: one forward and one top-K each,
-    and one IoU matching of all n entities, read at the pairs' ends."""
+    one IoU matching of all n entities, read at the pairs' ends, and a set
+    walk for recall."""
     correct = 0
     scored = []
     recall_sums = {k: 0.0 for k in ks}
@@ -671,11 +687,11 @@ def reference_evaluate(instances, params, config, ks):
         if inst.gt_relations:
             pairs, _ = top_k_pairs(fwd.state.focus_weights, max(ks))
             matches = entity_gt_matching(inst.entities.boxes, inst.entities.boxes, RECALL_IOU)
-            per_k = _recall_at_ks(matches[pairs], inst.gt_relations, ks)
+            per_k = set_recall_at_ks(matches[pairs], inst.gt_relations, ks)
         else:
             n_vacuous += 1
             per_k = {k: 1.0 for k in ks}
-        for k in ks:
+        for k in recall_sums:  # once per distinct K, however often it repeats
             recall_sums[k] += per_k[k]
         masses.append(m)
         recalls.append(per_k)
@@ -710,7 +726,7 @@ def mixed_n_instances():
     for i in (2, 9, 33):  # gt relations scored, but nothing labeled for center-mass
         inst = out[i]
         out[i] = Instance(entities=inst.entities, target=np.zeros_like(inst.target),
-                          label=inst.label, gt_relations=inst.gt_relations)
+                          label=inst.label, relations=inst.relations)
     return out
 
 
@@ -743,7 +759,7 @@ class TestBucketedEvaluate:
                 boxes[-1] = boxes[0]  # the last entity matches the first one's object
             ents = EntitySet(features=inst.entities.features, boxes=boxes)
             instances.append(Instance(entities=ents, target=inst.target, label=inst.label,
-                                      gt_relations=inst.gt_relations))
+                                      relations=inst.relations))
         cfg = TrainConfig(d_k=3, seed=2)
         params = init_model(6, 3, cfg)
         got = evaluate(instances, params, cfg, ks=(1, 3, 10))
@@ -840,7 +856,7 @@ class TestBucketedEvaluate:
 
         with_gt = list(instances)
         with_gt[i] = Instance(entities=boxless, target=inst.target, label=inst.label,
-                              gt_relations=inst.gt_relations)
+                              relations=inst.relations)
         with pytest.raises(ValidationError, match="entities have no boxes"):
             evaluate(with_gt, params, cfg)
 
@@ -880,7 +896,7 @@ def proposal_instances(sizes, seed, per_size=3):
             boxes[dst] = boxes[src] + (0.25, 0.0, 0.25, 0.0)
             ents = EntitySet(features=inst.entities.features, boxes=boxes)
             out.append(Instance(entities=ents, target=inst.target, label=inst.label,
-                                gt_relations=inst.gt_relations))
+                                relations=inst.relations))
     return [out[i] for i in rng.permutation(len(out))]
 
 
@@ -913,7 +929,7 @@ class TestPairEndMatching:
         for inst in proposal_instances((300,), seed=8, per_size=2):
             keep = rng.random(rows.size) < 0.5
             relations = tuple(zip(rows[keep].tolist(), cols[keep].tolist()))
-            instances.append(dataclasses.replace(inst, gt_relations=relations))
+            instances.append(dataclasses.replace(inst, relations=relations))
         cfg = TrainConfig(d_k=4, seed=3)
         params = init_model(6, 3, cfg)
         got = evaluate(instances, params, cfg)
@@ -947,6 +963,47 @@ class TestPairEndMatching:
             branches.add((ends > n) - (ends < n))
         assert 0 in branches  # n = 2 has one pair: 2k' = n at every K
         assert (-1 in branches) == (k < 300)
+
+
+class TestBucketRecall:
+    """evaluate scores each bucket's recall in one array pass
+    (`metrics._bucket_recall`); it equals the per-instance set walk of
+    reference_evaluate bit for bit."""
+
+    def test_reversed_and_repeated_relations(self):
+        """Relations listed in either orientation and more than once, in
+        buckets of several scenes whose duplicated boxes let two top-K pairs
+        cover one relation; K above some scenes' pair counts, and repeated."""
+        rng = np.random.default_rng(21)
+        instances = []
+        for inst in proposal_instances(SIZES, seed=12):
+            relations = inst.relations[:, ::-1] if rng.random() < 0.5 else inst.relations
+            if len(relations):
+                relations = np.concatenate([relations, inst.relations[rng.integers(0, len(relations), 3)]])
+            instances.append(dataclasses.replace(inst, relations=relations))
+        assert any(len(i.gt_relations) > len(set(map(frozenset, i.gt_relations))) for i in instances)
+        ks = (5, 1, 5, 60)
+        cfg = TrainConfig(d_k=3, seed=6)
+        params = init_model(6, 3, cfg)
+        got = evaluate(instances, params, cfg, ks=ks)
+        assert repr(got) == repr(reference_evaluate(instances, params, cfg, ks))
+        assert list(got.recall) == [5, 1, 60]
+
+    def test_300_entity_scenes_at_40000(self):
+        """Two 300-entity scenes, each related on a random fifth of its pairs,
+        ranked to K = 40,000 of their 44,850 pairs."""
+        rng = np.random.default_rng(5)
+        rows, cols = np.triu_indices(300, 1)
+        instances = []
+        for inst in proposal_instances((300,), seed=9, per_size=2):
+            keep = rng.random(rows.size) < 0.2
+            instances.append(dataclasses.replace(inst, relations=np.stack((rows[keep], cols[keep]), 1)))
+        ks = (10, 40_000)
+        cfg = TrainConfig(d_k=4, seed=3)
+        params = init_model(6, 3, cfg)
+        got = evaluate(instances, params, cfg, ks=ks)
+        assert repr(got) == repr(reference_evaluate(instances, params, cfg, ks))
+        assert all(0 < r[40_000] < 1 for r in got.recalls)
 
 
 class TestCheckpoints:
