@@ -62,6 +62,7 @@ from .trainer import (
     DivergenceError,
     EpochStats,
     TrainConfig,
+    _check_matchable,
     evaluate,
     forward_task,
     grad_check,
@@ -335,6 +336,7 @@ def cmd_eval(args) -> int:
         raise UserInputError(f"dataset is empty: {args.data}")
     _check_feature_dim(params, instances, args.checkpoint, args.data)
     _check_labels(params.num_classes, instances, f"checkpoint {args.checkpoint}", args.data)
+    _check_matchable(instances, f"dataset {args.data}")
     ks = _parse_ks(args.ks) if args.ks else config.eval_ks
     result = evaluate(instances, params, config, ks)
     os.makedirs(args.out, exist_ok=True)

@@ -12,14 +12,13 @@ and the center-mass summary over instances.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .attention import EntitySet
-from .matrices import ShapeError, ValidationError, _index_pairs, as_matrix, check_finite
+from .matrices import ShapeError, ValidationError, _index_pairs, _upper_cells, as_matrix, check_finite
 from .supervision import NO_MATCH, entity_gt_matching
 
 __all__ = [
@@ -32,16 +31,6 @@ __all__ = [
 RECALL_IOU = 0.5  # default best-match IoU threshold for recall
 
 
-@functools.lru_cache(maxsize=16)
-def _candidates(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) of the upper-triangle cells (i < j) of an n x n
-    matrix, in row-major order."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
 def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(pairs, weights): the k highest-weight off-diagonal entries, descending.
 
@@ -49,9 +38,10 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     ranked on its own. pairs is (..., k', 2) int64 (subject, object) and
     weights is (..., k') float64, with k' = min(k, number of candidates).
 
-    Ties break by (row, col) lexicographic order, so repeated runs produce
-    identical results. (i, j) and (j, i) collapse to one unordered proposal
-    keeping the higher-weighted orientation.
+    The candidates are the cells i < j in `matrices._upper_cells`' row-major
+    order. Ties break by (row, col) lexicographic order, so repeated runs
+    produce identical results. (i, j) and (j, i) collapse to one unordered
+    proposal keeping the higher-weighted orientation.
     """
     w = np.asarray(focus_weights, dtype=np.float64)
     if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2] or w.shape[-1] < 1:
@@ -62,7 +52,7 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     stack = w.reshape((-1,) + w.shape[-2:])  # a matrix is the B = 1 stack
     n_batch = stack.shape[0]
 
-    iu, ju = _candidates(w.shape[-1])
+    _, iu, ju = _upper_cells(w.shape[-1])
     # each cell (i < j) weighs as its stronger orientation; which one that
     # is is worked out below, only for the candidates that survive
     weights = np.maximum(stack, stack.swapaxes(1, 2))[:, iu, ju]
@@ -116,20 +106,6 @@ def _bucket_recall(pair_matches: np.ndarray, relations: Sequence[np.ndarray], g:
     return [{k: c / u for k, c in zip(ks, counts)} for counts, u in zip(covered, unique.tolist())]
 
 
-def _check_pairs(pairs, n: int) -> np.ndarray:
-    """A (k, 2) array of integer entity indices in [0, n), no self-pairs."""
-    p = np.asarray(pairs)
-    if p.ndim != 2 or p.shape[1] != 2:
-        raise ShapeError(f"pairs must be a (k, 2) array, got shape {p.shape}")
-    if p.dtype.kind not in "iu":
-        raise ValidationError(f"pairs must hold integer entity indices, not {p.dtype}")
-    if np.any(p < 0) or np.any(p >= n):
-        raise ValidationError(f"pairs must index entities in [0, {n})")
-    if np.any(p[:, 0] == p[:, 1]):
-        raise ValidationError("a relation pair needs two distinct entities")
-    return p
-
-
 def relation_recall(
     pairs,
     entities: EntitySet,
@@ -140,15 +116,16 @@ def relation_recall(
 ) -> float:
     """Fraction of unique gt relations covered by the first k proposals.
 
-    pairs is a (k', 2) integer array of entity indices in ranked order, such
-    as top_k_pairs gives; a bad shape, non-integer entries, indices outside
-    [0, n) and self-pairs raise ValidationError. A proposal covers a relation
-    when its two entities best-match the relation's two gt objects
-    (unordered, IoU > threshold via best-match assignment against the (g, 4)
-    gt_boxes, whose rows the relations index). gt_relations are pairs or an
-    (m, 2) integer array, each two distinct integers in [0, g), or
-    ValidationError; reversed and repeated relations count once. Empty
-    gt_relations gives vacuous recall 1.0; report layers flag that case.
+    pairs is a (k', 2) array of entity indices in ranked order, such as
+    top_k_pairs gives; another shape, or an entry that is not two distinct
+    integers in [0, n) (the reader's rule, `_index_pairs`), raises
+    ValidationError. A proposal covers a relation when its two entities
+    best-match the relation's two gt objects (unordered, IoU > threshold via
+    best-match assignment against the (g, 4) gt_boxes, whose rows the
+    relations index). gt_relations are pairs or an (m, 2) integer array, each
+    two distinct integers in [0, g), or ValidationError; reversed and
+    repeated relations count once. Empty gt_relations gives vacuous recall
+    1.0; report layers flag that case.
 
     Only the ends of the first k pairs are matched, as one flat (2k', 4) box
     array, so gt_boxes must be (g, 4). The score is `_bucket_recall`'s for
@@ -156,7 +133,10 @@ def relation_recall(
     instances, after one entity_gt_matching call on the pair ends when they
     are fewer than n, else on all n boxes.
     """
-    p = _check_pairs(pairs, entities.n)
+    p = np.asarray(pairs)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise ShapeError(f"pairs must be a (k, 2) array, got shape {p.shape}")
+    p = _index_pairs(p, entities.n, "pairs")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if isinstance(gt_relations, (list, tuple, np.ndarray)) and not len(gt_relations):

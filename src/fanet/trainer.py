@@ -61,7 +61,7 @@ from .matrices import (
 )
 from .metrics import RECALL_IOU, CenterMassSummary, _bucket_recall, top_k_pairs
 from .seeding import STREAM_PARAMS_CLASSIFIER, STREAM_SHUFFLE, stream_rng
-from .supervision import _stack_boxes, entity_gt_matching
+from .supervision import _NO_BOXES, _stack_boxes, entity_gt_matching
 from .synthgen import Instance
 
 __all__ = [
@@ -603,12 +603,21 @@ class TrainReport:
     epochs: tuple  # of EpochStats
 
 
+def _check_matchable(instances, source: str) -> None:
+    """Refuse the first instance of `source`, by its 0-based index, whose gt
+    relations recall would have to match against boxes it does not have."""
+    for i, inst in enumerate(instances):
+        if inst.entities.boxes is None and len(inst.relations):
+            raise ValidationError(f"{source} instance {i}: {_NO_BOXES}")
+
+
 def _check_dataset(train_set, test_set):
     if not train_set:
         raise ValidationError("training set is empty")
     dims = {inst.entities.d for inst in itertools.chain(train_set, test_set)}
     if len(dims) != 1:
         raise ValidationError(f"mixed feature dims in dataset: {sorted(dims)}")
+    _check_matchable(test_set, "test split")
     labels = [inst.label for inst in itertools.chain(train_set, test_set)]
     return dims.pop(), max(labels) + 1
 

@@ -195,6 +195,20 @@ def _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, mess
     assert re.search(named, capsys.readouterr().err)
 
 
+def _box_less_test_file(data_dir, path) -> int:
+    """Write data_dir's test file to `path` with the boxes of its second
+    instance that has gt relations set to null; returns that instance's index."""
+    lines = Path(data_dir, "test.jsonl").read_text().splitlines()
+    with_relations = [i for i, inst in enumerate(read_jsonl(Path(data_dir, "test.jsonl")))
+                      if len(inst.relations)]
+    index = with_relations[1]
+    line = json.loads(lines[index])
+    line["entities"]["boxes"] = None
+    lines[index] = json.dumps(line)
+    Path(path).write_text("\n".join(lines) + "\n")
+    return index
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("data"))
@@ -412,6 +426,23 @@ class TestTrain:
                  "--lr", "1e200", "--epochs", "3", "--batch-size", "1", "--d-k", "2"]
             )
         assert code == EXIT_INTERNAL
+
+    def test_box_less_test_instance_with_relations_is_refused_before_training(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        """Recall could not match such an instance: train exits 2 naming the
+        split and the instance, before the first epoch, not after it."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        index = _box_less_test_file(data_dir, data / "test.jsonl")
+        epochs = []
+        monkeypatch.setattr("fanet.trainer._train_epochs", lambda *args: epochs.append(args))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN) == EXIT_USER
+        err = capsys.readouterr().err
+        assert f"error: test split instance {index}: entities have no boxes" in err
+        assert not epochs
+        assert not (out / "report.json").exists()
 
     @staticmethod
     def _data_with_label(tmp_path, data_dir, split, label):
@@ -700,6 +731,19 @@ class TestEval:
             "regenerate the data with `fanet gen`"
         )
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, v1, message)
+
+    def test_box_less_instance_with_relations_names_the_file(self, tmp_path, data_dir, run_dir, capsys):
+        """Recall cannot match an instance with gt relations and no boxes:
+        eval exits 2 naming --data and the 0-based instance, as for labels."""
+        data = tmp_path / "boxless.jsonl"
+        index = _box_less_test_file(data_dir, data)
+        out = tmp_path / "x"
+        code = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+                     "--data", str(data), "--out", str(out)])
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert f"error: dataset {data} instance {index}: entities have no boxes" in err
+        assert not out.exists()
 
     def test_label_beyond_checkpoint_classes_is_user_error(
         self, tmp_path, data_dir, run_dir, capsys

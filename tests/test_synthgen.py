@@ -2,16 +2,19 @@
 
 import base64
 import dataclasses
+import importlib.util
 import itertools
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fanet.attention import EntitySet
 from fanet.losses import validate_target
-from fanet.matrices import NonFiniteError, ValidationError
+from fanet.matrices import NonFiniteError, ValidationError, _upper_cells
 from fanet.seeding import _rekeyed, instance_seed, stream_rng
 from fanet.supervision import entity_gt_matching, iou
 from fanet.synthgen import (
@@ -905,6 +908,89 @@ class TestArrayKernelsMatchLoops:
         assert back.gt_relations == inst.gt_relations and back.label == inst.label
         write_jsonl(p2, [back])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def ref_unpack(line: dict):
+    """A dataset line's target and relations, one matrix and one cell at a
+    time: the packed bits fill the cells i < j row-major and mirror them, and
+    omitted relations are the target's upper pairs."""
+    n = line["entities"]["features"]["shape"][0]
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(line["target"]["data"]), np.uint8))
+    t = np.zeros((n, n))
+    cells = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (i, j), bit in zip(cells, bits):
+        t[i, j] = t[j, i] = bit
+    return t, line.get("gt_relations", ref_upper_pairs(t))
+
+
+def assert_read_matches_loop(path):
+    instances = read_jsonl(path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(instances) == len(lines)
+    for inst, line in zip(instances, lines):
+        t, relations = ref_unpack(line)
+        assert _array_bits(inst.target) == _array_bits(t)
+        assert_relation_array(inst.relations)
+        assert inst.relations.tolist() == relations
+        assert inst.labeled == bool(t.any())
+
+
+class TestUpperCells:
+    """`matrices._upper_cells` owns the order of the cells i < j that packed
+    targets, top-K candidates and relation pairs share; reading fills every
+    group's targets with one scatter through it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 56, 300])
+    def test_owner(self, n):
+        mask, rows, cols = cells = _upper_cells(n)
+        assert all(not a.flags.writeable for a in cells)
+        want = ~np.tri(n, dtype=bool)
+        assert mask.dtype == want.dtype and np.array_equal(mask, want)
+        for got, ref in zip((rows, cols), np.triu_indices(n, 1)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert _upper_cells(n)[0] is mask  # cached
+
+    def test_documents_of_more_sizes_than_the_cache_holds(self, tmp_path):
+        spec = default_document_spec().to_dict()
+        spec["tokens_min"], spec["tokens_max"] = 2, 45
+        tr, te = generate_dataset(load_spec(spec), 160, 1, seed=5)
+        assert len({inst.n for inst in tr}) > _upper_cells.cache_info().maxsize
+        p = tmp_path / "docs.jsonl"
+        write_jsonl(p, tr + te)
+        assert_read_matches_loop(p)
+
+    @pytest.mark.parametrize("omit", ["none", "half"])
+    def test_scenes_that_list_their_relations(self, tmp_path, omit):
+        """Every line of a group explicit (the groups that once took a
+        per-matrix loop), or explicit and omitted lines mixed in one group."""
+        scenes, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 10, 1, seed=9)
+        explicit = [
+            dataclasses.replace(inst, relations=((inst.n - 1, k % 5),))
+            if omit == "none" or k % 2 else inst
+            for k, inst in enumerate(scenes)
+        ]
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, explicit)
+        written = [json.loads(line) for line in p.read_text().splitlines()]
+        assert sum("gt_relations" in line for line in written) == (10 if omit == "none" else 5)
+        assert_read_matches_loop(p)
+
+    def test_cache_holds_every_workload_s_sizes(self, monkeypatch):
+        """A read cycling through more sizes than the cache holds misses on
+        every lookup: the bound covers the most entity counts any benchmark
+        workload's datasets span."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+        bundled = {"vision": default_world_spec().to_dict(), "document": default_document_spec().to_dict()}
+        spans = {}
+        for w in module.WORKLOADS.values():
+            world = {**bundled[w.kind], **w.spec_overrides}
+            count = "entities" if w.kind == "vision" else "tokens"
+            spans[w.name] = world[f"{count}_max"] - world[f"{count}_min"] + 1
+        assert _upper_cells.cache_info().maxsize >= max(spans.values())
 
 
 REQUIRED_KEYS = {
