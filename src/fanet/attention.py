@@ -13,6 +13,9 @@ Two normalizations of the same logits coexist:
     probability distribution over ordered entity pairs, used for supervision
     and relationship extraction.
 
+Both divide one exp(logits - max logits) per matrix, by its total and by its
+row sums (`_softmaxes`).
+
 All forward quantities are cached so the backward pass is exact (pure chain
 rule through the bilinear form); there is no value projection and no bias.
 
@@ -154,13 +157,41 @@ def forward(features: np.ndarray, params: AttentionParams) -> AttentionState:
     not finite.
     """
     logits, keys, queries = _logits(features, params)
+    focus, agg = _softmaxes(logits)
     return AttentionState(
         logits=logits,
-        agg_weights=_softmax(logits, -1),
-        focus_weights=_softmax(logits, (-2, -1)),
+        agg_weights=agg,
+        focus_weights=focus,
         proj_keys=keys,
         proj_queries=queries,
     )
+
+
+# A row's sum of exp(W - max W) falls below this when its own max lies ~667
+# or more below the matrix max; such a row takes its own max instead.
+_ROW_SUM_FLOOR = 1e-290
+
+
+def _softmaxes(logits: np.ndarray) -> tuple:
+    """(focus, agg): the matrix-wide and the per-row softmax of each matrix of
+    `logits`, both from one e = exp(W - max W).
+
+    focus is e over the matrix total, `_softmax(logits, (-2, -1))` bit for
+    bit. agg is e over its row sums; a row whose sum is below _ROW_SUM_FLOOR
+    is `_softmax` of that row alone, set before the divide, so no row loses
+    its digits or divides 0 by 0 and every matrix of a stack comes out as
+    it would alone.
+    """
+    e = logits - np.maximum.reduce(logits, axis=(-2, -1), keepdims=True)
+    np.exp(e, out=e)
+    focus = e / np.add.reduce(e, axis=(-2, -1), keepdims=True)
+    sums = np.add.reduce(e, axis=-1, keepdims=True)
+    low = sums[..., 0] < _ROW_SUM_FLOOR
+    if low.any():
+        e[low] = _softmax(logits[low], -1)
+        sums[low] = 1.0
+    e /= sums
+    return focus, e
 
 
 def _logits(features: np.ndarray, params: AttentionParams) -> tuple:
@@ -219,15 +250,13 @@ def backward(
     return d_w_k, d_w_q
 
 
-def _softmax_vjp(softmax_out: np.ndarray, grad_out: np.ndarray, axis) -> np.ndarray:
-    """VJP of the softmax over `axis` (-1 rows, -2 columns, None the whole matrix).
+def _row_softmax_vjp(agg_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """VJP of the per-row softmax `agg_weights`, (n, n) or (B, n, n), for an
+    upstream gradient whose every row is u, (n,) or (B, n).
 
-    a * (g - sum(g * a)), the sum taken over each distribution, built in one
-    fresh array; neither operand is written. Unchecked: both operands have
-    one shape by construction.
+    The VJP a * (g - sum(g * a)) over each row is then rank one,
+    a * (u - a @ u), built in one fresh array without the rows of g.
     """
-    out = grad_out * softmax_out
-    inner = np.add.reduce(out, axis=axis, keepdims=True)
-    np.subtract(grad_out, inner, out=out)
-    out *= softmax_out
+    out = u[..., None, :] - agg_weights @ u[..., :, None]
+    out *= agg_weights
     return out

@@ -62,6 +62,7 @@ from .trainer import (
     DivergenceError,
     EpochStats,
     TrainConfig,
+    _check_dataset,
     _check_matchable,
     evaluate,
     forward_task,
@@ -166,13 +167,23 @@ def _config_from_args(args) -> TrainConfig:
     return replace(config, **flags)
 
 
-def _dataset_paths(data_dir: str) -> tuple:
+def _read_dataset(data_dir: str) -> tuple:
+    """(train path, test path, train set, test set) of a data directory, after
+    every check `train` makes of them, so a refused dataset leaves no output."""
     train_path = os.path.join(data_dir, "train.jsonl")
     test_path = os.path.join(data_dir, "test.jsonl")
     for path in (train_path, test_path):
         if not os.path.exists(path):
             raise UserInputError(f"{path}: file not found")
-    return train_path, test_path
+    train_set = read_jsonl(train_path)
+    test_set = read_jsonl(test_path)
+    manifest = _manifest_classes(data_dir)
+    if manifest is not None:
+        num_classes, manifest_path = manifest
+        for path, instances in ((train_path, train_set), (test_path, test_set)):
+            _check_labels(num_classes, instances, f"manifest {manifest_path} spec", path)
+    _check_dataset(train_set, test_set)
+    return train_path, test_path, train_set, test_set
 
 
 def _check_feature_dim(params, instances, checkpoint_path, data_path) -> None:
@@ -239,20 +250,37 @@ def _write_csv(path, header, rows, config=None) -> None:
     _write_whole(path, lambda fh: fh.write("".join(text)), newline="")
 
 
+# the columns of an epoch that average over instances, of which there may be
+# none: JSON has no NaN, so report.json writes such an undefined mean as null
+_MEAN_COLUMNS = ("center_mass", "center_mass_test", "accuracy")
+
+
+def _defined(mean: float):
+    """A mean as JSON: null when it is undefined (NaN), else the number."""
+    return None if math.isnan(mean) else mean
+
+
 def _epoch_cells(stats: EpochStats, columns, ks) -> list:
     """The `columns` of an epoch, then its recall at each of `ks` (nan for a K not scored)."""
     return [getattr(stats, name) for name in columns] + [stats.recall.get(k, math.nan) for k in ks]
 
 
+def _epoch_json(stats: EpochStats) -> dict:
+    """An epoch's report.json object: its report.csv cells at the K it scored,
+    an undefined mean as null."""
+    doc = {name: getattr(stats, name) for name in _EPOCH_COLUMNS}
+    doc.update((name, _defined(doc[name])) for name in _MEAN_COLUMNS)
+    doc.update(zip(_recall_columns(stats.recall), map(_defined, stats.recall.values())))
+    return doc
+
+
 def _write_report(out: str, report) -> None:
-    """report.json and report.csv of a training run, into directory `out`; an
-    epoch's JSON object holds its report.csv cells at the K it scored."""
+    """report.json and report.csv of a training run, into directory `out`."""
     _write_json(os.path.join(out, "report.json"), {
         "config": report.config.to_dict(),
         "num_classes": report.num_classes,
         "feature_dim": report.feature_dim,
-        "epochs": [dict(zip([*_EPOCH_COLUMNS, *_recall_columns(e.recall)],
-                            _epoch_cells(e, _EPOCH_COLUMNS, e.recall))) for e in report.epochs],
+        "epochs": [_epoch_json(e) for e in report.epochs],
     })
     ks = report.config.eval_ks
     _write_csv(os.path.join(out, "report.csv"), [*_EPOCH_COLUMNS, *_recall_columns(ks)],
@@ -302,14 +330,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    train_path, test_path = _dataset_paths(args.data)
-    train_set = read_jsonl(train_path)
-    test_set = read_jsonl(test_path)
-    manifest = _manifest_classes(args.data)
-    if manifest is not None:
-        num_classes, manifest_path = manifest
-        for path, instances in ((train_path, train_set), (test_path, test_set)):
-            _check_labels(num_classes, instances, f"manifest {manifest_path} spec", path)
+    _, _, train_set, test_set = _read_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
     params, report = train(train_set, test_set, config)
     _write_report(args.out, report)
@@ -352,7 +373,7 @@ def cmd_eval(args) -> int:
         "n_instances": result.n_instances,
         "accuracy": result.accuracy,
         "center_mass": {
-            "mean": result.center_mass.mean_m,
+            "mean": _defined(result.center_mass.mean_m),
             "n_scored": result.center_mass.n_scored,
             "n_vacuous": result.center_mass.n_vacuous,
         },
@@ -484,7 +505,7 @@ def cmd_ablate(args) -> int:
     base = _config_from_args(args)
     # base is checked, so a fault in a cell is the grid's
     grid, cells = _load_json(args.grid, lambda grid: (grid, _ablation_cells(base, grid)))
-    train_path, test_path = _dataset_paths(args.data)
+    train_path, test_path, _, _ = _read_dataset(args.data)
     if args.jobs < 1:
         raise UserInputError(f"--jobs must be >= 1, got {args.jobs}")
     manifest_path = os.path.join(args.out, "manifest.json")

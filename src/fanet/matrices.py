@@ -243,7 +243,8 @@ def _write_whole(path, write, newline=None) -> None:
 
 
 def _write_json(path, doc) -> None:
-    _write_whole(path, lambda fh: fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n"))
+    """Strict JSON: a NaN or inf raises ValueError, and the file is not written."""
+    _write_whole(path, lambda fh: fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"))
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands") -> None:

@@ -1,18 +1,24 @@
 """Pairwise attention forward/backward against loop oracles and finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from fanet import attention
 from fanet.attention import (
     AttentionParams,
     EntitySet,
     aggregate,
     backward,
     forward,
-    _softmax_vjp,
+    _row_softmax_vjp,
+    _softmaxes,
     init_params,
 )
 from fanet.matrices import NonFiniteError, ShapeError, ValidationError, _softmax, softmax_matrix
+from fanet.synthgen import Instance
+from fanet.trainer import TrainConfig, _accumulate_instance, _head, _task_loss_grad, init_model
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -125,6 +131,48 @@ class TestForward:
         np.testing.assert_allclose(
             state.proj_queries, entities.features @ params.w_q.T
         )
+
+
+def far_row_logits(seed, below):
+    """Random 6 x 6 logits whose row 2 lies `below` under the rest."""
+    w = np.random.default_rng(seed).normal(size=(6, 6))
+    w[2] -= below
+    return w
+
+
+class TestOneExp:
+    """Both softmaxes come from one exp(W - max W) per matrix."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_focus_is_the_matrix_softmax_bit_for_bit(self, seed):
+        w = np.random.default_rng(seed).normal(scale=3.0, size=(9, 9))
+        focus, agg = _softmaxes(w)
+        assert np.array_equal(focus, _softmax(w, (-2, -1)))
+        np.testing.assert_allclose(agg, _softmax(w, -1), rtol=0, atol=1e-15)
+
+    def test_row_800_below_takes_its_own_max(self):
+        w = far_row_logits(20, 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            focus, agg = _softmaxes(w)
+        assert np.array_equal(agg[2], _softmax(w, -1)[2])
+        np.testing.assert_allclose(agg, _softmax(w, -1), rtol=0, atol=1e-15)
+        assert np.array_equal(focus, _softmax(w, (-2, -1)))
+
+    def test_row_600_below_shares_the_matrix_max(self):
+        w = far_row_logits(21, 600.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, agg = _softmaxes(w)
+        assert np.abs(agg[2] - _softmax(w, -1)[2]).max() <= 1e-16
+
+    def test_stack_with_a_far_row_equals_single_matrices(self):
+        mats = [far_row_logits(22, 0.0), far_row_logits(23, 800.0), far_row_logits(24, 600.0)]
+        focus, agg = _softmaxes(np.stack(mats))
+        for b, w in enumerate(mats):
+            single_focus, single_agg = _softmaxes(w)
+            assert np.array_equal(focus[b], single_focus)
+            assert np.array_equal(agg[b], single_agg)
 
 
 class TestStackedForward:
@@ -271,36 +319,57 @@ def row_jacobian_vjp(softmax_out, grad_out):
     return out
 
 
+def step_d_logits(monkeypatch, inst, head_mode):
+    """The logit gradient `_accumulate_instance` hands to `attention.backward`
+    for the task path alone, and the step's attention state."""
+    seen = {}
+
+    def capture(state, d_logits, entities, params):
+        seen.update(state=state, d_logits=d_logits.copy())
+        return np.zeros_like(params.w_k), np.zeros_like(params.w_q)
+
+    monkeypatch.setattr(attention, "backward", capture)
+    cfg = TrainConfig(d_k=3, head_mode=head_mode)
+    params = init_model(inst.entities.d, 3, cfg)
+    _accumulate_instance(inst, params, cfg, params.views(np.zeros_like(params.flat)), 1.0, 0.0)
+    return seen["d_logits"], seen["state"], params
+
+
+def step_instance(seed, n, d=4):
+    rng = np.random.default_rng(seed)
+    return Instance(entities=EntitySet(features=rng.normal(size=(n, d))),
+                    target=np.zeros((n, n)), label=int(rng.integers(0, 3)))
+
+
 class TestSoftmaxVjps:
     def test_rows_vs_explicit_jacobian(self):
         rng = np.random.default_rng(13)
         a = _softmax(rng.normal(size=(6, 5)), 1)
-        g = rng.normal(size=(6, 5))
+        u = rng.normal(size=5)
         np.testing.assert_allclose(
-            _softmax_vjp(a, g, 1), row_jacobian_vjp(a, g), rtol=1e-12, atol=1e-12
+            _row_softmax_vjp(a, u), row_jacobian_vjp(a, np.tile(u, (6, 1))), rtol=1e-12, atol=1e-12
         )
-
-    def test_cols_via_transpose(self):
-        rng = np.random.default_rng(14)
-        a = _softmax(rng.normal(size=(7, 4)), 1).T
-        g = rng.normal(size=(4, 7))
-        np.testing.assert_allclose(
-            _softmax_vjp(a, g, 0),
-            row_jacobian_vjp(a.T, g.T).T,
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    def test_matrix_via_flatten(self):
-        rng = np.random.default_rng(15)
-        a = softmax_matrix(rng.normal(size=(3, 4)))
-        g = rng.normal(size=(3, 4))
-        flat = row_jacobian_vjp(a.reshape(1, -1), g.reshape(1, -1)).reshape(3, 4)
-        np.testing.assert_allclose(_softmax_vjp(a, g, None), flat, rtol=1e-12, atol=1e-12)
 
     def test_vjp_of_uniform_gradient_is_zero(self):
         """A constant upstream gradient is in the softmax null space."""
-        a = softmax_matrix(np.random.default_rng(16).normal(size=(4, 4)))
-        np.testing.assert_allclose(
-            _softmax_vjp(a, np.full((4, 4), 3.7), None), 0.0, atol=1e-15
-        )
+        a = _softmax(np.random.default_rng(16).normal(size=(4, 4)), -1)
+        np.testing.assert_allclose(_row_softmax_vjp(a, np.full(4, 3.7)), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("head_mode", ["residual", "concat"])
+    def test_step_vjp_vs_explicit_jacobian(self, monkeypatch, head_mode):
+        """The step's closed form against the Jacobian of each materialized row
+        of d_agg = d_context @ F.T, d_context holding n copies of the pooled
+        gradient's context part over n."""
+        inst = step_instance(17, 7)
+        got, state, params = step_d_logits(monkeypatch, inst, head_mode)
+        f = inst.entities.features
+        _, class_logits = _head(f, state.agg_weights @ f, params, head_mode)
+        _, dz = _task_loss_grad(class_logits, inst.label)
+        d_context = np.tile((params.classifier_w.T @ dz)[-f.shape[1]:] / inst.n, (inst.n, 1))
+        want = row_jacobian_vjp(state.agg_weights, d_context @ f.T)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("head_mode", ["residual", "concat"])
+    def test_step_vjp_is_zero_for_one_entity(self, monkeypatch, head_mode):
+        got, _, _ = step_d_logits(monkeypatch, step_instance(18, 1), head_mode)
+        assert got.shape == (1, 1) and got[0, 0] == 0.0

@@ -3,8 +3,10 @@
 import argparse
 import base64
 import csv
+import dataclasses
 import gc
 import json
+import math
 import os
 import re
 import shutil
@@ -16,16 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fanet import cli
+from fanet import attention, cli, trainer
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
-from fanet.matrices import ValidationError, _encode_array
+from fanet.matrices import ValidationError, _encode_array, _write_json
 from fanet.synthgen import (
     DATASET_VERSION,
     MAX_ITEMS,
+    Instance,
     default_document_spec,
     default_world_spec,
     load_spec,
     read_jsonl,
+    write_jsonl,
 )
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
@@ -1676,3 +1680,138 @@ class TestGradcheckCommand:
 
     def test_rejects_bad_step(self):
         assert main(["gradcheck", "--seeds", "1", "--step", "1e-2"]) == EXIT_USER
+
+    # seeds whose right gradients failed while the check took the difference
+    # quotient's own rounding for an error in the analytic gradient
+    ROUNDOFF_SEEDS = ("25", "38", "44", "55")
+
+    def test_passes_where_the_difference_quotient_rounds(self, capsys):
+        for seed in self.ROUNDOFF_SEEDS:
+            assert main(["gradcheck", "--seeds", "1", "--seed", seed]) == EXIT_OK, seed
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_planted_bug_fails_at_every_seed(self, monkeypatch, capsys):
+        """A w_q gradient off by one part in 1e4 fails on the same seeds."""
+        exact = attention.backward
+
+        def off(*args):
+            d_w_k, d_w_q = exact(*args)
+            return d_w_k, d_w_q * (1 + 1e-4)
+
+        monkeypatch.setattr(attention, "backward", off)
+        for seed in self.ROUNDOFF_SEEDS:
+            assert main(["gradcheck", "--seeds", "1", "--seed", seed]) == EXIT_INTERNAL, seed
+        assert "gradient check FAILED" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    """The JSON file at `path`, read by a parser that refuses NaN and infinities."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    """An undefined mean is null in JSON, and any other non-finite value is
+    an internal error that writes no file; CSVs keep nan."""
+
+    @pytest.fixture(scope="class")
+    def vacuous(self, tmp_path_factory, data_dir):
+        """train and eval on a copy of data_dir whose targets label no pair."""
+        root = tmp_path_factory.mktemp("vacuous")
+        data = root / "data"
+        shutil.copytree(data_dir, data)
+        for name in ("train.jsonl", "test.jsonl"):
+            blank = [Instance(entities=inst.entities, target=np.zeros((inst.n, inst.n)),
+                              label=inst.label) for inst in read_jsonl(data / name)]
+            write_jsonl(data / name, blank)
+        run, ev = root / "run", root / "eval"
+        assert main(["train", "--data", str(data), "--out", str(run)] + FAST_TRAIN) == EXIT_OK
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data", str(data / "test.jsonl"), "--out", str(ev)]) == EXIT_OK
+        return root
+
+    def test_all_vacuous_artifacts_parse_strictly(self, vacuous):
+        for name in ("run/report.json", "run/checkpoint.json", "eval/summary.json"):
+            _strict_json(vacuous / name)
+        epochs = _strict_json(vacuous / "run/report.json")["epochs"]
+        assert all(e["center_mass"] is None and e["center_mass_test"] is None for e in epochs)
+        summary = _strict_json(vacuous / "eval/summary.json")
+        assert summary["center_mass"] == {"mean": None, "n_scored": 0, "n_vacuous": 6}
+        assert summary["n_recall_vacuous"] == 6
+        assert ",nan," in (vacuous / "eval/summary.csv").read_text()
+        assert ",nan,nan," in (vacuous / "run/report.csv").read_text().splitlines()[-1]
+
+    def test_empty_test_split_writes_null_means(self, tmp_path, data_dir):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "test.jsonl").write_text("")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + FAST_TRAIN) == EXIT_OK
+        last = _strict_json(tmp_path / "run/report.json")["epochs"][-1]
+        assert [last[k] for k in ("center_mass_test", "accuracy", "recall@1", "recall@5", "recall@10")] == [None] * 5
+        assert isinstance(last["center_mass"], float)
+
+    @pytest.mark.parametrize("field", ["lr", "task_loss", "relation_loss", "combined_loss"])
+    def test_nan_elsewhere_in_a_report_raises(self, tmp_path, run_dir, field):
+        report = json.loads(Path(run_dir, "report.json").read_text())
+        epochs = [trainer.EpochStats(**{k: v for k, v in e.items() if not k.startswith("recall@")},
+                                 recall={1: e["recall@1"]}) for e in report["epochs"]]
+        epochs[-1] = dataclasses.replace(epochs[-1], **{field: math.nan})
+        run = trainer.TrainReport(config=trainer.TrainConfig(), num_classes=3,
+                                      feature_dim=report["feature_dim"], epochs=tuple(epochs))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_report(str(tmp_path), run)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_nan_elsewhere_in_a_summary_is_an_internal_error(self, tmp_path, data_dir, run_dir, monkeypatch):
+        monkeypatch.setattr(cli, "evaluate", lambda *args: dataclasses.replace(
+            trainer.evaluate(*args), accuracy=math.nan))
+        code = main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+                     "--data", os.path.join(data_dir, "test.jsonl"), "--out", str(tmp_path)])
+        assert code == EXIT_INTERNAL
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_non_finite_and_keeps_the_old_file(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        path.write_text("{}\n")
+        with pytest.raises(ValueError):
+            _write_json(path, {"a": [1.0, {"b": value}]})
+        assert path.read_text() == "{}\n"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+
+class TestRefusedDatasetLeavesNoOutput:
+    """A dataset `train` refuses exits 2 before anything is written, for
+    `train` and for `ablate` alike."""
+
+    @staticmethod
+    def _box_less(data, data_dir):
+        _box_less_test_file(data_dir, data / "test.jsonl")
+
+    @staticmethod
+    def _empty_train(data, data_dir):
+        (data / "train.jsonl").write_text("")
+
+    @staticmethod
+    def _label_beyond_manifest(data, data_dir):
+        manifest = json.loads((data / "manifest.json").read_text())
+        line = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+        line["label"] = load_spec(manifest["spec"]).n_labels
+        (data / "train.jsonl").write_text(json.dumps(line) + "\n")
+
+    @pytest.mark.parametrize("fault", ["_box_less", "_empty_train", "_label_beyond_manifest"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_no_output(self, tmp_path, data_dir, capsys, command, fault):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        getattr(self, fault)(data, data_dir)
+        out = tmp_path / "out"
+        argv = [command, "--data", str(data), "--out", str(out)] + FAST_TRAIN
+        if command == "ablate":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"lambda": [0.0]}))
+            argv += ["--grid", str(grid)]
+        assert main(argv) == EXIT_USER
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

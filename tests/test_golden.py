@@ -40,9 +40,9 @@ GOLDEN = {
     "data/train.jsonl": "e743684e22c8ee3d093934a44f516eb4389d05e54dcc4b351cc1f7083c55091b",
     "data/test.jsonl": "de1292271d00ac4f1276085eaae2607986f6383d260054aeea7891f70a0964c0",
     "data/manifest.json": "1a3962eaffec98b67e10cdee2c6b0f84d536bdc722f58d8a5c0a014ba7ee7542",
-    "run/report.csv": "525e548a06d27ebf7e00ccaeb6106d38a81b29d3e531a99731c8c0cd5fd9b821",
-    "run/report.json": "2d36bd287093122921a11daf398a69765c0dcace3517ad6f93e5375aa858d65d",
-    "run/checkpoint.json": "e33f4f0d6437b3a13afefe6b1aeefbd7764da0850a33be06566dc55973a2d513",
+    "run/report.csv": "1d0aa932de09d90637d0a28badb10d60bbfa30f2796bdc80bde890c2a01bfff9",
+    "run/report.json": "2c8ba793e6cf0498a836e763d3f640722c6a9a71ef48fe9bc4b4d23de8e236e0",
+    "run/checkpoint.json": "b7995b63628d85129bb3bd0f466c6d5c9bb1cecc5a32e9c3d98467c0c98e19d2",
     "eval/metrics.csv": "770c0f0ce426262425e7151c9d5112c928da8dcd0ebbee79faf54948a1957ed5",
     "eval/summary.csv": "9fc6e63ca87e396a75385b00723f1a479f8301324de188caaf998d90a5d39d0a",
 }
@@ -156,13 +156,13 @@ TRAIN_RECIPES = {
 
 TRAIN_GOLDEN = {
     "document_adam/report.csv": "3016fdcfde1cd2eace7da66d3cf7de6d3901ccecabac822c5a7cb7b90e1ef29c",
-    "document_adam/checkpoint.json": "7b9ca972eced160ea0bff8fa8cfdc4b060b54fc8a036b2af45294ee4f464a7e2",
-    "row_concat/report.csv": "a6c6e4506348958eabdd25277dd4a8ae3f8552e77a73e2b804fef4d8ed65f5be",
-    "row_concat/checkpoint.json": "7c25770ea8ac61f61f10564b1657e3db30f29b2b901db969f3707dc503fbf544",
+    "document_adam/checkpoint.json": "33a4f0d80ca2f31f3e48743f9ed650a1945dbd9b4ac78811ddad5afaccb80c2f",
+    "row_concat/report.csv": "9018806e9bab7d682d8c2f1bf3b514f8ee64b06dcc97fc961e6fb87affc01cc4",
+    "row_concat/checkpoint.json": "9bdd7fa0472ef596be8ea8623c90b6d6a0e58ab6ee300587269cfaab87a0cc49",
     "mat_l2/report.csv": "21f051f81e03cc74f96a58a90c3154f3a19df552fdf0d2786f1031789beb8081",
-    "mat_l2/checkpoint.json": "2f94a1d456c79ffdeabc400d4d35c4f87d12edb3e329871758c731e564a38977",
+    "mat_l2/checkpoint.json": "314cefdde6cbf2baf3b5caa7a14b6167202b7ffbec4a60d93922c2f21bdc78f0",
     "unsup_frozen/report.csv": "3ce6e7ce2f9957df5ea90d9b6d4b063a44696bcda8d9aeb8340d2223eb3319d1",
-    "unsup_frozen/checkpoint.json": "2736709c6c8ef8fecd890303c75ea02f79ec2054878b38da0348f15ff7189ce6",
+    "unsup_frozen/checkpoint.json": "6fb36707d202054de3bfdd6fc6a8ee112b2bfba5c0ca53d6a1ba45e1e124ccb3",
 }
 
 
