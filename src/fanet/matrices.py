@@ -11,7 +11,6 @@ input was checked where it entered.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import os
 import sys
@@ -68,20 +67,35 @@ def _check_boxes(boxes: np.ndarray) -> None:
 
 
 # The one order of the cells i < j (row-major) that packed targets, top-K
-# candidates and relation pairs share. The bound holds every entity count one
-# process sees, since a read that cycles through more misses on every lookup:
-# doc-medium spans 17 (48-64 tokens), the other workloads at most 4. An entry
-# takes ~17 bytes per cell i < j: ~0.8 MB at n = 300, ~151 MB at MAX_ITEMS.
-@functools.lru_cache(maxsize=32)
+# candidates and relation pairs share, cached per entity count n. An entry
+# takes ~18 bytes per cell i < j (the n x n bool mask and two int64 index
+# arrays): ~0.8 MB at n = 300, ~151 MB at MAX_ITEMS. So the cache drops its
+# least recently used sizes once they hold more than _UPPER_CELLS_BOUND
+# cells (~2.4 MB), keeping the latest size whatever it holds. The bound keeps
+# doc-medium's 17 sizes (48-64 tokens, 26,384 cells) cached next to n = 300
+# (44,850), and every n up to 92 at once.
+_UPPER_CELLS_BOUND = 2**17
+_upper_cache: dict = {}  # n -> (mask, rows, cols), least recently used first
+
+
 def _upper_cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (mask, rows, cols) of the cells i < j of an n x n matrix: the
     (n, n) bool mask, whose masked reads and writes visit them row-major, and
     their row and column indices in that order."""
-    mask = ~np.tri(n, dtype=bool)
-    rows, cols = np.triu_indices(n, 1)
-    for a in (mask, rows, cols):
-        a.flags.writeable = False
-    return mask, rows, cols
+    entry = _upper_cache.pop(n, None)
+    if entry is None:
+        mask = ~np.tri(n, dtype=bool)
+        rows, cols = np.triu_indices(n, 1)
+        for a in (mask, rows, cols):
+            a.flags.writeable = False
+        entry = mask, rows, cols
+        cached = rows.size + sum(cells[1].size for cells in _upper_cache.values())
+        for old in list(_upper_cache):
+            if cached <= _UPPER_CELLS_BOUND:
+                break
+            cached -= _upper_cache.pop(old)[1].size
+    _upper_cache[n] = entry  # re-inserted last: the most recently used
+    return entry
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)

@@ -489,15 +489,39 @@ class EvalResult:
     recalls: tuple = ()
 
 
-def _buckets(instances: Sequence[Instance]) -> list:
-    """Instance indices grouped by entity count n, in first-seen order.
+# The most cells a stack of n x n arrays may hold (2^14: 128 KB per float64
+# array). A bucket's forward, top-K, matching and recall each hold a few
+# (B, n, n) arrays, so a whole bucket's working set grows with B * n^2.
+# `evaluate` of B default-world scenes of n entities (2-core x86-64 VM, one
+# BLAS thread, median of 5; tracemalloc peak):
+#   n = 8,   B = 100: one chunk from 2^13 cells up, 2.3 ms, 0.57 MB; 2^12
+#                     cuts it in two, 2.8 ms;
+#   n = 64,  B = 100: whole 25.2 ms, 19.0 MB; 2^14 (chunks of 4) 19.8 ms,
+#                     0.96 MB; 2^16 (16) 16.1 ms, 3.6 MB;
+#   n = 300, B = 16:  whole 72 ms, 64 MB; one scene a chunk 40 ms, 4.5 MB;
+#   n = 400, B = 16:  whole 111 ms, 114 MB; one scene a chunk 69 ms, 7.9 MB.
+# 2^14 keeps every bucket of the vision worlds whole (n <= 8 gives chunks of
+# 256 and more), cuts doc-medium's 48-64-token buckets into chunks of 4-7,
+# and evaluates any n >= 128 one instance at a time.
+STACK_CELLS = 2**14
 
-    Instances of one bucket stack into a (B, n, d) array with no padding.
+
+def _buckets(instances: Sequence[Instance]) -> list:
+    """Instance indices grouped by entity count n, in first-seen order, and
+    cut into consecutive chunks of at most max(1, STACK_CELLS // n^2).
+
+    Instances of one bucket stack into a (B, n, d) array with no padding, and
+    their n x n arrays into (B, n, n) stacks of at most STACK_CELLS cells
+    unless one matrix alone holds more.
     """
     groups = {}
     for i, inst in enumerate(instances):
         groups.setdefault(inst.n, []).append(i)
-    return list(groups.values())
+    chunks = []
+    for n, idx in groups.items():
+        size = max(1, STACK_CELLS // (n * n))
+        chunks += (idx[start : start + size] for start in range(0, len(idx), size))
+    return chunks
 
 
 def _stack(instances: Sequence[Instance], idx: Sequence[int]) -> np.ndarray:
@@ -512,11 +536,12 @@ def evaluate(
 ) -> EvalResult:
     """Accuracy, center-mass summary and recall@K means over a dataset.
 
-    Runs one forward per bucket of equal entity count, and one top-K, one
-    IoU matching (of the top-K pairs' ends, if fewer than n) and one recall
-    pass (`_bucket_recall`) over the bucket's instances that have gt
-    relations; the results are summed in instance order, so they do not
-    depend on the bucketing.
+    Runs one forward per bucket of equal entity count (`_buckets`: at most
+    STACK_CELLS cells of n x n arrays, so memory stays bounded however many
+    instances share an n), and one top-K, one IoU matching (of the top-K
+    pairs' ends, if fewer than n) and one recall pass (`_bucket_recall`) over
+    the bucket's instances that have gt relations; the results are summed in
+    instance order, so they do not depend on the bucketing.
     """
     ks = config.eval_ks if ks is None else _check_ks(ks, "ks")
     if not instances:
@@ -650,9 +675,9 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
     n = len(train_set)
     grad = np.zeros_like(params.flat)
     grads = params.views(grad)
-    # train-split center-mass: the labeled instances, stacked once per bucket
+    # train-split center-mass: the labeled instances, stacked a bucket at a time
     labeled = [inst for inst in train_set if inst.labeled]
-    mass_buckets = [(idx, _stack(labeled, idx)) for idx in _buckets(labeled)]
+    mass_buckets = _buckets(labeled)
     for epoch in range(config.epochs):
         lr = learning_rate(config, epoch)
         order = shuffle_rng.permutation(n)
@@ -682,9 +707,9 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         task_mean = task_sum / n
         rel_mean = rel_sum / rel_count if rel_count else 0.0
         train_masses = [0.0] * len(labeled)
-        for idx, features in mass_buckets:
+        for idx in mass_buckets:
             # center-mass reads only the matrix softmax of the logits
-            logits, _, _ = attention._logits(features, params)
+            logits, _, _ = attention._logits(_stack(labeled, idx), params)
             for i, w in zip(idx, _softmax(logits, (-2, -1))):
                 train_masses[i] = float(np.add.reduce(w * labeled[i].target, axis=None))
         train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))
@@ -739,6 +764,12 @@ def grad_check(
     |analytic - fd| less fd's own rounding bound, 8 eps max(|L+|, |L-|) /
     step (at least 0), over a guarded denominator max(|analytic|, |fd|, 1e-8).
     """
+    return _grad_errors(params, instance, config, step)[0]
+
+
+def _grad_errors(params, instance, config, step) -> tuple[float, float]:
+    """`grad_check`'s error, and the largest raw relative gap |analytic - fd|
+    / max(|analytic|, |fd|, 1e-8) before the rounding bound is taken off."""
     if not (1e-7 <= step <= 1e-3):
         raise ValidationError(f"step must be in [1e-7, 1e-3], got {step}")
     lam_eff = config.lam_effective
@@ -754,7 +785,7 @@ def grad_check(
     names = ["classifier_w", "classifier_b"]
     if not config.freeze_attention:
         names = ["w_k", "w_q"] + names
-    worst = 0.0
+    worst = worst_raw = 0.0
     probe = params.copy()
     arrays = probe.arrays()
     for name in names:
@@ -770,10 +801,12 @@ def grad_check(
             lo = _combined_loss_at(instance, probe, config)
             a[idx] = orig
             fd = (hi - lo) / (2.0 * step)
-            gap = abs(analytic[idx] - fd) - _FD_ROUNDOFF * max(abs(hi), abs(lo)) / step
-            err = max(gap, 0.0) / max(abs(analytic[idx]), abs(fd), 1e-8)
-            worst = max(worst, err)
-    return worst
+            gap = abs(analytic[idx] - fd)
+            scale = max(abs(analytic[idx]), abs(fd), 1e-8)
+            excess = max(gap - _FD_ROUNDOFF * max(abs(hi), abs(lo)) / step, 0.0)
+            worst = max(worst, excess / scale)
+            worst_raw = max(worst_raw, gap / scale)
+    return worst, worst_raw
 
 
 # --- checkpoints ------------------------------------------------------------------

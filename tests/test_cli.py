@@ -20,6 +20,7 @@ import pytest
 
 from fanet import attention, cli, trainer
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
+from fanet.losses import LOSS_VARIANTS
 from fanet.matrices import ValidationError, _encode_array, _write_json
 from fanet.synthgen import (
     DATASET_VERSION,
@@ -1100,6 +1101,25 @@ class TestAblate:
               "--jobs", "2"] + FAST_TRAIN)
         assert (serial / "cells.csv").read_bytes() == (parallel / "cells.csv").read_bytes()
 
+    def test_serial_grid_reads_each_split_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--n-train", "20", "--n-test", "10",
+                     "--seed", "0"]) == EXIT_OK
+        reads = []
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return read_jsonl(path)
+
+        monkeypatch.setattr(cli, "read_jsonl", counting)
+        grid = self.grid_file(tmp_path, {"lambda": [0.0, 0.05, 0.5]})
+        out = tmp_path / "ab"
+        assert main(["ablate", "--grid", grid, "--data", str(data), "--out", str(out),
+                     "--jobs", "1"] + FAST_TRAIN) == EXIT_OK
+        assert sorted(reads) == ["test.jsonl", "train.jsonl"]
+        rows = (out / "cells.csv").read_text().splitlines()
+        assert len(rows) == 2 + 3
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_diverging_cell_does_not_stop_the_grid(self, tmp_path, data_dir, capsys, jobs):
         grid = self.grid_file(tmp_path, {"lr": [5e-4, 1e200, 1e-3]})
@@ -1674,6 +1694,16 @@ class TestGradcheckCommand:
 
     def test_single_head_mode(self):
         assert main(["gradcheck", "--seeds", "1", "--head-mode", "residual"]) == EXIT_OK
+
+    def test_prints_the_raw_gap(self, capsys):
+        """A clean seed's allowed error reads 0, so the raw gap shows the margin."""
+        assert main(["gradcheck", "--seeds", "1", "--seed", "0"]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if "max_rel_err=" in line]
+        assert len(lines) == len(trainer.HEAD_MODES) * len(LOSS_VARIANTS) * len(trainer.STRATEGIES)
+        for line in lines:
+            err = float(re.search(r"max_rel_err=(\S+)", line).group(1))
+            raw = float(re.search(r"raw_gap=(\S+)", line).group(1))
+            assert raw > 0 and raw >= err, line
 
     def test_rejects_bad_dims(self):
         assert main(["gradcheck", "--n", "1"]) == EXIT_USER

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fanet import matrices
 from fanet.attention import EntitySet
 from fanet.losses import validate_target
 from fanet.matrices import NonFiniteError, ValidationError, _upper_cells
@@ -950,14 +951,40 @@ class TestUpperCells:
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert _upper_cells(n)[0] is mask  # cached
 
-    def test_documents_of_more_sizes_than_the_cache_holds(self, tmp_path):
+    def test_cache_holds_at_most_its_cell_bound(self, monkeypatch):
+        """Least recently used sizes go once the cached cells pass the bound;
+        the latest size stays, even when it alone passes it."""
+        monkeypatch.setattr(matrices, "_upper_cache", {})
+        bound = matrices._UPPER_CELLS_BOUND
+        held = {}
+        for n in (300, 56, 400, 300, 200, 600, 8, 64):
+            mask = _upper_cells(n)[0]
+            cached = {m: cells[1].size for m, cells in matrices._upper_cache.items()}
+            held[n] = list(cached)
+            assert list(cached)[-1] == n and _upper_cells(n)[0] is mask
+            assert sum(cached.values()) <= bound or list(cached) == [n]
+            for m, cells in matrices._upper_cache.items():
+                assert all(not a.flags.writeable for a in cells)
+                assert np.array_equal(cells[0], ~np.tri(m, dtype=bool))
+                for got, ref in zip(cells[1:], np.triu_indices(m, 1)):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert held[200] == [300, 200]  # 56 and 400 were used least recently
+        assert held[600] == [600] and held[64] == [8, 64]  # 600 alone passes the bound
+
+    def test_documents_of_more_sizes_than_the_cache_holds(self, tmp_path, monkeypatch):
         spec = default_document_spec().to_dict()
         spec["tokens_min"], spec["tokens_max"] = 2, 45
         tr, te = generate_dataset(load_spec(spec), 160, 1, seed=5)
-        assert len({inst.n for inst in tr}) > _upper_cells.cache_info().maxsize
+        bound = 500
+        sizes = {inst.n for inst in tr}
+        assert sum(n * (n - 1) // 2 for n in sizes) > bound
+        monkeypatch.setattr(matrices, "_UPPER_CELLS_BOUND", bound)
+        monkeypatch.setattr(matrices, "_upper_cache", {})
         p = tmp_path / "docs.jsonl"
         write_jsonl(p, tr + te)
         assert_read_matches_loop(p)
+        cached = [cells[1].size for cells in matrices._upper_cache.values()]
+        assert sum(cached) <= bound or len(cached) == 1
 
     @pytest.mark.parametrize("omit", ["none", "half"])
     def test_scenes_that_list_their_relations(self, tmp_path, omit):
@@ -977,8 +1004,8 @@ class TestUpperCells:
 
     def test_cache_holds_every_workload_s_sizes(self, monkeypatch):
         """A read cycling through more sizes than the cache holds misses on
-        every lookup: the bound covers the most entity counts any benchmark
-        workload's datasets span."""
+        every lookup: the bound covers the cells of every entity count any
+        benchmark workload's datasets span."""
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
         spec = importlib.util.spec_from_file_location("bench_workloads", path)
         module = importlib.util.module_from_spec(spec)
@@ -989,8 +1016,9 @@ class TestUpperCells:
         for w in module.WORKLOADS.values():
             world = {**bundled[w.kind], **w.spec_overrides}
             count = "entities" if w.kind == "vision" else "tokens"
-            spans[w.name] = world[f"{count}_max"] - world[f"{count}_min"] + 1
-        assert _upper_cells.cache_info().maxsize >= max(spans.values())
+            sizes = range(world[f"{count}_min"], world[f"{count}_max"] + 1)
+            spans[w.name] = sum(n * (n - 1) // 2 for n in sizes)
+        assert matrices._UPPER_CELLS_BOUND >= max(spans.values())
 
 
 REQUIRED_KEYS = {

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fanet.attention import EntitySet
 from fanet.matrices import NonFiniteError, ShapeError, ValidationError
 from fanet.metrics import RECALL_IOU, CenterMassSummary, top_k_pairs
 from fanet.supervision import NO_MATCH, entity_gt_matching
-from fanet.synthgen import Instance, WorldSpec, generate_dataset
+from fanet.synthgen import Instance, WorldSpec, default_world_spec, generate_dataset
 from fanet.trainer import (
     DivergenceError,
     EvalResult,
@@ -871,6 +872,86 @@ class TestBucketedEvaluate:
         params = init_model(3, 3, cfg)
         with pytest.raises(ValidationError, match="ks must be positive ints"):
             evaluate([check_instance(0)], params, cfg, ks=ks)
+
+
+WHOLE = 2**62  # a cell budget no bucket reaches: every bucket runs whole
+
+
+class TestCellBudget:
+    """Every stack of n x n arrays holds at most trainer.STACK_CELLS cells,
+    or one matrix when n^2 alone passes them; the chunks give the
+    whole-bucket results bit for bit."""
+
+    @staticmethod
+    def chunk_cases(instances, budget):
+        """(a group is not a multiple of its chunk size, a size's n^2 passes the budget)"""
+        groups = {}
+        for inst in instances:
+            groups[inst.n] = groups.get(inst.n, 0) + 1
+        uneven = any(b % max(1, budget // (n * n)) for n, b in groups.items())
+        return uneven, max(groups) ** 2 > budget
+
+    def test_buckets_chunk_in_first_seen_order(self, monkeypatch):
+        sizes = [5, 3, 5, 7, 3, 5, 5, 5]
+        instances = [check_instance(i, n=n) for i, n in enumerate(sizes)]
+        assert _buckets(instances) == [[0, 2, 5, 6, 7], [1, 4], [3]]
+        monkeypatch.setattr(trainer, "STACK_CELLS", 50)  # chunks of 2 at n = 5, 5 at 3, 1 at 7
+        assert _buckets(instances) == [[0, 2], [5, 6], [7], [1, 4], [3]]
+        monkeypatch.setattr(trainer, "STACK_CELLS", 48)  # 7 x 7 alone passes it
+        assert _buckets(instances) == [[0], [2], [5], [6], [7], [1, 4], [3]]
+
+    def test_default_budget(self):
+        assert trainer.STACK_CELLS == 2**14
+        docs = [check_instance(i, n=n) for i, n in enumerate([48, 64] * 8)]
+        assert [len(b) for b in _buckets(docs)] == [7, 1, 4, 4]
+        scenes = [check_instance(i, n=8) for i in range(256)]
+        assert [len(b) for b in _buckets(scenes)] == [256]
+
+    @pytest.mark.parametrize("budget", [100, 40, 1])
+    def test_chunked_evaluate_equals_whole_buckets(self, monkeypatch, budget):
+        instances = mixed_n_instances()
+        assert self.chunk_cases(instances, budget) == (budget > 1, True)
+        cfg = TrainConfig(d_k=3, seed=1)
+        params = init_model(6, 3, cfg)
+        monkeypatch.setattr(trainer, "STACK_CELLS", WHOLE)
+        whole = evaluate(instances, params, cfg, ks=(1, 5, 10))
+        n_whole = len(_buckets(instances))
+        monkeypatch.setattr(trainer, "STACK_CELLS", budget)
+        assert len(_buckets(instances)) > n_whole
+        got = evaluate(instances, params, cfg, ks=(1, 5, 10))
+        assert repr(got) == repr(whole)  # NaN masses compare by repr, in instance order
+        assert got.n_recall_vacuous >= 3 and got.center_mass.n_vacuous >= 3
+
+    @pytest.mark.parametrize("budget", [100, 1])
+    def test_chunked_training_equals_whole_buckets(self, monkeypatch, budget):
+        """The train-split center-mass pass and each epoch's evaluate."""
+        instances = mixed_n_instances()
+        tr, te = instances[:30], instances[30:]
+        assert self.chunk_cases([inst for inst in tr if inst.labeled], budget) == (budget > 1, True)
+        cfg = TrainConfig(d_k=3, epochs=3, lr=0.05, lam=0.5, seed=5)
+        monkeypatch.setattr(trainer, "STACK_CELLS", WHOLE)
+        _, whole = train(tr, te, cfg)
+        monkeypatch.setattr(trainer, "STACK_CELLS", budget)
+        _, got = train(tr, te, cfg)
+        assert repr(got) == repr(whole)
+        assert [e.center_mass.hex() for e in got.epochs] == [e.center_mass.hex() for e in whole.epochs]
+
+    def test_evaluate_memory_is_bounded_at_proposal_scale(self):
+        """16 scenes of 300 entities: a whole bucket's stacks peaked at ~64 MB
+        under tracemalloc; one scene at a time holds a few 0.72 MB n x n
+        arrays, ~4.5 MB in all."""
+        spec = dataclasses.replace(default_world_spec(), entities_min=300, entities_max=300)
+        scenes, _ = generate_dataset(spec, 16, 1, seed=3)
+        assert all(inst.labeled and len(inst.relations) for inst in scenes)
+        cfg = TrainConfig(seed=0)
+        params = init_model(scenes[0].entities.d, 8, cfg)
+        tracemalloc.start()
+        try:
+            evaluate(scenes, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
 
 SIZES = (2, 3, 4, 6, 10, 11, 12, 20, 21, 25)  # around 2k' = n for K = 1, 5 and 10
