@@ -68,32 +68,45 @@ def _check_boxes(boxes: np.ndarray) -> None:
 
 # The one order of the cells i < j (row-major) that packed targets, top-K
 # candidates and relation pairs share, cached per entity count n. An entry
-# takes ~18 bytes per cell i < j (the n x n bool mask and two int64 index
-# arrays): ~0.8 MB at n = 300, ~151 MB at MAX_ITEMS. So the cache drops its
-# least recently used sizes once they hold more than _UPPER_CELLS_BOUND
-# cells (~2.4 MB), keeping the latest size whatever it holds. The bound keeps
-# doc-medium's 17 sizes (48-64 tokens, 26,384 cells) cached next to n = 300
-# (44,850), and every n up to 92 at once.
+# takes ~16 bytes per cell i < j (int64 flat indices, and the int32 n x n
+# position map, which covers each cell twice): ~0.7 MB at n = 300, ~134 MB at
+# MAX_ITEMS. So the cache drops its least recently used sizes once they hold
+# more than _UPPER_CELLS_BOUND cells (~2.1 MB), keeping the latest size
+# whatever it holds. The bound keeps doc-medium's 17 sizes (48-64 tokens,
+# 26,384 cells) cached next to n = 300 (44,850), and every n up to 92 at once.
+# `take` copies a read-only index array to intp on every call, whatever its
+# dtype, so an intp map would gather no faster (measured at n = 56 and 300)
+# and cost ~24 bytes per cell, its build peaking at ~1.1 MB at n = 300 against
+# ~0.8 MB. `upper` is intp and read by indexing, which copies nothing.
 _UPPER_CELLS_BOUND = 2**17
-_upper_cache: dict = {}  # n -> (mask, rows, cols), least recently used first
+_upper_cache: dict = {}  # n -> (upper, position), least recently used first
 
 
-def _upper_cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (mask, rows, cols) of the cells i < j of an n x n matrix: the
-    (n, n) bool mask, whose masked reads and writes visit them row-major, and
-    their row and column indices in that order."""
+def _upper_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (upper, position) of the m = n(n-1)/2 cells i < j of an n x n
+    matrix: `upper`, their flat indices i*n + j in row-major order, and
+    `position`, the (n, n) int32 map from each cell (i, j) and (j, i) to its
+    place in that order, with m on the diagonal. So `flat[upper]` reads the
+    cells of a raveled matrix in order, and `cells.take(position)` turns
+    m + 1 values, the last one the diagonal's, into the symmetric matrix."""
     entry = _upper_cache.pop(n, None)
     if entry is None:
+        m = n * (n - 1) // 2
         mask = ~np.tri(n, dtype=bool)
-        rows, cols = np.triu_indices(n, 1)
-        for a in (mask, rows, cols):
+        position = np.full((n, n), m, dtype=np.int32)
+        order = np.arange(m, dtype=np.int32)
+        position[mask] = order  # masked writes visit the cells row-major
+        position.T[mask] = order
+        del order  # before `upper`: no full-size temporaries side by side
+        upper = np.flatnonzero(mask)
+        entry = upper, position
+        for a in entry:
             a.flags.writeable = False
-        entry = mask, rows, cols
-        cached = rows.size + sum(cells[1].size for cells in _upper_cache.values())
+        cached = m + sum(cells[0].size for cells in _upper_cache.values())
         for old in list(_upper_cache):
             if cached <= _UPPER_CELLS_BOUND:
                 break
-            cached -= _upper_cache.pop(old)[1].size
+            cached -= _upper_cache.pop(old)[0].size
     _upper_cache[n] = entry  # re-inserted last: the most recently used
     return entry
 

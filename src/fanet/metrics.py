@@ -38,8 +38,9 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     ranked on its own. pairs is (..., k', 2) int64 (subject, object) and
     weights is (..., k') float64, with k' = min(k, number of candidates).
 
-    The candidates are the cells i < j in `matrices._upper_cells`' row-major
-    order. Ties break by (row, col) lexicographic order, so repeated runs
+    The candidates are the cells i < j, read from each raveled matrix
+    through `matrices._upper_cells`' flat indices, in row-major order.
+    Ties break by (row, col) lexicographic order, so repeated runs
     produce identical results. (i, j) and (j, i) collapse to one unordered
     proposal keeping the higher-weighted orientation.
     """
@@ -52,10 +53,12 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
     stack = w.reshape((-1,) + w.shape[-2:])  # a matrix is the B = 1 stack
     n_batch = stack.shape[0]
 
-    _, iu, ju = _upper_cells(w.shape[-1])
+    n = w.shape[-1]
+    upper, _ = _upper_cells(n)
     # each cell (i < j) weighs as its stronger orientation; which one that
-    # is is worked out below, only for the candidates that survive
-    weights = np.maximum(stack, stack.swapaxes(1, 2))[:, iu, ju]
+    # is is worked out below, only for the candidates that survive. An index,
+    # not `take`, which copies a read-only index array on every call
+    weights = np.maximum(stack, stack.swapaxes(1, 2)).reshape(n_batch, -1)[:, upper]
     size = weights.shape[1]
     k_out = min(k, size)
     if k < size:
@@ -65,7 +68,7 @@ def top_k_pairs(focus_weights, k: int) -> tuple[np.ndarray, np.ndarray]:
         batch, cand = np.nonzero(weights >= kth[:, None])
     else:
         batch, cand = np.indices(weights.shape).reshape(2, -1)
-    rows, cols, flat = iu[cand], ju[cand], weights[batch, cand]
+    (rows, cols), flat = divmod(upper[cand], n), weights[batch, cand]
     # exact tie keeps (i, j), the lexicographically smaller one
     flip = stack[batch, cols, rows] > stack[batch, rows, cols]
     rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
@@ -129,9 +132,10 @@ def relation_recall(
 
     Only the ends of the first k pairs are matched, as one flat (2k', 4) box
     array, so gt_boxes must be (g, 4). The score is `_bucket_recall`'s for
-    B = 1; trainer.evaluate calls it once per group of equal-size
-    instances, after one entity_gt_matching call on the pair ends when they
-    are fewer than n, else on all n boxes.
+    B = 1. trainer.evaluate does not call this: it calls `_bucket_recall`
+    once per chunk of equal-size instances (`trainer._buckets`), after one
+    entity_gt_matching call on the chunk's pair ends when they are fewer
+    than n, else on all n boxes.
     """
     p = np.asarray(pairs)
     if p.ndim != 2 or p.shape[1] != 2:

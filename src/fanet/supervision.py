@@ -141,9 +141,10 @@ def entity_gt_matching(boxes, gt_boxes, iou_threshold: float) -> np.ndarray:
     are checked like EntitySet boxes, once per call; an empty sequence means
     no objects. Returns (n,) or (B, n) int64. Each entity matches at most
     one object: the one with maximal IoU, strictly above the threshold, ties
-    broken by lowest gt index. A row depends on its own box alone, so per
-    equal-n group evaluation matches the (B, 2k', 4) ends of the top-K pairs
-    (all n boxes when no fewer) against the group's (B, n, 4) boxes.
+    broken by lowest gt index. A row depends on its own box alone, so
+    evaluation matches, per chunk of equal-n instances, the (B, 2k', 4) ends
+    of the top-K pairs (all n boxes when no fewer) against the chunk's
+    (B, n, 4) boxes.
     """
     if boxes is None:
         raise ValidationError(_NO_BOXES)

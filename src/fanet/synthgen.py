@@ -334,9 +334,9 @@ def _affinity_target(categories: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _upper_pairs(t: np.ndarray) -> np.ndarray:
     """The 1.0 cells (i, j) of t with i < j, in `_upper_cells`' row-major
     order, as a read-only (m, 2) int64 array: the form of Instance.relations."""
-    mask, rows, cols = _upper_cells(len(t))
-    hit = np.flatnonzero(t[mask] == 1.0)
-    pairs = np.array((rows[hit], cols[hit])).T  # ~2x faster than np.stack at n <= 8
+    upper, _ = _upper_cells(len(t))
+    cells = upper[t.ravel()[upper] == 1.0]
+    pairs = np.array(divmod(cells, len(t))).T  # ~2x faster than np.stack at n <= 8
     pairs.flags.writeable = False
     return pairs
 
@@ -550,7 +550,7 @@ DATASET_VERSION = 2
 
 def _instance_to_dict(inst: Instance) -> dict:
     ent = inst.entities
-    upper = inst.target[_upper_cells(inst.n)[0]] == 1.0
+    upper = inst.target.ravel()[_upper_cells(inst.n)[0]] == 1.0
     d = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -647,20 +647,24 @@ def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
     features, boxes = (np.frombuffer(b, "<f8").astype(np.float64, copy=False) for b in payloads)
     arrays = features.reshape(size, n, d), None if bshape is None else boxes.reshape(size, *bshape)
     m = n * (n - 1) // 2
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(size, (m + 7) // 8), axis=1, count=m)
+    # one bit past the m cells, read on the diagonal: the padding bit
+    # `_parse_line` checked is 0, or numpy pads it when m % 8 == 0. It is
+    # zeroed anyway: numpy leaves it uninitialized when there are no bytes (n = 1)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(size, (m + 7) // 8), axis=1, count=m + 1)
+    bits[:, m] = 0
     labeled = bits.any(axis=1).tolist()
-    # one scatter of the cells i < j, in the order they were packed; the same
-    # cells give the pairs of the lines that omitted theirs
-    _, rows, cols = _upper_cells(n)
-    targets = np.zeros((size, n, n))
-    targets[:, rows, cols] = bits
-    targets[:, cols, rows] = bits
+    upper, position = _upper_cells(n)
+    # each cell i < j and its mirror, gathered from the bits in the order they
+    # were packed, and cast at once, so the uint8 gather is freed before the
+    # pairs below are made; the same order gives the lines that omitted theirs
+    targets = bits.take(position, axis=1).astype(np.float64)
     relations = list(given)
     omitted = [k for k, r in enumerate(given) if r is None]
     if omitted:  # document groups seldom have any; the empty pass costs ~10 us
-        line, pair = np.nonzero(bits[omitted])
+        line, cell = np.nonzero(bits if len(omitted) == size else bits[omitted])
         ends = np.cumsum(np.bincount(line, minlength=len(omitted))).tolist()
-        pairs = np.stack((rows[pair], cols[pair]), axis=1)
+        pairs = np.empty((len(cell), 2), np.int64)  # filled in place: fewer temporaries than np.stack
+        np.divmod(upper[cell], n, out=(pairs[:, 0], pairs[:, 1]))
         pairs.flags.writeable = False
         for k, start, end in zip(omitted, [0, *ends], ends):
             relations[k] = pairs[start:end]

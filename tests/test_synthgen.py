@@ -7,6 +7,7 @@ import itertools
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fanet import matrices
 from fanet.attention import EntitySet
 from fanet.losses import validate_target
 from fanet.matrices import NonFiniteError, ValidationError, _upper_cells
+from fanet.metrics import top_k_pairs
 from fanet.seeding import _rekeyed, instance_seed, stream_rng
 from fanet.supervision import entity_gt_matching, iou
 from fanet.synthgen import (
@@ -936,20 +938,31 @@ def assert_read_matches_loop(path):
         assert inst.labeled == bool(t.any())
 
 
+def assert_upper_entry(n, cells):
+    """`_upper_cells(n)`'s entry: read-only (upper, position), where upper lists
+    the flat indices of the cells i < j row-major and position inverts it,
+    symmetric, with m on the diagonal."""
+    upper, position = cells
+    assert all(not a.flags.writeable for a in cells)
+    want = np.flatnonzero(~np.tri(n, dtype=bool))
+    assert upper.dtype == want.dtype and np.array_equal(upper, want)
+    m = n * (n - 1) // 2
+    assert position.shape == (n, n) and position.dtype == np.int32
+    assert np.array_equal(position.ravel()[upper], np.arange(m))
+    assert np.array_equal(position, position.T)
+    assert np.array_equal(position.diagonal(), np.full(n, m))
+
+
 class TestUpperCells:
     """`matrices._upper_cells` owns the order of the cells i < j that packed
-    targets, top-K candidates and relation pairs share; reading fills every
-    group's targets with one scatter through it."""
+    targets, top-K candidates and relation pairs share; reading gathers every
+    group's targets through its position map."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 56, 300])
     def test_owner(self, n):
-        mask, rows, cols = cells = _upper_cells(n)
-        assert all(not a.flags.writeable for a in cells)
-        want = ~np.tri(n, dtype=bool)
-        assert mask.dtype == want.dtype and np.array_equal(mask, want)
-        for got, ref in zip((rows, cols), np.triu_indices(n, 1)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert _upper_cells(n)[0] is mask  # cached
+        cells = _upper_cells(n)
+        assert_upper_entry(n, cells)
+        assert all(a is b for a, b in zip(_upper_cells(n), cells))  # cached
 
     def test_cache_holds_at_most_its_cell_bound(self, monkeypatch):
         """Least recently used sizes go once the cached cells pass the bound;
@@ -958,16 +971,13 @@ class TestUpperCells:
         bound = matrices._UPPER_CELLS_BOUND
         held = {}
         for n in (300, 56, 400, 300, 200, 600, 8, 64):
-            mask = _upper_cells(n)[0]
-            cached = {m: cells[1].size for m, cells in matrices._upper_cache.items()}
+            upper = _upper_cells(n)[0]
+            cached = {m: cells[0].size for m, cells in matrices._upper_cache.items()}
             held[n] = list(cached)
-            assert list(cached)[-1] == n and _upper_cells(n)[0] is mask
+            assert list(cached)[-1] == n and _upper_cells(n)[0] is upper
             assert sum(cached.values()) <= bound or list(cached) == [n]
             for m, cells in matrices._upper_cache.items():
-                assert all(not a.flags.writeable for a in cells)
-                assert np.array_equal(cells[0], ~np.tri(m, dtype=bool))
-                for got, ref in zip(cells[1:], np.triu_indices(m, 1)):
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert_upper_entry(m, cells)
         assert held[200] == [300, 200]  # 56 and 400 were used least recently
         assert held[600] == [600] and held[64] == [8, 64]  # 600 alone passes the bound
 
@@ -983,7 +993,7 @@ class TestUpperCells:
         p = tmp_path / "docs.jsonl"
         write_jsonl(p, tr + te)
         assert_read_matches_loop(p)
-        cached = [cells[1].size for cells in matrices._upper_cache.values()]
+        cached = [cells[0].size for cells in matrices._upper_cache.values()]
         assert sum(cached) <= bound or len(cached) == 1
 
     @pytest.mark.parametrize("omit", ["none", "half"])
@@ -1019,6 +1029,82 @@ class TestUpperCells:
             sizes = range(world[f"{count}_min"], world[f"{count}_max"] + 1)
             spans[w.name] = sum(n * (n - 1) // 2 for n in sizes)
         assert matrices._UPPER_CELLS_BOUND >= max(spans.values())
+
+
+class TestGatheredRead:
+    """The reader unpacks one bit past each line's m cells and gathers its
+    target through `_upper_cells`' position map, that bit on the diagonal:
+    at every n the targets and relations are the generator's, bit for bit."""
+
+    def test_single_entity_lines(self, tmp_path):
+        """n = 1 packs no cell (m = 0): numpy leaves the padded bit of an
+        empty unpack uninitialized, so the reader zeroes it."""
+        rng = np.random.default_rng(0)
+        want = [Instance(EntitySet(rng.normal(size=(1, 3))), np.zeros((1, 1)), k % 2) for k in range(5)]
+        p = tmp_path / "single.jsonl"
+        write_jsonl(p, want)
+        assert_bit_identical(read_jsonl(p), want)
+        assert_read_matches_loop(p)
+
+    @pytest.mark.parametrize("n", [2, 7, 16])  # m = 1 and 21 pad their last byte; m = 120 fills it
+    def test_scenes_of_each_padding(self, tmp_path, n):
+        want, _ = generate_dataset(tiny_world(entities_min=n, entities_max=n), 12, 1, seed=4)
+        assert any(inst.labeled for inst in want) and not all(inst.labeled for inst in want)
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, want)
+        assert_bit_identical(read_jsonl(p), want)
+        assert_read_matches_loop(p)
+
+    def test_four_scenes_of_300_entities(self, tmp_path):
+        """The group of scene-large's test split: 4 lines of 300 entities."""
+        spec = default_world_spec().to_dict()
+        spec["entities_min"] = spec["entities_max"] = 300
+        _, want = generate_dataset(load_spec(spec), 1, 4, seed=0)
+        p = tmp_path / "test.jsonl"
+        write_jsonl(p, want)
+        assert_bit_identical(read_jsonl(p), want)
+        assert_read_matches_loop(p)
+
+
+def _traced_peak(call) -> int:
+    """Bytes above the start that `call()` holds at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestGatherMemory:
+    """At n = 300 the gather form holds no more at its peak than the scatter
+    form before it did on the same calls: 883 KiB to build the cache entry,
+    1,099 KiB to read one scene, and for top_k_pairs the (n² + m) float64 of
+    the stronger orientations and their gathered cells, plus 3.7 KiB of
+    bookkeeping (4 KiB allowed). A copied or widened n x n or m-long index
+    array on top would add 0.35-0.7 MB."""
+
+    n = 300
+
+    def test_cache_entry_build(self, monkeypatch):
+        monkeypatch.setattr(matrices, "_upper_cache", {})
+        assert _traced_peak(lambda: _upper_cells(self.n)) <= 883 * 1024
+
+    def test_one_scene_read(self, tmp_path):
+        spec = default_world_spec().to_dict()
+        spec["entities_min"] = spec["entities_max"] = self.n
+        _, scenes = generate_dataset(load_spec(spec), 1, 4, seed=3)
+        p = tmp_path / "one.jsonl"
+        write_jsonl(p, scenes[:1])
+        read_jsonl(p)  # the cache entry is built outside the measurement
+        assert _traced_peak(lambda: read_jsonl(p)) <= 1099 * 1024
+
+    def test_top_k_pairs(self):
+        n, m = self.n, self.n * (self.n - 1) // 2
+        w = np.random.default_rng(0).random((n, n))
+        top_k_pairs(w, 100)
+        assert _traced_peak(lambda: top_k_pairs(w, 100)) <= (n * n + m) * 8 + 4096
 
 
 REQUIRED_KEYS = {
