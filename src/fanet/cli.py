@@ -6,7 +6,9 @@ Subcommands: gen, train, eval, ablate, export-attention, gradcheck. Run
 Conventions shared by every subcommand:
 
   * exit codes: 0 success, 1 internal error or training divergence, 2 user
-    input error (bad flags, malformed files, missing or unwritable paths);
+    input error: a `ValidationError` (bad flags, malformed files, missing
+    paths), or an `OSError` that names a file (an unreadable or unwritable
+    path); an `OSError` naming no file is internal;
   * configuration comes from one JSON file plus flag overrides, flags win;
     the merged effective config is echoed into the JSON artifacts and as a
     ``# config:`` comment line atop report/ablation CSVs;
@@ -78,10 +80,6 @@ EXIT_INTERNAL = 1
 EXIT_USER = 2
 
 
-class UserInputError(Exception):
-    """Anything the caller can fix: bad paths, malformed files, bad ids."""
-
-
 # --- shared plumbing ----------------------------------------------------------
 
 
@@ -92,9 +90,9 @@ def _env_seed():
     try:
         seed = int(raw)
     except ValueError:
-        raise UserInputError(f"FAN_SEED must be an integer, got {raw!r}")
+        raise ValidationError(f"FAN_SEED must be an integer, got {raw!r}")
     if seed < 0:
-        raise UserInputError(f"FAN_SEED must be >= 0, got {seed}")
+        raise ValidationError(f"FAN_SEED must be >= 0, got {seed}")
     return seed
 
 
@@ -109,7 +107,7 @@ def _parse_ks(raw: str) -> tuple:
     try:
         ks = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise UserInputError(f"expected comma-separated integers, got {raw!r}")
+        raise ValidationError(f"expected comma-separated integers, got {raw!r}")
     return ks
 
 
@@ -174,7 +172,7 @@ def _read_dataset(data_dir: str) -> tuple:
     test_path = os.path.join(data_dir, "test.jsonl")
     for path in (train_path, test_path):
         if not os.path.exists(path):
-            raise UserInputError(f"{path}: file not found")
+            raise ValidationError(f"{path}: file not found")
     train_set = read_jsonl(train_path)
     test_set = read_jsonl(test_path)
     manifest = _manifest_classes(data_dir)
@@ -189,7 +187,7 @@ def _read_dataset(data_dir: str) -> tuple:
 def _check_feature_dim(params, instances, checkpoint_path, data_path) -> None:
     dims = sorted({inst.entities.d for inst in instances})
     if dims != [params.d]:
-        raise UserInputError(
+        raise ValidationError(
             f"shape mismatch: checkpoint {checkpoint_path} projects "
             f"{params.d}-dim features, dataset {data_path} has dims {dims}"
         )
@@ -199,7 +197,7 @@ def _check_labels(num_classes, instances, source, data_path) -> None:
     """Every label must name one of `source`'s classes (a checkpoint or a manifest spec)."""
     top = max((inst.label for inst in instances), default=0)
     if top >= num_classes:
-        raise UserInputError(
+        raise ValidationError(
             f"label out of range: dataset {data_path} has label {top}, {source} "
             f"has {num_classes} classes (labels 0..{num_classes - 1})"
         )
@@ -299,9 +297,9 @@ def cmd_gen(args) -> int:
         spec = default_world_spec()
     seed = _resolve_seed(args.seed)
     if seed < 0:
-        raise UserInputError(f"seed must be >= 0, got {seed}")
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if args.n_train < 1 or args.n_test < 1:
-        raise UserInputError("--n-train and --n-test must be >= 1")
+        raise ValidationError("--n-train and --n-test must be >= 1")
     train_set, test_set = generate_dataset(spec, args.n_train, args.n_test, seed)
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.jsonl")
@@ -354,7 +352,7 @@ def cmd_eval(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     instances = read_jsonl(args.data)
     if not instances:
-        raise UserInputError(f"dataset is empty: {args.data}")
+        raise ValidationError(f"dataset is empty: {args.data}")
     _check_feature_dim(params, instances, args.checkpoint, args.data)
     _check_labels(params.num_classes, instances, f"checkpoint {args.checkpoint}", args.data)
     _check_matchable(instances, f"dataset {args.data}")
@@ -463,7 +461,7 @@ def _check_resume(path, base: TrainConfig, data: str) -> None:
     for key in old:
         was, now = json.dumps(old[key]), json.dumps(new[key])
         if was != now:
-            raise UserInputError(
+            raise ValidationError(
                 f"{path}: {key} is {was}, this run has {now}; --resume takes the base config "
                 "and --data of the run it resumes"
             )
@@ -487,12 +485,12 @@ def _finished_rows(path, done=None) -> tuple:
                 if not line.endswith("\n"):
                     break  # the last line, cut off mid-write
                 if header is not None and len(row) != len(header):
-                    raise UserInputError(f"{path}:{number}: expected {len(header)} columns, got {len(row)}")
+                    raise ValidationError(f"{path}:{number}: expected {len(header)} columns, got {len(row)}")
                 if header is not None and done is not None and row[0] not in done:
                     dropped = dropped or number
                     continue
                 if dropped:
-                    raise UserInputError(f"{path}:{number}: a finished cell's row after line {dropped}, "
+                    raise ValidationError(f"{path}:{number}: a finished cell's row after line {dropped}, "
                                          "whose cell did not finish")
                 if header is not None:
                     ids.add(row[0])
@@ -500,17 +498,17 @@ def _finished_rows(path, done=None) -> tuple:
                     header = row
                 size += len(raw)
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise UserInputError(f"{path}: cannot read the finished cells for --resume ({exc})") from exc
+        raise ValidationError(f"{path}: cannot read the finished cells for --resume ({exc})") from exc
     return (size, ids) if header is not None else (0, set())
 
 
 def cmd_ablate(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     base = _config_from_args(args)
     # base is checked, so a fault in a cell is the grid's
     grid, cells = _load_json(args.grid, lambda grid: (grid, _ablation_cells(base, grid)))
     train_path, test_path, train_set, test_set = _read_dataset(args.data)
-    if args.jobs < 1:
-        raise UserInputError(f"--jobs must be >= 1, got {args.jobs}")
     manifest_path = os.path.join(args.out, "manifest.json")
     cells_path = os.path.join(args.out, "cells.csv")
     curves_path = os.path.join(args.out, "curves.csv")
@@ -525,11 +523,11 @@ def cmd_ablate(args) -> int:
         # a resumed grid may gain cells, but every finished row must stay one of its cells
         stray = done - {cell_id for cell_id, _ in cells}
         if stray:
-            raise UserInputError(f"{cells_path}: finished cell {min(stray)} is not a cell of --grid")
+            raise ValidationError(f"{cells_path}: finished cell {min(stray)} is not a cell of --grid")
         # a cell's curves rows are written before its cells row, so only a lost file lacks them
         uncurved = done - curved
         if uncurved:
-            raise UserInputError(f"{curves_path}: no rows for finished cell {min(uncurved)}")
+            raise ValidationError(f"{curves_path}: no rows for finished cell {min(uncurved)}")
     os.makedirs(args.out, exist_ok=True)
     _write_json(
         manifest_path,
@@ -601,7 +599,7 @@ def cmd_export_attention(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     instances = read_jsonl(args.data)
     if not (0 <= args.instance < len(instances)):
-        raise UserInputError(
+        raise ValidationError(
             f"unknown instance id {args.instance}; dataset {args.data} has "
             f"{len(instances)} instances (ids 0..{len(instances) - 1})"
         )
@@ -609,7 +607,7 @@ def cmd_export_attention(args) -> int:
     _check_feature_dim(params, [inst], args.checkpoint, args.data)
     _check_labels(params.num_classes, [inst], f"checkpoint {args.checkpoint}", args.data)
     if args.top_k < 1:
-        raise UserInputError(f"--top-k must be >= 1, got {args.top_k}")
+        raise ValidationError(f"--top-k must be >= 1, got {args.top_k}")
     fwd = forward_task(inst.entities.features, params, config)
     state = fwd.state
     pairs, weights = top_k_pairs(state.focus_weights, args.top_k)
@@ -666,9 +664,9 @@ def _random_check_instance(n: int, d: int, seed: int, num_classes: int) -> Insta
 
 def cmd_gradcheck(args) -> int:
     if args.n < 2 or args.d < 1 or args.d_k < 1 or args.classes < 1:
-        raise UserInputError("need --n >= 2 and positive --d, --d-k, --classes")
+        raise ValidationError("need --n >= 2 and positive --d, --d-k, --classes")
     if args.seeds < 1:
-        raise UserInputError(f"--seeds must be >= 1, got {args.seeds}")
+        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     seed0 = _resolve_seed(args.seed)
     head_modes = HEAD_MODES if args.head_mode is None else (args.head_mode,)
     worst_overall = 0.0
@@ -797,15 +795,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # the OSErrors come from paths given on the command line, and their text names the path
-    except (UserInputError, ValidationError, FileNotFoundError, FileExistsError,
-            IsADirectoryError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        # the caller's fault: a refused input, or an OSError on a path given on the
+        # command line, whose text names it; one naming no file (a failed fork) is ours
+        if isinstance(exc, ValidationError) or (isinstance(exc, OSError) and exc.filename is not None):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USER
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

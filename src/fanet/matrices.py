@@ -1,11 +1,12 @@
 """Dense matrix helpers: validation and the numerically stable softmax,
 and the readers and writers of the JSON files and dataclass fields the CLI reads.
 
-All matrices in this package are plain 2-D float64 numpy arrays in row-major
-(C) order. Public operations validate shapes and finiteness at entry and
-raise :class:`ShapeError` / :class:`ValidationError` instead of broadcasting
-silently; `_softmax` is the unchecked kernel behind them, for callers whose
-input was checked where it entered.
+All matrices in this package are 2-D float64 numpy arrays in row-major (C)
+order, or (B, n, n) stacks of B such matrices where equal-n instances go
+through a kernel at once. Public operations validate shapes and finiteness
+at entry and raise :class:`ShapeError` / :class:`ValidationError` instead of
+broadcasting silently; `_softmax` is the unchecked kernel behind them, for
+callers whose input was checked where it entered.
 """
 
 from __future__ import annotations

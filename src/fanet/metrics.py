@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import EntitySet
+from .losses import FOCUS_SUM_TOL
 from .matrices import ShapeError, ValidationError, _index_pairs, _upper_cells, as_matrix, check_finite
 from .supervision import NO_MATCH, entity_gt_matching
 
@@ -161,10 +162,8 @@ def word_importance(focus_weights) -> np.ndarray:
     if w.shape[0] != w.shape[1]:
         raise ValidationError(f"focus_weights must be square, got {w.shape}")
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(
-            f"focus_weights must sum to 1 within 1e-10, got {total!r}"
-        )
+    if abs(total - 1.0) > FOCUS_SUM_TOL:
+        raise ValidationError(f"focus_weights must sum to 1 within {FOCUS_SUM_TOL}, got {total!r}")
     return w.sum(axis=0)
 
 

@@ -13,6 +13,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .matrices import ValidationError
+
 __all__ = [
     "STREAM_INSTANCE",
     "STREAM_PARAMS_ATTENTION",
@@ -32,9 +34,9 @@ _WORD = 2**64
 
 def _check(stream_tag: int, value: int) -> None:
     if stream_tag < 1:
-        raise ValueError(f"stream_tag must be >= 1, got {stream_tag}")
+        raise ValidationError(f"stream_tag must be >= 1, got {stream_tag}")
     if value < 0:
-        raise ValueError(f"seed value must be >= 0, got {value}")
+        raise ValidationError(f"seed value must be >= 0, got {value}")
 
 
 def stream_rng(stream_tag: int, value: int) -> np.random.Generator:
@@ -72,5 +74,5 @@ def instance_seed(master_seed: int, split_tag: int, index: int) -> int:
     split. Collision-free for indices below 2**32.
     """
     if master_seed < 0 or split_tag < 0 or index < 0:
-        raise ValueError("master_seed, split_tag and index must all be >= 0")
+        raise ValidationError("master_seed, split_tag and index must all be >= 0")
     return ((master_seed * 2 + split_tag) * 2**32 + index) % _WORD

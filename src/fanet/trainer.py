@@ -98,7 +98,7 @@ LR_DECAY_POINT = 5 / 8
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training loss stops being finite."""
+    """Raised by `train` when the attention logits or a loss stop being finite."""
 
 
 def _check_ks(ks, name: str) -> tuple:
@@ -659,8 +659,7 @@ def train(
     stats = []
     try:
         _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, lam_eff, stats)
-    except NonFiniteError as exc:
-        # overflow shows up as non-finite logits before any loss is computed
+    except NonFiniteError as exc:  # non-finite logits, or a non-finite loss
         raise DivergenceError(
             f"numerical overflow with {len(stats)} epochs completed: {exc}; "
             "reduce the learning rate"
@@ -698,10 +697,8 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
                     rel_sum += r_loss
                     rel_count += 1
                 if not math.isfinite(t_loss) or not math.isfinite(r_loss):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch + 1} "
-                        f"(task={t_loss!r}, relation={r_loss!r}); "
-                        "reduce the learning rate"
+                    raise NonFiniteError(
+                        f"non-finite loss at epoch {epoch + 1} (task={t_loss!r}, relation={r_loss!r})"
                     )
             optimizer.step(params, grad, lr)
         task_mean = task_sum / n

@@ -4,6 +4,7 @@ import argparse
 import base64
 import csv
 import dataclasses
+import errno
 import gc
 import json
 import math
@@ -1120,6 +1121,27 @@ class TestAblate:
         rows = (out / "cells.csv").read_text().splitlines()
         assert len(rows) == 2 + 3
 
+    def test_jobs_below_one_is_refused_before_the_data_is_read(self, tmp_path, capsys):
+        grid = self.grid_file(tmp_path, {"lambda": [0.0]})
+        out = tmp_path / "ab"
+        argv = ["ablate", "--grid", grid, "--data", str(tmp_path / "missing"),
+                "--out", str(out), "--jobs", "0"]
+        assert main(argv) == EXIT_USER
+        assert capsys.readouterr().err == "error: --jobs must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_os_error_naming_no_file_is_internal(self, tmp_path, data_dir, capsys, monkeypatch):
+        """A pool that cannot start its workers is no fault of the caller's."""
+        def no_fork(max_workers):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_fork)
+        grid = self.grid_file(tmp_path, {"lambda": [0.0]})
+        argv = ["ablate", "--grid", grid, "--data", data_dir, "--out", str(tmp_path / "ab"),
+                "--jobs", "2"] + FAST_TRAIN
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: BlockingIOError: [Errno 11]")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_diverging_cell_does_not_stop_the_grid(self, tmp_path, data_dir, capsys, jobs):
         grid = self.grid_file(tmp_path, {"lr": [5e-4, 1e200, 1e-3]})
@@ -1629,6 +1651,37 @@ class TestUnwritableOutput:
         assert code == EXIT_USER
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
+
+
+class TestPathTooLong:
+    """A path component longer than the file system allows (ENAMETOOLONG) is
+    a user error that names the path, on input and on output alike, and
+    nothing is written."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--out"), ("train", "--out"), ("eval", "--out"),
+        ("export-attention", "--out"), ("ablate", "--out"),
+        ("eval", "--data"), ("eval", "--checkpoint"),
+    ])
+    def test_exits_two_naming_the_path(self, tmp_path, data_dir, run_dir, capsys, command, flag):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambda": [0.0]}))
+        checkpoint = os.path.join(run_dir, "checkpoint.json")
+        test_file = os.path.join(data_dir, "test.jsonl")
+        argv = {
+            "gen": ["gen", "--n-train", "2", "--n-test", "1"],
+            "train": ["train", "--data", data_dir] + FAST_TRAIN,
+            "eval": ["eval", "--checkpoint", checkpoint, "--data", test_file],
+            "export-attention": ["export-attention", "--checkpoint", checkpoint,
+                                 "--data", test_file, "--instance", "0"],
+            "ablate": ["ablate", "--grid", str(grid), "--data", data_dir] + FAST_TRAIN,
+        }[command] + ["--out", str(tmp_path / "out")]
+        too_long = tmp_path / ("x" * 300)
+        argv[argv.index(flag) + 1] = str(too_long / "y")
+        assert main(argv) == EXIT_USER
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(too_long) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
-"""Every name a module exports in `__all__` resolves, so `import *` works; and
-only `fanet.cli` lays out CSV files."""
+"""Every name a module exports in `__all__` resolves, so `import *` works;
+only `fanet.cli` lays out CSV files; and the package defines one exception
+class per outcome."""
 
 import ast
 import importlib
@@ -41,3 +42,16 @@ def _imports(name: str) -> set:
 def test_only_cli_imports_csv():
     """What a CLI artifact holds is decided in `fanet.cli`; the other modules return values."""
     assert [name for name in MODULES if "csv" in _imports(name)] == ["cli"]
+
+
+def test_one_exception_class_per_outcome():
+    """The package defines four exception classes: `ValidationError` and its
+    subclasses `ShapeError` and `NonFiniteError` (exit 2 from the CLI), and
+    `DivergenceError` (exit 1). No module adds another."""
+    defined = []
+    for name in MODULES:
+        module = importlib.import_module(f"fanet.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        defined += [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                    and issubclass(getattr(module, node.name), BaseException)]
+    assert sorted(defined) == ["DivergenceError", "NonFiniteError", "ShapeError", "ValidationError"]

@@ -337,6 +337,16 @@ class TestSharedStream:
         with pytest.raises(ValueError, match="stream_tag must be >= 1"):
             list(_rekeyed(0, [3]))
 
+    @pytest.mark.parametrize("call", [
+        lambda: stream_rng(0, 3),
+        lambda: stream_rng(1, -1),
+        lambda: list(_rekeyed(1, [-1])),
+        lambda: instance_seed(0, -1, 0),
+    ])
+    def test_seed_checks_raise_validation_error(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
     @pytest.mark.parametrize("world", sorted(SHARED_STREAM_WORLDS))
     @pytest.mark.parametrize("seed", [0, 3])
     def test_dataset_matches_generate_instance(self, world, seed):

@@ -549,6 +549,23 @@ class TestTraining:
                 train([huge] + list(tr), te, cfg)
         assert isinstance(info.value.__cause__, NonFiniteError)
 
+    def test_non_finite_loss_raises_divergence(self, monkeypatch):
+        """A non-finite loss reaches the same wrapper as non-finite logits."""
+        tr, te = tiny_dataset()
+        accumulate, calls = trainer._accumulate_instance, []
+
+        def nan_on_the_fifteenth(*args):
+            calls.append(None)
+            t_loss, r_loss = accumulate(*args)
+            return (math.nan if len(calls) == 15 else t_loss), r_loss
+
+        monkeypatch.setattr(trainer, "_accumulate_instance", nan_on_the_fifteenth)
+        cfg = TrainConfig(epochs=2, batch_size=2, d_k=2)
+        with pytest.raises(DivergenceError, match=r"with 1 epochs completed: non-finite loss at epoch 2 "
+                           r"\(task=nan, relation=.*\); reduce the learning rate") as info:
+            train(tr, te, cfg)
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
     def test_other_validation_errors_are_not_divergence(self):
         """Only non-finite numbers mean divergence; other input errors pass through."""
         tr, te = tiny_dataset()
