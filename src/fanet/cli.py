@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .attention import EntitySet
 from .losses import LOSS_VARIANTS
-from .matrices import ValidationError, _check_keys, _load_json, _write_json, _write_whole
+from .matrices import ValidationError, _check_keys, _load_json, _upper_cells, _write_json, _write_whole
 from .metrics import top_k_pairs, word_importance
 from .seeding import STREAM_INSTANCE, stream_rng
 from .synthgen import (
@@ -170,9 +170,6 @@ def _read_dataset(data_dir: str) -> tuple:
     every check `train` makes of them, so a refused dataset leaves no output."""
     train_path = os.path.join(data_dir, "train.jsonl")
     test_path = os.path.join(data_dir, "test.jsonl")
-    for path in (train_path, test_path):
-        if not os.path.exists(path):
-            raise ValidationError(f"{path}: file not found")
     train_set = read_jsonl(train_path)
     test_set = read_jsonl(test_path)
     manifest = _manifest_classes(data_dir)
@@ -213,7 +210,7 @@ def _manifest_classes(data_dir: str):
     try:
         with open(path) as fh:
             spec = load_spec(json.load(fh)["spec"])
-    except (OSError, KeyError, TypeError, AttributeError, ValueError):
+    except (OSError, KeyError, TypeError, AttributeError, ValueError, RecursionError):
         return None
     return spec.n_labels, path
 
@@ -356,7 +353,7 @@ def cmd_eval(args) -> int:
     _check_feature_dim(params, instances, args.checkpoint, args.data)
     _check_labels(params.num_classes, instances, f"checkpoint {args.checkpoint}", args.data)
     _check_matchable(instances, f"dataset {args.data}")
-    ks = _parse_ks(args.ks) if args.ks else config.eval_ks
+    ks = config.eval_ks if args.ks is None else _parse_ks(args.ks)
     result = evaluate(instances, params, config, ks)
     os.makedirs(args.out, exist_ok=True)
 
@@ -427,9 +424,9 @@ def _ablate_cell(cell_id, config, train_set, test_set):
 
 
 def _ablate_worker(payload):
-    """`_ablate_cell` in a pool worker, which reads both splits itself."""
-    cell_id, config_dict, train_path, test_path = payload
-    config = TrainConfig.from_dict(config_dict)
+    """`_ablate_cell` in a pool worker, which reads both splits itself: they
+    are smaller in their files than pickled."""
+    cell_id, config, train_path, test_path = payload
     return _ablate_cell(cell_id, config, read_jsonl(train_path), read_jsonl(test_path))
 
 
@@ -561,7 +558,7 @@ def cmd_ablate(args) -> int:
 
         if args.jobs > 1 and pending:
             pool = ProcessPoolExecutor(max_workers=args.jobs)
-            payloads = [(cell_id, cfg.to_dict(), train_path, test_path) for cell_id, cfg in pending]
+            payloads = [(cell_id, cfg, train_path, test_path) for cell_id, cfg in pending]
             results = pool.map(_ablate_worker, payloads)
         else:  # serial cells train on the sets read and checked above
             pool = None
@@ -652,11 +649,9 @@ def cmd_export_attention(args) -> int:
 def _random_check_instance(n: int, d: int, seed: int, num_classes: int) -> Instance:
     rng = stream_rng(STREAM_INSTANCE, seed)
     features = rng.standard_normal((n, d))
-    target = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < 0.4:
-                target[i, j] = target[j, i] = 1.0
+    # one draw per cell i < j, in row-major order; the diagonal stays 0
+    cells = rng.uniform(size=n * (n - 1) // 2) < 0.4
+    target = np.append(cells, False).take(_upper_cells(n)[1]).astype(float)
     target[0, 1] = target[1, 0] = 1.0  # keep the relation path exercised
     label = int(rng.integers(0, num_classes))
     return Instance(entities=EntitySet(features=features), target=target, label=label)

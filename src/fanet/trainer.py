@@ -541,17 +541,10 @@ def evaluate(
     instances share an n), and one top-K, one IoU matching (of the top-K
     pairs' ends, if fewer than n) and one recall pass (`_bucket_recall`) over
     the bucket's instances that have gt relations; the results are summed in
-    instance order, so they do not depend on the bucketing.
+    instance order, so they do not depend on the bucketing. An empty dataset
+    gives NaN accuracy and means, and zero counts.
     """
     ks = config.eval_ks if ks is None else _check_ks(ks, "ks")
-    if not instances:
-        return EvalResult(
-            accuracy=float("nan"),
-            center_mass=CenterMassSummary(float("nan"), 0, 0),
-            recall={k: float("nan") for k in ks},
-            n_instances=0,
-            n_recall_vacuous=0,
-        )
     n = len(instances)
     correct = 0
     masses = [float("nan")] * n
@@ -589,10 +582,11 @@ def evaluate(
         for k in recall_sums:
             recall_sums[k] += scores[k]
     scored = [m for m, inst in zip(masses, instances) if inst.labeled]
+    over = n or math.nan  # a mean over no instances is NaN
     return EvalResult(
-        accuracy=correct / n,
+        accuracy=correct / over,
         center_mass=CenterMassSummary.of(scored, n - len(scored)),
-        recall={k: recall_sums[k] / n for k in ks},
+        recall={k: recall_sums[k] / over for k in ks},
         n_instances=n,
         n_recall_vacuous=per_k.count(None),
         masses=tuple(masses),

@@ -2,12 +2,14 @@
 
 The probes read the arguments and results of `losses.relation_loss` and
 `trainer.evaluate` by position and attribute, so a change to either that
-would break a traced benchmark run fails here first. The worker is loaded
+would break a traced benchmark run fails here first. A toy-sized traced run
+of each workload runs every other check of the worker. The worker is loaded
 read-only, with `benchmarks/` on `sys.path` only while it loads; its tracer
 wraps the package as in a traced run, and every wrapped name is restored
 afterwards.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -99,3 +101,22 @@ def test_evaluate_on_read_instances(tracer, world, tmp_path):
     assert tracer.stats["trainer.evaluate"].calls == 1
     want = sum(1 for inst in test_set if len(inst.gt_relations))
     assert tracer.counters["gt_instances"] == want > 0
+
+
+# each workload at toy size: one set-up, one epoch, one quality run where the
+# workload has them, and one `fanet eval` per operation
+TOY_SIZES = {
+    "scene-small": dict(n_train=20, n_test=10, epochs=1, quality_epochs=1, quality_runs=1, eval_reps=1),
+    "scene-large": dict(n_train=1, n_test=2, checkpoint_epochs=1),
+    "doc-medium": dict(n_train=12, n_test=6, epochs=1, quality_epochs=1, quality_runs=1, eval_reps=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_SIZES))
+def test_toy_traced_run_passes_every_check(worker, tracer, tmp_path, name):
+    """A traced benchmark run of each workload, shrunk: its coverage rules,
+    the self-time sum, byte-identity and finiteness checks all pass."""
+    workload = dataclasses.replace(worker.WORKLOADS[name], setup_reps=1, **TOY_SIZES[name])
+    result = worker.Run(workload, 3, 0.0, tmp_path, tracer).execute()
+    assert result["failed"] == 0, result["failures"]
+    assert result["attempted"] > 0 and result["operations"] == worker.MIN_OPS

@@ -23,6 +23,7 @@ from fanet import attention, cli, trainer
 from fanet.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USER, main
 from fanet.losses import LOSS_VARIANTS
 from fanet.matrices import ValidationError, _encode_array, _write_json
+from fanet.seeding import STREAM_INSTANCE, stream_rng
 from fanet.synthgen import (
     DATASET_VERSION,
     MAX_ITEMS,
@@ -494,6 +495,23 @@ class TestTrain:
         checkpoint = json.loads((out / "checkpoint.json").read_text())
         assert checkpoint["num_classes"] == max(labels) + 1
 
+    def test_manifest_nested_too_deeply_is_skipped(self, tmp_path, data_dir):
+        """A manifest that recurses too far to parse checks nothing, like any
+        other that does not load: the run is the one without a manifest."""
+        outs = {}
+        for manifest in ("absent", "deep"):
+            data = tmp_path / f"data-{manifest}"
+            shutil.copytree(data_dir, data)
+            if manifest == "absent":
+                (data / "manifest.json").unlink()
+            else:
+                (data / "manifest.json").write_text("[" * 200000)
+            outs[manifest] = tmp_path / f"run-{manifest}"
+            argv = ["train", "--data", str(data), "--out", str(outs[manifest])]
+            assert main(argv + FAST_TRAIN) == EXIT_OK, manifest
+        for name in ("report.csv", "checkpoint.json"):
+            assert (outs["deep"] / name).read_bytes() == (outs["absent"] / name).read_bytes(), name
+
     def test_unknown_config_field_in_file(self, tmp_path, data_dir):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"learning_rate": 0.1}))
@@ -614,6 +632,18 @@ class TestEval:
              "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_USER
+
+    @pytest.mark.parametrize("ks", ["", ","])
+    def test_no_ks_is_refused(self, tmp_path, data_dir, run_dir, capsys, ks):
+        """An empty --ks names no cutoff; it does not fall back to the checkpoint's."""
+        out = tmp_path / "x"
+        code = main(
+            ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.json"),
+             "--data", os.path.join(data_dir, "test.jsonl"), "--ks", ks, "--out", str(out)]
+        )
+        assert code == EXIT_USER
+        assert "error: ks must be positive ints, got ()" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shape_mismatch_names_both(self, tmp_path, run_dir, capsys):
         spec = {
@@ -1662,6 +1692,7 @@ class TestPathTooLong:
         ("gen", "--out"), ("train", "--out"), ("eval", "--out"),
         ("export-attention", "--out"), ("ablate", "--out"),
         ("eval", "--data"), ("eval", "--checkpoint"),
+        ("train", "--data"), ("ablate", "--data"),
     ])
     def test_exits_two_naming_the_path(self, tmp_path, data_dir, run_dir, capsys, command, flag):
         grid = tmp_path / "grid.json"
@@ -1682,6 +1713,10 @@ class TestPathTooLong:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(too_long) in err
         assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
+        if flag == "--data":  # the OS's reason, not a "file not found" of its own
+            assert "File name too long" in err
+            if command != "eval":
+                assert str(too_long / "y" / "train.jsonl") in err
 
 
 class TestParserReuse:
@@ -1757,6 +1792,29 @@ class TestGradcheckCommand:
             err = float(re.search(r"max_rel_err=(\S+)", line).group(1))
             raw = float(re.search(r"raw_gap=(\S+)", line).group(1))
             assert raw > 0 and raw >= err, line
+
+    def test_instance_matches_a_per_pair_draw(self):
+        """The check instance draws its cells at once, as a loop over the pairs
+        i < j drew them one at a time: the same instance, bit for bit."""
+        def per_pair(n, d, seed, num_classes):
+            rng = stream_rng(STREAM_INSTANCE, seed)
+            features = rng.standard_normal((n, d))
+            target = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.uniform() < 0.4:
+                        target[i, j] = target[j, i] = 1.0
+            target[0, 1] = target[1, 0] = 1.0
+            return features, target, int(rng.integers(0, num_classes))
+
+        for n in range(2, 10):
+            for seed in range(5):
+                inst = cli._random_check_instance(n, 3, seed, 4)
+                features, target, label = per_pair(n, 3, seed, 4)
+                assert inst.entities.features.tobytes() == features.tobytes()
+                assert inst.target.dtype == target.dtype
+                assert inst.target.tobytes() == target.tobytes(), (n, seed)
+                assert inst.label == label
 
     def test_rejects_bad_dims(self):
         assert main(["gradcheck", "--n", "1"]) == EXIT_USER

@@ -669,6 +669,20 @@ class TestEvaluate:
         assert result.n_instances == 0
         assert math.isnan(result.accuracy)
 
+    def test_empty_dataset_every_field(self):
+        """No instances: NaN accuracy and means, zero counts, no per-instance values."""
+        cfg = TrainConfig(d_k=2)
+        params = init_model(6, 2, cfg)
+        for ks, want_ks in ((None, cfg.eval_ks), ((3, 1, 3), (3, 1, 3))):
+            result = evaluate([], params, cfg, ks)
+            assert math.isnan(result.accuracy)
+            assert math.isnan(result.center_mass.mean_m)
+            assert (result.center_mass.n_scored, result.center_mass.n_vacuous) == (0, 0)
+            assert list(result.recall) == list(dict.fromkeys(want_ks))
+            assert all(math.isnan(v) for v in result.recall.values())
+            assert (result.n_instances, result.n_recall_vacuous) == (0, 0)
+            assert (result.masses, result.recalls) == ((), ())
+
 
 def set_recall_at_ks(pair_matches, gt_relations, ks):
     """{k: recall@k} of one instance by a walk over its ranked pairs' matched
