@@ -2,7 +2,10 @@
 
 The center-mass M of a focus-weight matrix is the total probability mass
 sitting on ground-truth-labeled entries: M = sum(focus * target), a scalar in
-[0, 1]. The main loss is the focal log form
+[0, 1]. A target is a bool mask of the labeled pairs (`validate_target`): a
+float64 times a bool rounds exactly as a float64 times 0.0 or 1.0, so every
+sum and gradient here is the one a float 0/1 target gives. The main loss is
+the focal log form
 
     L(M) = -(1 - M)^r * log(M)
 
@@ -74,32 +77,39 @@ def validate_target(target) -> np.ndarray:
 
     `target` is one (n, n) matrix or a (B, n, n) stack of them; a stack is
     rejected exactly when one of its matrices would be, with the same message.
+    Returns the target as a read-only bool mask: a bool array is checked in
+    place (its shape and diagonal), any other must be finite and exactly 0 or 1.
     """
     return _check_target(target)[0]
 
 
 def _check_target(target) -> tuple[np.ndarray, int]:
-    """`validate_target`'s checked array and its nonzero count."""
-    t = np.asarray(target, dtype=np.float64)
-    if t.ndim == 3:
-        t = np.ascontiguousarray(t)
-        if 0 in t.shape:
-            raise ShapeError(f"target must have at least one row and column, got {t.shape}")
+    """`validate_target`'s mask and its nonzero count."""
+    is_mask = isinstance(target, np.ndarray) and target.dtype == bool
+    t = target if is_mask else np.asarray(target, dtype=np.float64)
+    if t.ndim not in (2, 3):
+        raise ShapeError(f"target must be 2-D, got ndim={t.ndim}")
+    if 0 in t.shape:
+        raise ShapeError(f"target must have at least one row and column, got {t.shape}")
+    if not is_mask:
         check_finite(t, "target")
-    else:
-        t = as_matrix(t, "target")
     if t.shape[-2] != t.shape[-1]:
         raise ValidationError(f"target must be square, got {t.shape}")
     nonzero = np.count_nonzero(t)
-    if np.count_nonzero(t == 1.0) != nonzero:
-        raise ValidationError("target entries must be exactly 0 or 1")
+    if not is_mask:
+        t = t == 1.0
+        if np.count_nonzero(t) != nonzero:
+            raise ValidationError("target entries must be exactly 0 or 1")
     if t.diagonal(axis1=-2, axis2=-1).any():
         raise ValidationError("target diagonal must be zero (no self-relations)")
+    t = np.ascontiguousarray(t).view()  # a view: the caller's own array keeps its flags
+    t.flags.writeable = False
     return t, nonzero
 
 
 def center_mass(focus_weights, target) -> float:
-    """Total focus-weight mass on labeled entries: M = sum(focus * T) in [0, 1]."""
+    """Total focus-weight mass on labeled entries: M = sum(focus * T) in [0, 1],
+    with T the bool mask of `validate_target`."""
     w = as_matrix(focus_weights, "focus_weights")
     t = validate_target(target)
     check_same_shape(w, t, "focus_weights and target")
@@ -165,11 +175,12 @@ def relation_loss(
     axis=None: s is the matrix softmax (focus_weights) and M = sum(s * T).
     axis=-1: s is the row softmax (agg_weights); the loss is the mean of
     L(M_i) over the rows i that label a cell, and M the mean of their M_i.
-    target is a checked target of s's shape. dL/dW = L'(M) * s * (T - M),
-    which sums to zero; below FocusLossConfig.eps a focal M is taken in log
-    space, log M = logsumexp(W[T]) - logsumexp(W), with dL/dW = M L'(M) * (q - s)
-    and q the softmax over the labeled cells. M L'(M) -> -1 as M -> 0, so the
-    gradient survives M's underflow. An empty target gives (0.0, 0.0, zeros).
+    target is a checked bool mask (`validate_target`) of s's shape. dL/dW =
+    L'(M) * s * (T - M), which sums to zero; below FocusLossConfig.eps a
+    focal M is taken in log space, log M = logsumexp(W[T]) - logsumexp(W),
+    with dL/dW = M L'(M) * (q - s) and q the softmax over the labeled cells.
+    M L'(M) -> -1 as M -> 0, so the gradient survives M's underflow. An empty
+    target gives (0.0, 0.0, zeros).
     """
     check_same_shape(focus_weights, target, "focus_weights and target")
     if axis not in (None, -1):
@@ -214,7 +225,7 @@ def relation_loss(
 
 def _log_space(s: np.ndarray, t: np.ndarray, config: FocusLossConfig, logits: np.ndarray):
     """(focal loss, dL/dW) from log M, for one softmax s of `logits` (a matrix or a row)."""
-    on = np.where(t != 0.0, logits, -np.inf)
+    on = np.where(t, logits, -np.inf)
     top, top_on = np.max(logits), np.max(on)
     q = np.exp(on - top_on)  # the softmax over the labeled cells, once normalized
     mass_on = np.sum(q)

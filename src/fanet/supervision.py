@@ -10,7 +10,8 @@ Ground-truth objects are a (g, 4) float64 box array plus, where a mode needs
 it, a (g,) category array; entity_gt_matching checks the boxes, and also
 matches a (B, n, 4) stack of entity boxes in one call.
 
-Every emitted target matrix is symmetric with a zero diagonal.
+Every emitted target is a bool (n, n) mask, the form `losses.validate_target`
+returns, symmetric with a zero diagonal.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ def build_vision_target(
     mode: str = "different_category",
     iou_threshold: float = 0.5,
 ) -> np.ndarray:
-    """Binary (n, n) target for vision-style supervision.
+    """Bool (n, n) target mask for vision-style supervision.
 
-    t[m, n] = 1 iff m and n best-match two *different* gt objects and, in
+    t[m, n] is True iff m and n best-match two *different* gt objects and, in
     different_category mode, those objects carry different labels in the
     (g,) gt_categories, which that mode requires. Symmetric, zero diagonal.
     """
@@ -197,7 +198,7 @@ def build_vision_target(
     if mode == "different_category":
         cat = np.asarray(gt_categories)[obj]
         related &= cat[:, None] != cat[None, :]
-    t = np.zeros((entities.n, entities.n))
+    t = np.zeros((entities.n, entities.n), dtype=bool)
     t[np.ix_(matched, matched)] = related
     return t
 
@@ -208,7 +209,7 @@ def build_language_target(
     mode: str = "semantic",
     tokens: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
-    """Binary (n, n) target for language-style supervision. Symmetric, zero diagonal.
+    """Bool (n, n) target mask for language-style supervision. Symmetric, zero diagonal.
 
     Modes: semantic (unordered tag pair present in the table),
     different_category / same_category (tag comparison), different_word
@@ -243,6 +244,6 @@ def build_language_target(
         rule = np.eye(u, dtype=bool)
     else:  # different_category, different_word
         rule = ~np.eye(u, dtype=bool)
-    t = rule.astype(np.float64).take(key_of, 0).take(key_of, 1)  # two takes beat one 2-D gather
-    np.fill_diagonal(t, 0.0)
+    t = rule.take(key_of, 0).take(key_of, 1)  # two takes beat one 2-D gather
+    np.fill_diagonal(t, False)
     return t

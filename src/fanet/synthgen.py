@@ -98,7 +98,7 @@ def _pair_table(raw, field: str) -> LexicalPairTable:
     return table
 
 
-MAX_ITEMS = 4096  # items per instance; the n x n float64 target then takes <= 128 MB
+MAX_ITEMS = 4096  # items per instance; the n x n bool target then takes <= 16 MB
 
 
 class _World:
@@ -275,10 +275,12 @@ class Instance:
     Vision-style instances carry boxes and ground-truth `relations`, a
     read-only (m, 2) int64 array of entity-index pairs, each two distinct
     ints in [0, n) (`gt_relations` gives them as tuples); document instances
-    carry tokens and tags instead. `target` is the binary supervision matrix,
-    checked here once with `validate_target`'s checks (square, entries 0 or
-    1, zero diagonal); `labeled` records whether it labels any pair.
-    Generated instances skip these checks, which they pass by construction.
+    carry tokens and tags instead. `target` is the supervision matrix as a
+    read-only bool (n, n) mask, checked here once with `validate_target`'s
+    checks (square, zero diagonal, and a target of another dtype finite and
+    exactly 0 or 1 before it becomes a mask); `labeled` records whether it
+    labels any pair. Generated and read instances skip these checks, which
+    they pass by construction or checked once per group.
     """
 
     entities: EntitySet
@@ -319,33 +321,37 @@ def _grid_boxes(n: int) -> np.ndarray:
 
 
 def _affinity_table(affine_pairs, n_categories: int) -> np.ndarray:
-    """(n_categories, n_categories) float64: 1.0 where two categories are affine."""
-    table = np.zeros((n_categories, n_categories), dtype=np.float64)
+    """(n_categories, n_categories) bool: True where two categories are affine."""
+    table = np.zeros((n_categories, n_categories), dtype=bool)
     for a, b in affine_pairs:
-        table[a, b] = table[b, a] = 1.0
+        table[a, b] = table[b, a] = True
     return table
 
 
 def _affinity_target(categories: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """1.0 where two entities' categories are affine in `_affinity_table`'s table."""
-    return table.take(categories, 0).take(categories, 1)  # two takes beat one 2-D gather
+    """The read-only bool mask of the entity pairs whose categories are
+    affine in `_affinity_table`'s table."""
+    t = table.take(categories, 0).take(categories, 1)  # two takes beat one 2-D gather
+    t.flags.writeable = False
+    return t
 
 
 def _upper_pairs(t: np.ndarray) -> np.ndarray:
-    """The 1.0 cells (i, j) of t with i < j, in `_upper_cells`' row-major
-    order, as a read-only (m, 2) int64 array: the form of Instance.relations."""
+    """The True cells (i, j) of the bool mask t with i < j, in `_upper_cells`'
+    row-major order, as a read-only (m, 2) int64 array: the form of
+    Instance.relations."""
     upper, _ = _upper_cells(len(t))
-    cells = upper[t.ravel()[upper] == 1.0]
+    cells = upper[t.ravel()[upper]]
     pairs = np.array(divmod(cells, len(t))).T  # ~2x faster than np.stack at n <= 8
     pairs.flags.writeable = False
     return pairs
 
 
 # Generated instances are built without the EntitySet and Instance checks.
-# What they check cannot fail by construction: the targets are symmetric 0/1
-# matrices with a zero diagonal (the affinity table has no self pair; document
-# targets have their diagonal zeroed), the boxes are grid squares, the
-# categories int64 and every array has n rows. Two checks stay, because
+# What they check cannot fail by construction: the targets are symmetric
+# read-only bool masks with a zero diagonal (the affinity table has no self
+# pair; document targets have their diagonal zeroed), the boxes are grid
+# squares, the categories int64 and every array has n rows. Two checks stay, because
 # generated values can fail them: features are finite (a huge noise_sigma or
 # prototype overflows) and the drawn label is the one the spec's rule derives.
 
@@ -423,7 +429,8 @@ def _document_drawer(spec: DocumentSpec):
         features = _noisy_rows(rng, spec.embeddings, token_ids, spec.noise_sigma)
         pick = itemgetter(*drawn)  # n >= 2, so pick gives a tuple
         target = rule.take(token_ids, 0).take(token_ids, 1)
-        np.fill_diagonal(target, 0.0)
+        np.fill_diagonal(target, False)
+        target.flags.writeable = False
         return _unchecked(
             Instance, entities=_unchecked(EntitySet, features=features, categories=None, boxes=None),
             target=target, label=label, relations=_NO_PAIRS, tokens=pick(spec.tokens),
@@ -549,8 +556,9 @@ DATASET_VERSION = 2
 
 
 def _instance_to_dict(inst: Instance) -> dict:
-    ent = inst.entities
-    upper = inst.target.ravel()[_upper_cells(inst.n)[0]] == 1.0
+    ent, n, r = inst.entities, inst.n, inst.relations
+    cells = _upper_cells(n)[0]
+    upper = inst.target.ravel()[cells]
     d = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -561,10 +569,13 @@ def _instance_to_dict(inst: Instance) -> dict:
         },
         "target": _encode_array(np.packbits(upper), "u1"),
     }
-    # omitted when the relations, each pair sorted, are the target's upper pairs
-    pairs = _upper_pairs(inst.target).tolist() if len(inst.relations) == np.count_nonzero(upper) else None
-    if inst.relations.tolist() != pairs and (relations := np.sort(inst.relations, 1).tolist()) != pairs:
-        d["gt_relations"] = relations
+    # omitted when the relations, each pair sorted, are the target's upper
+    # pairs: their flat cells min*n + max, in order, are the target's. Both
+    # are int64, so one bytes comparison decides, faster than array_equal
+    if len(r) != np.count_nonzero(upper) or (
+        np.minimum(r[:, 0], r[:, 1]) * n + np.maximum(r[:, 0], r[:, 1])
+    ).tobytes() != cells[upper].tobytes():
+        d["gt_relations"] = np.sort(r, 1).tolist()
     d["label"] = int(inst.label)
     if inst.tokens is not None:
         d["tokens"] = list(inst.tokens)
@@ -603,7 +614,7 @@ def _parse_line(d) -> tuple:
     if len(fshape) != 2 or 0 in fshape:  # not a matrix: as_matrix names the fault
         as_matrix(np.frombuffer(features).reshape(fshape), "features")
     n = fshape[0]
-    if n > MAX_ITEMS:  # before the target, which unpacks to n x n floats
+    if n > MAX_ITEMS:  # before the target, which unpacks to an n x n mask
         raise ValidationError(f"features: expected at most {MAX_ITEMS} entities, got {n}")
     m = n * (n - 1) // 2
     tshape, traw = _decode_payload(_required(d, "target"), "target", "u1")
@@ -636,10 +647,10 @@ def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
 
     `given` holds each line's relations array (None where omitted) and
     `buffers` their packed targets, features and boxes, each back to back.
-    Returns the (B, n, n) targets, each line's relations (its own, or a
-    read-only view of the target's pairs, i < j, row-major, in one array per
-    group), `labeled` (whether it packs any pair), and the float64 (B, n, d)
-    features and (B, ...) boxes or None.
+    Returns the (B, n, n) targets as one read-only bool stack, each line's
+    relations (its own, or a read-only view of the target's pairs, i < j,
+    row-major, in one array per group), `labeled` (whether it packs any
+    pair), and the float64 (B, n, d) features and (B, ...) boxes or None.
     """
     n, d, bshape = key
     size = len(given)
@@ -655,9 +666,10 @@ def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
     labeled = bits.any(axis=1).tolist()
     upper, position = _upper_cells(n)
     # each cell i < j and its mirror, gathered from the bits in the order they
-    # were packed, and cast at once, so the uint8 gather is freed before the
-    # pairs below are made; the same order gives the lines that omitted theirs
-    targets = bits.take(position, axis=1).astype(np.float64)
+    # were packed and read in place as bool; the same order gives the lines
+    # that omitted their pairs
+    targets = bits.take(position, axis=1).view(bool)
+    targets.flags.writeable = False
     relations = list(given)
     omitted = [k for k, r in enumerate(given) if r is None]
     if omitted:  # document groups seldom have any; the empty pass costs ~10 us

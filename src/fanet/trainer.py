@@ -528,6 +528,16 @@ def _stack(instances: Sequence[Instance], idx: Sequence[int]) -> np.ndarray:
     return np.stack([instances[i].entities.features for i in idx])
 
 
+def _stack_targets(instances: Sequence[Instance], idx: Sequence[int]) -> np.ndarray:
+    return np.stack([instances[i].target for i in idx])
+
+
+def _masses(focus: np.ndarray, targets: np.ndarray) -> list:
+    """Each center-mass of a (B, n, n) focus stack on its bool target stack:
+    bit for bit each matrix's own np.add.reduce(w * t, axis=None)."""
+    return np.add.reduce(focus * targets, axis=(-2, -1)).tolist()
+
+
 def evaluate(
     instances: Sequence[Instance],
     params: ModelParams,
@@ -554,11 +564,12 @@ def evaluate(
         fwd = forward_task(_stack(instances, idx), params, config)
         focus = fwd.state.focus_weights
         predicted = np.argmax(fwd.class_logits, axis=-1).tolist()
-        for i, label, w in zip(idx, predicted, focus):
+        bucket_masses = _masses(focus, _stack_targets(instances, idx))
+        for i, label, m in zip(idx, predicted, bucket_masses):
             inst = instances[i]
             correct += label == inst.label
             if inst.labeled:
-                masses[i] = float(np.add.reduce(w * inst.target, axis=None))
+                masses[i] = m
         with_gt = [j for j, i in enumerate(idx) if len(instances[i].relations)]
         if not with_gt:
             continue
@@ -668,9 +679,10 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
     n = len(train_set)
     grad = np.zeros_like(params.flat)
     grads = params.views(grad)
-    # train-split center-mass: the labeled instances, stacked a bucket at a time
+    # train-split center-mass: the labeled instances, stacked a bucket at a
+    # time, with their targets stacked once for the run
     labeled = [inst for inst in train_set if inst.labeled]
-    mass_buckets = _buckets(labeled)
+    mass_buckets = [(idx, _stack_targets(labeled, idx)) for idx in _buckets(labeled)]
     for epoch in range(config.epochs):
         lr = learning_rate(config, epoch)
         order = shuffle_rng.permutation(n)
@@ -698,11 +710,11 @@ def _train_epochs(train_set, test_set, config, params, optimizer, shuffle_rng, l
         task_mean = task_sum / n
         rel_mean = rel_sum / rel_count if rel_count else 0.0
         train_masses = [0.0] * len(labeled)
-        for idx in mass_buckets:
+        for idx, targets in mass_buckets:
             # center-mass reads only the matrix softmax of the logits
             logits, _, _ = attention._logits(_stack(labeled, idx), params)
-            for i, w in zip(idx, _softmax(logits, (-2, -1))):
-                train_masses[i] = float(np.add.reduce(w * labeled[i].target, axis=None))
+            for i, m in zip(idx, _masses(_softmax(logits, (-2, -1)), targets)):
+                train_masses[i] = m
         train_eval = CenterMassSummary.of(train_masses, n - len(train_masses))
         test_eval = evaluate(test_set, params, config)
         stats.append(

@@ -1,7 +1,8 @@
 """Golden fingerprints: SHA-256 of the CLI artifacts for fixed small runs.
 
 `gen` 20/10 at seed 0, `train` for 4 epochs at seed 0, then `eval` of the
-checkpoint on the test split. Two more `gen` runs at seed 0 pin the dataset
+checkpoint on the test split, and `export-attention` of its test instance 0.
+Two more `gen` runs at seed 0 pin the dataset
 writer where the bundled run does not reach: 1/2 scenes of 300 entities each
 (the bundled vision world with entities_min = entities_max = 300), 20/10
 documents of the bundled document world, and 20/10 long documents (the
@@ -79,6 +80,24 @@ def artifacts(tmp_path_factory):
 def test_artifact_hash(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name], f"{name} changed"
+
+
+EXPORT_GOLDEN = "9fc093725622a70c83cb355c1e99c00cbc8b5f56d65d9cb0f0c4ec87464d986e"
+
+
+def test_export_attention_hash(artifacts):
+    """`export-attention` of the bundled run's test instance 0 (one labeled
+    pair), on relative paths from the artifact directory, since the JSON
+    records both paths. Its "target" list holds 0.0 and 1.0, as floats."""
+    argv = ["export-attention", "--checkpoint", "run/checkpoint.json",
+            "--data", "data/test.jsonl", "--instance", "0", "--out", "export.json"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(artifacts)
+        assert main(argv) == EXIT_OK, argv
+    raw = (artifacts / "export.json").read_bytes()
+    target = json.loads(raw)["target"]
+    assert {(type(x), x) for row in target for x in row} == {(float, 0.0), (float, 1.0)}
+    assert hashlib.sha256(raw).hexdigest() == EXPORT_GOLDEN
 
 
 @pytest.fixture(scope="module")

@@ -253,7 +253,7 @@ class TestLanguageTarget:
         tokens = tuple(reversed(tags))
         got = build_language_target(tags, table, mode=mode, tokens=tokens)
         want = ref_language_target_unique(tags, table, mode, tokens)
-        assert got.dtype == np.float64 and got.shape == (len(tags),) * 2
+        assert got.dtype == bool and got.shape == (len(tags),) * 2
         np.testing.assert_array_equal(got, want)
 
     def test_names_the_first_unknown_tag_in_sequence_order(self):
@@ -390,7 +390,7 @@ class TestAgainstReferenceBuilders:
             assert entity_gt_matching(ents.boxes, gt, thr).tolist() == want_matches
             got = build_vision_target(ents, gt, cats, mode=mode, iou_threshold=thr)
             want = ref_vision_target(boxes.tolist(), gt.tolist(), cats.tolist(), mode, thr)
-            assert got.dtype == np.float64 and got.shape == (n, n)
+            assert got.dtype == bool and got.shape == (n, n)
             np.testing.assert_array_equal(got, want, err_msg=f"thr={thr}, mode={mode}")
 
     def test_vision_tied_and_empty_ground_truth(self):
@@ -464,5 +464,5 @@ class TestAgainstReferenceBuilders:
         for mode in LANGUAGE_MODES:
             got = build_language_target(tags, table, mode=mode, tokens=tokens)
             want = ref_language_target(tags, table, mode, tokens)
-            assert got.dtype == np.float64 and got.shape == (n, n)
+            assert got.dtype == bool and got.shape == (n, n)
             np.testing.assert_array_equal(got, want, err_msg=mode)

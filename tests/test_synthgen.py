@@ -19,7 +19,13 @@ from fanet.losses import validate_target
 from fanet.matrices import NonFiniteError, ValidationError, _upper_cells
 from fanet.metrics import top_k_pairs
 from fanet.seeding import _rekeyed, instance_seed, stream_rng
-from fanet.supervision import entity_gt_matching, iou
+from fanet.supervision import (
+    LexicalPairTable,
+    build_language_target,
+    build_vision_target,
+    entity_gt_matching,
+    iou,
+)
 from fanet.synthgen import (
     MAX_ITEMS,
     DocumentSpec,
@@ -528,7 +534,7 @@ class TestFormatV2:
         d = json.loads(p.read_text())
         assert d.get("gt_relations") == written
         assert ("gt_relations" in d) == (written is not None)
-        read = _upper_pairs(target) if written is None else tuple(map(tuple, written))
+        read = _upper_pairs(inst.target) if written is None else tuple(map(tuple, written))
         want = Instance(entities=entities, target=target, label=1, relations=read)
         assert_same_instances(read_jsonl(p), [want])
 
@@ -782,7 +788,8 @@ class TestGroupedRead:
         want, _ = _same_shape_lines(tmp_path)
         got = read_jsonl(tmp_path / "bad.jsonl")
         got[0].entities.features[:] = 99.0
-        got[0].target[0, 1] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            got[0].target[0, 1] = True
         got[0].entities.boxes[0, 0] = -5.0
         assert not np.array_equal(got[0].entities.features, want[0].entities.features)
         assert_bit_identical(got[1:], want[1:])
@@ -888,14 +895,13 @@ class TestArrayKernelsMatchLoops:
     @pytest.mark.parametrize("n", [2, 7, 300])
     @pytest.mark.parametrize("seed", range(4))
     def test_upper_pairs(self, n, seed):
-        # asymmetric, with cells that are near 1 but not 1
-        t = np.random.default_rng(seed).choice([0.0, 0.5, 1.0, 1.0 + 1e-12], size=(n, n))
+        t = np.random.default_rng(seed).random((n, n)) < 0.5  # asymmetric
         got = _upper_pairs(t)
         assert_relation_array(got)
         assert got.tolist() == ref_upper_pairs(t)
 
     def test_upper_pairs_none(self):
-        got = _upper_pairs(np.zeros((4, 4)))
+        got = _upper_pairs(np.zeros((4, 4), dtype=bool))
         assert_relation_array(got)
         assert got.shape == (0, 2)
 
@@ -926,13 +932,15 @@ class TestArrayKernelsMatchLoops:
 def ref_unpack(line: dict):
     """A dataset line's target and relations, one matrix and one cell at a
     time: the packed bits fill the cells i < j row-major and mirror them, and
-    omitted relations are the target's upper pairs."""
+    omitted relations are the target's upper pairs. The target is in
+    Instance.target's form, a read-only bool mask."""
     n = line["entities"]["features"]["shape"][0]
     bits = np.unpackbits(np.frombuffer(base64.b64decode(line["target"]["data"]), np.uint8))
-    t = np.zeros((n, n))
+    t = np.zeros((n, n), dtype=bool)
     cells = ((i, j) for i in range(n) for j in range(i + 1, n))
     for (i, j), bit in zip(cells, bits):
         t[i, j] = t[j, i] = bit
+    t.flags.writeable = False
     return t, line.get("gt_relations", ref_upper_pairs(t))
 
 
@@ -1117,6 +1125,88 @@ class TestGatherMemory:
         assert _traced_peak(lambda: top_k_pairs(w, 100)) <= (n * n + m) * 8 + 4096
 
 
+class TestMaskMemory:
+    """Targets stay one-byte bool masks from the file to the loss. Under
+    tracemalloc (x86-64, numpy 2.4), reading 16 scenes of 300 entities, whose
+    masks take 1.44 MB, held 3.39 MB and peaked at 6.37 MB; with float64
+    targets (11.5 MB) the same read held 13.47 MB and peaked at 16.46 MB.
+    Checking a bool stack allocated ~6 KB, against a float64 copy of it before."""
+
+    def test_read_of_16_scenes_of_300_entities(self, tmp_path):
+        spec = default_world_spec().to_dict()
+        spec["entities_min"] = spec["entities_max"] = 300
+        scenes, _ = generate_dataset(load_spec(spec), 16, 1, seed=0)
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, scenes)  # builds the n = 300 cache entry outside the measurement
+        del scenes
+        tracemalloc.start()
+        try:
+            got = read_jsonl(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 5_000_000, held
+        assert peak <= 9_000_000, peak
+        assert len(got) == 16 and all(inst.target.dtype == bool for inst in got)
+
+    def test_validate_target_copies_no_bool_stack(self):
+        stack = np.zeros((16, 300, 300), dtype=bool)
+        stack[:, 0, 1] = stack[:, 1, 0] = True
+        peak = _traced_peak(lambda: validate_target(stack))
+        assert peak < stack.size * 8, peak  # under one float64 copy of the stack
+        assert peak < stack.nbytes // 100, peak
+
+
+def _mask_form(t):
+    """What a target is: its dtype, shape, writability, contiguity and bytes."""
+    return t.dtype, t.shape, t.flags.writeable, t.flags.c_contiguous, t.tobytes()
+
+
+def _no_group_checks(*args):
+    raise ValidationError("every line goes through the checked constructors")
+
+
+class TestTargetForm:
+    """Every producer of a target gives one form, a read-only C-contiguous
+    bool (n, n) mask, and the same bits for the same target: both generators,
+    the grouped read and its per-line checked fallback, the Instance
+    constructor given float, int or bool targets, and both target builders."""
+
+    @pytest.mark.parametrize("kind", ["vision", "document"])
+    def test_generated_read_and_rebuilt(self, tmp_path, monkeypatch, kind):
+        spec = default_world_spec() if kind == "vision" else default_document_spec()
+        draw = generate_instance if kind == "vision" else generate_document_instance
+        train, test = generate_dataset(spec, 12, 1, seed=5)
+        assert _mask_form(draw(spec, instance_seed(5, 1, 0)).target) == _mask_form(test[0].target)
+        p = tmp_path / "data.jsonl"
+        write_jsonl(p, train)
+        grouped = read_jsonl(p)
+        monkeypatch.setattr("fanet.synthgen._check_group", _no_group_checks)
+        checked = read_jsonl(p)
+        for inst, a, b in zip(train, grouped, checked, strict=True):
+            want = _mask_form(inst.target)
+            assert want[:4] == (np.dtype(bool), (inst.n, inst.n), False, True)
+            assert _mask_form(a.target) == _mask_form(b.target) == want
+            for dtype in (np.float64, np.int64, bool):
+                rebuilt = Instance(inst.entities, inst.target.astype(dtype), inst.label,
+                                   inst.relations, inst.tokens, inst.tags)
+                assert _mask_form(rebuilt.target) == want, dtype
+            if kind == "document":
+                assert build_language_target(inst.tags, spec.table).tobytes() == want[-1]
+
+    def test_builders(self):
+        boxes = _grid_boxes(4)
+        vision = build_vision_target(EntitySet(np.zeros((4, 2)), boxes=boxes), boxes[[0, 1, 3]], [0, 1, 1])
+        language = build_language_target(("noun", "verb", "noun", "adverb"), LexicalPairTable.default())
+        for t in (vision, language):
+            assert t.dtype == bool and t.shape == (4, 4) and t.any()
+            forms = {
+                _mask_form(Instance(EntitySet(np.zeros((4, 2))), t.astype(dtype), 0).target)
+                for dtype in (np.float64, np.int64, bool)
+            }
+            assert len(forms) == 1 and forms.pop()[-1] == t.tobytes()
+
+
 REQUIRED_KEYS = {
     "vision": ("prototypes", "affine_pairs", "signature_pairs"),
     "document": ("tokens", "tags", "embeddings", "pair_table", "keyword_pairs"),
@@ -1280,7 +1370,10 @@ class TestInstanceValidation:
         stack = np.zeros((2, 3, 3))
         stack[1, 0, 2] = stack[1, 2, 0] = 1.0
         stack[0, 1, 1] = -0.0
-        assert validate_target(stack) is stack
+        mask = validate_target(stack)
+        assert mask.dtype == bool and mask.tolist() == (stack == 1.0).tolist()
+        checked = validate_target(mask)  # a mask is checked in place, not copied
+        assert np.shares_memory(checked, mask) and not checked.flags.writeable
         with pytest.raises(ValidationError, match="must be square"):
             validate_target(np.zeros((2, 3, 4)))
         with pytest.raises(ValidationError, match="at least one row"):
