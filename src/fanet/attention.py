@@ -65,6 +65,8 @@ class EntitySet:
     features: (n, d) float64. boxes, when present, are (n, 4) finite rows of
     (x1, y1, x2, y2) with x1 < x2 and y1 < y2 (pixel units); anything else
     raises ValidationError here, so box consumers need no further checks.
+    Each array is the set's own copy, so a later write to the caller's array
+    cannot get past these checks.
     """
 
     features: np.ndarray
@@ -72,16 +74,17 @@ class EntitySet:
     boxes: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "features", as_matrix(self.features, "features"))
+        features = np.array(self.features, dtype=np.float64, order="C")
+        object.__setattr__(self, "features", as_matrix(features, "features"))
         if self.categories is not None:
-            cats = np.asarray(self.categories, dtype=np.int64)
+            cats = np.array(self.categories, dtype=np.int64)
             if cats.shape != (self.n,):
                 raise ShapeError(
                     f"categories length {cats.shape} does not match n={self.n}"
                 )
             object.__setattr__(self, "categories", cats)
         if self.boxes is not None:
-            boxes = np.ascontiguousarray(self.boxes, dtype=np.float64)
+            boxes = np.array(self.boxes, dtype=np.float64, order="C")
             if boxes.shape != (self.n, 4):
                 raise ShapeError(
                     f"boxes must be ({self.n}, 4), got {boxes.shape}"

@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -561,6 +560,9 @@ def cmd_ablate(args) -> int:
         curves_writer = csv.writer(curves_fh)
 
         if args.jobs > 1 and pending:
+            # imported here: the pool's modules would add ~2 MB to every command
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=args.jobs)
             payloads = [(cell_id, cfg, train_path, test_path) for cell_id, cfg in pending]
             results = pool.map(_ablate_worker, payloads)

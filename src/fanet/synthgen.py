@@ -279,8 +279,10 @@ class Instance:
     read-only bool (n, n) mask, checked here once with `validate_target`'s
     checks (square, zero diagonal, and a target of another dtype finite and
     exactly 0 or 1 before it becomes a mask); `labeled` records whether it
-    labels any pair. Generated and read instances skip these checks, which
-    they pass by construction or checked once per group.
+    labels any pair. The mask is the instance's own copy, as are its
+    entities' arrays. Generated and read instances skip these checks and
+    copies: they pass the checks by construction or once per group, and no
+    caller holds their arrays.
     """
 
     entities: EntitySet
@@ -293,6 +295,8 @@ class Instance:
 
     def __post_init__(self):
         t, nonzero = _check_target(self.target)
+        t = t.copy()  # a bool mask is checked in place, as a view of the caller's array
+        t.flags.writeable = False
         object.__setattr__(self, "target", t)
         if t.shape != (self.entities.n, self.entities.n):
             raise ValidationError(
@@ -673,7 +677,9 @@ def _unpack_group(key: tuple, given: list, buffers: tuple) -> tuple:
     relations = list(given)
     omitted = [k for k, r in enumerate(given) if r is None]
     if omitted:  # document groups seldom have any; the empty pass costs ~10 us
-        line, cell = np.nonzero(bits if len(omitted) == size else bits[omitted])
+        lines = bits if len(omitted) == size else bits[omitted]
+        # one flat pass over the lines read as bool: ~4x faster than a 2-D nonzero
+        line, cell = np.divmod(np.flatnonzero(lines.view(bool)), m + 1)
         ends = np.cumsum(np.bincount(line, minlength=len(omitted))).tolist()
         pairs = np.empty((len(cell), 2), np.int64)  # filled in place: fewer temporaries than np.stack
         np.divmod(upper[cell], n, out=(pairs[:, 0], pairs[:, 1]))

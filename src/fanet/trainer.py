@@ -564,6 +564,7 @@ def evaluate(
         fwd = forward_task(_stack(instances, idx), params, config)
         focus = fwd.state.focus_weights
         predicted = np.argmax(fwd.class_logits, axis=-1).tolist()
+        del fwd  # frees the logits, row softmax, projections and context before top-K
         bucket_masses = _masses(focus, _stack_targets(instances, idx))
         for i, label, m in zip(idx, predicted, bucket_masses):
             inst = instances[i]
@@ -574,7 +575,7 @@ def evaluate(
         if not with_gt:
             continue
         boxes = _stack_boxes([instances[idx[j]].entities for j in with_gt])
-        pairs, _ = top_k_pairs(focus[with_gt], max_k)
+        pairs, _ = top_k_pairs(focus if len(with_gt) == len(idx) else focus[with_gt], max_k)
         ends = pairs.reshape(len(with_gt), -1)  # (B, 2k') entity indices
         rows = np.arange(len(with_gt))[:, None]
         # each entity is its own gt object (exact boxes); match only the pair ends if fewer

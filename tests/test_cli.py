@@ -2,6 +2,7 @@
 
 import argparse
 import base64
+import concurrent.futures
 import csv
 import dataclasses
 import errno
@@ -36,6 +37,15 @@ from fanet.synthgen import (
 )
 
 FAST_TRAIN = ["--epochs", "3", "--batch-size", "2", "--d-k", "2", "--seed", "0"]
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """`python -c code` in a new interpreter that imports this checkout's fanet."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 def _payload(entry) -> bytes:
@@ -1190,12 +1200,24 @@ class TestAblate:
         def no_fork(max_workers):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_fork)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
         grid = self.grid_file(tmp_path, {"lambda": [0.0]})
         argv = ["ablate", "--grid", grid, "--data", data_dir, "--out", str(tmp_path / "ab"),
                 "--jobs", "2"] + FAST_TRAIN
         assert main(argv) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error: BlockingIOError: [Errno 11]")
+
+    def test_only_jobs_loads_the_process_pool(self):
+        """`import fanet.cli` leaves the pool's modules (~2 MB resident) to
+        `ablate --jobs`, so no other command pays for them."""
+        code = (
+            "import sys, fanet.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_diverging_cell_does_not_stop_the_grid(self, tmp_path, data_dir, capsys, jobs):
@@ -1786,11 +1808,7 @@ class TestParserReuse:
             "import sys; from fanet.cli import main; "
             f"sys.exit(main({[a.format('fresh') for a in argv]!r}))"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300)
+        proc = run_fresh(code)
         assert proc.returncode == EXIT_OK, proc.stderr
         for name in ("report.csv", "report.json", "checkpoint.json"):
             fresh = (tmp_path / "fresh" / name).read_bytes()

@@ -1083,6 +1083,27 @@ class TestGatheredRead:
         assert_bit_identical(read_jsonl(p), want)
         assert_read_matches_loop(p)
 
+    @pytest.mark.parametrize("explicit_every", [0, 3])
+    def test_omitted_relations_of_a_300_entity_group(self, tmp_path, explicit_every):
+        """Each line that omits its relations reads back `_upper_pairs` of its
+        own target, with every line of the group omitting them or only some."""
+        spec = default_world_spec().to_dict()
+        spec["entities_min"] = spec["entities_max"] = 300
+        scenes, _ = generate_dataset(load_spec(spec), 6, 1, seed=2)
+        explicit = {k for k in range(len(scenes)) if explicit_every and k % explicit_every == 1}
+        scenes = [
+            dataclasses.replace(inst, relations=((k, 299),)) if k in explicit else inst
+            for k, inst in enumerate(scenes)
+        ]
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, scenes)
+        back = read_jsonl(p)
+        assert sum(len(inst.relations) > 1 for inst in back) == len(scenes) - len(explicit)
+        for k, inst in enumerate(back):
+            want = [[k, 299]] if k in explicit else _upper_pairs(inst.target).tolist()
+            assert_relation_array(inst.relations)
+            assert inst.relations.tolist() == want, k
+
 
 def _traced_peak(call) -> int:
     """Bytes above the start that `call()` holds at its peak, under tracemalloc."""
@@ -1395,6 +1416,20 @@ class TestInstanceValidation:
         t = np.zeros((3, 3))
         t[0, 2] = t[2, 0] = 1.0
         assert Instance(entities=ents, target=t, label=0).labeled
+
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_instance(self):
+        """The checked constructors keep their own copies: a pair set through
+        the caller's mask would leave `labeled` stale, and a NaN set through
+        the caller's features would get past the finiteness check."""
+        f, t = np.zeros((3, 2)), np.zeros((3, 3), dtype=bool)
+        cats, boxes = np.arange(3), np.array([[0.0, 0.0, 1.0, 1.0]] * 3)
+        inst = Instance(EntitySet(f, cats, boxes), t, 0)
+        t[0, 1] = True
+        f[0, 0] = np.nan
+        cats[0], boxes[0, 0] = 7, 5.0
+        assert not inst.target[0, 1] and not inst.labeled and not inst.target.flags.writeable
+        assert np.isfinite(inst.entities.features).all()
+        assert inst.entities.categories[0] == 0 and inst.entities.boxes[0, 0] == 0.0
 
     def test_label_checked(self):
         from fanet.attention import EntitySet
