@@ -103,14 +103,15 @@ class EntitySet:
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Key/query projection matrices, both (d_k, d)."""
+    """Key/query projection matrices, both (d_k, d), each the params' own copy."""
 
     w_k: np.ndarray
     w_q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w_k", as_matrix(self.w_k, "w_k"))
-        object.__setattr__(self, "w_q", as_matrix(self.w_q, "w_q"))
+        for name in ("w_k", "w_q"):
+            w = np.array(getattr(self, name), dtype=np.float64, order="C")
+            object.__setattr__(self, name, as_matrix(w, name))
         check_same_shape(self.w_k, self.w_q, "w_k and w_q")
 
     @property

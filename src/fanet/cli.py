@@ -69,9 +69,9 @@ from .trainer import (
     TrainConfig,
     _check_dataset,
     _check_matchable,
-    _grad_errors,
     evaluate,
     forward_task,
+    grad_check,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -86,24 +86,18 @@ EXIT_USER = 2
 # --- shared plumbing ----------------------------------------------------------
 
 
-def _env_seed():
-    raw = os.environ.get("FAN_SEED")
-    if raw is None:
-        return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValidationError(f"FAN_SEED must be an integer, got {raw!r}")
+def _resolve_seed(flag_value) -> int:
+    """The seed: the flag, else FAN_SEED, else 0; a negative one is refused."""
+    name, seed = "seed", flag_value
+    if seed is None:
+        name, raw = "FAN_SEED", os.environ.get("FAN_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"FAN_SEED must be an integer, got {raw!r}")
     if seed < 0:
-        raise ValidationError(f"FAN_SEED must be >= 0, got {seed}")
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
     return seed
-
-
-def _resolve_seed(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = _env_seed()
-    return 0 if env is None else env
 
 
 def _parse_ks(raw: str) -> tuple:
@@ -150,7 +144,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> TrainConfig:
-    """defaults < config file < flags; FAN_SEED fills in a missing seed.
+    """defaults < config file < flags; a seed in neither comes from `_resolve_seed`.
 
     The file is first read on its own, so that a bad value is reported with
     the file's path.
@@ -161,10 +155,8 @@ def _config_from_args(args) -> TrainConfig:
     flags = {f.name: v for f in fields(TrainConfig) if (v := getattr(args, f.name)) is not None}
     if "eval_ks" in flags:
         flags["eval_ks"] = _parse_ks(flags["eval_ks"])
-    if args.seed is None and "seed" not in file_keys:
-        env = _env_seed()
-        if env is not None:
-            flags["seed"] = env
+    if "seed" not in file_keys:
+        flags["seed"] = _resolve_seed(args.seed)
     return replace(config, **flags)
 
 
@@ -248,14 +240,10 @@ def _write_csv(path, header, rows, config=None) -> None:
     _write_whole(path, lambda fh: fh.write("".join(text)), newline="")
 
 
-# the columns of an epoch that average over instances, of which there may be
-# none: JSON has no NaN, so report.json writes such an undefined mean as null
-_MEAN_COLUMNS = ("center_mass", "center_mass_test", "accuracy")
-
-
-def _defined(mean: float):
-    """A mean as JSON: null when it is undefined (NaN), else the number."""
-    return None if math.isnan(mean) else mean
+def _defined(value):
+    """A number as JSON: null when it is NaN (an undefined mean; JSON has no
+    NaN), else the number."""
+    return None if math.isnan(value) else value
 
 
 def _epoch_cells(stats: EpochStats, columns, ks) -> list:
@@ -265,11 +253,9 @@ def _epoch_cells(stats: EpochStats, columns, ks) -> list:
 
 def _epoch_json(stats: EpochStats) -> dict:
     """An epoch's report.json object: its report.csv cells at the K it scored,
-    an undefined mean as null."""
-    doc = {name: getattr(stats, name) for name in _EPOCH_COLUMNS}
-    doc.update((name, _defined(doc[name])) for name in _MEAN_COLUMNS)
-    doc.update(zip(_recall_columns(stats.recall), map(_defined, stats.recall.values())))
-    return doc
+    a NaN as null."""
+    names = [*_EPOCH_COLUMNS, *_recall_columns(stats.recall)]
+    return dict(zip(names, map(_defined, _epoch_cells(stats, _EPOCH_COLUMNS, stats.recall))))
 
 
 def _write_report(out: str, report) -> None:
@@ -296,8 +282,6 @@ def cmd_gen(args) -> int:
     else:
         spec = default_world_spec()
     seed = _resolve_seed(args.seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
     if args.n_train < 1 or args.n_test < 1:
         raise ValidationError("--n-train and --n-test must be >= 1")
     train_set, test_set = generate_dataset(spec, args.n_train, args.n_test, seed)
@@ -687,7 +671,7 @@ def cmd_gradcheck(args) -> int:
                     )
                     inst = _random_check_instance(args.n, args.d, seed0 + s, args.classes)
                     params = init_model(args.d, args.classes, config)
-                    err, raw = _grad_errors(params, inst, config, args.step)
+                    err, raw = grad_check(params, inst, config, args.step)
                     worst, worst_raw = max(worst, err), max(worst_raw, raw)
                 status = "ok" if worst < args.tolerance else "FAIL"
                 # the raw gap, before fd's rounding is forgiven, shows the margin

@@ -172,66 +172,79 @@ def relation_loss(
 ) -> tuple[float, float, np.ndarray]:
     """(loss, M, dL/dW) of the relation term, from the forward's softmax s and logits W.
 
-    axis=None: s is the matrix softmax (focus_weights) and M = sum(s * T).
-    axis=-1: s is the row softmax (agg_weights); the loss is the mean of
-    L(M_i) over the rows i that label a cell, and M the mean of their M_i.
-    target is a checked bool mask (`validate_target`) of s's shape. dL/dW =
-    L'(M) * s * (T - M), which sums to zero; below FocusLossConfig.eps a
-    focal M is taken in log space, log M = logsumexp(W[T]) - logsumexp(W),
-    with dL/dW = M L'(M) * (q - s) and q the softmax over the labeled cells.
-    M L'(M) -> -1 as M -> 0, so the gradient survives M's underflow. An empty
-    target gives (0.0, 0.0, zeros).
+    focus_weights is one (n, n) matrix; target is a checked bool mask
+    (`validate_target`) of its shape.
+    axis=None: s is the matrix softmax (focus_weights) and M = sum(s * T),
+    with dL/dW = L'(M) * s * (T - M), which sums to zero.
+    axis=-1: s is the row softmax (agg_weights); over the R rows i that label
+    a cell, the loss is the mean of L(M_i), summed in row order, and M the
+    mean of the M_i. Row i of dL/dW is (L'(M_i) * s_i) * (T_i - M_i) / R,
+    with slope 0 for a row that labels nothing.
+    Below FocusLossConfig.eps a focal M is taken in log space, log M =
+    logsumexp(W[T]) - logsumexp(W) over its softmax group, with dL/dW =
+    M L'(M) * (q - s) and q the softmax over the labeled cells. M L'(M) -> -1
+    as M -> 0, so the gradient survives M's underflow. An empty target gives
+    (0.0, 0.0, zeros).
     """
     check_same_shape(focus_weights, target, "focus_weights and target")
+    shape = focus_weights.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"focus_weights must be one (n, n) matrix, got shape {shape}")
     if axis not in (None, -1):
         raise ValidationError(f"axis must be None (the matrix) or -1 (rows), got {axis!r}")
+    focal = config.variant == "focal"
     if axis is None:
         m = float(np.add.reduce(focus_weights * target, axis=None))
         # M is exactly 0 for an empty target; only then is the target scanned
         if m == 0.0 and not target.any():
             return 0.0, 0.0, np.zeros_like(focus_weights)
-        if config.variant == "focal" and m < FocusLossConfig.eps:
-            value, grad = _log_space(focus_weights, target, config, logits)
-            return value, m, grad
+        if focal and m < FocusLossConfig.eps:
+            stack = (a.reshape(1, -1) for a in (focus_weights, target, logits))
+            (value,), grad = _log_space(*stack, config)
+            return value, m, grad.reshape(focus_weights.shape)
         # in one fresh array; each element rounds as L'(M) * (s * (T - M)) would
         grad = target - m
         grad *= focus_weights
         grad *= loss_grad(m, config)
         return loss_value(m, config), m, grad
     rows = np.flatnonzero(target.any(axis=-1))
-    grad = np.zeros_like(focus_weights)
     if rows.size == 0:
-        return 0.0, 0.0, grad
-    s, t = focus_weights[rows], target[rows]
-    m = np.add.reduce(s * t, axis=-1)
-    total, slopes, logged = 0.0, [], {}
-    for k, m_k in enumerate(m.tolist()):
-        if config.variant == "focal" and m_k < FocusLossConfig.eps:
-            value, logged[k] = _log_space(s[k], t[k], config, logits[rows[k]])
-            slopes.append(0.0)  # its gradient row is set from log space below
+        return 0.0, 0.0, np.zeros_like(focus_weights)
+    m = np.add.reduce(focus_weights * target, axis=-1)
+    m_rows = m[rows]
+    # the rows whose focal M underflows, scored in log space in one call
+    low = rows[m_rows < FocusLossConfig.eps] if focal else rows[:0]
+    if low.size:
+        values, low_grad = _log_space(focus_weights[low], target[low], logits[low], config)
+        exact = iter(values)
+    total, slopes = 0.0, [0.0] * len(m)
+    for i, m_i in zip(rows.tolist(), m_rows.tolist()):
+        if focal and m_i < FocusLossConfig.eps:
+            total += next(exact)
         else:
-            value = loss_value(m_k, config)
-            slopes.append(loss_grad(m_k, config))
-        total += value
-    # each row rounds as (L'(M_i) * s_i) * (t_i - M_i) / R
-    g = np.array(slopes)[:, None] * s
-    g *= t - m[:, None]
-    for k, row_grad in logged.items():
-        g[k] = row_grad
-    g /= rows.size
-    grad[rows] = g
-    return total / rows.size, float(m.mean()), grad
+            total += loss_value(m_i, config)
+            slopes[i] = loss_grad(m_i, config)
+    grad = np.array(slopes)[:, None] * focus_weights
+    grad *= target - m[:, None]
+    if low.size:
+        grad[low] = low_grad
+    grad /= rows.size
+    return total / rows.size, float(m_rows.mean()), grad
 
 
-def _log_space(s: np.ndarray, t: np.ndarray, config: FocusLossConfig, logits: np.ndarray):
-    """(focal loss, dL/dW) from log M, for one softmax s of `logits` (a matrix or a row)."""
+def _log_space(s: np.ndarray, t: np.ndarray, logits: np.ndarray, config: FocusLossConfig):
+    """(focal loss of each group, dL/dW) from log M, for a (G, k) stack of
+    softmax groups s of `logits`, each over its last axis."""
     on = np.where(t, logits, -np.inf)
-    top, top_on = np.max(logits), np.max(on)
+    top, top_on = np.max(logits, axis=-1, keepdims=True), np.max(on, axis=-1, keepdims=True)
     q = np.exp(on - top_on)  # the softmax over the labeled cells, once normalized
-    mass_on = np.sum(q)
+    mass_on = np.sum(q, axis=-1, keepdims=True)
     q /= mass_on
-    log_m = float(top_on + np.log(mass_on) - top - np.log(np.sum(np.exp(logits - top))))
-    m, r = math.exp(log_m), config.r
-    # M L'(M) = r M (1-M)^{r-1} log M - (1-M)^r
-    m_slope = r * m * (1.0 - m) ** (r - 1) * log_m - (1.0 - m) ** r
-    return -((1.0 - m) ** r) * log_m, m_slope * (q - s)
+    log_m = top_on + np.log(mass_on) - top - np.log(np.sum(np.exp(logits - top), axis=-1, keepdims=True))
+    values, m_slopes, r = [], [], config.r
+    for (lm,) in log_m.tolist():
+        m = math.exp(lm)
+        values.append(-((1.0 - m) ** r) * lm)
+        # M L'(M) = r M (1-M)^{r-1} log M - (1-M)^r
+        m_slopes.append(r * m * (1.0 - m) ** (r - 1) * lm - (1.0 - m) ** r)
+    return values, np.array(m_slopes)[:, None] * (q - s)

@@ -275,7 +275,8 @@ class Instance:
     Vision-style instances carry boxes and ground-truth `relations`, a
     read-only (m, 2) int64 array of entity-index pairs, each two distinct
     ints in [0, n) (`gt_relations` gives them as tuples); document instances
-    carry tokens and tags instead. `target` is the supervision matrix as a
+    carry tokens and tags instead, each None or n strings, kept as a tuple.
+    `target` is the supervision matrix as a
     read-only bool (n, n) mask, checked here once with `validate_target`'s
     checks (square, zero diagonal, and a target of another dtype finite and
     exactly 0 or 1 before it becomes a mask); `labeled` records whether it
@@ -305,6 +306,8 @@ class Instance:
         if self.label < 0:
             raise ValidationError(f"label must be >= 0, got {self.label}")
         object.__setattr__(self, "relations", _index_pairs(self.relations, self.n, "relations"))
+        for name in ("tokens", "tags"):
+            object.__setattr__(self, name, _strings(getattr(self, name), self.n, name))
         object.__setattr__(self, "labeled", bool(nonzero))
 
     @property
@@ -710,13 +713,14 @@ def _categories(raw) -> Optional[np.ndarray]:
 
 
 def _strings(raw, n: int, field: str) -> Optional[tuple]:
-    """tokens or tags of a line: a list of n strings, or null/absent for none."""
+    """tokens or tags of a line or an `Instance`: a list or tuple of n strings,
+    as a tuple, or None (null/absent) for none."""
     if raw is None:
         return None
-    if type(raw) is list and len(raw) == n and set(map(type, raw)) == {str}:
+    if type(raw) in (list, tuple) and len(raw) == n and set(map(type, raw)) == {str}:
         return tuple(raw)
     need = f"{field}: expected a list of {n} strings or null, got"
-    if not isinstance(raw, list):
+    if not isinstance(raw, (list, tuple)):
         raise ValidationError(f"{need} {type(raw).__name__}")
     bad = [x for x in raw if type(x) is not str]
     if bad:

@@ -759,21 +759,17 @@ def grad_check(
     instance: Instance,
     config: TrainConfig,
     step: float = 1e-6,
-) -> float:
-    """Max relative error between analytic and central-FD gradients.
+) -> tuple[float, float]:
+    """(error, raw gap): the largest relative gaps between analytic and
+    central-FD gradients.
 
     Checks the combined loss on a single instance over every trainable
     coordinate (attention projections are skipped when frozen, matching what
-    the optimizer would update). The error of a coordinate is the gap
-    |analytic - fd| less fd's own rounding bound, 8 eps max(|L+|, |L-|) /
-    step (at least 0), over a guarded denominator max(|analytic|, |fd|, 1e-8).
+    the optimizer would update). A coordinate's raw gap is |analytic - fd|
+    over a guarded denominator max(|analytic|, |fd|, 1e-8); its error is the
+    same less fd's own rounding bound, 8 eps max(|L+|, |L-|) / step (at
+    least 0), in the numerator.
     """
-    return _grad_errors(params, instance, config, step)[0]
-
-
-def _grad_errors(params, instance, config, step) -> tuple[float, float]:
-    """`grad_check`'s error, and the largest raw relative gap |analytic - fd|
-    / max(|analytic|, |fd|, 1e-8) before the rounding bound is taken off."""
     if not (1e-7 <= step <= 1e-3):
         raise ValidationError(f"step must be in [1e-7, 1e-3], got {step}")
     lam_eff = config.lam_effective

@@ -150,7 +150,7 @@ class TestEndToEndGradCheck:
                 for seed in range(10):
                     inst = check_instance(seed, n=4, d=3, num_classes=3)
                     params = init_model(3, 3, cfg)
-                    err = grad_check(params, inst, cfg)
+                    err, _ = grad_check(params, inst, cfg)
                     worst = max(worst, err)
                     assert err < 1e-5, (
                         f"{variant}/{strategy} seed {seed}: {err:.3e}"

@@ -250,6 +250,16 @@ class TestInitParams:
                 init_params(d=d, d_k=d_k, seed=0)
 
 
+def test_params_keep_their_own_copies():
+    """A NaN written through the caller's array after construction cannot
+    get past the finiteness check, as with EntitySet."""
+    w = np.ones((2, 3))
+    p = AttentionParams(w, w.copy())
+    w[0, 0] = np.nan
+    assert np.isfinite(p.w_k).all() and not np.shares_memory(p.w_k, w)
+    assert p.w_k.dtype == np.float64 and p.w_k.flags.c_contiguous
+
+
 def fd_gradient(loss_fn, array, step=FD_STEP):
     """Central finite differences of a scalar function, entry by entry."""
     grad = np.zeros_like(array)

@@ -332,6 +332,31 @@ class TestGen:
         assert "0" * 100 not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind,edit,message",
+        [("vision", lambda d: d.update(entities_min=1),
+          "need 2 <= entities_min <= entities_max, got 1..8"),
+         ("document", lambda d: d.update(tokens_min=10),
+          "need 2 <= tokens_min <= tokens_max, got 10..9"),
+         ("document", lambda d: d["tokens"].__setitem__(1, d["tokens"][0]),
+          "tokens: duplicate token strings"),
+         ("document", lambda d: d["tags"].pop(), "tags: expected 10 entries to match tokens, got 9"),
+         ("document", lambda d: d["embeddings"].pop(),
+          "embeddings: expected 10 rows to match tokens, got 9"),
+         ("document", lambda d: d["tags"].__setitem__(0, "pronoun"),
+          "tags: ['pronoun'] not present in the pair table")],
+        ids=["entities_min_1", "tokens_min_above_max", "duplicate_token", "tag_count",
+             "embedding_rows", "unknown_tag"],
+    )
+    def test_inconsistent_spec_is_user_error(self, tmp_path, capsys, kind, edit, message):
+        d = (default_document_spec() if kind == "document" else default_world_spec()).to_dict()
+        edit(d)
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out"
+        spec_path.write_text(json.dumps(d))
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out), "--seed", "0"]) == EXIT_USER
+        assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
+        assert not out.exists()
+
     def test_value_nested_nearly_too_deep_to_load_is_user_error(self, tmp_path, capsys):
         # the deepest nesting json.load takes is also too deep to quote in a message
         spec_path = tmp_path / "spec.json"
@@ -602,6 +627,17 @@ class TestSeedPrecedence:
                      "--n-test", "2"])
         assert code == EXIT_USER
 
+    @pytest.mark.parametrize("command", ["gen", "train", "gradcheck"])
+    def test_negative_env_is_user_error(self, tmp_path, data_dir, monkeypatch, capsys, command):
+        monkeypatch.setenv("FAN_SEED", "-3")
+        out = tmp_path / "neg"
+        argv = {"gen": ["gen", "--out", str(out)],
+                "train": ["train", "--data", data_dir, "--out", str(out)],
+                "gradcheck": ["gradcheck"]}[command]
+        assert main(argv) == EXIT_USER
+        assert capsys.readouterr() == ("", "error: FAN_SEED must be >= 0, got -3\n")
+        assert not out.exists()
+
 
 class TestEval:
     def test_artifacts_and_metrics_contract(self, tmp_path, data_dir, run_dir):
@@ -703,8 +739,9 @@ class TestEval:
         "line,message",
         [(b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
          (b"[" * 100000, "nested too deeply"),
-         (b'{"tags": ' + b"[" * 100000 + b"]" * 100000 + b"}", "nested too deeply")],
-        ids=["non_utf8", "deep_nesting", "deep_field"],
+         (b'{"tags": ' + b"[" * 100000 + b"]" * 100000 + b"}", "nested too deeply"),
+         (b"[1, 2]", "expected an object, got list")],
+        ids=["non_utf8", "deep_nesting", "deep_field", "not_an_object"],
     )
     def test_unreadable_line_is_user_error(self, tmp_path, data_dir, run_dir, capsys, line, message):
         _assert_second_line_rejected(tmp_path, data_dir, run_dir, capsys, line, message)
@@ -867,11 +904,16 @@ class TestEval:
             (lambda doc: {**doc, "head_dim": "x"}, "head_dim: expected an integer, got 'x'"),
             (lambda doc: {**doc, "head_dim": 16},
              "head_dim field 16 does not match classifier shape (3, 8)"),
+            (lambda doc: {**doc, "params": {**doc["params"], "w_q": _encode_array(np.zeros((3, 8)))}},
+             "w_k and w_q must match, got (2, 8) vs (3, 8)"),
+            (lambda doc: {**doc, "params": {**doc["params"], "classifier_b": _encode_array(
+                np.zeros(2))}}, "classifier bias (2,) does not match weights (3, 8)"),
         ],
         ids=["list", "config_list", "params_list", "num_classes_string", "w_k_list",
              "misspelled_size", "unknown_param", "missing_param", "unknown_config_key",
              "classifier_w_scalar", "head_mode_mismatch", "feature_dim_mismatch",
-             "feature_dim_float", "head_dim_string", "head_dim_mismatch"],
+             "feature_dim_float", "head_dim_string", "head_dim_mismatch", "w_q_shape",
+             "classifier_b_shape"],
     )
     def test_malformed_checkpoint_names_its_file(
         self, tmp_path, data_dir, run_dir, capsys, mutate, message
@@ -1360,7 +1402,8 @@ class TestAblateResume:
 
     @pytest.mark.parametrize("fault", ["other_config", "other_data", "row_short",
                                        "finished_after_unfinished", "cell_not_in_grid",
-                                       "curves_missing", "curves_header_only"])
+                                       "curves_missing", "curves_header_only",
+                                       "base_config_not_object", "data_not_string"])
     def test_resume_of_another_run_or_a_broken_table_writes_nothing(
         self, clean, tmp_path, data_dir, capsys, fault
     ):
@@ -1386,6 +1429,12 @@ class TestAblateResume:
             edit = lambda out: (out / "curves.csv").write_bytes(
                 b"".join((out / "curves.csv").read_bytes().splitlines(keepends=True)[:2]))
             message = "curves.csv: no rows for finished cell lambda=0.0"
+        elif fault in ("base_config_not_object", "data_not_string"):
+            key = fault.split("_not_")[0]
+            edit = lambda out: (out / "manifest.json").write_text(json.dumps(
+                {**json.loads((out / "manifest.json").read_text()), key: [1]}))
+            kind = "an object" if key == "base_config" else "a string"
+            message = f"manifest.json: {key}: expected {kind}, got [1]\n"
         else:
             grid = tmp_path / "grid.json"
             grid.write_text(json.dumps({"lambda": [0.0, 0.1]}))
@@ -1572,6 +1621,20 @@ class TestConfigFileErrors:
             argv = ["ablate", "--grid", str(path), "--data", data_dir, "--out", str(out)] + FAST_TRAIN
             message = "batch_size must be >= 1, got 0"
         assert main(argv) == EXIT_USER
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("optimizer", "sgd", "optimizer must be one of ('sgd_momentum', 'adam'), got 'sgd'"),
+        ("head_mode", "sum", "head_mode must be one of ('residual', 'concat'), got 'sum'"),
+        ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("d_k", 0, "d_k must be >= 1, got 0"),
+    ])
+    def test_rejected_config_field(self, tmp_path, data_dir, capsys, key, value, message):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps({key: value}))
+        assert main(["train", "--data", data_dir, "--out", str(out), "--config", str(path)]) == EXIT_USER
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
@@ -1862,6 +1925,10 @@ class TestGradcheckCommand:
     def test_rejects_bad_dims(self):
         assert main(["gradcheck", "--n", "1"]) == EXIT_USER
 
+    def test_rejects_zero_seeds(self, capsys):
+        assert main(["gradcheck", "--seeds", "0"]) == EXIT_USER
+        assert capsys.readouterr() == ("", "error: --seeds must be >= 1, got 0\n")
+
     def test_rejects_bad_step(self):
         assert main(["gradcheck", "--seeds", "1", "--step", "1e-2"]) == EXIT_USER
 
@@ -1896,8 +1963,9 @@ def _strict_json(path):
 
 
 class TestStrictJson:
-    """An undefined mean is null in JSON, and any other non-finite value is
-    an internal error that writes no file; CSVs keep nan."""
+    """An undefined mean is null in JSON, as is any NaN of a report.json
+    epoch; any other non-finite value is an internal error that writes no
+    file; CSVs keep nan."""
 
     @pytest.fixture(scope="class")
     def vacuous(self, tmp_path_factory, data_dir):
@@ -1935,17 +2003,27 @@ class TestStrictJson:
         assert [last[k] for k in ("center_mass_test", "accuracy", "recall@1", "recall@5", "recall@10")] == [None] * 5
         assert isinstance(last["center_mass"], float)
 
-    @pytest.mark.parametrize("field", ["lr", "task_loss", "relation_loss", "combined_loss"])
-    def test_nan_elsewhere_in_a_report_raises(self, tmp_path, run_dir, field):
+    @staticmethod
+    def _report_with(run_dir, field, value):
+        """run_dir's training report with `field` of its last epoch set to `value`."""
         report = json.loads(Path(run_dir, "report.json").read_text())
         epochs = [trainer.EpochStats(**{k: v for k, v in e.items() if not k.startswith("recall@")},
                                  recall={1: e["recall@1"]}) for e in report["epochs"]]
-        epochs[-1] = dataclasses.replace(epochs[-1], **{field: math.nan})
-        run = trainer.TrainReport(config=trainer.TrainConfig(), num_classes=3,
-                                      feature_dim=report["feature_dim"], epochs=tuple(epochs))
+        epochs[-1] = dataclasses.replace(epochs[-1], **{field: value})
+        return trainer.TrainReport(config=trainer.TrainConfig(), num_classes=3,
+                                   feature_dim=report["feature_dim"], epochs=tuple(epochs))
+
+    @pytest.mark.parametrize("field", ["lr", "task_loss", "relation_loss", "combined_loss"])
+    def test_inf_in_a_report_raises(self, tmp_path, run_dir, field):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._write_report(str(tmp_path), run)
+            cli._write_report(str(tmp_path), self._report_with(run_dir, field, math.inf))
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("field", ["lr", "task_loss", "relation_loss", "combined_loss"])
+    def test_nan_in_any_report_field_is_null(self, tmp_path, run_dir, field):
+        """report.json writes every NaN as null, with no list of the fields that may be."""
+        cli._write_report(str(tmp_path), self._report_with(run_dir, field, math.nan))
+        assert _strict_json(tmp_path / "report.json")["epochs"][-1][field] is None
 
     def test_nan_elsewhere_in_a_summary_is_an_internal_error(self, tmp_path, data_dir, run_dir, monkeypatch):
         monkeypatch.setattr(cli, "evaluate", lambda *args: dataclasses.replace(

@@ -20,7 +20,9 @@ candidate pairs, IoU matching of 300 boxes): a 2-epoch `train` on the
 K = 1, 10, 25000, 30000 and 40000 (this model ranks the gt relations low,
 so recall first leaves 0 near K = 20000 of the 44,850 pairs). It runs from
 the artifact directory on relative paths, so its `summary.json` is pinned
-too. A refactor that claims to change no numbers
+too. The stdout of `gradcheck --seeds 2 --n 6` (25 lines: every head mode,
+loss variant and strategy, with each one's error and raw gap) is pinned as
+well. A refactor that claims to change no numbers
 must leave every hash here unchanged; a change that moves numbers on purpose
 updates the hashes and says so in CHANGES.md. The bundled run's
 `summary.json` and the ablation's `manifest.json` are left out because they
@@ -228,3 +230,14 @@ def ablate_artifacts(artifacts):
 def test_ablate_hash(ablate_artifacts, name):
     digest = hashlib.sha256((ablate_artifacts / name).read_bytes()).hexdigest()
     assert digest == ABLATE_GOLDEN[name], f"{name} changed"
+
+
+GRADCHECK_GOLDEN = "4b6c66d17c85876b7df26da27895438f57b210f6af6dc0db195575ced54c44dc"
+
+
+def test_gradcheck_stdout_hash(capsys, monkeypatch):
+    monkeypatch.delenv("FAN_SEED", raising=False)
+    assert main(["gradcheck", "--seeds", "2", "--n", "6"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 25
+    assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_GOLDEN

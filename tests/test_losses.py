@@ -6,6 +6,7 @@ mpmath as they run.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ class TestRelationLoss:
         with pytest.raises(ShapeError):
             w = np.zeros((3, 3))
             relation_loss(softmax_matrix(w), np.zeros((4, 4)), FocusLossConfig(), w)
+
+    @pytest.mark.parametrize("axis", [None, -1], ids=["matrix", "row"])
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 4), (4,)], ids=["stack", "oblong", "vector"])
+    def test_takes_one_square_matrix(self, axis, shape):
+        """A stack is not scored as one distribution (axis=None) nor indexed
+        past its rows (axis=-1): anything but one (n, n) matrix is refused."""
+        w = np.zeros(shape)
+        t = np.zeros(shape, dtype=bool)
+        t[..., 1] = True
+        message = f"focus_weights must be one (n, n) matrix, got shape {shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            relation_loss(_softmax(w, -1), t, FocusLossConfig(), w, axis)
 
     @pytest.mark.parametrize("axis", [0, 1, (-2, -1)])
     def test_rejects_other_axes(self, axis):

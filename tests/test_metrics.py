@@ -388,6 +388,10 @@ class TestWordImportance:
         with pytest.raises(ValidationError):
             word_importance(np.full((3, 3), 1.0))
 
+    def test_requires_a_square_matrix(self):
+        with pytest.raises(ValidationError, match=r"^focus_weights must be square, got \(2, 3\)$"):
+            word_importance(np.full((2, 3), 1.0 / 6.0))
+
     def test_attention_pipeline_importance(self):
         """End to end: focus weights from a forward pass normalize correctly."""
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Target builders: box matching, vision/language modes, pair-table parsing."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ class TestIou:
             iou((0, 0, float("nan"), 1), (0, 0, 1, 1))
         with pytest.raises(ValidationError):
             iou((0, 0, 1, 1), (float("-inf"), 0, 1, 1))
+
+    def test_rejects_a_box_of_other_than_four_coordinates(self):
+        message = "boxes must be (x1, y1, x2, y2), got (0, 0, 1) and (0, 0, 1)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            iou((0, 0, 1), (0, 0, 1))
 
 
 class TestGroundTruthObject:
@@ -226,6 +232,11 @@ class TestLanguageTarget:
         )
         assert t[0, 3] == 0.0  # "engine" twice
         assert t[0, 1] == 1.0
+
+    def test_unknown_mode(self):
+        message = f"mode must be one of {LANGUAGE_MODES}, got 'syntactic'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_language_target(self.TAGS, LexicalPairTable.default(), mode="syntactic")
 
     def test_different_word_requires_tokens(self):
         with pytest.raises(ValidationError):

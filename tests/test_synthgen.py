@@ -16,7 +16,7 @@ import pytest
 from fanet import matrices
 from fanet.attention import EntitySet
 from fanet.losses import validate_target
-from fanet.matrices import NonFiniteError, ValidationError, _upper_cells
+from fanet.matrices import NonFiniteError, ShapeError, ValidationError, _upper_cells
 from fanet.metrics import top_k_pairs
 from fanet.seeding import _rekeyed, instance_seed, stream_rng
 from fanet.supervision import (
@@ -236,6 +236,12 @@ class TestGenerateDataset:
     def test_rejects_empty_split(self):
         with pytest.raises(ValidationError):
             generate_dataset(tiny_world(), 0, 1, seed=0)
+
+    def test_rejects_a_spec_dict(self):
+        """A spec's dict is not a spec: load_spec makes one of it."""
+        message = "spec: expected WorldSpec or DocumentSpec, got {'kind': 'vision'}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            generate_dataset({"kind": "vision"}, 1, 1, seed=0)
 
     def test_document_dispatch(self):
         tr, te = generate_dataset(default_document_spec(), 2, 2, seed=0)
@@ -1399,6 +1405,8 @@ class TestInstanceValidation:
             validate_target(np.zeros((2, 3, 4)))
         with pytest.raises(ValidationError, match="at least one row"):
             validate_target(np.zeros((0, 3, 3)))
+        with pytest.raises(ShapeError, match=r"^target must be 2-D, got ndim=1$"):
+            validate_target(np.zeros(3))
 
     def test_negative_zero_is_an_unlabeled_zero(self):
         from fanet.attention import EntitySet
@@ -1430,6 +1438,21 @@ class TestInstanceValidation:
         assert not inst.target[0, 1] and not inst.labeled and not inst.target.flags.writeable
         assert np.isfinite(inst.entities.features).all()
         assert inst.entities.categories[0] == 0 and inst.entities.boxes[0, 0] == 0.0
+
+    def test_tokens_and_tags_follow_the_readers_rule(self):
+        """None or n strings, kept as the instance's own tuple."""
+        ents, need = EntitySet(features=np.zeros((2, 2))), "expected a list of 2 strings or null, got"
+        with pytest.raises(ValidationError, match=f"^tags: {need} 1 entries$"):
+            Instance(ents, np.zeros((2, 2)), 0, tokens=["a", "b"], tags=["x"])
+        with pytest.raises(ValidationError, match=f"^tokens: {need} entry 7$"):
+            Instance(ents, np.zeros((2, 2)), 0, tokens=("a", 7))
+        with pytest.raises(ValidationError, match=f"^tokens: {need} str$"):
+            Instance(ents, np.zeros((2, 2)), 0, tokens="ab")
+        tokens = ["a", "b"]
+        inst = Instance(ents, np.zeros((2, 2)), 0, tokens=tokens, tags=("x", "y"))
+        tokens.append("c")
+        assert inst.tokens == ("a", "b") and inst.tags == ("x", "y") and type(inst.tokens) is tuple
+        assert Instance(ents, np.zeros((2, 2)), 0).tokens is None
 
     def test_label_checked(self):
         from fanet.attention import EntitySet

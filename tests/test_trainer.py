@@ -185,6 +185,10 @@ class TestModelInit:
         pc = init_model(6, 3, TrainConfig(d_k=4, head_mode="concat"))
         assert pc.classifier_w.shape == (3, 12)
 
+    def test_rejects_zero_classes(self):
+        with pytest.raises(ValidationError, match=r"^num_classes must be >= 1, got 0$"):
+            init_model(3, 0, TrainConfig(d_k=2))
+
     def test_deterministic_and_seed_sensitive(self):
         a = init_model(5, 2, TrainConfig(seed=1))
         b = init_model(5, 2, TrainConfig(seed=1))
@@ -295,7 +299,7 @@ class TestGradCheck:
         for seed in range(3):
             inst = check_instance(seed)
             params = init_model(3, 3, cfg)
-            err = grad_check(params, inst, cfg)
+            err, _ = grad_check(params, inst, cfg)
             assert err < 1e-5, f"seed {seed}: {err:.2e}"
 
     @pytest.mark.parametrize("head_mode", ["residual", "concat"])
@@ -304,12 +308,12 @@ class TestGradCheck:
         for seed in range(3):
             inst = check_instance(100 + seed)
             params = init_model(3, 3, cfg)
-            assert grad_check(params, inst, cfg) < 1e-5
+            assert grad_check(params, inst, cfg)[0] < 1e-5
 
     def test_frozen_attention_skips_projections(self):
         cfg = TrainConfig(freeze_attention=True, lam=0.5, d_k=2)
         inst = check_instance(8)
-        assert grad_check(init_model(3, 3, cfg), inst, cfg) < 1e-5
+        assert grad_check(init_model(3, 3, cfg), inst, cfg)[0] < 1e-5
 
     def test_step_bounds(self):
         cfg = TrainConfig(d_k=2)
@@ -430,7 +434,7 @@ class TestFlatParameters:
         cfg = TrainConfig(d_k=2, lam=0.5)
         params = init_model(inst.entities.d, 3, cfg)
         before = params.flat.copy()
-        assert grad_check(params, inst, cfg) < 1e-5
+        assert grad_check(params, inst, cfg)[0] < 1e-5
         assert np.array_equal(params.flat, before)
         probe = params.copy()
         probe.arrays()["w_k"][0, 0] += 0.5
