@@ -16,9 +16,10 @@ Conventions shared by every subcommand:
     precedence is flag > config file > FAN_SEED > 0;
   * what every output file holds is decided here; `trainer` and `metrics`
     only return values. metrics.csv has fixed columns and no comment line,
-    so strict parsers stay happy. JSON files and whole CSVs are written
-    whole or not at all (`matrices._write_whole`); the dataset JSONL files
-    and the appended ablation rows are written in place;
+    so strict parsers stay happy. JSON files, whole CSVs, and the dataset
+    JSONL files and the caches `gen` leaves beside them, are written whole or
+    not at all (`matrices._write_whole`); the appended ablation rows are
+    written in place;
   * everything is deterministic given its inputs: rerunning a subcommand
     writes byte-identical files;
   * on glibc, `main` raises malloc's mmap and trim thresholds, so that

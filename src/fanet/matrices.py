@@ -247,18 +247,19 @@ def _load_json(path, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _write_whole(path, write, newline=None) -> None:
-    """Write the text file at `path` whole or not at all: write(fh) fills a
-    new temporary file beside it, which then replaces `path`. On any error
-    the temporary file goes and a file already at `path` stays as it was.
-    The file gets the mode a plain `open` gives, and an OSError names `path`."""
+def _write_whole(path, write, newline=None, mode="w") -> None:
+    """Write the file at `path` whole or not at all: write(fh) fills a new
+    temporary file beside it, opened in `mode` ("w" for text, "wb" for
+    bytes), which then replaces `path`. On any error the temporary file goes
+    and a file already at `path` stays as it was. The file gets the
+    permissions a plain `open` gives, and an OSError names `path`."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open
         try:
-            with open(fd, "w", newline=newline) as fh:
+            with open(fd, mode, newline=newline) as fh:
                 write(fh)
             os.replace(tmp, path)
         except BaseException:
@@ -310,9 +311,13 @@ _PAYLOAD_DTYPES = {"<f8": np.dtype(np.float64), "<i8": np.dtype(np.int64), "u1":
 
 
 def _encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
-    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return _encode_bytes(np.ascontiguousarray(a, dtype=dtype).tobytes(), a.shape, dtype)
+
+
+def _encode_bytes(data: bytes, shape, dtype: str = "<f8") -> dict:
+    """The encoded form of an array of `shape` whose raw `dtype` bytes are `data`."""
     return {
-        "shape": list(a.shape),
+        "shape": list(shape),
         "dtype": dtype,
         "data": base64.b64encode(data).decode("ascii"),
     }

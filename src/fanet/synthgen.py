@@ -29,9 +29,13 @@ pair always produces the identical instance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -39,8 +43,9 @@ import numpy as np
 
 from .attention import EntitySet
 from .losses import _check_target, validate_target
-from .matrices import _NO_PAIRS, ValidationError, _check_boxes, _decode_payload, _encode_array
-from .matrices import _from_json, _index_pairs, _json_dict, _upper_cells, as_matrix, check_finite
+from .matrices import _NO_PAIRS, ValidationError, _check_boxes, _decode_payload, _encode_bytes
+from .matrices import _from_json, _index_pairs, _json_dict, _upper_cells, _write_whole
+from .matrices import as_matrix, check_finite
 from .seeding import STREAM_INSTANCE, _rekeyed, instance_seed, stream_rng
 from .supervision import LexicalPairTable, build_language_target
 
@@ -562,19 +567,26 @@ DATASET_FORMAT = "fanet-instance"
 DATASET_VERSION = 2
 
 
-def _instance_to_dict(inst: Instance) -> dict:
+def _instance_line(inst: Instance) -> tuple:
+    """(the JSON object of inst's line, the raw bytes of its packed target,
+    features and boxes, b"" without boxes): the cache reuses the bytes."""
     ent, n, r = inst.entities, inst.n, inst.relations
     cells = _upper_cells(n)[0]
     upper = inst.target.ravel()[cells]
+    raw = (
+        np.packbits(upper).tobytes(),
+        np.ascontiguousarray(ent.features, "<f8").tobytes(),
+        b"" if ent.boxes is None else np.ascontiguousarray(ent.boxes, "<f8").tobytes(),
+    )
     d = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "entities": {
-            "features": _encode_array(ent.features),
-            "boxes": _encode_array(ent.boxes) if ent.boxes is not None else None,
+            "features": _encode_bytes(raw[1], ent.features.shape),
+            "boxes": None if ent.boxes is None else _encode_bytes(raw[2], ent.boxes.shape),
             "categories": ent.categories.tolist() if ent.categories is not None else None,
         },
-        "target": _encode_array(np.packbits(upper), "u1"),
+        "target": _encode_bytes(raw[0], (len(raw[0]),), "u1"),
     }
     # omitted when the relations, each pair sorted, are the target's upper
     # pairs: their flat cells min*n + max, in order, are the target's. Both
@@ -588,7 +600,7 @@ def _instance_to_dict(inst: Instance) -> dict:
         d["tokens"] = list(inst.tokens)
     if inst.tags is not None:
         d["tags"] = list(inst.tags)
-    return d
+    return d, raw
 
 
 def _parse_line(d) -> tuple:
@@ -729,26 +741,76 @@ def _strings(raw, n: int, field: str) -> Optional[tuple]:
 
 
 def write_jsonl(path, instances) -> None:
-    with open(path, "w") as fh:
+    """Write the instances to the JSONL file at `path`, one line each, and
+    then their cache beside it (`_cache_path`). Each file is written whole
+    or not at all, the JSONL file first: a write that fails leaves the
+    previous pair, or a new JSONL file whose old cache no longer matches it."""
+    digest = hashlib.sha256()
+    cache = _Cache()
+
+    def write(fh):
         for inst in instances:
-            fh.write(json.dumps(_instance_to_dict(inst)) + "\n")
+            d, raw = _instance_line(inst)
+            line = (json.dumps(d) + "\n").encode("ascii")
+            digest.update(line)
+            fh.write(line)
+            cache.add(inst, d, raw)
+
+    _write_whole(path, write, mode="wb")
+    _write_whole(_cache_path(path), lambda fh: cache.write(fh, digest.hexdigest()), mode="wb")
 
 
 def read_jsonl(path) -> list:
     """Parse a dataset file; errors carry the 1-based line number.
 
-    One pass in file order makes every check that reads no array value: each
-    line decodes its payloads to bytes and joins the group of its entity
-    count, feature dim and boxes' shape. Each group's arrays are then made at
-    once, and every check the constructors make runs once per group, on those
-    stacked arrays. When every group passes, every Instance is built in file
-    order, on views of them, without checking it again. Otherwise, or when
-    the pass stopped at a bad line, the lines it read are built through the
-    checked constructors, so the first bad line in the file is the one named,
-    with the constructors' own message.
+    The first pass, in file order, makes every check that reads no array
+    value: each line decodes its payloads to bytes and joins the group of its
+    entity count, feature dim and boxes' shape. When the file's cache
+    (`_read_cache`) is the one `write_jsonl` left beside these bytes and
+    passes every check the first pass makes, it stands in for that pass.
+    Each group's arrays are then made at once, and every check the
+    constructors make runs once per group, on those stacked arrays. When
+    every group passes, every Instance is built in file order, on views of
+    them, without checking it again. Otherwise a cache is dropped for the
+    first pass; and when that pass stopped at a bad line or a group failed,
+    the lines it read are built through the checked constructors, so the
+    first bad line in the file is the one named, with the constructors' own
+    message. Every error comes from the first pass, never from a cache.
     """
-    parsed = []  # file order: (lineno, group key, index in the group)
-    groups: dict = {}  # key -> (each line's relations, `_unpack_group`'s buffers, their fields)
+    cached = _read_cache(path)
+    if cached is not None:
+        order, groups = cached
+        unpacked, checked = _unpack_groups(groups)
+        if checked:
+            return _instances(order, groups, unpacked)
+    linenos, order, groups, failure = _read_lines(path)
+    unpacked, checked = _unpack_groups(groups)
+    if failure is None and checked:
+        return _instances(order, groups, unpacked)
+    out = []
+    for lineno, (g, i) in zip(linenos, order):
+        categories, label, tokens, tags = groups[g][3][i]
+        targets, relations, _, features, boxes = unpacked[g]
+        try:
+            entities = EntitySet(features[i], categories, None if boxes is None else boxes[i])
+            out.append(Instance(entities, targets[i], label, relations[i], tokens, tags))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    if failure is not None:
+        lineno, exc = failure
+        fault = "nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise ValidationError(f"{path}:{lineno}: {fault}") from exc
+    return out
+
+
+def _read_lines(path) -> tuple:
+    """The first pass of `read_jsonl` over the JSONL file: (each line's
+    number, its (group, index in the group) in file order, {group: (key,
+    each line's relations, `_unpack_group`'s buffers, each line's fields)},
+    and (line number, exception) of the line it stopped at, or None). Each
+    group is named by its key, (n, feature dim, boxes' shape or None)."""
+    linenos, order = [], []
+    groups: dict = {}
     failure = None
     try:  # bytes that are not UTF-8 are read as escapes, for the check below to name their line
         fh = open(path, encoding="utf-8", errors="surrogateescape")
@@ -767,41 +829,227 @@ def read_jsonl(path) -> list:
             except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
                 failure = lineno, exc
                 break
-            given, buffers, lines = groups.setdefault(key, ([], (bytearray(), bytearray(), bytearray()), []))
-            parsed.append((lineno, key, len(given)))
+            _, given, buffers, lines = groups.setdefault(
+                key, (key, [], (bytearray(), bytearray(), bytearray()), [])
+            )
+            linenos.append(lineno)
+            order.append((key, len(given)))
             for buffer, raw in zip(buffers, payloads):
                 buffer += raw
             given.append(relations)
             lines.append(fields)
-    unpacked = {key: _unpack_group(key, given, buffers) for key, (given, buffers, _) in groups.items()}
-    checked = False
-    if failure is None:
-        try:
-            for key, (targets, _, _, features, boxes) in unpacked.items():
-                _check_group(key[0], groups[key][2], targets, features, boxes)
-            checked = True
-        except ValidationError:
-            pass
+    return linenos, order, groups, failure
+
+
+def _unpack_groups(groups: dict) -> tuple:
+    """({group: its `_unpack_group` arrays}, whether every group passes
+    `_check_group`), for groups as `_read_lines` gives them."""
+    unpacked = {g: _unpack_group(key, given, buffers) for g, (key, given, buffers, _) in groups.items()}
+    try:
+        for g, (targets, _, _, features, boxes) in unpacked.items():
+            key, _, _, lines = groups[g]
+            _check_group(key[0], lines, targets, features, boxes)
+    except ValidationError:
+        return unpacked, False
+    return unpacked, True
+
+
+def _instances(order: list, groups: dict, unpacked: dict) -> list:
+    """Every line's Instance, in file order, built unchecked on views of its
+    group's arrays, for groups that passed `_check_group`."""
     out = []
-    for lineno, key, i in parsed:
-        categories, label, tokens, tags = groups[key][2][i]
-        targets, relations, labeled, features, boxes = unpacked[key]
-        features, boxes = features[i], None if boxes is None else boxes[i]
-        if checked:
-            entities = _unchecked(EntitySet, features=features, categories=categories, boxes=boxes)
-            out.append(_unchecked(Instance, entities=entities, target=targets[i], label=label,
-                                  relations=relations[i], tokens=tokens, tags=tags, labeled=labeled[i]))
-            continue
-        try:
-            out.append(Instance(EntitySet(features, categories, boxes), targets[i], label, relations[i],
-                                tokens, tags))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    if failure is not None:
-        lineno, exc = failure
-        fault = "nested too deeply" if isinstance(exc, RecursionError) else exc
-        raise ValidationError(f"{path}:{lineno}: {fault}") from exc
+    for g, i in order:
+        categories, label, tokens, tags = groups[g][3][i]
+        targets, relations, labeled, features, boxes = unpacked[g]
+        entities = _unchecked(EntitySet, features=features[i], categories=categories,
+                              boxes=None if boxes is None else boxes[i])
+        out.append(_unchecked(Instance, entities=entities, target=targets[i], label=label,
+                              relations=relations[i], tokens=tokens, tags=tags, labeled=labeled[i]))
     return out
+
+
+# --- the dataset cache ------------------------------------------------------
+#
+# Beside each JSONL file it writes, `write_jsonl` leaves a cache: what the
+# reader's first pass makes of that file, so that a read of it skips the
+# JSON and base64 decoding. It is derived data, always safe to delete; the
+# JSONL file stays the file of record. Version 1, in three parts:
+#   a JSON line {"format": "fanet-dataset-cache", "version": 1,
+#                "sha256": <hex digest of the JSONL file's bytes>,
+#                "crc32": <zlib.crc32 of the rest of the cache>};
+#   a JSON line {"order": [each line's group, in file order],
+#                "strings": [every token and tag string, once],
+#                "groups": [{"n": int, "d": int, "boxes": bool,
+#                            "categories": bool, "tokens": bool, "tags": bool,
+#                            "labels": [int, ...],
+#                            "relations": [gt_relations, or null where omitted]}]};
+#   each group's bytes: its lines' packed targets ("u1", as in the JSONL),
+#   features ("<f8") and, where the group's flags say so, boxes ("<f8"),
+#   categories ("<i8") and the indices of the tokens and the tags in
+#   "strings" ("<u4"), each of these back to back over the group's lines
+#   and zero-padded to a multiple of 8 bytes, so that every array is aligned.
+# The lines of a group share n, d and which of the four fields they hold.
+
+_CACHE_FORMAT = "fanet-dataset-cache"
+_CACHE_VERSION = 1
+_CACHE_FIELDS = ("boxes", "categories", "tokens", "tags")
+
+
+def _cache_path(path) -> str:
+    return os.fspath(path) + ".cache"
+
+
+def _pad(size: int) -> bytes:
+    """The zero bytes that take `size` to a multiple of 8."""
+    return bytes(-size % 8)
+
+
+class _Cache:
+    """The cache of a JSONL file, built line by line as `write_jsonl` writes it."""
+
+    def __init__(self):
+        self.order = []
+        self.groups: dict = {}  # (n, d, each field present) -> (index, JSON object, segments)
+
+    def add(self, inst: Instance, d: dict, raw: tuple) -> None:
+        """One line: the instance, its JSON object and its raw bytes (`_instance_line`)."""
+        ent = inst.entities
+        present = tuple(x is not None for x in (ent.boxes, ent.categories, inst.tokens, inst.tags))
+        key = (inst.n, ent.d, present)
+        if key not in self.groups:
+            header = {"n": inst.n, "d": ent.d, **dict(zip(_CACHE_FIELDS, present)),
+                      "labels": [], "relations": []}
+            self.groups[key] = len(self.groups), header, ([], [], [], [], [], [])
+        index, header, (packed, features, boxes, categories, tokens, tags) = self.groups[key]
+        self.order.append(index)
+        header["labels"].append(d["label"])
+        header["relations"].append(d.get("gt_relations"))
+        packed.append(raw[0])
+        features.append(raw[1])
+        boxes.append(raw[2])
+        if ent.categories is not None:
+            categories += d["entities"]["categories"]
+        if inst.tokens is not None:
+            tokens += inst.tokens
+        if inst.tags is not None:
+            tags += inst.tags
+
+    def write(self, fh, sha256: str) -> None:
+        """The cache, into the binary file fh; sha256 is the JSONL file's digest."""
+        segments = [group[2] for group in self.groups.values()]
+        strings = dict.fromkeys(chain.from_iterable(x for group in segments for x in group[4:]))
+        index = {x: i for i, x in enumerate(strings)}
+        header = {"order": self.order, "strings": list(strings),
+                  "groups": [spec for _, spec, _ in self.groups.values()]}
+        parts = [(json.dumps(header) + "\n").encode("ascii")]
+        for packed, features, boxes, categories, tokens, tags in segments:
+            for chunks in (packed, features, boxes):
+                parts += chunks
+                parts.append(_pad(sum(map(len, chunks))))
+            rows = categories, [*map(index.__getitem__, tokens)], [*map(index.__getitem__, tags)]
+            for ints, dtype in zip(rows, ("<i8", "<u4", "<u4")):
+                data = np.array(ints, dtype).tobytes()
+                parts += (data, _pad(len(data)))
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        prelude = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "sha256": sha256, "crc32": crc}
+        fh.write((json.dumps(prelude) + "\n").encode("ascii"))
+        fh.writelines(parts)
+
+
+def _read_cache(path):
+    """(order, groups) as `_read_lines` gives them for the JSONL file at
+    `path`, from its cache; None when there is no cache, or it is not the
+    one `write_jsonl` left beside these bytes, or any check that the first
+    pass makes fails on it. Its groups are keyed by their index."""
+    try:
+        with open(_cache_path(path), "rb") as fh:
+            prelude = json.loads(fh.readline(1024))
+            if not isinstance(prelude, dict) or (prelude.get("format"), prelude.get("version")) != (
+                _CACHE_FORMAT, _CACHE_VERSION
+            ):
+                return None
+            if prelude.get("sha256") != _sha256(path):
+                return None
+            header = fh.readline()
+            body = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+            if fh.readinto(body) != len(body):
+                return None
+            if zlib.crc32(body, zlib.crc32(header)) != prelude.get("crc32"):
+                return None
+        return _cache_groups(json.loads(header), memoryview(body))
+    # ValidationError is a ValueError; a corrupt header may hold a wrong type
+    # anywhere, or nest too deeply for json.loads
+    except (OSError, ValueError, TypeError, KeyError, IndexError, RecursionError):
+        return None
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):  # in chunks: no whole-file copy
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _cache_groups(header: dict, body: memoryview) -> tuple:
+    """A cache's (order, groups), from its header and the bytes after it.
+    Makes every check the first pass makes on a line and raises ValueError
+    (or a ValidationError) where one fails. The features, categories and
+    boxes are views of `body`, which is writable, as the first pass's are."""
+    order, strings, specs = header["order"], header["strings"], header["groups"]
+    if not (isinstance(order, list) and isinstance(specs, list) and set(map(type, order)) <= {int}
+            and isinstance(strings, list) and set(map(type, strings)) <= {str}):
+        raise ValueError("cache: malformed header")
+    if order and not 0 <= min(order) <= max(order) < len(specs):
+        raise ValueError("cache: a line's group is out of range")
+    sizes = [0] * len(specs)
+    placed = []
+    for g in order:
+        placed.append((g, sizes[g]))
+        sizes[g] += 1
+    table = np.array(strings, dtype=object)
+    groups = {}
+    offset = 0
+    for g, (spec, size) in enumerate(zip(specs, sizes)):
+        n, d, labels, given = spec["n"], spec["d"], spec["labels"], spec["relations"]
+        present = [spec[f] for f in _CACHE_FIELDS]
+        if not (type(n) is type(d) is int and 1 <= n <= MAX_ITEMS and d >= 1 and size >= 1
+                and {*map(type, present)} <= {bool} and isinstance(labels, list)
+                and isinstance(given, list) and len(labels) == len(given) == size
+                and {*map(type, labels)} == {int}):
+            raise ValueError(f"cache: malformed group {g}")
+        m = n * (n - 1) // 2
+        row = (m + 7) // 8  # packed bytes per line; the low m % 8 bits of its last are padding
+        held = (True, True, *present)
+        widths = (row, n * d * 8, n * 32, n * 8, n * 4, n * 4)  # bytes per line of each array
+        lengths = [size * w if h else 0 for w, h in zip(widths, held)]
+        if offset + sum(x + -x % 8 for x in lengths) > len(body):
+            raise ValueError("cache: truncated")
+        segments = []
+        for length in lengths:
+            segments.append(body[offset:offset + length])
+            offset += length + -length % 8
+        packed, features, boxes, *fields = segments
+        if m % 8 and any(b & (0xFF >> m % 8) for b in packed[row - 1::row]):
+            raise ValueError("cache: target padding bits are set")
+        categories, tokens, tags = (
+            np.frombuffer(seg, dtype).reshape(size, n) if h else None
+            for h, seg, dtype in zip(held[3:], fields, ("<i8", "<u4", "<u4"))
+        )
+        none = [None] * size
+        categories = none if categories is None else list(categories.astype(np.int64, copy=False))
+        # an index past the string table raises IndexError
+        tokens, tags = (
+            none if ids is None else list(map(tuple, table[ids].tolist())) for ids in (tokens, tags)
+        )
+        given = [None if r is None else _index_pairs(r, n, "gt_relations") for r in given]
+        key = (n, d, (n, 4) if spec["boxes"] else None)
+        groups[g] = key, given, (packed, features, boxes), list(zip(categories, labels, tokens, tags))
+    if offset != len(body):
+        raise ValueError("cache: trailing bytes")
+    return placed, groups
 
 
 def _check_group(n: int, lines: list, targets, features, boxes) -> None:

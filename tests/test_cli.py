@@ -244,8 +244,9 @@ def run_dir(tmp_path_factory, data_dir):
 
 class TestGen:
     def test_artifacts(self, data_dir):
-        for name in ("train.jsonl", "test.jsonl", "manifest.json"):
-            assert os.path.exists(os.path.join(data_dir, name))
+        assert sorted(os.listdir(data_dir)) == [
+            "manifest.json", "test.jsonl", "test.jsonl.cache", "train.jsonl", "train.jsonl.cache"
+        ]
         with open(os.path.join(data_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
         assert manifest["n_train"] == 14
@@ -260,7 +261,7 @@ class TestGen:
             ["gen", "--out", str(out), "--n-train", "14", "--n-test", "6", "--seed", "0"]
         )
         assert code == EXIT_OK
-        for name in ("train.jsonl", "test.jsonl", "manifest.json"):
+        for name in ("train.jsonl", "test.jsonl", "train.jsonl.cache", "test.jsonl.cache", "manifest.json"):
             a = (out / name).read_bytes()
             b = Path(data_dir, name).read_bytes()
             assert a == b, name

@@ -1,4 +1,5 @@
-"""Seeded fuzz of the dataset reader: mutated lines of small JSONL files.
+"""Seeded fuzz of the dataset reader: mutated lines of small JSONL files,
+and mutated bytes of their caches.
 
 Each case mutates one line of a small scene file or document file: it drops
 a key, gives a value another type, edits a base64 character or a shape,
@@ -9,11 +10,22 @@ read, and the mutated line as the checked constructors accept it, and as
 it reads alone. A mutation may leave a line valid but different (an edited
 float, a dropped optional key). No other exception may escape.
 
+Each cache case mutates the bytes of the cache `write_jsonl` left beside a
+small scene or document file: it flips a bit, sets, deletes or inserts a
+byte, truncates the cache, or repeats a stretch of it. `read_jsonl` must
+then read exactly what the JSONL file alone reads. The same mutation after
+the cache's first line is then sealed again, its checksum recomputed, as
+if the cache had been written that way: the read may then differ, but it
+must still be one valid instance per line as the checked constructors
+accept it, with no exception.
+
 The mutations come from seeded `random`, so every run checks the same cases.
 """
 
 import json
 import random
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +41,10 @@ from fanet.synthgen import (
     read_jsonl,
     write_jsonl,
 )
+from fanet.synthgen import _cache_path
 
 CASES = 250  # per file; ~0.5 s each on a 2-core x86-64 VM
+CACHE_CASES = 100  # per file; ~0.1 s each
 DEEP = "@@deep@@"  # a placeholder string that no line holds (not base64)
 NESTINGS = [
     "[" * 40 + "]" * 40,
@@ -100,9 +114,9 @@ def _mutate(line: str, rng: random.Random) -> tuple:
 
 
 def _fields(inst):
-    """An instance as comparable values: each array's dtype, shape and bytes."""
+    """An instance as comparable values: each array's dtype, shape, bytes and writeable flag."""
     def bits(a):
-        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes(), a.flags.writeable)
 
     e = inst.entities
     return (bits(e.features), bits(e.categories), bits(e.boxes), bits(inst.target),
@@ -120,6 +134,7 @@ def _checked(inst):
 def test_mutated_line_reads_or_is_named(tmp_path, name):
     clean_path = tmp_path / "clean.jsonl"
     write_jsonl(clean_path, FILES[name]())
+    Path(_cache_path(clean_path)).unlink()  # the clean read is the JSONL file's own
     lines = clean_path.read_text().splitlines()
     clean = [_fields(inst) for inst in read_jsonl(clean_path)]
     rng = random.Random(f"fuzz-{name}")
@@ -152,3 +167,69 @@ def test_mutated_line_reads_or_is_named(tmp_path, name):
         if not ok:
             faults.append(f"{where}: the line reads differently alone or rebuilt")
     assert not faults, "\n".join(faults[:10])
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> tuple:
+    """(kind, mutated bytes) of one seeded mutation of a cache. Its position
+    falls in the first line, the second or the bytes after them, with equal
+    odds, so that the short JSON lines are hit as often as the arrays."""
+    first = data.index(b"\n") + 1
+    second = data.index(b"\n", first) + 1
+    lo, hi = rng.choice([(0, first), (first, second), (second, len(data))])
+    at = rng.randrange(lo, hi)
+    kind = rng.choice(["flip", "set", "delete", "insert", "truncate", "repeat"])
+    if kind == "flip":
+        return kind, data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == "set":
+        return kind, data[:at] + bytes([rng.randrange(256)]) + data[at + 1:]
+    if kind == "delete":
+        return kind, data[:at] + data[at + 1:]
+    if kind == "insert":
+        return kind, data[:at] + bytes([rng.randrange(256)]) + data[at:]
+    if kind == "truncate":
+        return kind, data[:at]
+    end = min(len(data), at + rng.randrange(1, 64))
+    return kind, data[:end] + data[at:end] + data[end:]
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_mutated_cache_reads_as_the_jsonl_alone(tmp_path, name):
+    path = tmp_path / "data.jsonl"
+    write_jsonl(path, FILES[name]())
+    cache = Path(_cache_path(path))
+    data = cache.read_bytes()
+    cache.unlink()
+    clean = [_fields(inst) for inst in read_jsonl(path)]
+    rng = random.Random(f"cache-fuzz-{name}")
+    faults = []
+    for case in range(CACHE_CASES):
+        kind, mutated = _mutate_bytes(data, rng)
+        cache.write_bytes(mutated)
+        try:
+            got = [_fields(inst) for inst in read_jsonl(path)]
+        except Exception as exc:  # the fault this test looks for
+            faults.append(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+            continue
+        if got != clean:
+            faults.append(f"case {case} ({kind}): reads differently from the JSONL file alone")
+        prelude, rest = data.split(b"\n", 1)
+        if not mutated.startswith(prelude + b"\n"):
+            continue
+        cache.write_bytes(_sealed(prelude, mutated[len(prelude) + 1:]))
+        try:
+            got = read_jsonl(path)
+            ok = len(got) == len(clean) and all(_fields(_checked(inst)) == _fields(inst) for inst in got)
+        except Exception as exc:
+            faults.append(f"case {case} ({kind}, sealed): {type(exc).__name__}: {exc}")
+            continue
+        if not ok:
+            faults.append(f"case {case} ({kind}, sealed): not one valid instance per line")
+    assert not faults, "\n".join(faults[:10])
+
+
+def _sealed(prelude: bytes, rest: bytes) -> bytes:
+    """A cache of the first line `prelude` and the bytes `rest`, its checksum
+    recomputed over `rest`."""
+    d = json.loads(prelude)
+    d["crc32"] = zlib.crc32(rest)
+    return json.dumps(d).encode() + b"\n" + rest

@@ -7,7 +7,9 @@ writer where the bundled run does not reach: 1/2 scenes of 300 entities each
 (the bundled vision world with entities_min = entities_max = 300), 20/10
 documents of the bundled document world, and 20/10 long documents (the
 bundled document world with tokens_min = 48 and tokens_max = 64, so each
-document has over a thousand candidate pairs). Four more 3-epoch `train` runs at
+document has over a thousand candidate pairs). Each `gen` pins the cache it
+leaves beside each JSONL file too (`<split>.jsonl.cache`), so two runs with
+one seed must write it byte for byte. Four more 3-epoch `train` runs at
 seed 0 on 20/10 datasets pin the training paths the default recipe leaves
 out: the language recipe (adam, lambda 0.1, batch size 2) on documents; the
 row strategy with the concat head; the mat strategy
@@ -42,6 +44,8 @@ from fanet.synthgen import default_document_spec, default_world_spec
 GOLDEN = {
     "data/train.jsonl": "e743684e22c8ee3d093934a44f516eb4389d05e54dcc4b351cc1f7083c55091b",
     "data/test.jsonl": "de1292271d00ac4f1276085eaae2607986f6383d260054aeea7891f70a0964c0",
+    "data/train.jsonl.cache": "c92e1a08400c90893784540124bfd75a92a722a6077009915c54ef4c3adfa64e",
+    "data/test.jsonl.cache": "25944f3222de768abae13f8822fcf57b1f48a07da77118d7fe7a2a6249a66f2c",
     "data/manifest.json": "1a3962eaffec98b67e10cdee2c6b0f84d536bdc722f58d8a5c0a014ba7ee7542",
     "run/report.csv": "1d0aa932de09d90637d0a28badb10d60bbfa30f2796bdc80bde890c2a01bfff9",
     "run/report.json": "2c8ba793e6cf0498a836e763d3f640722c6a9a71ef48fe9bc4b4d23de8e236e0",
@@ -53,12 +57,18 @@ GOLDEN = {
 GEN_GOLDEN = {
     "vision300/train.jsonl": "67497830dd8c3f61b82af4d9f113ca01545787582aded72253495d2a1d956db4",
     "vision300/test.jsonl": "7756c9e00964c275681fc06c51998c123464cef61840a63ec365eb0bf85cb0ec",
+    "vision300/train.jsonl.cache": "78e4110f550aa492b1953b6e14ab086d03c377683faaf00d83f3a66eebfdb685",
+    "vision300/test.jsonl.cache": "7e6399d423d97969f4e892ed0f21d34e799eba0b6c7e05cabfa4ab4d784388f3",
     "vision300/manifest.json": "e652e18914b704e51ef646434bce88dc0973473fa1b659accfe77fc7b2fa25b9",
     "document/train.jsonl": "150b574b94027a97d34d5b7703e1ca0f78d7f9923081c160e22f13e7597e9990",
     "document/test.jsonl": "d122087ce644b60ed25f56d1bf51598dff9ffbb4ba2bf1308c2aeb7146e3afa9",
+    "document/train.jsonl.cache": "7edec19da89cf8b931714890b100dbbbc689faa7032fcc401c9c4a3df092e0bb",
+    "document/test.jsonl.cache": "968774e8518bdb4b01d3f0182bbb72f41722701de7aafc2fb7514fde0fe56f09",
     "document/manifest.json": "ddcbc495cc05972a6c53e99852a4e59c6d1c64ff9220d04face3e73ee360e654",
     "document_long/train.jsonl": "798f0bf1e1bc3734b1c99076acf030d92bc0f19f4a231ba9de86d35c2226afe2",
     "document_long/test.jsonl": "a3655c04c7d0330fccef19df75d2b4032ddf86e797ba4bf34daeda2c0e051ce0",
+    "document_long/train.jsonl.cache": "aa5aed9bc9d31caead1db584bd2d2e8f908bab85e6fa7d6880ffa36594098d1f",
+    "document_long/test.jsonl.cache": "f360bf45def6589d3b4046b27eca38bf4bec956eb213c822b615dd726858849d",
     "document_long/manifest.json": "2dd77c766946c1959a3e0c38c83e82b06cf8671b1b230b8fcb71583d90f437df",
 }
 

@@ -41,7 +41,15 @@ from fanet.synthgen import (
     read_jsonl,
     write_jsonl,
 )
-from fanet.synthgen import _affinity_table, _affinity_target, _grid_boxes, _instance_to_dict, _upper_pairs
+from fanet.synthgen import _affinity_table, _affinity_target, _cache_path, _grid_boxes, _instance_line, _upper_pairs
+
+
+def write_plain(path, instances):
+    """`write_jsonl` without the cache it leaves beside the file, so that
+    `read_jsonl` reads the JSONL lines themselves (tests/test_cache.py reads
+    through the cache)."""
+    write_jsonl(path, instances)
+    Path(_cache_path(path)).unlink()
 
 
 def tiny_world(**overrides):
@@ -422,7 +430,7 @@ class TestJsonl:
     def test_vision_roundtrip_is_exact(self, tmp_path):
         tr, _ = generate_dataset(default_world_spec(), 6, 1, seed=3)
         p = tmp_path / "train.jsonl"
-        write_jsonl(p, tr)
+        write_plain(p, tr)
         back = read_jsonl(p)
         assert len(back) == 6
         for a, b in zip(tr, back):
@@ -436,7 +444,7 @@ class TestJsonl:
     def test_document_roundtrip(self, tmp_path):
         tr, _ = generate_dataset(default_document_spec(), 4, 1, seed=3)
         p = tmp_path / "train.jsonl"
-        write_jsonl(p, tr)
+        write_plain(p, tr)
         back = read_jsonl(p)
         for a, b in zip(tr, back):
             np.testing.assert_array_equal(a.entities.features, b.entities.features)
@@ -445,8 +453,8 @@ class TestJsonl:
     def test_write_read_write_is_stable(self, tmp_path):
         tr, _ = generate_dataset(tiny_world(), 3, 1, seed=1)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_jsonl(p1, tr)
-        write_jsonl(p2, read_jsonl(p1))
+        write_plain(p1, tr)
+        write_plain(p2, read_jsonl(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_error_names_path_and_line(self, tmp_path):
@@ -458,7 +466,7 @@ class TestJsonl:
     def test_error_on_garbage_second_line(self, tmp_path):
         tr, _ = generate_dataset(tiny_world(), 1, 1, seed=1)
         p = tmp_path / "bad.jsonl"
-        write_jsonl(p, tr)
+        write_plain(p, tr)
         with open(p, "a") as fh:
             fh.write("{broken\n")
         with pytest.raises(ValidationError, match="2"):
@@ -488,7 +496,7 @@ class TestFormatV2:
     def test_lines_are_self_describing(self, tmp_path):
         tr, _ = generate_dataset(tiny_world(), 2, 1, seed=1)
         p = tmp_path / "a.jsonl"
-        write_jsonl(p, tr)
+        write_plain(p, tr)
         for line in p.read_text().splitlines():
             d = json.loads(line)
             assert (d["format"], d["version"]) == ("fanet-instance", 2)
@@ -502,7 +510,7 @@ class TestFormatV2:
         target[0, 2] = target[2, 0] = target[2, 3] = target[3, 2] = 1.0
         inst = Instance(entities=EntitySet(features=np.eye(4)), target=target, label=0)
         p = tmp_path / "a.jsonl"
-        write_jsonl(p, [inst])
+        write_plain(p, [inst])
         d = json.loads(p.read_text())
         assert d["target"]["shape"] == [1]
         assert base64.b64decode(d["target"]["data"]) == bytes([0b01000100])
@@ -536,7 +544,7 @@ class TestFormatV2:
         entities = EntitySet(features=np.eye(4))
         inst = Instance(entities=entities, target=target, label=1, relations=relations)
         p = tmp_path / "a.jsonl"
-        write_jsonl(p, [inst])
+        write_plain(p, [inst])
         d = json.loads(p.read_text())
         assert d.get("gt_relations") == written
         assert ("gt_relations" in d) == (written is not None)
@@ -554,7 +562,7 @@ class TestFormatV2:
             label=0,
         )
         p = tmp_path / "a.jsonl"
-        write_jsonl(p, [inst])
+        write_plain(p, [inst])
         d = json.loads(p.read_text())
         assert d["target"]["shape"] == [(n * (n - 1) // 2 + 7) // 8]
         (back,) = read_jsonl(p)
@@ -620,7 +628,7 @@ def _same_shape_lines(tmp_path, count=6):
     """`count` lines of 6-entity scenes: one group of targets."""
     tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), count, 1, seed=3)
     p = tmp_path / "bad.jsonl"
-    write_jsonl(p, tr)
+    write_plain(p, tr)
     return tr, [json.loads(line) for line in p.read_text().splitlines()]
 
 
@@ -670,7 +678,7 @@ def _fault(name, n=6):
 class TestGroupedRead:
     def test_mixed_file_reads_bit_identically(self, tmp_path):
         instances = _mixed_instances()
-        lines = [json.dumps(_instance_to_dict(inst)) for inst in instances]
+        lines = [json.dumps(_instance_line(inst)[0]) for inst in instances]
         assert any('"gt_relations"' in line and '"version"' in line for line in lines)
         assert any('"gt_relations"' not in line for line in lines)
         p = tmp_path / "mixed.jsonl"
@@ -724,7 +732,7 @@ class TestGroupedRead:
         six, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 3, 1, seed=3)
         five, _ = generate_dataset(tiny_world(entities_min=5, entities_max=5), 3, 1, seed=3)
         p = tmp_path / "bad.jsonl"
-        write_jsonl(p, [x for pair in zip(six, five) for x in pair])
+        write_plain(p, [x for pair in zip(six, five) for x in pair])
         lines = [json.loads(line) for line in p.read_text().splitlines()]
         first = min(faulty)
         mutate, message = _fault(fault, n=5 if first % 2 else 6)
@@ -781,7 +789,7 @@ class TestGroupedRead:
             tiny_world(entities_min=6, entities_max=6, prototypes=3.0 * np.eye(6, 9)), 3, 1, seed=4)
         want = [six[0], wide[0], six[1], wide[1], six[2], wide[2], six[3]]
         p = tmp_path / "dims.jsonl"
-        write_jsonl(p, want)
+        write_plain(p, want)
         assert_bit_identical(read_jsonl(p), want)
         lines = [json.loads(line) for line in p.read_text().splitlines()]
         lines[3]["entities"]["boxes"] = None
@@ -804,7 +812,7 @@ class TestGroupedRead:
 def _one_line_file(tmp_path, relations):
     """A one-instance 6-entity dataset file whose gt_relations are `relations`."""
     tr, _ = generate_dataset(tiny_world(entities_min=6, entities_max=6), 1, 1, seed=2)
-    d = _instance_to_dict(tr[0])
+    d = _instance_line(tr[0])[0]
     d["gt_relations"] = relations
     p = tmp_path / "one.jsonl"
     p.write_text(json.dumps(d) + "\n")
@@ -924,14 +932,14 @@ class TestArrayKernelsMatchLoops:
         assert len(inst.gt_relations) > 1000
         assert [list(r) for r in inst.gt_relations] == ref_upper_pairs(inst.target)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_jsonl(p1, [inst])
+        write_plain(p1, [inst])
         (back,) = read_jsonl(p1)
         np.testing.assert_array_equal(back.target, inst.target)
         np.testing.assert_array_equal(back.entities.features, inst.entities.features)
         np.testing.assert_array_equal(back.entities.boxes, inst.entities.boxes)
         np.testing.assert_array_equal(back.entities.categories, inst.entities.categories)
         assert back.gt_relations == inst.gt_relations and back.label == inst.label
-        write_jsonl(p2, [back])
+        write_plain(p2, [back])
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -1015,7 +1023,7 @@ class TestUpperCells:
         monkeypatch.setattr(matrices, "_UPPER_CELLS_BOUND", bound)
         monkeypatch.setattr(matrices, "_upper_cache", {})
         p = tmp_path / "docs.jsonl"
-        write_jsonl(p, tr + te)
+        write_plain(p, tr + te)
         assert_read_matches_loop(p)
         cached = [cells[0].size for cells in matrices._upper_cache.values()]
         assert sum(cached) <= bound or len(cached) == 1
@@ -1031,7 +1039,7 @@ class TestUpperCells:
             for k, inst in enumerate(scenes)
         ]
         p = tmp_path / "scenes.jsonl"
-        write_jsonl(p, explicit)
+        write_plain(p, explicit)
         written = [json.loads(line) for line in p.read_text().splitlines()]
         assert sum("gt_relations" in line for line in written) == (10 if omit == "none" else 5)
         assert_read_matches_loop(p)
@@ -1066,7 +1074,7 @@ class TestGatheredRead:
         rng = np.random.default_rng(0)
         want = [Instance(EntitySet(rng.normal(size=(1, 3))), np.zeros((1, 1)), k % 2) for k in range(5)]
         p = tmp_path / "single.jsonl"
-        write_jsonl(p, want)
+        write_plain(p, want)
         assert_bit_identical(read_jsonl(p), want)
         assert_read_matches_loop(p)
 
@@ -1075,7 +1083,7 @@ class TestGatheredRead:
         want, _ = generate_dataset(tiny_world(entities_min=n, entities_max=n), 12, 1, seed=4)
         assert any(inst.labeled for inst in want) and not all(inst.labeled for inst in want)
         p = tmp_path / "scenes.jsonl"
-        write_jsonl(p, want)
+        write_plain(p, want)
         assert_bit_identical(read_jsonl(p), want)
         assert_read_matches_loop(p)
 
@@ -1085,7 +1093,7 @@ class TestGatheredRead:
         spec["entities_min"] = spec["entities_max"] = 300
         _, want = generate_dataset(load_spec(spec), 1, 4, seed=0)
         p = tmp_path / "test.jsonl"
-        write_jsonl(p, want)
+        write_plain(p, want)
         assert_bit_identical(read_jsonl(p), want)
         assert_read_matches_loop(p)
 
@@ -1102,7 +1110,7 @@ class TestGatheredRead:
             for k, inst in enumerate(scenes)
         ]
         p = tmp_path / "scenes.jsonl"
-        write_jsonl(p, scenes)
+        write_plain(p, scenes)
         back = read_jsonl(p)
         assert sum(len(inst.relations) > 1 for inst in back) == len(scenes) - len(explicit)
         for k, inst in enumerate(back):
@@ -1141,7 +1149,7 @@ class TestGatherMemory:
         spec["entities_min"] = spec["entities_max"] = self.n
         _, scenes = generate_dataset(load_spec(spec), 1, 4, seed=3)
         p = tmp_path / "one.jsonl"
-        write_jsonl(p, scenes[:1])
+        write_plain(p, scenes[:1])
         read_jsonl(p)  # the cache entry is built outside the measurement
         assert _traced_peak(lambda: read_jsonl(p)) <= 1099 * 1024
 
@@ -1164,7 +1172,7 @@ class TestMaskMemory:
         spec["entities_min"] = spec["entities_max"] = 300
         scenes, _ = generate_dataset(load_spec(spec), 16, 1, seed=0)
         p = tmp_path / "scenes.jsonl"
-        write_jsonl(p, scenes)  # builds the n = 300 cache entry outside the measurement
+        write_plain(p, scenes)  # builds the n = 300 cache entry outside the measurement
         del scenes
         tracemalloc.start()
         try:
@@ -1206,7 +1214,7 @@ class TestTargetForm:
         train, test = generate_dataset(spec, 12, 1, seed=5)
         assert _mask_form(draw(spec, instance_seed(5, 1, 0)).target) == _mask_form(test[0].target)
         p = tmp_path / "data.jsonl"
-        write_jsonl(p, train)
+        write_plain(p, train)
         grouped = read_jsonl(p)
         monkeypatch.setattr("fanet.synthgen._check_group", _no_group_checks)
         checked = read_jsonl(p)
@@ -1488,7 +1496,7 @@ class TestRelationsView:
         docs, _ = generate_dataset(default_document_spec(), 2, 1, seed=4)
         explicit = dataclasses.replace(scenes[0], relations=((3, 1), (0, 2), (3, 1)))
         p = tmp_path / "a.jsonl"
-        write_jsonl(p, scenes + docs + [explicit])
+        write_plain(p, scenes + docs + [explicit])
         for inst in scenes + docs + read_jsonl(p)[:-1]:
             want = () if inst.tokens else tuple(map(tuple, ref_upper_pairs(inst.target)))
             self.assert_view(inst, want)
